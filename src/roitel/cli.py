@@ -17,7 +17,15 @@ from . import config as config_mod
 from . import engine, ingest, metrics, runlog
 from .errors import BudgetConfigError, ConfigError, ParseError, RoitelError
 
-INPUT_FORMATS = ("generic", "uavdt", "visdrone")
+#: --format value -> name of its parser in ``ingest``. The parser is looked
+#: up on the module at call time, so wrappers installed there (the
+#: benchmark's layer tracer) see every parse.
+_PARSERS = {
+    "generic": "parse_generic_csv",
+    "uavdt": "parse_uavdt_gt",
+    "visdrone": "parse_visdrone_mot",
+}
+INPUT_FORMATS = tuple(_PARSERS)
 
 _REPORT_EXT = {"csv": "csv", "json": "json", "markdown": "md"}
 
@@ -48,15 +56,14 @@ def _load_run_config(args) -> engine.RunConfig:
     return cfg
 
 
-def _parse_stream(args, cfg: Optional[engine.RunConfig]) -> ingest.DetectionStream:
-    text = _read_text(args.input)
+def _parse_stream(
+    args,
+    cfg: Optional[engine.RunConfig],
+    errors_out: Optional[list[ParseError]] = None,
+) -> ingest.DetectionStream:
+    parse = getattr(ingest, _PARSERS[args.format])
     clock = cfg.clock if cfg is not None else None
-    if args.format == "uavdt":
-        stream = ingest.parse_uavdt_gt(text, clock=clock)
-    elif args.format == "visdrone":
-        stream = ingest.parse_visdrone_mot(text, clock=clock)
-    else:
-        stream = ingest.parse_generic_csv(text, clock=clock)
+    stream = parse(_read_text(args.input), clock=clock, errors_out=errors_out)
     noise = getattr(args, "conf_noise", 0.0) or 0.0
     if noise > 0.0:
         seed = cfg.seed if cfg is not None else 0
@@ -189,27 +196,16 @@ def cmd_validate(args) -> int:
     budget_violation = False
 
     cfg = None
-    if args.config:
-        try:
-            cfg = config_mod.load_config(_read_text(args.config))
-            overrides = args.set or []
-            if overrides:
-                cfg = config_mod.apply_overrides(cfg, overrides)
-        except BudgetConfigError as err:
-            problems.append(f"config: {err}")
-            budget_violation = True
-        except (ParseError, ConfigError, RoitelError) as err:
-            problems.append(f"config: {err}")
+    try:
+        cfg = _load_run_config(args)
+    except BudgetConfigError as err:
+        problems.append(f"config: {err}")
+        budget_violation = True
+    except RoitelError as err:
+        problems.append(f"config: {err}")
 
     errors: list[ParseError] = []
-    text = _read_text(args.input)
-    clock = cfg.clock if cfg is not None else None
-    if args.format == "uavdt":
-        stream = ingest.parse_uavdt_gt(text, clock=clock, errors_out=errors)
-    elif args.format == "visdrone":
-        stream = ingest.parse_visdrone_mot(text, clock=clock, errors_out=errors)
-    else:
-        stream = ingest.parse_generic_csv(text, clock=clock, errors_out=errors)
+    stream = _parse_stream(args, cfg, errors_out=errors)
     problems.extend(f"{args.input}: {err}" for err in errors)
 
     print(f"frames: {len(stream.frames)}")

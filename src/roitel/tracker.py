@@ -24,9 +24,6 @@ class Track:
     created_frame: int
     consecutive_misses: int = 0
     last_refined_frame: Optional[int] = None
-    refined_count: int = 0
-    last_class: Optional[int] = None
-    last_confidence: float = 0.0
     hint: Optional[int] = None
 
 
@@ -129,7 +126,6 @@ class Tracker:
         """Record an ROI refinement for an active track."""
         track = self.get(track_id)
         track.last_refined_frame = frame_index
-        track.refined_count += 1
 
     def _associate_by_hint(self, frame_index, detections, assigned, matched_track_ids):
         by_hint = {t.hint: t for t in self._tracks.values() if t.hint is not None}
@@ -153,8 +149,6 @@ class Tracker:
         track.last_bbox = det.bbox
         track.last_seen_frame = frame_index
         track.consecutive_misses = 0
-        track.last_class = det.class_id
-        track.last_confidence = det.confidence
 
     def _spawn(self, det: Detection, frame_index: int) -> Track:
         track = Track(
@@ -162,8 +156,6 @@ class Tracker:
             last_bbox=det.bbox,
             last_seen_frame=frame_index,
             created_frame=frame_index,
-            last_class=det.class_id,
-            last_confidence=det.confidence,
             hint=det.track_hint,
         )
         self._next_id += 1

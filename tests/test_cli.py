@@ -377,6 +377,18 @@ def test_validate_budget_violation_exits_2(tmp_path, detections_csv, capsys):
     assert "violation" in capsys.readouterr().err
 
 
+def test_validate_applies_set_without_config(detections_csv, capsys):
+    rc = main(["validate", "--input", str(detections_csv), "--set", "budget.b_roi=9e9"])
+    assert rc == 2
+    assert "violation: config:" in capsys.readouterr().err
+
+
+def test_validate_rejects_unknown_set_key_without_config(detections_csv, capsys):
+    rc = main(["validate", "--input", str(detections_csv), "--set", "nonsense.key=1"])
+    assert rc == 1
+    assert "unknown config keys: nonsense.key" in capsys.readouterr().err
+
+
 def test_validate_sidecar_counts_and_unknown_warning(tmp_path, detections_csv, capsys):
     side = tmp_path / "side.csv"
     # hint 0 exists in the synthetic stream at frame 0? use a real key:

@@ -1,35 +1,14 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roitel import BBox, iou
-from roitel import _pyassoc
 from roitel.kernels import as_box_array, backend_name, greedy_associate, greedy_match, pairwise_iou
-
-try:
-    from roitel import _fastassoc
-except ImportError:
-    _fastassoc = None
-
-
-def boxes_array(rng, n):
-    return np.column_stack(
-        [
-            rng.uniform(0, 200, n),
-            rng.uniform(0, 200, n),
-            rng.uniform(0.5, 60, n),
-            rng.uniform(0.5, 60, n),
-        ]
-    )
 
 
 def test_backend_is_reported():
-    assert backend_name() in ("compiled", "python")
+    assert backend_name() == "python"
 
 
 def test_as_box_array_shapes():
@@ -40,16 +19,86 @@ def test_as_box_array_shapes():
     assert as_box_array([]).shape == (0, 4)
 
 
-def test_pairwise_iou_against_scalar():
-    # the scalar domain implementation is an independent oracle
-    rng = np.random.default_rng(11)
-    a = boxes_array(rng, 5)
-    b = boxes_array(rng, 7)
+@st.composite
+def box_sets(draw):
+    """Two box sets, up to a few hundred boxes each, rich in boundary cases.
+
+    Coordinates sit on a grid, so many boxes coincide or share an edge. The
+    second set also gets, for some boxes of the first, an identical copy, a
+    neighbour touching its right or bottom edge, and a neighbour just past
+    that edge, which is disjoint in one axis while overlapping in the other.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    step = draw(st.sampled_from([0.1, 0.5, 2.5, 7.0]))
+
+    def grid_boxes(n):
+        return np.column_stack(
+            [rng.integers(0, 120, (n, 2)) * step, rng.integers(1, 25, (n, 2)) * step]
+        )
+
+    a = grid_boxes(draw(st.integers(0, 250)))
+    b = grid_boxes(draw(st.integers(0, 250)))
+    x, y, w, h = a[: draw(st.integers(0, 40))].T
+    derived = [
+        np.column_stack(cols)
+        for cols in (
+            (x, y, w, h),
+            (x + w, y, w, h),
+            (x, y + h, w, h),
+            (x + w + step, y + step, w, h),
+            (x + step, y + h + step, w, h),
+        )
+    ]
+    b = np.concatenate([b, *derived])
+    return a, rng.permutation(b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(box_sets())
+def test_pairwise_iou_against_scalar(sets):
+    # the scalar domain implementation is an independent oracle: same
+    # formula, so the match is exact, clamped identical boxes included
+    a, b = sets
     m = pairwise_iou(a, b)
-    for i in range(5):
-        for j in range(7):
-            expect = iou(BBox(*a[i]), BBox(*b[j]))
-            assert m[i, j] == pytest.approx(expect, rel=1e-12, abs=1e-15)
+    assert m.shape == (len(a), len(b))
+    boxes_b = [BBox(*row) for row in b]
+    for i, row in enumerate(a):
+        box = BBox(*row)
+        assert m[i].tolist() == [iou(box, other) for other in boxes_b], i
+
+
+def exhaustive_greedy(a, b, min_iou):
+    """Brute-force greedy on scalar IoU, as in acceptance check C10."""
+    boxes_a = [BBox(*row) for row in a]
+    boxes_b = [BBox(*row) for row in b]
+    pairs = [
+        (iou(ba, bb), i, j)
+        for i, ba in enumerate(boxes_a)
+        for j, bb in enumerate(boxes_b)
+    ]
+    pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
+    used_a, used_b, matches = set(), set(), []
+    for v, i, j in pairs:
+        if v >= min_iou and i not in used_a and j not in used_b:
+            used_a.add(i)
+            used_b.add(j)
+            matches.append((i, j))
+    return matches
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_greedy_associate_matches_exhaustive_greedy_at_scale(seed):
+    rng = np.random.default_rng(seed)
+    # about 200 tracks against their jittered successors on a coarse grid,
+    # so there are many competing overlaps and many exact IoU ties
+    a = np.column_stack(
+        [rng.integers(0, 60, (200, 2)) * 5.0, rng.integers(2, 12, (200, 2)) * 5.0]
+    )
+    b = a[rng.permutation(200)[:190]].copy()
+    b[:, :2] += rng.integers(-2, 3, (190, 2)) * 2.5
+    b = np.concatenate([b, a[:10]])
+    for min_iou in (0.0, 0.1, 0.3, 0.7):
+        assert greedy_associate(a, b, min_iou) == exhaustive_greedy(a, b, min_iou), min_iou
 
 
 def test_pairwise_iou_empty():
@@ -87,23 +136,6 @@ def test_greedy_match_inclusive_threshold():
     assert greedy_match(m, 0.3000001) == []
 
 
-@pytest.mark.skipif(_fastassoc is None, reason="compiled extension not built")
-def test_backends_agree_exactly():
-    rng = np.random.default_rng(3)
-    for trial in range(300):
-        na = int(rng.integers(0, 8))
-        nb = int(rng.integers(0, 8))
-        a = boxes_array(rng, na) if na else np.zeros((0, 4))
-        b = boxes_array(rng, nb) if nb else np.zeros((0, 4))
-        m_py = _pyassoc.pairwise_iou(np.ascontiguousarray(a), np.ascontiguousarray(b))
-        m_fast = _fastassoc.pairwise_iou(a, b)
-        assert np.array_equal(m_py, m_fast), trial
-        for min_iou in (0.0, 0.1, 0.3, 0.7):
-            assert _pyassoc.greedy_match(m_py, min_iou) == _fastassoc.greedy_match(
-                m_fast, min_iou
-            ), (trial, min_iou)
-
-
 @settings(max_examples=60)
 @given(
     st.lists(
@@ -126,17 +158,6 @@ def test_greedy_associate_is_one_to_one(boxes_a, boxes_b):
     assert len(set(rows)) == len(rows)
     assert len(set(cols)) == len(cols)
     assert all(0 <= r < len(boxes_a) and 0 <= c < len(boxes_b) for r, c in matches)
-
-
-def test_force_python_env_switch():
-    code = (
-        "from roitel.kernels import backend_name; print(backend_name())"
-    )
-    env = dict(os.environ, ROITEL_FORCE_PYTHON="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "python"
 
 
 def test_greedy_match_rejects_bad_matrix():

@@ -65,11 +65,9 @@ def test_mark_refined_updates_history():
     tr.mark_refined(0, 0)
     track = tr.get(0)
     assert track.last_refined_frame == 0
-    assert track.refined_count == 1
     tr.step(5, [mk_det(5, x=0)])
     tr.mark_refined(0, 5)
     assert tr.get(0).last_refined_frame == 5
-    assert tr.get(0).refined_count == 2
     with pytest.raises(UnknownTrack):
         tr.mark_refined(99, 5)
 
