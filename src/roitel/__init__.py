@@ -31,7 +31,6 @@ from .errors import (
     OutOfOrderFrame,
     ParseError,
     RoitelError,
-    UnknownTrack,
 )
 from .ingest import (
     DetectionStream,
@@ -52,7 +51,6 @@ from .metrics import (
     aggregate_run,
     emit_report,
     emit_selection_report,
-    selection_stats,
 )
 from .policy import (
     CandidateContext,
@@ -106,7 +104,6 @@ __all__ = [
     "Tracker",
     "TrackerConfig",
     "TransmissionRecord",
-    "UnknownTrack",
     "aggregate",
     "aggregate_run",
     "backend_name",
@@ -129,7 +126,6 @@ __all__ = [
     "read_jsonl",
     "run",
     "score_roi",
-    "selection_stats",
     "size_term",
     "sweep",
     "uncertainty_term",

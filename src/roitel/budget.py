@@ -81,7 +81,6 @@ class BudgetLedger:
         self.b_roi = b_roi
         self.window_s = window_s
         self.entries: deque[tuple[float, float]] = deque()
-        self.total_bits = 0.0
 
     @property
     def cap_bits(self) -> float:
@@ -119,4 +118,3 @@ class BudgetLedger:
         while self.entries and self.entries[0][0] <= lo:
             self.entries.popleft()
         self.entries.append((now_s, bits))
-        self.total_bits += bits

@@ -77,10 +77,6 @@ def _parse_sidecar(args) -> Optional[ingest.SemanticSidecar]:
     return ingest.parse_sidecar_csv(_read_text(args.sidecar))
 
 
-def _lambda_from_cfg(cfg: engine.RunConfig) -> Optional[float]:
-    return cfg.eval.lambda_cls
-
-
 def _lambda_from_echo(echo: dict[str, str]) -> Optional[float]:
     raw = echo.get("eval.lambda_cls", "none")
     return None if raw == "none" else float(raw)
@@ -97,7 +93,7 @@ def cmd_simulate(args) -> int:
     echo = config_mod.dump_config(cfg)
 
     log = engine.run(stream, sidecar, cfg, config_echo=echo)
-    rep = metrics.aggregate_run(log, _lambda_from_cfg(cfg))
+    rep = metrics.aggregate_run(log, cfg.eval.lambda_cls)
 
     out_dir = Path(args.out_dir)
     log_path = out_dir / "runlog.jsonl"
@@ -129,7 +125,7 @@ def cmd_sweep(args) -> int:
         _write_text(
             out_dir / f"runlog_{variant}.jsonl", "\n".join(runlog.to_jsonl_lines(log)) + "\n"
         )
-        reports.append((variant, metrics.aggregate_run(log, _lambda_from_cfg(cfg))))
+        reports.append((variant, metrics.aggregate_run(log, cfg.eval.lambda_cls)))
 
     echo = config_mod.dump_config(cfg)
     fmt = args.report_format
@@ -215,12 +211,18 @@ def cmd_validate(args) -> int:
         sc_errors: list[ParseError] = []
         sidecar = ingest.parse_sidecar_csv(_read_text(args.sidecar), errors_out=sc_errors)
         problems.extend(f"{args.sidecar}: {err}" for err in sc_errors)
-        known = {
-            (det.frame_index, det.track_hint)
-            for det in stream.iter_detections()
-            if det.track_hint is not None
+        # Count the records the engine looks up: the same association pass
+        # under the same clock, tracker and cost settings a run would use.
+        run_cfg = cfg if cfg is not None else config_mod.build_config({})
+        looked_up = {
+            (rec.frame_index, rec.track_id)
+            for _, _, rows in engine.associate(
+                stream, sidecar, run_cfg.clock, run_cfg.tracker, run_cfg.cost
+            )
+            for *_, rec, _ in rows
+            if rec is not None
         }
-        matched = sum(1 for key in sidecar.records if key in known)
+        matched = len(looked_up)
         unknown = len(sidecar) - matched
         print(f"sidecar records: {len(sidecar)}")
         print(f"sidecar matched: {matched}")
@@ -228,7 +230,8 @@ def cmd_validate(args) -> int:
             # Coverage gaps are legal; the engine simply sends without
             # semantic fields for uncovered ROIs.
             print(
-                f"warning: {unknown} sidecar records reference unknown (frame,track) pairs",
+                f"warning: {unknown} sidecar records reference unknown (frame,track) pairs"
+                " that no processed frame looks up",
                 file=sys.stderr,
             )
 

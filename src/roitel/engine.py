@@ -1,16 +1,18 @@
-"""One simulation run: stride, track, score, schedule, log.
+"""One simulation run in two passes: associate once, then schedule.
 
-The engine walks the detection stream at the clock's frame stride, feeds
-each processed frame through the tracker, scores the resulting candidates,
+``associate`` walks the stream at the clock's frame stride through the
+tracker and attaches each tracked detection's sidecar record and cost;
+nothing in it depends on the policy. The scheduling pass scores those rows,
 asks the policy for selections against a rolling budget ledger, and records
-every transmission plus the per-track class timeline. Runs are strictly
+every transmission plus the per-track class timeline. ``sweep`` associates
+once and schedules every variant over the same rows. Runs are strictly
 sequential and deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from . import policy as policy_mod
 from .budget import BudgetLedger, CostModel, estimate_cost
@@ -54,24 +56,54 @@ def processed_frame_range(first: int, last: int, stride: int) -> list[int]:
     return list(range(start, last + 1, stride))
 
 
-def _sidecar_record(
-    sidecar: Optional[SemanticSidecar], frame_index: int, hint: Optional[int], track_id: int
-) -> Optional[SemanticRecord]:
-    # Sidecar keys live in the annotation's id space when hints exist;
-    # tracker ids are a relabeling, so prefer the hint.
-    if sidecar is None:
-        return None
-    key_id = hint if hint is not None else track_id
-    return sidecar.get(frame_index, key_id)
-
-
-def run(
+def associate(
     stream: DetectionStream,
     sidecar: Optional[SemanticSidecar],
+    clock: FrameClock,
+    tracker_cfg: TrackerConfig,
+    cost: CostModel,
+) -> Iterator[tuple[int, float, list[tuple]]]:
+    """Yield ``(frame_index, now, rows)`` for every processed frame, in
+    order. Each row is ``(det, track_id, is_new, created_frame,
+    sidecar_record, cost_bits)``, one per detection.
+
+    Sidecar keys live in the annotation's id space when hints exist;
+    tracker ids are a relabeling, so the hint is preferred. A record's
+    ``payload_bytes`` overrides the cost model.
+    """
+    if not stream.frames:
+        return
+    by_frame = dict(stream.frames)
+    tracker = Tracker(tracker_cfg)
+    created: dict[int, int] = {}  # track id -> frame it was spawned on
+    for frame_index in processed_frame_range(
+        stream.first_frame, stream.last_frame, clock.frame_stride
+    ):
+        rows = []
+        dets = list(by_frame.get(frame_index, ()))
+        for det, track_id, is_new in tracker.step(frame_index, dets):
+            if is_new:
+                created[track_id] = frame_index
+            rec = None
+            if sidecar is not None:
+                key_id = det.track_hint if det.track_hint is not None else track_id
+                rec = sidecar.get(frame_index, key_id)
+            cost_bits = (
+                rec.payload_bytes * 8.0
+                if rec is not None and rec.payload_bytes is not None
+                else estimate_cost(det.bbox, cost)
+            )
+            rows.append((det, track_id, is_new, created[track_id], rec, cost_bits))
+        yield frame_index, clock.timestamp(frame_index), rows
+
+
+def _schedule(
+    frames: Iterable[tuple[int, float, list[tuple]]],
+    stream: DetectionStream,
     cfg: RunConfig,
-    config_echo: Optional[dict[str, str]] = None,
+    config_echo: Optional[dict[str, str]],
 ) -> RunLog:
-    """Simulate one policy over one stream. Empty streams yield empty logs."""
+    """Scheduling pass: everything that depends on the policy."""
     if config_echo is None:
         from .config import dump_config  # deferred: config depends on RunConfig
 
@@ -89,48 +121,33 @@ def run(
         duration_s=cfg.eval.duration_s,
         config_echo=dict(config_echo),
     )
-    if not stream.frames:
-        return log
-
-    by_frame = {f: dets for f, dets in stream.frames}
-    processed = processed_frame_range(
-        stream.first_frame, stream.last_frame, cfg.clock.frame_stride
-    )
-    log.processed_frame_indices = tuple(processed)
     log.first_frame = stream.first_frame
     log.last_frame = stream.last_frame
 
-    tracker = Tracker(cfg.tracker)
     ledger = BudgetLedger(cfg.budget.b_roi, cfg.budget.window_s)
+    last_refined: dict[int, int] = {}  # track id -> last transmitted frame
     # tid -> (source, label) the downstream consumer currently assumes
     class_state: dict[int, tuple[str, int]] = {}
+    processed = []
     conf_sum = 0.0
     conf_n = 0
 
-    for frame_index in processed:
-        now = cfg.clock.timestamp(frame_index)
-        dets = by_frame.get(frame_index, ())
-        assignments = tracker.step(frame_index, list(dets))
-        log.raw_candidate_count += len(assignments)
+    for frame_index, now, rows in frames:
+        processed.append(frame_index)
+        log.raw_candidate_count += len(rows)
 
         contexts = []
-        frame_info: dict[int, tuple[Optional[SemanticRecord], bool]] = {}
-        for det, track_id, is_new in assignments:
+        records: dict[int, Optional[SemanticRecord]] = {}
+        for det, track_id, is_new, created_frame, rec, cost_bits in rows:
             conf_sum += det.confidence
             conf_n += 1
-            rec = _sidecar_record(sidecar, frame_index, det.track_hint, track_id)
-            cost_bits = (
-                rec.payload_bytes * 8.0
-                if rec is not None and rec.payload_bytes is not None
-                else estimate_cost(det.bbox, cfg.cost)
-            )
-            track = tracker.get(track_id)
+            refined = last_refined.get(track_id)
             cand = policy_mod.make_candidate(
                 frame_index=frame_index,
                 track_id=track_id,
                 bbox=det.bbox,
                 confidence=det.confidence,
-                last_refined_frame=track.last_refined_frame,
+                last_refined_frame=refined,
                 cost_bits=cost_bits,
                 cfg=cfg.policy,
             )
@@ -139,11 +156,11 @@ def run(
                     candidate=cand,
                     confidence=det.confidence,
                     is_new=is_new,
-                    created_frame=track.created_frame,
-                    last_refined_frame=track.last_refined_frame,
+                    created_frame=created_frame,
+                    last_refined_frame=refined,
                 )
             )
-            frame_info[track_id] = (rec, is_new)
+            records[track_id] = rec
             # Video-side class estimate: updates only while no still label
             # is pinned for the track (replacement rule).
             state = class_state.get(track_id)
@@ -164,8 +181,8 @@ def run(
                 log.rejected_budget += 1
                 continue
             ledger.commit(now, cand.cost_bits)
-            tracker.mark_refined(cand.track_id, frame_index)
-            rec, _ = frame_info[cand.track_id]
+            last_refined[cand.track_id] = frame_index
+            rec = records[cand.track_id]
             log.transmissions.append(
                 TransmissionRecord(
                     frame_index=frame_index,
@@ -195,8 +212,20 @@ def run(
                     )
                 class_state[cand.track_id] = (CLASS_SOURCE_STILL, rec.still_label)
 
+    log.processed_frame_indices = tuple(processed)
     log.detection_conf_mean = conf_sum / conf_n if conf_n else 0.0
     return log
+
+
+def run(
+    stream: DetectionStream,
+    sidecar: Optional[SemanticSidecar],
+    cfg: RunConfig,
+    config_echo: Optional[dict[str, str]] = None,
+) -> RunLog:
+    """Simulate one policy over one stream. Empty streams yield empty logs."""
+    frames = associate(stream, sidecar, cfg.clock, cfg.tracker, cfg.cost)
+    return _schedule(frames, stream, cfg, config_echo)
 
 
 def sweep(
@@ -207,17 +236,17 @@ def sweep(
 ) -> list[tuple[str, RunLog]]:
     """Run several policies over the identical stream and budget regime.
 
-    Results follow the input order. Each run gets a fresh tracker and
-    ledger; the shared stream and sidecar are never mutated.
+    Results follow the input order. The stream is associated once and every
+    variant is scheduled over the same rows with a fresh ledger; each log
+    equals what ``run`` gives for that variant alone. The shared stream and
+    sidecar are never mutated.
     """
     if not policy_variants:
         raise InvalidParam("policy_variants must be nonempty")
-    results = []
-    for variant in policy_variants:
-        if isinstance(variant, PolicyConfig):
-            pol = variant
-        else:
-            pol = replace(base_cfg.policy, variant=variant)
-        cfg = replace(base_cfg, policy=pol)
-        results.append((pol.variant, run(stream, sidecar, cfg)))
-    return results
+    cfgs = []
+    for pol in policy_variants:
+        if not isinstance(pol, PolicyConfig):
+            pol = replace(base_cfg.policy, variant=pol)
+        cfgs.append(replace(base_cfg, policy=pol))
+    frames = list(associate(stream, sidecar, base_cfg.clock, base_cfg.tracker, base_cfg.cost))
+    return [(cfg.policy.variant, _schedule(frames, stream, cfg, None)) for cfg in cfgs]

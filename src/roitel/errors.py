@@ -42,10 +42,6 @@ class OutOfOrderFrame(RoitelError):
     """Tracker stepped with a frame index that does not increase."""
 
 
-class UnknownTrack(RoitelError):
-    """Operation referenced a track id that is not active."""
-
-
 class BudgetViolation(RoitelError):
     """A commit was attempted that the ledger does not admit."""
 

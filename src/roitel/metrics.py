@@ -152,17 +152,6 @@ def aggregate_run(log: RunLog, lambda_cls: Optional[float] = None) -> MetricsRep
     return aggregate(log, log.base_bitrate_bps, derive_duration(log), lambda_cls)
 
 
-def selection_stats(log: RunLog) -> tuple[int, float, float]:
-    """(selected, selection ratio, frame coverage) for one run."""
-    selected = len(log.transmissions)
-    raw = log.raw_candidate_count
-    ratio = selected / raw if raw > 0 else 0.0
-    processed = log.processed_frames
-    covered = len({tx.frame_index for tx in log.transmissions})
-    coverage = covered / processed if processed > 0 else 0.0
-    return selected, ratio, coverage
-
-
 def _fmt(value, spec: str) -> str:
     if value is None:
         return ""

@@ -13,17 +13,14 @@ from typing import Optional
 
 from . import kernels
 from .domain import BBox, Detection
-from .errors import InvalidParam, OutOfOrderFrame, UnknownTrack
+from .errors import InvalidParam, OutOfOrderFrame
 
 
 @dataclass
 class Track:
     id: int
     last_bbox: BBox
-    last_seen_frame: int
-    created_frame: int
     consecutive_misses: int = 0
-    last_refined_frame: Optional[int] = None
     hint: Optional[int] = None
 
 
@@ -61,12 +58,6 @@ class Tracker:
         """Live tracks in ascending id order."""
         return list(self._tracks.values())
 
-    def get(self, track_id: int) -> Track:
-        try:
-            return self._tracks[track_id]
-        except KeyError:
-            raise UnknownTrack(f"track {track_id} is not active") from None
-
     def step(self, frame_index: int, detections: list[Detection]) -> list[Assignment]:
         """Associate one processed frame's detections; spawn, age, retire.
 
@@ -86,9 +77,7 @@ class Tracker:
 
         remaining = list(range(len(detections)))
         if self.config.use_hints:
-            remaining = self._associate_by_hint(
-                frame_index, detections, assigned, matched_track_ids
-            )
+            remaining = self._associate_by_hint(detections, assigned, matched_track_ids)
 
         # IoU association for the leftovers against unclaimed tracks.
         pool = [t for t in self._tracks.values() if t.id not in matched_track_ids]
@@ -106,13 +95,13 @@ class Tracker:
             for row, col in kernels.greedy_associate(t_boxes, d_boxes, self.config.iou_min):
                 track = pool[row]
                 det_idx = remaining[col]
-                self._update_track(track, detections[det_idx], frame_index)
+                self._update_track(track, detections[det_idx])
                 assigned[det_idx] = (track.id, False)
                 matched_track_ids.add(track.id)
             remaining = [i for i in remaining if i not in assigned]
 
         for det_idx in remaining:
-            track = self._spawn(detections[det_idx], frame_index)
+            track = self._spawn(detections[det_idx])
             assigned[det_idx] = (track.id, True)
             matched_track_ids.add(track.id)
 
@@ -122,12 +111,7 @@ class Tracker:
             (detections[i], assigned[i][0], assigned[i][1]) for i in range(len(detections))
         ]
 
-    def mark_refined(self, track_id: int, frame_index: int) -> None:
-        """Record an ROI refinement for an active track."""
-        track = self.get(track_id)
-        track.last_refined_frame = frame_index
-
-    def _associate_by_hint(self, frame_index, detections, assigned, matched_track_ids):
+    def _associate_by_hint(self, detections, assigned, matched_track_ids):
         by_hint = {t.hint: t for t in self._tracks.values() if t.hint is not None}
         remaining = []
         for i, det in enumerate(detections):
@@ -136,28 +120,21 @@ class Tracker:
                 continue
             track = by_hint.get(det.track_hint)
             if track is not None and track.id not in matched_track_ids:
-                self._update_track(track, det, frame_index)
+                self._update_track(track, det)
                 assigned[i] = (track.id, False)
             else:
-                track = self._spawn(det, frame_index)
+                track = self._spawn(det)
                 assigned[i] = (track.id, True)
                 by_hint[det.track_hint] = track
             matched_track_ids.add(track.id)
         return remaining
 
-    def _update_track(self, track: Track, det: Detection, frame_index: int) -> None:
+    def _update_track(self, track: Track, det: Detection) -> None:
         track.last_bbox = det.bbox
-        track.last_seen_frame = frame_index
         track.consecutive_misses = 0
 
-    def _spawn(self, det: Detection, frame_index: int) -> Track:
-        track = Track(
-            id=self._next_id,
-            last_bbox=det.bbox,
-            last_seen_frame=frame_index,
-            created_frame=frame_index,
-            hint=det.track_hint,
-        )
+    def _spawn(self, det: Detection) -> Track:
+        track = Track(id=self._next_id, last_bbox=det.bbox, hint=det.track_hint)
         self._next_id += 1
         self._tracks[track.id] = track
         return track

@@ -35,7 +35,6 @@ from roitel import (
     iou,
     run,
     score_roi,
-    selection_stats,
 )
 from roitel.budget import LedgerView
 from roitel.cli import main as cli_main
@@ -128,11 +127,11 @@ def test_c2_selection_ratio_and_coverage_identities(checked):
                 log.transmissions = [
                     replace(tx, frame_index=i * 5) for i, tx in enumerate(log.transmissions)
                 ]
-            selected, got_ratio, got_coverage = selection_stats(log)
-            assert selected == n_tx
-            assert abs(got_ratio - ratio) <= RATIO_TOL, (n_tx, got_ratio)
+            rep = aggregate(log, PILOT_BASE_BPS, PILOT_DURATION_S)
+            assert rep.selected_rois == n_tx
+            assert abs(rep.selection_ratio - ratio) <= RATIO_TOL, (n_tx, rep.selection_ratio)
             if coverage is not None:
-                assert abs(got_coverage - coverage) <= RATIO_TOL
+                assert abs(rep.frame_coverage - coverage) <= RATIO_TOL
 
     checked("C2", body)
 

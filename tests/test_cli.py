@@ -407,3 +407,41 @@ def test_validate_sidecar_counts_and_unknown_warning(tmp_path, detections_csv, c
     assert "sidecar records: 2" in captured.out
     assert "sidecar matched: 1" in captured.out
     assert "unknown (frame,track)" in captured.err
+
+
+SIDECAR_ROW = "0.2,0.35,7,7,1.9,1.1"
+
+
+def one_object_csv(tmp_path, hint: int):
+    """One still object on frames 0..5; the default stride processes 0 and 5."""
+    path = tmp_path / "one.csv"
+    path.write_text("".join(f"{f},{hint},50,50,10,10,0.9,0\n" for f in range(6)))
+    return path
+
+
+def test_validate_sidecar_matches_tracker_ids_without_hints(tmp_path, capsys):
+    dets = one_object_csv(tmp_path, hint=-1)
+    side = tmp_path / "side.csv"
+    side.write_text(f"0,0,{SIDECAR_ROW}\n5,0,{SIDECAR_ROW}\n")
+    assert main(["validate", "--input", str(dets), "--sidecar", str(side)]) == 0
+    captured = capsys.readouterr()
+    assert "sidecar matched: 2" in captured.out
+    assert "unknown" not in captured.err
+    # the engine does use both records
+    rc, _ = simulate(tmp_path, dets, "--sidecar", str(side))
+    assert rc == 0
+    assert "video_conf = 0.200" in capsys.readouterr().out
+
+
+def test_validate_sidecar_skips_unprocessed_frames(tmp_path, capsys):
+    dets = one_object_csv(tmp_path, hint=4)
+    side = tmp_path / "side.csv"
+    side.write_text(f"3,4,{SIDECAR_ROW}\n5,4,{SIDECAR_ROW}\n")
+    assert main(["validate", "--input", str(dets), "--sidecar", str(side)]) == 0
+    captured = capsys.readouterr()
+    assert "sidecar matched: 1" in captured.out
+    assert "warning: 1 sidecar records reference unknown" in captured.err
+    # a stride of 1 processes frame 3 too
+    argv = ["validate", "--input", str(dets), "--sidecar", str(side)]
+    assert main([*argv, "--set", "clock.frame_stride=1"]) == 0
+    assert "sidecar matched: 2" in capsys.readouterr().out

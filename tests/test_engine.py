@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -7,9 +8,11 @@ from roitel import (
     BudgetConfig,
     FrameClock,
     InvalidParam,
+    POLICY_VARIANTS,
     PolicyConfig,
     SemanticRecord,
     SemanticSidecar,
+    TrackerConfig,
     estimate_cost,
     gen_synthetic,
     novelty_term,
@@ -362,3 +365,114 @@ def test_sweep_variant_string_inherits_base_policy_params():
     base = low_regime_cfg("M5", cooldown_frames=7)
     results = sweep(synthetic(), None, base, ["M1"])
     assert results[0][1].config_echo["policy.cooldown_frames"] == "7"
+
+
+# --- one association pass, many schedules ------------------------------------
+
+
+def sweep_case(use_hints: bool):
+    """A 300-frame stream, half of it without hints, with a sidecar that
+    covers every other processed detection and gives ``payload_bytes`` on
+    two records in three. Unhinted records are keyed by small ids so some
+    of them meet tracker ids. Thresholds are set so every variant runs, and
+    the budget binds."""
+    source = gen_synthetic(seed=1, n_frames=300, mean_objects=5.0, clock=FrameClock())
+    stream = mk_stream(
+        (f, [d if d.track_hint % 2 == 0 else replace(d, track_hint=None) for d in dets])
+        for f, dets in source.frames
+    )
+    records = {}
+    for i, det in enumerate(stream.iter_detections()):
+        if det.frame_index % 5 or i % 2:
+            continue
+        key = (det.frame_index, det.track_hint if det.track_hint is not None else i % 40)
+        if key in records:
+            continue
+        records[key] = SemanticRecord(
+            frame_index=key[0],
+            track_id=key[1],
+            video_conf=(i % 10) / 10.0,
+            still_conf=(i % 7) / 7.0,
+            video_label=i % 5,
+            still_label=(i // 3) % 5,
+            video_entropy=(i % 11) / 5.0,
+            still_entropy=(i % 13) / 7.0,
+            payload_bytes=None if i % 3 == 0 else 600 + (i * 37) % 1500,
+        )
+    base = replace(
+        low_regime_cfg("M5", conf_threshold=0.6, area_threshold=1500.0),
+        budget=BudgetConfig(b_total=0.8e6, b_video=0.65e6, b_roi=20_000.0, window_s=2.0),
+        tracker=TrackerConfig(use_hints=use_hints),
+    )
+    return stream, SemanticSidecar(records.values()), base
+
+
+@pytest.mark.parametrize("use_hints", [False, True])
+def test_sweep_matches_sequential_runs(use_hints):
+    stream, sidecar, base = sweep_case(use_hints)
+    swept = sweep(stream, sidecar, base, list(POLICY_VARIANTS))
+    assert [name for name, _ in swept] == list(POLICY_VARIANTS)
+    for variant, log in swept:
+        alone = run(stream, sidecar, replace(base, policy=replace(base.policy, variant=variant)))
+        assert list(to_jsonl_lines(log)) == list(to_jsonl_lines(alone)), variant
+    # the case has sidecar hits and misses and a binding budget
+    txs = [tx for _, log in swept for tx in log.transmissions]
+    assert any(tx.has_semantics for tx in txs)
+    assert any(not tx.has_semantics for tx in txs)
+    assert any(log.rejected_budget for _, log in swept)
+
+
+def test_sweep_associates_once(monkeypatch):
+    from roitel import engine
+
+    steps = []
+
+    class CountingTracker(engine.Tracker):
+        def step(self, frame_index, detections):
+            steps.append(frame_index)
+            return super().step(frame_index, detections)
+
+    monkeypatch.setattr(engine, "Tracker", CountingTracker)
+    stream, sidecar, base = sweep_case(False)
+    results = sweep(stream, sidecar, base, list(POLICY_VARIANTS))
+    assert steps == list(results[0][1].processed_frame_indices)
+
+
+#: sha256 of each run log of ``sweep_case`` swept over every variant, as
+#: written by the engine before association and scheduling were split.
+PINNED_RUNLOG_SHA256 = {
+    False: {
+        "M0": "05eea9ec1242f183d88cfde2be64970cfd5d4080429c6fc1d5c318e44d5d634a",
+        "M1": "b1c0f86ce61de87107845638b31330ad2ed9ef25822075fdffe13d18a1d7d610",
+        "M2": "414c75a7ec62bded5b4c3c8564c2167b0dc39d5cb24a35862a6e40288313e019",
+        "M3": "8e3e6f250582a9d3e6e0c8f83db5f0b15528c24cd1597bab6b18d11a6c2330fe",
+        "M4": "7a90e0a86b901c506cb9f1b4b935cd0237f11536160e2b4574a65a759491c05f",
+        "M5": "2d6231f6ed21b10cb7ec8ab219593a938de0eac5f754c8f520c8ccc9e4d23262",
+        "preset_permissive": "4d357ee2734326adbc446117e7f272b38f81ff8cc85c421d055db97f4b38edbf",
+        "preset_conf_size_top1": "f85a3600353ba6053fa6e931c8f7344d79b9568679e4cd5c65d199497ce45eb8",
+        "preset_strict_small_only": "f667c6aa0dec5b522700f29953985da4ed7671f2d0af3c480fc9b6a86bb36035",
+        "preset_balanced_top2": "c989331e9dae64badddf04bd11eb6242c99d235e22c96db8f6d66be17642cb8c",
+    },
+    True: {
+        "M0": "3fb7003929d7d395e70213fbd3d78f56a41e9c10b3561d23a714ad360001d4fd",
+        "M1": "e3858f3f6e31c1b79f8962f2ac1666c3e08623f633e0a4b415ffa83c84e834f1",
+        "M2": "89f982191812123e138fc37293ee0eb747cc342912cc035fc443da9c11c0ed85",
+        "M3": "417eafd313be84fb5cc1ec5a0c00b5fb5a42748b6ae62af55522f0f179542e85",
+        "M4": "af5e85fa70d98c7f7df0fc514ee4313ecbb6f613c75f2f8d0c7216d25ec016e9",
+        "M5": "d2da9cc2d240749343524f0f7575b9712098d560ee262bcfa5f1e92de45767bc",
+        "preset_permissive": "d8b9459e9ec0f065061c202f8fec507b38012c97de711c724969ab103b38f37b",
+        "preset_conf_size_top1": "3c35d7da55b32eaa6cc49caa285f342efa0553e0251761dd0c50e91c7e1aa5b3",
+        "preset_strict_small_only": "1603a22c062e7543d5f5c8d70f2387bb2705320cdbd358bea535527e52f35e47",
+        "preset_balanced_top2": "69130febc7a290d1ad84f0ba4a65bc68cf7416f90fa759b150a8b1db6683a4fd",
+    },
+}
+
+
+@pytest.mark.parametrize("use_hints", [False, True])
+def test_sweep_runlogs_keep_their_bytes(use_hints):
+    stream, sidecar, base = sweep_case(use_hints)
+    got = {
+        variant: hashlib.sha256(("\n".join(to_jsonl_lines(log)) + "\n").encode()).hexdigest()
+        for variant, log in sweep(stream, sidecar, base, list(POLICY_VARIANTS))
+    }
+    assert got == PINNED_RUNLOG_SHA256[use_hints]

@@ -19,7 +19,6 @@ from roitel import (
     aggregate_run,
     emit_report,
     emit_selection_report,
-    selection_stats,
 )
 from roitel.metrics import REPORT_COLUMNS, SELECTION_COLUMNS, report_row
 
@@ -257,18 +256,13 @@ def test_aggregate_run_uses_log_fields():
     assert rep.base_bitrate_bps == 0.801e6
 
 
-def test_selection_stats_matches_aggregate():
+def test_aggregate_selection_fields():
     txs = [mk_tx(i * 5, i, 8000.0) for i in range(12)]
     log = mk_log(txs, raw=120, processed=tuple(range(0, 300, 5)))
-    selected, ratio, coverage = selection_stats(log)
     rep = aggregate(log, 0.801e6, 20.0)
-    assert (selected, ratio, coverage) == (
-        rep.selected_rois,
-        rep.selection_ratio,
-        rep.frame_coverage,
-    )
-    assert selected == 12
-    assert ratio == 12 / 120
+    assert rep.selected_rois == 12
+    assert rep.selection_ratio == 12 / 120
+    assert rep.frame_coverage == 12 / 60
 
 
 # --- emitters -----------------------------------------------------------------

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from roitel import OutOfOrderFrame, Tracker, TrackerConfig, UnknownTrack
+from roitel import OutOfOrderFrame, Tracker, TrackerConfig
 from helpers import mk_det
 
 
@@ -57,27 +57,6 @@ def test_out_of_order_frame_rejected():
         tr.step(5, [])
     with pytest.raises(OutOfOrderFrame):
         tr.step(4, [])
-
-
-def test_mark_refined_updates_history():
-    tr = Tracker()
-    tr.step(0, [mk_det(0, x=0)])
-    tr.mark_refined(0, 0)
-    track = tr.get(0)
-    assert track.last_refined_frame == 0
-    tr.step(5, [mk_det(5, x=0)])
-    tr.mark_refined(0, 5)
-    assert tr.get(0).last_refined_frame == 5
-    with pytest.raises(UnknownTrack):
-        tr.mark_refined(99, 5)
-
-
-def test_mark_refined_on_retired_track_fails():
-    tr = Tracker(TrackerConfig(max_misses=0))
-    tr.step(0, [mk_det(0, x=0)])
-    tr.step(1, [])  # one miss with max_misses=0: retired
-    with pytest.raises(UnknownTrack):
-        tr.mark_refined(0, 1)
 
 
 def test_hint_association_bypasses_iou():
