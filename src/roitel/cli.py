@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
 from . import config as config_mod
 from . import engine, ingest, metrics, runlog
+from .domain import FrameClock
 from .errors import BudgetConfigError, ConfigError, ParseError, RoitelError
 
 #: --format value -> name of its parser in ``ingest``. The parser is looked
@@ -45,11 +47,15 @@ def _write_text(path: Path, text: str) -> None:
         fp.write(text)
 
 
-def _load_run_config(args) -> engine.RunConfig:
+def _load_run_config(args, file_clock: FrameClock) -> engine.RunConfig:
+    """Each key from ``--set``, else from ``--config``, else (clock keys)
+    from ``file_clock``, the input stream's clock, else its default."""
+    values = {}
     if getattr(args, "config", None):
-        cfg = config_mod.load_config(_read_text(args.config))
-    else:
-        cfg = config_mod.build_config({})
+        values = config_mod.parse_kv_text(_read_text(args.config))
+    values.setdefault("clock.fps", repr(file_clock.fps))
+    values.setdefault("clock.frame_stride", str(file_clock.frame_stride))
+    cfg = config_mod.build_config(values)
     overrides = getattr(args, "set", None) or []
     if overrides:
         cfg = config_mod.apply_overrides(cfg, overrides)
@@ -57,18 +63,22 @@ def _load_run_config(args) -> engine.RunConfig:
 
 
 def _parse_stream(
-    args,
-    cfg: Optional[engine.RunConfig],
-    errors_out: Optional[list[ParseError]] = None,
+    args, errors_out: Optional[list[ParseError]] = None
 ) -> ingest.DetectionStream:
+    """The input stream; its clock is the file's ``# clock:`` comment, or
+    the default clock, which equals the schema defaults."""
     parse = getattr(ingest, _PARSERS[args.format])
-    clock = cfg.clock if cfg is not None else None
-    stream = parse(_read_text(args.input), clock=clock, errors_out=errors_out)
-    noise = getattr(args, "conf_noise", 0.0) or 0.0
-    if noise > 0.0:
-        seed = cfg.seed if cfg is not None else 0
-        stream = ingest.inject_confidence_noise(stream, noise, seed)
-    return stream
+    return parse(_read_text(args.input), errors_out=errors_out)
+
+
+def _load_run_inputs(args) -> tuple[engine.RunConfig, ingest.DetectionStream]:
+    """The run config over the input's clock, and the input stream with
+    ``--conf-noise`` applied."""
+    stream = _parse_stream(args)
+    cfg = _load_run_config(args, stream.clock)
+    if args.conf_noise > 0.0:
+        stream = ingest.inject_confidence_noise(stream, args.conf_noise, cfg.seed)
+    return cfg, stream
 
 
 def _parse_sidecar(args) -> Optional[ingest.SemanticSidecar]:
@@ -87,8 +97,7 @@ def _report_paths(out_dir: Path, fmt: str) -> Path:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_run_config(args)
-    stream = _parse_stream(args, cfg)
+    cfg, stream = _load_run_inputs(args)
     sidecar = _parse_sidecar(args)
     echo = config_mod.dump_config(cfg)
 
@@ -114,8 +123,7 @@ def cmd_sweep(args) -> int:
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     if not variants:
         raise ConfigError("sweep needs at least one variant")
-    cfg = _load_run_config(args)
-    stream = _parse_stream(args, cfg)
+    cfg, stream = _load_run_inputs(args)
     sidecar = _parse_sidecar(args)
 
     results = engine.sweep(stream, sidecar, cfg, variants)
@@ -166,8 +174,6 @@ def cmd_report(args) -> int:
 
 
 def cmd_gen_synthetic(args) -> int:
-    from .domain import FrameClock
-
     clock = FrameClock(fps=args.fps, frame_stride=args.stride)
     stream = ingest.gen_synthetic(
         seed=args.seed,
@@ -181,7 +187,8 @@ def cmd_gen_synthetic(args) -> int:
     else:
         _write_text(Path(args.out), text)
         print(
-            f"wrote {stream.n_detections} detections over {len(stream.frames)} frames to {args.out}",
+            f"wrote {stream.n_detections} detections over {len(stream.frame_indices)} frames"
+            f" to {args.out}",
             file=sys.stderr,
         )
     return 0
@@ -191,20 +198,20 @@ def cmd_validate(args) -> int:
     problems: list[str] = []
     budget_violation = False
 
-    cfg = None
+    errors: list[ParseError] = []
+    stream = _parse_stream(args, errors_out=errors)
+    # the schema defaults over the input's clock if the config fails to load
+    cfg = replace(config_mod.build_config({}), clock=stream.clock)
     try:
-        cfg = _load_run_config(args)
+        cfg = _load_run_config(args, stream.clock)
     except BudgetConfigError as err:
         problems.append(f"config: {err}")
         budget_violation = True
     except RoitelError as err:
         problems.append(f"config: {err}")
-
-    errors: list[ParseError] = []
-    stream = _parse_stream(args, cfg, errors_out=errors)
     problems.extend(f"{args.input}: {err}" for err in errors)
 
-    print(f"frames: {len(stream.frames)}")
+    print(f"frames: {len(stream.frame_indices)}")
     print(f"detections: {stream.n_detections}")
 
     if args.sidecar:
@@ -213,12 +220,9 @@ def cmd_validate(args) -> int:
         problems.extend(f"{args.sidecar}: {err}" for err in sc_errors)
         # Count the records the engine looks up: the same association pass
         # under the same clock, tracker and cost settings a run would use.
-        run_cfg = cfg if cfg is not None else config_mod.build_config({})
         looked_up = {
             (rec.frame_index, rec.track_id)
-            for _, _, rows in engine.associate(
-                stream, sidecar, run_cfg.clock, run_cfg.tracker, run_cfg.cost
-            )
+            for _, _, rows in engine.associate(stream, sidecar, cfg.clock, cfg.tracker, cfg.cost)
             for *_, rec, _ in rows
             if rec is not None
         }

@@ -71,16 +71,15 @@ def associate(
     tracker ids are a relabeling, so the hint is preferred. A record's
     ``payload_bytes`` overrides the cost model.
     """
-    if not stream.frames:
+    if stream.first_frame is None:
         return
-    by_frame = dict(stream.frames)
     tracker = Tracker(tracker_cfg)
     created: dict[int, int] = {}  # track id -> frame it was spawned on
     for frame_index in processed_frame_range(
         stream.first_frame, stream.last_frame, clock.frame_stride
     ):
         rows = []
-        dets = list(by_frame.get(frame_index, ()))
+        dets = list(stream.detections_at(frame_index))
         for det, track_id, is_new in tracker.step(frame_index, dets):
             if is_new:
                 created[track_id] = frame_index

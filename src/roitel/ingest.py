@@ -14,15 +14,27 @@ The benchmark layouts follow the common public distributions; every parser
 accepts a column-order override since the layouts are conventions, not
 standards. Comment lines start with '#', blank lines are skipped, LF and
 CRLF both work, and frame indices are normalized to 0-based internally.
+Every numeric field must be finite.
+
+The detection parsers first try one vectorised pass that reads the text
+into NumPy columns. If that pass meets anything the row parser would
+reject, or might read differently, the row parser reads the whole text
+again, so errors keep their line numbers and ``errors_out`` collects the
+same list either way.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import re
+from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from collections.abc import Sequence as SequenceABC
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .domain import BBox, Detection, FrameClock
 from .errors import DuplicateKey, InvalidParam, ParseError
@@ -66,18 +78,29 @@ SIDECAR_COLUMNS = (
 _CLOCK_COMMENT = re.compile(r"^#\s*clock:\s*fps=([0-9.eE+-]+)\s+stride=(\d+)\s*$")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectionStream:
-    """Ordered per-frame detections plus the source clock."""
+    """Ordered per-frame detections plus the source clock.
+
+    ``frame_indices`` are the frames that have an entry, strictly
+    increasing; an entry may hold no detections. A parsed stream keeps its
+    detections in NumPy columns and builds a frame's ``Detection`` objects
+    each time that frame is asked for; a stream made by ``from_frames``
+    keeps the objects it was given. Streams are equal when their clocks and
+    ``frames`` are, whatever their storage.
+    """
 
     clock: FrameClock
-    frames: tuple[tuple[int, tuple[Detection, ...]], ...]
+    frame_indices: tuple[int, ...]
+    n_detections: int
+    _per_frame: Sequence[tuple[Detection, ...]] = field(repr=False)
 
     @staticmethod
     def from_frames(
         clock: FrameClock, frames: Iterable[tuple[int, Sequence[Detection]]]
     ) -> "DetectionStream":
-        normalized = []
+        indices = []
+        per_frame = []
         prev = None
         for frame_index, dets in frames:
             if prev is not None and frame_index <= prev:
@@ -88,24 +111,77 @@ class DetectionStream:
                     raise InvalidParam(
                         f"detection frame {det.frame_index} does not match entry {frame_index}"
                     )
-            normalized.append((frame_index, tuple(dets)))
-        return DetectionStream(clock=clock, frames=tuple(normalized))
+            indices.append(frame_index)
+            per_frame.append(tuple(dets))
+        return DetectionStream(
+            clock, tuple(indices), sum(map(len, per_frame)), tuple(per_frame)
+        )
 
     @property
-    def n_detections(self) -> int:
-        return sum(len(dets) for _, dets in self.frames)
+    def frames(self) -> tuple[tuple[int, tuple[Detection, ...]], ...]:
+        """Every ``(frame_index, detections)`` entry. A parsed stream builds
+        all of its ``Detection`` objects here; ``detections_at`` builds one
+        frame's."""
+        return tuple(zip(self.frame_indices, self._per_frame))
+
+    def detections_at(self, frame_index: int) -> tuple[Detection, ...]:
+        """The detections of one frame; empty when it has no entry."""
+        i = bisect_left(self.frame_indices, frame_index)
+        if i < len(self.frame_indices) and self.frame_indices[i] == frame_index:
+            return self._per_frame[i]
+        return ()
 
     @property
     def first_frame(self) -> Optional[int]:
-        return self.frames[0][0] if self.frames else None
+        return self.frame_indices[0] if self.frame_indices else None
 
     @property
     def last_frame(self) -> Optional[int]:
-        return self.frames[-1][0] if self.frames else None
+        return self.frame_indices[-1] if self.frame_indices else None
 
     def iter_detections(self) -> Iterable[Detection]:
-        for _, dets in self.frames:
+        for dets in self._per_frame:
             yield from dets
+
+    def __eq__(self, other):
+        if not isinstance(other, DetectionStream):
+            return NotImplemented
+        return self.clock == other.clock and self.frames == other.frames
+
+    def __hash__(self):
+        return hash((self.clock, self.frames))
+
+
+class _Columns(SequenceABC):
+    """A parsed stream's detections as NumPy columns, one row per detection
+    in stream order. Entry ``i`` is frame ``frame_indices[i]`` and holds
+    rows ``offsets[i]:offsets[i + 1]``; indexing builds its Detections."""
+
+    def __init__(self, frame_indices, offsets, hint, x, y, w, h, conf, cls, negative_hint_is_none):
+        self.frame_indices = frame_indices
+        self.offsets = offsets
+        self.hint, self.x, self.y, self.w, self.h = hint, x, y, w, h
+        self.conf, self.cls = conf, cls
+        self.negative_hint_is_none = negative_hint_is_none
+
+    def __len__(self) -> int:
+        return len(self.frame_indices)
+
+    def __getitem__(self, i: int) -> tuple[Detection, ...]:
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        frame = self.frame_indices[i]
+        no_hint = self.negative_hint_is_none
+        cols = (self.hint, self.x, self.y, self.w, self.h, self.conf, self.cls)
+        return tuple(
+            Detection(frame, BBox(x, y, w, h), conf, cls, None if no_hint and hint < 0 else hint)
+            for hint, x, y, w, h, conf, cls in zip(*(c[lo:hi].tolist() for c in cols))
+        )
+
+    def with_conf(self, conf: np.ndarray) -> "_Columns":
+        return _Columns(
+            self.frame_indices, self.offsets, self.hint, self.x, self.y, self.w, self.h,
+            conf, self.cls, self.negative_hint_is_none,
+        )
 
 
 @dataclass(frozen=True)
@@ -155,18 +231,37 @@ class SemanticSidecar:
         return key in self.records
 
 
-def _split_rows(text: str) -> tuple[list[tuple[int, list[str]]], Optional[FrameClock]]:
-    """Split into (line_no, fields) rows; pick up an embedded clock comment."""
-    rows = []
+def _clock_comment(line_no: int, line: str) -> Optional[FrameClock]:
+    """The clock a stripped comment line names, or None for other comments."""
+    m = _CLOCK_COMMENT.match(line)
+    if m is None:
+        return None
+    try:
+        fps = float(m.group(1))
+        if not math.isfinite(fps):
+            raise ValueError(f"non-finite fps {fps}")
+        return FrameClock(fps=fps, frame_stride=int(m.group(2)))
+    except (ValueError, InvalidParam) as err:
+        raise ParseError(line_no, f"bad clock comment: {err}") from None
+
+
+def _split_rows(text: str) -> tuple[list[tuple[int, object]], Optional[FrameClock]]:
+    """Split into (line_no, fields) rows; pick up an embedded clock comment.
+
+    A malformed clock comment comes back as a ``(line_no, ParseError)`` row,
+    so that it is reported in line order with the other rows' errors.
+    """
+    rows: list[tuple[int, object]] = []
     clock = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            m = _CLOCK_COMMENT.match(line)
-            if m:
-                clock = FrameClock(fps=float(m.group(1)), frame_stride=int(m.group(2)))
+            try:
+                clock = _clock_comment(line_no, line) or clock
+            except ParseError as err:
+                rows.append((line_no, err))
             continue
         rows.append((line_no, [f.strip() for f in line.split(",")]))
     return rows, clock
@@ -181,16 +276,16 @@ def _field_index(columns: Sequence[str], name: str) -> int:
 
 def _num(fields: list[str], idx: int, line_no: int, name: str) -> float:
     try:
-        return float(fields[idx])
+        value = float(fields[idx])
     except ValueError:
         raise ParseError(line_no, f"non-numeric {name}: {fields[idx]!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(line_no, f"non-finite {name}: {fields[idx]!r}")
+    return value
 
 
 def _int(fields: list[str], idx: int, line_no: int, name: str) -> int:
-    try:
-        return int(float(fields[idx]))
-    except ValueError:
-        raise ParseError(line_no, f"non-numeric {name}: {fields[idx]!r}") from None
+    return int(_num(fields, idx, line_no, name))
 
 
 def _check_bbox(line_no: int, x: float, y: float, w: float, h: float) -> BBox:
@@ -201,35 +296,26 @@ def _check_bbox(line_no: int, x: float, y: float, w: float, h: float) -> BBox:
     return BBox(x, y, w, h)
 
 
-def _parse_stream(text, row_fn, n_cols, clock, errors_out):
-    rows, file_clock = _split_rows(text)
-    by_frame: dict[int, list[Detection]] = defaultdict(list)
-    for line_no, fields in rows:
-        try:
-            if len(fields) != n_cols:
-                raise ParseError(
-                    line_no, f"expected {n_cols} columns, got {len(fields)}"
-                )
-            det = row_fn(line_no, fields)
-        except ParseError as err:
-            if errors_out is None:
-                raise
-            errors_out.append(err)
-            continue
-        by_frame[det.frame_index].append(det)
-    effective_clock = clock or file_clock or FrameClock()
-    return DetectionStream.from_frames(
-        effective_clock, ((f, by_frame[f]) for f in sorted(by_frame))
-    )
+class _Layout(NamedTuple):
+    """Where one detection layout keeps its fields and how a row reads."""
+
+    n_cols: int
+    frame: int
+    hint: int
+    x: int
+    y: int
+    w: int
+    h: int
+    cls: int
+    #: Column of the confidence (generic) or score (VisDrone); None: 1.0.
+    conf: Optional[int]
+    #: Benchmark layouts: 1-based frames, every id a hint, scores clamped.
+    #: Generic: 0-based frames, negative hints mean none, confidence checked.
+    benchmark: bool
+    row: Callable[[int, list[str]], Detection]
 
 
-def parse_generic_csv(
-    text: str,
-    clock: Optional[FrameClock] = None,
-    columns: Sequence[str] = GENERIC_COLUMNS,
-    errors_out: Optional[list[ParseError]] = None,
-) -> DetectionStream:
-    """Parse the generic detections CSV (0-based frames)."""
+def _generic_layout(columns: Sequence[str]) -> _Layout:
     i_frame = _field_index(columns, "frame")
     i_hint = _field_index(columns, "track_hint")
     i_x, i_y = _field_index(columns, "x"), _field_index(columns, "y")
@@ -237,7 +323,7 @@ def parse_generic_csv(
     i_conf = _field_index(columns, "conf")
     i_class = _field_index(columns, "class")
 
-    def row_fn(line_no, fields):
+    def row(line_no, fields):
         frame = _int(fields, i_frame, line_no, "frame")
         if frame < 0:
             raise ParseError(line_no, f"negative frame index: {frame}")
@@ -260,20 +346,25 @@ def parse_generic_csv(
             track_hint=None if hint < 0 else hint,
         )
 
-    return _parse_stream(text, row_fn, len(columns), clock, errors_out)
+    return _Layout(len(columns), i_frame, i_hint, i_x, i_y, i_w, i_h, i_class, i_conf, False, row)
 
 
-def _parse_benchmark(
-    text, columns, conf_of, clock, errors_out
-):
-    """Shared layout for the 1-based-frame benchmark annotation formats."""
+def _benchmark_layout(columns: Sequence[str], score: Optional[str]) -> _Layout:
+    """Shared layout for the 1-based-frame benchmark annotation formats;
+    ``score`` names the confidence column, if the format has one."""
+    i_score = None if score is None else _field_index(columns, score)
     i_frame = _field_index(columns, "frame")
     i_id = _field_index(columns, "target_id")
     i_x, i_y = _field_index(columns, "x"), _field_index(columns, "y")
     i_w, i_h = _field_index(columns, "w"), _field_index(columns, "h")
     i_cat = _field_index(columns, "category")
 
-    def row_fn(line_no, fields):
+    def conf_of(line_no, fields):
+        if i_score is None:
+            return 1.0
+        return min(max(_num(fields, i_score, line_no, score), 0.0), 1.0)
+
+    def row(line_no, fields):
         frame = _int(fields, i_frame, line_no, "frame")
         if frame < 1:
             raise ParseError(line_no, f"frame index must be >= 1, got {frame}")
@@ -292,7 +383,118 @@ def _parse_benchmark(
             track_hint=_int(fields, i_id, line_no, "target_id"),
         )
 
-    return _parse_stream(text, row_fn, len(columns), clock, errors_out)
+    return _Layout(len(columns), i_frame, i_id, i_x, i_y, i_w, i_h, i_cat, i_score, True, row)
+
+
+def _parse_rows(text, layout: _Layout, clock, errors_out) -> DetectionStream:
+    """The row parser: one line at a time, with line-exact errors. It is the
+    reference the vectorised pass must agree with."""
+    rows, file_clock = _split_rows(text)
+    by_frame: dict[int, list[Detection]] = defaultdict(list)
+    for line_no, fields in rows:
+        try:
+            if isinstance(fields, ParseError):
+                raise fields
+            if len(fields) != layout.n_cols:
+                raise ParseError(
+                    line_no, f"expected {layout.n_cols} columns, got {len(fields)}"
+                )
+            det = layout.row(line_no, fields)
+        except ParseError as err:
+            if errors_out is None:
+                raise
+            errors_out.append(err)
+            continue
+        by_frame[det.frame_index].append(det)
+    effective_clock = clock or file_clock or FrameClock()
+    return DetectionStream.from_frames(
+        effective_clock, ((f, by_frame[f]) for f in sorted(by_frame))
+    )
+
+
+#: int(float(s)) is exact beyond int64; the vectorised pass leaves such
+#: values to the row parser.
+_INT64_BOUND = 2.0**63
+
+
+def _parse_columns(text, layout: _Layout, clock) -> Optional[DetectionStream]:
+    """The vectorised pass: the stream the row parser gives for ``text``,
+    or None if any line would be rejected or might be read differently."""
+    # The lines, blanks and comments of _split_rows.
+    lines = [s for s in map(str.strip, text.splitlines()) if s]
+    file_clock = None
+    if "#" in text:
+        try:
+            for line in lines:
+                if line[0] == "#":
+                    file_clock = _clock_comment(0, line) or file_clock
+        except ParseError:
+            return None
+        lines = [s for s in lines if s[0] != "#"]
+    effective_clock = clock or file_clock or FrameClock()
+    if not lines:
+        return DetectionStream(effective_clock, (), 0, ())
+    # loadtxt parses each field as float() does, except that it refuses
+    # "1_0" and non-ASCII digits, and it refuses a row whose field count
+    # differs from the first row's.
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[1] != layout.n_cols or not np.isfinite(table).all():
+        return None
+    ints = table[:, [layout.frame, layout.hint, layout.cls]]
+    if not ((ints > -_INT64_BOUND) & (ints < _INT64_BOUND)).all():
+        return None
+    frame, hint, cls = ints.astype(np.int64).T
+    x, y, w, h = (table[:, i] for i in (layout.x, layout.y, layout.w, layout.h))
+    if not ((w > 0.0) & (h > 0.0)).all():
+        return None
+    if layout.benchmark:
+        if not (frame >= 1).all():
+            return None
+        frame = frame - 1
+        if layout.conf is None:
+            conf = np.ones(len(table))
+        else:
+            # min(max(score, 0.0), 1.0), which keeps a score of -0.0
+            score = table[:, layout.conf]
+            conf = np.where(score < 0.0, 0.0, np.where(score > 1.0, 1.0, score))
+    else:
+        if not (frame >= 0).all():
+            return None
+        conf = table[:, layout.conf]
+        if not ((conf >= 0.0) & (conf <= 1.0)).all():
+            return None
+
+    cols = [hint, x, y, w, h, conf, cls]
+    if (np.diff(frame) < 0).any():
+        # the row parser keeps file order within a frame
+        order = np.argsort(frame, kind="stable")
+        frame = frame[order]
+        cols = [c[order] for c in cols]
+    starts = np.flatnonzero(np.diff(frame)) + 1
+    frame_indices = tuple(frame[np.r_[0, starts]].tolist())
+    offsets = [0, *starts.tolist(), len(frame)]
+    columns = _Columns(frame_indices, offsets, *cols, negative_hint_is_none=not layout.benchmark)
+    return DetectionStream(effective_clock, frame_indices, len(frame), columns)
+
+
+def _parse_detections(text, layout: _Layout, clock, errors_out) -> DetectionStream:
+    stream = _parse_columns(text, layout, clock)
+    if stream is None:
+        stream = _parse_rows(text, layout, clock, errors_out)
+    return stream
+
+
+def parse_generic_csv(
+    text: str,
+    clock: Optional[FrameClock] = None,
+    columns: Sequence[str] = GENERIC_COLUMNS,
+    errors_out: Optional[list[ParseError]] = None,
+) -> DetectionStream:
+    """Parse the generic detections CSV (0-based frames)."""
+    return _parse_detections(text, _generic_layout(columns), clock, errors_out)
 
 
 def parse_uavdt_gt(
@@ -302,7 +504,7 @@ def parse_uavdt_gt(
     errors_out: Optional[list[ParseError]] = None,
 ) -> DetectionStream:
     """Parse UAVDT-style ground truth; confidence is fixed at 1.0."""
-    return _parse_benchmark(text, columns, lambda ln, f: 1.0, clock, errors_out)
+    return _parse_detections(text, _benchmark_layout(columns, None), clock, errors_out)
 
 
 def parse_visdrone_mot(
@@ -312,12 +514,7 @@ def parse_visdrone_mot(
     errors_out: Optional[list[ParseError]] = None,
 ) -> DetectionStream:
     """Parse VisDrone-MOT-style annotations; confidence = clamped score."""
-    i_score = _field_index(columns, "score")
-
-    def conf_of(line_no, fields):
-        return min(max(_num(fields, i_score, line_no, "score"), 0.0), 1.0)
-
-    return _parse_benchmark(text, columns, conf_of, clock, errors_out)
+    return _parse_detections(text, _benchmark_layout(columns, "score"), clock, errors_out)
 
 
 def parse_sidecar_csv(
@@ -328,6 +525,8 @@ def parse_sidecar_csv(
     sidecar = SemanticSidecar()
     for line_no, fields in rows:
         try:
+            if isinstance(fields, ParseError):
+                raise fields
             if len(fields) not in (8, 9):
                 raise ParseError(line_no, f"expected 8 or 9 columns, got {len(fields)}")
             payload = None
@@ -443,17 +642,21 @@ def inject_confidence_noise(stream: DetectionStream, amount: float, seed: int) -
     if amount < 0:
         raise InvalidParam(f"noise amount must be >= 0, got {amount}")
     rng = random.Random(seed)
-    frames = []
-    for frame_index, dets in stream.frames:
-        noisy = tuple(
-            Detection(
-                frame_index=d.frame_index,
-                bbox=d.bbox,
-                confidence=min(max(d.confidence - rng.uniform(0.0, amount), 0.0), 1.0),
-                class_id=d.class_id,
-                track_hint=d.track_hint,
-            )
-            for d in dets
+    columns = stream._per_frame if isinstance(stream._per_frame, _Columns) else None
+    if columns is not None:
+        conf = columns.conf
+    else:
+        conf = np.array([d.confidence for d in stream.iter_detections()], dtype=np.float64)
+    # One draw per detection in stream order, then min(max(c - u, 0.0), 1.0)
+    # with Python's tie rules: the values of a per-detection loop, bit for bit.
+    noisy = conf - np.array([rng.uniform(0.0, amount) for _ in range(len(conf))])
+    noisy = np.where(noisy < 0.0, 0.0, noisy)
+    noisy = np.where(noisy > 1.0, 1.0, noisy)
+    if columns is not None:
+        per_frame = columns.with_conf(noisy)
+    else:
+        values = iter(noisy.tolist())
+        per_frame = tuple(
+            tuple(replace(d, confidence=next(values)) for d in dets) for dets in stream._per_frame
         )
-        frames.append((frame_index, noisy))
-    return DetectionStream.from_frames(stream.clock, frames)
+    return replace(stream, _per_frame=per_frame)

@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from roitel import read_jsonl
+from roitel import FrameClock, gen_synthetic, read_jsonl
 from roitel.cli import main
 from roitel.metrics import REPORT_COLUMNS
 
@@ -189,6 +190,67 @@ def test_conf_noise_lowers_mean_confidence(tmp_path, detections_csv):
     clean = read_jsonl((dir_a / "runlog.jsonl").read_text())
     noisy = read_jsonl((dir_b / "runlog.jsonl").read_text())
     assert noisy.detection_conf_mean < clean.detection_conf_mean
+
+
+def uavdt_csv(tmp_path):
+    """A UAVDT ground-truth file (confidence 1.0) of a seeded synthetic stream."""
+    stream = gen_synthetic(seed=4, n_frames=200, mean_objects=6.0, clock=FrameClock())
+    path = tmp_path / "gt.txt"
+    path.write_text(
+        "".join(
+            f"{d.frame_index + 1},{d.track_hint},{d.bbox.x!r},{d.bbox.y!r},"
+            f"{d.bbox.w!r},{d.bbox.h!r},0,1,{d.class_id}\n"
+            for d in stream.iter_detections()
+        )
+    )
+    return path
+
+
+#: sha256 of the run log of ``simulate --conf-noise 0.2 --set seed=3``,
+#: pinned before the parsers stored streams as NumPy columns.
+CONF_NOISE_RUNLOG_SHA256 = {
+    "generic": "02852a4b482a086bacb46d18e1009a2eb3c61112fcb0ed25751fe9d9a7a1a585",
+    "uavdt": "90ed24baf4a7848974251bd5d7b5fe1ca44d085cec239ee5feddc640d49abc5b",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(CONF_NOISE_RUNLOG_SHA256))
+def test_conf_noise_runlog_keeps_its_bytes(tmp_path, detections_csv, fmt):
+    path = detections_csv if fmt == "generic" else uavdt_csv(tmp_path)
+    noise = ("--format", fmt, "--conf-noise", "0.2", "--set", "seed=3")
+    rc, out_dir = simulate(tmp_path, path, *noise)
+    assert rc == 0
+    digest = hashlib.sha256((out_dir / "runlog.jsonl").read_bytes()).hexdigest()
+    assert digest == CONF_NOISE_RUNLOG_SHA256[fmt]
+
+
+def test_clock_comment_sets_the_run_clock(tmp_path):
+    """Per key: --set beats --config, which beats the file's clock comment,
+    which beats the schema default."""
+    path = tmp_path / "d.csv"
+    argv = ["gen-synthetic", "--seed", "1", "--n-frames", "60", "--fps", "30", "--stride", "1"]
+    assert main([*argv, "--out", str(path)]) == 0
+    bare = tmp_path / "bare.csv"
+    bare.write_text("".join(ln for ln in path.read_text().splitlines(True) if ln[0] != "#"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("clock.frame_stride = 2\n")
+
+    def run_clock(path, *extra):
+        rc, out_dir = simulate(tmp_path, path, *extra)
+        assert rc == 0
+        log = read_jsonl((out_dir / "runlog.jsonl").read_text())
+        # the config echo records the clock the run used
+        assert log.config_echo["clock.fps"] == repr(log.clock.fps)
+        assert log.config_echo["clock.frame_stride"] == str(log.clock.frame_stride)
+        stride = log.clock.frame_stride
+        assert log.processed_frame_indices[0] == log.first_frame + -log.first_frame % stride
+        return log.clock.fps, stride
+
+    assert run_clock(path) == (30.0, 1)
+    assert run_clock(path, "--config", str(cfg)) == (30.0, 2)
+    assert run_clock(path, "--config", str(cfg), "--set", "clock.frame_stride=5") == (30.0, 5)
+    assert run_clock(path, "--set", "clock.fps=10") == (10.0, 1)
+    assert run_clock(bare) == (15.0, 5)
 
 
 def test_usage_error_exits_2():
@@ -445,3 +507,15 @@ def test_validate_sidecar_skips_unprocessed_frames(tmp_path, capsys):
     argv = ["validate", "--input", str(dets), "--sidecar", str(side)]
     assert main([*argv, "--set", "clock.frame_stride=1"]) == 0
     assert "sidecar matched: 2" in capsys.readouterr().out
+
+
+def test_validate_uses_the_clock_comment(tmp_path, capsys):
+    dets = one_object_csv(tmp_path, hint=4)
+    dets.write_text("# clock: fps=15.0 stride=1\n" + dets.read_text())
+    side = tmp_path / "side.csv"
+    side.write_text(f"3,4,{SIDECAR_ROW}\n5,4,{SIDECAR_ROW}\n")
+    assert main(["validate", "--input", str(dets), "--sidecar", str(side)]) == 0
+    assert "sidecar matched: 2" in capsys.readouterr().out
+    argv = ["validate", "--input", str(dets), "--sidecar", str(side)]
+    assert main([*argv, "--set", "clock.frame_stride=5"]) == 0
+    assert "sidecar matched: 1" in capsys.readouterr().out

@@ -1,6 +1,6 @@
 import pytest
 
-from roitel import ConfigError, ParseError
+from roitel import ConfigError, FrameClock, ParseError
 from roitel.config import (
     CONFIG_SCHEMA,
     apply_overrides,
@@ -17,6 +17,9 @@ def test_empty_text_yields_documented_defaults():
     cfg = load_config("")
     assert cfg.clock.fps == 15.0
     assert cfg.clock.frame_stride == 5
+    # a stream without a clock comment carries FrameClock(), and the CLI
+    # takes a stream's clock over the schema default
+    assert cfg.clock == FrameClock()
     assert cfg.budget.b_total == 800000.0
     assert cfg.budget.b_video == 650000.0
     assert cfg.budget.b_roi == 150000.0

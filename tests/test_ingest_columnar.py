@@ -1,0 +1,323 @@
+"""The vectorised ingest pass against the row parser it stands in for.
+
+Every public detection parse in the suite is already cross-checked by the
+autouse fixture in ``conftest.py``; the tests here feed both parsers
+generated and mutated files, pin where the vectorised pass must step aside,
+and check that it is actually taken on clean input.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from roitel import (
+    DetectionStream,
+    DuplicateKey,
+    FrameClock,
+    ParseError,
+    gen_synthetic,
+    ingest,
+    inject_confidence_noise,
+    parse_generic_csv,
+    parse_sidecar_csv,
+    parse_uavdt_gt,
+    parse_visdrone_mot,
+    write_generic_csv,
+)
+from conftest import parse_outcome
+
+GENERIC = ingest._generic_layout(ingest.GENERIC_COLUMNS)
+UAVDT = ingest._benchmark_layout(ingest.UAVDT_COLUMNS, None)
+VISDRONE = ingest._benchmark_layout(ingest.VISDRONE_COLUMNS, "score")
+
+#: layout name -> (public parser, row-parser layout, a small valid file)
+LAYOUTS = {
+    "generic": (
+        parse_generic_csv,
+        GENERIC,
+        "# roitel detections v1\n"
+        "# clock: fps=15.0 stride=5\n"
+        "0,-1,10,20,30,40,0.9,2\n"
+        "0,3,1.5,2.5,8,9,0.25,1\n"
+        "1,3,2.5,3.5,8,9,0.5,1\n"
+        "2,-1,100,50,20,10,1,0\n",
+    ),
+    "uavdt": (
+        parse_uavdt_gt,
+        UAVDT,
+        "1,3,100,50,20,10,0,0,1\n1,4,10,5,2,1,1,2,2\n2,3,101,51,20,10,0,0,1\n",
+    ),
+    "visdrone": (
+        parse_visdrone_mot,
+        VISDRONE,
+        "1,5,0,0,10,10,0.8,2,0,0\n2,5,1,1,10,10,1.5,2,0,0\n3,6,2,2,10,10,-0.5,2,0,0\n",
+    ),
+}
+
+SIDECAR_BASE = (
+    "# columns: frame,track,video_conf,still_conf,video_label,still_label,"
+    "video_entropy,still_entropy,payload_bytes\n"
+    "10,4,0.20,0.35,7,7,1.9,1.1,1300\n"
+    "10,5,0.2,0.3,7,7,1.9,1.1\n"
+    "15,4,0.2,0.3,1,2,0.5,0.1,900\n"
+)
+
+
+def row_parse(layout):
+    return lambda text, errors_out: ingest._parse_rows(text, layout, None, errors_out)
+
+
+def public_parse(parser):
+    return lambda text, errors_out: parser(text, errors_out=errors_out)
+
+
+def assert_agrees_with_row_parser(name, text):
+    parser, layout, _ = LAYOUTS[name]
+    for collect in (False, True):
+        # any exception other than ParseError fails the test here
+        expected = parse_outcome(row_parse(layout), text, collect)
+        assert parse_outcome(public_parse(parser), text, collect) == expected
+
+
+# --- fuzzing ------------------------------------------------------------------
+
+TOKENS = [*"0123456789.,-+eE_# \t", "\r", "\x0c", "\x1c", " ", "inf", "nan"]
+TOKENS += ["\n", "\n\n", "\n# note\n", "\n   \n", "1e400", "1e20", "\r\n"]
+
+mutation = st.tuples(
+    st.sampled_from(["insert", "replace", "delete", "swap_lines"]),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.sampled_from(TOKENS),
+)
+
+
+def mutate(text, mutations):
+    for op, a, b, token in mutations:
+        if op == "swap_lines":
+            lines = text.split("\n")
+            i, j = a % len(lines), b % len(lines)
+            lines[i], lines[j] = lines[j], lines[i]
+            text = "\n".join(lines)
+            continue
+        pos = a % (len(text) + 1)
+        if op == "insert":
+            text = text[:pos] + token + text[pos:]
+        elif op == "replace":
+            text = text[:pos] + token + text[pos + 1 :]
+        else:
+            text = text[:pos] + text[pos + 1 :]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(sorted(LAYOUTS)),
+    mutations=st.lists(mutation, min_size=1, max_size=6),
+)
+def test_mutated_files_parse_like_the_row_parser(name, mutations):
+    assert_agrees_with_row_parser(name, mutate(LAYOUTS[name][2], mutations))
+
+
+def int_text(value):
+    """Spellings of an integer field that int(float(s)) reads as ``value``."""
+    sign = "-" if value < 0 else ""
+    mag = abs(value)
+    return st.sampled_from(
+        [
+            str(value),
+            f"{value}.0",
+            f"{sign}{mag}.75",  # truncates toward zero
+            f"{value}e0",
+            f"{sign}{mag * 10}e-1",
+            f" {value}\t",
+            f"+{value}" if value >= 0 else str(value),
+        ]
+    )
+
+
+def float_text(value):
+    return st.sampled_from(
+        [repr(value), f"{value:.2f}", f"{value:.3e}", f" {value!r} ", f"{value:.6g}"]
+    )
+
+
+def field(kind):
+    if kind == "frame":
+        return st.integers(0, 6).flatmap(int_text)
+    if kind == "frame1":
+        return st.integers(1, 6).flatmap(int_text)
+    if kind == "int":
+        return st.integers(-3, 6).flatmap(int_text)
+    if kind == "pos":
+        return st.floats(0.5, 500.0).flatmap(float_text)
+    if kind == "unit":
+        return st.sampled_from(["0", "1", "1.0", "0.5", ".25", "-0.0", "0.999"]) | st.floats(
+            0.0, 1.0
+        ).map(repr)
+    if kind == "score":
+        return st.floats(-2.0, 2.0).flatmap(float_text) | st.just("-0.0")
+    return st.floats(-1000.0, 2000.0).flatmap(float_text)  # any finite coordinate
+
+
+ROW_KINDS = {
+    "generic": ["frame", "int", "any", "any", "pos", "pos", "unit", "int"],
+    "uavdt": ["frame1", "int", "any", "any", "pos", "pos", "int", "int", "int"],
+    "visdrone": ["frame1", "int", "any", "any", "pos", "pos", "score", "int", "int", "int"],
+}
+
+
+@st.composite
+def generated_file(draw, name):
+    row = st.tuples(*(field(kind) for kind in ROW_KINDS[name])).map(",".join)
+    rows = draw(st.lists(row, max_size=12))  # frames come in any order
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(rows) + eol
+    if draw(st.booleans()):
+        text = "# generated\n# clock: fps=30.0 stride=2\n\n" + text
+    return mutate(text, draw(st.lists(mutation, max_size=2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(LAYOUTS)))
+def test_generated_files_parse_like_the_row_parser(data, name):
+    assert_agrees_with_row_parser(name, data.draw(generated_file(name)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutations=st.lists(mutation, min_size=1, max_size=6))
+def test_mutated_sidecars_fail_only_with_parse_errors(mutations):
+    text = mutate(SIDECAR_BASE, mutations)
+    try:
+        parse_sidecar_csv(text)
+        raised = None
+    except ParseError as err:
+        raised = err.line_no
+    except DuplicateKey:
+        return  # the sidecar's documented error for a repeated (frame, track)
+    errors: list[ParseError] = []
+    parse_sidecar_csv(text, errors_out=errors)
+    assert raised == (errors[0].line_no if errors else None)
+
+
+# --- non-finite and huge numbers ----------------------------------------------
+
+#: (parser, a valid row, the columns the parser reads)
+NUMERIC_ROWS = {
+    "generic": (parse_generic_csv, "0,-1,10,20,30,40,0.9,2", range(8)),
+    "uavdt": (parse_uavdt_gt, "1,3,100,50,20,10,0,0,1", [0, 1, 2, 3, 4, 5, 8]),
+    "visdrone": (parse_visdrone_mot, "1,5,0,0,10,10,0.8,2,0,0", range(8)),
+    "sidecar": (parse_sidecar_csv, "10,4,0.20,0.35,7,7,1.9,1.1,1300", range(9)),
+}
+
+
+@pytest.mark.parametrize("token", ["inf", "-inf", "nan", "1e400"])
+@pytest.mark.parametrize(
+    "name,column",
+    [(name, col) for name, (_, _, cols) in NUMERIC_ROWS.items() for col in cols],
+)
+def test_non_finite_numbers_are_line_exact_parse_errors(name, column, token):
+    parse, good, _ = NUMERIC_ROWS[name]
+    fields = good.split(",")
+    fields[column] = token
+    text = f"{good}\n{','.join(fields)}\n"
+    with pytest.raises(ParseError, match="non-finite") as exc:
+        parse(text)
+    assert exc.value.line_no == 2
+    errors: list[ParseError] = []
+    parsed = parse(text, errors_out=errors)
+    assert [e.line_no for e in errors] == [2]
+    assert (len(parsed) if name == "sidecar" else parsed.n_detections) == 1
+
+
+def test_bad_clock_comment_is_a_line_exact_parse_error():
+    text = "0,-1,0,0,5,5,0.5,0\n# clock: fps=0 stride=1\n1,-1,0,0,5,5,1.5,0\n"
+    with pytest.raises(ParseError) as exc:
+        parse_generic_csv(text)
+    assert exc.value.line_no == 2
+    errors: list[ParseError] = []
+    stream = parse_generic_csv(text, errors_out=errors)
+    assert [e.line_no for e in errors] == [2, 3]
+    assert stream.clock == FrameClock()
+
+
+# --- where the vectorised pass steps aside ------------------------------------
+
+GOOD = "0,-1,10,20,30,40,0.9,2\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        GOOD + "1,-1,10,20,30,40,0.9,1#x\n",  # loadtxt would read 1#x as 1
+        GOOD + "1,-1,10,20\x0c30,40,0.9,1\n",  # splitlines breaks on \x0c
+        GOOD + "1,-1,10,20 30,40,0.9,1\n",
+        GOOD + "1,-1,10,20\x1c,30,40,0.9,1\n",
+        GOOD + "1,1e20,10,20,30,40,0.9,1\n",  # beyond int64, exact in Python
+        GOOD + "1,-1,1_0,20,30,40,0.9,1\n",  # float() reads 1_0
+        GOOD + "1,-1,١٠,20,30,40,0.9,1\n",  # non-ASCII digits
+        GOOD + "1,-1,10,20,30,40,0.9,1,\n",
+        GOOD + "   \n1,-1,10,20,30,40,0.9\n",
+    ],
+)
+def test_vectorised_pass_defers_to_the_row_parser(text):
+    assert ingest._parse_columns(text, GENERIC, None) is None
+    assert_agrees_with_row_parser("generic", text)
+
+
+def test_huge_ids_keep_their_exact_value():
+    stream = parse_generic_csv(GOOD + "1,1e20,10,20,30,40,0.9,123456789012345678901\n")
+    det = stream.detections_at(1)[0]
+    assert det.track_hint == 10**20
+    assert det.class_id == int(float("123456789012345678901"))
+
+
+@pytest.mark.parametrize(
+    "name,text",
+    [
+        ("generic", write_generic_csv(gen_synthetic(5, 40, 3.0, FrameClock()))),
+        ("generic", "# only comments\n\n"),
+        ("generic", ""),
+        ("generic", "# c\r\n0,-1,1,2,3,4,0.5,0\r\n\r\n  1 , 2 ,1,2,3,4,0.5,0\t\r\n"),
+        ("generic", "3,-1,1,2,3,4,0.5,0\n0,-2,1,2,3,4,-0.0,0\n3,7.9,5,6,7,8,1,-0.5\n"),
+        ("generic", GOOD + "1,-1,10,20,30,40,0.9,1\r2,-1,10,20,30,40,0.9,1\n"),  # \r ends a line
+        ("uavdt", LAYOUTS["uavdt"][2]),
+        ("visdrone", LAYOUTS["visdrone"][2]),
+    ],
+)
+def test_vectorised_pass_takes_clean_input(name, text):
+    _, layout, _ = LAYOUTS[name]
+    assert ingest._parse_columns(text, layout, None) is not None
+    columnar = parse_outcome(lambda t, e: ingest._parse_columns(t, layout, None), text, False)
+    assert columnar == parse_outcome(row_parse(layout), text, False)
+
+
+def test_frames_keep_file_order_within_a_frame():
+    text = "2,1,1,1,5,5,0.5,0\n0,-1,0,0,5,5,0.5,0\n2,2,9,9,5,5,0.5,0\n1,4,3,3,5,5,0.5,0\n"
+    stream = ingest._parse_columns(text, GENERIC, None)
+    assert stream.frame_indices == (0, 1, 2)
+    assert [d.track_hint for d in stream.detections_at(2)] == [1, 2]
+    assert stream.detections_at(3) == ()
+    assert [d.frame_index for d in stream.iter_detections()] == [0, 1, 2, 2]
+
+
+# --- confidence noise over either storage -------------------------------------
+
+
+@pytest.mark.parametrize("name", ["generic", "visdrone"])
+def test_confidence_noise_is_the_same_over_columns_and_objects(name):
+    parser, layout, _ = LAYOUTS[name]
+    text = write_generic_csv(gen_synthetic(8, 60, 4.0, FrameClock()))
+    if name == "visdrone":
+        text = "".join(
+            f"{d.frame_index + 1},{d.track_hint},{d.bbox.x!r},{d.bbox.y!r},{d.bbox.w!r},"
+            f"{d.bbox.h!r},{d.confidence * 1.4 - 0.2!r},{d.class_id},0,0\n"
+            for d in parse_generic_csv(text).iter_detections()
+        )
+    columnar = ingest._parse_columns(text, layout, None)
+    objects = DetectionStream.from_frames(columnar.clock, columnar.frames)
+    assert isinstance(columnar._per_frame, ingest._Columns)
+    for amount in (0.0, 0.2, 1.5):
+        a = inject_confidence_noise(columnar, amount, seed=3)
+        b = inject_confidence_noise(objects, amount, seed=3)
+        assert repr(a.frames) == repr(b.frames)
+        assert a.frame_indices == b.frame_indices
