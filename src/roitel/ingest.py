@@ -31,7 +31,7 @@ import re
 from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -175,12 +175,6 @@ class _Columns(SequenceABC):
         return tuple(
             Detection(frame, BBox(x, y, w, h), conf, cls, None if no_hint and hint < 0 else hint)
             for hint, x, y, w, h, conf, cls in zip(*(c[lo:hi].tolist() for c in cols))
-        )
-
-    def with_conf(self, conf: np.ndarray) -> "_Columns":
-        return _Columns(
-            self.frame_indices, self.offsets, self.hint, self.x, self.y, self.w, self.h,
-            conf, self.cls, self.negative_hint_is_none,
         )
 
 
@@ -642,21 +636,17 @@ def inject_confidence_noise(stream: DetectionStream, amount: float, seed: int) -
     if amount < 0:
         raise InvalidParam(f"noise amount must be >= 0, got {amount}")
     rng = random.Random(seed)
-    columns = stream._per_frame if isinstance(stream._per_frame, _Columns) else None
-    if columns is not None:
-        conf = columns.conf
-    else:
-        conf = np.array([d.confidence for d in stream.iter_detections()], dtype=np.float64)
-    # One draw per detection in stream order, then min(max(c - u, 0.0), 1.0)
-    # with Python's tie rules: the values of a per-detection loop, bit for bit.
-    noisy = conf - np.array([rng.uniform(0.0, amount) for _ in range(len(conf))])
-    noisy = np.where(noisy < 0.0, 0.0, noisy)
-    noisy = np.where(noisy > 1.0, 1.0, noisy)
-    if columns is not None:
-        per_frame = columns.with_conf(noisy)
-    else:
-        values = iter(noisy.tolist())
-        per_frame = tuple(
-            tuple(replace(d, confidence=next(values)) for d in dets) for dets in stream._per_frame
+    frames = []
+    for frame_index, dets in stream.frames:
+        noisy = tuple(
+            Detection(
+                frame_index=d.frame_index,
+                bbox=d.bbox,
+                confidence=min(max(d.confidence - rng.uniform(0.0, amount), 0.0), 1.0),
+                class_id=d.class_id,
+                track_hint=d.track_hint,
+            )
+            for d in dets
         )
-    return replace(stream, _per_frame=per_frame)
+        frames.append((frame_index, noisy))
+    return DetectionStream.from_frames(stream.clock, frames)
