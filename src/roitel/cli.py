@@ -87,11 +87,6 @@ def _parse_sidecar(args) -> Optional[ingest.SemanticSidecar]:
     return ingest.parse_sidecar_csv(_read_text(args.sidecar))
 
 
-def _lambda_from_echo(echo: dict[str, str]) -> Optional[float]:
-    raw = echo.get("eval.lambda_cls", "none")
-    return None if raw == "none" else float(raw)
-
-
 def _report_paths(out_dir: Path, fmt: str) -> Path:
     return out_dir / f"report.{_REPORT_EXT[fmt]}"
 
@@ -161,9 +156,10 @@ def cmd_report(args) -> int:
         if echo is None:
             echo = log.config_echo
         label = labels[i] if labels else log.variant
-        reports.append(
-            (label, metrics.aggregate_run(log, _lambda_from_echo(log.config_echo)))
+        lambda_cls = config_mod.parse_value(
+            "eval.lambda_cls", log.config_echo.get("eval.lambda_cls", "none")
         )
+        reports.append((label, metrics.aggregate_run(log, lambda_cls)))
     text = metrics.emit_report(reports, args.report_format, config_echo=echo)
     if args.out:
         _write_text(Path(args.out), text)

@@ -3,7 +3,8 @@
 Grammar: one ``key = value`` pair per line, ``#`` comments, blank lines
 ignored. Keys are dotted paths into the run config (``budget.window_s``),
 values are scalars; optional fields accept ``none`` and the score weights
-are a comma-separated triple. A ``schema_version`` field pins the layout.
+are a comma-separated triple. Every float must be finite (no ``nan`` or
+``inf``). A ``schema_version`` field pins the layout.
 
 The same key set drives command-line overrides (``--set key=value``);
 unknown keys are rejected, never ignored.
@@ -11,7 +12,8 @@ unknown keys are rejected, never ignored.
 
 from __future__ import annotations
 
-from typing import Optional
+import math
+from operator import attrgetter
 
 from .budget import CostModel
 from .domain import BudgetConfig, EvalConfig, FrameClock, PolicyConfig
@@ -53,13 +55,22 @@ CONFIG_SCHEMA: dict[str, tuple[str, str, str]] = {
 }
 
 
-def _parse_value(key: str, kind: str, text: str):
+def _finite(key: str, text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"bad value for {key}: {text!r} (must be finite)")
+    return value
+
+
+def parse_value(key: str, text: str):
+    """The typed value of one schema key given as text."""
+    kind = CONFIG_SCHEMA[key][0]
     text = text.strip()
     try:
         if kind == "int":
             return int(text)
         if kind == "float":
-            return float(text)
+            return _finite(key, text)
         if kind == "str":
             return text
         if kind == "bool":
@@ -68,14 +79,14 @@ def _parse_value(key: str, kind: str, text: str):
                 return low == "true"
             raise ValueError(text)
         if kind == "opt_float":
-            return None if text.lower() == "none" else float(text)
+            return None if text.lower() == "none" else _finite(key, text)
         if kind == "opt_int":
             return None if text.lower() == "none" else int(text)
         if kind == "weights":
             parts = [p.strip() for p in text.split(",")]
             if len(parts) != 3:
                 raise ValueError(text)
-            return tuple(float(p) for p in parts)
+            return tuple(_finite(key, p) for p in parts)
     except ValueError:
         raise ConfigError(f"bad value for {key}: {text!r} (expected {kind})") from None
     raise ConfigError(f"unknown schema kind {kind!r} for {key}")
@@ -112,58 +123,38 @@ def parse_kv_text(text: str) -> dict[str, str]:
     return values
 
 
+#: Section prefix -> its RunConfig member type, in build order: when several
+#: values are bad, the first section's error wins (and sets the exit code).
+#: Keys without a prefix are top-level RunConfig fields.
+_SECTIONS = {
+    "clock": FrameClock,
+    "budget": BudgetConfig,
+    "policy": PolicyConfig,
+    "tracker": TrackerConfig,
+    "cost": CostModel,
+    "eval": EvalConfig,
+}
+
+
 def build_config(values: dict[str, str]) -> RunConfig:
     """Construct a RunConfig from raw strings, applying schema defaults."""
     unknown = sorted(set(values) - set(CONFIG_SCHEMA))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
-    parsed = {}
-    for key, (kind, default, _) in CONFIG_SCHEMA.items():
-        parsed[key] = _parse_value(key, kind, values.get(key, default))
-
-    if parsed["schema_version"] != SCHEMA_VERSION:
-        raise ConfigError(
-            f"unsupported schema_version {parsed['schema_version']} (expected {SCHEMA_VERSION})"
+    sections: dict[str, dict] = {name: {} for name in _SECTIONS}
+    top: dict[str, object] = {}
+    for key, (_, default, _) in CONFIG_SCHEMA.items():
+        section, _, name = key.rpartition(".")
+        (sections[section] if section else top)[name] = parse_value(
+            key, values.get(key, default)
         )
 
+    version = top.pop("schema_version")
+    if version != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported schema_version {version} (expected {SCHEMA_VERSION})")
     return RunConfig(
-        clock=FrameClock(
-            fps=parsed["clock.fps"], frame_stride=parsed["clock.frame_stride"]
-        ),
-        budget=BudgetConfig(
-            b_total=parsed["budget.b_total"],
-            b_video=parsed["budget.b_video"],
-            b_roi=parsed["budget.b_roi"],
-            window_s=parsed["budget.window_s"],
-        ),
-        policy=PolicyConfig(
-            variant=parsed["policy.variant"],
-            period_frames=parsed["policy.period_frames"],
-            conf_threshold=parsed["policy.conf_threshold"],
-            area_threshold=parsed["policy.area_threshold"],
-            score_threshold=parsed["policy.score_threshold"],
-            top_k=parsed["policy.top_k"],
-            cooldown_frames=parsed["policy.cooldown_frames"],
-            weights=parsed["policy.weights"],
-        ),
-        tracker=TrackerConfig(
-            iou_min=parsed["tracker.iou_min"],
-            max_misses=parsed["tracker.max_misses"],
-            use_hints=parsed["tracker.use_hints"],
-        ),
-        cost=CostModel(
-            header_bytes=parsed["cost.header_bytes"],
-            bits_per_pixel=parsed["cost.bits_per_pixel"],
-            resize_edge=parsed["cost.resize_edge"],
-            pad_ratio=parsed["cost.pad_ratio"],
-        ),
-        eval=EvalConfig(
-            lambda_cls=parsed["eval.lambda_cls"],
-            duration_s=parsed["eval.duration_s"],
-        ),
-        base_bitrate_measured=parsed["base_bitrate_measured"],
-        seed=parsed["seed"],
+        **{name: _SECTIONS[name](**fields) for name, fields in sections.items()}, **top
     )
 
 
@@ -173,36 +164,11 @@ def load_config(text: str) -> RunConfig:
 
 def dump_config(cfg: RunConfig) -> dict[str, str]:
     """Canonical flat form of a RunConfig; load(dump(cfg)) == cfg."""
-    raw = {
-        "schema_version": SCHEMA_VERSION,
-        "clock.fps": cfg.clock.fps,
-        "clock.frame_stride": cfg.clock.frame_stride,
-        "budget.b_total": cfg.budget.b_total,
-        "budget.b_video": cfg.budget.b_video,
-        "budget.b_roi": cfg.budget.b_roi,
-        "budget.window_s": cfg.budget.window_s,
-        "policy.variant": cfg.policy.variant,
-        "policy.period_frames": cfg.policy.period_frames,
-        "policy.conf_threshold": cfg.policy.conf_threshold,
-        "policy.area_threshold": cfg.policy.area_threshold,
-        "policy.score_threshold": cfg.policy.score_threshold,
-        "policy.top_k": cfg.policy.top_k,
-        "policy.cooldown_frames": cfg.policy.cooldown_frames,
-        "policy.weights": cfg.policy.weights,
-        "tracker.iou_min": cfg.tracker.iou_min,
-        "tracker.max_misses": cfg.tracker.max_misses,
-        "tracker.use_hints": cfg.tracker.use_hints,
-        "cost.header_bytes": cfg.cost.header_bytes,
-        "cost.bits_per_pixel": cfg.cost.bits_per_pixel,
-        "cost.resize_edge": cfg.cost.resize_edge,
-        "cost.pad_ratio": cfg.cost.pad_ratio,
-        "eval.lambda_cls": cfg.eval.lambda_cls,
-        "eval.duration_s": cfg.eval.duration_s,
-        "base_bitrate_measured": cfg.base_bitrate_measured,
-        "seed": cfg.seed,
-    }
     return {
-        key: _format_value(CONFIG_SCHEMA[key][0], raw[key]) for key in CONFIG_SCHEMA
+        key: _format_value(
+            kind, SCHEMA_VERSION if key == "schema_version" else attrgetter(key)(cfg)
+        )
+        for key, (kind, _, _) in CONFIG_SCHEMA.items()
     }
 
 
@@ -213,16 +179,14 @@ def config_to_text(cfg: RunConfig) -> str:
 
 
 def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
-    """Apply ``key=value`` overrides on top of a config; unknown keys fail."""
+    """Apply ``key=value`` overrides on top of a config; build_config
+    rejects unknown keys."""
     flat = dump_config(cfg)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override must look like key=value, got {item!r}")
         key, _, value = item.partition("=")
-        key = key.strip()
-        if key not in CONFIG_SCHEMA:
-            raise ConfigError(f"unknown config keys: {key}")
-        flat[key] = value.strip()
+        flat[key.strip()] = value.strip()
     return build_config(flat)
 
 

@@ -7,8 +7,8 @@ continuous pixel units; annotation files may carry fractional boxes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from .errors import BudgetConfigError, ConfigError, InvalidParam
 
@@ -128,9 +128,7 @@ class PolicyConfig:
     Thresholds default to None; variants that require one raise ConfigError
     at decision time when it is missing (M1 period and the preset gates have
     documented defaults instead). ``weights`` are the score coefficients for
-    the uncertainty, size-priority, and novelty terms. The three term
-    functions can be overridden programmatically via ``u_fn``/``s_fn``/
-    ``n_fn`` (not representable in config files).
+    the uncertainty, size-priority, and novelty terms.
     """
 
     variant: str = "M5"
@@ -141,9 +139,6 @@ class PolicyConfig:
     top_k: Optional[int] = None
     cooldown_frames: int = 30
     weights: tuple[float, float, float] = DEFAULT_WEIGHTS
-    u_fn: Optional[Callable[[float], float]] = field(default=None, compare=False)
-    s_fn: Optional[Callable[[BBox], float]] = field(default=None, compare=False)
-    n_fn: Optional[Callable[[Optional[int], int], float]] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.variant not in POLICY_VARIANTS:

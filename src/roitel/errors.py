@@ -29,13 +29,19 @@ class ParseError(RoitelError):
         super().__init__(f"line {line_no}: {reason}")
 
 
-class DuplicateKey(RoitelError):
-    """Two sidecar records share the same (frame, track) key."""
+class DuplicateKey(ParseError):
+    """Two sidecar records share the same (frame, track) key.
 
-    def __init__(self, frame_index: int, track_id: int):
+    ``line_no`` is the later record's line, or its 1-based position in a
+    record list that did not come from a file.
+    """
+
+    def __init__(self, line_no: int, frame_index: int, track_id: int):
         self.frame_index = frame_index
         self.track_id = track_id
-        super().__init__(f"duplicate sidecar key (frame={frame_index}, track={track_id})")
+        super().__init__(
+            line_no, f"duplicate sidecar key (frame={frame_index}, track={track_id})"
+        )
 
 
 class OutOfOrderFrame(RoitelError):

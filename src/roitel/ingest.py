@@ -209,10 +209,10 @@ class SemanticSidecar:
 
     def __init__(self, records: Iterable[SemanticRecord] = ()):
         self.records: dict[tuple[int, int], SemanticRecord] = {}
-        for rec in records:
+        for position, rec in enumerate(records, start=1):
             key = (rec.frame_index, rec.track_id)
             if key in self.records:
-                raise DuplicateKey(*key)
+                raise DuplicateKey(position, *key)
             self.records[key] = rec
 
     def get(self, frame_index: int, track_id: int) -> Optional[SemanticRecord]:
@@ -514,7 +514,11 @@ def parse_visdrone_mot(
 def parse_sidecar_csv(
     text: str, errors_out: Optional[list[ParseError]] = None
 ) -> SemanticSidecar:
-    """Parse the semantic sidecar; payload_bytes column is optional per row."""
+    """Parse the semantic sidecar; payload_bytes column is optional per row.
+
+    A repeated (frame, track) is a DuplicateKey at its line; the first
+    record is kept.
+    """
     rows, _ = _split_rows(text)
     sidecar = SemanticSidecar()
     for line_no, fields in rows:
@@ -544,7 +548,7 @@ def parse_sidecar_csv(
                 raise ParseError(line_no, str(err)) from None
             key = (rec.frame_index, rec.track_id)
             if key in sidecar:
-                raise DuplicateKey(*key)
+                raise DuplicateKey(line_no, *key)
             sidecar.records[key] = rec
         except ParseError as err:
             if errors_out is None:

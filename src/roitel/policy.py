@@ -6,7 +6,7 @@ by descending score (ties to the lower track id), and admits them against
 the rolling budget view. Candidates denied by the ledger are counted, never
 silently dropped.
 
-Term functional forms (each overridable via PolicyConfig):
+Term functional forms:
   uncertainty  u = 1 - detector confidence
   size priority s = clamp(1 - area / area_ref, 0, 1)
   novelty      n = 1 if never refined or refined longer than the cooldown
@@ -113,12 +113,9 @@ def make_candidate(
 ) -> RoiCandidate:
     """Compute all score terms for one tracked detection."""
     area_ref = cfg.area_threshold if cfg.area_threshold is not None else DEFAULT_AREA_REF
-    u = cfg.u_fn(confidence) if cfg.u_fn else uncertainty_term(confidence)
-    s = cfg.s_fn(bbox) if cfg.s_fn else size_term(bbox, area_ref)
-    if cfg.n_fn:
-        n = cfg.n_fn(last_refined_frame, frame_index)
-    else:
-        n = novelty_term(last_refined_frame, frame_index, cfg.cooldown_frames)
+    u = uncertainty_term(confidence)
+    s = size_term(bbox, area_ref)
+    n = novelty_term(last_refined_frame, frame_index, cfg.cooldown_frames)
     return RoiCandidate(
         frame_index=frame_index,
         track_id=track_id,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, TextIO
 
 from .domain import BBox, BudgetConfig, FrameClock
-from .errors import ParseError
+from .errors import ConfigError, InvalidParam, ParseError
 
 RUNLOG_KIND = "roitel-runlog"
 RUNLOG_VERSION = 1
@@ -162,92 +162,170 @@ def write_jsonl(log: RunLog, fp: TextIO) -> None:
         fp.write("\n")
 
 
-def _require(obj: dict, key: str, line_no: int):
+_INT = frozenset({int})
+_NUM = frozenset({int, float})
+_NULL = frozenset({type(None)})
+_STR = frozenset({str})
+_LIST = frozenset({list})
+_OBJ = frozenset({dict})
+
+#: A field's allowed JSON types (as decoded) -> how an error names them.
+_WANTED = {
+    _INT: "an integer",
+    _NUM: "a number",
+    _INT | _NULL: "an integer or null",
+    _NUM | _NULL: "a number or null",
+    _STR: "a string",
+    _LIST: "a list",
+    _OBJ: "an object",
+}
+
+_HEADER_FIELDS = {
+    "variant": _STR,
+    "fps": _NUM,
+    "frame_stride": _INT,
+    "b_total_bps": _NUM,
+    "b_video_bps": _NUM,
+    "b_roi_bps": _NUM,
+    "window_s": _NUM,
+    "base_bitrate_bps": _NUM,
+    "raw_candidates": _INT,
+    "rejected_budget": _INT,
+    "rejected_threshold": _INT,
+    "processed_frame_indices": _LIST,
+    "first_frame": _INT | _NULL,
+    "last_frame": _INT | _NULL,
+    "detection_conf_mean": _NUM,
+    "duration_s": _NUM | _NULL,
+    "config": _OBJ,
+}
+
+#: In TransmissionRecord's field order; the last six are the semantic fields.
+_TX_FIELDS = {
+    "frame": _INT,
+    "t_s": _NUM,
+    "track": _INT,
+    "bbox": _LIST,
+    "cost_bits": _NUM,
+    "score": _NUM,
+    "u": _NUM,
+    "s_small": _NUM,
+    "n": _NUM,
+    "video_conf": _NUM | _NULL,
+    "still_conf": _NUM | _NULL,
+    "video_label": _INT | _NULL,
+    "still_label": _INT | _NULL,
+    "video_entropy": _NUM | _NULL,
+    "still_entropy": _NUM | _NULL,
+}
+
+#: In ClassEvent's field order.
+_CLASS_FIELDS = {"frame": _INT, "t_s": _NUM, "track": _INT, "label": _INT, "source": _STR}
+
+
+def _values(obj: dict, fields: dict, line_no: int) -> list:
+    """``obj``'s values of ``fields``, in order, each of a JSON type its field
+    allows; a field that allows null may be absent."""
+    values = list(map(obj.get, fields))
+    if all(map(frozenset.__contains__, fields.values(), map(type, values))):
+        return values
+    key, types = next(
+        field for field, value in zip(fields.items(), values) if type(value) not in field[1]
+    )
     if key not in obj:
         raise ParseError(line_no, f"missing field {key!r}")
-    return obj[key]
+    raise ParseError(line_no, f"field {key!r} must be {_WANTED[types]}, got {obj[key]!r}")
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
+#: Decodes like json.loads, but refuses NaN and Infinity.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _decode(raw: str, line_no: int):
+    try:
+        return _DECODER.decode(raw)
+    except ValueError as err:
+        raise ParseError(line_no, f"bad JSON: {err}") from None
+
+
+def _header(obj) -> RunLog:
+    if not isinstance(obj, dict) or obj.get("kind") != RUNLOG_KIND:
+        raise ParseError(1, "not a run log header")
+    if obj.get("version") != RUNLOG_VERSION:
+        raise ParseError(1, f"unsupported run log version: {obj.get('version')}")
+    _values(obj, _HEADER_FIELDS, 1)
+    frames = obj["processed_frame_indices"]
+    if not all(map(_INT.__contains__, map(type, frames))):
+        raise ParseError(1, f"bad processed_frame_indices: {frames!r}")
+    echo = obj["config"]
+    if not all(type(value) is str for value in echo.values()):
+        raise ParseError(1, f"bad config echo: {echo!r}")
+    return RunLog(
+        variant=obj["variant"],
+        clock=FrameClock(fps=obj["fps"], frame_stride=obj["frame_stride"]),
+        budget=BudgetConfig(
+            b_total=obj["b_total_bps"],
+            b_video=obj["b_video_bps"],
+            b_roi=obj["b_roi_bps"],
+            window_s=obj["window_s"],
+        ),
+        base_bitrate_bps=obj["base_bitrate_bps"],
+        raw_candidate_count=obj["raw_candidates"],
+        rejected_budget=obj["rejected_budget"],
+        rejected_threshold=obj["rejected_threshold"],
+        processed_frame_indices=tuple(frames),
+        first_frame=obj.get("first_frame"),
+        last_frame=obj.get("last_frame"),
+        detection_conf_mean=obj["detection_conf_mean"],
+        duration_s=obj.get("duration_s"),
+        config_echo=dict(echo),
+    )
+
+
+def _transmission(obj: dict, line_no: int) -> TransmissionRecord:
+    values = _values(obj, _TX_FIELDS, line_no)
+    bbox = values[3]
+    if len(bbox) != 4 or not all(map(_NUM.__contains__, map(type, bbox))):
+        raise ParseError(line_no, f"bad bbox: {bbox!r}")
+    values[3] = BBox(*bbox)
+    if values[9:].count(None) not in (0, 6):
+        raise ParseError(line_no, "semantic fields must be all set or all null")
+    return TransmissionRecord(*values)
+
+
+def _class_event(obj: dict, line_no: int) -> ClassEvent:
+    values = _values(obj, _CLASS_FIELDS, line_no)
+    if values[4] not in (CLASS_SOURCE_VIDEO, CLASS_SOURCE_STILL):
+        raise ParseError(line_no, f"bad class source: {values[4]!r}")
+    return ClassEvent(*values)
 
 
 def read_jsonl(text: str) -> RunLog:
-    """Parse a run log written by write_jsonl. Raises ParseError on damage."""
+    """Parse a run log written by write_jsonl. Raises ParseError, with the
+    line's number, on any damage: bad JSON (NaN and Infinity included), a
+    record that is not an object, a missing field or one of the wrong JSON
+    type, or a value that a domain type refuses."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError(1, "empty run log")
+    line_no = 1
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as err:
-        raise ParseError(1, f"bad JSON: {err}") from None
-    if not isinstance(header, dict) or header.get("kind") != RUNLOG_KIND:
-        raise ParseError(1, "not a run log header")
-    if header.get("version") != RUNLOG_VERSION:
-        raise ParseError(1, f"unsupported run log version: {header.get('version')}")
-
-    log = RunLog(
-        variant=_require(header, "variant", 1),
-        clock=FrameClock(
-            fps=_require(header, "fps", 1),
-            frame_stride=_require(header, "frame_stride", 1),
-        ),
-        budget=BudgetConfig(
-            b_total=_require(header, "b_total_bps", 1),
-            b_video=_require(header, "b_video_bps", 1),
-            b_roi=_require(header, "b_roi_bps", 1),
-            window_s=_require(header, "window_s", 1),
-        ),
-        base_bitrate_bps=_require(header, "base_bitrate_bps", 1),
-        raw_candidate_count=_require(header, "raw_candidates", 1),
-        rejected_budget=_require(header, "rejected_budget", 1),
-        rejected_threshold=_require(header, "rejected_threshold", 1),
-        processed_frame_indices=tuple(_require(header, "processed_frame_indices", 1)),
-        first_frame=header.get("first_frame"),
-        last_frame=header.get("last_frame"),
-        detection_conf_mean=_require(header, "detection_conf_mean", 1),
-        duration_s=header.get("duration_s"),
-        config_echo=dict(_require(header, "config", 1)),
-    )
-
-    for line_no, raw in enumerate(lines[1:], start=2):
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as err:
-            raise ParseError(line_no, f"bad JSON: {err}") from None
-        kind = obj.get("kind")
-        if kind == "tx":
-            bbox = _require(obj, "bbox", line_no)
-            if not (isinstance(bbox, list) and len(bbox) == 4):
-                raise ParseError(line_no, f"bad bbox: {bbox!r}")
-            log.transmissions.append(
-                TransmissionRecord(
-                    frame_index=_require(obj, "frame", line_no),
-                    t_s=_require(obj, "t_s", line_no),
-                    track_id=_require(obj, "track", line_no),
-                    bbox=BBox(*bbox),
-                    cost_bits=_require(obj, "cost_bits", line_no),
-                    score=_require(obj, "score", line_no),
-                    u_term=_require(obj, "u", line_no),
-                    s_small_term=_require(obj, "s_small", line_no),
-                    n_term=_require(obj, "n", line_no),
-                    video_conf=obj.get("video_conf"),
-                    still_conf=obj.get("still_conf"),
-                    video_label=obj.get("video_label"),
-                    still_label=obj.get("still_label"),
-                    video_entropy=obj.get("video_entropy"),
-                    still_entropy=obj.get("still_entropy"),
-                )
-            )
-        elif kind == "class":
-            source = _require(obj, "source", line_no)
-            if source not in (CLASS_SOURCE_VIDEO, CLASS_SOURCE_STILL):
-                raise ParseError(line_no, f"bad class source: {source!r}")
-            log.class_events.append(
-                ClassEvent(
-                    frame_index=_require(obj, "frame", line_no),
-                    t_s=_require(obj, "t_s", line_no),
-                    track_id=_require(obj, "track", line_no),
-                    label=_require(obj, "label", line_no),
-                    source=source,
-                )
-            )
-        else:
-            raise ParseError(line_no, f"unknown record kind: {kind!r}")
+        log = _header(_decode(lines[0], 1))
+        for line_no, raw in enumerate(lines[1:], start=2):
+            obj = _decode(raw, line_no)
+            if not isinstance(obj, dict):
+                raise ParseError(line_no, f"expected a JSON object, got {obj!r}")
+            kind = obj.get("kind")
+            if kind == "tx":
+                log.transmissions.append(_transmission(obj, line_no))
+            elif kind == "class":
+                log.class_events.append(_class_event(obj, line_no))
+            else:
+                raise ParseError(line_no, f"unknown record kind: {kind!r}")
+    except (InvalidParam, ConfigError) as err:
+        raise ParseError(line_no, str(err)) from None
     return log

@@ -123,6 +123,20 @@ def test_simulate_unknown_set_key_fails(tmp_path, detections_csv, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_simulate_first_bad_section_sets_the_exit_code(tmp_path, detections_csv, capsys):
+    rc, _ = simulate(
+        tmp_path, detections_csv, "--set", "clock.fps=0", "--set", "budget.b_total=-1"
+    )
+    assert rc == 1
+    assert "fps must be > 0" in capsys.readouterr().err
+
+
+def test_simulate_rejects_a_non_finite_budget(tmp_path, detections_csv, capsys):
+    rc, _ = simulate(tmp_path, detections_csv, "--set", "budget.b_total=nan")
+    assert rc == 1
+    assert "error: bad value for budget.b_total: 'nan'" in capsys.readouterr().err
+
+
 def test_simulate_budget_violation_exits_2(tmp_path, detections_csv, capsys):
     rc, _ = simulate(tmp_path, detections_csv, "--set", "budget.b_video=900000")
     assert rc == 2
@@ -405,6 +419,42 @@ def test_report_duplicate_default_labels(tmp_path, detections_csv, capsys):
     assert "duplicate" in capsys.readouterr().err
 
 
+def damage_runlog(path, index, edit):
+    """Rewrite line ``index`` (0-based) of a run log: ``edit`` maps the
+    decoded record to its new JSON text."""
+    lines = path.read_text().splitlines()
+    lines[index] = edit(json.loads(lines[index]))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def set_field(key, value):
+    return lambda obj: json.dumps({**obj, key: value})
+
+
+@pytest.mark.parametrize(
+    "index,edit,message",
+    [
+        (0, set_field("fps", "abc"), "error: line 1: field 'fps' must be a number"),
+        (1, lambda obj: "[1]", "error: line 2: expected a JSON object"),
+        (
+            0,
+            set_field("config", {"eval.lambda_cls": "abc"}),
+            "error: bad value for eval.lambda_cls: 'abc'",
+        ),
+    ],
+)
+def test_report_on_a_damaged_log_exits_1(
+    tmp_path, detections_csv, capsys, index, edit, message
+):
+    rc, out_dir = simulate(tmp_path, detections_csv)
+    assert rc == 0
+    log_path = out_dir / "runlog.jsonl"
+    damage_runlog(log_path, index, edit)
+    capsys.readouterr()
+    assert main(["report", str(log_path)]) == 1
+    assert message in capsys.readouterr().err
+
+
 # --- validate -----------------------------------------------------------------
 
 
@@ -469,6 +519,23 @@ def test_validate_sidecar_counts_and_unknown_warning(tmp_path, detections_csv, c
     assert "sidecar records: 2" in captured.out
     assert "sidecar matched: 1" in captured.out
     assert "unknown (frame,track)" in captured.err
+
+
+def test_validate_lists_a_duplicate_sidecar_key_and_later_bad_lines(
+    tmp_path, detections_csv, capsys
+):
+    side = tmp_path / "side.csv"
+    side.write_text(
+        "10,4,0.2,0.35,7,7,1.9,1.1\n"
+        "10,4,0.2,0.35,7,7,1.9,1.1\n"
+        "11,4,1.2,0.35,7,7,1.9,1.1\n"
+    )
+    rc = main(["validate", "--input", str(detections_csv), "--sidecar", str(side)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "sidecar records: 1" in captured.out
+    assert f"{side}: line 2: duplicate sidecar key (frame=10, track=4)" in captured.err
+    assert f"{side}: line 3: video_conf" in captured.err
 
 
 SIDECAR_ROW = "0.2,0.35,7,7,1.9,1.1"

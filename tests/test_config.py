@@ -1,6 +1,6 @@
 import pytest
 
-from roitel import ConfigError, FrameClock, ParseError
+from roitel import BudgetConfigError, ConfigError, FrameClock, InvalidParam, ParseError
 from roitel.config import (
     CONFIG_SCHEMA,
     apply_overrides,
@@ -174,3 +174,69 @@ def test_schema_help_lists_every_key():
     text = schema_help()
     for key in CONFIG_SCHEMA:
         assert key in text
+
+
+#: A valid, non-default value per key, in the canonical form dump_config
+#: writes. schema_version has no valid non-default value.
+NON_DEFAULT = {
+    "clock.fps": "30.0",
+    "clock.frame_stride": "3",
+    "budget.b_total": "900000.0",
+    "budget.b_video": "600000.0",
+    "budget.b_roi": "100000.0",
+    "budget.window_s": "1.5",
+    "policy.variant": "M3",
+    "policy.period_frames": "20",
+    "policy.conf_threshold": "0.4",
+    "policy.area_threshold": "512.0",
+    "policy.score_threshold": "0.0",
+    "policy.top_k": "3",
+    "policy.cooldown_frames": "12",
+    "policy.weights": "0.6,0.2,0.2",
+    "tracker.iou_min": "0.45",
+    "tracker.max_misses": "4",
+    "tracker.use_hints": "true",
+    "cost.header_bytes": "200",
+    "cost.bits_per_pixel": "0.7",
+    "cost.resize_edge": "96.0",
+    "cost.pad_ratio": "0.1",
+    "eval.lambda_cls": "0.5",
+    "eval.duration_s": "52.5",
+    "base_bitrate_measured": "801000.0",
+    "seed": "7",
+}
+
+
+def test_non_default_table_covers_the_schema():
+    assert set(NON_DEFAULT) == set(CONFIG_SCHEMA) - {"schema_version"}
+
+
+@pytest.mark.parametrize("key", sorted(NON_DEFAULT))
+def test_each_key_routes_to_its_own_field(key):
+    defaults = dump_config(build_config({}))
+    assert defaults[key] != NON_DEFAULT[key]
+    flat = dump_config(build_config({key: NON_DEFAULT[key]}))
+    assert flat == {**defaults, key: NON_DEFAULT[key]}
+
+
+def test_sections_are_built_in_schema_order():
+    # a bad clock and a bad budget: the clock is built first, so its error wins
+    with pytest.raises(InvalidParam, match="fps"):
+        build_config({"clock.fps": "0", "budget.b_total": "-1"})
+    with pytest.raises(BudgetConfigError):
+        build_config({"budget.b_total": "-1"})
+
+
+FLOAT_KEYS = [
+    key
+    for key, (kind, _, _) in CONFIG_SCHEMA.items()
+    if kind in ("float", "opt_float", "weights")
+]
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_float_keys_reject_non_finite_values(key, token):
+    value = f"{token},0.3,0.2" if CONFIG_SCHEMA[key][0] == "weights" else token
+    with pytest.raises(ConfigError, match=f"bad value for {key.replace('.', '[.]')}"):
+        build_config({key: value})

@@ -7,6 +7,7 @@ from roitel import (
     FrameClock,
     InvalidParam,
     ParseError,
+    SemanticSidecar,
     gen_synthetic,
     inject_confidence_noise,
     parse_generic_csv,
@@ -172,8 +173,33 @@ def test_sidecar_payload_optional():
 
 def test_sidecar_duplicate_key_rejected():
     text = "10,4,0.2,0.3,7,7,1.9,1.1\n10,4,0.2,0.3,7,7,1.9,1.1\n"
-    with pytest.raises(DuplicateKey):
+    with pytest.raises(DuplicateKey) as exc:
         parse_sidecar_csv(text)
+    assert isinstance(exc.value, ParseError)
+    assert exc.value.line_no == 2
+    assert (exc.value.frame_index, exc.value.track_id) == (10, 4)
+
+
+def test_sidecar_duplicate_key_is_collected_and_the_first_record_kept():
+    text = (
+        "10,4,0.2,0.3,7,7,1.9,1.1\n"
+        "10,4,0.9,0.9,8,8,1.9,1.1\n"
+        "10,4,1.2,0.3,7,7,1.9,1.1\n"
+        "11,4,0.2,0.3,7,7,1.9,1.1\n"
+    )
+    errors: list[ParseError] = []
+    sc = parse_sidecar_csv(text, errors_out=errors)
+    assert [e.line_no for e in errors] == [2, 3]
+    assert isinstance(errors[0], DuplicateKey)
+    assert len(sc) == 2
+    assert sc.get(10, 4).video_conf == 0.2
+
+
+def test_sidecar_from_records_rejects_duplicates_by_position():
+    rec = parse_sidecar_csv("10,4,0.2,0.3,7,7,1.9,1.1\n").get(10, 4)
+    with pytest.raises(DuplicateKey) as exc:
+        SemanticSidecar([rec, rec])
+    assert exc.value.line_no == 2
 
 
 @pytest.mark.parametrize(

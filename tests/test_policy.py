@@ -151,19 +151,6 @@ def test_make_candidate_area_threshold_becomes_size_ref():
     assert DEFAULT_AREA_REF == 1024.0
 
 
-def test_make_candidate_honors_term_overrides():
-    cfg = PolicyConfig(
-        variant="M5",
-        score_threshold=0.0,
-        u_fn=lambda conf: 0.25,
-        s_fn=lambda bbox: 0.75,
-        n_fn=lambda last, frame: 0.5,
-    )
-    cand = make_candidate(0, 0, BBox(0, 0, 10, 10), 0.9, 0, 1000.0, cfg)
-    assert (cand.u_term, cand.s_small_term, cand.n_term) == (0.25, 0.75, 0.5)
-    assert cand.score == score_roi(0.25, 0.75, 0.5, 1000.0, DEFAULT_WEIGHTS)
-
-
 # --- trigger rules ----------------------------------------------------------
 
 

@@ -2,9 +2,11 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from roitel import (
     BBox,
+    RoitelError,
     BudgetConfig,
     ClassEvent,
     FrameClock,
@@ -14,6 +16,7 @@ from roitel import (
     read_jsonl,
     write_jsonl,
 )
+from roitel.metrics import aggregate_run, emit_report
 from roitel.runlog import CLASS_SOURCE_STILL, CLASS_SOURCE_VIDEO, to_jsonl_lines
 
 
@@ -189,3 +192,103 @@ def test_read_rejects_malformed_bbox():
     lines[1] = json.dumps(tx)
     with pytest.raises(ParseError, match="bad bbox"):
         read_jsonl("\n".join(lines))
+
+
+def damaged(index: int, key: str, value) -> str:
+    """The sample log with field ``key`` of line ``index`` (0-based) set to
+    ``value``."""
+    lines = list(to_jsonl_lines(sample_log()))
+    obj = json.loads(lines[index])
+    obj[key] = value
+    lines[index] = json.dumps(obj)
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "index,key,value,fragment",
+    [
+        (0, "fps", "abc", "'fps' must be a number"),
+        (0, "variant", None, "'variant' must be a string"),
+        (0, "frame_stride", 2.5, "'frame_stride' must be an integer"),
+        (0, "raw_candidates", True, "'raw_candidates' must be an integer"),
+        (0, "config", [1, 2], "'config' must be an object"),
+        (0, "config", {"seed": 1}, "bad config echo"),
+        (0, "processed_frame_indices", 5, "'processed_frame_indices' must be a list"),
+        (0, "processed_frame_indices", [0, "5"], "bad processed_frame_indices"),
+        (0, "duration_s", "52", "'duration_s' must be a number or null"),
+        (0, "fps", -1.0, "fps must be > 0"),
+        (0, "b_total_bps", -1.0, "b_total must be >= 0"),
+        (1, "cost_bits", "x", "'cost_bits' must be a number"),
+        (1, "bbox", [0.0, 0.0, 0.0, 10.0], "bbox extent must be positive"),
+        (1, "bbox", [0.0, 0.0, "1", 10.0], "bad bbox"),
+        (1, "still_conf", None, "semantic fields must be all set or all null"),
+        (1, "video_label", 7.5, "'video_label' must be an integer or null"),
+        (4, "label", {}, "'label' must be an integer"),
+        (4, "source", 3, "'source' must be a string"),
+    ],
+)
+def test_read_rejects_wrong_types_and_refused_values_with_line_number(
+    index, key, value, fragment
+):
+    with pytest.raises(ParseError, match=fragment) as exc:
+        read_jsonl(damaged(index, key, value))
+    assert exc.value.line_no == index + 1
+
+
+@pytest.mark.parametrize("record", ["[1]", "5", '"tx"', "null"])
+def test_read_rejects_a_record_that_is_not_an_object(record):
+    lines = list(to_jsonl_lines(sample_log()))
+    lines[2] = record
+    with pytest.raises(ParseError, match="expected a JSON object") as exc:
+        read_jsonl("\n".join(lines))
+    assert exc.value.line_no == 3
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_read_rejects_non_finite_numbers(literal):
+    lines = list(to_jsonl_lines(sample_log()))
+    lines[1] = lines[1].replace('"cost_bits": 11200.0', f'"cost_bits": {literal}')
+    with pytest.raises(ParseError, match="non-finite") as exc:
+        read_jsonl("\n".join(lines))
+    assert exc.value.line_no == 2
+
+
+#: What a damaged field may hold instead of its value.
+damage = st.one_of(
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 2), max_size=4),
+    st.none(),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2),
+    st.integers(-(10**6), -1),
+    st.floats(-1e6, -1e-3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_damaged_logs_fail_only_with_parse_errors(data):
+    lines = list(to_jsonl_lines(sample_log()))
+    index = data.draw(st.integers(0, len(lines) - 1))
+    if data.draw(st.booleans()):
+        obj = json.loads(lines[index])
+        key = data.draw(st.sampled_from(sorted(obj)))
+        inner = obj[key]
+        if isinstance(inner, (list, dict)) and inner and data.draw(st.booleans()):
+            # damage one element of a list or one value of an object
+            slots = sorted(inner) if isinstance(inner, dict) else range(len(inner))
+            slot = data.draw(st.sampled_from(slots))
+            inner[slot] = data.draw(damage)
+        else:
+            obj[key] = data.draw(damage)
+        lines[index] = json.dumps(obj)
+    else:
+        lines[index] = data.draw(st.sampled_from(["[1]", "[]", "7", "null", '"tx"', "true"]))
+    try:
+        log = read_jsonl("\n".join(lines))
+    except ParseError:
+        return
+    # what the reader accepts, the report aggregates or refuses cleanly
+    try:
+        emit_report([(log.variant, aggregate_run(log))])
+    except RoitelError:
+        pass
