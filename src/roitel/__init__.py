@@ -53,12 +53,14 @@ from .metrics import (
     emit_selection_report,
 )
 from .policy import (
-    CandidateContext,
+    CandidateBlock,
     Decision,
+    FrameColumns,
     RoiCandidate,
     decide,
     make_candidate,
     novelty_term,
+    score_block,
     score_roi,
     size_term,
     uncertainty_term,
@@ -74,7 +76,7 @@ __all__ = [
     "BudgetConfigError",
     "BudgetLedger",
     "BudgetViolation",
-    "CandidateContext",
+    "CandidateBlock",
     "ClassEvent",
     "ConfigError",
     "CostModel",
@@ -87,6 +89,7 @@ __all__ = [
     "DuplicateLabel",
     "EvalConfig",
     "FrameClock",
+    "FrameColumns",
     "InvalidParam",
     "LedgerView",
     "MetricsReport",
@@ -125,6 +128,7 @@ __all__ = [
     "parse_visdrone_mot",
     "read_jsonl",
     "run",
+    "score_block",
     "score_roi",
     "size_term",
     "sweep",

@@ -8,7 +8,7 @@ instant it is exactly ``window_s`` old.
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -71,7 +71,13 @@ class LedgerView:
 
 
 class BudgetLedger:
-    """Time-ordered account of committed ROI bits over a rolling window."""
+    """Time-ordered account of committed ROI bits over a rolling window.
+
+    Commit times and bits are kept in two parallel lists in commit order,
+    which is time order, so a window is one contiguous slice found by
+    bisection. Entries before ``_start`` have left the window; the lists
+    drop them in bulk once they are the larger part.
+    """
 
     def __init__(self, b_roi: float, window_s: float):
         if b_roi < 0:
@@ -80,16 +86,28 @@ class BudgetLedger:
             raise InvalidParam(f"window_s must be > 0, got {window_s}")
         self.b_roi = b_roi
         self.window_s = window_s
-        self.entries: deque[tuple[float, float]] = deque()
+        self._ts: list[float] = []
+        self._bits: list[float] = []
+        self._start = 0
 
     @property
     def cap_bits(self) -> float:
         return self.b_roi * self.window_s
 
+    @property
+    def entries(self) -> list[tuple[float, float]]:
+        """The ``(time, bits)`` entries not yet pruned, oldest first."""
+        return list(zip(self._ts[self._start :], self._bits[self._start :]))
+
     def window_sum(self, now_s: float) -> float:
-        """Bits with timestamp in the half-open window (now - window_s, now]."""
-        lo = now_s - self.window_s
-        return sum(bits for ts, bits in self.entries if lo < ts <= now_s)
+        """Bits with timestamp in the half-open window (now - window_s, now].
+
+        Sums the same entries in the same order with the same builtin as a
+        filter over every entry would, so the value is identical.
+        """
+        lo = bisect_right(self._ts, now_s - self.window_s, self._start)
+        hi = bisect_right(self._ts, now_s, lo)
+        return sum(self._bits[lo:hi])
 
     def admits(self, now_s: float, bits: float) -> bool:
         """True iff committing ``bits`` at ``now_s`` keeps the window under cap.
@@ -112,9 +130,11 @@ class BudgetLedger:
             raise BudgetViolation(
                 f"commit of {bits} bits at t={now_s} exceeds cap {self.cap_bits}"
             )
-        if self.entries and now_s < self.entries[-1][0]:
-            raise InvalidParam(f"commit time {now_s} precedes last entry {self.entries[-1][0]}")
-        lo = now_s - self.window_s
-        while self.entries and self.entries[0][0] <= lo:
-            self.entries.popleft()
-        self.entries.append((now_s, bits))
+        if self._ts and now_s < self._ts[-1]:
+            raise InvalidParam(f"commit time {now_s} precedes last entry {self._ts[-1]}")
+        self._start = bisect_right(self._ts, now_s - self.window_s, self._start)
+        if self._start * 2 > len(self._ts):
+            del self._ts[: self._start], self._bits[: self._start]
+            self._start = 0
+        self._ts.append(now_s)
+        self._bits.append(bits)

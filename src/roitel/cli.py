@@ -9,6 +9,7 @@ report and log files embed the config echo needed for an exact rerun.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -74,6 +75,8 @@ def _parse_stream(
 def _load_run_inputs(args) -> tuple[engine.RunConfig, ingest.DetectionStream]:
     """The run config over the input's clock, and the input stream with
     ``--conf-noise`` applied."""
+    if not (math.isfinite(args.conf_noise) and args.conf_noise >= 0.0):
+        raise ConfigError(f"--conf-noise must be finite and >= 0, got {args.conf_noise}")
     stream = _parse_stream(args)
     cfg = _load_run_config(args, stream.clock)
     if args.conf_noise > 0.0:
@@ -152,14 +155,17 @@ def cmd_report(args) -> int:
     reports = []
     echo: Optional[dict[str, str]] = None
     for i, path in enumerate(args.runlogs):
-        log = runlog.read_jsonl(_read_text(path))
+        try:
+            log = runlog.read_jsonl(_read_text(path))
+            lambda_cls = config_mod.parse_value(
+                "eval.lambda_cls", log.config_echo.get("eval.lambda_cls", "none")
+            )
+            rep = metrics.aggregate_run(log, lambda_cls)
+        except RoitelError as err:
+            raise RoitelError(f"{path}: {err}") from err
         if echo is None:
             echo = log.config_echo
-        label = labels[i] if labels else log.variant
-        lambda_cls = config_mod.parse_value(
-            "eval.lambda_cls", log.config_echo.get("eval.lambda_cls", "none")
-        )
-        reports.append((label, metrics.aggregate_run(log, lambda_cls)))
+        reports.append((labels[i] if labels else log.variant, rep))
     text = metrics.emit_report(reports, args.report_format, config_echo=echo)
     if args.out:
         _write_text(Path(args.out), text)
@@ -218,8 +224,8 @@ def cmd_validate(args) -> int:
         # under the same clock, tracker and cost settings a run would use.
         looked_up = {
             (rec.frame_index, rec.track_id)
-            for _, _, rows in engine.associate(stream, sidecar, cfg.clock, cfg.tracker, cfg.cost)
-            for *_, rec, _ in rows
+            for *_, cols in engine.associate(stream, sidecar, cfg.clock, cfg.tracker, cfg.cost)
+            for rec in cols.records
             if rec is not None
         }
         matched = len(looked_up)
@@ -277,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=float,
             default=0.0,
             metavar="AMOUNT",
-            help="seeded downward confidence jitter applied to the input stream",
+            help="seeded downward confidence jitter applied to the input stream "
+            "(finite and >= 0; 0 adds none)",
         )
         p.add_argument(
             "--report-format",

@@ -2,10 +2,11 @@
 
 ``associate`` walks the stream at the clock's frame stride through the
 tracker and attaches each tracked detection's sidecar record and cost;
-nothing in it depends on the policy. The scheduling pass scores those rows,
-asks the policy for selections against a rolling budget ledger, and records
+nothing in it depends on the policy. It hands each processed frame on as
+NumPy columns. The scheduling pass scores a frame's rows as one block, asks
+the policy for selections against a rolling budget ledger, and records
 every transmission plus the per-track class timeline. ``sweep`` associates
-once and schedules every variant over the same rows. Runs are strictly
+once and schedules every variant over the same columns. Runs are strictly
 sequential and deterministic for fixed inputs.
 """
 
@@ -14,11 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Union
 
+import numpy as np
+
 from . import policy as policy_mod
 from .budget import BudgetLedger, CostModel, estimate_cost
 from .domain import BudgetConfig, EvalConfig, FrameClock, PolicyConfig
 from .errors import InvalidParam
-from .ingest import DetectionStream, SemanticRecord, SemanticSidecar
+from .ingest import DetectionStream, SemanticSidecar
 from .runlog import (
     CLASS_SOURCE_STILL,
     CLASS_SOURCE_VIDEO,
@@ -62,10 +65,10 @@ def associate(
     clock: FrameClock,
     tracker_cfg: TrackerConfig,
     cost: CostModel,
-) -> Iterator[tuple[int, float, list[tuple]]]:
-    """Yield ``(frame_index, now, rows)`` for every processed frame, in
-    order. Each row is ``(det, track_id, is_new, created_frame,
-    sidecar_record, cost_bits)``, one per detection.
+) -> Iterator[tuple[int, float, policy_mod.FrameColumns]]:
+    """Yield ``(frame_index, now, columns)`` for every processed frame, in
+    order; row ``i`` of ``columns`` is the frame's ``i``-th tracked
+    detection, with its track, sidecar record and cost.
 
     Sidecar keys live in the annotation's id space when hints exist;
     tracker ids are a relabeling, so the hint is preferred. A record's
@@ -78,31 +81,64 @@ def associate(
     for frame_index in processed_frame_range(
         stream.first_frame, stream.last_frame, clock.frame_stride
     ):
-        rows = []
-        dets = list(stream.detections_at(frame_index))
-        for det, track_id, is_new in tracker.step(frame_index, dets):
-            if is_new:
-                created[track_id] = frame_index
-            rec = None
-            if sidecar is not None:
-                key_id = det.track_hint if det.track_hint is not None else track_id
-                rec = sidecar.get(frame_index, key_id)
-            cost_bits = (
-                rec.payload_bytes * 8.0
-                if rec is not None and rec.payload_bytes is not None
-                else estimate_cost(det.bbox, cost)
+        assignments = tracker.step(frame_index, list(stream.detections_at(frame_index)))
+        dets, track_ids, new_flags = zip(*assignments) if assignments else ((), (), ())
+        created.update((tid, frame_index) for tid, is_new in zip(track_ids, new_flags) if is_new)
+        if sidecar is None:
+            records = (None,) * len(dets)
+        else:
+            records = tuple(
+                sidecar.get(frame_index, det.track_hint if det.track_hint is not None else tid)
+                for det, tid in zip(dets, track_ids)
             )
-            rows.append((det, track_id, is_new, created[track_id], rec, cost_bits))
-        yield frame_index, clock.timestamp(frame_index), rows
+        bboxes = [det.bbox for det in dets]
+        costs = [
+            rec.payload_bytes * 8.0
+            if rec is not None and rec.payload_bytes is not None
+            else estimate_cost(bbox, cost)
+            for bbox, rec in zip(bboxes, records)
+        ]
+        columns = policy_mod.FrameColumns(
+            detections=dets,
+            track_ids=track_ids,
+            costs=tuple(costs),
+            records=records,
+            track_id=np.array(track_ids, dtype=np.int64),
+            is_new=np.array(new_flags, dtype=bool),
+            created=np.array([created[tid] for tid in track_ids], dtype=np.int64),
+            conf=np.array([det.confidence for det in dets], dtype=np.float64),
+            area=np.array([bbox.w * bbox.h for bbox in bboxes], dtype=np.float64),
+            cost_bits=np.array(costs, dtype=np.float64),
+            class_id=np.array([det.class_id for det in dets], dtype=np.int64),
+        )
+        yield frame_index, clock.timestamp(frame_index), columns
+
+
+#: Per-track class state: which source set the label downstream assumes.
+_NO_CLASS, _VIDEO_CLASS, _STILL_CLASS = 0, 1, 2
+
+
+def _grown(table: np.ndarray, size: int, fill: int) -> np.ndarray:
+    """``table`` extended with ``fill`` to at least ``size`` entries."""
+    if size <= len(table):
+        return table
+    extra = np.full(max(size, 2 * len(table)) - len(table), fill, dtype=table.dtype)
+    return np.concatenate((table, extra))
 
 
 def _schedule(
-    frames: Iterable[tuple[int, float, list[tuple]]],
+    frames: Iterable[tuple[int, float, policy_mod.FrameColumns]],
     stream: DetectionStream,
     cfg: RunConfig,
     config_echo: Optional[dict[str, str]],
 ) -> RunLog:
-    """Scheduling pass: everything that depends on the policy."""
+    """Scheduling pass: everything that depends on the policy.
+
+    Per-track state lives in arrays indexed by track id: the last frame a
+    track was refined on and the class label (and its source) downstream
+    assumes for it. Objects are built only for transmissions and class
+    events.
+    """
     if config_echo is None:
         from .config import dump_config  # deferred: config depends on RunConfig
 
@@ -124,56 +160,56 @@ def _schedule(
     log.last_frame = stream.last_frame
 
     ledger = BudgetLedger(cfg.budget.b_roi, cfg.budget.window_s)
-    last_refined: dict[int, int] = {}  # track id -> last transmitted frame
-    # tid -> (source, label) the downstream consumer currently assumes
-    class_state: dict[int, tuple[str, int]] = {}
+    last_refined = np.empty(0, dtype=np.int64)
+    class_label = np.empty(0, dtype=np.int64)
+    class_source = np.empty(0, dtype=np.int8)
     processed = []
     conf_sum = 0.0
     conf_n = 0
 
-    for frame_index, now, rows in frames:
+    for frame_index, now, cols in frames:
         processed.append(frame_index)
-        log.raw_candidate_count += len(rows)
+        log.raw_candidate_count += len(cols)
+        track_id = cols.track_id
+        if len(cols):
+            size = int(track_id.max()) + 1
+            last_refined = _grown(last_refined, size, policy_mod.NEVER_REFINED)
+            class_label = _grown(class_label, size, 0)
+            class_source = _grown(class_source, size, _NO_CLASS)
+        # sequential, as a per-row sum always was: np.sum would sum pairwise
+        for conf in cols.conf.tolist():
+            conf_sum += conf
+        conf_n += len(cols)
 
-        contexts = []
-        records: dict[int, Optional[SemanticRecord]] = {}
-        for det, track_id, is_new, created_frame, rec, cost_bits in rows:
-            conf_sum += det.confidence
-            conf_n += 1
-            refined = last_refined.get(track_id)
-            cand = policy_mod.make_candidate(
-                frame_index=frame_index,
-                track_id=track_id,
-                bbox=det.bbox,
-                confidence=det.confidence,
-                last_refined_frame=refined,
-                cost_bits=cost_bits,
-                cfg=cfg.policy,
-            )
-            contexts.append(
-                policy_mod.CandidateContext(
-                    candidate=cand,
-                    confidence=det.confidence,
-                    is_new=is_new,
-                    created_frame=created_frame,
-                    last_refined_frame=refined,
-                )
-            )
-            records[track_id] = rec
-            # Video-side class estimate: updates only while no still label
-            # is pinned for the track (replacement rule).
-            state = class_state.get(track_id)
-            if state is None or (state[0] == CLASS_SOURCE_VIDEO and state[1] != det.class_id):
-                class_state[track_id] = (CLASS_SOURCE_VIDEO, det.class_id)
+        block = policy_mod.score_block(frame_index, cols, last_refined[track_id], cfg.policy)
+
+        # Video-side class estimate: updates only while no still label is
+        # pinned for the track (replacement rule).
+        source = class_source[track_id]
+        changed = (
+            (source == _NO_CLASS)
+            | ((source == _VIDEO_CLASS) & (class_label[track_id] != cols.class_id))
+        ).nonzero()[0]
+        if len(changed):
+            tids = track_id[changed]
+            class_label[tids] = cols.class_id[changed]
+            class_source[tids] = _VIDEO_CLASS
+            for row in changed.tolist():
                 log.class_events.append(
-                    ClassEvent(frame_index, now, track_id, det.class_id, CLASS_SOURCE_VIDEO)
+                    ClassEvent(
+                        frame_index,
+                        now,
+                        cols.track_ids[row],
+                        cols.detections[row].class_id,
+                        CLASS_SOURCE_VIDEO,
+                    )
                 )
 
-        decision = policy_mod.decide(frame_index, contexts, ledger.view(now), cfg.policy)
+        decision = policy_mod.decide(frame_index, block, ledger.view(now), cfg.policy)
         log.rejected_threshold += decision.rejected_threshold
         log.rejected_budget += decision.rejected_budget
 
-        for cand in decision.selected:
+        for cand, row in zip(decision.selected, decision.rows):
             # Commit-time re-check: budget safety must not depend on the
             # policy having honored the ledger view.
             if not ledger.admits(now, cand.cost_bits):
@@ -181,7 +217,7 @@ def _schedule(
                 continue
             ledger.commit(now, cand.cost_bits)
             last_refined[cand.track_id] = frame_index
-            rec = records[cand.track_id]
+            rec = cols.records[row]
             log.transmissions.append(
                 TransmissionRecord(
                     frame_index=frame_index,
@@ -202,14 +238,17 @@ def _schedule(
                 )
             )
             if rec is not None:
-                state = class_state.get(cand.track_id)
-                if state is None or state[1] != rec.still_label:
+                if (
+                    class_source[cand.track_id] == _NO_CLASS
+                    or class_label[cand.track_id] != rec.still_label
+                ):
                     log.class_events.append(
                         ClassEvent(
                             frame_index, now, cand.track_id, rec.still_label, CLASS_SOURCE_STILL
                         )
                     )
-                class_state[cand.track_id] = (CLASS_SOURCE_STILL, rec.still_label)
+                class_label[cand.track_id] = rec.still_label
+                class_source[cand.track_id] = _STILL_CLASS
 
     log.processed_frame_indices = tuple(processed)
     log.detection_conf_mean = conf_sum / conf_n if conf_n else 0.0

@@ -1,10 +1,15 @@
 """ROI transmission policies: periodic, event, threshold, and utility-per-bit.
 
-Every tracked detection on a processed frame becomes a scored candidate.
-``decide`` applies the configured variant's trigger rule, orders survivors
-by descending score (ties to the lower track id), and admits them against
-the rolling budget view. Candidates denied by the ledger are counted, never
-silently dropped.
+Every tracked detection on a processed frame is a candidate. A frame's
+candidates are handled as one block of NumPy columns: ``score_block``
+computes every row's terms and score, and ``decide`` turns the configured
+variant's trigger rule into a mask, orders the survivors by descending score
+(ties to the lower track id), and admits them against the rolling budget
+view. Candidates denied by the ledger are counted, never silently dropped.
+
+``make_candidate`` scores one candidate with Python floats; it is the
+reference the columns follow operation for operation, so both give the same
+bits.
 
 Term functional forms:
   uncertainty  u = 1 - detector confidence
@@ -18,9 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .budget import LedgerView
-from .domain import DEFAULT_AREA_REF, BBox, PolicyConfig
+from .domain import DEFAULT_AREA_REF, BBox, Detection, PolicyConfig
 from .errors import ConfigError, InvalidParam
+from .ingest import SemanticRecord
 
 #: Preset gate defaults, pilot-tuned; every threshold stays configurable.
 PERMISSIVE_CONF_GATE = 0.25
@@ -29,6 +37,10 @@ PRESET_AREA_GATE = DEFAULT_AREA_REF  # 32x32 px
 PRESET_RELAXED_SCORE_GATE = 0.0
 
 _UNLIMITED = 1 << 30
+
+#: ``last_refined`` value of a track that was never refined: earlier than
+#: any frame, so a never-refined track is always outside the cooldown.
+NEVER_REFINED = int(np.iinfo(np.int64).min)
 
 
 @dataclass(frozen=True)
@@ -45,24 +57,61 @@ class RoiCandidate:
     score: float
 
 
-@dataclass(frozen=True)
-class CandidateContext:
-    """A candidate plus the track facts the trigger rules consult."""
+@dataclass(frozen=True, eq=False)
+class FrameColumns:
+    """One processed frame after association, one row per tracked detection
+    in tracker order; a track appears at most once per frame.
 
-    candidate: RoiCandidate
-    confidence: float
-    is_new: bool
-    created_frame: int
-    last_refined_frame: Optional[int]
+    The arrays serve the scheduling maths. The tuples hold the same rows as
+    Python objects, which the records built from a row share. The
+    association pass builds this once per frame, and every variant of a
+    sweep reads it.
+    """
+
+    detections: tuple[Detection, ...]
+    track_ids: tuple[int, ...]
+    costs: tuple[float, ...]  # bits
+    records: tuple[Optional[SemanticRecord], ...]  # sidecar record or None
+    track_id: np.ndarray  # int64: track_ids
+    is_new: np.ndarray  # bool: the track was spawned on this frame
+    created: np.ndarray  # int64: the frame the track was spawned on
+    conf: np.ndarray  # float64
+    area: np.ndarray  # float64: bbox w * h
+    cost_bits: np.ndarray  # float64: costs
+    class_id: np.ndarray  # int64
+
+    def __len__(self) -> int:
+        return len(self.detections)
+
+
+@dataclass(frozen=True, eq=False)
+class CandidateBlock:
+    """One frame's candidates scored for one policy, row for row with
+    ``cols``: when each track was last refined (``NEVER_REFINED`` if never)
+    and the terms ``make_candidate`` would give."""
+
+    cols: FrameColumns
+    last_refined: np.ndarray  # int64
+    u_term: np.ndarray
+    s_small_term: np.ndarray
+    n_term: np.ndarray
+    score: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.cols)
 
 
 @dataclass(frozen=True)
 class Decision:
-    """Per-step policy output: selections plus rejection accounting."""
+    """Per-step policy output: selections plus rejection accounting.
+
+    ``rows`` gives each selection's row in the block it was chosen from.
+    """
 
     selected: tuple[RoiCandidate, ...]
     rejected_budget: int
     rejected_threshold: int
+    rows: tuple[int, ...] = ()
 
 
 def uncertainty_term(det_conf: float) -> float:
@@ -102,6 +151,10 @@ def score_roi(
     return (w_u * u + w_s * s + w_n * n) / cost_bits
 
 
+def _area_ref(cfg: PolicyConfig) -> float:
+    return cfg.area_threshold if cfg.area_threshold is not None else DEFAULT_AREA_REF
+
+
 def make_candidate(
     frame_index: int,
     track_id: int,
@@ -112,9 +165,8 @@ def make_candidate(
     cfg: PolicyConfig,
 ) -> RoiCandidate:
     """Compute all score terms for one tracked detection."""
-    area_ref = cfg.area_threshold if cfg.area_threshold is not None else DEFAULT_AREA_REF
     u = uncertainty_term(confidence)
-    s = size_term(bbox, area_ref)
+    s = size_term(bbox, _area_ref(cfg))
     n = novelty_term(last_refined_frame, frame_index, cfg.cooldown_frames)
     return RoiCandidate(
         frame_index=frame_index,
@@ -128,6 +180,43 @@ def make_candidate(
     )
 
 
+def score_block(
+    frame_index: int, cols: FrameColumns, last_refined: np.ndarray, cfg: PolicyConfig
+) -> CandidateBlock:
+    """Score a frame's candidates; ``last_refined`` is row for row with
+    ``cols``.
+
+    Each column is ``make_candidate``'s expression in its operation order.
+    A bad confidence or a non-positive cost raises ``make_candidate``'s
+    error for the first bad row, in row order.
+    """
+    area_ref = _area_ref(cfg)
+    conf, cost = cols.conf, cols.cost_bits
+    if len(cols):
+        ok = (conf >= 0.0) & (conf <= 1.0) & (cost > 0.0)
+        if not (area_ref > 0 and ok.all()):
+            # make_candidate raises its error for the first bad row; a bad
+            # area_ref fails on row 0, after that row's confidence check
+            i = int(np.argmin(ok)) if area_ref > 0 else 0
+            refined = int(last_refined[i])
+            make_candidate(
+                frame_index,
+                cols.track_ids[i],
+                cols.detections[i].bbox,
+                cols.detections[i].confidence,
+                None if refined == NEVER_REFINED else refined,
+                cols.costs[i],
+                cfg,
+            )
+    u = 1.0 - conf
+    s = np.minimum(np.maximum(1.0 - cols.area / area_ref, 0.0), 1.0)
+    # frame - last > cooldown, exact in integers
+    n = (last_refined < frame_index - cfg.cooldown_frames).astype(np.float64)
+    w_u, w_s, w_n = cfg.weights
+    score = (w_u * u + w_s * s + w_n * n) / cost
+    return CandidateBlock(cols, last_refined, u, s, n, score)
+
+
 def _require(cfg: PolicyConfig, name: str) -> float:
     value = getattr(cfg, name)
     if value is None:
@@ -135,41 +224,41 @@ def _require(cfg: PolicyConfig, name: str) -> float:
     return value
 
 
-def _triggered(ctx: CandidateContext, cfg: PolicyConfig) -> bool:
-    """Variant trigger rule for one candidate."""
+def _triggered(frame_index: int, block: CandidateBlock, cfg: PolicyConfig) -> np.ndarray:
+    """Variant trigger rule as a mask over the block's rows."""
     v = cfg.variant
+    cols = block.cols
     if v == "M0":
-        return False
+        return np.zeros(len(block), dtype=bool)
     if v == "M1":
-        since = ctx.candidate.frame_index - (
-            ctx.last_refined_frame if ctx.last_refined_frame is not None else ctx.created_frame
-        )
+        refined = block.last_refined
+        since = frame_index - np.where(refined == NEVER_REFINED, cols.created, refined)
         return since >= cfg.period_frames
     if v == "M2":
-        return ctx.is_new
+        return cols.is_new
     if v == "M3":
-        return ctx.confidence < _require(cfg, "conf_threshold")
+        return cols.conf < _require(cfg, "conf_threshold")
     if v == "M4":
-        return ctx.candidate.bbox.area() < _require(cfg, "area_threshold")
+        return cols.area < _require(cfg, "area_threshold")
     if v == "M5":
-        return ctx.candidate.score > _require(cfg, "score_threshold")
+        return block.score > _require(cfg, "score_threshold")
     if v == "preset_permissive":
         gate = cfg.conf_threshold if cfg.conf_threshold is not None else PERMISSIVE_CONF_GATE
-        return ctx.confidence >= gate
+        return cols.conf >= gate
     if v == "preset_conf_size_top1":
         conf_gate = cfg.conf_threshold if cfg.conf_threshold is not None else PRESET_CONF_GATE
         area_gate = cfg.area_threshold if cfg.area_threshold is not None else PRESET_AREA_GATE
-        return ctx.confidence >= conf_gate and ctx.candidate.bbox.area() < area_gate
+        return (cols.conf >= conf_gate) & (cols.area < area_gate)
     if v == "preset_strict_small_only":
         area_gate = cfg.area_threshold if cfg.area_threshold is not None else PRESET_AREA_GATE
-        return ctx.candidate.bbox.area() < area_gate
+        return cols.area < area_gate
     if v == "preset_balanced_top2":
         gate = (
             cfg.score_threshold
             if cfg.score_threshold is not None
             else PRESET_RELAXED_SCORE_GATE
         )
-        return ctx.candidate.score > gate
+        return block.score > gate
     raise ConfigError(f"unknown policy variant {v!r}")
 
 
@@ -185,7 +274,7 @@ def _effective_top_k(cfg: PolicyConfig) -> int:
 
 def decide(
     frame_index: int,
-    contexts: list[CandidateContext],
+    block: CandidateBlock,
     ledger_view: LedgerView,
     cfg: PolicyConfig,
 ) -> Decision:
@@ -193,35 +282,49 @@ def decide(
 
     Pure given its inputs: budget consumption within the step is simulated
     against the read-only view; the engine performs the actual commits.
+    Builds a ``RoiCandidate`` only for each selected row.
     """
-    eligible: list[CandidateContext] = []
-    rejected_threshold = 0
-    for ctx in contexts:
-        if _triggered(ctx, cfg):
-            eligible.append(ctx)
-        else:
-            rejected_threshold += 1
-
-    eligible.sort(key=lambda c: (-c.candidate.score, c.candidate.track_id))
+    if not len(block):
+        return Decision(selected=(), rejected_budget=0, rejected_threshold=0)
+    eligible = _triggered(frame_index, block, cfg).nonzero()[0]
+    order = eligible[np.lexsort((block.cols.track_id[eligible], -block.score[eligible]))]
 
     top_k = _effective_top_k(cfg)
-    selected: list[RoiCandidate] = []
+    rows: list[int] = []
     rejected_budget = 0
     # Accumulate exactly like the ledger's sequential commits would, so the
     # engine's commit-time re-check can never disagree on a boundary case.
     sim_sum = ledger_view.window_sum_bits
-    for ctx in eligible:
-        if len(selected) >= top_k:
+    costs = block.cols.costs
+    for row in order.tolist():
+        if len(rows) >= top_k:
             break
-        cost = ctx.candidate.cost_bits
+        cost = costs[row]
         if sim_sum + cost <= ledger_view.cap_bits:
-            selected.append(ctx.candidate)
+            rows.append(row)
             sim_sum = sim_sum + cost
         else:
             rejected_budget += 1
 
     return Decision(
-        selected=tuple(selected),
+        selected=tuple(_candidate(frame_index, block, row) for row in rows),
         rejected_budget=rejected_budget,
-        rejected_threshold=rejected_threshold,
+        rejected_threshold=len(block) - len(eligible),
+        rows=tuple(rows),
+    )
+
+
+def _candidate(frame_index: int, block: CandidateBlock, row: int) -> RoiCandidate:
+    """One row as a candidate, with Python numbers and the stream's own box."""
+    cols = block.cols
+    return RoiCandidate(
+        frame_index=frame_index,
+        track_id=cols.track_ids[row],
+        bbox=cols.detections[row].bbox,
+        u_term=float(block.u_term[row]),
+        s_small_term=float(block.s_small_term[row]),
+        # n is 0.0 or 1.0; the literals are shared objects, as novelty_term's are
+        n_term=1.0 if block.n_term[row] else 0.0,
+        cost_bits=cols.costs[row],
+        score=float(block.score[row]),
     )

@@ -241,29 +241,49 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name}")
 
 
+#: The length of the shortest integer literal beyond the float range
+#: (``float`` tops out near 1.8e308, a 309-digit number).
+_BIG_INT_CHARS = 309
+
+
+def _checked_int(literal: str) -> int:
+    value = int(literal)
+    if len(literal) >= _BIG_INT_CHARS:
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"integer beyond the float range: {literal[:12]}...") from None
+    return value
+
+
 #: Decodes like json.loads, but refuses NaN and Infinity.
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+#: Also refuses integers beyond the float range. Only a line of at least
+#: ``_BIG_INT_CHARS`` characters can hold one, so shorter lines skip the
+#: per-integer check.
+_CHECKED_DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_int=_checked_int)
 
 
 def _decode(raw: str, line_no: int):
+    decoder = _DECODER if len(raw) < _BIG_INT_CHARS else _CHECKED_DECODER
     try:
-        return _DECODER.decode(raw)
+        return decoder.decode(raw)
     except ValueError as err:
         raise ParseError(line_no, f"bad JSON: {err}") from None
 
 
-def _header(obj) -> RunLog:
+def _header(obj, line_no: int) -> RunLog:
     if not isinstance(obj, dict) or obj.get("kind") != RUNLOG_KIND:
-        raise ParseError(1, "not a run log header")
+        raise ParseError(line_no, "not a run log header")
     if obj.get("version") != RUNLOG_VERSION:
-        raise ParseError(1, f"unsupported run log version: {obj.get('version')}")
-    _values(obj, _HEADER_FIELDS, 1)
+        raise ParseError(line_no, f"unsupported run log version: {obj.get('version')}")
+    _values(obj, _HEADER_FIELDS, line_no)
     frames = obj["processed_frame_indices"]
     if not all(map(_INT.__contains__, map(type, frames))):
-        raise ParseError(1, f"bad processed_frame_indices: {frames!r}")
+        raise ParseError(line_no, f"bad processed_frame_indices: {frames!r}")
     echo = obj["config"]
     if not all(type(value) is str for value in echo.values()):
-        raise ParseError(1, f"bad config echo: {echo!r}")
+        raise ParseError(line_no, f"bad config echo: {echo!r}")
     return RunLog(
         variant=obj["variant"],
         clock=FrameClock(fps=obj["fps"], frame_stride=obj["frame_stride"]),
@@ -306,16 +326,18 @@ def _class_event(obj: dict, line_no: int) -> ClassEvent:
 
 def read_jsonl(text: str) -> RunLog:
     """Parse a run log written by write_jsonl. Raises ParseError, with the
-    line's number, on any damage: bad JSON (NaN and Infinity included), a
-    record that is not an object, a missing field or one of the wrong JSON
-    type, or a value that a domain type refuses."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    line's number, on any damage: bad JSON (NaN, Infinity and integers
+    beyond the float range included), a record that is not an object, a
+    missing field or one of the wrong JSON type, or a value that a domain
+    type refuses. Lines are numbered as in the file; blank lines are
+    skipped but counted."""
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ParseError(1, "empty run log")
-    line_no = 1
+    line_no = lines[0][0]
     try:
-        log = _header(_decode(lines[0], 1))
-        for line_no, raw in enumerate(lines[1:], start=2):
+        log = _header(_decode(lines[0][1], line_no), line_no)
+        for line_no, raw in lines[1:]:
             obj = _decode(raw, line_no)
             if not isinstance(obj, dict):
                 raise ParseError(line_no, f"expected a JSON object, got {obj!r}")

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import settings
 
-from roitel import ParseError, ingest
+from roitel import ParseError, engine, ingest
+from roitel.runlog import to_jsonl_lines
+from helpers import scalar_schedule
 
 # Property tests must behave identically run to run.
 settings.register_profile("deterministic", derandomize=True)
@@ -41,3 +43,43 @@ def cross_check_detection_parses(monkeypatch):
         return public(text, layout, clock, errors_out)
 
     monkeypatch.setattr(ingest, "_parse_detections", checked)
+
+
+def schedule_outcome(schedule, frames, stream, cfg, config_echo):
+    """What one scheduling pass gives: the log, in forms that tell -0.0
+    from 0.0, 1 from 1.0 and a NumPy scalar from a float, or the error."""
+    try:
+        log = schedule(frames(), stream, cfg, config_echo)
+    except Exception as err:  # compared, then re-raised by the caller
+        return (type(err), str(err)), err
+    return (repr(log), "\n".join(to_jsonl_lines(log))), log
+
+
+@pytest.fixture(autouse=True)
+def cross_check_scheduling(monkeypatch):
+    """Every scheduling pass in the suite is checked against the scalar
+    oracle in ``helpers``: the same run log, or the same error. Frames are
+    replayed to both passes up to any error the association pass raised."""
+    columnar = engine._schedule
+
+    def checked(frames, stream, cfg, config_echo):
+        seen, failure = [], None
+        try:
+            for frame in frames:
+                seen.append(frame)
+        except Exception as err:
+            failure = err
+
+        def replay():
+            yield from seen
+            if failure is not None:
+                raise failure
+
+        expected, _ = schedule_outcome(scalar_schedule, replay, stream, cfg, config_echo)
+        got, result = schedule_outcome(columnar, replay, stream, cfg, config_echo)
+        assert got == expected
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    monkeypatch.setattr(engine, "_schedule", checked)

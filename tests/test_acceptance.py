@@ -17,7 +17,6 @@ from roitel import (
     BBox,
     BudgetConfig,
     BudgetLedger,
-    CandidateContext,
     Detection,
     FrameClock,
     PolicyConfig,
@@ -40,7 +39,7 @@ from roitel.budget import LedgerView
 from roitel.cli import main as cli_main
 from roitel.domain import DEFAULT_WEIGHTS
 from roitel.runlog import CLASS_SOURCE_STILL
-from helpers import low_regime_cfg, mk_det, mk_stream
+from helpers import CandidateContext, as_block, low_regime_cfg, mk_det, mk_stream
 
 # pilot report targets and tolerances
 RATE_TOL_HZ = 0.005
@@ -209,7 +208,7 @@ def test_c4_utility_policy_matches_exhaustive_search(checked):
             view = LedgerView(window_sum_bits=used, cap_bits=cap)
             cfg = PolicyConfig(variant="M5", score_threshold=threshold)
 
-            got = decide(0, contexts, view, cfg).selected
+            got = decide(0, as_block(0, contexts), view, cfg).selected
 
             admissible = [
                 ctx.candidate

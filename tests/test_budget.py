@@ -1,6 +1,8 @@
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, strategies as st
 
 from roitel import (
     BBox,
@@ -132,3 +134,52 @@ def test_pruning_never_changes_admits():
             if shadow_admits:
                 ledger.commit(now, bits)
                 history.append((now, bits))
+
+
+class GeneratorLedger:
+    """The ledger as it was: a deque pruned at commit, and a filter over
+    every entry for each window sum."""
+
+    def __init__(self, window_s):
+        self.window_s = window_s
+        self.entries = deque()
+
+    def window_sum(self, now_s):
+        lo = now_s - self.window_s
+        return sum(bits for ts, bits in self.entries if lo < ts <= now_s)
+
+    def commit(self, now_s, bits):
+        lo = now_s - self.window_s
+        while self.entries and self.entries[0][0] <= lo:
+            self.entries.popleft()
+        self.entries.append((now_s, bits))
+
+
+#: Times on a quarter-second grid, so entries land exactly on window edges.
+grid_time = st.integers(0, 40).map(lambda k: k / 4)
+
+
+@given(
+    window_s=st.sampled_from([0.25, 0.5, 1.0, 2.0, 0.3]),
+    steps=st.lists(
+        st.tuples(
+            grid_time,
+            st.floats(0.1, 1e6, allow_nan=False),
+            st.lists(grid_time, max_size=3),
+        ),
+        max_size=40,
+    ),
+)
+def test_window_sum_matches_the_generator_it_replaced(window_s, steps):
+    # each step commits at a time no earlier than the last one, then asks
+    # for window sums at arbitrary times, earlier ones included
+    ledger = BudgetLedger(b_roi=1e12, window_s=window_s)
+    model = GeneratorLedger(window_s)
+    now = 0.0
+    for advance, bits, queries in steps:
+        now += advance / 8
+        ledger.commit(now, bits)
+        model.commit(now, bits)
+        assert ledger.entries == list(model.entries)
+        for t in [now, now - window_s, now + window_s, *queries]:
+            assert repr(ledger.window_sum(t)) == repr(model.window_sum(t)), t

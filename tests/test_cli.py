@@ -206,6 +206,25 @@ def test_conf_noise_lowers_mean_confidence(tmp_path, detections_csv):
     assert noisy.detection_conf_mean < clean.detection_conf_mean
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("amount", ["nan", "-1", "inf"])
+def test_conf_noise_must_be_finite_and_non_negative(tmp_path, detections_csv, capsys, command, amount):
+    argv = [command, "--input", str(detections_csv), "--out-dir", str(tmp_path / "out")]
+    argv += ["--set", "policy.score_threshold=0.0", "--conf-noise", amount]
+    if command == "sweep":
+        argv += ["--variants", "M0,M5"]
+    assert main(argv) == 1
+    assert "--conf-noise must be finite and >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_conf_noise_is_a_no_op(tmp_path, detections_csv):
+    rc_a, dir_a = simulate(tmp_path / "a", detections_csv)
+    rc_b, dir_b = simulate(tmp_path / "b", detections_csv, "--conf-noise", "0")
+    assert rc_a == rc_b == 0
+    assert (dir_a / "runlog.jsonl").read_bytes() == (dir_b / "runlog.jsonl").read_bytes()
+
+
 def uavdt_csv(tmp_path):
     """A UAVDT ground-truth file (confidence 1.0) of a seeded synthetic stream."""
     stream = gen_synthetic(seed=4, n_frames=200, mean_objects=6.0, clock=FrameClock())
@@ -441,6 +460,11 @@ def set_field(key, value):
             set_field("config", {"eval.lambda_cls": "abc"}),
             "error: bad value for eval.lambda_cls: 'abc'",
         ),
+        (
+            0,
+            set_field("processed_frame_indices", [0, 5, 10**400]),
+            "error: line 1: bad JSON: integer beyond the float range",
+        ),
     ],
 )
 def test_report_on_a_damaged_log_exits_1(
@@ -452,7 +476,21 @@ def test_report_on_a_damaged_log_exits_1(
     damage_runlog(log_path, index, edit)
     capsys.readouterr()
     assert main(["report", str(log_path)]) == 1
-    assert message in capsys.readouterr().err
+    # the error names the log it came from
+    assert f"error: {log_path}: {message.removeprefix('error: ')}" in capsys.readouterr().err
+
+
+def test_report_names_the_damaged_log_among_several(tmp_path, detections_csv, capsys):
+    rc, out_dir = simulate(tmp_path, detections_csv)
+    assert rc == 0
+    good = out_dir / "runlog.jsonl"
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(good.read_text())
+    damage_runlog(bad, 0, set_field("fps", "abc"))
+    capsys.readouterr()
+    assert main(["report", str(good), str(bad), "--labels", "a,b"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: line 1: field 'fps' must be a number, got 'abc'\n"
 
 
 # --- validate -----------------------------------------------------------------

@@ -1,12 +1,16 @@
 import hashlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from roitel import (
     BBox,
     BudgetConfig,
+    ConfigError,
+    CostModel,
     FrameClock,
+    FrameColumns,
     InvalidParam,
     POLICY_VARIANTS,
     PolicyConfig,
@@ -23,6 +27,7 @@ from roitel import (
     uncertainty_term,
 )
 from roitel.domain import DEFAULT_WEIGHTS
+from roitel import engine
 from roitel.engine import processed_frame_range
 from roitel.runlog import CLASS_SOURCE_STILL, CLASS_SOURCE_VIDEO, to_jsonl_lines
 from helpers import low_regime_cfg, mk_det, mk_stream
@@ -476,3 +481,114 @@ def test_sweep_runlogs_keep_their_bytes(use_hints):
         for variant, log in sweep(stream, sidecar, base, list(POLICY_VARIANTS))
     }
     assert got == PINNED_RUNLOG_SHA256[use_hints]
+
+
+# --- columnar scheduling pass -------------------------------------------------
+#
+# The conftest fixture checks each of these runs against the scalar oracle
+# too; the asserts here pin what the cases are about.
+
+
+def test_tied_scores_go_to_the_lower_track_id():
+    # identical boxes and confidences, so equal scores; on frame 5 the
+    # detections come in the other order, so row 0 is track 1
+    a, b = dict(y=0.0), dict(y=300.0)
+    frames = [(0, [mk_det(0, **a), mk_det(0, **b)]), (5, [mk_det(5, **b), mk_det(5, **a)])]
+    log = run(mk_stream(frames), None, low_regime_cfg("M5", cooldown_frames=0))
+    assert [(tx.frame_index, tx.track_id) for tx in log.transmissions] == [(0, 0), (5, 0)]
+
+
+def poisoned(det, confidence):
+    """``det`` with a confidence its type refuses, set behind its back."""
+    object.__setattr__(det, "confidence", confidence)
+    return det
+
+
+@pytest.mark.parametrize(
+    "bad_conf_row,zero_cost_row,message",
+    [
+        (1, 0, "cost_bits must be > 0, got 0.0"),
+        (0, 1, "confidence must be in [0,1], got 1.5"),
+        (0, 0, "confidence must be in [0,1], got 1.5"),
+    ],
+)
+def test_the_first_bad_row_raises_the_scalar_error(bad_conf_row, zero_cost_row, message):
+    # a box this small costs 0.0 bits once the header is free
+    tiny = dict(w=1e-200, h=1e-200)
+    dets = [mk_det(5, x=100.0 * i) for i in range(3)]
+    dets[zero_cost_row] = mk_det(5, x=100.0 * zero_cost_row, **tiny)
+    poisoned(dets[bad_conf_row], 1.5)
+    cfg = replace(low_regime_cfg("M5"), cost=CostModel(header_bytes=0))
+    with pytest.raises(InvalidParam) as exc:
+        run(mk_stream([(0, [mk_det(0, x=900.0)]), (5, dets)]), None, cfg)
+    assert str(exc.value) == message
+
+
+def test_top_k_cut_leaves_rows_unaccounted():
+    frames = [(f, [mk_det(f, x=100.0 * i, conf=0.5) for i in range(3)]) for f in (0, 5)]
+    log = run(mk_stream(frames), None, low_regime_cfg("M5"))
+    assert len(log.transmissions) == 2  # top-1 on each frame
+    assert (log.rejected_threshold, log.rejected_budget) == (0, 0)
+    assert log.raw_candidate_count - len(log.transmissions) == 4
+
+
+def test_frames_without_detections_evaluate_no_trigger():
+    # M3 without its threshold fails only once a frame has a candidate
+    cfg = replace(low_regime_cfg("M0"), policy=PolicyConfig(variant="M3"))
+    log = run(mk_stream([(0, []), (5, []), (10, [])]), None, cfg)
+    assert log.processed_frame_indices == (0, 5, 10)
+    assert log.raw_candidate_count == 0
+    frames = [(0, []), (5, [mk_det(5, x=50.0)]), (10, []), (15, [mk_det(15, x=50.0)])]
+    log = run(mk_stream(frames), None, low_regime_cfg("M2"))
+    assert [tx.frame_index for tx in log.transmissions] == [5]
+    with pytest.raises(ConfigError, match="conf_threshold"):
+        run(mk_stream(frames), None, cfg)
+
+
+def test_integer_boxes_stay_integers_in_transmissions():
+    frames = [(0, [mk_det(0, x=50, y=20, w=10, h=12)])]
+    log = run(mk_stream(frames), None, low_regime_cfg("M2"))
+    bbox = log.transmissions[0].bbox
+    assert [type(v) for v in (bbox.x, bbox.y, bbox.w, bbox.h)] == [int] * 4
+    tx_line = list(to_jsonl_lines(log))[1]
+    assert '"bbox": [50, 20, 10, 12]' in tx_line
+
+
+def hand_frame(frame_index, dets, track_ids, created):
+    """One association-pass frame built by hand, at 15 fps."""
+    costs = tuple(estimate_cost(d.bbox, CostModel()) for d in dets)
+    cols = FrameColumns(
+        detections=tuple(dets),
+        track_ids=tuple(track_ids),
+        costs=costs,
+        records=(None,) * len(dets),
+        track_id=np.array(track_ids, dtype=np.int64),
+        is_new=np.array([c == frame_index for c in created], dtype=bool),
+        created=np.array(created, dtype=np.int64),
+        conf=np.array([d.confidence for d in dets], dtype=np.float64),
+        area=np.array([d.bbox.w * d.bbox.h for d in dets], dtype=np.float64),
+        cost_bits=np.array(costs, dtype=np.float64),
+        class_id=np.array([d.class_id for d in dets], dtype=np.int64),
+    )
+    return frame_index, frame_index / 15.0, cols
+
+
+def test_track_ids_beyond_the_per_track_tables_grow_them():
+    frames = [
+        hand_frame(0, [mk_det(0, cls=1), mk_det(0, x=50.0, cls=2)], [0, 1], [0, 0]),
+        hand_frame(5, [mk_det(5, cls=3), mk_det(5, x=50.0, cls=2)], [1000, 1], [5, 0]),
+        hand_frame(10, [mk_det(10, cls=4)], [1000], [5]),
+    ]
+    stream = mk_stream([(f, cols.detections) for f, _, cols in frames])
+    log = engine._schedule(frames, stream, low_regime_cfg("M2"), None)
+    assert [(tx.frame_index, tx.track_id) for tx in log.transmissions] == [
+        (0, 0),
+        (0, 1),
+        (5, 1000),
+    ]
+    assert [(ev.frame_index, ev.track_id, ev.label) for ev in log.class_events] == [
+        (0, 0, 1),
+        (0, 1, 2),
+        (5, 1000, 3),
+        (10, 1000, 4),
+    ]

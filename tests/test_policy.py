@@ -5,20 +5,20 @@ from hypothesis import given, strategies as st
 
 from roitel import (
     BBox,
-    CandidateContext,
     ConfigError,
     InvalidParam,
     LedgerView,
     PolicyConfig,
     RoiCandidate,
-    decide,
     make_candidate,
     novelty_term,
     score_roi,
     size_term,
     uncertainty_term,
 )
+from roitel import policy
 from roitel.domain import DEFAULT_AREA_REF, DEFAULT_WEIGHTS
+from helpers import CandidateContext, as_block, scalar_decide
 
 OPEN_VIEW = LedgerView(window_sum_bits=0.0, cap_bits=1e12)
 
@@ -53,6 +53,19 @@ def ctx(
         created_frame=created,
         last_refined_frame=last_refined,
     )
+
+
+def decide(frame_index, contexts, view, cfg):
+    """The columnar decision over ``contexts``, checked against the scalar
+    one; each context's candidate must be on ``frame_index``."""
+    got = policy.decide(frame_index, as_block(frame_index, contexts), view, cfg)
+    expected = scalar_decide(frame_index, contexts, view, cfg)
+    assert (got.selected, got.rejected_budget, got.rejected_threshold) == (
+        expected.selected,
+        expected.rejected_budget,
+        expected.rejected_threshold,
+    )
+    return got
 
 
 # --- term functions ---------------------------------------------------------
@@ -164,12 +177,15 @@ def test_m0_never_selects():
 def test_m1_period_boundary_inclusive():
     cfg = PolicyConfig(variant="M1", period_frames=15)
     # never refined: measured from creation
-    assert decide(0, [ctx(0, frame=14, created=0)], OPEN_VIEW, cfg).selected == ()
-    assert len(decide(0, [ctx(0, frame=15, created=0)], OPEN_VIEW, cfg).selected) == 1
+    assert decide(14, [ctx(0, frame=14, created=0)], OPEN_VIEW, cfg).selected == ()
+    assert len(decide(15, [ctx(0, frame=15, created=0)], OPEN_VIEW, cfg).selected) == 1
     # refined at 10: measured from the refinement
-    assert decide(0, [ctx(0, frame=24, created=0, last_refined=10)], OPEN_VIEW, cfg).selected == ()
     assert (
-        len(decide(0, [ctx(0, frame=25, created=0, last_refined=10)], OPEN_VIEW, cfg).selected)
+        decide(24, [ctx(0, frame=24, created=0, last_refined=10)], OPEN_VIEW, cfg).selected
+        == ()
+    )
+    assert (
+        len(decide(25, [ctx(0, frame=25, created=0, last_refined=10)], OPEN_VIEW, cfg).selected)
         == 1
     )
 

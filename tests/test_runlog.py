@@ -225,6 +225,10 @@ def damaged(index: int, key: str, value) -> str:
         (1, "video_label", 7.5, "'video_label' must be an integer or null"),
         (4, "label", {}, "'label' must be an integer"),
         (4, "source", 3, "'source' must be a string"),
+        (0, "processed_frame_indices", [0, 5, 10**400], "integer beyond the float range"),
+        (1, "cost_bits", 10**400, "integer beyond the float range"),
+        (1, "bbox", [0.0, 0.0, 10**400, 10.0], "integer beyond the float range"),
+        (4, "frame", 10**400, "integer beyond the float range"),
     ],
 )
 def test_read_rejects_wrong_types_and_refused_values_with_line_number(
@@ -233,6 +237,28 @@ def test_read_rejects_wrong_types_and_refused_values_with_line_number(
     with pytest.raises(ParseError, match=fragment) as exc:
         read_jsonl(damaged(index, key, value))
     assert exc.value.line_no == index + 1
+
+
+def test_integers_up_to_the_float_range_are_read():
+    lines = list(to_jsonl_lines(sample_log()))
+    obj = json.loads(lines[1])
+    obj["cost_bits"] = 10**308
+    lines[1] = json.dumps(obj)
+    assert read_jsonl("\n".join(lines)).transmissions[0].cost_bits == 10**308
+
+
+def test_blank_lines_count_in_line_numbers():
+    lines = list(to_jsonl_lines(sample_log()))
+    lines[2] = lines[2][:-5]  # truncate mid-object
+    text = "\n" + "\n".join(lines[:2]) + "\n\n  \n" + "\n".join(lines[2:])
+    with pytest.raises(ParseError) as exc:
+        read_jsonl(text)
+    assert exc.value.line_no == 6
+    with pytest.raises(ParseError, match="not a run log header") as exc:
+        read_jsonl("\n\n[1]\n")
+    assert exc.value.line_no == 3
+    # a clean log with blank lines reads as the log
+    assert read_jsonl("\n\n" + "\n\n".join(to_jsonl_lines(sample_log()))) == sample_log()
 
 
 @pytest.mark.parametrize("record", ["[1]", "5", '"tx"', "null"])
@@ -261,6 +287,7 @@ damage = st.one_of(
     st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2),
     st.integers(-(10**6), -1),
     st.floats(-1e6, -1e-3),
+    st.just(10**400),
 )
 
 
