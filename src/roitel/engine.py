@@ -184,7 +184,8 @@ def _schedule(
         block = policy_mod.score_block(frame_index, cols, last_refined[track_id], cfg.policy)
 
         # Video-side class estimate: updates only while no still label is
-        # pinned for the track (replacement rule).
+        # pinned for the track (replacement rule). A track has at most one
+        # row per frame, so one gather and one scatter equal a row loop.
         source = class_source[track_id]
         changed = (
             (source == _NO_CLASS)

@@ -247,6 +247,7 @@ _BIG_INT_CHARS = 309
 
 
 def _checked_int(literal: str) -> int:
+    """``int`` for the JSON decoder, refusing a value ``float`` cannot hold."""
     value = int(literal)
     if len(literal) >= _BIG_INT_CHARS:
         try:
