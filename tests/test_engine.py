@@ -1,8 +1,9 @@
 import hashlib
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from roitel import (
     BBox,
@@ -592,3 +593,44 @@ def test_track_ids_beyond_the_per_track_tables_grow_them():
         (5, 1000, 3),
         (10, 1000, 4),
     ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    stride=st.integers(1, 5),
+    int_boxes=st.booleans(),
+    policy=st.fixed_dictionaries(
+        {
+            "period_frames": st.integers(1, 20),
+            "conf_threshold": st.floats(0.0, 1.0),
+            "area_threshold": st.sampled_from([50.0, 400.0, 1024, 3000.0]),
+            "score_threshold": st.sampled_from([0.0, 1e-5, 5e-5]),
+            "top_k": st.none() | st.integers(1, 4),
+            "cooldown_frames": st.integers(0, 20),
+            "weights": st.tuples(*[st.sampled_from([0.0, 0.2, 0.5, 1, 2.5])] * 3),
+        }
+    ),
+    b_roi=st.sampled_from([0.0, 3000.0, 20_000.0, 150_000.0]),
+)
+def test_random_sweeps_match_the_scalar_pass(seed, stride, int_boxes, policy, b_roi):
+    # the conftest fixture compares every variant's pass with the scalar
+    # one; this test only makes the inputs varied: integer boxes give tied
+    # areas and scores, a small b_roi binds the ledger
+    clock = FrameClock(fps=15.0, frame_stride=stride)
+    stream = gen_synthetic(seed=seed, n_frames=30, mean_objects=4.0, clock=clock)
+    if int_boxes:
+        stream = mk_stream(
+            (
+                (f, [replace(d, bbox=BBox(*(max(1, round(v)) for v in astuple(d.bbox)))) for d in dets])
+                for f, dets in stream.frames
+            ),
+            clock=clock,
+        )
+    base = replace(
+        low_regime_cfg("M5", **policy),
+        clock=clock,
+        budget=BudgetConfig(b_total=0.8e6, b_video=0.65e6, b_roi=b_roi, window_s=2.0),
+    )
+    logs = sweep(stream, None, base, list(POLICY_VARIANTS))
+    assert len(logs) == len(POLICY_VARIANTS)
