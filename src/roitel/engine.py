@@ -104,7 +104,6 @@ def associate(
             costs=tuple(costs),
             records=records,
             track_id=np.array(track_ids, dtype=np.int64),
-            is_new=np.array(new_flags, dtype=bool),
             created=np.array([created[tid] for tid in track_ids], dtype=np.int64),
             conf=np.array([det.confidence for det in dets], dtype=np.float64),
             area=np.array([bbox.w * bbox.h for bbox in bboxes], dtype=np.float64),

@@ -38,8 +38,8 @@ PRESET_RELAXED_SCORE_GATE = 0.0
 
 _UNLIMITED = 1 << 30
 
-#: ``last_refined`` value of a track that was never refined: earlier than
-#: any frame, so a never-refined track is always outside the cooldown.
+#: ``last_refined`` value of a track that was never refined; it is below
+#: every frame index.
 NEVER_REFINED = int(np.iinfo(np.int64).min)
 
 
@@ -73,7 +73,6 @@ class FrameColumns:
     costs: tuple[float, ...]  # bits
     records: tuple[Optional[SemanticRecord], ...]  # sidecar record or None
     track_id: np.ndarray  # int64: track_ids
-    is_new: np.ndarray  # bool: the track was spawned on this frame
     created: np.ndarray  # int64: the frame the track was spawned on
     conf: np.ndarray  # float64
     area: np.ndarray  # float64: bbox w * h
@@ -210,8 +209,10 @@ def score_block(
             )
     u = 1.0 - conf
     s = np.minimum(np.maximum(1.0 - cols.area / area_ref, 0.0), 1.0)
-    # frame - last > cooldown, exact in integers
-    n = (last_refined < frame_index - cfg.cooldown_frames).astype(np.float64)
+    # frame - last > cooldown, exact in integers; a never-refined track is
+    # novel whatever the cooldown. The floor keeps the bound inside int64.
+    bound = max(frame_index - cfg.cooldown_frames, NEVER_REFINED)
+    n = ((last_refined == NEVER_REFINED) | (last_refined < bound)).astype(np.float64)
     w_u, w_s, w_n = cfg.weights
     score = (w_u * u + w_s * s + w_n * n) / cost
     return CandidateBlock(cols, last_refined, u, s, n, score)
@@ -235,7 +236,8 @@ def _triggered(frame_index: int, block: CandidateBlock, cfg: PolicyConfig) -> np
         since = frame_index - np.where(refined == NEVER_REFINED, cols.created, refined)
         return since >= cfg.period_frames
     if v == "M2":
-        return cols.is_new
+        # frames strictly increase, so only a track spawned now has created == frame
+        return cols.created == frame_index
     if v == "M3":
         return cols.conf < _require(cfg, "conf_threshold")
     if v == "M4":

@@ -241,34 +241,24 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name}")
 
 
-#: The length of the shortest integer literal beyond the float range
-#: (``float`` tops out near 1.8e308, a 309-digit number).
-_BIG_INT_CHARS = 309
-
-
 def _checked_int(literal: str) -> int:
     """``int`` for the JSON decoder, refusing a value ``float`` cannot hold."""
     value = int(literal)
-    if len(literal) >= _BIG_INT_CHARS:
-        try:
-            float(value)
-        except OverflowError:
-            raise ValueError(f"integer beyond the float range: {literal[:12]}...") from None
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"integer beyond the float range: {literal[:12]}...") from None
     return value
 
 
-#: Decodes like json.loads, but refuses NaN and Infinity.
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
-#: Also refuses integers beyond the float range. Only a line of at least
-#: ``_BIG_INT_CHARS`` characters can hold one, so shorter lines skip the
-#: per-integer check.
-_CHECKED_DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_int=_checked_int)
+#: Decodes like json.loads, but refuses NaN, Infinity and integers beyond
+#: the float range.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_int=_checked_int)
 
 
 def _decode(raw: str, line_no: int):
-    decoder = _DECODER if len(raw) < _BIG_INT_CHARS else _CHECKED_DECODER
     try:
-        return decoder.decode(raw)
+        return _DECODER.decode(raw)
     except ValueError as err:
         raise ParseError(line_no, f"bad JSON: {err}") from None
 

@@ -89,7 +89,6 @@ class CandidateContext:
 
     candidate: RoiCandidate
     confidence: float
-    is_new: bool
     created_frame: int
     last_refined_frame: Optional[int]
 
@@ -105,7 +104,7 @@ def scalar_triggered(ctx: CandidateContext, cfg: PolicyConfig) -> bool:
         )
         return since >= cfg.period_frames
     if v == "M2":
-        return ctx.is_new
+        return ctx.created_frame == ctx.candidate.frame_index
     if v == "M3":
         return ctx.confidence < _require(cfg, "conf_threshold")
     if v == "M4":
@@ -205,14 +204,13 @@ def scalar_schedule(frames, stream: DetectionStream, cfg: RunConfig, config_echo
         rows = zip(
             cols.detections,
             cols.track_ids,
-            cols.is_new.tolist(),
             cols.created.tolist(),
             cols.records,
             cols.costs,
         )
         contexts = []
         by_track = {}
-        for det, track_id, is_new, created_frame, rec, cost_bits in rows:
+        for det, track_id, created_frame, rec, cost_bits in rows:
             conf_sum += det.confidence
             conf_n += 1
             refined = last_refined.get(track_id)
@@ -225,7 +223,7 @@ def scalar_schedule(frames, stream: DetectionStream, cfg: RunConfig, config_echo
                 cost_bits=cost_bits,
                 cfg=cfg.policy,
             )
-            contexts.append(CandidateContext(cand, det.confidence, is_new, created_frame, refined))
+            contexts.append(CandidateContext(cand, det.confidence, created_frame, refined))
             by_track[track_id] = rec
             state = class_state.get(track_id)
             if state is None or (state[0] == CLASS_SOURCE_VIDEO and state[1] != det.class_id):
@@ -292,7 +290,6 @@ def as_block(frame_index: int, contexts: list[CandidateContext]) -> CandidateBlo
         costs=tuple(c.cost_bits for c in cands),
         records=(None,) * len(cands),
         track_id=np.array([c.track_id for c in cands], dtype=np.int64),
-        is_new=np.array([ctx.is_new for ctx in contexts], dtype=bool),
         created=np.array([ctx.created_frame for ctx in contexts], dtype=np.int64),
         conf=np.array([ctx.confidence for ctx in contexts], dtype=np.float64),
         area=np.array([c.bbox.area() for c in cands], dtype=np.float64),

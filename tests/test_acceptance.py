@@ -197,7 +197,6 @@ def test_c4_utility_policy_matches_exhaustive_search(checked):
                     CandidateContext(
                         candidate=cand,
                         confidence=rng.random(),
-                        is_new=False,
                         created_frame=0,
                         last_refined_frame=None,
                     )

@@ -564,7 +564,6 @@ def hand_frame(frame_index, dets, track_ids, created):
         costs=costs,
         records=(None,) * len(dets),
         track_id=np.array(track_ids, dtype=np.int64),
-        is_new=np.array([c == frame_index for c in created], dtype=bool),
         created=np.array(created, dtype=np.int64),
         conf=np.array([d.confidence for d in dets], dtype=np.float64),
         area=np.array([d.bbox.w * d.bbox.h for d in dets], dtype=np.float64),
@@ -593,6 +592,26 @@ def test_track_ids_beyond_the_per_track_tables_grow_them():
         (5, 1000, 3),
         (10, 1000, 4),
     ]
+
+
+def test_created_marks_exactly_the_tracks_spawned_on_the_frame():
+    stream = synthetic()
+    tracker = engine.Tracker(TrackerConfig())
+    frames = engine.associate(stream, None, stream.clock, TrackerConfig(), CostModel())
+    for frame_index, _, cols in frames:
+        out = tracker.step(frame_index, list(stream.detections_at(frame_index)))
+        assert (cols.created == frame_index).tolist() == [is_new for *_, is_new in out]
+
+
+@pytest.mark.parametrize("huge", [2**63 - 1, 2**63])
+def test_huge_cooldown_and_period_compare_exactly(huge):
+    # a never-refined track stays novel and a refined one stays in its
+    # cooldown, however long; M1's period is compared exactly too
+    frames = [(f, [mk_det(f, x=50.0, conf=0.5)]) for f in range(0, 30, 5)]
+    log = run(mk_stream(frames), None, low_regime_cfg("M5", cooldown_frames=huge))
+    assert [tx.n_term for tx in log.transmissions] == [1.0] + [0.0] * 5
+    log = run(mk_stream(frames), None, low_regime_cfg("M1", period_frames=huge))
+    assert not log.transmissions
 
 
 @settings(max_examples=40, deadline=None)

@@ -30,7 +30,6 @@ def ctx(
     score=1.0,
     cost=1000.0,
     conf=0.5,
-    is_new=False,
     created=0,
     last_refined=None,
     area=100.0,
@@ -49,7 +48,6 @@ def ctx(
     return CandidateContext(
         candidate=cand,
         confidence=conf,
-        is_new=is_new,
         created_frame=created,
         last_refined_frame=last_refined,
     )
@@ -192,7 +190,7 @@ def test_m1_period_boundary_inclusive():
 
 def test_m2_selects_only_new_tracks():
     cfg = PolicyConfig(variant="M2")
-    d = decide(0, [ctx(0, is_new=True), ctx(1, is_new=False)], OPEN_VIEW, cfg)
+    d = decide(3, [ctx(0, frame=3, created=3), ctx(1, frame=3, created=0)], OPEN_VIEW, cfg)
     assert [c.track_id for c in d.selected] == [0]
     assert d.rejected_threshold == 1
 
@@ -401,7 +399,6 @@ def test_m5_winner_invariant_under_uniform_cost_scaling():
                 CandidateContext(
                     candidate=cand,
                     confidence=0.5,
-                    is_new=False,
                     created_frame=0,
                     last_refined_frame=None,
                 )
