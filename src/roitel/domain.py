@@ -7,6 +7,7 @@ continuous pixel units; annotation files may carry fractional boxes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -80,10 +81,14 @@ class FrameClock:
             raise InvalidParam(f"frame_stride must be >= 1, got {self.frame_stride}")
 
     def timestamp(self, frame_index: int) -> float:
-        """Seconds since frame 0; strictly increasing in frame_index."""
+        """Seconds since frame 0; strictly increasing in frame_index, and
+        refused beyond the float range."""
         if frame_index < 0:
             raise InvalidParam(f"frame_index must be >= 0, got {frame_index}")
-        return frame_index / self.fps
+        t_s = frame_index / self.fps
+        if not math.isfinite(t_s):
+            raise InvalidParam(f"t_s is not finite at frame {frame_index}: fps is {self.fps}")
+        return t_s
 
 
 @dataclass(frozen=True)

@@ -98,6 +98,14 @@ def associate(
             else estimate_cost(bbox, cost)
             for bbox, rec in zip(bboxes, records)
         ]
+        cost_bits = np.array(costs, dtype=np.float64)
+        finite = np.isfinite(cost_bits)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise InvalidParam(
+                f"cost_bits is not finite at frame {frame_index}, "
+                f"track {track_ids[row]}: {costs[row]}"
+            )
         columns = policy_mod.FrameColumns(
             detections=dets,
             track_ids=track_ids,
@@ -107,7 +115,7 @@ def associate(
             created=np.array([created[tid] for tid in track_ids], dtype=np.int64),
             conf=np.array([det.confidence for det in dets], dtype=np.float64),
             area=np.array([bbox.w * bbox.h for bbox in bboxes], dtype=np.float64),
-            cost_bits=np.array(costs, dtype=np.float64),
+            cost_bits=cost_bits,
             class_id=np.array([det.class_id for det in dets], dtype=np.int64),
         )
         yield frame_index, clock.timestamp(frame_index), columns

@@ -20,6 +20,7 @@ Term functional forms:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -163,10 +164,14 @@ def make_candidate(
     cost_bits: float,
     cfg: PolicyConfig,
 ) -> RoiCandidate:
-    """Compute all score terms for one tracked detection."""
+    """Compute all score terms for one tracked detection. A score beyond the
+    float range is refused, so no run log holds a non-finite number."""
     u = uncertainty_term(confidence)
     s = size_term(bbox, _area_ref(cfg))
     n = novelty_term(last_refined_frame, frame_index, cfg.cooldown_frames)
+    score = score_roi(u, s, n, cost_bits, cfg.weights)
+    if not math.isfinite(score):
+        raise InvalidParam(f"score is not finite at frame {frame_index}, track {track_id}: {score}")
     return RoiCandidate(
         frame_index=frame_index,
         track_id=track_id,
@@ -175,7 +180,7 @@ def make_candidate(
         s_small_term=s,
         n_term=n,
         cost_bits=cost_bits,
-        score=score_roi(u, s, n, cost_bits, cfg.weights),
+        score=score,
     )
 
 
@@ -186,36 +191,45 @@ def score_block(
     ``cols``.
 
     Each column is ``make_candidate``'s expression in its operation order.
-    A bad confidence or a non-positive cost raises ``make_candidate``'s
-    error for the first bad row, in row order.
+    A bad confidence, a non-positive cost or a non-finite score raises
+    ``make_candidate``'s error for the first bad row, in row order.
     """
     area_ref = _area_ref(cfg)
     conf, cost = cols.conf, cols.cost_bits
-    if len(cols):
-        ok = (conf >= 0.0) & (conf <= 1.0) & (cost > 0.0)
-        if not (area_ref > 0 and ok.all()):
-            # make_candidate raises its error for the first bad row; a bad
-            # area_ref fails on row 0, after that row's confidence check
-            i = int(np.argmin(ok)) if area_ref > 0 else 0
-            refined = int(last_refined[i])
-            make_candidate(
-                frame_index,
-                cols.track_ids[i],
-                cols.detections[i].bbox,
-                cols.detections[i].confidence,
-                None if refined == NEVER_REFINED else refined,
-                cols.costs[i],
-                cfg,
-            )
-    u = 1.0 - conf
-    s = np.minimum(np.maximum(1.0 - cols.area / area_ref, 0.0), 1.0)
-    # frame - last > cooldown, exact in integers; a never-refined track is
-    # novel whatever the cooldown. The floor keeps the bound inside int64.
-    bound = max(frame_index - cfg.cooldown_frames, NEVER_REFINED)
-    n = ((last_refined == NEVER_REFINED) | (last_refined < bound)).astype(np.float64)
-    w_u, w_s, w_n = cfg.weights
-    score = (w_u * u + w_s * s + w_n * n) / cost
+    if len(cols) and not area_ref > 0:
+        # a bad area_ref fails on row 0, after that row's confidence check
+        _refuse_row(frame_index, cols, last_refined, 0, cfg)
+    # bad rows are refused after the arithmetic, so it may overflow quietly
+    with np.errstate(all="ignore"):
+        u = 1.0 - conf
+        s = np.minimum(np.maximum(1.0 - cols.area / area_ref, 0.0), 1.0)
+        # frame - last > cooldown, exact in integers; a never-refined track
+        # is novel whatever the cooldown. The floor keeps the bound inside
+        # int64.
+        bound = max(frame_index - cfg.cooldown_frames, NEVER_REFINED)
+        n = ((last_refined == NEVER_REFINED) | (last_refined < bound)).astype(np.float64)
+        w_u, w_s, w_n = cfg.weights
+        score = (w_u * u + w_s * s + w_n * n) / cost
+    ok = (conf >= 0.0) & (conf <= 1.0) & (cost > 0.0) & np.isfinite(score)
+    if not ok.all():
+        _refuse_row(frame_index, cols, last_refined, int(np.argmin(ok)), cfg)
     return CandidateBlock(cols, last_refined, u, s, n, score)
+
+
+def _refuse_row(
+    frame_index: int, cols: FrameColumns, last_refined: np.ndarray, row: int, cfg: PolicyConfig
+) -> None:
+    """Raise ``make_candidate``'s error for one row."""
+    refined = int(last_refined[row])
+    make_candidate(
+        frame_index,
+        cols.track_ids[row],
+        cols.detections[row].bbox,
+        cols.detections[row].confidence,
+        None if refined == NEVER_REFINED else refined,
+        cols.costs[row],
+        cfg,
+    )
 
 
 def _require(cfg: PolicyConfig, name: str) -> float:

@@ -4,13 +4,23 @@ A run log is one header object followed by one JSON object per line, each
 tagged with a "kind" field ("tx" for ROI transmissions, "class" for class
 timeline events). Serialization is deterministic: keys are sorted and floats
 use the shortest round-trip form, so identical runs produce identical bytes.
+The header is written by ``json.dumps``; the records by fixed templates that
+give the same bytes.
+
+``read_jsonl`` decodes a log in one pass and falls back to the line reader,
+``_read_lines``, whenever that pass cannot be sure to give the line reader's
+log; every error a reader raises is the line reader's.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, TextIO
+from itertools import chain, starmap
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+from typing import Optional, TextIO
 
 from .domain import BBox, BudgetConfig, FrameClock
 from .errors import ConfigError, InvalidParam, ParseError
@@ -87,10 +97,6 @@ class RunLog:
     def processed_frames(self) -> int:
         return len(self.processed_frame_indices)
 
-    @property
-    def total_roi_bits(self) -> float:
-        return sum(tx.cost_bits for tx in self.transmissions)
-
 
 def _header_obj(log: RunLog) -> dict:
     return {
@@ -116,44 +122,65 @@ def _header_obj(log: RunLog) -> dict:
     }
 
 
-def _tx_obj(tx: TransmissionRecord) -> dict:
-    return {
-        "kind": "tx",
-        "frame": tx.frame_index,
-        "t_s": tx.t_s,
-        "track": tx.track_id,
-        "bbox": [tx.bbox.x, tx.bbox.y, tx.bbox.w, tx.bbox.h],
-        "cost_bits": tx.cost_bits,
-        "score": tx.score,
-        "u": tx.u_term,
-        "s_small": tx.s_small_term,
-        "n": tx.n_term,
-        "video_conf": tx.video_conf,
-        "still_conf": tx.still_conf,
-        "video_label": tx.video_label,
-        "still_label": tx.still_label,
-        "video_entropy": tx.video_entropy,
-        "still_entropy": tx.still_entropy,
-    }
+#: A tx record with its keys in sorted order, as ``json.dumps(...,
+#: sort_keys=True)`` writes it: ``%r`` is json's spelling of a finite float
+#: and of an int, and each ``%s`` is a semantic field (``_or_null``).
+_TX_LINE = (
+    '{"bbox": [%r, %r, %r, %r], "cost_bits": %r, "frame": %r, "kind": "tx", "n": %r, '
+    '"s_small": %r, "score": %r, "still_conf": %s, "still_entropy": %s, '
+    '"still_label": %s, "t_s": %r, "track": %r, "u": %r, "video_conf": %s, '
+    '"video_entropy": %s, "video_label": %s}'
+)
+
+_CLASS_LINE = '{"frame": %r, "kind": "class", "label": %r, "source": %s, "t_s": %r, "track": %r}'
 
 
-def _class_obj(ev: ClassEvent) -> dict:
-    return {
-        "kind": "class",
-        "frame": ev.frame_index,
-        "t_s": ev.t_s,
-        "track": ev.track_id,
-        "label": ev.label,
-        "source": ev.source,
-    }
+def _or_null(value) -> str:
+    return "null" if value is None else repr(value)
 
 
-def to_jsonl_lines(log: RunLog) -> Iterable[str]:
-    yield json.dumps(_header_obj(log), sort_keys=True)
-    for tx in log.transmissions:
-        yield json.dumps(_tx_obj(tx), sort_keys=True)
-    for ev in log.class_events:
-        yield json.dumps(_class_obj(ev), sort_keys=True)
+def _tx_line(tx: TransmissionRecord) -> str:
+    b = tx.bbox
+    return _TX_LINE % (
+        b.x,
+        b.y,
+        b.w,
+        b.h,
+        tx.cost_bits,
+        tx.frame_index,
+        tx.n_term,
+        tx.s_small_term,
+        tx.score,
+        _or_null(tx.still_conf),
+        _or_null(tx.still_entropy),
+        _or_null(tx.still_label),
+        tx.t_s,
+        tx.track_id,
+        tx.u_term,
+        _or_null(tx.video_conf),
+        _or_null(tx.video_entropy),
+        _or_null(tx.video_label),
+    )
+
+
+def _class_line(ev: ClassEvent) -> str:
+    return _CLASS_LINE % (
+        ev.frame_index,
+        ev.label,
+        encode_basestring_ascii(ev.source),
+        ev.t_s,
+        ev.track_id,
+    )
+
+
+def to_jsonl_lines(log: RunLog) -> list[str]:
+    """The log's lines: the header, then its tx records, then its class
+    events. Records must hold finite floats, as every run's do."""
+    return [
+        json.dumps(_header_obj(log), sort_keys=True),
+        *map(_tx_line, log.transmissions),
+        *map(_class_line, log.class_events),
+    ]
 
 
 def write_jsonl(log: RunLog, fp: TextIO) -> None:
@@ -251,15 +278,26 @@ def _checked_int(literal: str) -> int:
     return value
 
 
-#: Decodes like json.loads, but refuses NaN, Infinity and integers beyond
+def _checked_float(literal: str) -> float:
+    """``float`` for the JSON decoder, refusing a literal beyond the float
+    range, which ``float`` would read as an infinity."""
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {literal}")
+    return value
+
+
+#: Decodes like json.loads, but refuses NaN, Infinity, and numbers beyond
 #: the float range.
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_int=_checked_int)
+_DECODER = json.JSONDecoder(
+    parse_constant=_reject_constant, parse_int=_checked_int, parse_float=_checked_float
+)
 
 
 def _decode(raw: str, line_no: int):
     try:
         return _DECODER.decode(raw)
-    except ValueError as err:
+    except (ValueError, RecursionError) as err:
         raise ParseError(line_no, f"bad JSON: {err}") from None
 
 
@@ -269,6 +307,9 @@ def _header(obj, line_no: int) -> RunLog:
     if obj.get("version") != RUNLOG_VERSION:
         raise ParseError(line_no, f"unsupported run log version: {obj.get('version')}")
     _values(obj, _HEADER_FIELDS, line_no)
+    for key in ("raw_candidates", "rejected_threshold", "rejected_budget"):
+        if obj[key] < 0:
+            raise ParseError(line_no, f"{key} must be >= 0, got {obj[key]}")
     frames = obj["processed_frame_indices"]
     if not all(map(_INT.__contains__, map(type, frames))):
         raise ParseError(line_no, f"bad processed_frame_indices: {frames!r}")
@@ -297,6 +338,18 @@ def _header(obj, line_no: int) -> RunLog:
     )
 
 
+def _overcounted(log: RunLog) -> Optional[str]:
+    """Why the log accounts for more candidates than it saw, if it does:
+    every candidate is sent or rejected at most once."""
+    outcomes = len(log.transmissions) + log.rejected_threshold + log.rejected_budget
+    if outcomes <= log.raw_candidate_count:
+        return None
+    return (
+        f"transmissions + rejected_threshold + rejected_budget = {outcomes} "
+        f"exceeds raw_candidates = {log.raw_candidate_count}"
+    )
+
+
 def _transmission(obj: dict, line_no: int) -> TransmissionRecord:
     values = _values(obj, _TX_FIELDS, line_no)
     bbox = values[3]
@@ -315,17 +368,13 @@ def _class_event(obj: dict, line_no: int) -> ClassEvent:
     return ClassEvent(*values)
 
 
-def read_jsonl(text: str) -> RunLog:
-    """Parse a run log written by write_jsonl. Raises ParseError, with the
-    line's number, on any damage: bad JSON (NaN, Infinity and integers
-    beyond the float range included), a record that is not an object, a
-    missing field or one of the wrong JSON type, or a value that a domain
-    type refuses. Lines are numbered as in the file; blank lines are
-    skipped but counted."""
+def _read_lines(text: str) -> RunLog:
+    """The line reader: decodes and checks ``text`` one line at a time, and
+    is the reference for ``read_jsonl``."""
     lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ParseError(1, "empty run log")
-    line_no = lines[0][0]
+    header_no = line_no = lines[0][0]
     try:
         log = _header(_decode(lines[0][1], line_no), line_no)
         for line_no, raw in lines[1:]:
@@ -341,4 +390,108 @@ def read_jsonl(text: str) -> RunLog:
                 raise ParseError(line_no, f"unknown record kind: {kind!r}")
     except (InvalidParam, ConfigError) as err:
         raise ParseError(line_no, str(err)) from None
+    problem = _overcounted(log)
+    if problem:
+        raise ParseError(header_no, problem)
     return log
+
+
+#: Decodes with json's C number parsing: no per-number hooks, so integers
+#: beyond the float range and literals such as 1e400 pass, and the one-pass
+#: reader checks the numbers itself.
+_PLAIN = json.JSONDecoder(parse_constant=_reject_constant)
+
+#: Line breaks of ``str.splitlines`` other than "\n" that ASCII text can hold.
+_ASCII_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
+
+_tx_values = itemgetter(*_TX_FIELDS)
+_class_values = itemgetter(*_CLASS_FIELDS)
+
+#: Quote characters of a record line with exactly its fields' keys and
+#: "kind", and no string value but its kind (and a class event's source).
+_TX_QUOTES = 2 * (len(_TX_FIELDS) + 1) + 2
+_CLASS_QUOTES = 2 * (len(_CLASS_FIELDS) + 1) + 4
+
+
+def _typed(column, types: frozenset) -> bool:
+    return set(map(type, column)) <= types
+
+
+def _finite(numbers) -> bool:
+    """Whether every number is finite; ``math.fsum`` raises OverflowError on
+    an integer beyond the float range, as on a sum beyond it."""
+    return math.isfinite(math.fsum(numbers))
+
+
+def _read_one_pass(text: str) -> Optional[RunLog]:
+    """``_read_lines(text)``'s log, or None where this pass cannot be sure of
+    it. Each line must hold exactly one JSON value, from its first character
+    to its last, so no value spans lines and no line holds two."""
+    # Only "\n" may break lines, as str.splitlines breaks them at more.
+    if not text.isascii() or any(c in text for c in _ASCII_BREAKS):
+        return None
+    end = len(text) - text.endswith("\n")
+    try:
+        header, pos = _DECODER.scan_once(text, 0)
+        log = _header(header, 1)
+        body = pos
+        records = []
+        # each value ends where a line does ...
+        while pos < end:
+            if text[pos] != "\n":
+                return None
+            record, pos = _PLAIN.scan_once(text, pos + 1)
+            records.append(record)
+        # ... and holds no "\n" of its own, which JSON reads as whitespace
+        if text.count("\n") != len(records) + (end < len(text)):
+            return None
+        txs = [r for r in records if r["kind"] == "tx"]
+        events = [r for r in records if r["kind"] == "class"]
+        tx_rows = list(map(_tx_values, txs))
+        class_rows = list(map(_class_values, events))
+        # Every line holds at least its quote count once its record has
+        # all its fields and the types below, and a record of another kind
+        # holds at least the two of "kind"; equal totals leave no room for
+        # such a record, nor for another key, so neither a duplicate key
+        # nor an extra one holds a value that went unchecked.
+        if text.count('"', body) != _TX_QUOTES * len(txs) + _CLASS_QUOTES * len(events):
+            return None
+        if tx_rows:
+            tx_cols = list(zip(*tx_rows))
+            if not all(map(_typed, tx_cols, _TX_FIELDS.values())):
+                return None
+            bboxes = tx_cols[3]  # BBox refuses a list of another length
+            corners = list(chain.from_iterable(bboxes))
+            semantic = [row[9:] for row in tx_rows if row[9] is not None]
+            if not (
+                _typed(corners, _NUM)
+                and {row[9:].count(None) for row in tx_rows} <= {0, 6}
+                and _finite(chain(corners, *tx_cols[:3], *tx_cols[4:9], *semantic))
+            ):
+                return None
+            tx_cols[3] = list(starmap(BBox, bboxes))
+            log.transmissions = list(map(TransmissionRecord, *tx_cols))
+        if class_rows:
+            class_cols = list(zip(*class_rows))
+            if not (
+                all(map(_typed, class_cols, _CLASS_FIELDS.values()))
+                and set(class_cols[4]) <= {CLASS_SOURCE_VIDEO, CLASS_SOURCE_STILL}
+                and _finite(chain(*class_cols[:4]))
+            ):
+                return None
+            log.class_events = list(map(ClassEvent, *class_cols))
+    except Exception:  # any failure leaves the verdict, and the error, to _read_lines
+        return None
+    return None if _overcounted(log) else log
+
+
+def read_jsonl(text: str) -> RunLog:
+    """Parse a run log written by write_jsonl. Raises ParseError, with the
+    line's number, on any damage: bad JSON (NaN, Infinity and numbers beyond
+    the float range included), a record that is not an object, a missing
+    field or one of the wrong JSON type, a value that a domain type refuses,
+    or a header whose counts are negative or account for more candidates
+    than it saw. Lines are numbered as in the file; blank lines are skipped
+    but counted."""
+    log = _read_one_pass(text)
+    return log if log is not None else _read_lines(text)

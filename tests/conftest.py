@@ -1,9 +1,11 @@
 import pytest
 from hypothesis import settings
 
-from roitel import ParseError, engine, ingest
+import json
+
+from roitel import ParseError, engine, ingest, runlog
 from roitel.runlog import to_jsonl_lines
-from helpers import scalar_schedule
+from helpers import class_obj, json_lines, scalar_schedule, tx_obj
 
 # Property tests must behave identically run to run.
 settings.register_profile("deterministic", derandomize=True)
@@ -83,3 +85,54 @@ def cross_check_scheduling(monkeypatch):
         return result
 
     monkeypatch.setattr(engine, "_schedule", checked)
+
+
+@pytest.fixture(autouse=True)
+def cross_check_runlog_writes(monkeypatch):
+    """Every record the suite writes is checked against ``json.dumps`` with
+    sorted keys; the header is written by ``json.dumps`` itself."""
+    tx_line, class_line = runlog._tx_line, runlog._class_line
+
+    def checked_tx(tx):
+        line = tx_line(tx)
+        assert line == json.dumps(tx_obj(tx), sort_keys=True)
+        return line
+
+    def checked_class(ev):
+        line = class_line(ev)
+        assert line == json.dumps(class_obj(ev), sort_keys=True)
+        return line
+
+    monkeypatch.setattr(runlog, "_tx_line", checked_tx)
+    monkeypatch.setattr(runlog, "_class_line", checked_class)
+
+
+def read_outcome(read, text):
+    """What one run-log read gives, in a form that tells -0.0 from 0.0 and 1
+    from 1.0: the log, or the error's line and message."""
+    try:
+        log = read(text)
+    except ParseError as err:
+        return ("raised", err.line_no, str(err))
+    return ("read", repr(log))
+
+
+@pytest.fixture(autouse=True)
+def cross_check_runlog_reads(monkeypatch):
+    """Every run-log read in the suite is checked against the line reader:
+    a log the one-pass reader gives must be the line reader's, and the
+    one-pass reader must not fall back on a log the writer wrote (the line
+    reader's error or log is then the outcome by construction)."""
+    one_pass = runlog._read_one_pass
+
+    def checked(text):
+        log = one_pass(text)
+        expected = read_outcome(runlog._read_lines, text)
+        if log is not None:
+            assert ("read", repr(log)) == expected
+        elif expected[0] == "read":
+            written = "\n".join(json_lines(runlog._read_lines(text)))
+            assert text not in (written, written + "\n"), "one pass fell back on a clean log"
+        return log
+
+    monkeypatch.setattr(runlog, "_read_one_pass", checked)

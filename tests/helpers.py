@@ -1,8 +1,11 @@
-"""Shared builders for the test suite, and the scalar scheduling pass that
-the columnar one is checked against. Other oracles live in the test modules."""
+"""Shared builders for the test suite, the scalar scheduling pass that the
+columnar one is checked against, and the ``json.dumps`` run-log writer that
+the record templates are checked against. Other oracles live in the test
+modules."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,7 +40,13 @@ from roitel.policy import (
     _effective_top_k,
     _require,
 )
-from roitel.runlog import CLASS_SOURCE_STILL, CLASS_SOURCE_VIDEO, ClassEvent, TransmissionRecord
+from roitel.runlog import (
+    CLASS_SOURCE_STILL,
+    CLASS_SOURCE_VIDEO,
+    ClassEvent,
+    TransmissionRecord,
+    _header_obj,
+)
 from roitel.tracker import TrackerConfig
 
 
@@ -308,3 +317,42 @@ def as_block(frame_index: int, contexts: list[CandidateContext]) -> CandidateBlo
         n_term=np.array([c.n_term for c in cands], dtype=np.float64),
         score=np.array([c.score for c in cands], dtype=np.float64),
     )
+
+
+def tx_obj(tx: TransmissionRecord) -> dict:
+    return {
+        "kind": "tx",
+        "frame": tx.frame_index,
+        "t_s": tx.t_s,
+        "track": tx.track_id,
+        "bbox": [tx.bbox.x, tx.bbox.y, tx.bbox.w, tx.bbox.h],
+        "cost_bits": tx.cost_bits,
+        "score": tx.score,
+        "u": tx.u_term,
+        "s_small": tx.s_small_term,
+        "n": tx.n_term,
+        "video_conf": tx.video_conf,
+        "still_conf": tx.still_conf,
+        "video_label": tx.video_label,
+        "still_label": tx.still_label,
+        "video_entropy": tx.video_entropy,
+        "still_entropy": tx.still_entropy,
+    }
+
+
+def class_obj(ev: ClassEvent) -> dict:
+    return {
+        "kind": "class",
+        "frame": ev.frame_index,
+        "t_s": ev.t_s,
+        "track": ev.track_id,
+        "label": ev.label,
+        "source": ev.source,
+    }
+
+
+def json_lines(log: RunLog) -> list[str]:
+    """The run log's lines with every record written by ``json.dumps``, keys
+    sorted: the reference for ``runlog.to_jsonl_lines``."""
+    objs = [_header_obj(log), *map(tx_obj, log.transmissions), *map(class_obj, log.class_events)]
+    return [json.dumps(obj, sort_keys=True) for obj in objs]

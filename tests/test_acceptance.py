@@ -239,7 +239,7 @@ def test_c5_disabled_policy_costs_exactly_the_base_stream(checked):
             cfg = replace(low_regime_cfg("M0"), budget=budgets[seed % 4])
             log = run(stream, None, cfg)
             assert log.transmissions == []
-            assert log.total_roi_bits == 0.0
+            assert math.fsum(tx.cost_bits for tx in log.transmissions) == 0.0
             rep = aggregate(log, log.base_bitrate_bps, 10.0)
             assert rep.roi_bitrate_bps == 0.0
             assert rep.base_bitrate_bps == cfg.budget.b_video

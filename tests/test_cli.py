@@ -218,6 +218,32 @@ def test_conf_noise_must_be_finite_and_non_negative(tmp_path, detections_csv, ca
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize(
+    "setting,message",
+    [
+        # the weighted sum overflows on the first frame with a transmission
+        ("policy.weights=1.7e308,1.7e308,1.7e308", "score is not finite at frame 10, track 0: inf"),
+        # frame 20 / 1e-307 is beyond the float range
+        ("clock.fps=1e-307", "t_s is not finite at frame 20: fps is 1e-307"),
+    ],
+)
+def test_a_run_that_overflows_a_record_exits_1_before_writing(
+    tmp_path, capsys, command, setting, message
+):
+    stream = tmp_path / "g60.csv"
+    assert main(["gen-synthetic", "--seed", "1", "--n-frames", "60", "--out", str(stream)]) == 0
+    argv = [command, "--input", str(stream), "--out-dir", str(tmp_path / "out")]
+    argv += ["--set", "policy.score_threshold=0.0", "--set", setting]
+    if command == "sweep":
+        argv += ["--variants", "M0,M5"]
+    capsys.readouterr()
+    # warnings are errors in this suite, so an overflow warning fails here too
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_zero_conf_noise_is_a_no_op(tmp_path, detections_csv):
     rc_a, dir_a = simulate(tmp_path / "a", detections_csv)
     rc_b, dir_b = simulate(tmp_path / "b", detections_csv, "--conf-noise", "0")

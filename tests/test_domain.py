@@ -80,6 +80,10 @@ def test_clock_timestamps():
     assert clock.timestamp(59) == pytest.approx(59 / 15)
     with pytest.raises(InvalidParam):
         clock.timestamp(-1)
+    # a timestamp beyond the float range would reach a run log as Infinity
+    assert FrameClock(fps=1e-307).timestamp(10) == 10 / 1e-307
+    with pytest.raises(InvalidParam, match="t_s is not finite at frame 20"):
+        FrameClock(fps=1e-307).timestamp(20)
     with pytest.raises(InvalidParam):
         FrameClock(fps=0.0)
     with pytest.raises(InvalidParam):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -84,7 +85,7 @@ def test_span_with_no_processed_frames():
 def test_m0_never_transmits():
     log = run(synthetic(), None, low_regime_cfg("M0"))
     assert log.transmissions == []
-    assert log.total_roi_bits == 0.0
+    assert math.fsum(tx.cost_bits for tx in log.transmissions) == 0.0
     assert log.rejected_threshold == log.raw_candidate_count
     assert log.rejected_budget == 0
 
@@ -523,6 +524,35 @@ def test_the_first_bad_row_raises_the_scalar_error(bad_conf_row, zero_cost_row, 
     with pytest.raises(InvalidParam) as exc:
         run(mk_stream([(0, [mk_det(0, x=900.0)]), (5, dets)]), None, cfg)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "bad_conf_row,overflow_row,message",
+    [
+        (2, 1, "score is not finite at frame 5, track 2: inf"),
+        (0, 1, "confidence must be in [0,1], got 1.5"),
+    ],
+)
+def test_the_first_row_with_an_overflowing_score_raises_the_scalar_error(
+    bad_conf_row, overflow_row, message
+):
+    # the weights stay finite on every other row; the tiny box's cost sends
+    # its score beyond the float range
+    dets = [mk_det(5, x=100.0 * i) for i in range(3)]
+    dets[overflow_row] = mk_det(5, x=100.0 * overflow_row, w=1e-10, h=1e-10)
+    poisoned(dets[bad_conf_row], 1.5)
+    cfg = replace(low_regime_cfg("M5"), cost=CostModel(header_bytes=0))
+    cfg = replace(cfg, policy=replace(cfg.policy, weights=(1e300, 1e300, 1e300)))
+    with pytest.raises(InvalidParam) as exc:
+        run(mk_stream([(0, [mk_det(0, x=900.0)]), (5, dets)]), None, cfg)
+    assert str(exc.value) == message
+
+
+def test_a_cost_beyond_the_float_range_is_refused():
+    frames = [(0, [mk_det(0), mk_det(0, x=100.0, w=1e200, h=1e200)])]
+    with pytest.raises(InvalidParam) as exc:
+        run(mk_stream(frames), None, low_regime_cfg("M5"))
+    assert str(exc.value) == "cost_bits is not finite at frame 0, track 1: inf"
 
 
 def test_top_k_cut_leaves_rows_unaccounted():

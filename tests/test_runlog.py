@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,8 +17,11 @@ from roitel import (
     read_jsonl,
     write_jsonl,
 )
+from roitel import runlog
 from roitel.metrics import aggregate_run, emit_report
 from roitel.runlog import CLASS_SOURCE_STILL, CLASS_SOURCE_VIDEO, to_jsonl_lines
+from conftest import read_outcome
+from helpers import json_lines
 
 
 def sample_log() -> RunLog:
@@ -119,7 +123,7 @@ def test_missing_semantics_round_trip_as_none():
 def test_derived_totals():
     log = sample_log()
     assert log.processed_frames == 3
-    assert log.total_roi_bits == 11200.0 + 3200.0
+    assert math.fsum(tx.cost_bits for tx in log.transmissions) == 11200.0 + 3200.0
 
 
 def test_header_is_first_line_and_tagged():
@@ -194,13 +198,40 @@ def test_read_rejects_malformed_bbox():
         read_jsonl("\n".join(lines))
 
 
+class Raw:
+    """A JSON literal that ``dumps`` writes as is: ``json`` cannot write
+    ``1e400``, a literal that ``float`` reads as an infinity."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __repr__(self) -> str:
+        return f"Raw({self.text!r})"
+
+
+def dumps(obj) -> str:
+    """``json.dumps``, with each ``Raw`` value written as its text."""
+    raws: list[str] = []
+
+    def mark(value):
+        if not isinstance(value, Raw):
+            raise TypeError(value)
+        raws.append(value.text)
+        return f"\0raw{len(raws) - 1}"
+
+    text = json.dumps(obj, default=mark)
+    for i, raw in enumerate(raws):
+        text = text.replace(json.dumps(f"\0raw{i}"), raw)
+    return text
+
+
 def damaged(index: int, key: str, value) -> str:
     """The sample log with field ``key`` of line ``index`` (0-based) set to
     ``value``."""
     lines = list(to_jsonl_lines(sample_log()))
     obj = json.loads(lines[index])
     obj[key] = value
-    lines[index] = json.dumps(obj)
+    lines[index] = dumps(obj)
     return "\n".join(lines)
 
 
@@ -221,6 +252,8 @@ def damaged(index: int, key: str, value) -> str:
         (1, "cost_bits", "x", "'cost_bits' must be a number"),
         (1, "bbox", [0.0, 0.0, 0.0, 10.0], "bbox extent must be positive"),
         (1, "bbox", [0.0, 0.0, "1", 10.0], "bad bbox"),
+        (1, "bbox", [True, 0.0, 10.0, 10.0], "bad bbox"),
+        (1, "bbox", [0.0, 0.0, 10.0, 10.0, 1.0], "bad bbox"),
         (1, "still_conf", None, "semantic fields must be all set or all null"),
         (1, "video_label", 7.5, "'video_label' must be an integer or null"),
         (4, "label", {}, "'label' must be an integer"),
@@ -229,6 +262,15 @@ def damaged(index: int, key: str, value) -> str:
         (1, "cost_bits", 10**400, "integer beyond the float range"),
         (1, "bbox", [0.0, 0.0, 10**400, 10.0], "integer beyond the float range"),
         (4, "frame", 10**400, "integer beyond the float range"),
+        (0, "fps", Raw("1e400"), "non-finite number 1e400"),
+        (1, "cost_bits", Raw("1e400"), "non-finite number 1e400"),
+        (1, "bbox", [0.0, 0.0, Raw("-1e400"), 10.0], "non-finite number -1e400"),
+        (4, "t_s", Raw("-1e400"), "non-finite number -1e400"),
+        (0, "raw_candidates", -1, "raw_candidates must be >= 0, got -1"),
+        (0, "rejected_threshold", -1, "rejected_threshold must be >= 0, got -1"),
+        (0, "rejected_budget", -3, "rejected_budget must be >= 0, got -3"),
+        # transmissions + rejected_threshold + rejected_budget = 2 + 12 + 3
+        (0, "raw_candidates", 16, "rejected_budget = 17 exceeds raw_candidates = 16"),
     ],
 )
 def test_read_rejects_wrong_types_and_refused_values_with_line_number(
@@ -270,7 +312,7 @@ def test_read_rejects_a_record_that_is_not_an_object(record):
     assert exc.value.line_no == 3
 
 
-@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
 def test_read_rejects_non_finite_numbers(literal):
     lines = list(to_jsonl_lines(sample_log()))
     lines[1] = lines[1].replace('"cost_bits": 11200.0', f'"cost_bits": {literal}')
@@ -288,6 +330,7 @@ damage = st.one_of(
     st.integers(-(10**6), -1),
     st.floats(-1e6, -1e-3),
     st.just(10**400),
+    st.sampled_from([Raw("1e400"), Raw("-1e400")]),
 )
 
 
@@ -307,7 +350,7 @@ def test_damaged_logs_fail_only_with_parse_errors(data):
             inner[slot] = data.draw(damage)
         else:
             obj[key] = data.draw(damage)
-        lines[index] = json.dumps(obj)
+        lines[index] = dumps(obj)
     else:
         lines[index] = data.draw(st.sampled_from(["[1]", "[]", "7", "null", '"tx"', "true"]))
     try:
@@ -319,3 +362,160 @@ def test_damaged_logs_fail_only_with_parse_errors(data):
         emit_report([(log.variant, aggregate_run(log))])
     except RoitelError:
         pass
+
+
+# --- writer templates ---------------------------------------------------------
+
+finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.integers(-(10**20), 10**20)
+)
+extent = st.one_of(st.floats(min_value=5e-324, allow_infinity=False), st.integers(1, 10**20))
+maybe = st.one_of(st.none(), finite)
+
+
+@st.composite
+def transmissions(draw):
+    return TransmissionRecord(
+        draw(st.integers(0, 10**9)),
+        draw(finite),
+        draw(st.integers(0, 10**9)),
+        BBox(draw(finite), draw(finite), draw(extent), draw(extent)),
+        *[draw(finite) for _ in range(5)],
+        *[draw(maybe) for _ in range(6)],
+    )
+
+
+class_events = st.builds(
+    ClassEvent, st.integers(0, 10**9), finite, st.integers(0, 10**9), st.integers(), st.text()
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(txs=st.lists(transmissions(), max_size=4), events=st.lists(class_events, max_size=4))
+def test_templates_write_what_json_dumps_writes(txs, events):
+    log = sample_log()
+    log.transmissions, log.class_events = txs, events
+    assert list(to_jsonl_lines(log)) == json_lines(log)
+
+
+# --- one-pass reader ----------------------------------------------------------
+
+
+def test_one_pass_reads_what_the_writer_writes():
+    text = "\n".join(to_jsonl_lines(sample_log()))
+    for clean in (text, text + "\n"):
+        assert runlog._read_one_pass(clean) == sample_log()
+
+
+def tx_line_with(prefix: str) -> str:
+    """The sample log with ``prefix`` written right after the first tx
+    record's opening brace."""
+    lines = list(to_jsonl_lines(sample_log()))
+    lines[1] = "{" + prefix + lines[1][1:]
+    return "\n".join(lines)
+
+
+def two_records_on_line(lines: list[str], index: int, sep: str) -> list[str]:
+    """``lines`` with a copy of the last record appended to line ``index``."""
+    lines = list(lines)
+    lines[index] += sep + lines[-1]
+    return lines
+
+
+def line_damage_cases() -> dict[str, str]:
+    lines = list(to_jsonl_lines(sample_log()))
+    bbox_split = lines[1].replace("[10.0, ", "[10.0,\n", 1)
+    # an unknown key holding a list of objects, split after an object
+    objects_split = '{"extra": [{"a": 1}\n{"b": 2}], ' + lines[1][1:]
+    return {
+        "a value spans two lines": "\n".join([lines[0], bbox_split, *lines[2:]]),
+        "duplicate key hides 1e400": tx_line_with('"cost_bits": 1e400, '),
+        "duplicate key hides 10**400": tx_line_with('"frame": 1' + "0" * 400 + ", "),
+        "unknown key holds 1e400": tx_line_with('"extra": 1e400, '),
+        "two records on one line": "\n".join(two_records_on_line(lines, 3, " ")),
+        # either split keeps the value count, with two records on one line
+        "bbox split across lines": "\n".join(
+            two_records_on_line([lines[0], bbox_split, *lines[2:]], 2, ", ")
+        ),
+        "object list split across lines": "\n".join(
+            two_records_on_line([lines[0], objects_split, *lines[2:]], 2, ", ")
+        ),
+        "carriage return as whitespace": "\n".join(
+            [lines[0], lines[1].replace(", ", ",\r", 1), *lines[2:]]
+        ),
+        "line separator in a config value": "\n".join(
+            [lines[0].replace('"15.0"', '"15 0"'), *lines[1:]]
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(line_damage_cases()))
+def test_one_pass_falls_back_where_the_line_reader_refuses(case):
+    text = line_damage_cases()[case]
+    expected = read_outcome(runlog._read_lines, text)
+    assert expected[0] == "raised"
+    assert runlog._read_one_pass(text) is None
+    assert read_outcome(read_jsonl, text) == expected
+
+
+@st.composite
+def line_damaged_logs(draw):
+    """The sample log with one to three line-level damages."""
+    lines = list(to_jsonl_lines(sample_log()))
+    newline = "\n"
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(
+            st.sampled_from(
+                ["merge", "two on one", "split bbox", "break in echo", "break in record",
+                 "blank", "crlf"]
+            )
+        )
+        if op == "merge" and len(lines) > 1:
+            i = draw(st.integers(0, len(lines) - 2))
+            lines[i : i + 2] = [lines[i] + draw(st.sampled_from(["", " ", ", "])) + lines[i + 1]]
+        elif op == "two on one":
+            i = draw(st.integers(0, len(lines) - 1))
+            record = draw(st.sampled_from(lines))
+            lines[i] += draw(st.sampled_from(["", " ", ", ", ","])) + record
+        elif op == "split bbox":
+            with_bbox = [i for i, line in enumerate(lines) if '"bbox": [' in line]
+            if with_bbox:
+                i = draw(st.sampled_from(with_bbox))
+                head, tail = lines[i].split('"bbox": [', 1)
+                close = tail.find("]")
+                cut = draw(st.integers(0, close if close >= 0 else len(tail)))
+                lines[i : i + 1] = [head + '"bbox": [' + tail[:cut], tail[cut:]]
+        elif op == "break in echo":
+            char = draw(st.sampled_from([" ", " ", "\r", "\x0c", "\x85", "\x1c"]))
+            lines = [line.replace('"15.0"', '"15' + char + '0"', 1) for line in lines]
+        elif op == "break in record":
+            i = draw(st.integers(0, len(lines) - 1))
+            lines[i] = lines[i].replace(", ", "," + draw(st.sampled_from(["\r", "\x0c"])), 1)
+        elif op == "blank":
+            i = draw(st.integers(0, len(lines)))
+            lines.insert(i, draw(st.sampled_from(["", " ", "\t", "  \t "])))
+        else:
+            newline = "\r\n"
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=line_damaged_logs())
+def test_line_damage_reads_as_the_line_reader_reads_it(text):
+    assert read_outcome(read_jsonl, text) == read_outcome(runlog._read_lines, text)
+
+
+@pytest.mark.parametrize("index", [0, 2])
+def test_deep_nesting_is_a_parse_error(index):
+    lines = list(to_jsonl_lines(sample_log()))
+    lines[index] = "[" * 100_000
+    with pytest.raises(ParseError, match="bad JSON: maximum recursion depth") as exc:
+        read_jsonl("\n".join(lines))
+    assert exc.value.line_no == index + 1
+
+
+def test_accountability_error_is_at_the_header_line():
+    text = "\n\n" + damaged(0, "rejected_threshold", 38)
+    with pytest.raises(ParseError, match="= 43 exceeds raw_candidates = 42") as exc:
+        read_jsonl(text)
+    assert exc.value.line_no == 3
