@@ -1,11 +1,11 @@
+import json
+
 import pytest
 from hypothesis import settings
 
-import json
-
 from roitel import ParseError, engine, ingest, runlog
 from roitel.runlog import to_jsonl_lines
-from helpers import class_obj, json_lines, scalar_schedule, tx_obj
+from helpers import class_obj, json_lines, read_outcome, scalar_schedule, tx_obj
 
 # Property tests must behave identically run to run.
 settings.register_profile("deterministic", derandomize=True)
@@ -105,16 +105,6 @@ def cross_check_runlog_writes(monkeypatch):
 
     monkeypatch.setattr(runlog, "_tx_line", checked_tx)
     monkeypatch.setattr(runlog, "_class_line", checked_class)
-
-
-def read_outcome(read, text):
-    """What one run-log read gives, in a form that tells -0.0 from 0.0 and 1
-    from 1.0: the log, or the error's line and message."""
-    try:
-        log = read(text)
-    except ParseError as err:
-        return ("raised", err.line_no, str(err))
-    return ("read", repr(log))
 
 
 @pytest.fixture(autouse=True)

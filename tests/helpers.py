@@ -25,6 +25,7 @@ from roitel import (
     FrameClock,
     FrameColumns,
     LedgerView,
+    ParseError,
     PolicyConfig,
     RoiCandidate,
     RunConfig,
@@ -356,3 +357,13 @@ def json_lines(log: RunLog) -> list[str]:
     sorted: the reference for ``runlog.to_jsonl_lines``."""
     objs = [_header_obj(log), *map(tx_obj, log.transmissions), *map(class_obj, log.class_events)]
     return [json.dumps(obj, sort_keys=True) for obj in objs]
+
+
+def read_outcome(read, text):
+    """What one run-log read gives, in a form that tells -0.0 from 0.0 and 1
+    from 1.0: the log, or the error's line and message."""
+    try:
+        log = read(text)
+    except ParseError as err:
+        return ("raised", err.line_no, str(err))
+    return ("read", repr(log))

@@ -20,8 +20,7 @@ from roitel import (
 from roitel import runlog
 from roitel.metrics import aggregate_run, emit_report
 from roitel.runlog import CLASS_SOURCE_STILL, CLASS_SOURCE_VIDEO, to_jsonl_lines
-from conftest import read_outcome
-from helpers import json_lines
+from helpers import json_lines, read_outcome
 
 
 def sample_log() -> RunLog:
@@ -252,8 +251,6 @@ def damaged(index: int, key: str, value) -> str:
         (1, "cost_bits", "x", "'cost_bits' must be a number"),
         (1, "bbox", [0.0, 0.0, 0.0, 10.0], "bbox extent must be positive"),
         (1, "bbox", [0.0, 0.0, "1", 10.0], "bad bbox"),
-        (1, "bbox", [True, 0.0, 10.0, 10.0], "bad bbox"),
-        (1, "bbox", [0.0, 0.0, 10.0, 10.0, 1.0], "bad bbox"),
         (1, "still_conf", None, "semantic fields must be all set or all null"),
         (1, "video_label", 7.5, "'video_label' must be an integer or null"),
         (4, "label", {}, "'label' must be an integer"),
@@ -271,6 +268,8 @@ def damaged(index: int, key: str, value) -> str:
         (0, "rejected_budget", -3, "rejected_budget must be >= 0, got -3"),
         # transmissions + rejected_threshold + rejected_budget = 2 + 12 + 3
         (0, "raw_candidates", 16, "rejected_budget = 17 exceeds raw_candidates = 16"),
+        (1, "bbox", [True, 0.0, 10.0, 10.0], "bad bbox"),
+        (1, "bbox", [0.0, 0.0, 10.0, 10.0, 1.0], "bad bbox"),
     ],
 )
 def test_read_rejects_wrong_types_and_refused_values_with_line_number(
@@ -444,7 +443,7 @@ def line_damage_cases() -> dict[str, str]:
             [lines[0], lines[1].replace(", ", ",\r", 1), *lines[2:]]
         ),
         "line separator in a config value": "\n".join(
-            [lines[0].replace('"15.0"', '"15 0"'), *lines[1:]]
+            [lines[0].replace('"15.0"', '"15\u20280"'), *lines[1:]]
         ),
     }
 
@@ -486,7 +485,7 @@ def line_damaged_logs(draw):
                 cut = draw(st.integers(0, close if close >= 0 else len(tail)))
                 lines[i : i + 1] = [head + '"bbox": [' + tail[:cut], tail[cut:]]
         elif op == "break in echo":
-            char = draw(st.sampled_from([" ", " ", "\r", "\x0c", "\x85", "\x1c"]))
+            char = draw(st.sampled_from(["\u2028", "\u2029", "\r", "\x0c", "\x85", "\x1c"]))
             lines = [line.replace('"15.0"', '"15' + char + '0"', 1) for line in lines]
         elif op == "break in record":
             i = draw(st.integers(0, len(lines) - 1))
