@@ -65,7 +65,7 @@ from .policy import (
     size_term,
     uncertainty_term,
 )
-from .runlog import ClassEvent, RunLog, TransmissionRecord, read_jsonl, write_jsonl
+from .runlog import ClassEvent, RunLog, TransmissionRecord, read_jsonl
 from .tracker import Track, Tracker, TrackerConfig
 
 __version__ = "0.1.0"
@@ -134,5 +134,4 @@ __all__ = [
     "sweep",
     "uncertainty_term",
     "write_generic_csv",
-    "write_jsonl",
 ]

@@ -64,19 +64,13 @@ class LedgerView:
     window_sum_bits: float
     cap_bits: float
 
-    def admits(self, bits: float) -> bool:
-        if not bits > 0:
-            raise InvalidParam(f"bits must be > 0, got {bits}")
-        return self.window_sum_bits + bits <= self.cap_bits
-
 
 class BudgetLedger:
     """Time-ordered account of committed ROI bits over a rolling window.
 
-    Commit times and bits are kept in two parallel lists in commit order,
-    which is time order, so a window is one contiguous slice found by
-    bisection. Entries before ``_start`` have left the window; the lists
-    drop them in bulk once they are the larger part.
+    Commit times and bits are kept for the whole run in two parallel lists
+    in commit order, which is time order, so a window is one contiguous
+    slice found by bisection.
     """
 
     def __init__(self, b_roi: float, window_s: float):
@@ -88,16 +82,10 @@ class BudgetLedger:
         self.window_s = window_s
         self._ts: list[float] = []
         self._bits: list[float] = []
-        self._start = 0
 
     @property
     def cap_bits(self) -> float:
         return self.b_roi * self.window_s
-
-    @property
-    def entries(self) -> list[tuple[float, float]]:
-        """The ``(time, bits)`` entries not yet pruned, oldest first."""
-        return list(zip(self._ts[self._start :], self._bits[self._start :]))
 
     def window_sum(self, now_s: float) -> float:
         """Bits with timestamp in the half-open window (now - window_s, now].
@@ -105,7 +93,7 @@ class BudgetLedger:
         Sums the same entries in the same order with the same builtin as a
         filter over every entry would, so the value is identical.
         """
-        lo = bisect_right(self._ts, now_s - self.window_s, self._start)
+        lo = bisect_right(self._ts, now_s - self.window_s)
         hi = bisect_right(self._ts, now_s, lo)
         return sum(self._bits[lo:hi])
 
@@ -122,7 +110,7 @@ class BudgetLedger:
         return LedgerView(window_sum_bits=self.window_sum(now_s), cap_bits=self.cap_bits)
 
     def commit(self, now_s: float, bits: float) -> None:
-        """Record a transmission; prunes entries that left the window.
+        """Record a transmission.
 
         Raises BudgetViolation when the caller did not check ``admits``.
         """
@@ -132,9 +120,5 @@ class BudgetLedger:
             )
         if self._ts and now_s < self._ts[-1]:
             raise InvalidParam(f"commit time {now_s} precedes last entry {self._ts[-1]}")
-        self._start = bisect_right(self._ts, now_s - self.window_s, self._start)
-        if self._start * 2 > len(self._ts):
-            del self._ts[: self._start], self._bits[: self._start]
-            self._start = 0
         self._ts.append(now_s)
         self._bits.append(bits)

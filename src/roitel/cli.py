@@ -85,7 +85,7 @@ def _load_run_inputs(args) -> tuple[engine.RunConfig, ingest.DetectionStream]:
 
 
 def _parse_sidecar(args) -> Optional[ingest.SemanticSidecar]:
-    if not getattr(args, "sidecar", None):
+    if not args.sidecar:
         return None
     return ingest.parse_sidecar_csv(_read_text(args.sidecar))
 
@@ -99,7 +99,7 @@ def cmd_simulate(args) -> int:
     sidecar = _parse_sidecar(args)
     echo = config_mod.dump_config(cfg)
 
-    log = engine.run(stream, sidecar, cfg, config_echo=echo)
+    log = engine.run(stream, sidecar, cfg)
     rep = metrics.aggregate_run(log, cfg.eval.lambda_cls)
 
     out_dir = Path(args.out_dir)
@@ -121,6 +121,9 @@ def cmd_sweep(args) -> int:
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     if not variants:
         raise ConfigError("sweep needs at least one variant")
+    repeated = [v for i, v in enumerate(variants) if v in variants[:i]]
+    if repeated:
+        raise ConfigError(f"sweep lists variant {repeated[0]!r} more than once")
     cfg, stream = _load_run_inputs(args)
     sidecar = _parse_sidecar(args)
 
@@ -259,13 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add_common_io(p, with_sidecar=True):
+    def add_common_io(p):
         p.add_argument("--input", required=True, help="detections file")
         p.add_argument(
             "--format", choices=INPUT_FORMATS, default="generic", help="input layout"
         )
-        if with_sidecar:
-            p.add_argument("--sidecar", help="semantic sidecar CSV")
+        p.add_argument("--sidecar", help="semantic sidecar CSV")
 
     def add_config_args(p):
         p.add_argument("--config", help="run config file (key = value lines)")

@@ -13,13 +13,35 @@ unknown keys are rejected, never ignored.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from operator import attrgetter
+from typing import Optional
 
 from .budget import CostModel
 from .domain import BudgetConfig, EvalConfig, FrameClock, PolicyConfig
-from .engine import RunConfig
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, InvalidParam, ParseError
 from .tracker import TrackerConfig
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Everything one run needs; validation lives in the member types."""
+
+    clock: FrameClock
+    budget: BudgetConfig
+    policy: PolicyConfig
+    tracker: TrackerConfig
+    cost: CostModel
+    eval: EvalConfig
+    base_bitrate_measured: Optional[float] = None
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.base_bitrate_measured is not None and self.base_bitrate_measured < 0:
+            raise InvalidParam(
+                f"base_bitrate_measured must be >= 0, got {self.base_bitrate_measured}"
+            )
+
 
 SCHEMA_VERSION = 1
 
@@ -158,24 +180,14 @@ def build_config(values: dict[str, str]) -> RunConfig:
     )
 
 
-def load_config(text: str) -> RunConfig:
-    return build_config(parse_kv_text(text))
-
-
 def dump_config(cfg: RunConfig) -> dict[str, str]:
-    """Canonical flat form of a RunConfig; load(dump(cfg)) == cfg."""
+    """Canonical flat form of a RunConfig; build_config(dump_config(cfg)) == cfg."""
     return {
         key: _format_value(
             kind, SCHEMA_VERSION if key == "schema_version" else attrgetter(key)(cfg)
         )
         for key, (kind, _, _) in CONFIG_SCHEMA.items()
     }
-
-
-def config_to_text(cfg: RunConfig) -> str:
-    """Render a RunConfig back to the file grammar (schema order)."""
-    flat = dump_config(cfg)
-    return "\n".join(f"{key} = {flat[key]}" for key in CONFIG_SCHEMA) + "\n"
 
 
 def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:

@@ -77,6 +77,8 @@ class FrameClock:
     def __post_init__(self):
         if not self.fps > 0:
             raise InvalidParam(f"fps must be > 0, got {self.fps}")
+        if not math.isfinite(self.fps):
+            raise InvalidParam(f"fps must be finite, got {self.fps}")
         if self.frame_stride < 1:
             raise InvalidParam(f"frame_stride must be >= 1, got {self.frame_stride}")
 

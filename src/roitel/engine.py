@@ -12,14 +12,15 @@ sequential and deterministic for fixed inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
 from . import policy as policy_mod
 from .budget import BudgetLedger, CostModel, estimate_cost
-from .domain import BudgetConfig, EvalConfig, FrameClock, PolicyConfig
+from .config import RunConfig, dump_config
+from .domain import FrameClock, PolicyConfig
 from .errors import InvalidParam
 from .ingest import DetectionStream, SemanticSidecar
 from .runlog import (
@@ -30,26 +31,6 @@ from .runlog import (
     TransmissionRecord,
 )
 from .tracker import Tracker, TrackerConfig
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one run needs; validation lives in the member types."""
-
-    clock: FrameClock
-    budget: BudgetConfig
-    policy: PolicyConfig
-    tracker: TrackerConfig
-    cost: CostModel
-    eval: EvalConfig
-    base_bitrate_measured: Optional[float] = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.base_bitrate_measured is not None and self.base_bitrate_measured < 0:
-            raise InvalidParam(
-                f"base_bitrate_measured must be >= 0, got {self.base_bitrate_measured}"
-            )
 
 
 def processed_frame_range(first: int, last: int, stride: int) -> list[int]:
@@ -137,20 +118,14 @@ def _schedule(
     frames: Iterable[tuple[int, float, policy_mod.FrameColumns]],
     stream: DetectionStream,
     cfg: RunConfig,
-    config_echo: Optional[dict[str, str]],
 ) -> RunLog:
     """Scheduling pass: everything that depends on the policy.
 
     Per-track state lives in arrays indexed by track id: the last frame a
     track was refined on and the class label (and its source) downstream
     assumes for it. Objects are built only for transmissions and class
-    events.
+    events. The log echoes ``dump_config(cfg)``.
     """
-    if config_echo is None:
-        from .config import dump_config  # deferred: config depends on RunConfig
-
-        config_echo = dump_config(cfg)
-
     log = RunLog(
         variant=cfg.policy.variant,
         clock=cfg.clock,
@@ -161,7 +136,7 @@ def _schedule(
             else cfg.budget.b_video
         ),
         duration_s=cfg.eval.duration_s,
-        config_echo=dict(config_echo),
+        config_echo=dump_config(cfg),
     )
     log.first_frame = stream.first_frame
     log.last_frame = stream.last_frame
@@ -264,14 +239,11 @@ def _schedule(
 
 
 def run(
-    stream: DetectionStream,
-    sidecar: Optional[SemanticSidecar],
-    cfg: RunConfig,
-    config_echo: Optional[dict[str, str]] = None,
+    stream: DetectionStream, sidecar: Optional[SemanticSidecar], cfg: RunConfig
 ) -> RunLog:
     """Simulate one policy over one stream. Empty streams yield empty logs."""
     frames = associate(stream, sidecar, cfg.clock, cfg.tracker, cfg.cost)
-    return _schedule(frames, stream, cfg, config_echo)
+    return _schedule(frames, stream, cfg)
 
 
 def sweep(
@@ -295,4 +267,4 @@ def sweep(
             pol = replace(base_cfg.policy, variant=pol)
         cfgs.append(replace(base_cfg, policy=pol))
     frames = list(associate(stream, sidecar, base_cfg.clock, base_cfg.tracker, base_cfg.cost))
-    return [(cfg.policy.variant, _schedule(frames, stream, cfg, None)) for cfg in cfgs]
+    return [(cfg.policy.variant, _schedule(frames, stream, cfg)) for cfg in cfgs]

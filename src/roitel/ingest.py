@@ -10,11 +10,12 @@ Supported inputs:
   * semantic sidecar CSV: frame,track,video_conf,still_conf,video_label,
     still_label,video_entropy,still_entropy[,payload_bytes]
 
-The benchmark layouts follow the common public distributions; every parser
-accepts a column-order override since the layouts are conventions, not
-standards. Comment lines start with '#', blank lines are skipped, LF and
-CRLF both work, and frame indices are normalized to 0-based internally.
-Every numeric field must be finite.
+The benchmark layouts follow the common public distributions. Comment
+lines start with '#', blank lines are skipped, LF and CRLF both work, and
+frame indices are normalized to 0-based internally. Every numeric field
+must be finite, and frame indices, class ids and sidecar labels must fit
+in int64. A detection stream's clock is the file's ``# clock: fps=F
+stride=N`` comment, or ``FrameClock()`` when it has none.
 
 The detection parsers first try one vectorised pass that reads the text
 into NumPy columns. If that pass meets anything the row parser would
@@ -32,7 +33,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -40,40 +41,8 @@ from .domain import BBox, Detection, FrameClock
 from .errors import DuplicateKey, InvalidParam, ParseError
 
 GENERIC_COLUMNS = ("frame", "track_hint", "x", "y", "w", "h", "conf", "class")
-UAVDT_COLUMNS = (
-    "frame",
-    "target_id",
-    "x",
-    "y",
-    "w",
-    "h",
-    "out_of_view",
-    "occlusion",
-    "category",
-)
-VISDRONE_COLUMNS = (
-    "frame",
-    "target_id",
-    "x",
-    "y",
-    "w",
-    "h",
-    "score",
-    "category",
-    "truncation",
-    "occlusion",
-)
-SIDECAR_COLUMNS = (
-    "frame",
-    "track",
-    "video_conf",
-    "still_conf",
-    "video_label",
-    "still_label",
-    "video_entropy",
-    "still_entropy",
-    "payload_bytes",
-)
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 _CLOCK_COMMENT = re.compile(r"^#\s*clock:\s*fps=([0-9.eE+-]+)\s+stride=(\d+)\s*$")
 
@@ -99,18 +68,24 @@ class DetectionStream:
     def from_frames(
         clock: FrameClock, frames: Iterable[tuple[int, Sequence[Detection]]]
     ) -> "DetectionStream":
+        """A stream of the given entries; frame indices and class ids must
+        fit in int64, as the engine keeps them in int64 columns."""
         indices = []
         per_frame = []
         prev = None
         for frame_index, dets in frames:
             if prev is not None and frame_index <= prev:
                 raise InvalidParam(f"frame indices must strictly increase at {frame_index}")
+            if frame_index > _INT64_MAX:
+                raise InvalidParam(f"frame index outside int64: {frame_index}")
             prev = frame_index
             for det in dets:
                 if det.frame_index != frame_index:
                     raise InvalidParam(
                         f"detection frame {det.frame_index} does not match entry {frame_index}"
                     )
+                if not _INT64_MIN <= det.class_id <= _INT64_MAX:
+                    raise InvalidParam(f"class_id outside int64: {det.class_id}")
             indices.append(frame_index)
             per_frame.append(tuple(dets))
         return DetectionStream(
@@ -139,17 +114,10 @@ class DetectionStream:
     def last_frame(self) -> Optional[int]:
         return self.frame_indices[-1] if self.frame_indices else None
 
-    def iter_detections(self) -> Iterable[Detection]:
-        for dets in self._per_frame:
-            yield from dets
-
     def __eq__(self, other):
         if not isinstance(other, DetectionStream):
             return NotImplemented
         return self.clock == other.clock and self.frames == other.frames
-
-    def __hash__(self):
-        return hash((self.clock, self.frames))
 
 
 class _Columns(SequenceABC):
@@ -202,6 +170,9 @@ class SemanticRecord:
                 raise InvalidParam(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.payload_bytes is not None and self.payload_bytes <= 0:
             raise InvalidParam(f"payload_bytes must be > 0, got {self.payload_bytes}")
+        for name in ("video_label", "still_label"):
+            if not _INT64_MIN <= getattr(self, name) <= _INT64_MAX:
+                raise InvalidParam(f"{name} outside int64: {getattr(self, name)}")
 
 
 class SemanticSidecar:
@@ -261,13 +232,6 @@ def _split_rows(text: str) -> tuple[list[tuple[int, object]], Optional[FrameCloc
     return rows, clock
 
 
-def _field_index(columns: Sequence[str], name: str) -> int:
-    try:
-        return columns.index(name)
-    except ValueError:
-        raise InvalidParam(f"column mapping is missing required column {name!r}") from None
-
-
 def _num(fields: list[str], idx: int, line_no: int, name: str) -> float:
     try:
         value = float(fields[idx])
@@ -282,6 +246,12 @@ def _int(fields: list[str], idx: int, line_no: int, name: str) -> int:
     return int(_num(fields, idx, line_no, name))
 
 
+def _int64(line_no: int, value: int, name: str) -> int:
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise ParseError(line_no, f"{name} outside int64: {value}")
+    return value
+
+
 def _check_bbox(line_no: int, x: float, y: float, w: float, h: float) -> BBox:
     if w <= 0:
         raise ParseError(line_no, f"non-positive width: {w}")
@@ -290,97 +260,76 @@ def _check_bbox(line_no: int, x: float, y: float, w: float, h: float) -> BBox:
     return BBox(x, y, w, h)
 
 
+def _bbox(line_no: int, fields: list[str]) -> BBox:
+    """The box in columns 2-5, where every layout keeps it."""
+    return _check_bbox(
+        line_no,
+        _num(fields, 2, line_no, "x"),
+        _num(fields, 3, line_no, "y"),
+        _num(fields, 4, line_no, "w"),
+        _num(fields, 5, line_no, "h"),
+    )
+
+
 class _Layout(NamedTuple):
-    """Where one detection layout keeps its fields and how a row reads."""
+    """One detection layout. Every layout keeps the frame in column 0, the
+    track hint (generic) or target id in column 1 and the box in columns
+    2-5."""
 
     n_cols: int
-    frame: int
-    hint: int
-    x: int
-    y: int
-    w: int
-    h: int
+    #: Column of the class (generic) or category.
     cls: int
     #: Column of the confidence (generic) or score (VisDrone); None: 1.0.
     conf: Optional[int]
     #: Benchmark layouts: 1-based frames, every id a hint, scores clamped.
     #: Generic: 0-based frames, negative hints mean none, confidence checked.
     benchmark: bool
-    row: Callable[[int, list[str]], Detection]
 
 
-def _generic_layout(columns: Sequence[str]) -> _Layout:
-    i_frame = _field_index(columns, "frame")
-    i_hint = _field_index(columns, "track_hint")
-    i_x, i_y = _field_index(columns, "x"), _field_index(columns, "y")
-    i_w, i_h = _field_index(columns, "w"), _field_index(columns, "h")
-    i_conf = _field_index(columns, "conf")
-    i_class = _field_index(columns, "class")
-
-    def row(line_no, fields):
-        frame = _int(fields, i_frame, line_no, "frame")
-        if frame < 0:
-            raise ParseError(line_no, f"negative frame index: {frame}")
-        hint = _int(fields, i_hint, line_no, "track_hint")
-        conf = _num(fields, i_conf, line_no, "conf")
-        if not (0.0 <= conf <= 1.0):
-            raise ParseError(line_no, f"confidence out of range: {conf}")
-        bbox = _check_bbox(
-            line_no,
-            _num(fields, i_x, line_no, "x"),
-            _num(fields, i_y, line_no, "y"),
-            _num(fields, i_w, line_no, "w"),
-            _num(fields, i_h, line_no, "h"),
-        )
-        return Detection(
-            frame_index=frame,
-            bbox=bbox,
-            confidence=conf,
-            class_id=_int(fields, i_class, line_no, "class"),
-            track_hint=None if hint < 0 else hint,
-        )
-
-    return _Layout(len(columns), i_frame, i_hint, i_x, i_y, i_w, i_h, i_class, i_conf, False, row)
+_GENERIC = _Layout(n_cols=8, cls=7, conf=6, benchmark=False)
+_UAVDT = _Layout(n_cols=9, cls=8, conf=None, benchmark=True)
+_VISDRONE = _Layout(n_cols=10, cls=7, conf=6, benchmark=True)
 
 
-def _benchmark_layout(columns: Sequence[str], score: Optional[str]) -> _Layout:
-    """Shared layout for the 1-based-frame benchmark annotation formats;
-    ``score`` names the confidence column, if the format has one."""
-    i_score = None if score is None else _field_index(columns, score)
-    i_frame = _field_index(columns, "frame")
-    i_id = _field_index(columns, "target_id")
-    i_x, i_y = _field_index(columns, "x"), _field_index(columns, "y")
-    i_w, i_h = _field_index(columns, "w"), _field_index(columns, "h")
-    i_cat = _field_index(columns, "category")
-
-    def conf_of(line_no, fields):
-        if i_score is None:
-            return 1.0
-        return min(max(_num(fields, i_score, line_no, score), 0.0), 1.0)
-
-    def row(line_no, fields):
-        frame = _int(fields, i_frame, line_no, "frame")
-        if frame < 1:
-            raise ParseError(line_no, f"frame index must be >= 1, got {frame}")
-        bbox = _check_bbox(
-            line_no,
-            _num(fields, i_x, line_no, "x"),
-            _num(fields, i_y, line_no, "y"),
-            _num(fields, i_w, line_no, "w"),
-            _num(fields, i_h, line_no, "h"),
-        )
-        return Detection(
-            frame_index=frame - 1,
-            bbox=bbox,
-            confidence=conf_of(line_no, fields),
-            class_id=_int(fields, i_cat, line_no, "category"),
-            track_hint=_int(fields, i_id, line_no, "target_id"),
-        )
-
-    return _Layout(len(columns), i_frame, i_id, i_x, i_y, i_w, i_h, i_cat, i_score, True, row)
+def _generic_row(line_no: int, fields: list[str]) -> Detection:
+    frame = _int(fields, 0, line_no, "frame")
+    if frame < 0:
+        raise ParseError(line_no, f"negative frame index: {frame}")
+    _int64(line_no, frame, "frame")
+    hint = _int(fields, 1, line_no, "track_hint")
+    conf = _num(fields, 6, line_no, "conf")
+    if not (0.0 <= conf <= 1.0):
+        raise ParseError(line_no, f"confidence out of range: {conf}")
+    bbox = _bbox(line_no, fields)
+    return Detection(
+        frame_index=frame,
+        bbox=bbox,
+        confidence=conf,
+        class_id=_int64(line_no, _int(fields, 7, line_no, "class"), "class"),
+        track_hint=None if hint < 0 else hint,
+    )
 
 
-def _parse_rows(text, layout: _Layout, clock, errors_out) -> DetectionStream:
+def _benchmark_row(layout: _Layout, line_no: int, fields: list[str]) -> Detection:
+    frame = _int(fields, 0, line_no, "frame")
+    if frame < 1:
+        raise ParseError(line_no, f"frame index must be >= 1, got {frame}")
+    _int64(line_no, frame, "frame")
+    bbox = _bbox(line_no, fields)
+    if layout.conf is None:
+        conf = 1.0
+    else:
+        conf = min(max(_num(fields, layout.conf, line_no, "score"), 0.0), 1.0)
+    return Detection(
+        frame_index=frame - 1,
+        bbox=bbox,
+        confidence=conf,
+        class_id=_int64(line_no, _int(fields, layout.cls, line_no, "category"), "category"),
+        track_hint=_int(fields, 1, line_no, "target_id"),
+    )
+
+
+def _parse_rows(text, layout: _Layout, errors_out) -> DetectionStream:
     """The row parser: one line at a time, with line-exact errors. It is the
     reference the vectorised pass must agree with."""
     rows, file_clock = _split_rows(text)
@@ -393,16 +342,18 @@ def _parse_rows(text, layout: _Layout, clock, errors_out) -> DetectionStream:
                 raise ParseError(
                     line_no, f"expected {layout.n_cols} columns, got {len(fields)}"
                 )
-            det = layout.row(line_no, fields)
+            if layout.benchmark:
+                det = _benchmark_row(layout, line_no, fields)
+            else:
+                det = _generic_row(line_no, fields)
         except ParseError as err:
             if errors_out is None:
                 raise
             errors_out.append(err)
             continue
         by_frame[det.frame_index].append(det)
-    effective_clock = clock or file_clock or FrameClock()
     return DetectionStream.from_frames(
-        effective_clock, ((f, by_frame[f]) for f in sorted(by_frame))
+        file_clock or FrameClock(), ((f, by_frame[f]) for f in sorted(by_frame))
     )
 
 
@@ -411,7 +362,7 @@ def _parse_rows(text, layout: _Layout, clock, errors_out) -> DetectionStream:
 _INT64_BOUND = 2.0**63
 
 
-def _parse_columns(text, layout: _Layout, clock) -> Optional[DetectionStream]:
+def _parse_columns(text, layout: _Layout) -> Optional[DetectionStream]:
     """The vectorised pass: the stream the row parser gives for ``text``,
     or None if any line would be rejected or might be read differently."""
     # The lines, blanks and comments of _split_rows.
@@ -425,9 +376,9 @@ def _parse_columns(text, layout: _Layout, clock) -> Optional[DetectionStream]:
         except ParseError:
             return None
         lines = [s for s in lines if s[0] != "#"]
-    effective_clock = clock or file_clock or FrameClock()
+    clock = file_clock or FrameClock()
     if not lines:
-        return DetectionStream(effective_clock, (), 0, ())
+        return DetectionStream(clock, (), 0, ())
     # loadtxt parses each field as float() does, except that it refuses
     # "1_0" and non-ASCII digits, and it refuses a row whose field count
     # differs from the first row's.
@@ -437,11 +388,11 @@ def _parse_columns(text, layout: _Layout, clock) -> Optional[DetectionStream]:
         return None
     if table.shape[1] != layout.n_cols or not np.isfinite(table).all():
         return None
-    ints = table[:, [layout.frame, layout.hint, layout.cls]]
+    ints = table[:, [0, 1, layout.cls]]
     if not ((ints > -_INT64_BOUND) & (ints < _INT64_BOUND)).all():
         return None
     frame, hint, cls = ints.astype(np.int64).T
-    x, y, w, h = (table[:, i] for i in (layout.x, layout.y, layout.w, layout.h))
+    x, y, w, h = (table[:, i] for i in (2, 3, 4, 5))
     if not ((w > 0.0) & (h > 0.0)).all():
         return None
     if layout.benchmark:
@@ -471,44 +422,33 @@ def _parse_columns(text, layout: _Layout, clock) -> Optional[DetectionStream]:
     frame_indices = tuple(frame[np.r_[0, starts]].tolist())
     offsets = [0, *starts.tolist(), len(frame)]
     columns = _Columns(frame_indices, offsets, *cols, negative_hint_is_none=not layout.benchmark)
-    return DetectionStream(effective_clock, frame_indices, len(frame), columns)
+    return DetectionStream(clock, frame_indices, len(frame), columns)
 
 
-def _parse_detections(text, layout: _Layout, clock, errors_out) -> DetectionStream:
-    stream = _parse_columns(text, layout, clock)
+def _parse_detections(text, layout: _Layout, errors_out) -> DetectionStream:
+    stream = _parse_columns(text, layout)
     if stream is None:
-        stream = _parse_rows(text, layout, clock, errors_out)
+        stream = _parse_rows(text, layout, errors_out)
     return stream
 
 
 def parse_generic_csv(
-    text: str,
-    clock: Optional[FrameClock] = None,
-    columns: Sequence[str] = GENERIC_COLUMNS,
-    errors_out: Optional[list[ParseError]] = None,
+    text: str, errors_out: Optional[list[ParseError]] = None
 ) -> DetectionStream:
     """Parse the generic detections CSV (0-based frames)."""
-    return _parse_detections(text, _generic_layout(columns), clock, errors_out)
+    return _parse_detections(text, _GENERIC, errors_out)
 
 
-def parse_uavdt_gt(
-    text: str,
-    clock: Optional[FrameClock] = None,
-    columns: Sequence[str] = UAVDT_COLUMNS,
-    errors_out: Optional[list[ParseError]] = None,
-) -> DetectionStream:
+def parse_uavdt_gt(text: str, errors_out: Optional[list[ParseError]] = None) -> DetectionStream:
     """Parse UAVDT-style ground truth; confidence is fixed at 1.0."""
-    return _parse_detections(text, _benchmark_layout(columns, None), clock, errors_out)
+    return _parse_detections(text, _UAVDT, errors_out)
 
 
 def parse_visdrone_mot(
-    text: str,
-    clock: Optional[FrameClock] = None,
-    columns: Sequence[str] = VISDRONE_COLUMNS,
-    errors_out: Optional[list[ParseError]] = None,
+    text: str, errors_out: Optional[list[ParseError]] = None
 ) -> DetectionStream:
     """Parse VisDrone-MOT-style annotations; confidence = clamped score."""
-    return _parse_detections(text, _benchmark_layout(columns, "score"), clock, errors_out)
+    return _parse_detections(text, _VISDRONE, errors_out)
 
 
 def parse_sidecar_csv(
@@ -599,6 +539,8 @@ def gen_synthetic(
         raise InvalidParam(f"n_frames must be > 0, got {n_frames}")
     if mean_objects < 0:
         raise InvalidParam(f"mean_objects must be >= 0, got {mean_objects}")
+    if not math.isfinite(mean_objects):
+        raise InvalidParam(f"mean_objects must be finite, got {mean_objects}")
 
     rng = random.Random(seed)
     mean_lifetime = 30.0

@@ -196,9 +196,6 @@ def score_block(
     """
     area_ref = _area_ref(cfg)
     conf, cost = cols.conf, cols.cost_bits
-    if len(cols) and not area_ref > 0:
-        # a bad area_ref fails on row 0, after that row's confidence check
-        _refuse_row(frame_index, cols, last_refined, 0, cfg)
     # bad rows are refused after the arithmetic, so it may overflow quietly
     with np.errstate(all="ignore"):
         u = 1.0 - conf

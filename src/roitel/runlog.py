@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Optional, TextIO
+from typing import Optional
 
 from .domain import BBox, BudgetConfig, FrameClock
 from .errors import ConfigError, InvalidParam, ParseError
@@ -181,12 +181,6 @@ def to_jsonl_lines(log: RunLog) -> list[str]:
         *map(_tx_line, log.transmissions),
         *map(_class_line, log.class_events),
     ]
-
-
-def write_jsonl(log: RunLog, fp: TextIO) -> None:
-    for line in to_jsonl_lines(log):
-        fp.write(line)
-        fp.write("\n")
 
 
 _INT = frozenset({int})
@@ -486,7 +480,7 @@ def _read_one_pass(text: str) -> Optional[RunLog]:
 
 
 def read_jsonl(text: str) -> RunLog:
-    """Parse a run log written by write_jsonl. Raises ParseError, with the
+    """Parse a run log of to_jsonl_lines' lines. Raises ParseError, with the
     line's number, on any damage: bad JSON (NaN, Infinity and numbers beyond
     the float range included), a record that is not an object, a missing
     field or one of the wrong JSON type, a value that a domain type refuses,

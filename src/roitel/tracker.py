@@ -54,10 +54,6 @@ class Tracker:
         self._next_id = 0
         self._last_frame: Optional[int] = None
 
-    def active_tracks(self) -> list[Track]:
-        """Live tracks in ascending id order."""
-        return list(self._tracks.values())
-
     def step(self, frame_index: int, detections: list[Detection]) -> list[Assignment]:
         """Associate one processed frame's detections; spawn, age, retire.
 

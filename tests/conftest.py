@@ -35,23 +35,21 @@ def cross_check_detection_parses(monkeypatch):
     the same stream, the same collected errors, or the same ParseError."""
     public = ingest._parse_detections
 
-    def checked(text, layout, clock, errors_out):
+    def checked(text, layout, errors_out):
         collect = errors_out is not None
-        expected = parse_outcome(
-            lambda t, e: ingest._parse_rows(t, layout, clock, e), text, collect
-        )
-        got = parse_outcome(lambda t, e: public(t, layout, clock, e), text, collect)
+        expected = parse_outcome(lambda t, e: ingest._parse_rows(t, layout, e), text, collect)
+        got = parse_outcome(lambda t, e: public(t, layout, e), text, collect)
         assert got == expected
-        return public(text, layout, clock, errors_out)
+        return public(text, layout, errors_out)
 
     monkeypatch.setattr(ingest, "_parse_detections", checked)
 
 
-def schedule_outcome(schedule, frames, stream, cfg, config_echo):
+def schedule_outcome(schedule, frames, stream, cfg):
     """What one scheduling pass gives: the log, in forms that tell -0.0
     from 0.0, 1 from 1.0 and a NumPy scalar from a float, or the error."""
     try:
-        log = schedule(frames(), stream, cfg, config_echo)
+        log = schedule(frames(), stream, cfg)
     except Exception as err:  # compared, then re-raised by the caller
         return (type(err), str(err)), err
     return (repr(log), "\n".join(to_jsonl_lines(log))), log
@@ -64,7 +62,7 @@ def cross_check_scheduling(monkeypatch):
     replayed to both passes up to any error the association pass raised."""
     columnar = engine._schedule
 
-    def checked(frames, stream, cfg, config_echo):
+    def checked(frames, stream, cfg):
         seen, failure = [], None
         try:
             for frame in frames:
@@ -77,8 +75,8 @@ def cross_check_scheduling(monkeypatch):
             if failure is not None:
                 raise failure
 
-        expected, _ = schedule_outcome(scalar_schedule, replay, stream, cfg, config_echo)
-        got, result = schedule_outcome(columnar, replay, stream, cfg, config_echo)
+        expected, _ = schedule_outcome(scalar_schedule, replay, stream, cfg)
+        got, result = schedule_outcome(columnar, replay, stream, cfg)
         assert got == expected
         if isinstance(result, Exception):
             raise result

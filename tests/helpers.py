@@ -32,6 +32,7 @@ from roitel import (
     RunLog,
     make_candidate,
 )
+from roitel.config import dump_config
 from roitel.policy import (
     NEVER_REFINED,
     PERMISSIVE_CONF_GATE,
@@ -179,13 +180,8 @@ def scalar_decide(
     )
 
 
-def scalar_schedule(frames, stream: DetectionStream, cfg: RunConfig, config_echo) -> RunLog:
+def scalar_schedule(frames, stream: DetectionStream, cfg: RunConfig) -> RunLog:
     """The scheduling pass over ``engine.associate``'s frames, row by row."""
-    if config_echo is None:
-        from roitel.config import dump_config
-
-        config_echo = dump_config(cfg)
-
     log = RunLog(
         variant=cfg.policy.variant,
         clock=cfg.clock,
@@ -196,7 +192,7 @@ def scalar_schedule(frames, stream: DetectionStream, cfg: RunConfig, config_echo
             else cfg.budget.b_video
         ),
         duration_s=cfg.eval.duration_s,
-        config_echo=dict(config_echo),
+        config_echo=dump_config(cfg),
     )
     log.first_frame = stream.first_frame
     log.last_frame = stream.last_frame

@@ -60,6 +60,21 @@ def test_gen_synthetic_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--mean-objects", "inf", "mean_objects must be finite, got inf"),
+        ("--mean-objects", "nan", "mean_objects must be finite, got nan"),
+        ("--fps", "inf", "fps must be finite, got inf"),
+    ],
+)
+def test_gen_synthetic_refuses_non_finite_values(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "d.csv"
+    assert main(["gen-synthetic", flag, value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_gen_synthetic_golden_row_count(detections_csv):
     rows = [
         ln
@@ -161,6 +176,31 @@ def test_simulate_parse_error_exits_1(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "detections,sidecar,message",
+    [
+        ("0,-1,10,20,30,40,0.9,1\n0,-1,90,20,30,40,0.9,1e20\n", None, "line 2: class"),
+        ("1e20,-1,10,20,30,40,0.9,1\n", None, "line 1: frame"),
+        ("0,4,10,20,30,40,0.9,1\n", "0,4,0.2,0.35,7,1e20,1.9,1.1\n", "line 1: still_label"),
+    ],
+)
+def test_an_id_beyond_int64_is_a_parse_error(tmp_path, capsys, detections, sidecar, message):
+    message += " outside int64: 100000000000000000000"
+    dets = tmp_path / "dets.csv"
+    dets.write_text(detections)
+    extra, bad = [], dets
+    if sidecar is not None:
+        bad = tmp_path / "side.csv"
+        bad.write_text(sidecar)
+        extra = ["--sidecar", str(bad)]
+    rc, out_dir = simulate(tmp_path, dets, *extra)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+    assert main(["validate", "--input", str(dets), *extra]) == 1
+    assert f"violation: {bad}: {message}\n" in capsys.readouterr().err
+
+
 def test_simulate_missing_input_exits_1(tmp_path, capsys):
     rc = main(
         [
@@ -259,7 +299,8 @@ def uavdt_csv(tmp_path):
         "".join(
             f"{d.frame_index + 1},{d.track_hint},{d.bbox.x!r},{d.bbox.y!r},"
             f"{d.bbox.w!r},{d.bbox.h!r},0,1,{d.class_id}\n"
-            for d in stream.iter_detections()
+            for _, dets in stream.frames
+            for d in dets
         )
     )
     return path
@@ -376,6 +417,15 @@ def test_sweep_rejects_empty_variant_list(tmp_path, detections_csv, capsys):
     )
     assert rc == 1
     assert "at least one variant" in capsys.readouterr().err
+
+
+def test_sweep_refuses_a_repeated_variant_before_reading_input(tmp_path, detections_csv, capsys):
+    out_dir = tmp_path / "o"
+    for path in (detections_csv, tmp_path / "missing.csv"):
+        argv = ["sweep", "--input", str(path), "--variants", "M0,M5,M0", "--out-dir", str(out_dir)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: sweep lists variant 'M0' more than once\n"
+    assert not out_dir.exists()
 
 
 # --- report -------------------------------------------------------------------
@@ -572,7 +622,7 @@ def test_validate_sidecar_counts_and_unknown_warning(tmp_path, detections_csv, c
     from roitel import parse_generic_csv
 
     stream = parse_generic_csv(detections_csv.read_text())
-    det = next(stream.iter_detections())
+    det = stream.frames[0][1][0]
     side.write_text(
         f"{det.frame_index},{det.track_hint},0.2,0.35,7,7,1.9,1.1\n"
         "99999,777,0.2,0.35,7,7,1.9,1.1\n"

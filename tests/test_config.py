@@ -1,20 +1,24 @@
 import pytest
 
+import roitel
+from roitel import config, engine
 from roitel import BudgetConfigError, ConfigError, FrameClock, InvalidParam, ParseError
 from roitel.config import (
     CONFIG_SCHEMA,
     apply_overrides,
     build_config,
-    config_to_text,
     dump_config,
-    load_config,
     parse_kv_text,
     schema_help,
 )
 
 
+def test_run_config_is_importable_from_engine_and_package():
+    assert engine.RunConfig is config.RunConfig is roitel.RunConfig
+
+
 def test_empty_text_yields_documented_defaults():
-    cfg = load_config("")
+    cfg = build_config(parse_kv_text(""))
     assert cfg.clock.fps == 15.0
     assert cfg.clock.frame_stride == 5
     # a stream without a clock comment carries FrameClock(), and the CLI
@@ -71,23 +75,25 @@ def test_unknown_keys_rejected_with_names():
 
 
 def test_schema_version_pinned():
-    assert load_config("schema_version = 1\n").seed == 0
+    assert build_config(parse_kv_text("schema_version = 1\n")).seed == 0
     with pytest.raises(ConfigError, match="schema_version"):
-        load_config("schema_version = 2\n")
+        build_config(parse_kv_text("schema_version = 2\n"))
 
 
 def test_values_parse_and_flow_through():
-    cfg = load_config(
-        "clock.fps = 30.0\n"
-        "clock.frame_stride = 2\n"
-        "policy.variant = M3\n"
-        "policy.conf_threshold = 0.4\n"
-        "policy.top_k = 3\n"
-        "policy.weights = 0.6, 0.2, 0.2\n"
-        "tracker.use_hints = true\n"
-        "cost.resize_edge = 96\n"
-        "eval.duration_s = 52.54\n"
-        "base_bitrate_measured = 801000\n"
+    cfg = build_config(
+        parse_kv_text(
+            "clock.fps = 30.0\n"
+            "clock.frame_stride = 2\n"
+            "policy.variant = M3\n"
+            "policy.conf_threshold = 0.4\n"
+            "policy.top_k = 3\n"
+            "policy.weights = 0.6, 0.2, 0.2\n"
+            "tracker.use_hints = true\n"
+            "cost.resize_edge = 96\n"
+            "eval.duration_s = 52.54\n"
+            "base_bitrate_measured = 801000\n"
+        )
     )
     assert cfg.clock.fps == 30.0
     assert cfg.policy.variant == "M3"
@@ -113,47 +119,44 @@ def test_values_parse_and_flow_through():
 def test_bad_values_name_the_key(line):
     key = line.split("=")[0].strip()
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
-        load_config(line + "\n")
+        build_config(parse_kv_text(line + "\n"))
 
 
 def test_invalid_domain_values_surface_from_member_types():
     # parsing succeeds; the domain type rejects the semantics
     with pytest.raises(Exception, match="b_video"):
-        load_config("budget.b_video = 900000\n")
+        build_config(parse_kv_text("budget.b_video = 900000\n"))
 
 
 def test_dump_load_round_trip():
-    cfg = load_config(
-        "policy.variant = preset_balanced_top2\n"
-        "policy.score_threshold = 0.0\n"
-        "budget.window_s = 1.5\n"
-        "seed = 7\n"
+    cfg = build_config(
+        parse_kv_text(
+            "policy.variant = preset_balanced_top2\n"
+            "policy.score_threshold = 0.0\n"
+            "budget.window_s = 1.5\n"
+            "seed = 7\n"
+        )
     )
     again = build_config(dump_config(cfg))
     assert again == cfg
 
 
 def test_dump_covers_every_schema_key():
-    flat = dump_config(load_config(""))
+    flat = dump_config(build_config(parse_kv_text("")))
     assert set(flat) == set(CONFIG_SCHEMA)
     assert flat["policy.conf_threshold"] == "none"
     assert flat["tracker.use_hints"] == "false"
     assert flat["policy.weights"] == "0.5,0.3,0.2"
 
 
-def test_config_to_text_round_trip():
-    cfg = load_config("policy.variant = M1\npolicy.period_frames = 20\n")
-    assert load_config(config_to_text(cfg)) == cfg
-
-
 def test_defaults_dump_to_schema_defaults():
-    flat = dump_config(load_config(""))
+    flat = dump_config(build_config(parse_kv_text("")))
     for key, (kind, default, _) in CONFIG_SCHEMA.items():
         assert flat[key] == default, key
 
 
 def test_apply_overrides():
-    cfg = load_config("")
+    cfg = build_config(parse_kv_text(""))
     out = apply_overrides(cfg, ["policy.variant=M2", "clock.fps=30"])
     assert out.policy.variant == "M2"
     assert out.clock.fps == 30.0
@@ -162,12 +165,12 @@ def test_apply_overrides():
 
 def test_apply_overrides_rejects_unknown_key():
     with pytest.raises(ConfigError, match="unknown config keys: policy.varaint"):
-        apply_overrides(load_config(""), ["policy.varaint=M2"])
+        apply_overrides(build_config(parse_kv_text("")), ["policy.varaint=M2"])
 
 
 def test_apply_overrides_rejects_malformed_item():
     with pytest.raises(ConfigError, match="key=value"):
-        apply_overrides(load_config(""), ["policy.variant"])
+        apply_overrides(build_config(parse_kv_text("")), ["policy.variant"])
 
 
 def test_schema_help_lists_every_key():

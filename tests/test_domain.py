@@ -86,6 +86,8 @@ def test_clock_timestamps():
         FrameClock(fps=1e-307).timestamp(20)
     with pytest.raises(InvalidParam):
         FrameClock(fps=0.0)
+    with pytest.raises(InvalidParam, match="fps must be finite, got inf"):
+        FrameClock(fps=math.inf)
     with pytest.raises(InvalidParam):
         FrameClock(frame_stride=0)
 

@@ -7,6 +7,7 @@ from roitel import (
     FrameClock,
     InvalidParam,
     ParseError,
+    SemanticRecord,
     SemanticSidecar,
     gen_synthetic,
     inject_confidence_noise,
@@ -25,7 +26,7 @@ from helpers import mk_det, mk_stream
 def test_generic_row_parses():
     stream = parse_generic_csv("0,-1,10,20,30,40,0.9,2\n")
     assert stream.n_detections == 1
-    det = next(stream.iter_detections())
+    det = stream.frames[0][1][0]
     assert det.frame_index == 0
     assert det.track_hint is None  # -1 means no hint
     assert (det.bbox.x, det.bbox.y, det.bbox.w, det.bbox.h) == (10.0, 20.0, 30.0, 40.0)
@@ -34,7 +35,7 @@ def test_generic_row_parses():
 
 
 def test_generic_hint_preserved():
-    det = next(parse_generic_csv("3,17,0,0,5,5,0.5,0\n").iter_detections())
+    det = parse_generic_csv("3,17,0,0,5,5,0.5,0\n").detections_at(3)[0]
     assert det.frame_index == 3
     assert det.track_hint == 17
 
@@ -88,27 +89,11 @@ def test_errors_out_collects_all_and_keeps_good_rows():
     assert [e.line_no for e in errors] == [2, 3]
 
 
-def test_column_order_override():
-    cols = ("conf", "frame", "track_hint", "x", "y", "w", "h", "class")
-    stream = parse_generic_csv("0.7,4,-1,1,2,3,4,0\n", columns=cols)
-    det = next(stream.iter_detections())
-    assert det.frame_index == 4
-    assert det.confidence == 0.7
-
-
-def test_column_override_missing_required_name():
-    with pytest.raises(InvalidParam, match="conf"):
-        parse_generic_csv("", columns=("frame", "track_hint", "x", "y", "w", "h", "class"))
-
-
 def test_clock_comment_and_precedence():
     text = "# clock: fps=30.0 stride=2\n0,-1,0,0,5,5,0.5,0\n"
     stream = parse_generic_csv(text)
     assert stream.clock == FrameClock(fps=30.0, frame_stride=2)
-    # an explicit clock argument beats the file comment
-    forced = parse_generic_csv(text, clock=FrameClock(fps=10.0, frame_stride=1))
-    assert forced.clock == FrameClock(fps=10.0, frame_stride=1)
-    # neither present: defaults
+    # no comment: defaults
     bare = parse_generic_csv("0,-1,0,0,5,5,0.5,0\n")
     assert bare.clock == FrameClock()
 
@@ -118,7 +103,7 @@ def test_clock_comment_and_precedence():
 
 def test_uavdt_row_normalizes():
     stream = parse_uavdt_gt("1,3,100,50,20,10,0,0,1\n")
-    det = next(stream.iter_detections())
+    det = stream.frames[0][1][0]
     assert det.frame_index == 0  # 1-based input
     assert det.track_hint == 3
     assert det.confidence == 1.0
@@ -139,7 +124,7 @@ def test_uavdt_rejects_wrong_arity():
 def test_visdrone_score_clamped_to_confidence():
     text = "1,5,0,0,10,10,0.8,2,0,0\n2,5,0,0,10,10,1.5,2,0,0\n3,5,0,0,10,10,-0.5,2,0,0\n"
     stream = parse_visdrone_mot(text)
-    confs = [d.confidence for d in stream.iter_detections()]
+    confs = [d.confidence for _, dets in stream.frames for d in dets]
     assert confs == [0.8, 1.0, 0.0]
 
 
@@ -208,6 +193,8 @@ def test_sidecar_from_records_rejects_duplicates_by_position():
         ("10,4,1.2,0.3,7,7,1.9,1.1", "video_conf"),
         ("10,4,0.2,0.3,7,7,-0.5,1.1", "video_entropy"),
         ("10,4,0.2,0.3,7,7,1.9,1.1,0", "payload_bytes"),
+        ("10,4,0.2,0.3,1e20,7,1.9,1.1", "video_label outside int64: 100000000000000000000"),
+        ("10,4,0.2,0.3,7,-1e20,1.9,1.1", "still_label outside int64: -100000000000000000000"),
         ("10,4,0.2,0.3,7,7,1.9", "expected 8 or 9 columns"),
     ],
 )
@@ -237,6 +224,30 @@ def test_from_frames_requires_increasing_indices():
 def test_from_frames_checks_detection_frame_match():
     with pytest.raises(InvalidParam, match="does not match"):
         mk_stream([(0, [mk_det(1)])])
+
+
+def test_python_built_inputs_refuse_values_beyond_int64():
+    with pytest.raises(InvalidParam, match="frame index outside int64"):
+        mk_stream([(2**63, [])])
+    with pytest.raises(InvalidParam, match="class_id outside int64"):
+        mk_stream([(0, [mk_det(0, cls=10**20)])])
+    assert mk_stream([(2**63 - 1, [mk_det(2**63 - 1, cls=-(2**63))])]).n_detections == 1
+    with pytest.raises(InvalidParam, match="still_label outside int64"):
+        SemanticRecord(0, 0, 0.5, 0.5, 1, 2**63, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "parse,row,message",
+    [
+        (parse_generic_csv, "1e20,-1,0,0,5,5,0.5,0", "frame outside int64"),
+        (parse_generic_csv, "0,-1,0,0,5,5,0.5,-1e20", "class outside int64"),
+        (parse_uavdt_gt, "9223372036854775808,1,0,0,5,5,0,0,1", "frame outside int64"),
+        (parse_visdrone_mot, "1,1,0,0,5,5,0.5,1e20,0,0", "category outside int64"),
+    ],
+)
+def test_parsers_refuse_ids_beyond_int64(parse, row, message):
+    with pytest.raises(ParseError, match=f"line 2: {message}"):
+        parse("# first line\n" + row + "\n")
 
 
 def test_stream_properties():
@@ -314,7 +325,7 @@ def test_gen_synthetic_detections_in_bounds():
         seed=9, n_frames=80, mean_objects=4.0, clock=FrameClock(), frame_w=640.0, frame_h=480.0
     )
     assert stream.n_detections > 0
-    for det in stream.iter_detections():
+    for det in (d for _, dets in stream.frames for d in dets):
         assert 0.0 <= det.confidence <= 1.0
         assert det.bbox.x >= 0.0
         assert det.bbox.y >= 0.0
@@ -329,6 +340,9 @@ def test_gen_synthetic_validates_args():
         gen_synthetic(seed=0, n_frames=0, mean_objects=1.0, clock=FrameClock())
     with pytest.raises(InvalidParam):
         gen_synthetic(seed=0, n_frames=10, mean_objects=-1.0, clock=FrameClock())
+    for mean_objects in (float("inf"), float("nan")):
+        with pytest.raises(InvalidParam, match="mean_objects must be finite"):
+            gen_synthetic(seed=0, n_frames=10, mean_objects=mean_objects, clock=FrameClock())
 
 
 # --- confidence noise -------------------------------------------------------
@@ -338,7 +352,9 @@ def test_inject_confidence_noise_lowers_within_bound():
     stream = gen_synthetic(seed=2, n_frames=30, mean_objects=4.0, clock=FrameClock())
     noisy = inject_confidence_noise(stream, amount=0.3, seed=11)
     assert noisy.clock == stream.clock
-    for before, after in zip(stream.iter_detections(), noisy.iter_detections()):
+    before_dets = [d for _, dets in stream.frames for d in dets]
+    after_dets = [d for _, dets in noisy.frames for d in dets]
+    for before, after in zip(before_dets, after_dets):
         assert after.bbox == before.bbox
         assert after.confidence <= before.confidence
         assert after.confidence >= max(before.confidence - 0.3, 0.0) - 1e-12

@@ -24,9 +24,7 @@ from roitel import (
 )
 from conftest import parse_outcome
 
-GENERIC = ingest._generic_layout(ingest.GENERIC_COLUMNS)
-UAVDT = ingest._benchmark_layout(ingest.UAVDT_COLUMNS, None)
-VISDRONE = ingest._benchmark_layout(ingest.VISDRONE_COLUMNS, "score")
+GENERIC, UAVDT, VISDRONE = ingest._GENERIC, ingest._UAVDT, ingest._VISDRONE
 
 #: layout name -> (public parser, row-parser layout, a small valid file)
 LAYOUTS = {
@@ -62,7 +60,7 @@ SIDECAR_BASE = (
 
 
 def row_parse(layout):
-    return lambda text, errors_out: ingest._parse_rows(text, layout, None, errors_out)
+    return lambda text, errors_out: ingest._parse_rows(text, layout, errors_out)
 
 
 def public_parse(parser):
@@ -250,6 +248,7 @@ GOOD = "0,-1,10,20,30,40,0.9,2\n"
         GOOD + "1,-1,10,20 30,40,0.9,1\n",
         GOOD + "1,-1,10,20\x1c,30,40,0.9,1\n",
         GOOD + "1,1e20,10,20,30,40,0.9,1\n",  # beyond int64, exact in Python
+        GOOD + "1,-1,10,20,30,40,0.9,1e20\n",  # a class beyond int64 is refused
         GOOD + "1,-1,1_0,20,30,40,0.9,1\n",  # float() reads 1_0
         GOOD + "1,-1,١٠,20,30,40,0.9,1\n",  # non-ASCII digits
         GOOD + "1,-1,10,20,30,40,0.9,1,\n",
@@ -257,15 +256,17 @@ GOOD = "0,-1,10,20,30,40,0.9,2\n"
     ],
 )
 def test_vectorised_pass_defers_to_the_row_parser(text):
-    assert ingest._parse_columns(text, GENERIC, None) is None
+    assert ingest._parse_columns(text, GENERIC) is None
     assert_agrees_with_row_parser("generic", text)
 
 
 def test_huge_ids_keep_their_exact_value():
-    stream = parse_generic_csv(GOOD + "1,1e20,10,20,30,40,0.9,123456789012345678901\n")
+    # a hint may exceed int64; a class may reach the int64 floor, which the
+    # vectorised pass leaves to the row parser
+    stream = parse_generic_csv(GOOD + "1,1e20,10,20,30,40,0.9,-9223372036854775808\n")
     det = stream.detections_at(1)[0]
     assert det.track_hint == 10**20
-    assert det.class_id == int(float("123456789012345678901"))
+    assert det.class_id == -(2**63)
 
 
 @pytest.mark.parametrize(
@@ -283,18 +284,18 @@ def test_huge_ids_keep_their_exact_value():
 )
 def test_vectorised_pass_takes_clean_input(name, text):
     _, layout, _ = LAYOUTS[name]
-    assert ingest._parse_columns(text, layout, None) is not None
-    columnar = parse_outcome(lambda t, e: ingest._parse_columns(t, layout, None), text, False)
+    assert ingest._parse_columns(text, layout) is not None
+    columnar = parse_outcome(lambda t, e: ingest._parse_columns(t, layout), text, False)
     assert columnar == parse_outcome(row_parse(layout), text, False)
 
 
 def test_frames_keep_file_order_within_a_frame():
     text = "2,1,1,1,5,5,0.5,0\n0,-1,0,0,5,5,0.5,0\n2,2,9,9,5,5,0.5,0\n1,4,3,3,5,5,0.5,0\n"
-    stream = ingest._parse_columns(text, GENERIC, None)
+    stream = ingest._parse_columns(text, GENERIC)
     assert stream.frame_indices == (0, 1, 2)
     assert [d.track_hint for d in stream.detections_at(2)] == [1, 2]
     assert stream.detections_at(3) == ()
-    assert [d.frame_index for d in stream.iter_detections()] == [0, 1, 2, 2]
+    assert [d.frame_index for _, dets in stream.frames for d in dets] == [0, 1, 2, 2]
 
 
 # --- confidence noise over either storage -------------------------------------
@@ -308,9 +309,10 @@ def test_confidence_noise_is_the_same_over_columns_and_objects(name):
         text = "".join(
             f"{d.frame_index + 1},{d.track_hint},{d.bbox.x!r},{d.bbox.y!r},{d.bbox.w!r},"
             f"{d.bbox.h!r},{d.confidence * 1.4 - 0.2!r},{d.class_id},0,0\n"
-            for d in parse_generic_csv(text).iter_detections()
+            for _, dets in parse_generic_csv(text).frames
+            for d in dets
         )
-    columnar = ingest._parse_columns(text, layout, None)
+    columnar = ingest._parse_columns(text, layout)
     objects = DetectionStream.from_frames(columnar.clock, columnar.frames)
     assert isinstance(columnar._per_frame, ingest._Columns)
     for amount in (0.0, 0.2, 1.5):

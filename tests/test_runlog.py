@@ -1,4 +1,3 @@
-import io
 import json
 import math
 
@@ -15,7 +14,6 @@ from roitel import (
     RunLog,
     TransmissionRecord,
     read_jsonl,
-    write_jsonl,
 )
 from roitel import runlog
 from roitel.metrics import aggregate_run, emit_report
@@ -82,9 +80,7 @@ def sample_log() -> RunLog:
 
 def test_round_trip_preserves_everything():
     log = sample_log()
-    buf = io.StringIO()
-    write_jsonl(log, buf)
-    again = read_jsonl(buf.getvalue())
+    again = read_jsonl("\n".join(to_jsonl_lines(log)) + "\n")
     assert again.variant == log.variant
     assert again.clock == log.clock
     assert again.budget == log.budget
@@ -110,9 +106,7 @@ def test_serialization_is_deterministic():
 
 def test_missing_semantics_round_trip_as_none():
     log = sample_log()
-    buf = io.StringIO()
-    write_jsonl(log, buf)
-    again = read_jsonl(buf.getvalue())
+    again = read_jsonl("\n".join(to_jsonl_lines(log)) + "\n")
     bare = again.transmissions[1]
     assert bare.still_conf is None
     assert not bare.has_semantics

@@ -37,14 +37,19 @@ def test_greedy_is_mandated_over_optimal_assignment():
 
 
 def test_track_retires_after_max_misses():
+    # two consecutive misses: the track lives on and takes the box back
     tr = Tracker(TrackerConfig(max_misses=2))
     tr.step(0, [mk_det(0, x=0)])
     tr.step(1, [])
     tr.step(2, [])
-    assert len(tr.active_tracks()) == 1
-    tr.step(3, [])  # third consecutive miss: retired
-    assert tr.active_tracks() == []
-    # a reappearing box spawns a fresh id, never id 0 again
+    assert tr.step(3, [mk_det(3, x=0)]) == [(mk_det(3, x=0), 0, False)]
+    # third consecutive miss: retired, so a reappearing box spawns a fresh
+    # id, never id 0 again
+    tr = Tracker(TrackerConfig(max_misses=2))
+    tr.step(0, [mk_det(0, x=0)])
+    tr.step(1, [])
+    tr.step(2, [])
+    tr.step(3, [])
     out = tr.step(4, [mk_det(4, x=0)])
     assert out[0][1] == 1
     assert out[0][2] is True
@@ -88,26 +93,25 @@ def test_hint_bijection_property():
 
 
 def test_ids_never_reused_random_runs():
+    max_misses = 1
     rng = random.Random(41)
     for _ in range(30):
-        tr = Tracker(TrackerConfig(iou_min=0.3, max_misses=1))
-        seen_ids = set()
-        retired_ids = set()
-        for f in range(0, 100, 5):
+        tr = Tracker(TrackerConfig(iou_min=0.3, max_misses=max_misses))
+        last_seen: dict[int, int] = {}  # track id -> step it was last returned on
+        for step, f in enumerate(range(0, 100, 5)):
             n = rng.randint(0, 5)
             dets = [
                 mk_det(f, x=rng.uniform(0, 300), y=rng.uniform(0, 300), w=20, h=20)
                 for _ in range(n)
             ]
-            active_before = {t.id for t in tr.active_tracks()}
-            out = tr.step(f, dets)
-            for _, tid, is_new in out:
+            for _, tid, is_new in tr.step(f, dets):
                 if is_new:
-                    assert tid not in seen_ids
-                seen_ids.add(tid)
-            active_after = {t.id for t in tr.active_tracks()}
-            retired_ids |= active_before - active_after
-            assert not (active_after & retired_ids)
+                    assert tid not in last_seen
+                else:
+                    # a track unmatched for more than max_misses steps is
+                    # retired and never returns
+                    assert step - last_seen[tid] <= max_misses + 1
+                last_seen[tid] = step
 
 
 def test_assignment_count_bound():
