@@ -360,13 +360,7 @@ def main(argv=None) -> int:
     except BudgetConfigError as err:
         print(f"error: budget violation: {err}", file=sys.stderr)
         return 2
-    except (ParseError, ConfigError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except RoitelError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (RoitelError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

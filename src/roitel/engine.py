@@ -72,7 +72,7 @@ def associate(
                 sidecar.get(frame_index, det.track_hint if det.track_hint is not None else tid)
                 for det, tid in zip(dets, track_ids)
             )
-        bboxes = [det.bbox for det in dets]
+        bboxes = tuple(det.bbox for det in dets)
         costs = [
             rec.payload_bytes * 8.0
             if rec is not None and rec.payload_bytes is not None
@@ -88,9 +88,7 @@ def associate(
                 f"track {track_ids[row]}: {costs[row]}"
             )
         columns = policy_mod.FrameColumns(
-            detections=dets,
-            track_ids=track_ids,
-            costs=tuple(costs),
+            bboxes=bboxes,
             records=records,
             track_id=np.array(track_ids, dtype=np.int64),
             created=np.array([created[tid] for tid in track_ids], dtype=np.int64),
@@ -123,8 +121,8 @@ def _schedule(
 
     Per-track state lives in arrays indexed by track id: the last frame a
     track was refined on and the class label (and its source) downstream
-    assumes for it. Objects are built only for transmissions and class
-    events. The log echoes ``dump_config(cfg)``.
+    assumes for it. Records are built straight from the block rows the
+    policy selects. The log echoes ``dump_config(cfg)``.
     """
     log = RunLog(
         variant=cfg.policy.variant,
@@ -177,41 +175,39 @@ def _schedule(
             tids = track_id[changed]
             class_label[tids] = cols.class_id[changed]
             class_source[tids] = _VIDEO_CLASS
-            for row in changed.tolist():
-                log.class_events.append(
-                    ClassEvent(
-                        frame_index,
-                        now,
-                        cols.track_ids[row],
-                        cols.detections[row].class_id,
-                        CLASS_SOURCE_VIDEO,
-                    )
-                )
+            log.class_events.extend(
+                ClassEvent(frame_index, now, tid, label, CLASS_SOURCE_VIDEO)
+                for tid, label in zip(tids.tolist(), cols.class_id[changed].tolist())
+            )
 
         decision = policy_mod.decide(frame_index, block, ledger.view(now), cfg.policy)
         log.rejected_threshold += decision.rejected_threshold
         log.rejected_budget += decision.rejected_budget
 
-        for cand, row in zip(decision.selected, decision.rows):
+        for row in decision.selected:
+            cost_bits = float(cols.cost_bits[row])
             # Commit-time re-check: budget safety must not depend on the
             # policy having honored the ledger view.
-            if not ledger.admits(now, cand.cost_bits):
+            if not ledger.admits(now, cost_bits):
                 log.rejected_budget += 1
                 continue
-            ledger.commit(now, cand.cost_bits)
-            last_refined[cand.track_id] = frame_index
+            ledger.commit(now, cost_bits)
+            tid = int(track_id[row])
+            last_refined[tid] = frame_index
             rec = cols.records[row]
             log.transmissions.append(
                 TransmissionRecord(
                     frame_index=frame_index,
                     t_s=now,
-                    track_id=cand.track_id,
-                    bbox=cand.bbox,
-                    cost_bits=cand.cost_bits,
-                    score=cand.score,
-                    u_term=cand.u_term,
-                    s_small_term=cand.s_small_term,
-                    n_term=cand.n_term,
+                    track_id=tid,
+                    bbox=cols.bboxes[row],
+                    cost_bits=cost_bits,
+                    score=float(block.score[row]),
+                    u_term=float(block.u_term[row]),
+                    s_small_term=float(block.s_small_term[row]),
+                    # n is 0.0 or 1.0; the literals are shared objects, as
+                    # novelty_term's are
+                    n_term=1.0 if block.n_term[row] else 0.0,
                     video_conf=rec.video_conf if rec else None,
                     still_conf=rec.still_conf if rec else None,
                     video_label=rec.video_label if rec else None,
@@ -221,17 +217,12 @@ def _schedule(
                 )
             )
             if rec is not None:
-                if (
-                    class_source[cand.track_id] == _NO_CLASS
-                    or class_label[cand.track_id] != rec.still_label
-                ):
+                if class_source[tid] == _NO_CLASS or class_label[tid] != rec.still_label:
                     log.class_events.append(
-                        ClassEvent(
-                            frame_index, now, cand.track_id, rec.still_label, CLASS_SOURCE_STILL
-                        )
+                        ClassEvent(frame_index, now, tid, rec.still_label, CLASS_SOURCE_STILL)
                     )
-                class_label[cand.track_id] = rec.still_label
-                class_source[cand.track_id] = _STILL_CLASS
+                class_label[tid] = rec.still_label
+                class_source[tid] = _STILL_CLASS
 
     log.processed_frame_indices = tuple(processed)
     log.detection_conf_mean = conf_sum / conf_n if conf_n else 0.0

@@ -44,7 +44,8 @@ GENERIC_COLUMNS = ("frame", "track_hint", "x", "y", "w", "h", "conf", "class")
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
-_CLOCK_COMMENT = re.compile(r"^#\s*clock:\s*fps=([0-9.eE+-]+)\s+stride=(\d+)\s*$")
+_CLOCK_COMMENT = re.compile(r"#\s*clock:")
+_CLOCK_VALUES = re.compile(r"\s*fps=([0-9.eE+-]+)\s+stride=(\d+)\s*")
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,11 +70,14 @@ class DetectionStream:
         clock: FrameClock, frames: Iterable[tuple[int, Sequence[Detection]]]
     ) -> "DetectionStream":
         """A stream of the given entries; frame indices and class ids must
-        fit in int64, as the engine keeps them in int64 columns."""
+        be ``int`` values that fit in int64, as the engine keeps them in
+        int64 columns and writes them to the run log as integers."""
         indices = []
         per_frame = []
         prev = None
         for frame_index, dets in frames:
+            if type(frame_index) is not int:
+                raise InvalidParam(f"frame index must be an int, got {frame_index!r}")
             if prev is not None and frame_index <= prev:
                 raise InvalidParam(f"frame indices must strictly increase at {frame_index}")
             if frame_index > _INT64_MAX:
@@ -84,6 +88,8 @@ class DetectionStream:
                     raise InvalidParam(
                         f"detection frame {det.frame_index} does not match entry {frame_index}"
                     )
+                if type(det.class_id) is not int:
+                    raise InvalidParam(f"class_id must be an int, got {det.class_id!r}")
                 if not _INT64_MIN <= det.class_id <= _INT64_MAX:
                     raise InvalidParam(f"class_id outside int64: {det.class_id}")
             indices.append(frame_index)
@@ -198,9 +204,12 @@ class SemanticSidecar:
 
 def _clock_comment(line_no: int, line: str) -> Optional[FrameClock]:
     """The clock a stripped comment line names, or None for other comments."""
-    m = _CLOCK_COMMENT.match(line)
-    if m is None:
+    head = _CLOCK_COMMENT.match(line)
+    if head is None:
         return None
+    m = _CLOCK_VALUES.fullmatch(line, head.end())
+    if m is None:
+        raise ParseError(line_no, "bad clock comment: expected 'fps=<number> stride=<integer>'")
     try:
         fps = float(m.group(1))
         if not math.isfinite(fps):
@@ -468,7 +477,7 @@ def parse_sidecar_csv(
             if len(fields) not in (8, 9):
                 raise ParseError(line_no, f"expected 8 or 9 columns, got {len(fields)}")
             payload = None
-            if len(fields) == 9:
+            if len(fields) == 9 and fields[8]:
                 payload = _int(fields, 8, line_no, "payload_bytes")
                 if payload <= 0:
                     raise ParseError(line_no, f"payload_bytes must be > 0, got {payload}")

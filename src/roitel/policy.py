@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .budget import LedgerView
-from .domain import DEFAULT_AREA_REF, BBox, Detection, PolicyConfig
+from .domain import DEFAULT_AREA_REF, BBox, PolicyConfig
 from .errors import ConfigError, InvalidParam
 from .ingest import SemanticRecord
 
@@ -63,25 +63,22 @@ class FrameColumns:
     """One processed frame after association, one row per tracked detection
     in tracker order; a track appears at most once per frame.
 
-    The arrays serve the scheduling maths. The tuples hold the same rows as
-    Python objects, which the records built from a row share. The
-    association pass builds this once per frame, and every variant of a
-    sweep reads it.
+    Each fact is held once. ``bboxes`` are the stream's own boxes, so a
+    record built from a row keeps their number types. The association pass
+    builds this once per frame, and every variant of a sweep reads it.
     """
 
-    detections: tuple[Detection, ...]
-    track_ids: tuple[int, ...]
-    costs: tuple[float, ...]  # bits
+    bboxes: tuple[BBox, ...]
     records: tuple[Optional[SemanticRecord], ...]  # sidecar record or None
-    track_id: np.ndarray  # int64: track_ids
+    track_id: np.ndarray  # int64
     created: np.ndarray  # int64: the frame the track was spawned on
     conf: np.ndarray  # float64
     area: np.ndarray  # float64: bbox w * h
-    cost_bits: np.ndarray  # float64: costs
+    cost_bits: np.ndarray  # float64
     class_id: np.ndarray  # int64
 
     def __len__(self) -> int:
-        return len(self.detections)
+        return len(self.bboxes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,15 +100,12 @@ class CandidateBlock:
 
 @dataclass(frozen=True)
 class Decision:
-    """Per-step policy output: selections plus rejection accounting.
+    """Per-step policy output: the selected rows of the block, in selection
+    order, plus rejection accounting."""
 
-    ``rows`` gives each selection's row in the block it was chosen from.
-    """
-
-    selected: tuple[RoiCandidate, ...]
+    selected: tuple[int, ...]
     rejected_budget: int
     rejected_threshold: int
-    rows: tuple[int, ...] = ()
 
 
 def uncertainty_term(det_conf: float) -> float:
@@ -220,11 +214,11 @@ def _refuse_row(
     refined = int(last_refined[row])
     make_candidate(
         frame_index,
-        cols.track_ids[row],
-        cols.detections[row].bbox,
-        cols.detections[row].confidence,
+        int(cols.track_id[row]),
+        cols.bboxes[row],
+        float(cols.conf[row]),
         None if refined == NEVER_REFINED else refined,
-        cols.costs[row],
+        float(cols.cost_bits[row]),
         cfg,
     )
 
@@ -295,7 +289,6 @@ def decide(
 
     Pure given its inputs: budget consumption within the step is simulated
     against the read-only view; the engine performs the actual commits.
-    Builds a ``RoiCandidate`` only for each selected row.
     """
     if not len(block):
         return Decision(selected=(), rejected_budget=0, rejected_threshold=0)
@@ -308,11 +301,9 @@ def decide(
     # Accumulate exactly like the ledger's sequential commits would, so the
     # engine's commit-time re-check can never disagree on a boundary case.
     sim_sum = ledger_view.window_sum_bits
-    costs = block.cols.costs
-    for row in order.tolist():
+    for row, cost in zip(order.tolist(), block.cols.cost_bits[order].tolist()):
         if len(rows) >= top_k:
             break
-        cost = costs[row]
         if sim_sum + cost <= ledger_view.cap_bits:
             rows.append(row)
             sim_sum = sim_sum + cost
@@ -320,24 +311,7 @@ def decide(
             rejected_budget += 1
 
     return Decision(
-        selected=tuple(_candidate(frame_index, block, row) for row in rows),
+        selected=tuple(rows),
         rejected_budget=rejected_budget,
         rejected_threshold=len(block) - len(eligible),
-        rows=tuple(rows),
-    )
-
-
-def _candidate(frame_index: int, block: CandidateBlock, row: int) -> RoiCandidate:
-    """One row as a candidate, with Python numbers and the stream's own box."""
-    cols = block.cols
-    return RoiCandidate(
-        frame_index=frame_index,
-        track_id=cols.track_ids[row],
-        bbox=cols.detections[row].bbox,
-        u_term=float(block.u_term[row]),
-        s_small_term=float(block.s_small_term[row]),
-        # n is 0.0 or 1.0; the literals are shared objects, as novelty_term's are
-        n_term=1.0 if block.n_term[row] else 0.0,
-        cost_bits=cols.costs[row],
-        score=float(block.score[row]),
     )

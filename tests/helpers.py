@@ -148,27 +148,28 @@ def scalar_decide(
     ledger_view: LedgerView,
     cfg: PolicyConfig,
 ) -> Decision:
-    """Select one step's transmissions, one context at a time."""
-    eligible: list[CandidateContext] = []
+    """Select one step's transmissions, one context at a time; the selected
+    rows index ``contexts``."""
+    eligible: list[int] = []
     rejected_threshold = 0
-    for ctx in contexts:
+    for row, ctx in enumerate(contexts):
         if scalar_triggered(ctx, cfg):
-            eligible.append(ctx)
+            eligible.append(row)
         else:
             rejected_threshold += 1
 
-    eligible.sort(key=lambda c: (-c.candidate.score, c.candidate.track_id))
+    eligible.sort(key=lambda r: (-contexts[r].candidate.score, contexts[r].candidate.track_id))
 
     top_k = _effective_top_k(cfg)
-    selected: list[RoiCandidate] = []
+    selected: list[int] = []
     rejected_budget = 0
     sim_sum = ledger_view.window_sum_bits
-    for ctx in eligible:
+    for row in eligible:
         if len(selected) >= top_k:
             break
-        cost = ctx.candidate.cost_bits
+        cost = contexts[row].candidate.cost_bits
         if sim_sum + cost <= ledger_view.cap_bits:
-            selected.append(ctx.candidate)
+            selected.append(row)
             sim_sum = sim_sum + cost
         else:
             rejected_budget += 1
@@ -208,47 +209,50 @@ def scalar_schedule(frames, stream: DetectionStream, cfg: RunConfig) -> RunLog:
         processed.append(frame_index)
         log.raw_candidate_count += len(cols)
         rows = zip(
-            cols.detections,
-            cols.track_ids,
+            cols.bboxes,
+            cols.conf.tolist(),
+            cols.class_id.tolist(),
+            cols.track_id.tolist(),
             cols.created.tolist(),
             cols.records,
-            cols.costs,
+            cols.cost_bits.tolist(),
         )
         contexts = []
-        by_track = {}
-        for det, track_id, created_frame, rec, cost_bits in rows:
-            conf_sum += det.confidence
+        records = []
+        for bbox, conf, class_id, track_id, created_frame, rec, cost_bits in rows:
+            conf_sum += conf
             conf_n += 1
             refined = last_refined.get(track_id)
             cand = make_candidate(
                 frame_index=frame_index,
                 track_id=track_id,
-                bbox=det.bbox,
-                confidence=det.confidence,
+                bbox=bbox,
+                confidence=conf,
                 last_refined_frame=refined,
                 cost_bits=cost_bits,
                 cfg=cfg.policy,
             )
-            contexts.append(CandidateContext(cand, det.confidence, created_frame, refined))
-            by_track[track_id] = rec
+            contexts.append(CandidateContext(cand, conf, created_frame, refined))
+            records.append(rec)
             state = class_state.get(track_id)
-            if state is None or (state[0] == CLASS_SOURCE_VIDEO and state[1] != det.class_id):
-                class_state[track_id] = (CLASS_SOURCE_VIDEO, det.class_id)
+            if state is None or (state[0] == CLASS_SOURCE_VIDEO and state[1] != class_id):
+                class_state[track_id] = (CLASS_SOURCE_VIDEO, class_id)
                 log.class_events.append(
-                    ClassEvent(frame_index, now, track_id, det.class_id, CLASS_SOURCE_VIDEO)
+                    ClassEvent(frame_index, now, track_id, class_id, CLASS_SOURCE_VIDEO)
                 )
 
         decision = scalar_decide(frame_index, contexts, ledger.view(now), cfg.policy)
         log.rejected_threshold += decision.rejected_threshold
         log.rejected_budget += decision.rejected_budget
 
-        for cand in decision.selected:
+        for row in decision.selected:
+            cand = contexts[row].candidate
             if not ledger.admits(now, cand.cost_bits):
                 log.rejected_budget += 1
                 continue
             ledger.commit(now, cand.cost_bits)
             last_refined[cand.track_id] = frame_index
-            rec = by_track[cand.track_id]
+            rec = records[row]
             log.transmissions.append(
                 TransmissionRecord(
                     frame_index=frame_index,
@@ -289,11 +293,7 @@ def as_block(frame_index: int, contexts: list[CandidateContext]) -> CandidateBlo
     cands = [ctx.candidate for ctx in contexts]
     assert all(c.frame_index == frame_index for c in cands)
     cols = FrameColumns(
-        detections=tuple(
-            Detection(frame_index, c.bbox, ctx.confidence, 0) for c, ctx in zip(cands, contexts)
-        ),
-        track_ids=tuple(c.track_id for c in cands),
-        costs=tuple(c.cost_bits for c in cands),
+        bboxes=tuple(c.bbox for c in cands),
         records=(None,) * len(cands),
         track_id=np.array([c.track_id for c in cands], dtype=np.int64),
         created=np.array([ctx.created_frame for ctx in contexts], dtype=np.int64),

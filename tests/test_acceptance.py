@@ -207,7 +207,8 @@ def test_c4_utility_policy_matches_exhaustive_search(checked):
             view = LedgerView(window_sum_bits=used, cap_bits=cap)
             cfg = PolicyConfig(variant="M5", score_threshold=threshold)
 
-            got = decide(0, as_block(0, contexts), view, cfg).selected
+            rows = decide(0, as_block(0, contexts), view, cfg).selected
+            got = tuple(contexts[row].candidate for row in rows)
 
             admissible = [
                 ctx.candidate

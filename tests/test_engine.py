@@ -585,11 +585,9 @@ def test_integer_boxes_stay_integers_in_transmissions():
 
 def hand_frame(frame_index, dets, track_ids, created):
     """One association-pass frame built by hand, at 15 fps."""
-    costs = tuple(estimate_cost(d.bbox, CostModel()) for d in dets)
+    costs = [estimate_cost(d.bbox, CostModel()) for d in dets]
     cols = FrameColumns(
-        detections=tuple(dets),
-        track_ids=tuple(track_ids),
-        costs=costs,
+        bboxes=tuple(d.bbox for d in dets),
         records=(None,) * len(dets),
         track_id=np.array(track_ids, dtype=np.int64),
         created=np.array(created, dtype=np.int64),
@@ -602,13 +600,13 @@ def hand_frame(frame_index, dets, track_ids, created):
 
 
 def test_track_ids_beyond_the_per_track_tables_grow_them():
-    frames = [
-        hand_frame(0, [mk_det(0, cls=1), mk_det(0, x=50.0, cls=2)], [0, 1], [0, 0]),
-        hand_frame(5, [mk_det(5, cls=3), mk_det(5, x=50.0, cls=2)], [1000, 1], [5, 0]),
-        hand_frame(10, [mk_det(10, cls=4)], [1000], [5]),
+    rows = [
+        (0, [mk_det(0, cls=1), mk_det(0, x=50.0, cls=2)], [0, 1], [0, 0]),
+        (5, [mk_det(5, cls=3), mk_det(5, x=50.0, cls=2)], [1000, 1], [5, 0]),
+        (10, [mk_det(10, cls=4)], [1000], [5]),
     ]
-    stream = mk_stream([(f, cols.detections) for f, _, cols in frames])
-    log = engine._schedule(frames, stream, low_regime_cfg("M2"))
+    stream = mk_stream([(f, dets) for f, dets, _, _ in rows])
+    log = engine._schedule([hand_frame(*r) for r in rows], stream, low_regime_cfg("M2"))
     assert [(tx.frame_index, tx.track_id) for tx in log.transmissions] == [
         (0, 0),
         (0, 1),

@@ -149,9 +149,10 @@ def test_sidecar_full_row():
 
 
 def test_sidecar_payload_optional():
-    sc = parse_sidecar_csv("10,4,0.20,0.35,7,7,1.9,1.1\n")
+    sc = parse_sidecar_csv("10,4,0.20,0.35,7,7,1.9,1.1\n11,4,0.2,0.3,7,7,1.9,1.1,\n")
     assert sc.get(10, 4).payload_bytes is None
-    assert len(sc) == 1
+    assert sc.get(11, 4).payload_bytes is None  # an empty column is no payload
+    assert len(sc) == 2
     assert (10, 4) in sc
     assert sc.get(10, 5) is None
 
@@ -224,6 +225,24 @@ def test_from_frames_requires_increasing_indices():
 def test_from_frames_checks_detection_frame_match():
     with pytest.raises(InvalidParam, match="does not match"):
         mk_stream([(0, [mk_det(1)])])
+
+
+@pytest.mark.parametrize(
+    "frame,cls,message",
+    [
+        (5.0, 0, "frame index must be an int, got 5.0"),
+        (2.5, 0, "frame index must be an int, got 2.5"),
+        (True, 0, "frame index must be an int, got True"),
+        (5, 2.0, "class_id must be an int, got 2.0"),
+        (5, 2.5, "class_id must be an int, got 2.5"),
+        (5, True, "class_id must be an int, got True"),
+    ],
+)
+def test_from_frames_refuses_ids_that_are_not_ints(frame, cls, message):
+    # a float frame would end a run in a TypeError, and a float class id
+    # would be written to the run log as a label its reader refuses
+    with pytest.raises(InvalidParam, match=message):
+        mk_stream([(frame, [mk_det(frame, cls=cls)])])
 
 
 def test_python_built_inputs_refuse_values_beyond_int64():

@@ -224,8 +224,11 @@ def test_non_finite_numbers_are_line_exact_parse_errors(name, column, token):
     assert (len(parsed) if name == "sidecar" else parsed.n_detections) == 1
 
 
-def test_bad_clock_comment_is_a_line_exact_parse_error():
-    text = "0,-1,0,0,5,5,0.5,0\n# clock: fps=0 stride=1\n1,-1,0,0,5,5,1.5,0\n"
+@pytest.mark.parametrize(
+    "values", ["fps=0 stride=1", "fps=inf stride=5", "fps=15 stride=x", "fps=30 stride=2 extra"]
+)
+def test_bad_clock_comment_is_a_line_exact_parse_error(values):
+    text = f"0,-1,0,0,5,5,0.5,0\n# clock: {values}\n1,-1,0,0,5,5,1.5,0\n"
     with pytest.raises(ParseError) as exc:
         parse_generic_csv(text)
     assert exc.value.line_no == 2

@@ -1,4 +1,5 @@
 import math
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, strategies as st
@@ -53,17 +54,20 @@ def ctx(
     )
 
 
+Picked = namedtuple("Picked", "selected rejected_budget rejected_threshold")
+
+
 def decide(frame_index, contexts, view, cfg):
     """The columnar decision over ``contexts``, checked against the scalar
-    one; each context's candidate must be on ``frame_index``."""
+    one, with the selected rows as their candidates; each context's
+    candidate must be on ``frame_index``."""
     got = policy.decide(frame_index, as_block(frame_index, contexts), view, cfg)
-    expected = scalar_decide(frame_index, contexts, view, cfg)
-    assert (got.selected, got.rejected_budget, got.rejected_threshold) == (
-        expected.selected,
-        expected.rejected_budget,
-        expected.rejected_threshold,
+    assert got == scalar_decide(frame_index, contexts, view, cfg)
+    return Picked(
+        tuple(contexts[row].candidate for row in got.selected),
+        got.rejected_budget,
+        got.rejected_threshold,
     )
-    return got
 
 
 # --- term functions ---------------------------------------------------------
