@@ -8,8 +8,11 @@ instant it is exactly ``window_s`` old.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Optional
 
 from .domain import BBox
@@ -32,8 +35,8 @@ class CostModel:
     pad_ratio: float = 0.15
 
     def __post_init__(self):
-        if self.header_bytes < 0:
-            raise InvalidParam(f"header_bytes must be >= 0, got {self.header_bytes}")
+        if not 0 <= self.header_bytes <= sys.float_info.max:
+            raise InvalidParam(f"header_bytes must be in [0, max float], got {self.header_bytes}")
         if not self.bits_per_pixel > 0:
             raise InvalidParam(f"bits_per_pixel must be > 0, got {self.bits_per_pixel}")
         if self.resize_edge is not None and not self.resize_edge > 0:
@@ -90,12 +93,12 @@ class BudgetLedger:
     def window_sum(self, now_s: float) -> float:
         """Bits with timestamp in the half-open window (now - window_s, now].
 
-        Sums the same entries in the same order with the same builtin as a
-        filter over every entry would, so the value is identical.
+        Adds the entries in commit order, one by one as ``policy.decide``
+        does; the builtin ``sum`` compensates rounding from Python 3.12 on.
         """
         lo = bisect_right(self._ts, now_s - self.window_s)
         hi = bisect_right(self._ts, now_s, lo)
-        return sum(self._bits[lo:hi])
+        return reduce(add, self._bits[lo:hi], 0)
 
     def admits(self, now_s: float, bits: float) -> bool:
         """True iff committing ``bits`` at ``now_s`` keeps the window under cap.

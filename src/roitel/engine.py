@@ -2,7 +2,7 @@
 
 ``associate`` walks the stream at the clock's frame stride through the
 tracker and attaches each tracked detection's sidecar record and cost;
-nothing in it depends on the policy. It hands each processed frame on as
+nothing in it depends on the policy. It hands each frame with rows on as
 NumPy columns. The scheduling pass scores a frame's rows as one block, asks
 the policy for selections against a rolling budget ledger, and records
 every transmission plus the per-track class timeline. ``sweep`` associates
@@ -33,9 +33,11 @@ from .runlog import (
 from .tracker import Tracker, TrackerConfig
 
 
-def processed_frame_range(first: int, last: int, stride: int) -> list[int]:
-    """Frame indices processed for a stream spanning [first, last]:
-    the multiples of ``stride`` inside the span."""
+def processed_frame_range(first: Optional[int], last: Optional[int], stride: int) -> list[int]:
+    """Frame indices processed for a stream spanning [first, last]: the
+    multiples of ``stride`` inside the span, none if ``first`` is None."""
+    if first is None:
+        return []
     start = first if first % stride == 0 else first + (stride - first % stride)
     return list(range(start, last + 1, stride))
 
@@ -47,23 +49,25 @@ def associate(
     tracker_cfg: TrackerConfig,
     cost: CostModel,
 ) -> Iterator[tuple[int, float, policy_mod.FrameColumns]]:
-    """Yield ``(frame_index, now, columns)`` for every processed frame, in
-    order; row ``i`` of ``columns`` is the frame's ``i``-th tracked
-    detection, with its track, sidecar record and cost.
+    """Yield ``(frame_index, now, columns)`` for every processed frame with
+    rows, in order; row ``i`` of ``columns`` is the frame's ``i``-th tracked
+    detection, with its track, sidecar record and cost. The tracker steps,
+    and the clock stamps, every processed frame: tracks age on empty ones.
 
     Sidecar keys live in the annotation's id space when hints exist;
     tracker ids are a relabeling, so the hint is preferred. A record's
     ``payload_bytes`` overrides the cost model.
     """
-    if stream.first_frame is None:
-        return
     tracker = Tracker(tracker_cfg)
     created: dict[int, int] = {}  # track id -> frame it was spawned on
     for frame_index in processed_frame_range(
         stream.first_frame, stream.last_frame, clock.frame_stride
     ):
         assignments = tracker.step(frame_index, list(stream.detections_at(frame_index)))
-        dets, track_ids, new_flags = zip(*assignments) if assignments else ((), (), ())
+        if not assignments:
+            clock.timestamp(frame_index)
+            continue
+        dets, track_ids, new_flags = zip(*assignments)
         created.update((tid, frame_index) for tid, is_new in zip(track_ids, new_flags) if is_new)
         if sidecar is None:
             records = (None,) * len(dets)
@@ -122,7 +126,7 @@ def _schedule(
     Per-track state lives in arrays indexed by track id: the last frame a
     track was refined on and the class label (and its source) downstream
     assumes for it. Records are built straight from the block rows the
-    policy selects. The log echoes ``dump_config(cfg)``.
+    policy selects. The log echoes ``dump_config(cfg)``. Every frame has rows.
     """
     log = RunLog(
         variant=cfg.policy.variant,
@@ -138,28 +142,26 @@ def _schedule(
     )
     log.first_frame = stream.first_frame
     log.last_frame = stream.last_frame
+    log.processed_frame_indices = tuple(
+        processed_frame_range(stream.first_frame, stream.last_frame, cfg.clock.frame_stride)
+    )
 
     ledger = BudgetLedger(cfg.budget.b_roi, cfg.budget.window_s)
     last_refined = np.empty(0, dtype=np.int64)
     class_label = np.empty(0, dtype=np.int64)
     class_source = np.empty(0, dtype=np.int8)
-    processed = []
     conf_sum = 0.0
-    conf_n = 0
 
     for frame_index, now, cols in frames:
-        processed.append(frame_index)
         log.raw_candidate_count += len(cols)
         track_id = cols.track_id
-        if len(cols):
-            size = int(track_id.max()) + 1
-            last_refined = _grown(last_refined, size, policy_mod.NEVER_REFINED)
-            class_label = _grown(class_label, size, 0)
-            class_source = _grown(class_source, size, _NO_CLASS)
+        size = int(track_id.max()) + 1
+        last_refined = _grown(last_refined, size, policy_mod.NEVER_REFINED)
+        class_label = _grown(class_label, size, 0)
+        class_source = _grown(class_source, size, _NO_CLASS)
         # sequential, as a per-row sum always was: np.sum would sum pairwise
         for conf in cols.conf.tolist():
             conf_sum += conf
-        conf_n += len(cols)
 
         block = policy_mod.score_block(frame_index, cols, last_refined[track_id], cfg.policy)
 
@@ -217,15 +219,14 @@ def _schedule(
                 )
             )
             if rec is not None:
-                if class_source[tid] == _NO_CLASS or class_label[tid] != rec.still_label:
+                if class_label[tid] != rec.still_label:
                     log.class_events.append(
                         ClassEvent(frame_index, now, tid, rec.still_label, CLASS_SOURCE_STILL)
                     )
                 class_label[tid] = rec.still_label
                 class_source[tid] = _STILL_CLASS
 
-    log.processed_frame_indices = tuple(processed)
-    log.detection_conf_mean = conf_sum / conf_n if conf_n else 0.0
+    log.detection_conf_mean = conf_sum / max(log.raw_candidate_count, 1)
     return log
 
 

@@ -588,8 +588,8 @@ def gen_synthetic(
 def inject_confidence_noise(stream: DetectionStream, amount: float, seed: int) -> DetectionStream:
     """Seeded downward confidence jitter, for exercising confidence-driven
     policies on ground-truth streams whose confidence is uniformly 1.0."""
-    if amount < 0:
-        raise InvalidParam(f"noise amount must be >= 0, got {amount}")
+    if not (math.isfinite(amount) and amount >= 0):
+        raise InvalidParam(f"noise amount must be finite and >= 0, got {amount}")
     rng = random.Random(seed)
     frames = []
     for frame_index, dets in stream.frames:

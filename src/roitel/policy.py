@@ -290,8 +290,6 @@ def decide(
     Pure given its inputs: budget consumption within the step is simulated
     against the read-only view; the engine performs the actual commits.
     """
-    if not len(block):
-        return Decision(selected=(), rejected_budget=0, rejected_threshold=0)
     eligible = _triggered(frame_index, block, cfg).nonzero()[0]
     order = eligible[np.lexsort((block.cols.track_id[eligible], -block.score[eligible]))]
 

@@ -6,6 +6,7 @@ modules."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,6 +34,7 @@ from roitel import (
     make_candidate,
 )
 from roitel.config import dump_config
+from roitel.engine import processed_frame_range
 from roitel.policy import (
     NEVER_REFINED,
     PERMISSIVE_CONF_GATE,
@@ -86,6 +88,23 @@ def low_regime_cfg(variant="M5", *, base_measured=None, window_s=2.0, **policy_k
         eval=EvalConfig(),
         base_bitrate_measured=base_measured,
     )
+
+
+def compensated_sum(values, start=0):
+    """The builtin ``sum`` of Python 3.12 and later over floats: Neumaier's
+    compensated summation, step for step as CPython does it."""
+    values = list(values)
+    if not values:
+        return start
+    total, comp = float(start), 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            comp += (total - t) + x
+        else:
+            comp += (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
 
 
 # --- scalar scheduling oracle -------------------------------------------------
@@ -197,16 +216,19 @@ def scalar_schedule(frames, stream: DetectionStream, cfg: RunConfig) -> RunLog:
     )
     log.first_frame = stream.first_frame
     log.last_frame = stream.last_frame
+    # the association pass hands on only frames with rows; the log lists
+    # every processed frame of the span
+    log.processed_frame_indices = tuple(
+        processed_frame_range(stream.first_frame, stream.last_frame, cfg.clock.frame_stride)
+    )
 
     ledger = BudgetLedger(cfg.budget.b_roi, cfg.budget.window_s)
     last_refined: dict[int, int] = {}
     class_state: dict[int, tuple[str, int]] = {}
-    processed = []
     conf_sum = 0.0
     conf_n = 0
 
     for frame_index, now, cols in frames:
-        processed.append(frame_index)
         log.raw_candidate_count += len(cols)
         rows = zip(
             cols.bboxes,
@@ -282,7 +304,6 @@ def scalar_schedule(frames, stream: DetectionStream, cfg: RunConfig) -> RunLog:
                     )
                 class_state[cand.track_id] = (CLASS_SOURCE_STILL, rec.still_label)
 
-    log.processed_frame_indices = tuple(processed)
     log.detection_conf_mean = conf_sum / conf_n if conf_n else 0.0
     return log
 

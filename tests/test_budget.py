@@ -10,8 +10,10 @@ from roitel import (
     BudgetViolation,
     CostModel,
     InvalidParam,
+    budget,
     estimate_cost,
 )
+from helpers import compensated_sum
 
 
 def test_cost_unpadded_formula():
@@ -44,6 +46,20 @@ def test_cost_model_validation():
         CostModel(pad_ratio=-0.1)
     with pytest.raises(InvalidParam):
         CostModel(resize_edge=0.0)
+    with pytest.raises(InvalidParam, match=r"header_bytes must be in \[0, max float\]"):
+        CostModel(header_bytes=10**309)
+
+
+@pytest.mark.parametrize("builtin_sum", [sum, compensated_sum], ids=["sum", "sum_3_12"])
+def test_window_sum_adds_in_commit_order_on_every_python(monkeypatch, builtin_sum):
+    # from Python 3.12 on the builtin sum compensates rounding, while
+    # decide adds one by one; the ledger must add as decide does
+    monkeypatch.setattr(budget, "sum", builtin_sum, raising=False)
+    ledger = BudgetLedger(b_roi=1e20, window_s=2.0)
+    for bits in (1e16, 1.0, 1.0):
+        ledger.commit(0.0, bits)
+    assert repr(ledger.window_sum(0.0)) == repr((1e16 + 1.0) + 1.0) == "1e+16"
+    assert repr(ledger.window_sum(10.0)) == "0"
 
 
 def test_admits_arithmetic():

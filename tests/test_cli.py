@@ -284,6 +284,20 @@ def test_a_run_that_overflows_a_record_exits_1_before_writing(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+def test_a_header_beyond_the_float_range_exits_1(tmp_path, detections_csv, capsys, command):
+    side = tmp_path / "side.csv"
+    side.write_text("0,0,0.2,0.35,7,7,1.9,1.1\n")
+    argv = [command, "--input", str(detections_csv), "--set", f"cost.header_bytes={10**400}"]
+    if command == "simulate":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    else:
+        argv += ["--sidecar", str(side)]
+    assert main(argv) == 1
+    assert "header_bytes must be in [0, max float], got 1000" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_zero_conf_noise_is_a_no_op(tmp_path, detections_csv):
     rc_a, dir_a = simulate(tmp_path / "a", detections_csv)
     rc_b, dir_b = simulate(tmp_path / "b", detections_csv, "--conf-noise", "0")

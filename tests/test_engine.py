@@ -29,10 +29,10 @@ from roitel import (
     uncertainty_term,
 )
 from roitel.domain import DEFAULT_WEIGHTS
-from roitel import engine
+from roitel import budget, engine, policy
 from roitel.engine import processed_frame_range
 from roitel.runlog import CLASS_SOURCE_STILL, CLASS_SOURCE_VIDEO, to_jsonl_lines
-from helpers import low_regime_cfg, mk_det, mk_stream
+from helpers import compensated_sum, low_regime_cfg, mk_det, mk_stream
 
 
 def synthetic():
@@ -69,6 +69,50 @@ def test_empty_stream_yields_empty_log():
     assert log.first_frame is None
     assert log.raw_candidate_count == 0
     assert log.detection_conf_mean == 0.0
+
+
+def test_frames_without_rows_skip_the_scheduling_pass(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(frame_index, block, *args):
+            calls.append((fn.__name__, frame_index, len(block)))
+            return fn(frame_index, block, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(policy, "score_block", counted(policy.score_block))
+    monkeypatch.setattr(policy, "decide", counted(policy.decide))
+    stream = mk_stream([(0, [mk_det(0)]), (1000, [mk_det(1000, x=50.0)])])
+    log = run(stream, None, low_regime_cfg("M5"))
+    # the log still lists every processed frame of the span
+    assert log.processed_frame_indices == tuple(range(0, 1001, 5))
+    assert calls == [
+        ("score_block", 0, 1),
+        ("decide", 0, 1),
+        ("score_block", 1000, 1),
+        ("decide", 1000, 1),
+    ]
+
+
+@pytest.mark.parametrize(
+    "frames,message",
+    [
+        # an empty processed frame still has its timestamp checked
+        ([(0, [mk_det(0)]), (100, [mk_det(100)])], "t_s is not finite at frame 20: fps is 1e-307"),
+        # on a frame with rows, a bad cost is reported before a bad timestamp
+        (
+            [(0, []), (20, [mk_det(20, w=1e200, h=1e200)])],
+            "cost_bits is not finite at frame 20, track 0: inf",
+        ),
+    ],
+)
+def test_the_first_bad_processed_frame_names_itself(frames, message):
+    # 15 / 1e-307 is finite, 20 / 1e-307 is not
+    cfg = replace(low_regime_cfg("M5"), clock=FrameClock(fps=1e-307, frame_stride=5))
+    with pytest.raises(InvalidParam) as exc:
+        run(mk_stream(frames), None, cfg)
+    assert str(exc.value) == message
 
 
 def test_span_with_no_processed_frames():
@@ -553,6 +597,21 @@ def test_a_cost_beyond_the_float_range_is_refused():
     assert str(exc.value) == "cost_bits is not finite at frame 0, track 1: inf"
 
 
+@pytest.mark.parametrize("builtin_sum", [sum, compensated_sum], ids=["sum", "sum_3_12"])
+def test_commit_recheck_admits_what_decide_admits_at_the_cap(monkeypatch, builtin_sum):
+    # seven 12211.2-bit crops fill the 85478.4-bit window exactly when added
+    # one by one, as decide adds; a compensated window sum refuses the 7th
+    monkeypatch.setattr(budget, "sum", builtin_sum, raising=False)
+    cfg = replace(
+        low_regime_cfg("preset_permissive"),
+        budget=BudgetConfig(b_total=0.8e6, b_video=0.65e6, b_roi=42739.2, window_s=2.0),
+        cost=CostModel(resize_edge=128.0),
+    )
+    log = run(mk_stream([(0, [mk_det(0, x=100.0 * i) for i in range(7)])]), None, cfg)
+    assert len(log.transmissions) == 7
+    assert log.rejected_budget == 0
+
+
 def test_top_k_cut_leaves_rows_unaccounted():
     frames = [(f, [mk_det(f, x=100.0 * i, conf=0.5) for i in range(3)]) for f in (0, 5)]
     log = run(mk_stream(frames), None, low_regime_cfg("M5"))
@@ -621,12 +680,18 @@ def test_track_ids_beyond_the_per_track_tables_grow_them():
 
 
 def test_created_marks_exactly_the_tracks_spawned_on_the_frame():
-    stream = synthetic()
+    # frames 25 to 40 are empty, and the tracks age across them
+    stream = mk_stream((f, dets) for f, dets in synthetic().frames if not 25 <= f <= 40)
     tracker = engine.Tracker(TrackerConfig())
     frames = engine.associate(stream, None, stream.clock, TrackerConfig(), CostModel())
-    for frame_index, _, cols in frames:
+    yielded = {frame_index: cols for frame_index, _, cols in frames}
+    for frame_index in processed_frame_range(stream.first_frame, stream.last_frame, 5):
         out = tracker.step(frame_index, list(stream.detections_at(frame_index)))
-        assert (cols.created == frame_index).tolist() == [is_new for *_, is_new in out]
+        cols = yielded.pop(frame_index, None)
+        assert (cols is None) == (not out)
+        if out:
+            assert (cols.created == frame_index).tolist() == [is_new for *_, is_new in out]
+    assert not yielded
 
 
 @pytest.mark.parametrize("huge", [2**63 - 1, 2**63])

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -396,3 +398,11 @@ def test_inject_confidence_noise_rejects_negative():
     stream = mk_stream([(0, [mk_det(0)])])
     with pytest.raises(InvalidParam):
         inject_confidence_noise(stream, -0.1, seed=0)
+
+
+@pytest.mark.parametrize("amount", [math.inf, math.nan])
+def test_inject_confidence_noise_rejects_a_non_finite_amount(amount):
+    stream = mk_stream([(0, [mk_det(0)])])
+    with pytest.raises(InvalidParam) as exc:
+        inject_confidence_noise(stream, amount, seed=0)
+    assert str(exc.value) == f"noise amount must be finite and >= 0, got {amount}"
