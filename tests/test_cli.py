@@ -338,6 +338,79 @@ def test_conf_noise_runlog_keeps_its_bytes(tmp_path, detections_csv, fmt):
     assert digest == CONF_NOISE_RUNLOG_SHA256[fmt]
 
 
+def visdrone_txt(tmp_path):
+    """A VisDrone file of a seeded synthetic stream in which every fifth
+    object is seen twice per frame under its one target id, so hint
+    association both extends and spawns tracks."""
+    stream = gen_synthetic(seed=5, n_frames=120, mean_objects=8.0, clock=FrameClock())
+    lines = []
+    for _, dets in stream.frames:
+        for d in dets:
+            b = d.bbox
+            row = f"{d.frame_index + 1},{d.track_hint},{b.x!r},{b.y!r},{b.w!r},{b.h!r}"
+            lines.append(f"{row},{d.confidence!r},{d.class_id},0,1\n")
+            if d.track_hint % 5 == 0:
+                lines.append(f"{d.frame_index + 1},{d.track_hint},{b.x + 3.5!r},{b.y!r},"
+                             f"{b.w!r},{b.h!r},{d.confidence / 2!r},{d.class_id},1,0\n")
+    path = tmp_path / "vd.txt"
+    path.write_text("".join(lines))
+    return path
+
+
+def hintless_csv_and_sidecar(tmp_path):
+    """A generic CSV where every third object has no hint, and a sidecar
+    keyed by hint where there is one and by a guessed track id elsewhere;
+    two in three records carry ``payload_bytes``."""
+    stream = gen_synthetic(seed=6, n_frames=150, mean_objects=6.0, clock=FrameClock())
+    rows, keys = [], {}
+    for frame, dets in stream.frames:
+        for d in dets:
+            b = d.bbox
+            hint = -1 if d.track_hint % 3 == 0 else d.track_hint
+            rows.append(f"{frame},{hint},{b.x!r},{b.y!r},{b.w!r},{b.h!r},"
+                        f"{d.confidence!r},{d.class_id}\n")
+            if frame % 5 == 0:
+                keys[(frame, hint if hint >= 0 else d.track_hint % 40)] = len(keys)
+    side = []
+    for (frame, track), i in keys.items():
+        payload = "" if i % 3 == 0 else f",{300 + (i * 53) % 2000}"
+        side.append(f"{frame},{track},0.{i % 9 + 1},0.{(i * 7) % 9 + 1},{i % 4},{(i // 2) % 4},"
+                    f"{(i % 5) / 4!r},{(i % 3) / 2!r}{payload}\n")
+    dets, sidecar = tmp_path / "hintless.csv", tmp_path / "side.csv"
+    dets.write_text("".join(rows))
+    sidecar.write_text("".join(side))
+    return dets, sidecar
+
+
+#: sha256 of the run logs of three parsed-stream runs that no benchmark
+#: workload makes, pinned before association ran on NumPy columns: hint
+#: association at stride 1, the dense fallback of ``iou_min = 0``, and a
+#: sidecar run whose costs come from ``payload_bytes`` and ``resize_edge``.
+PARSED_RUNLOG_SHA256 = {
+    "visdrone_hints": "49cd01cb50c68a34fde6b4f37674471ce003fe5e42c4c53cafc49ce093f89b0c",
+    "iou_min_0": "56fc9bbf393a611eead31ac936139a9d9a3bf2137cbb6c3fe35b29d7098c11a6",
+    "sidecar_resize": "a1d3051601c18ca3334e8b9575d6bc8b316c7401780f5b1cd9d0a2f3a531eb7f",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSED_RUNLOG_SHA256))
+def test_parsed_stream_runlogs_keep_their_bytes(tmp_path, detections_csv, case):
+    if case == "visdrone_hints":
+        extra = ("--format", "visdrone", "--set", "tracker.use_hints=true")
+        extra += ("--set", "clock.frame_stride=1")
+        rc, out_dir = simulate(tmp_path, visdrone_txt(tmp_path), *extra)
+    elif case == "iou_min_0":
+        rc, out_dir = simulate(tmp_path, detections_csv, "--set", "tracker.iou_min=0")
+    else:
+        dets, side = hintless_csv_and_sidecar(tmp_path)
+        extra = ("--sidecar", str(side), "--set", "cost.resize_edge=96")
+        extra += ("--set", "tracker.max_misses=0")
+        rc, out_dir = simulate(tmp_path, dets, *extra)
+    assert rc == 0
+    digest = hashlib.sha256((out_dir / "runlog.jsonl").read_bytes()).hexdigest()
+    assert digest == PARSED_RUNLOG_SHA256[case]
+
+
 def test_clock_comment_sets_the_run_clock(tmp_path):
     """Per key: --set beats --config, which beats the file's clock comment,
     which beats the schema default."""
