@@ -66,7 +66,7 @@ from .policy import (
     uncertainty_term,
 )
 from .runlog import ClassEvent, RunLog, TransmissionRecord, read_jsonl
-from .tracker import Track, Tracker, TrackerConfig
+from .tracker import Tracker, TrackerConfig
 
 __version__ = "0.1.0"
 
@@ -103,7 +103,6 @@ __all__ = [
     "RunLog",
     "SemanticRecord",
     "SemanticSidecar",
-    "Track",
     "Tracker",
     "TrackerConfig",
     "TransmissionRecord",

@@ -15,7 +15,6 @@ from functools import reduce
 from operator import add
 from typing import Optional
 
-from .domain import BBox
 from .errors import BudgetViolation, InvalidParam
 
 
@@ -45,13 +44,16 @@ class CostModel:
             raise InvalidParam(f"pad_ratio must be >= 0, got {self.pad_ratio}")
 
 
-def estimate_cost(bbox: BBox, model: CostModel) -> float:
-    """Estimated transmission cost in bits for one ROI crop; always > 0."""
+def estimate_cost(w, h, model: CostModel):
+    """Estimated transmission cost in bits of an ROI crop of a ``w`` by
+    ``h`` box; always > 0. The same expression serves floats and NumPy
+    arrays; with ``resize_edge`` set, the cost is one number whatever the
+    boxes."""
     if model.resize_edge is not None:
         area = model.resize_edge * model.resize_edge
     else:
         scale = 1.0 + 2.0 * model.pad_ratio
-        area = (bbox.w * scale) * (bbox.h * scale)
+        area = (w * scale) * (h * scale)
     return model.header_bytes * 8.0 + model.bits_per_pixel * area
 
 

@@ -2,8 +2,8 @@
 
 ``associate`` walks the stream at the clock's frame stride through the
 tracker and attaches each tracked detection's sidecar record and cost;
-nothing in it depends on the policy. It hands each frame with rows on as
-NumPy columns. The scheduling pass scores a frame's rows as one block, asks
+nothing in it depends on the policy. It reads each frame as the stream's
+columns and hands each frame with rows on as NumPy columns. The scheduling pass scores a frame's rows as one block, asks
 the policy for selections against a rolling budget ledger, and records
 every transmission plus the per-track class timeline. ``sweep`` associates
 once and schedules every variant over the same columns. Runs are strictly
@@ -59,47 +59,50 @@ def associate(
     ``payload_bytes`` overrides the cost model.
     """
     tracker = Tracker(tracker_cfg)
-    created: dict[int, int] = {}  # track id -> frame it was spawned on
+    created = np.empty(0, dtype=np.int64)  # track id -> frame it was spawned on
     for frame_index in processed_frame_range(
         stream.first_frame, stream.last_frame, clock.frame_stride
     ):
-        assignments = tracker.step(frame_index, list(stream.detections_at(frame_index)))
-        if not assignments:
+        dets = stream.block_at(frame_index)
+        assigned = tracker.step(frame_index, dets)
+        if not len(dets):
             clock.timestamp(frame_index)
             continue
-        dets, track_ids, new_flags = zip(*assignments)
-        created.update((tid, frame_index) for tid, is_new in zip(track_ids, new_flags) if is_new)
+        track_id = assigned.track_id
+        created = _grown(created, int(track_id.max()) + 1, 0)
+        created[track_id[assigned.is_new]] = frame_index
+        w, h = dets.boxes[:, 2], dets.boxes[:, 3]
+        # a cost or area beyond the float range is refused below, or by
+        # score_block, so the arithmetic may overflow quietly
+        with np.errstate(over="ignore"):
+            cost_bits = np.full(len(dets), estimate_cost(w, h, cost))
+            area = w * h
         if sidecar is None:
             records = (None,) * len(dets)
         else:
+            keys = zip(dets.has_hint.tolist(), dets.hint.tolist(), track_id.tolist())
             records = tuple(
-                sidecar.get(frame_index, det.track_hint if det.track_hint is not None else tid)
-                for det, tid in zip(dets, track_ids)
+                sidecar.get(frame_index, hint if has else tid) for has, hint, tid in keys
             )
-        bboxes = tuple(det.bbox for det in dets)
-        costs = [
-            rec.payload_bytes * 8.0
-            if rec is not None and rec.payload_bytes is not None
-            else estimate_cost(bbox, cost)
-            for bbox, rec in zip(bboxes, records)
-        ]
-        cost_bits = np.array(costs, dtype=np.float64)
+            for row, rec in enumerate(records):
+                if rec is not None and rec.payload_bytes is not None:
+                    cost_bits[row] = rec.payload_bytes * 8.0
         finite = np.isfinite(cost_bits)
         if not finite.all():
             row = int(np.argmin(finite))
             raise InvalidParam(
                 f"cost_bits is not finite at frame {frame_index}, "
-                f"track {track_ids[row]}: {costs[row]}"
+                f"track {int(track_id[row])}: {float(cost_bits[row])}"
             )
         columns = policy_mod.FrameColumns(
-            bboxes=bboxes,
+            bboxes=dets.bboxes,
             records=records,
-            track_id=np.array(track_ids, dtype=np.int64),
-            created=np.array([created[tid] for tid in track_ids], dtype=np.int64),
-            conf=np.array([det.confidence for det in dets], dtype=np.float64),
-            area=np.array([bbox.w * bbox.h for bbox in bboxes], dtype=np.float64),
+            track_id=track_id,
+            created=created[track_id],
+            conf=dets.conf,
+            area=area,
             cost_bits=cost_bits,
-            class_id=np.array([det.class_id for det in dets], dtype=np.int64),
+            class_id=dets.cls,
         )
         yield frame_index, clock.timestamp(frame_index), columns
 

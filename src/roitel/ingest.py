@@ -56,8 +56,9 @@ class DetectionStream:
     increasing; an entry may hold no detections. A parsed stream keeps its
     detections in NumPy columns and builds a frame's ``Detection`` objects
     each time that frame is asked for; a stream made by ``from_frames``
-    keeps the objects it was given. Streams are equal when their clocks and
-    ``frames`` are, whatever their storage.
+    keeps the objects it was given. Either hands a frame to the tracker as
+    one ``FrameDetections`` block (``block_at``). Streams are equal when
+    their clocks and ``frames`` are, whatever their storage.
     """
 
     clock: FrameClock
@@ -105,12 +106,27 @@ class DetectionStream:
         frame's."""
         return tuple(zip(self.frame_indices, self._per_frame))
 
-    def detections_at(self, frame_index: int) -> tuple[Detection, ...]:
-        """The detections of one frame; empty when it has no entry."""
+    def _entry(self, frame_index: int) -> Optional[int]:
         i = bisect_left(self.frame_indices, frame_index)
         if i < len(self.frame_indices) and self.frame_indices[i] == frame_index:
-            return self._per_frame[i]
-        return ()
+            return i
+        return None
+
+    def detections_at(self, frame_index: int) -> tuple[Detection, ...]:
+        """The detections of one frame; empty when it has no entry."""
+        i = self._entry(frame_index)
+        return () if i is None else self._per_frame[i]
+
+    def block_at(self, frame_index: int) -> "FrameDetections":
+        """The detections of one frame as columns; empty when it has no
+        entry. A parsed stream slices its columns; a ``from_frames`` stream
+        builds the block from its own objects."""
+        i = self._entry(frame_index)
+        if i is None:
+            return FrameDetections.from_detections(frame_index, ())
+        if isinstance(self._per_frame, _Columns):
+            return self._per_frame.block(i)
+        return FrameDetections.from_detections(frame_index, self._per_frame[i])
 
     @property
     def first_frame(self) -> Optional[int]:
@@ -126,29 +142,117 @@ class DetectionStream:
         return self.clock == other.clock and self.frames == other.frames
 
 
+class _BoxRows(SequenceABC):
+    """Row ``i``'s ``BBox`` of an (N, 4) box array, built when first asked
+    for and kept, so every reader of the row shares one object."""
+
+    def __init__(self, boxes: np.ndarray):
+        self._boxes = boxes
+        self._made: dict[int, BBox] = {}
+
+    def __len__(self) -> int:
+        return len(self._boxes)
+
+    def __getitem__(self, i: int) -> BBox:
+        box = self._made.get(i)
+        if box is None:
+            box = self._made[i] = BBox(*self._boxes[i].tolist())
+        return box
+
+
+def _int_column(values: list[int]) -> np.ndarray:
+    """int64, or object when a value is beyond int64: track hints and
+    sidecar track ids are not bounded."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+@dataclass(frozen=True, eq=False)
+class FrameDetections:
+    """One frame's detections as columns, row for row in stream order: the
+    form the tracker and the association pass read. Row ``i``'s ``BBox``
+    and ``Detection`` are built only when asked for, unless the stream
+    already holds them."""
+
+    frame_index: int
+    boxes: np.ndarray  # (N, 4) float64: x, y, w, h
+    hint: np.ndarray  # int64 (object beyond int64); read where has_hint
+    has_hint: np.ndarray  # bool
+    conf: np.ndarray  # float64
+    cls: np.ndarray  # int64
+    bboxes: Sequence[BBox]
+    _detections: Optional[tuple[Detection, ...]] = field(default=None, repr=False)
+
+    @staticmethod
+    def from_detections(frame_index: int, dets: Sequence[Detection]) -> "FrameDetections":
+        dets = tuple(dets)
+        bboxes = tuple(d.bbox for d in dets)
+        hints = [d.track_hint for d in dets]
+        return FrameDetections(
+            frame_index,
+            np.array([(b.x, b.y, b.w, b.h) for b in bboxes], dtype=np.float64).reshape(-1, 4),
+            _int_column([-1 if h is None else h for h in hints]),
+            np.array([h is not None for h in hints], dtype=bool),
+            np.array([d.confidence for d in dets], dtype=np.float64),
+            np.array([d.class_id for d in dets], dtype=np.int64),
+            bboxes,
+            dets,
+        )
+
+    def __len__(self) -> int:
+        return len(self.boxes)
+
+    def detection(self, i: int) -> Detection:
+        """Row ``i``'s ``Detection``."""
+        if self._detections is not None:
+            return self._detections[i]
+        hint = self.hint[i].item() if self.has_hint[i] else None
+        return Detection(
+            self.frame_index, self.bboxes[i], self.conf[i].item(), self.cls[i].item(), hint
+        )
+
+    def detections(self) -> tuple[Detection, ...]:
+        """Every row's ``Detection``, built in one pass over the columns."""
+        if self._detections is not None:
+            return self._detections
+        cols = (self.hint, self.has_hint, self.boxes, self.conf, self.cls)
+        return tuple(
+            Detection(self.frame_index, BBox(*box), conf, cls, hint if has else None)
+            for hint, has, box, conf, cls in zip(*(c.tolist() for c in cols))
+        )
+
+
 class _Columns(SequenceABC):
     """A parsed stream's detections as NumPy columns, one row per detection
     in stream order. Entry ``i`` is frame ``frame_indices[i]`` and holds
     rows ``offsets[i]:offsets[i + 1]``; indexing builds its Detections."""
 
-    def __init__(self, frame_indices, offsets, hint, x, y, w, h, conf, cls, negative_hint_is_none):
+    def __init__(self, frame_indices, offsets, hint, boxes, conf, cls, negative_hint_is_none):
         self.frame_indices = frame_indices
         self.offsets = offsets
-        self.hint, self.x, self.y, self.w, self.h = hint, x, y, w, h
-        self.conf, self.cls = conf, cls
+        self.hint, self.boxes, self.conf, self.cls = hint, boxes, conf, cls
         self.negative_hint_is_none = negative_hint_is_none
 
     def __len__(self) -> int:
         return len(self.frame_indices)
 
     def __getitem__(self, i: int) -> tuple[Detection, ...]:
+        return self.block(i).detections()
+
+    def block(self, i: int) -> FrameDetections:
         lo, hi = self.offsets[i], self.offsets[i + 1]
-        frame = self.frame_indices[i]
-        no_hint = self.negative_hint_is_none
-        cols = (self.hint, self.x, self.y, self.w, self.h, self.conf, self.cls)
-        return tuple(
-            Detection(frame, BBox(x, y, w, h), conf, cls, None if no_hint and hint < 0 else hint)
-            for hint, x, y, w, h, conf, cls in zip(*(c[lo:hi].tolist() for c in cols))
+        hint, boxes = self.hint[lo:hi], self.boxes[lo:hi]
+        has_hint = hint >= 0 if self.negative_hint_is_none else np.ones(len(hint), dtype=bool)
+        return FrameDetections(
+            self.frame_indices[i],
+            boxes,
+            hint,
+            has_hint,
+            self.conf[lo:hi],
+            self.cls[lo:hi],
+            _BoxRows(boxes),
         )
 
 
@@ -252,7 +356,17 @@ def _num(fields: list[str], idx: int, line_no: int, name: str) -> float:
 
 
 def _int(fields: list[str], idx: int, line_no: int, name: str) -> int:
-    return int(_num(fields, idx, line_no, name))
+    """An integer literal is read exactly; other spellings, such as ``5.0``,
+    as ``float`` reads them. Either way the value must be finite as a float."""
+    try:
+        value = int(fields[idx])
+    except ValueError:
+        return int(_num(fields, idx, line_no, name))
+    try:
+        float(value)
+    except OverflowError:
+        raise ParseError(line_no, f"non-finite {name}: {fields[idx]!r}") from None
+    return value
 
 
 def _int64(line_no: int, value: int, name: str) -> int:
@@ -266,6 +380,11 @@ def _check_bbox(line_no: int, x: float, y: float, w: float, h: float) -> BBox:
         raise ParseError(line_no, f"non-positive width: {w}")
     if h <= 0:
         raise ParseError(line_no, f"non-positive height: {h}")
+    # so that no IoU or cost of the box overflows: a union adds two areas
+    if not (math.isfinite(x + w) and math.isfinite(y + h)):
+        raise ParseError(line_no, f"box edge beyond the float range: x={x} y={y} w={w} h={h}")
+    if not math.isfinite(2.0 * w * h):
+        raise ParseError(line_no, f"box area beyond the float range: w={w} h={h}")
     return BBox(x, y, w, h)
 
 
@@ -366,9 +485,10 @@ def _parse_rows(text, layout: _Layout, errors_out) -> DetectionStream:
     )
 
 
-#: int(float(s)) is exact beyond int64; the vectorised pass leaves such
-#: values to the row parser.
-_INT64_BOUND = 2.0**63
+#: Below this magnitude a float read of an integer literal is exact; the
+#: vectorised pass leaves larger ids to the row parser, which reads them
+#: with ``int``.
+_EXACT_INT_BOUND = 2.0**53
 
 
 def _parse_columns(text, layout: _Layout) -> Optional[DetectionStream]:
@@ -397,13 +517,19 @@ def _parse_columns(text, layout: _Layout) -> Optional[DetectionStream]:
         return None
     if table.shape[1] != layout.n_cols or not np.isfinite(table).all():
         return None
-    ints = table[:, [0, 1, layout.cls]]
-    if not ((ints > -_INT64_BOUND) & (ints < _INT64_BOUND)).all():
-        return None
-    frame, hint, cls = ints.astype(np.int64).T
-    x, y, w, h = (table[:, i] for i in (2, 3, 4, 5))
+    boxes = table[:, 2:6]
+    x, y, w, h = boxes.T
     if not ((w > 0.0) & (h > 0.0)).all():
         return None
+    # The row parser refuses a box whose edges or doubled area overflow. The
+    # largest box bounds them all, and a huge one is left to the row parser.
+    x_max, y_max, w_max, h_max = boxes.max(axis=0).tolist()
+    if not all(map(math.isfinite, (x_max + w_max, y_max + h_max, 2.0 * w_max * h_max))):
+        return None
+    ints = table[:, [0, 1, layout.cls]]
+    if not ((ints > -_EXACT_INT_BOUND) & (ints < _EXACT_INT_BOUND)).all():
+        return None
+    frame, hint, cls = ints.astype(np.int64).T
     if layout.benchmark:
         if not (frame >= 1).all():
             return None
@@ -421,7 +547,7 @@ def _parse_columns(text, layout: _Layout) -> Optional[DetectionStream]:
         if not ((conf >= 0.0) & (conf <= 1.0)).all():
             return None
 
-    cols = [hint, x, y, w, h, conf, cls]
+    cols = [hint, boxes, conf, cls]
     if (np.diff(frame) < 0).any():
         # the row parser keeps file order within a frame
         order = np.argsort(frame, kind="stable")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -64,11 +64,12 @@ class FrameColumns:
     in tracker order; a track appears at most once per frame.
 
     Each fact is held once. ``bboxes`` are the stream's own boxes, so a
-    record built from a row keeps their number types. The association pass
-    builds this once per frame, and every variant of a sweep reads it.
+    record built from a row keeps their number types; a parsed stream builds
+    a row's box when it is first read. The association pass builds this
+    once per frame, and every variant of a sweep reads it.
     """
 
-    bboxes: tuple[BBox, ...]
+    bboxes: Sequence[BBox]
     records: tuple[Optional[SemanticRecord], ...]  # sidecar record or None
     track_id: np.ndarray  # int64
     created: np.ndarray  # int64: the frame the track was spawned on
@@ -78,7 +79,7 @@ class FrameColumns:
     class_id: np.ndarray  # int64
 
     def __len__(self) -> int:
-        return len(self.bboxes)
+        return len(self.track_id)
 
 
 @dataclass(frozen=True, eq=False)

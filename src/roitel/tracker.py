@@ -4,24 +4,24 @@ Deliberately lightweight: no motion model, no low-score recovery stage.
 The last observed box is the match target, which is adequate at the strided
 decision cadence the simulator runs at. Association can optionally follow
 ground-truth identity hints, bypassing IoU for hinted detections.
+
+The live tracks are held as arrays in id order (id, last box, consecutive
+misses), so a step reads the frame's columns and ages every track with one
+mask; no ``Detection`` is built unless a caller reads the result's entries.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
+
+import numpy as np
 
 from . import kernels
-from .domain import BBox, Detection
+from .domain import Detection
 from .errors import InvalidParam, OutOfOrderFrame
-
-
-@dataclass
-class Track:
-    id: int
-    last_bbox: BBox
-    consecutive_misses: int = 0
-    hint: Optional[int] = None
+from .ingest import FrameDetections
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,29 @@ class TrackerConfig:
             raise InvalidParam(f"max_misses must be >= 0, got {self.max_misses}")
 
 
-#: One per-frame association result: the detection, its track id, and
-#: whether the track was created on this processed frame.
-Assignment = tuple[Detection, int, bool]
+class Assignments(Sequence):
+    """One step's result, row for row with the frame's detections: entry
+    ``i`` is ``(detection, track id, is_new)``, where ``is_new`` says the
+    track was created on this step. Entries are built only when indexed;
+    ``track_id`` (int64) and ``is_new`` (bool) are the columns behind them."""
+
+    def __init__(self, block: FrameDetections, track_id: np.ndarray, is_new: np.ndarray):
+        self.block = block
+        self.track_id = track_id
+        self.is_new = is_new
+
+    def __len__(self) -> int:
+        return len(self.track_id)
+
+    def __getitem__(self, i: int) -> tuple[Detection, int, bool]:
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError(f"assignment index {i} out of range for {n} rows")
+        i %= n
+        return self.block.detection(i), int(self.track_id[i]), bool(self.is_new[i])
+
+    def __iter__(self) -> Iterator[tuple[Detection, int, bool]]:
+        return zip(self.block.detections(), self.track_id.tolist(), self.is_new.tolist())
 
 
 class Tracker:
@@ -50,11 +70,18 @@ class Tracker:
 
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config or TrackerConfig()
-        self._tracks: dict[int, Track] = {}
+        self._ids = np.empty(0, dtype=np.int64)
+        self._boxes = np.empty((0, 4), dtype=np.float64)
+        self._misses = np.empty(0, dtype=np.int64)
+        # track id -> hint, for live tracks spawned from a hinted detection;
+        # kept only under use_hints, its one reader
+        self._hints: dict[int, int] = {}
         self._next_id = 0
         self._last_frame: Optional[int] = None
 
-    def step(self, frame_index: int, detections: list[Detection]) -> list[Assignment]:
+    def step(
+        self, frame_index: int, detections: Union[FrameDetections, Sequence[Detection]]
+    ) -> Assignments:
         """Associate one processed frame's detections; spawn, age, retire.
 
         Matching is greedy by descending IoU over pairs with
@@ -67,81 +94,79 @@ class Tracker:
                 f"frame {frame_index} does not increase past {self._last_frame}"
             )
         self._last_frame = frame_index
+        if not isinstance(detections, FrameDetections):
+            detections = FrameDetections.from_detections(frame_index, detections)
 
-        assigned: dict[int, tuple[int, bool]] = {}  # det index -> (track id, is_new)
-        matched_track_ids: set[int] = set()
-
-        remaining = list(range(len(detections)))
+        track_id = np.full(len(detections), -1, dtype=np.int64)
+        matched = np.zeros(len(self._ids), dtype=bool)
+        spawned: list[int] = []  # rows that spawn a track, in id order
+        remaining = np.arange(len(detections))
         if self.config.use_hints:
-            remaining = self._associate_by_hint(detections, assigned, matched_track_ids)
+            remaining = self._associate_by_hint(detections, track_id, matched, spawned)
 
         # IoU association for the leftovers against unclaimed tracks.
-        pool = [t for t in self._tracks.values() if t.id not in matched_track_ids]
-        if pool and remaining:
-            t_boxes = [(t.last_bbox.x, t.last_bbox.y, t.last_bbox.w, t.last_bbox.h) for t in pool]
-            d_boxes = [
-                (
-                    detections[i].bbox.x,
-                    detections[i].bbox.y,
-                    detections[i].bbox.w,
-                    detections[i].bbox.h,
-                )
-                for i in remaining
-            ]
-            for row, col in kernels.greedy_associate(t_boxes, d_boxes, self.config.iou_min):
-                track = pool[row]
-                det_idx = remaining[col]
-                self._update_track(track, detections[det_idx])
-                assigned[det_idx] = (track.id, False)
-                matched_track_ids.add(track.id)
-            remaining = [i for i in remaining if i not in assigned]
+        pool = np.flatnonzero(~matched)
+        if len(pool) and len(remaining):
+            pairs = kernels.greedy_associate(
+                self._boxes[pool], detections.boxes[remaining], self.config.iou_min
+            )
+            if pairs:
+                rows, cols = np.array(pairs, dtype=np.int64).T
+                self._extend(pool[rows], remaining[cols], detections, track_id, matched)
+                remaining = remaining[track_id[remaining] < 0]
+        spawned.extend(remaining.tolist())
 
-        for det_idx in remaining:
-            track = self._spawn(detections[det_idx])
-            assigned[det_idx] = (track.id, True)
-            matched_track_ids.add(track.id)
+        new_ids = np.arange(self._next_id, self._next_id + len(spawned), dtype=np.int64)
+        self._next_id += len(spawned)
+        track_id[spawned] = new_ids
+        is_new = np.zeros(len(detections), dtype=bool)
+        is_new[spawned] = True
+        if self.config.use_hints:
+            hinted = detections.has_hint[spawned].tolist()
+            hints = detections.hint[spawned].tolist()
+            self._hints.update(
+                (tid, hint) for tid, hint, has in zip(new_ids.tolist(), hints, hinted) if has
+            )
 
-        self._age_and_retire(matched_track_ids)
+        # Age and retire: every track this step did not claim misses once.
+        misses = np.where(matched, 0, self._misses + 1)
+        keep = misses <= self.config.max_misses
+        if self.config.use_hints and not keep.all():
+            for tid in self._ids[~keep].tolist():
+                self._hints.pop(tid, None)
+        self._ids = np.concatenate((self._ids[keep], new_ids))
+        self._boxes = np.concatenate((self._boxes[keep], detections.boxes[spawned]))
+        self._misses = np.concatenate((misses[keep], np.zeros(len(spawned), dtype=np.int64)))
+        return Assignments(detections, track_id, is_new)
 
-        return [
-            (detections[i], assigned[i][0], assigned[i][1]) for i in range(len(detections))
-        ]
+    def _extend(self, positions, rows, detections, track_id, matched) -> None:
+        """The live tracks at ``positions`` take the boxes of ``rows``."""
+        self._boxes[positions] = detections.boxes[rows]
+        track_id[rows] = self._ids[positions]
+        matched[positions] = True
 
-    def _associate_by_hint(self, detections, assigned, matched_track_ids):
-        by_hint = {t.hint: t for t in self._tracks.values() if t.hint is not None}
-        remaining = []
-        for i, det in enumerate(detections):
-            if det.track_hint is None:
-                remaining.append(i)
+    def _associate_by_hint(self, detections, track_id, matched, spawned) -> np.ndarray:
+        """Hinted rows extend the newest live track of their hint, unless an
+        earlier row of this step claimed it; else they spawn (appended to
+        ``spawned``). Returns the unhinted rows."""
+        by_hint = {}  # hint -> position of its newest live track; -1: spawned now
+        for pos, tid in enumerate(self._ids.tolist()):
+            hint = self._hints.get(tid)
+            if hint is not None:
+                by_hint[hint] = pos
+        positions, rows = [], []
+        hints = detections.hint.tolist()
+        for row, has in enumerate(detections.has_hint.tolist()):
+            if not has:
                 continue
-            track = by_hint.get(det.track_hint)
-            if track is not None and track.id not in matched_track_ids:
-                self._update_track(track, det)
-                assigned[i] = (track.id, False)
+            pos = by_hint.get(hints[row], -1)
+            if pos >= 0 and not matched[pos]:
+                matched[pos] = True
+                positions.append(pos)
+                rows.append(row)
             else:
-                track = self._spawn(det)
-                assigned[i] = (track.id, True)
-                by_hint[det.track_hint] = track
-            matched_track_ids.add(track.id)
-        return remaining
-
-    def _update_track(self, track: Track, det: Detection) -> None:
-        track.last_bbox = det.bbox
-        track.consecutive_misses = 0
-
-    def _spawn(self, det: Detection) -> Track:
-        track = Track(id=self._next_id, last_bbox=det.bbox, hint=det.track_hint)
-        self._next_id += 1
-        self._tracks[track.id] = track
-        return track
-
-    def _age_and_retire(self, matched_track_ids: set[int]) -> None:
-        retired = []
-        for tid, track in self._tracks.items():
-            if tid in matched_track_ids:
-                continue
-            track.consecutive_misses += 1
-            if track.consecutive_misses > self.config.max_misses:
-                retired.append(tid)
-        for tid in retired:
-            del self._tracks[tid]
+                spawned.append(row)
+                by_hint[hints[row]] = -1
+        if rows:
+            self._extend(np.array(positions), np.array(rows), detections, track_id, matched)
+        return np.flatnonzero(~detections.has_hint)

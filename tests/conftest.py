@@ -5,7 +5,7 @@ from hypothesis import settings
 
 from roitel import ParseError, engine, ingest, runlog
 from roitel.runlog import to_jsonl_lines
-from helpers import class_obj, json_lines, read_outcome, scalar_schedule, tx_obj
+from helpers import class_obj, json_lines, read_outcome, ref_associate, scalar_schedule, tx_obj
 
 # Property tests must behave identically run to run.
 settings.register_profile("deterministic", derandomize=True)
@@ -43,6 +43,49 @@ def cross_check_detection_parses(monkeypatch):
         return public(text, layout, errors_out)
 
     monkeypatch.setattr(ingest, "_parse_detections", checked)
+
+
+def association_outcome(associate, args):
+    """Every frame one association pass yields, up to its error if any."""
+    frames = []
+    try:
+        frames.extend(associate(*args))
+    except Exception as err:  # compared, then re-raised by the caller
+        return frames, err
+    return frames, None
+
+
+def frame_facts(frame):
+    """One associated frame in a form that tells -0.0 from 0.0, 1 from 1.0
+    and an int64 column from a float64 one."""
+    frame_index, now, cols = frame
+    arrays = (cols.track_id, cols.created, cols.conf, cols.area, cols.cost_bits, cols.class_id)
+    return (
+        frame_index,
+        repr(now),
+        repr(tuple(cols.bboxes)),
+        repr(cols.records),
+        [(str(a.dtype), repr(a.tolist())) for a in arrays],
+    )
+
+
+@pytest.fixture(autouse=True)
+def cross_check_association(monkeypatch):
+    """Every association pass in the suite is checked against the
+    dict-based oracle in ``helpers``: the same frames, columns and boxes,
+    or the same error after the same frames."""
+    columnar = engine.associate
+
+    def checked(*args):
+        expected, expected_err = association_outcome(ref_associate, args)
+        got, err = association_outcome(columnar, args)
+        assert list(map(frame_facts, got)) == list(map(frame_facts, expected))
+        assert (type(err), str(err)) == (type(expected_err), str(expected_err))
+        yield from got
+        if err is not None:
+            raise err
+
+    monkeypatch.setattr(engine, "associate", checked)
 
 
 def schedule_outcome(schedule, frames, stream, cfg):

@@ -1,14 +1,14 @@
-"""Shared builders for the test suite, the scalar scheduling pass that the
-columnar one is checked against, and the ``json.dumps`` run-log writer that
-the record templates are checked against. Other oracles live in the test
-modules."""
+"""Shared builders for the test suite, the dict-based association pass and
+the scalar scheduling pass that the columnar ones are checked against, and
+the ``json.dumps`` run-log writer that the record templates are checked
+against. Other oracles live in the test modules."""
 
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -33,8 +33,12 @@ from roitel import (
     RunLog,
     make_candidate,
 )
+from roitel import kernels
+from roitel.budget import estimate_cost
 from roitel.config import dump_config
 from roitel.engine import processed_frame_range
+from roitel.errors import InvalidParam, OutOfOrderFrame
+from roitel.ingest import SemanticSidecar
 from roitel.policy import (
     NEVER_REFINED,
     PERMISSIVE_CONF_GATE,
@@ -105,6 +109,164 @@ def compensated_sum(values, start=0):
             comp += (x - t) + total
         total = t
     return total + comp if comp and math.isfinite(comp) else total
+
+
+# --- association oracle -------------------------------------------------------
+#
+# The association pass as it was before it ran on columns: one Detection per
+# row, live tracks as Track objects in a dict, the dense IoU matrix and
+# greedy_match, and one cost per box.
+
+
+@dataclass
+class Track:
+    id: int
+    last_bbox: BBox
+    consecutive_misses: int = 0
+    hint: Optional[int] = None
+
+
+class RefTracker:
+    """The tracker with one Track object per live track."""
+
+    def __init__(self, config: Optional[TrackerConfig] = None):
+        self.config = config or TrackerConfig()
+        self._tracks: dict[int, Track] = {}
+        self._next_id = 0
+        self._last_frame: Optional[int] = None
+
+    def step(self, frame_index: int, detections: list[Detection]) -> list[tuple[Detection, int, bool]]:
+        if self._last_frame is not None and frame_index <= self._last_frame:
+            raise OutOfOrderFrame(
+                f"frame {frame_index} does not increase past {self._last_frame}"
+            )
+        self._last_frame = frame_index
+
+        assigned: dict[int, tuple[int, bool]] = {}  # det index -> (track id, is_new)
+        matched_track_ids: set[int] = set()
+
+        remaining = list(range(len(detections)))
+        if self.config.use_hints:
+            remaining = self._associate_by_hint(detections, assigned, matched_track_ids)
+
+        pool = [t for t in self._tracks.values() if t.id not in matched_track_ids]
+        if pool and remaining:
+            t_boxes = [(t.last_bbox.x, t.last_bbox.y, t.last_bbox.w, t.last_bbox.h) for t in pool]
+            d_boxes = [
+                (b.x, b.y, b.w, b.h) for b in (detections[i].bbox for i in remaining)
+            ]
+            iou = kernels.pairwise_iou(t_boxes, d_boxes)
+            for row, col in kernels.greedy_match(iou, self.config.iou_min):
+                track = pool[row]
+                det_idx = remaining[col]
+                self._update_track(track, detections[det_idx])
+                assigned[det_idx] = (track.id, False)
+                matched_track_ids.add(track.id)
+            remaining = [i for i in remaining if i not in assigned]
+
+        for det_idx in remaining:
+            track = self._spawn(detections[det_idx])
+            assigned[det_idx] = (track.id, True)
+            matched_track_ids.add(track.id)
+
+        self._age_and_retire(matched_track_ids)
+
+        return [
+            (detections[i], assigned[i][0], assigned[i][1]) for i in range(len(detections))
+        ]
+
+    def _associate_by_hint(self, detections, assigned, matched_track_ids):
+        by_hint = {t.hint: t for t in self._tracks.values() if t.hint is not None}
+        remaining = []
+        for i, det in enumerate(detections):
+            if det.track_hint is None:
+                remaining.append(i)
+                continue
+            track = by_hint.get(det.track_hint)
+            if track is not None and track.id not in matched_track_ids:
+                self._update_track(track, det)
+                assigned[i] = (track.id, False)
+            else:
+                track = self._spawn(det)
+                assigned[i] = (track.id, True)
+                by_hint[det.track_hint] = track
+            matched_track_ids.add(track.id)
+        return remaining
+
+    def _update_track(self, track: Track, det: Detection) -> None:
+        track.last_bbox = det.bbox
+        track.consecutive_misses = 0
+
+    def _spawn(self, det: Detection) -> Track:
+        track = Track(id=self._next_id, last_bbox=det.bbox, hint=det.track_hint)
+        self._next_id += 1
+        self._tracks[track.id] = track
+        return track
+
+    def _age_and_retire(self, matched_track_ids: set[int]) -> None:
+        retired = []
+        for tid, track in self._tracks.items():
+            if tid in matched_track_ids:
+                continue
+            track.consecutive_misses += 1
+            if track.consecutive_misses > self.config.max_misses:
+                retired.append(tid)
+        for tid in retired:
+            del self._tracks[tid]
+
+
+def ref_associate(
+    stream: DetectionStream,
+    sidecar: Optional[SemanticSidecar],
+    clock: FrameClock,
+    tracker_cfg: TrackerConfig,
+    cost: CostModel,
+) -> Iterator[tuple[int, float, FrameColumns]]:
+    """``engine.associate`` over Detection objects, one row at a time."""
+    tracker = RefTracker(tracker_cfg)
+    created: dict[int, int] = {}
+    for frame_index in processed_frame_range(
+        stream.first_frame, stream.last_frame, clock.frame_stride
+    ):
+        assignments = tracker.step(frame_index, list(stream.detections_at(frame_index)))
+        if not assignments:
+            clock.timestamp(frame_index)
+            continue
+        dets, track_ids, new_flags = zip(*assignments)
+        created.update((tid, frame_index) for tid, is_new in zip(track_ids, new_flags) if is_new)
+        if sidecar is None:
+            records = (None,) * len(dets)
+        else:
+            records = tuple(
+                sidecar.get(frame_index, det.track_hint if det.track_hint is not None else tid)
+                for det, tid in zip(dets, track_ids)
+            )
+        bboxes = tuple(det.bbox for det in dets)
+        costs = [
+            rec.payload_bytes * 8.0
+            if rec is not None and rec.payload_bytes is not None
+            else estimate_cost(bbox.w, bbox.h, cost)
+            for bbox, rec in zip(bboxes, records)
+        ]
+        cost_bits = np.array(costs, dtype=np.float64)
+        finite = np.isfinite(cost_bits)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise InvalidParam(
+                f"cost_bits is not finite at frame {frame_index}, "
+                f"track {track_ids[row]}: {costs[row]}"
+            )
+        columns = FrameColumns(
+            bboxes=bboxes,
+            records=records,
+            track_id=np.array(track_ids, dtype=np.int64),
+            created=np.array([created[tid] for tid in track_ids], dtype=np.int64),
+            conf=np.array([det.confidence for det in dets], dtype=np.float64),
+            area=np.array([bbox.w * bbox.h for bbox in bboxes], dtype=np.float64),
+            cost_bits=cost_bits,
+            class_id=np.array([det.class_id for det in dets], dtype=np.int64),
+        )
+        yield frame_index, clock.timestamp(frame_index), columns
 
 
 # --- scalar scheduling oracle -------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from roitel import (
-    BBox,
     BudgetLedger,
     BudgetViolation,
     CostModel,
@@ -19,12 +18,12 @@ from helpers import compensated_sum
 def test_cost_unpadded_formula():
     # 100x100, no pad, no header: 0.55 bits/px * 10000 px
     model = CostModel(header_bytes=0, bits_per_pixel=0.55, pad_ratio=0.0)
-    assert estimate_cost(BBox(0, 0, 100, 100), model) == pytest.approx(5500.0)
+    assert estimate_cost(100, 100, model) == pytest.approx(5500.0)
 
 
 def test_cost_resize_override():
     model = CostModel(header_bytes=400, bits_per_pixel=0.55, resize_edge=128.0)
-    bits = estimate_cost(BBox(0, 0, 3, 3), model)
+    bits = estimate_cost(3, 3, model)
     assert bits == pytest.approx(3200 + 0.55 * 16384)
     # ~1.5 KB per resized crop
     assert 1400 < bits / 8 < 1600
@@ -33,8 +32,7 @@ def test_cost_resize_override():
 def test_cost_pad_ratio_scales_area():
     base = CostModel(header_bytes=0, bits_per_pixel=1.0, pad_ratio=0.0)
     padded = CostModel(header_bytes=0, bits_per_pixel=1.0, pad_ratio=0.5)
-    b = BBox(0, 0, 10, 20)
-    assert estimate_cost(b, padded) == pytest.approx(4.0 * estimate_cost(b, base))
+    assert estimate_cost(10, 20, padded) == pytest.approx(4.0 * estimate_cost(10, 20, base))
 
 
 def test_cost_model_validation():

@@ -22,14 +22,16 @@ from roitel import (
     estimate_cost,
     gen_synthetic,
     novelty_term,
+    parse_generic_csv,
     run,
     score_roi,
     size_term,
     sweep,
     uncertainty_term,
+    write_generic_csv,
 )
 from roitel.domain import DEFAULT_WEIGHTS
-from roitel import budget, engine, policy
+from roitel import budget, engine, ingest, policy
 from roitel.engine import processed_frame_range
 from roitel.runlog import CLASS_SOURCE_STILL, CLASS_SOURCE_VIDEO, to_jsonl_lines
 from helpers import compensated_sum, low_regime_cfg, mk_det, mk_stream
@@ -200,7 +202,7 @@ def test_tight_budget_matches_independent_replay():
     # replay the schedule with a hand-rolled window account
     cap = cfg.budget.b_roi * cfg.budget.window_s
     w = cfg.budget.window_s
-    costs = [estimate_cost(b, cfg.cost) for b in boxes]
+    costs = [estimate_cost(b.w, b.h, cfg.cost) for b in boxes]
     last_refined: dict[int, int] = {}
     entries: list[tuple[float, float]] = []
     expected: list[tuple[int, int]] = []
@@ -314,9 +316,8 @@ def test_transmission_without_sidecar_entry_has_no_semantics():
     sidecar = SemanticSidecar([sidecar_record(99, 17)])  # wrong frame
     log = run(stream, sidecar, low_regime_cfg("M2"))
     assert not log.transmissions[0].has_semantics
-    assert log.transmissions[0].cost_bits == estimate_cost(
-        log.transmissions[0].bbox, low_regime_cfg("M2").cost
-    )
+    bbox = log.transmissions[0].bbox
+    assert log.transmissions[0].cost_bits == estimate_cost(bbox.w, bbox.h, low_regime_cfg("M2").cost)
 
 
 # --- class timeline -----------------------------------------------------------
@@ -644,7 +645,7 @@ def test_integer_boxes_stay_integers_in_transmissions():
 
 def hand_frame(frame_index, dets, track_ids, created):
     """One association-pass frame built by hand, at 15 fps."""
-    costs = [estimate_cost(d.bbox, CostModel()) for d in dets]
+    costs = [estimate_cost(d.bbox.w, d.bbox.h, CostModel()) for d in dets]
     cols = FrameColumns(
         bboxes=tuple(d.bbox for d in dets),
         records=(None,) * len(dets),
@@ -692,6 +693,49 @@ def test_created_marks_exactly_the_tracks_spawned_on_the_frame():
         if out:
             assert (cols.created == frame_index).tolist() == [is_new for *_, is_new in out]
     assert not yielded
+
+
+def test_far_apart_boxes_neither_warn_nor_split_a_track():
+    # the y-overlap of a box at y = 1e308 with one at y = -1e308 overflows
+    # to -inf; the IoU clips it to 0, so the far box keeps its one track
+    far = "0,1e308,1e-300,1e300,0.5,0"
+    text = "".join(f"{f},-1,{far}\n" for f in (0, 5, 10)) + "5,-1,0,-1e308,1e-300,1e300,0.5,0\n"
+    log = run(parse_generic_csv(text), None, low_regime_cfg("M2"))
+    assert [(tx.frame_index, tx.track_id) for tx in log.transmissions] == [(0, 0), (5, 1)]
+    assert {ev.track_id for ev in log.class_events} == {0, 1}
+
+
+def test_hints_beyond_int64_extend_tracks_and_key_the_sidecar():
+    # a repeated hint spawns a second track, and the newer track of a hint
+    # is the one a later detection extends
+    big = 2**64
+    frames = [
+        (f, [mk_det(f, hint=big), mk_det(f, x=100.0, hint=big), mk_det(f, x=300.0)])
+        for f in (0, 5)
+    ]
+    cfg = replace(low_regime_cfg("M2"), tracker=TrackerConfig(use_hints=True))
+    log = run(mk_stream(frames), SemanticSidecar([sidecar_record(5, big)]), cfg)
+    assert [(tx.frame_index, tx.track_id) for tx in log.transmissions] == [
+        (0, 0),
+        (0, 1),
+        (0, 2),
+        (5, 3),
+    ]
+    assert [tx.has_semantics for tx in log.transmissions] == [False] * 3 + [True]
+
+
+def test_a_parsed_stream_is_tracked_without_detection_objects(monkeypatch):
+    stream = parse_generic_csv(write_generic_csv(synthetic()))
+
+    def refused(*args):
+        raise AssertionError("a Detection was built")
+
+    monkeypatch.setattr(ingest, "Detection", refused)
+    tracker = engine.Tracker(TrackerConfig(use_hints=True))
+    steps = [tracker.step(f, stream.block_at(f)) for f in range(0, 60, 5)]
+    assert sum(int(step.is_new.sum()) for step in steps) > 0
+    with pytest.raises(AssertionError, match="a Detection was built"):
+        steps[-1][0]
 
 
 @pytest.mark.parametrize("huge", [2**63 - 1, 2**63])

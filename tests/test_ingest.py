@@ -271,6 +271,60 @@ def test_parsers_refuse_ids_beyond_int64(parse, row, message):
         parse("# first line\n" + row + "\n")
 
 
+@pytest.mark.parametrize(
+    "parse,row,message",
+    [
+        (parse_generic_csv, "0,-1,1e308,0,1e308,5,0.5,0", "box edge beyond the float range"),
+        (parse_generic_csv, "0,-1,0,1.7e308,5,1e307,0.5,0", "box edge beyond the float range"),
+        # the box of the FOUND on pairwise_iou: its area is beyond the range
+        (parse_generic_csv, "5,-1,10,10,1e200,1e200,0.5,0", "box area beyond the float range"),
+        (parse_generic_csv, "0,-1,0,0,1e154,1e154,0.5,0", "box area beyond the float range"),
+        (parse_uavdt_gt, "1,1,1e308,0,1e308,5,0,0,1", "box edge beyond the float range"),
+        (parse_visdrone_mot, "1,1,0,0,1e200,1e200,0.5,1,0,0", "box area beyond the float range"),
+    ],
+)
+def test_parsers_refuse_boxes_beyond_the_float_range(parse, row, message):
+    with pytest.raises(ParseError, match=f"line 2: {message}"):
+        parse("# first line\n" + row + "\n")
+
+
+def test_the_largest_box_the_parsers_take_stays_finite():
+    # x + w and 2 * w * h are just inside the float range
+    stream = parse_generic_csv("0,-1,8e307,0,8e307,1,0.5,0\n0,-1,0,0,1e154,8.9e153,0.5,0\n")
+    assert stream.n_detections == 2
+
+
+@pytest.mark.parametrize(
+    "parse,rows,frames",
+    [
+        # beyond 2**53 a float read of these would give ...992 and ...996
+        (
+            parse_generic_csv,
+            "9007199254740993,-1,0,0,5,5,0.5,0\n9007199254740995,-1,0,0,5,5,0.5,0\n",
+            (9007199254740993, 9007199254740995),
+        ),
+        # inside int64, but 2**63 as a float
+        (parse_uavdt_gt, "9223372036854775800,1,0,0,5,5,0,0,1\n", (9223372036854775799,)),
+        # other spellings still read as float does
+        (parse_generic_csv, "5.0,-1,0,0,5,5,0.5,0\n1e1,-1,0,0,5,5,0.5,0\n", (5, 10)),
+    ],
+)
+def test_integer_fields_are_read_exactly(parse, rows, frames):
+    stream = parse(rows)
+    assert stream.frame_indices == frames
+
+
+def test_ids_near_two_to_the_53_are_read_exactly():
+    stream = parse_visdrone_mot("1,9007199254740993,0,0,5,5,0.5,9007199254740995,0,0\n")
+    det = stream.detections_at(0)[0]
+    assert (det.track_hint, det.class_id) == (9007199254740993, 9007199254740995)
+    sidecar = parse_sidecar_csv("9007199254740993,9007199254740995,0.2,0.3,7,7,1.9,1.1\n")
+    assert (9007199254740993, 9007199254740995) in sidecar
+    # an integer literal beyond the float range stays non-finite
+    with pytest.raises(ParseError, match="line 1: non-finite payload_bytes"):
+        parse_sidecar_csv("1,2,0.2,0.3,7,7,1.9,1.1," + "9" * 400 + "\n")
+
+
 def test_stream_properties():
     stream = mk_stream([(2, [mk_det(2)]), (7, []), (9, [mk_det(9), mk_det(9, x=50)])])
     assert stream.first_frame == 2

@@ -67,6 +67,15 @@ def test_pairwise_iou_against_scalar(sets):
         assert m[i].tolist() == [iou(box, other) for other in boxes_b], i
 
 
+@settings(max_examples=40, deadline=None)
+@given(box_sets(), st.sampled_from([0.0, 5e-324, 0.1, 1 / 3, 0.5, 1.0]))
+def test_greedy_associate_equals_greedy_match_on_the_matrix(sets, min_iou):
+    # walking only the admissible pairs gives the dense matrix's matching:
+    # grid boxes tie on IoU, and min_iou = 0 admits disjoint pairs
+    a, b = sets
+    assert greedy_associate(a, b, min_iou) == greedy_match(pairwise_iou(a, b), min_iou)
+
+
 def exhaustive_greedy(a, b, min_iou):
     """Brute-force greedy on scalar IoU, as in acceptance check C10."""
     boxes_a = [BBox(*row) for row in a]

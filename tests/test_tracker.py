@@ -42,7 +42,7 @@ def test_track_retires_after_max_misses():
     tr.step(0, [mk_det(0, x=0)])
     tr.step(1, [])
     tr.step(2, [])
-    assert tr.step(3, [mk_det(3, x=0)]) == [(mk_det(3, x=0), 0, False)]
+    assert list(tr.step(3, [mk_det(3, x=0)])) == [(mk_det(3, x=0), 0, False)]
     # third consecutive miss: retired, so a reappearing box spawns a fresh
     # id, never id 0 again
     tr = Tracker(TrackerConfig(max_misses=2))
