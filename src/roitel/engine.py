@@ -2,10 +2,11 @@
 
 ``associate`` walks the stream at the clock's frame stride through the
 tracker and attaches each tracked detection's sidecar record and cost;
-nothing in it depends on the policy. It reads each frame as the stream's
-columns and hands each frame with rows on as NumPy columns. The scheduling pass scores a frame's rows as one block, asks
-the policy for selections against a rolling budget ledger, and records
-every transmission plus the per-track class timeline. ``sweep`` associates
+nothing in it depends on the policy. It reads each frame as a block of the
+stream's columns and hands each frame with rows on as NumPy columns. The
+scheduling pass scores a frame's rows as one block, asks the policy for
+selections against a rolling budget ledger, and records every
+transmission plus the per-track class timeline. ``sweep`` associates
 once and schedules every variant over the same columns. Runs are strictly
 sequential and deterministic for fixed inputs.
 """

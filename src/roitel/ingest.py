@@ -161,8 +161,9 @@ class _BoxRows(SequenceABC):
 
 
 def _int_column(values: list[int]) -> np.ndarray:
-    """int64, or object when a value is beyond int64: track hints and
-    sidecar track ids are not bounded."""
+    """int64, or object when a value is beyond int64: a stream bounds
+    neither its track hints nor the ids of detections handed straight to
+    ``Tracker.step``."""
     try:
         return np.array(values, dtype=np.int64)
     except OverflowError:
@@ -172,8 +173,8 @@ def _int_column(values: list[int]) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class FrameDetections:
     """One frame's detections as columns, row for row in stream order: the
-    form the tracker and the association pass read. Row ``i``'s ``BBox``
-    and ``Detection`` are built only when asked for, unless the stream
+    form the tracker and the association pass read. ``BBox`` and
+    ``Detection`` objects are built only when asked for, unless the stream
     already holds them."""
 
     frame_index: int
@@ -181,7 +182,7 @@ class FrameDetections:
     hint: np.ndarray  # int64 (object beyond int64); read where has_hint
     has_hint: np.ndarray  # bool
     conf: np.ndarray  # float64
-    cls: np.ndarray  # int64
+    cls: np.ndarray  # int64 (object beyond int64)
     bboxes: Sequence[BBox]
     _detections: Optional[tuple[Detection, ...]] = field(default=None, repr=False)
 
@@ -196,22 +197,13 @@ class FrameDetections:
             _int_column([-1 if h is None else h for h in hints]),
             np.array([h is not None for h in hints], dtype=bool),
             np.array([d.confidence for d in dets], dtype=np.float64),
-            np.array([d.class_id for d in dets], dtype=np.int64),
+            _int_column([d.class_id for d in dets]),
             bboxes,
             dets,
         )
 
     def __len__(self) -> int:
         return len(self.boxes)
-
-    def detection(self, i: int) -> Detection:
-        """Row ``i``'s ``Detection``."""
-        if self._detections is not None:
-            return self._detections[i]
-        hint = self.hint[i].item() if self.has_hint[i] else None
-        return Detection(
-            self.frame_index, self.bboxes[i], self.conf[i].item(), self.cls[i].item(), hint
-        )
 
     def detections(self) -> tuple[Detection, ...]:
         """Every row's ``Detection``, built in one pass over the columns."""

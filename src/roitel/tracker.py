@@ -12,8 +12,9 @@ mask; no ``Detection`` is built unless a caller reads the result's entries.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -40,7 +41,7 @@ class TrackerConfig:
 class Assignments(Sequence):
     """One step's result, row for row with the frame's detections: entry
     ``i`` is ``(detection, track id, is_new)``, where ``is_new`` says the
-    track was created on this step. Entries are built only when indexed;
+    track was created on this step. The entries are built when first read;
     ``track_id`` (int64) and ``is_new`` (bool) are the columns behind them."""
 
     def __init__(self, block: FrameDetections, track_id: np.ndarray, is_new: np.ndarray):
@@ -51,15 +52,12 @@ class Assignments(Sequence):
     def __len__(self) -> int:
         return len(self.track_id)
 
-    def __getitem__(self, i: int) -> tuple[Detection, int, bool]:
-        n = len(self)
-        if not -n <= i < n:
-            raise IndexError(f"assignment index {i} out of range for {n} rows")
-        i %= n
-        return self.block.detection(i), int(self.track_id[i]), bool(self.is_new[i])
+    def __getitem__(self, i):
+        return self._entries[i]
 
-    def __iter__(self) -> Iterator[tuple[Detection, int, bool]]:
-        return zip(self.block.detections(), self.track_id.tolist(), self.is_new.tolist())
+    @cached_property
+    def _entries(self) -> list[tuple[Detection, int, bool]]:
+        return list(zip(self.block.detections(), self.track_id.tolist(), self.is_new.tolist()))
 
 
 class Tracker:
