@@ -87,6 +87,8 @@ class BudgetLedger:
         self.window_s = window_s
         self._ts: list[float] = []
         self._bits: list[float] = []
+        # (lo, hi, sum of _bits[lo:hi]) of the last window_sum call
+        self._last: tuple[int, int, float] = (0, 0, 0)
 
     @property
     def cap_bits(self) -> float:
@@ -97,10 +99,19 @@ class BudgetLedger:
 
         Adds the entries in commit order, one by one as ``policy.decide``
         does; the builtin ``sum`` compensates rounding from Python 3.12 on.
+        A window that starts where the last one did and ends no earlier
+        continues the last sum, which is the same additions in the same
+        order; any other window is added from its start.
         """
         lo = bisect_right(self._ts, now_s - self.window_s)
         hi = bisect_right(self._ts, now_s, lo)
-        return reduce(add, self._bits[lo:hi], 0)
+        last_lo, last_hi, total = self._last
+        if lo != last_lo or hi < last_hi:
+            total = reduce(add, self._bits[lo:hi], 0)
+        elif hi > last_hi:
+            total = reduce(add, self._bits[last_hi:hi], total)
+        self._last = (lo, hi, total)
+        return total
 
     def admits(self, now_s: float, bits: float) -> bool:
         """True iff committing ``bits`` at ``now_s`` keeps the window under cap.

@@ -14,6 +14,7 @@ sequential and deterministic for fixed inputs.
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import repeat
 from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
@@ -182,8 +183,14 @@ def _schedule(
             class_label[tids] = cols.class_id[changed]
             class_source[tids] = _VIDEO_CLASS
             log.class_events.extend(
-                ClassEvent(frame_index, now, tid, label, CLASS_SOURCE_VIDEO)
-                for tid, label in zip(tids.tolist(), cols.class_id[changed].tolist())
+                map(
+                    ClassEvent,
+                    repeat(frame_index),
+                    repeat(now),
+                    tids.tolist(),
+                    cols.class_id[changed].tolist(),
+                    repeat(CLASS_SOURCE_VIDEO),
+                )
             )
 
         decision = policy_mod.decide(frame_index, block, ledger.view(now), cfg.policy)

@@ -72,7 +72,9 @@ class DetectionStream:
     ) -> "DetectionStream":
         """A stream of the given entries; frame indices and class ids must
         be ``int`` values that fit in int64, as the engine keeps them in
-        int64 columns and writes them to the run log as integers."""
+        int64 columns and writes them to the run log as integers. Boxes
+        must keep their edges and twice their area within the float range,
+        as the parsers require."""
         indices = []
         per_frame = []
         prev = None
@@ -93,6 +95,10 @@ class DetectionStream:
                     raise InvalidParam(f"class_id must be an int, got {det.class_id!r}")
                 if not _INT64_MIN <= det.class_id <= _INT64_MAX:
                     raise InvalidParam(f"class_id outside int64: {det.class_id}")
+                b = det.bbox
+                problem = _box_range_problem(b.x, b.y, b.w, b.h)
+                if problem:
+                    raise InvalidParam(problem)
             indices.append(frame_index)
             per_frame.append(tuple(dets))
         return DetectionStream(
@@ -367,16 +373,29 @@ def _int64(line_no: int, value: int, name: str) -> int:
     return value
 
 
+def _box_range_problem(x, y, w, h) -> Optional[str]:
+    """Why some IoU or cost of the box could overflow, if one could: a
+    union adds two areas."""
+    try:
+        edges = math.isfinite(x + w) and math.isfinite(y + h)
+        area = math.isfinite(2.0 * w * h)
+    except OverflowError:  # an int beyond the float range: so is an edge
+        edges = area = False
+    if not edges:
+        return f"box edge beyond the float range: x={x} y={y} w={w} h={h}"
+    if not area:
+        return f"box area beyond the float range: w={w} h={h}"
+    return None
+
+
 def _check_bbox(line_no: int, x: float, y: float, w: float, h: float) -> BBox:
     if w <= 0:
         raise ParseError(line_no, f"non-positive width: {w}")
     if h <= 0:
         raise ParseError(line_no, f"non-positive height: {h}")
-    # so that no IoU or cost of the box overflows: a union adds two areas
-    if not (math.isfinite(x + w) and math.isfinite(y + h)):
-        raise ParseError(line_no, f"box edge beyond the float range: x={x} y={y} w={w} h={h}")
-    if not math.isfinite(2.0 * w * h):
-        raise ParseError(line_no, f"box area beyond the float range: w={w} h={h}")
+    problem = _box_range_problem(x, y, w, h)
+    if problem:
+        raise ParseError(line_no, problem)
     return BBox(x, y, w, h)
 
 

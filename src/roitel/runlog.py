@@ -5,7 +5,8 @@ tagged with a "kind" field ("tx" for ROI transmissions, "class" for class
 timeline events). Serialization is deterministic: keys are sorted and floats
 use the shortest round-trip form, so identical runs produce identical bytes.
 The header is written by ``json.dumps``; the records by fixed templates that
-give the same bytes.
+give the same bytes. Records are named tuples, so the scheduling pass, the
+writer and the reader build and unpack them at tuple cost.
 
 ``read_jsonl`` decodes a log in one pass and falls back to the line reader,
 ``_read_lines``, whenever that pass cannot be sure to give the line reader's
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .domain import BBox, BudgetConfig, FrameClock
 from .errors import ConfigError, InvalidParam, ParseError
@@ -32,8 +33,7 @@ CLASS_SOURCE_VIDEO = "video"
 CLASS_SOURCE_STILL = "still"
 
 
-@dataclass(frozen=True)
-class TransmissionRecord:
+class TransmissionRecord(NamedTuple):
     """One ROI sent over the side channel.
 
     Semantic fields are None when the run had no sidecar entry for this
@@ -62,8 +62,7 @@ class TransmissionRecord:
         return self.still_conf is not None
 
 
-@dataclass(frozen=True)
-class ClassEvent:
+class ClassEvent(NamedTuple):
     """Class label assumed downstream for a track starting at this frame."""
 
     frame_index: int
@@ -140,37 +139,32 @@ def _or_null(value) -> str:
 
 
 def _tx_line(tx: TransmissionRecord) -> str:
-    b = tx.bbox
+    frame, t_s, track, b, cost, score, u, s_small, n, vc, sc, vl, sl, ve, se = tx
     return _TX_LINE % (
         b.x,
         b.y,
         b.w,
         b.h,
-        tx.cost_bits,
-        tx.frame_index,
-        tx.n_term,
-        tx.s_small_term,
-        tx.score,
-        _or_null(tx.still_conf),
-        _or_null(tx.still_entropy),
-        _or_null(tx.still_label),
-        tx.t_s,
-        tx.track_id,
-        tx.u_term,
-        _or_null(tx.video_conf),
-        _or_null(tx.video_entropy),
-        _or_null(tx.video_label),
+        cost,
+        frame,
+        n,
+        s_small,
+        score,
+        _or_null(sc),
+        _or_null(se),
+        _or_null(sl),
+        t_s,
+        track,
+        u,
+        _or_null(vc),
+        _or_null(ve),
+        _or_null(vl),
     )
 
 
 def _class_line(ev: ClassEvent) -> str:
-    return _CLASS_LINE % (
-        ev.frame_index,
-        ev.label,
-        encode_basestring_ascii(ev.source),
-        ev.t_s,
-        ev.track_id,
-    )
+    frame, t_s, track, label, source = ev
+    return _CLASS_LINE % (frame, label, encode_basestring_ascii(source), t_s, track)
 
 
 def to_jsonl_lines(log: RunLog) -> list[str]:
@@ -407,6 +401,11 @@ _TX_QUOTES = 2 * (len(_TX_FIELDS) + 1) + 2
 _CLASS_QUOTES = 2 * (len(_CLASS_FIELDS) + 1) + 4
 
 
+def _with_bbox(row: tuple, bbox: BBox) -> TransmissionRecord:
+    """The record of a tx row, with its bbox list read as ``bbox``."""
+    return TransmissionRecord._make(row[:3] + (bbox,) + row[4:])
+
+
 def _typed(column, types: frozenset) -> bool:
     return set(map(type, column)) <= types
 
@@ -463,8 +462,7 @@ def _read_one_pass(text: str) -> Optional[RunLog]:
                 and _finite(chain(corners, *tx_cols[:3], *tx_cols[4:9], *semantic))
             ):
                 return None
-            tx_cols[3] = list(starmap(BBox, bboxes))
-            log.transmissions = list(map(TransmissionRecord, *tx_cols))
+            log.transmissions = list(map(_with_bbox, tx_rows, starmap(BBox, bboxes)))
         if class_rows:
             class_cols = list(zip(*class_rows))
             if not (
@@ -473,7 +471,7 @@ def _read_one_pass(text: str) -> Optional[RunLog]:
                 and _finite(chain(*class_cols[:4]))
             ):
                 return None
-            log.class_events = list(map(ClassEvent, *class_cols))
+            log.class_events = list(map(ClassEvent._make, class_rows))
     except Exception:  # any failure leaves the verdict, and the error, to _read_lines
         return None
     return None if _overcounted(log) else log

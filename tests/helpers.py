@@ -1,13 +1,17 @@
 """Shared builders for the test suite, the dict-based association pass and
-the scalar scheduling pass that the columnar ones are checked against, and
-the ``json.dumps`` run-log writer that the record templates are checked
-against. Other oracles live in the test modules."""
+the scalar scheduling pass (with its own from-scratch ledger) that the
+columnar ones are checked against, and the ``json.dumps`` run-log writer
+that the record templates are checked against. Other oracles live in the
+test modules."""
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Iterator, Optional
 
 import numpy as np
@@ -15,7 +19,7 @@ import numpy as np
 from roitel import (
     BBox,
     BudgetConfig,
-    BudgetLedger,
+    BudgetViolation,
     CandidateBlock,
     ConfigError,
     CostModel,
@@ -362,6 +366,44 @@ def scalar_decide(
     )
 
 
+class RefLedger:
+    """``BudgetLedger`` as it was before it kept its last window sum: every
+    window is added from its start, in commit order."""
+
+    def __init__(self, b_roi: float, window_s: float):
+        if b_roi < 0:
+            raise InvalidParam(f"b_roi must be >= 0, got {b_roi}")
+        if not window_s > 0:
+            raise InvalidParam(f"window_s must be > 0, got {window_s}")
+        self.cap_bits = b_roi * window_s
+        self.window_s = window_s
+        self._ts: list[float] = []
+        self._bits: list[float] = []
+
+    def window_sum(self, now_s: float) -> float:
+        lo = bisect_right(self._ts, now_s - self.window_s)
+        hi = bisect_right(self._ts, now_s, lo)
+        return reduce(add, self._bits[lo:hi], 0)
+
+    def admits(self, now_s: float, bits: float) -> bool:
+        if not bits > 0:
+            raise InvalidParam(f"bits must be > 0, got {bits}")
+        return self.window_sum(now_s) + bits <= self.cap_bits
+
+    def view(self, now_s: float) -> LedgerView:
+        return LedgerView(window_sum_bits=self.window_sum(now_s), cap_bits=self.cap_bits)
+
+    def commit(self, now_s: float, bits: float) -> None:
+        if not self.admits(now_s, bits):
+            raise BudgetViolation(
+                f"commit of {bits} bits at t={now_s} exceeds cap {self.cap_bits}"
+            )
+        if self._ts and now_s < self._ts[-1]:
+            raise InvalidParam(f"commit time {now_s} precedes last entry {self._ts[-1]}")
+        self._ts.append(now_s)
+        self._bits.append(bits)
+
+
 def scalar_schedule(frames, stream: DetectionStream, cfg: RunConfig) -> RunLog:
     """The scheduling pass over ``engine.associate``'s frames, row by row."""
     log = RunLog(
@@ -384,7 +426,7 @@ def scalar_schedule(frames, stream: DetectionStream, cfg: RunConfig) -> RunLog:
         processed_frame_range(stream.first_frame, stream.last_frame, cfg.clock.frame_stride)
     )
 
-    ledger = BudgetLedger(cfg.budget.b_roi, cfg.budget.window_s)
+    ledger = RefLedger(cfg.budget.b_roi, cfg.budget.window_s)
     last_refined: dict[int, int] = {}
     class_state: dict[int, tuple[str, int]] = {}
     conf_sum = 0.0

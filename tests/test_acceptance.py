@@ -124,7 +124,7 @@ def test_c2_selection_ratio_and_coverage_identities(checked):
             if coverage is not None:
                 # one transmission per processed frame for the first n_tx frames
                 log.transmissions = [
-                    replace(tx, frame_index=i * 5) for i, tx in enumerate(log.transmissions)
+                    tx._replace(frame_index=i * 5) for i, tx in enumerate(log.transmissions)
                 ]
             rep = aggregate(log, PILOT_BASE_BPS, PILOT_DURATION_S)
             assert rep.selected_rois == n_tx

@@ -1,8 +1,9 @@
+import math
 import random
 from collections import deque
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from roitel import (
     BudgetLedger,
@@ -12,7 +13,7 @@ from roitel import (
     budget,
     estimate_cost,
 )
-from helpers import compensated_sum
+from helpers import RefLedger, compensated_sum
 
 
 def test_cost_unpadded_formula():
@@ -208,3 +209,79 @@ def test_window_sum_matches_the_generator_it_replaced(window_s, steps):
             assert got == repr(model.window_sum(t, model.history)), t
             if t >= now:
                 assert got == repr(model.window_sum(t)), t
+
+
+#: Bits whose sums round differently in another order.
+rounding_bits = st.one_of(
+    st.sampled_from([0.1, 0.2, 0.3, 1 / 3, 1.0, 1e16]),
+    st.floats(1e-3, 1e17, allow_nan=False),
+)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(
+    window_s=st.sampled_from([0.25, 0.5, 1.0, 2.0, 0.3]),
+    cap=st.sampled_from([math.inf, 4.0, 1e16]),
+    ops=st.lists(
+        st.one_of(
+            # commit after 0 to 4 quarter seconds: equal timestamps included
+            st.tuples(st.just("commit"), st.integers(0, 4), rounding_bits),
+            # ask at any grid time: back in time, or past every entry
+            st.tuples(st.just("query"), grid_time, st.none()),
+        ),
+        max_size=60,
+    ),
+)
+@example(
+    window_s=1.0,
+    cap=math.inf,
+    ops=[
+        ("query", 0.0, None),  # an empty ledger
+        ("commit", 0, 0.1),
+        ("commit", 0, 0.2),  # an equal timestamp
+        ("commit", 2, 0.3),
+        ("query", 0.75, None),
+        ("query", 0.25, None),  # back in time: the window ends earlier
+        ("query", 1.0, None),  # the entries at 0 are exactly window_s old
+        ("query", 1.25, None),
+        ("query", 1.5, None),  # the window has slid past every entry
+        ("commit", 4, 1e16),
+        ("commit", 0, 1.0),
+        ("query", 1.5, None),
+        ("query", 0.5, None),
+    ],
+)
+def test_kept_window_sum_matches_the_from_scratch_sum(window_s, cap, ops):
+    # the ledger continues its last window sum where it can; the reference
+    # adds every window from its start. Both add in commit order, so every
+    # answer, and every admission, is the same to the last bit
+    ledger = BudgetLedger(b_roi=cap / window_s, window_s=window_s)
+    ref = RefLedger(b_roi=cap / window_s, window_s=window_s)
+    now = 0.0
+    for op, arg, bits in ops:
+        if op == "commit":
+            now += arg / 4
+            admitted = ref.admits(now, bits)
+            assert ledger.admits(now, bits) == admitted
+            if admitted:
+                ledger.commit(now, bits)
+                ref.commit(now, bits)
+            times = [now]
+        else:
+            times = [arg, arg - window_s, arg + window_s]
+        for t in times:
+            assert repr(ledger.window_sum(t)) == repr(ref.window_sum(t)), (op, t)
+            assert ledger.view(t) == ref.view(t)
+
+
+def test_an_empty_window_sums_to_int_zero():
+    ledger = BudgetLedger(b_roi=100.0, window_s=1.0)
+    assert repr(ledger.window_sum(0.0)) == "0"
+    ledger.commit(0.0, 0.5)
+    ledger.commit(0.5, 0.25)
+    assert repr(ledger.window_sum(0.5)) == "0.75"
+    # the window has slid past both entries, then steps back onto them
+    assert repr(ledger.window_sum(1.5)) == "0"
+    assert repr(ledger.window_sum(0.75)) == "0.75"
+    assert repr(ledger.window_sum(1.0)) == "0.25"
+    assert repr(ledger.window_sum(-1.0)) == "0"

@@ -104,14 +104,19 @@ def test_frames_without_rows_skip_the_scheduling_pass(monkeypatch):
         ([(0, [mk_det(0)]), (100, [mk_det(100)])], "t_s is not finite at frame 20: fps is 1e-307"),
         # on a frame with rows, a bad cost is reported before a bad timestamp
         (
-            [(0, []), (20, [mk_det(20, w=1e200, h=1e200)])],
+            [(0, []), (20, [mk_det(20, w=1e5, h=1e5)])],
             "cost_bits is not finite at frame 20, track 0: inf",
         ),
     ],
 )
 def test_the_first_bad_processed_frame_names_itself(frames, message):
-    # 15 / 1e-307 is finite, 20 / 1e-307 is not
-    cfg = replace(low_regime_cfg("M5"), clock=FrameClock(fps=1e-307, frame_stride=5))
+    # 15 / 1e-307 is finite, 20 / 1e-307 is not; at 1e300 bits a pixel a
+    # 10x10 box costs a finite 1.69e302 bits, a 1e5x1e5 box does not
+    cfg = replace(
+        low_regime_cfg("M5"),
+        clock=FrameClock(fps=1e-307, frame_stride=5),
+        cost=CostModel(bits_per_pixel=1e300),
+    )
     with pytest.raises(InvalidParam) as exc:
         run(mk_stream(frames), None, cfg)
     assert str(exc.value) == message
@@ -592,9 +597,11 @@ def test_the_first_row_with_an_overflowing_score_raises_the_scalar_error(
 
 
 def test_a_cost_beyond_the_float_range_is_refused():
-    frames = [(0, [mk_det(0), mk_det(0, x=100.0, w=1e200, h=1e200)])]
+    # the box is in the float range; its cost at 1e300 bits a pixel is not
+    frames = [(0, [mk_det(0), mk_det(0, x=100.0, w=1e5, h=1e5)])]
+    cfg = replace(low_regime_cfg("M5"), cost=CostModel(bits_per_pixel=1e300))
     with pytest.raises(InvalidParam) as exc:
-        run(mk_stream(frames), None, low_regime_cfg("M5"))
+        run(mk_stream(frames), None, cfg)
     assert str(exc.value) == "cost_bits is not finite at frame 0, track 1: inf"
 
 

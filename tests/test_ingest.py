@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from roitel import (
+    CostModel,
     DetectionStream,
     DuplicateKey,
     FrameClock,
@@ -17,9 +19,10 @@ from roitel import (
     parse_sidecar_csv,
     parse_uavdt_gt,
     parse_visdrone_mot,
+    run,
     write_generic_csv,
 )
-from helpers import mk_det, mk_stream
+from helpers import low_regime_cfg, mk_det, mk_stream
 
 
 # --- generic CSV ------------------------------------------------------------
@@ -255,6 +258,49 @@ def test_python_built_inputs_refuse_values_beyond_int64():
     assert mk_stream([(2**63 - 1, [mk_det(2**63 - 1, cls=-(2**63))])]).n_detections == 1
     with pytest.raises(InvalidParam, match="still_label outside int64"):
         SemanticRecord(0, 0, 0.5, 0.5, 1, 2**63, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "box,values",
+    [
+        (dict(x=1e308, w=1e308), "x=1e+308 y=0.0 w=1e+308 h=10.0"),
+        (dict(y=1.7e308, h=1e307), "x=0.0 y=1.7e+308 w=10.0 h=1e+307"),
+        # ints that no float can hold, even where their sum could
+        (dict(x=-(10**400)), f"x={-(10**400)} y=0.0 w=10.0 h=10.0"),
+        (dict(x=-(10**400), w=10**400), f"x={-(10**400)} y=0.0 w={10**400} h=10.0"),
+    ],
+    ids=["right", "bottom", "int", "ints"],
+)
+def test_from_frames_refuses_a_box_edge_beyond_the_float_range(box, values):
+    # such a box overflowed the pair IoU: a RuntimeWarning, a NaN IoU, and
+    # a new track for the same box on every frame
+    with pytest.raises(InvalidParam) as exc:
+        mk_stream([(0, [mk_det(0)]), (5, [mk_det(5, **box)])])
+    assert str(exc.value) == f"box edge beyond the float range: {values}"
+
+
+@pytest.mark.parametrize(
+    "box,values",
+    [
+        (dict(w=1e200, h=1e200), "w=1e+200 h=1e+200"),
+        # w * h is in the range, the two areas of a union are not
+        (dict(w=1e154, h=1e154), "w=1e+154 h=1e+154"),
+    ],
+    ids=["square", "union"],
+)
+def test_from_frames_refuses_a_box_area_beyond_the_float_range(box, values):
+    with pytest.raises(InvalidParam) as exc:
+        mk_stream([(0, [mk_det(0)]), (5, [mk_det(5, **box)])])
+    assert str(exc.value) == f"box area beyond the float range: {values}"
+
+
+def test_the_largest_box_from_frames_takes_keeps_one_track():
+    # x + w and 2 * w * h are just inside the float range, so the IoU of the
+    # box with itself is 1 on every frame and no warning is raised
+    frames = [(f, [mk_det(f, x=8e307, w=8e307, h=1.0)]) for f in (0, 5, 10)]
+    cfg = replace(low_regime_cfg("M2"), cost=CostModel(resize_edge=128))
+    log = run(mk_stream(frames), None, cfg)
+    assert {ev.track_id for ev in log.class_events} == {0}
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,19 @@
+"""The README's library example runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def library_snippet() -> str:
+    """The first ```python block of the README's "Library use" section."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_the_library_use_snippet_runs(capsys):
+    exec(compile(library_snippet(), str(README), "exec"), {"__name__": "readme"})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[1].endswith(" 99")

@@ -113,6 +113,28 @@ def test_missing_semantics_round_trip_as_none():
     assert again.transmissions[0].has_semantics
 
 
+def test_records_are_immutable_hashable_named_tuples_with_a_fixed_repr():
+    tx, bare = sample_log().transmissions
+    ev = ClassEvent(0, 0.0, 1, 2, CLASS_SOURCE_VIDEO)
+    assert repr(ev) == "ClassEvent(frame_index=0, t_s=0.0, track_id=1, label=2, source='video')"
+    assert repr(tx) == (
+        "TransmissionRecord(frame_index=5, t_s=0.3333333333333333, track_id=2, "
+        "bbox=BBox(x=10.0, y=20.0, w=30.0, h=40.0), cost_bits=11200.0, score=6.7e-05, "
+        "u_term=0.4, s_small_term=0.5, n_term=1.0, video_conf=0.2, still_conf=0.35, "
+        "video_label=7, still_label=7, video_entropy=1.9, still_entropy=1.1)"
+    )
+    for record, name in ((tx, "score"), (ev, "label"), (ev, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    assert tx.has_semantics and not bare.has_semantics
+    assert not tx._replace(still_conf=None).has_semantics
+    moved = tx._replace(frame_index=10)
+    assert moved.frame_index == 10 and moved[1:] == tx[1:] and tx.frame_index == 5
+    assert tx._asdict()["bbox"] == BBox(10.0, 20.0, 30.0, 40.0)
+    assert hash(tx._replace()) == hash(tx)
+    assert len({tx, tx._replace(), bare, ev, ev._replace()}) == 3
+
+
 def test_derived_totals():
     log = sample_log()
     assert log.processed_frames == 3
