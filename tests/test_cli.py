@@ -60,6 +60,17 @@ def test_gen_synthetic_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+#: sha256 of ``gen-synthetic --seed 1``, pinned while the generator still
+#: built a ``Detection`` per row.
+GEN_SYNTHETIC_SEED_1_SHA256 = "1aa825a37339f22a99dc42bdee65ddfa16a7963062de5da5410fc531fcc4c86f"
+
+
+def test_gen_synthetic_keeps_its_bytes(tmp_path):
+    path = tmp_path / "d.csv"
+    assert main(["gen-synthetic", "--seed", "1", "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GEN_SYNTHETIC_SEED_1_SHA256
+
+
 @pytest.mark.parametrize(
     "flag,value,message",
     [

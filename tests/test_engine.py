@@ -731,6 +731,34 @@ def test_hints_beyond_int64_extend_tracks_and_key_the_sidecar():
     assert [tx.has_semantics for tx in log.transmissions] == [False] * 3 + [True]
 
 
+#: sha256 of the run log of a ``from_frames`` stream with integer boxes, an
+#: ``int`` confidence and hints of ``2**64`` and ``None``, under hint
+#: association with a sidecar, pinned while such a stream kept its
+#: ``Detection`` objects.
+OBJECT_STREAM_RUNLOG_SHA256 = "7ac4ec7d144b5d041f77ad6e53c72d088356c398990044b7ccca5ff82a9a9624"
+
+
+def test_object_stream_runlog_keeps_its_bytes():
+    big = 2**64
+    frames = [
+        (
+            f,
+            [
+                mk_det(f, x=40 + 3 * f, y=20, w=12, h=9, conf=1, cls=2, hint=big),
+                mk_det(f, x=300, y=100 + f, w=30, h=16, conf=0.55, cls=4),
+            ],
+        )
+        for f in (0, 5, 10, 15)
+    ]
+    sidecar = SemanticSidecar([sidecar_record(5, big, payload=700), sidecar_record(10, 1)])
+    cfg = low_regime_cfg("preset_permissive", cooldown_frames=0)
+    cfg = replace(cfg, tracker=TrackerConfig(use_hints=True))
+    log = run(mk_stream(frames), sidecar, cfg)
+    assert [tx.cost_bits for tx in log.transmissions if tx.frame_index == 5][1] == 5600.0
+    digest = hashlib.sha256(("\n".join(to_jsonl_lines(log)) + "\n").encode()).hexdigest()
+    assert digest == OBJECT_STREAM_RUNLOG_SHA256
+
+
 def test_a_parsed_stream_is_tracked_without_detection_objects(monkeypatch):
     stream = parse_generic_csv(write_generic_csv(synthetic()))
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -467,6 +468,18 @@ def test_gen_synthetic_validates_args():
 
 
 # --- confidence noise -------------------------------------------------------
+
+
+#: sha256 of the generic CSV of a seeded synthetic stream with seeded
+#: confidence noise, pinned while both still built a ``Detection`` per row.
+NOISY_CSV_SHA256 = "ef7f1951c5826744c59037598ac4af07c1ec50cc146565273289cf6578898dcb"
+
+
+def test_noisy_synthetic_csv_keeps_its_bytes():
+    stream = gen_synthetic(1, 300, 5.0, FrameClock())
+    text = write_generic_csv(inject_confidence_noise(stream, 0.3, seed=3))
+    assert hashlib.sha256(text.encode()).hexdigest() == NOISY_CSV_SHA256
+
 
 
 def test_inject_confidence_noise_lowers_within_bound():
