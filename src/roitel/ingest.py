@@ -32,7 +32,8 @@ import re
 from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import accumulate, chain, repeat
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -53,18 +54,18 @@ class DetectionStream:
     """Ordered per-frame detections plus the source clock.
 
     ``frame_indices`` are the frames that have an entry, strictly
-    increasing; an entry may hold no detections. A parsed stream keeps its
-    detections in NumPy columns and builds a frame's ``Detection`` objects
-    each time that frame is asked for; a stream made by ``from_frames``
-    keeps the objects it was given. Either hands a frame to the tracker as
-    one ``FrameDetections`` block (``block_at``). Streams are equal when
-    their clocks and ``frames`` are, whatever their storage.
+    increasing; an entry may hold no detections. Every stream keeps its
+    detections in one ``FrameDetections`` table, row for row in stream
+    order: entry ``i`` holds rows ``_offsets[i]:_offsets[i + 1]``. It hands
+    a frame to the tracker as that slice of the table (``block_at``) and
+    builds a frame's ``Detection`` objects each time they are asked for.
+    Streams are equal when their clocks and ``frames`` are.
     """
 
     clock: FrameClock
     frame_indices: tuple[int, ...]
-    n_detections: int
-    _per_frame: Sequence[tuple[Detection, ...]] = field(repr=False)
+    _offsets: Sequence[int] = field(repr=False)
+    _rows: "FrameDetections" = field(repr=False)
 
     @staticmethod
     def from_frames(
@@ -76,63 +77,52 @@ class DetectionStream:
         must keep their edges and twice their area within the float range,
         as the parsers require."""
         indices = []
-        per_frame = []
-        prev = None
-        for frame_index, dets in frames:
-            if type(frame_index) is not int:
-                raise InvalidParam(f"frame index must be an int, got {frame_index!r}")
-            if prev is not None and frame_index <= prev:
-                raise InvalidParam(f"frame indices must strictly increase at {frame_index}")
-            if frame_index > _INT64_MAX:
-                raise InvalidParam(f"frame index outside int64: {frame_index}")
-            prev = frame_index
-            for det in dets:
-                if det.frame_index != frame_index:
-                    raise InvalidParam(
-                        f"detection frame {det.frame_index} does not match entry {frame_index}"
-                    )
-                if type(det.class_id) is not int:
-                    raise InvalidParam(f"class_id must be an int, got {det.class_id!r}")
-                if not _INT64_MIN <= det.class_id <= _INT64_MAX:
-                    raise InvalidParam(f"class_id outside int64: {det.class_id}")
-                b = det.bbox
-                problem = _box_range_problem(b.x, b.y, b.w, b.h)
-                if problem:
-                    raise InvalidParam(problem)
-            indices.append(frame_index)
-            per_frame.append(tuple(dets))
-        return DetectionStream(
-            clock, tuple(indices), sum(map(len, per_frame)), tuple(per_frame)
-        )
+        offsets = [0]
+
+        def checked():
+            prev = None
+            for frame_index, dets in frames:
+                if type(frame_index) is not int:
+                    raise InvalidParam(f"frame index must be an int, got {frame_index!r}")
+                if prev is not None and frame_index <= prev:
+                    raise InvalidParam(f"frame indices must strictly increase at {frame_index}")
+                if frame_index > _INT64_MAX:
+                    raise InvalidParam(f"frame index outside int64: {frame_index}")
+                prev = frame_index
+                indices.append(frame_index)
+                offsets.append(offsets[-1])
+                for det in dets:
+                    if det.frame_index != frame_index:
+                        raise InvalidParam(
+                            f"detection frame {det.frame_index} does not match entry {frame_index}"
+                        )
+                    offsets[-1] += 1
+                    yield det
+
+        rows = FrameDetections.from_detections(None, checked())
+        return DetectionStream(clock, tuple(indices), offsets, rows)
+
+    @property
+    def n_detections(self) -> int:
+        return len(self._rows)
 
     @property
     def frames(self) -> tuple[tuple[int, tuple[Detection, ...]], ...]:
-        """Every ``(frame_index, detections)`` entry. A parsed stream builds
-        all of its ``Detection`` objects here; ``detections_at`` builds one
-        frame's."""
-        return tuple(zip(self.frame_indices, self._per_frame))
-
-    def _entry(self, frame_index: int) -> Optional[int]:
-        i = bisect_left(self.frame_indices, frame_index)
-        if i < len(self.frame_indices) and self.frame_indices[i] == frame_index:
-            return i
-        return None
+        """Every ``(frame_index, detections)`` entry, with every
+        ``Detection`` built anew; ``detections_at`` builds one frame's."""
+        return tuple((f, self.detections_at(f)) for f in self.frame_indices)
 
     def detections_at(self, frame_index: int) -> tuple[Detection, ...]:
         """The detections of one frame; empty when it has no entry."""
-        i = self._entry(frame_index)
-        return () if i is None else self._per_frame[i]
+        return self.block_at(frame_index).detections()
 
     def block_at(self, frame_index: int) -> "FrameDetections":
-        """The detections of one frame as columns; empty when it has no
-        entry. A parsed stream slices its columns; a ``from_frames`` stream
-        builds the block from its own objects."""
-        i = self._entry(frame_index)
-        if i is None:
-            return FrameDetections.from_detections(frame_index, ())
-        if isinstance(self._per_frame, _Columns):
-            return self._per_frame.block(i)
-        return FrameDetections.from_detections(frame_index, self._per_frame[i])
+        """The detections of one frame as a slice of the stream's columns;
+        empty when it has no entry."""
+        i = bisect_left(self.frame_indices, frame_index)
+        if i < len(self.frame_indices) and self.frame_indices[i] == frame_index:
+            return self._rows.slice(frame_index, self._offsets[i], self._offsets[i + 1])
+        return self._rows.slice(frame_index, 0, 0)
 
     @property
     def first_frame(self) -> Optional[int]:
@@ -150,7 +140,9 @@ class DetectionStream:
 
 class _BoxRows(SequenceABC):
     """Row ``i``'s ``BBox`` of an (N, 4) box array, built when first asked
-    for and kept, so every reader of the row shares one object."""
+    for and kept, so every reader of the row shares one object. A slice is
+    the rows of a slice of the array; iterating builds every row's box
+    without keeping it."""
 
     def __init__(self, boxes: np.ndarray):
         self._boxes = boxes
@@ -159,17 +151,20 @@ class _BoxRows(SequenceABC):
     def __len__(self) -> int:
         return len(self._boxes)
 
-    def __getitem__(self, i: int) -> BBox:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _BoxRows(self._boxes[i])
         box = self._made.get(i)
         if box is None:
             box = self._made[i] = BBox(*self._boxes[i].tolist())
         return box
 
+    def __iter__(self):
+        return (BBox(*box) for box in self._boxes.tolist())
+
 
 def _int_column(values: list[int]) -> np.ndarray:
-    """int64, or object when a value is beyond int64: a stream bounds
-    neither its track hints nor the ids of detections handed straight to
-    ``Tracker.step``."""
+    """int64, or object when a value is beyond int64, as a hint may be."""
     try:
         return np.array(values, dtype=np.int64)
     except OverflowError:
@@ -178,79 +173,74 @@ def _int_column(values: list[int]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FrameDetections:
-    """One frame's detections as columns, row for row in stream order: the
-    form the tracker and the association pass read. ``BBox`` and
-    ``Detection`` objects are built only when asked for, unless the stream
-    already holds them."""
+    """Detections as columns, row for row in stream order: one frame's, the
+    form the tracker and the association pass read, or a whole stream's
+    (``frame_index`` None), which a frame's block is a slice of. ``BBox``
+    objects are kept in ``bboxes`` when the rows were packed from them, and
+    built when first asked for otherwise; ``Detection`` objects are built
+    each time they are asked for."""
 
-    frame_index: int
+    frame_index: Optional[int]
     boxes: np.ndarray  # (N, 4) float64: x, y, w, h
     hint: np.ndarray  # int64 (object beyond int64); read where has_hint
     has_hint: np.ndarray  # bool
     conf: np.ndarray  # float64
-    cls: np.ndarray  # int64 (object beyond int64)
+    cls: np.ndarray  # int64
     bboxes: Sequence[BBox]
-    _detections: Optional[tuple[Detection, ...]] = field(default=None, repr=False)
 
     @staticmethod
-    def from_detections(frame_index: int, dets: Sequence[Detection]) -> "FrameDetections":
-        dets = tuple(dets)
-        bboxes = tuple(d.bbox for d in dets)
-        hints = [d.track_hint for d in dets]
+    def from_detections(
+        frame_index: Optional[int], dets: Iterable[Detection]
+    ) -> "FrameDetections":
+        """The rows of ``dets``, which keep their ``BBox`` objects. A class
+        id must be an ``int`` that fits in int64, and a box must keep its
+        edges and twice its area within the float range, as the parsers
+        require; the first detection that breaks a rule raises
+        ``InvalidParam``."""
+        checked = []
+        for det in dets:
+            if type(det.class_id) is not int:
+                raise InvalidParam(f"class_id must be an int, got {det.class_id!r}")
+            if not _INT64_MIN <= det.class_id <= _INT64_MAX:
+                raise InvalidParam(f"class_id outside int64: {det.class_id}")
+            b = det.bbox
+            problem = _box_range_problem(b.x, b.y, b.w, b.h)
+            if problem:
+                raise InvalidParam(problem)
+            checked.append(det)
+        bboxes = tuple(d.bbox for d in checked)
+        hints = [d.track_hint for d in checked]
         return FrameDetections(
             frame_index,
             np.array([(b.x, b.y, b.w, b.h) for b in bboxes], dtype=np.float64).reshape(-1, 4),
             _int_column([-1 if h is None else h for h in hints]),
             np.array([h is not None for h in hints], dtype=bool),
-            np.array([d.confidence for d in dets], dtype=np.float64),
-            _int_column([d.class_id for d in dets]),
+            np.array([d.confidence for d in checked], dtype=np.float64),
+            np.array([d.class_id for d in checked], dtype=np.int64),
             bboxes,
-            dets,
         )
 
     def __len__(self) -> int:
         return len(self.boxes)
 
-    def detections(self) -> tuple[Detection, ...]:
-        """Every row's ``Detection``, built in one pass over the columns."""
-        if self._detections is not None:
-            return self._detections
-        cols = (self.hint, self.has_hint, self.boxes, self.conf, self.cls)
-        return tuple(
-            Detection(self.frame_index, BBox(*box), conf, cls, hint if has else None)
-            for hint, has, box, conf, cls in zip(*(c.tolist() for c in cols))
-        )
-
-
-class _Columns(SequenceABC):
-    """A parsed stream's detections as NumPy columns, one row per detection
-    in stream order. Entry ``i`` is frame ``frame_indices[i]`` and holds
-    rows ``offsets[i]:offsets[i + 1]``; indexing builds its Detections."""
-
-    def __init__(self, frame_indices, offsets, hint, boxes, conf, cls, negative_hint_is_none):
-        self.frame_indices = frame_indices
-        self.offsets = offsets
-        self.hint, self.boxes, self.conf, self.cls = hint, boxes, conf, cls
-        self.negative_hint_is_none = negative_hint_is_none
-
-    def __len__(self) -> int:
-        return len(self.frame_indices)
-
-    def __getitem__(self, i: int) -> tuple[Detection, ...]:
-        return self.block(i).detections()
-
-    def block(self, i: int) -> FrameDetections:
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        hint, boxes = self.hint[lo:hi], self.boxes[lo:hi]
-        has_hint = hint >= 0 if self.negative_hint_is_none else np.ones(len(hint), dtype=bool)
+    def slice(self, frame_index: int, lo: int, hi: int) -> "FrameDetections":
+        """Rows ``lo:hi``, as the block of frame ``frame_index``."""
         return FrameDetections(
-            self.frame_indices[i],
-            boxes,
-            hint,
-            has_hint,
+            frame_index,
+            self.boxes[lo:hi],
+            self.hint[lo:hi],
+            self.has_hint[lo:hi],
             self.conf[lo:hi],
             self.cls[lo:hi],
-            _BoxRows(boxes),
+            self.bboxes[lo:hi],
+        )
+
+    def detections(self) -> tuple[Detection, ...]:
+        """Every row's ``Detection``, built in one pass over the columns."""
+        cols = (self.hint.tolist(), self.has_hint.tolist(), self.conf.tolist(), self.cls.tolist())
+        return tuple(
+            Detection(self.frame_index, bbox, conf, cls, hint if has else None)
+            for bbox, hint, has, conf, cls in zip(self.bboxes, *cols)
         )
 
 
@@ -518,7 +508,7 @@ def _parse_columns(text, layout: _Layout) -> Optional[DetectionStream]:
         lines = [s for s in lines if s[0] != "#"]
     clock = file_clock or FrameClock()
     if not lines:
-        return DetectionStream(clock, (), 0, ())
+        return DetectionStream(clock, (), (0,), FrameDetections.from_detections(None, ()))
     # loadtxt parses each field as float() does, except that it refuses
     # "1_0" and non-ASCII digits, and it refuses a row whose field count
     # differs from the first row's.
@@ -558,7 +548,8 @@ def _parse_columns(text, layout: _Layout) -> Optional[DetectionStream]:
         if not ((conf >= 0.0) & (conf <= 1.0)).all():
             return None
 
-    cols = [hint, boxes, conf, cls]
+    has_hint = np.ones(len(hint), dtype=bool) if layout.benchmark else hint >= 0
+    cols = [boxes, hint, has_hint, conf, cls]
     if (np.diff(frame) < 0).any():
         # the row parser keeps file order within a frame
         order = np.argsort(frame, kind="stable")
@@ -567,8 +558,8 @@ def _parse_columns(text, layout: _Layout) -> Optional[DetectionStream]:
     starts = np.flatnonzero(np.diff(frame)) + 1
     frame_indices = tuple(frame[np.r_[0, starts]].tolist())
     offsets = [0, *starts.tolist(), len(frame)]
-    columns = _Columns(frame_indices, offsets, *cols, negative_hint_is_none=not layout.benchmark)
-    return DetectionStream(clock, frame_indices, len(frame), columns)
+    rows = FrameDetections(None, *cols, _BoxRows(cols[0]))
+    return DetectionStream(clock, frame_indices, offsets, rows)
 
 
 def _parse_detections(text, layout: _Layout, errors_out) -> DetectionStream:
@@ -655,14 +646,20 @@ def write_generic_csv(stream: DetectionStream) -> str:
         "# columns: " + ",".join(GENERIC_COLUMNS),
         f"# clock: fps={clock.fps!r} stride={clock.frame_stride}",
     ]
-    for frame_index, dets in stream.frames:
-        for det in dets:
-            hint = -1 if det.track_hint is None else det.track_hint
-            b = det.bbox
-            lines.append(
-                f"{frame_index},{hint},{b.x!r},{b.y!r},{b.w!r},{b.h!r},"
-                f"{det.confidence!r},{det.class_id}"
-            )
+    rows, offsets = stream._rows, stream._offsets
+    if isinstance(rows.bboxes, _BoxRows):
+        xywh = rows.boxes.T.tolist()
+    else:  # the given boxes, so integer coordinates are written as integers
+        xywh = [[getattr(b, name) for b in rows.bboxes] for name in "xywh"]
+    counts = np.diff(offsets).tolist()
+    columns = (
+        chain.from_iterable(map(repeat, map(str, stream.frame_indices), counts)),
+        map(str, np.where(rows.has_hint, rows.hint, -1).tolist()),
+        *(map(repr, c) for c in xywh),
+        map(repr, rows.conf.tolist()),
+        map(str, rows.cls.tolist()),
+    )
+    lines.extend(map(",".join, zip(*columns)))
     return "\n".join(lines) + "\n"
 
 
@@ -685,41 +682,44 @@ def gen_synthetic(
         raise InvalidParam(f"n_frames must be > 0, got {n_frames}")
     if mean_objects < 0:
         raise InvalidParam(f"mean_objects must be >= 0, got {mean_objects}")
-    if not math.isfinite(mean_objects):
-        raise InvalidParam(f"mean_objects must be finite, got {mean_objects}")
+    sizes = (("mean_objects", mean_objects), ("frame_w", frame_w), ("frame_h", frame_h))
+    for name, value in sizes:
+        if not math.isfinite(value):
+            raise InvalidParam(f"{name} must be finite, got {value}")
 
     rng = random.Random(seed)
     mean_lifetime = 30.0
     n_objects = int(round(mean_objects * n_frames / mean_lifetime))
-    by_frame: dict[int, list[Detection]] = {f: [] for f in range(n_frames)}
+    # (hint, x, y, w, h, conf, class) rows, frame by frame
+    by_frame: list[list[tuple]] = [[] for _ in range(n_frames)]
 
     for obj_id in range(n_objects):
         birth = rng.randrange(n_frames)
         lifetime = rng.randint(15, 45)
         w = rng.uniform(8.0, 80.0)
         h = rng.uniform(8.0, 60.0)
-        x0 = rng.uniform(0.0, max(frame_w - w, 1.0))
-        y0 = rng.uniform(0.0, max(frame_h - h, 1.0))
+        x_hi, y_hi = max(frame_w - w, 1.0), max(frame_h - h, 1.0)
+        x0 = rng.uniform(0.0, x_hi)
+        y0 = rng.uniform(0.0, y_hi)
         vx = rng.uniform(-4.0, 4.0)
         vy = rng.uniform(-4.0, 4.0)
         base_conf = rng.uniform(0.4, 0.95)
         class_id = rng.randrange(5)
         for f in range(birth, min(birth + lifetime, n_frames)):
             t = f - birth
-            x = min(max(x0 + vx * t, 0.0), max(frame_w - w, 1.0))
-            y = min(max(y0 + vy * t, 0.0), max(frame_h - h, 1.0))
+            x = min(max(x0 + vx * t, 0.0), x_hi)
+            y = min(max(y0 + vy * t, 0.0), y_hi)
             conf = min(max(base_conf + rng.uniform(-0.08, 0.08), 0.0), 1.0)
-            by_frame[f].append(
-                Detection(
-                    frame_index=f,
-                    bbox=BBox(x, y, w, h),
-                    confidence=conf,
-                    class_id=class_id,
-                    track_hint=obj_id,
-                )
-            )
+            by_frame[f].append((obj_id, x, y, w, h, conf, class_id))
 
-    return DetectionStream.from_frames(clock, ((f, by_frame[f]) for f in range(n_frames)))
+    rows = [row for frame in by_frame for row in frame]
+    hint, x, y, w, h, conf, cls = zip(*rows) if rows else ((),) * 7
+    boxes = np.column_stack((x, y, w, h))
+    hint, cls = (np.array(c, dtype=np.int64) for c in (hint, cls))
+    every_hint = np.ones(len(rows), dtype=bool)
+    table = FrameDetections(None, boxes, hint, every_hint, np.array(conf), cls, _BoxRows(boxes))
+    offsets = [0, *accumulate(map(len, by_frame))]
+    return DetectionStream(clock, tuple(range(n_frames)), offsets, table)
 
 
 def inject_confidence_noise(stream: DetectionStream, amount: float, seed: int) -> DetectionStream:
@@ -728,17 +728,7 @@ def inject_confidence_noise(stream: DetectionStream, amount: float, seed: int) -
     if not (math.isfinite(amount) and amount >= 0):
         raise InvalidParam(f"noise amount must be finite and >= 0, got {amount}")
     rng = random.Random(seed)
-    frames = []
-    for frame_index, dets in stream.frames:
-        noisy = tuple(
-            Detection(
-                frame_index=d.frame_index,
-                bbox=d.bbox,
-                confidence=min(max(d.confidence - rng.uniform(0.0, amount), 0.0), 1.0),
-                class_id=d.class_id,
-                track_hint=d.track_hint,
-            )
-            for d in dets
-        )
-        frames.append((frame_index, noisy))
-    return DetectionStream.from_frames(stream.clock, frames)
+    rows = stream._rows
+    conf = [min(max(c - rng.uniform(0.0, amount), 0.0), 1.0) for c in rows.conf.tolist()]
+    noisy = replace(rows, conf=np.array(conf, dtype=np.float64))
+    return DetectionStream(stream.clock, stream.frame_indices, stream._offsets, noisy)

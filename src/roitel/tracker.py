@@ -86,6 +86,8 @@ class Tracker:
         ``iou >= iou_min`` (ties: lower track id, then lower detection
         index). Unmatched detections spawn new tracks; tracks unmatched for
         more than ``max_misses`` consecutive processed frames are retired.
+        A list of ``Detection``s is packed as ``from_frames`` packs an
+        entry's, so it refuses the same class ids and boxes.
         """
         if self._last_frame is not None and frame_index <= self._last_frame:
             raise OutOfOrderFrame(

@@ -548,10 +548,15 @@ def test_tied_scores_go_to_the_lower_track_id():
     assert [(tx.frame_index, tx.track_id) for tx in log.transmissions] == [(0, 0), (5, 0)]
 
 
-def poisoned(det, confidence):
-    """``det`` with a confidence its type refuses, set behind its back."""
-    object.__setattr__(det, "confidence", confidence)
-    return det
+def schedule_with_a_bad_confidence(stream, cfg, row):
+    """Schedule ``stream`` with a confidence of 1.5, which no stream holds,
+    set on row ``row`` of its last associated frame."""
+    frames = list(engine.associate(stream, None, cfg.clock, cfg.tracker, cfg.cost))
+    frame_index, now, cols = frames[-1]
+    conf = cols.conf.copy()
+    conf[row] = 1.5
+    frames[-1] = (frame_index, now, replace(cols, conf=conf))
+    return engine._schedule(frames, stream, cfg)
 
 
 @pytest.mark.parametrize(
@@ -567,10 +572,10 @@ def test_the_first_bad_row_raises_the_scalar_error(bad_conf_row, zero_cost_row, 
     tiny = dict(w=1e-200, h=1e-200)
     dets = [mk_det(5, x=100.0 * i) for i in range(3)]
     dets[zero_cost_row] = mk_det(5, x=100.0 * zero_cost_row, **tiny)
-    poisoned(dets[bad_conf_row], 1.5)
     cfg = replace(low_regime_cfg("M5"), cost=CostModel(header_bytes=0))
+    stream = mk_stream([(0, [mk_det(0, x=900.0)]), (5, dets)])
     with pytest.raises(InvalidParam) as exc:
-        run(mk_stream([(0, [mk_det(0, x=900.0)]), (5, dets)]), None, cfg)
+        schedule_with_a_bad_confidence(stream, cfg, bad_conf_row)
     assert str(exc.value) == message
 
 
@@ -588,11 +593,11 @@ def test_the_first_row_with_an_overflowing_score_raises_the_scalar_error(
     # its score beyond the float range
     dets = [mk_det(5, x=100.0 * i) for i in range(3)]
     dets[overflow_row] = mk_det(5, x=100.0 * overflow_row, w=1e-10, h=1e-10)
-    poisoned(dets[bad_conf_row], 1.5)
     cfg = replace(low_regime_cfg("M5"), cost=CostModel(header_bytes=0))
     cfg = replace(cfg, policy=replace(cfg.policy, weights=(1e300, 1e300, 1e300)))
+    stream = mk_stream([(0, [mk_det(0, x=900.0)]), (5, dets)])
     with pytest.raises(InvalidParam) as exc:
-        run(mk_stream([(0, [mk_det(0, x=900.0)]), (5, dets)]), None, cfg)
+        schedule_with_a_bad_confidence(stream, cfg, bad_conf_row)
     assert str(exc.value) == message
 
 

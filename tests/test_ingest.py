@@ -262,6 +262,34 @@ def test_python_built_inputs_refuse_values_beyond_int64():
 
 
 @pytest.mark.parametrize(
+    "frames,message",
+    [
+        ([(0, [mk_det(0, cls=2.0)]), (0, [])], "class_id must be an int, got 2.0"),
+        ([(0, [mk_det(0, x=1e308, w=1e308)]), (1.0, [])], "box edge beyond the float range"),
+        ([(0, [mk_det(1, cls=2.0)])], "detection frame 1 does not match entry 0"),
+        ([(0, [mk_det(0, cls=2**63), mk_det(1)])], "class_id outside int64"),
+        ([(0, []), (0, [mk_det(0, cls=2.0)])], "frame indices must strictly increase at 0"),
+    ],
+    ids=["class_then_frame", "box_then_frame", "frame_then_class", "row_order", "entry_first"],
+)
+def test_from_frames_raises_the_first_error_entry_by_entry(frames, message):
+    # an entry's frame checks, then each of its detections' frame, class
+    # and box, before the next entry
+    with pytest.raises(InvalidParam) as exc:
+        mk_stream(frames)
+    assert str(exc.value).startswith(message)
+
+
+def test_a_stream_gives_new_equal_detections_with_float_confidences():
+    det = mk_det(3, x=50, y=20, conf=1, cls=4, hint=2**64)
+    stream = mk_stream([(3, [det, mk_det(3, x=90.0)])])
+    got = stream.detections_at(3)
+    assert got == stream.frames[0][1] == (replace(det, confidence=1.0), mk_det(3, x=90.0))
+    assert got[0] is not det and type(got[0].confidence) is float
+    assert got[0].bbox is det.bbox
+
+
+@pytest.mark.parametrize(
     "box,values",
     [
         (dict(x=1e308, w=1e308), "x=1e+308 y=0.0 w=1e+308 h=10.0"),
@@ -403,6 +431,13 @@ def test_round_trip_drops_empty_frames():
     assert again.n_detections == 2
 
 
+def test_writer_keeps_given_integer_coordinates():
+    det = mk_det(4, x=50, y=20, w=10, h=12, conf=1, cls=3, hint=2**64)
+    stream = mk_stream([(1, []), (4, [det, mk_det(4, x=0.5)])])
+    rows = write_generic_csv(stream).splitlines()[3:]
+    assert rows == [f"4,{2**64},50,20,10,12,1.0,3", "4,-1,0.5,0.0,10.0,10.0,0.9,0"]
+
+
 def test_writer_embeds_clock():
     stream = mk_stream([(0, [mk_det(0)])], clock=FrameClock(fps=24.0, frame_stride=3))
     assert parse_generic_csv(write_generic_csv(stream)).clock == stream.clock
@@ -465,6 +500,9 @@ def test_gen_synthetic_validates_args():
     for mean_objects in (float("inf"), float("nan")):
         with pytest.raises(InvalidParam, match="mean_objects must be finite"):
             gen_synthetic(seed=0, n_frames=10, mean_objects=mean_objects, clock=FrameClock())
+    for name, size in (("frame_w", float("inf")), ("frame_h", float("nan"))):
+        with pytest.raises(InvalidParam, match=f"{name} must be finite, got {size}"):
+            gen_synthetic(0, 10, 0.0, FrameClock(), **{name: size})
 
 
 # --- confidence noise -------------------------------------------------------

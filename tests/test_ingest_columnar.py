@@ -301,7 +301,7 @@ def test_frames_keep_file_order_within_a_frame():
     assert [d.frame_index for _, dets in stream.frames for d in dets] == [0, 1, 2, 2]
 
 
-# --- confidence noise over either storage -------------------------------------
+# --- confidence noise over parsed and packed tables ---------------------------
 
 
 @pytest.mark.parametrize("name", ["generic", "visdrone"])
@@ -317,7 +317,9 @@ def test_confidence_noise_is_the_same_over_columns_and_objects(name):
         )
     columnar = ingest._parse_columns(text, layout)
     objects = DetectionStream.from_frames(columnar.clock, columnar.frames)
-    assert isinstance(columnar._per_frame, ingest._Columns)
+    # one table holds the parser's columns, the other was packed from objects
+    assert isinstance(columnar._rows.bboxes, ingest._BoxRows)
+    assert type(objects._rows.bboxes) is tuple
     for amount in (0.0, 0.2, 1.5):
         a = inject_confidence_noise(columnar, amount, seed=3)
         b = inject_confidence_noise(objects, amount, seed=3)

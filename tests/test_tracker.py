@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from roitel import OutOfOrderFrame, Tracker, TrackerConfig
+from roitel import InvalidParam, OutOfOrderFrame, Tracker, TrackerConfig
 from helpers import mk_det
 
 
@@ -62,6 +62,26 @@ def test_out_of_order_frame_rejected():
         tr.step(5, [])
     with pytest.raises(OutOfOrderFrame):
         tr.step(4, [])
+
+
+@pytest.mark.parametrize(
+    "det,message",
+    [
+        (
+            mk_det(0, x=1e308, w=1e308),
+            "box edge beyond the float range: x=1e+308 y=0.0 w=1e+308 h=10.0",
+        ),
+        (mk_det(0, w=1e200, h=1e200), "box area beyond the float range: w=1e+200 h=1e+200"),
+        (mk_det(0, cls=2**63), "class_id outside int64: 9223372036854775808"),
+        (mk_det(0, cls=1.0), "class_id must be an int, got 1.0"),
+    ],
+    ids=["edge", "area", "class_2_63", "class_float"],
+)
+def test_a_list_step_refuses_what_a_stream_refuses(det, message):
+    tr = Tracker()
+    with pytest.raises(InvalidParam) as exc:
+        tr.step(0, [mk_det(0, x=50), det])
+    assert str(exc.value) == message
 
 
 def test_hint_association_bypasses_iou():
