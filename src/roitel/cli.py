@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional, TextIO
 
 from . import config as config_mod
 from . import engine, ingest, metrics, runlog
@@ -38,14 +39,40 @@ _CONFIG_EPILOG = (
 )
 
 
+@contextmanager
+def _open_text(path: str) -> Iterator[TextIO]:
+    """``path`` open as UTF-8 text with universal newlines, as
+    ``Path.read_text`` reads it; a byte that is not UTF-8, wherever it is
+    read, is an error that names the file."""
+    try:
+        with open(path, encoding="utf-8") as fp:
+            yield fp
+    except UnicodeDecodeError as err:
+        byte = err.object[err.start]
+        raise RoitelError(f"{path}: not UTF-8 text: {err.reason} (byte 0x{byte:02x})") from None
+
+
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    with _open_text(path) as fp:
+        return fp.read()
+
+
+def _create(path: Path) -> TextIO:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fp:
+    with _create(path) as fp:
         fp.write(text)
+
+
+def _write_lines(path: Path, lines: list[str]) -> None:
+    """Each line and a newline, without joining them into one text."""
+    with _create(path) as fp:
+        for line in lines:
+            fp.write(line)
+            fp.write("\n")
 
 
 def _load_run_config(args, file_clock: FrameClock) -> engine.RunConfig:
@@ -69,7 +96,8 @@ def _parse_stream(
     """The input stream; its clock is the file's ``# clock:`` comment, or
     the default clock, which equals the schema defaults."""
     parse = getattr(ingest, _PARSERS[args.format])
-    return parse(_read_text(args.input), errors_out=errors_out)
+    with _open_text(args.input) as fp:
+        return parse(fp, errors_out=errors_out)
 
 
 def _load_run_inputs(args) -> tuple[engine.RunConfig, ingest.DetectionStream]:
@@ -104,7 +132,7 @@ def cmd_simulate(args) -> int:
 
     out_dir = Path(args.out_dir)
     log_path = out_dir / "runlog.jsonl"
-    _write_text(log_path, "\n".join(runlog.to_jsonl_lines(log)) + "\n")
+    _write_lines(log_path, runlog.to_jsonl_lines(log))
     report_path = _report_paths(out_dir, args.report_format)
     _write_text(
         report_path,
@@ -131,9 +159,7 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out_dir)
     reports = []
     for variant, log in results:
-        _write_text(
-            out_dir / f"runlog_{variant}.jsonl", "\n".join(runlog.to_jsonl_lines(log)) + "\n"
-        )
+        _write_lines(out_dir / f"runlog_{variant}.jsonl", runlog.to_jsonl_lines(log))
         reports.append((variant, metrics.aggregate_run(log, cfg.eval.lambda_cls)))
 
     echo = config_mod.dump_config(cfg)
@@ -158,8 +184,9 @@ def cmd_report(args) -> int:
     reports = []
     echo: Optional[dict[str, str]] = None
     for i, path in enumerate(args.runlogs):
+        text = _read_text(path)
         try:
-            log = runlog.read_jsonl(_read_text(path))
+            log = runlog.read_jsonl(text)
             lambda_cls = config_mod.parse_value(
                 "eval.lambda_cls", log.config_echo.get("eval.lambda_cls", "none")
             )

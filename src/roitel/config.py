@@ -87,6 +87,8 @@ def _finite(key: str, text: str) -> float:
 def parse_value(key: str, text: str):
     """The typed value of one schema key given as text."""
     kind = CONFIG_SCHEMA[key][0]
+    if not isinstance(text, str):
+        raise ConfigError(f"bad value for {key}: {text!r} (expected text)")
     text = text.strip()
     try:
         if kind == "int":

@@ -17,15 +17,17 @@ must be finite, and frame indices, class ids and sidecar labels must fit
 in int64. A detection stream's clock is the file's ``# clock: fps=F
 stride=N`` comment, or ``FrameClock()`` when it has none.
 
-The detection parsers first try one vectorised pass that reads the text
-into NumPy columns. If that pass meets anything the row parser would
-reject, or might read differently, the row parser reads the whole text
-again, so errors keep their line numbers and ``errors_out`` collects the
-same list either way.
+The detection parsers take a ``str`` of text or an open text file. They
+first try one vectorised pass: a scan of the file in blocks, then one
+``np.loadtxt`` over it into NumPy columns. If that pass meets anything the
+row parser would reject, or might read differently, the row parser reads
+the whole text, so errors keep their line numbers and ``errors_out``
+collects the same list either way.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import random
 import re
@@ -34,7 +36,7 @@ from collections import defaultdict
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain, repeat
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -72,10 +74,10 @@ class DetectionStream:
         clock: FrameClock, frames: Iterable[tuple[int, Sequence[Detection]]]
     ) -> "DetectionStream":
         """A stream of the given entries; frame indices and class ids must
-        be ``int`` values that fit in int64, as the engine keeps them in
-        int64 columns and writes them to the run log as integers. Boxes
-        must keep their edges and twice their area within the float range,
-        as the parsers require."""
+        be ``int`` values that fit in int64, and frame indices >= 0, as the
+        engine keeps them in int64 columns and writes them to the run log as
+        integers. Boxes must keep their edges and twice their area within the
+        float range, as the parsers require."""
         indices = []
         offsets = [0]
 
@@ -86,6 +88,8 @@ class DetectionStream:
                     raise InvalidParam(f"frame index must be an int, got {frame_index!r}")
                 if prev is not None and frame_index <= prev:
                     raise InvalidParam(f"frame indices must strictly increase at {frame_index}")
+                if frame_index < 0:
+                    raise InvalidParam(f"frame_index must be >= 0, got {frame_index}")
                 if frame_index > _INT64_MAX:
                     raise InvalidParam(f"frame index outside int64: {frame_index}")
                 prev = frame_index
@@ -491,46 +495,84 @@ def _parse_rows(text, layout: _Layout, errors_out) -> DetectionStream:
 #: with ``int``.
 _EXACT_INT_BOUND = 2.0**53
 
+#: Characters the scan reads at a time; a longer line goes to the row parser.
+_BLOCK = 1 << 20
+#: Line ends other than ``\n``, which ``str.splitlines`` breaks lines on; a
+#: file opened with universal newlines holds no ``\r``.
+_OTHER_LINE_ENDS = "\r\x0b\x0c\x1c\x1d\x1e"
+#: A line whose first character other than whitespace is not ``#``.
+_ROW_LINE = re.compile(r"^\s*[^#\s]", re.MULTILINE)
 
-def _parse_columns(text, layout: _Layout) -> Optional[DetectionStream]:
-    """The vectorised pass: the stream the row parser gives for ``text``,
-    or None if any line would be rejected or might be read differently."""
-    # The lines, blanks and comments of _split_rows.
-    lines = [s for s in map(str.strip, text.splitlines()) if s]
-    file_clock = None
-    if "#" in text:
-        try:
-            for line in lines:
-                if line[0] == "#":
-                    file_clock = _clock_comment(0, line) or file_clock
-        except ParseError:
+
+def _scan(f) -> Optional[tuple[Optional[FrameClock], bool]]:
+    """One pass over the rest of ``f`` in blocks of whole lines: the last
+    valid ``# clock:`` comment and whether any line holds a row. None when
+    ``np.loadtxt`` might read a line otherwise than the row parser: a ``#``
+    that does not start its line (loadtxt cuts ``1#x`` to ``1``, and hides
+    an indented clock comment), a malformed clock comment, text that is not
+    ASCII, or a line end of ``str.splitlines`` other than ``\\n``."""
+    clock, has_rows, carry = None, False, ""
+    while True:
+        block = f.read(_BLOCK)
+        text = carry + block
+        if block:
+            # a line may straddle two blocks: keep its start for the next one
+            cut = text.rfind("\n") + 1
+            text, carry = text[:cut], text[cut:]
+            if len(carry) > _BLOCK:
+                return None
+        if not text.isascii() or any(c in text for c in _OTHER_LINE_ENDS):
             return None
-        lines = [s for s in lines if s[0] != "#"]
+        has_rows = has_rows or _ROW_LINE.search(text) is not None
+        start = text.find("#")
+        while start >= 0:
+            if start and text[start - 1] != "\n":
+                return None
+            end = text.find("\n", start)
+            end = len(text) if end < 0 else end
+            try:
+                clock = _clock_comment(0, text[start:end].strip()) or clock
+            except ParseError:
+                return None
+            start = text.find("#", end)
+        if not block:
+            return clock, has_rows
+
+
+def _parse_columns(f, layout: _Layout) -> Optional[DetectionStream]:
+    """The vectorised pass: the stream the row parser gives for the rest of
+    the text file ``f``, or None if any line would be rejected or might be
+    read differently. ``np.loadtxt`` reads the file line by line, so
+    neither its whole text nor a list of its lines is ever held."""
+    start = f.tell()
+    scan = _scan(f)
+    if scan is None:
+        return None
+    file_clock, has_rows = scan
     clock = file_clock or FrameClock()
-    if not lines:
+    if not has_rows:  # loadtxt warns on an input without rows
         return DetectionStream(clock, (), (0,), FrameDetections.from_detections(None, ()))
+    f.seek(start)
     # loadtxt parses each field as float() does, except that it refuses
-    # "1_0" and non-ASCII digits, and it refuses a row whose field count
-    # differs from the first row's.
+    # "1_0", and it refuses a row whose field count differs from the first
+    # row's, so a line of whitespace too.
     try:
-        table = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+        table = np.loadtxt(f, delimiter=",", comments="#", dtype=np.float64, ndmin=2)
     except ValueError:
         return None
     if table.shape[1] != layout.n_cols or not np.isfinite(table).all():
         return None
-    boxes = table[:, 2:6]
-    x, y, w, h = boxes.T
-    if not ((w > 0.0) & (h > 0.0)).all():
+    if not ((table[:, 4] > 0.0) & (table[:, 5] > 0.0)).all():
         return None
     # The row parser refuses a box whose edges or doubled area overflow. The
     # largest box bounds them all, and a huge one is left to the row parser.
-    x_max, y_max, w_max, h_max = boxes.max(axis=0).tolist()
+    x_max, y_max, w_max, h_max = table[:, 2:6].max(axis=0).tolist()
     if not all(map(math.isfinite, (x_max + w_max, y_max + h_max, 2.0 * w_max * h_max))):
         return None
-    ints = table[:, [0, 1, layout.cls]]
-    if not ((ints > -_EXACT_INT_BOUND) & (ints < _EXACT_INT_BOUND)).all():
+    ints = [table[:, c] for c in (0, 1, layout.cls)]
+    if not all(((c > -_EXACT_INT_BOUND) & (c < _EXACT_INT_BOUND)).all() for c in ints):
         return None
-    frame, hint, cls = ints.astype(np.int64).T
+    frame, hint, cls = (c.astype(np.int64) for c in ints)
     if layout.benchmark:
         if not (frame >= 1).all():
             return None
@@ -544,10 +586,12 @@ def _parse_columns(text, layout: _Layout) -> Optional[DetectionStream]:
     else:
         if not (frame >= 0).all():
             return None
-        conf = table[:, layout.conf]
+        conf = table[:, layout.conf].copy()
         if not ((conf >= 0.0) & (conf <= 1.0)).all():
             return None
 
+    # copies, so that the stream keeps no view of the whole table
+    boxes = np.ascontiguousarray(table[:, 2:6])
     has_hint = np.ones(len(hint), dtype=bool) if layout.benchmark else hint >= 0
     cols = [boxes, hint, has_hint, conf, cls]
     if (np.diff(frame) < 0).any():
@@ -562,30 +606,48 @@ def _parse_columns(text, layout: _Layout) -> Optional[DetectionStream]:
     return DetectionStream(clock, frame_indices, offsets, rows)
 
 
-def _parse_detections(text, layout: _Layout, errors_out) -> DetectionStream:
-    stream = _parse_columns(text, layout)
+def _text_file(source: Union[str, TextIO]) -> TextIO:
+    """``source`` as a seekable text file: a ``str`` of text is read as a
+    file opened with universal newlines reads it, and a file that cannot
+    seek, such as a pipe, is read once."""
+    if isinstance(source, str):
+        # one byte per ASCII character, where a StringIO holds four
+        data = io.BytesIO(source.encode("utf-8", "surrogatepass"))
+        return io.TextIOWrapper(data, encoding="utf-8", errors="surrogatepass")
+    if not source.seekable():
+        return _text_file(source.read())
+    return source
+
+
+def _parse_detections(source, layout: _Layout, errors_out) -> DetectionStream:
+    f = _text_file(source)
+    start = f.tell()
+    stream = _parse_columns(f, layout)
     if stream is None:
-        stream = _parse_rows(text, layout, errors_out)
+        f.seek(start)
+        stream = _parse_rows(f.read(), layout, errors_out)
     return stream
 
 
 def parse_generic_csv(
-    text: str, errors_out: Optional[list[ParseError]] = None
+    source: Union[str, TextIO], errors_out: Optional[list[ParseError]] = None
 ) -> DetectionStream:
     """Parse the generic detections CSV (0-based frames)."""
-    return _parse_detections(text, _GENERIC, errors_out)
+    return _parse_detections(source, _GENERIC, errors_out)
 
 
-def parse_uavdt_gt(text: str, errors_out: Optional[list[ParseError]] = None) -> DetectionStream:
+def parse_uavdt_gt(
+    source: Union[str, TextIO], errors_out: Optional[list[ParseError]] = None
+) -> DetectionStream:
     """Parse UAVDT-style ground truth; confidence is fixed at 1.0."""
-    return _parse_detections(text, _UAVDT, errors_out)
+    return _parse_detections(source, _UAVDT, errors_out)
 
 
 def parse_visdrone_mot(
-    text: str, errors_out: Optional[list[ParseError]] = None
+    source: Union[str, TextIO], errors_out: Optional[list[ParseError]] = None
 ) -> DetectionStream:
     """Parse VisDrone-MOT-style annotations; confidence = clamped score."""
-    return _parse_detections(text, _VISDRONE, errors_out)
+    return _parse_detections(source, _VISDRONE, errors_out)
 
 
 def parse_sidecar_csv(

@@ -32,15 +32,27 @@ def parse_outcome(parse, text, collect):
 @pytest.fixture(autouse=True)
 def cross_check_detection_parses(monkeypatch):
     """Every detection parse in the suite is checked against the row parser:
-    the same stream, the same collected errors, or the same ParseError."""
-    public = ingest._parse_detections
+    the same stream, the same collected errors, or the same ParseError. A
+    parse of an open file is checked against the row parser on the file's
+    text, and the file is read again from where it was for each parse."""
+    public, rows = ingest._parse_detections, ingest._parse_rows
 
-    def checked(text, layout, errors_out):
+    def checked(source, layout, errors_out):
+        if isinstance(source, str):
+            text, rewind = source, lambda: source
+        else:
+            start = source.tell()
+            text = source.read()
+
+            def rewind():
+                source.seek(start)
+                return source
+
         collect = errors_out is not None
-        expected = parse_outcome(lambda t, e: ingest._parse_rows(t, layout, e), text, collect)
-        got = parse_outcome(lambda t, e: public(t, layout, e), text, collect)
+        expected = parse_outcome(lambda t, e: rows(t, layout, e), text, collect)
+        got = parse_outcome(lambda s, e: public(s, layout, e), rewind(), collect)
         assert got == expected
-        return public(text, layout, errors_out)
+        return public(rewind(), layout, errors_out)
 
     monkeypatch.setattr(ingest, "_parse_detections", checked)
 

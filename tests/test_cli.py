@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from roitel import FrameClock, gen_synthetic, read_jsonl
+from roitel import FrameClock, gen_synthetic, ingest, read_jsonl
 from roitel.cli import main
 from roitel.metrics import REPORT_COLUMNS
 
@@ -223,6 +223,59 @@ def test_simulate_missing_input_exits_1(tmp_path, capsys):
         ]
     )
     assert rc == 1
+
+
+def not_utf8(path):
+    """``path`` with byte 0xe9, which is not UTF-8, on its last line."""
+    path.write_bytes(path.read_bytes() + b"# caf\xe9\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "kind,command",
+    [
+        ("input", "simulate"),
+        ("input", "sweep"),
+        ("input", "validate"),
+        ("sidecar", "simulate"),
+        ("sidecar", "validate"),
+        ("config", "simulate"),
+        ("report", "report"),
+    ],
+)
+def test_a_file_that_is_not_utf8_exits_1_naming_it(
+    tmp_path, detections_csv, capsys, kind, command
+):
+    side = tmp_path / "side.csv"
+    side.write_text("0,1,0.2,0.35,7,7,1.9,1.1\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("policy.score_threshold = 0.0\n")
+    bad = {"input": detections_csv, "sidecar": side, "config": cfg}.get(kind)
+    if kind == "report":
+        assert simulate(tmp_path, detections_csv)[0] == 0
+        bad = tmp_path / "out" / "runlog.jsonl"
+        argv = ["report", str(bad)]
+    else:
+        argv = [command, "--input", str(detections_csv), "--sidecar", str(side)]
+        if command != "validate":
+            argv += ["--out-dir", str(tmp_path / "run"), "--config", str(cfg)]
+        if command == "sweep":
+            argv += ["--variants", "M0,M5"]
+    not_utf8(bad)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: not UTF-8 text: invalid continuation byte (byte 0xe9)\n"
+
+
+def test_a_clean_simulate_never_calls_the_row_parser(
+    tmp_path, detections_csv, monkeypatch
+):
+    calls = []
+    monkeypatch.setattr(ingest, "_parse_rows", lambda *args: calls.append(args))
+    rc, _ = simulate(tmp_path, detections_csv)
+    assert rc == 0
+    assert calls == []
 
 
 def test_simulate_config_file_plus_override(tmp_path, detections_csv):

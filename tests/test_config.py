@@ -122,6 +122,14 @@ def test_bad_values_name_the_key(line):
         build_config(parse_kv_text(line + "\n"))
 
 
+@pytest.mark.parametrize("value", [0.0, 5, None, True])
+def test_a_value_that_is_not_text_names_the_key(value):
+    # a library caller may pass typed values; each is a ConfigError, not a
+    # stray AttributeError from the parser
+    with pytest.raises(ConfigError, match=r"bad value for policy\.score_threshold: .*text"):
+        build_config({"policy.score_threshold": value})
+
+
 def test_invalid_domain_values_surface_from_member_types():
     # parsing succeeds; the domain type rejects the semantics
     with pytest.raises(Exception, match="b_video"):

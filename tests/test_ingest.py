@@ -269,8 +269,24 @@ def test_python_built_inputs_refuse_values_beyond_int64():
         ([(0, [mk_det(1, cls=2.0)])], "detection frame 1 does not match entry 0"),
         ([(0, [mk_det(0, cls=2**63), mk_det(1)])], "class_id outside int64"),
         ([(0, []), (0, [mk_det(0, cls=2.0)])], "frame indices must strictly increase at 0"),
+        # a negative entry would fail only in run, and one below int64 in an
+        # OverflowError from processed_frame_range
+        ([(-5, []), (0, [mk_det(0)])], "frame_index must be >= 0, got -5"),
+        ([(-(2**70), [])], f"frame_index must be >= 0, got {-(2**70)}"),
+        ([(0, [mk_det(0, cls=2.0)]), (-5, [])], "class_id must be an int, got 2.0"),
+        ([(3, []), (-5, [])], "frame indices must strictly increase at -5"),
     ],
-    ids=["class_then_frame", "box_then_frame", "frame_then_class", "row_order", "entry_first"],
+    ids=[
+        "class_then_frame",
+        "box_then_frame",
+        "frame_then_class",
+        "row_order",
+        "entry_first",
+        "negative_entry",
+        "entry_below_int64",
+        "class_then_negative_entry",
+        "order_then_negative_entry",
+    ],
 )
 def test_from_frames_raises_the_first_error_entry_by_entry(frames, message):
     # an entry's frame checks, then each of its detections' frame, class

@@ -59,6 +59,11 @@ SIDECAR_BASE = (
 )
 
 
+def columns(text, layout):
+    """The vectorised pass alone over ``text``, as the parsers read a str."""
+    return ingest._parse_columns(ingest._text_file(text), layout)
+
+
 def row_parse(layout):
     return lambda text, errors_out: ingest._parse_rows(text, layout, errors_out)
 
@@ -254,12 +259,13 @@ GOOD = "0,-1,10,20,30,40,0.9,2\n"
         GOOD + "1,-1,10,20,30,40,0.9,1e20\n",  # a class beyond int64 is refused
         GOOD + "1,-1,1_0,20,30,40,0.9,1\n",  # float() reads 1_0
         GOOD + "1,-1,١٠,20,30,40,0.9,1\n",  # non-ASCII digits
+        GOOD + "1,-1,1\ud800,20,30,40,0.9,1\n",  # a str may hold a lone surrogate
         GOOD + "1,-1,10,20,30,40,0.9,1,\n",
         GOOD + "   \n1,-1,10,20,30,40,0.9\n",
     ],
 )
 def test_vectorised_pass_defers_to_the_row_parser(text):
-    assert ingest._parse_columns(text, GENERIC) is None
+    assert columns(text, GENERIC) is None
     assert_agrees_with_row_parser("generic", text)
 
 
@@ -287,18 +293,90 @@ def test_huge_ids_keep_their_exact_value():
 )
 def test_vectorised_pass_takes_clean_input(name, text):
     _, layout, _ = LAYOUTS[name]
-    assert ingest._parse_columns(text, layout) is not None
-    columnar = parse_outcome(lambda t, e: ingest._parse_columns(t, layout), text, False)
+    assert columns(text, layout) is not None
+    columnar = parse_outcome(lambda t, e: columns(t, layout), text, False)
     assert columnar == parse_outcome(row_parse(layout), text, False)
 
 
 def test_frames_keep_file_order_within_a_frame():
     text = "2,1,1,1,5,5,0.5,0\n0,-1,0,0,5,5,0.5,0\n2,2,9,9,5,5,0.5,0\n1,4,3,3,5,5,0.5,0\n"
-    stream = ingest._parse_columns(text, GENERIC)
+    stream = columns(text, GENERIC)
     assert stream.frame_indices == (0, 1, 2)
     assert [d.track_hint for d in stream.detections_at(2)] == [1, 2]
     assert stream.detections_at(3) == ()
     assert [d.frame_index for _, dets in stream.frames for d in dets] == [0, 1, 2, 2]
+
+
+# --- reading an open file -----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def file_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("parse") / "detections.csv"
+
+
+def file_outcome(name, path, text, collect):
+    """What parsing ``text`` written to ``path`` gives, read as the CLI
+    reads ``--input``."""
+    parser = LAYOUTS[name][0]
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8") as f:
+        return parse_outcome(lambda _, e: parser(f, errors_out=e), None, collect)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    name=st.sampled_from(sorted(LAYOUTS)),
+    block=st.sampled_from([8, 40, ingest._BLOCK]),
+)
+def test_a_file_parses_like_its_text(file_path, data, name, block):
+    mutated = st.lists(mutation, min_size=1, max_size=6).map(
+        lambda mutations: mutate(LAYOUTS[name][2], mutations)
+    )
+    text = data.draw(generated_file(name) | mutated)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_BLOCK", block)
+        for collect in (False, True):
+            expected = parse_outcome(public_parse(LAYOUTS[name][0]), text, collect)
+            assert file_outcome(name, file_path, text, collect) == expected
+
+
+CLOCKED = "0,-1,1,2,3,4,0.5,0\n# clock: fps=30.0 stride=2\n1,-1,1,2,3,4,0.5,0\n"
+
+
+@pytest.mark.parametrize("block", range(26, 60))
+def test_a_clock_comment_across_a_block_boundary_is_read(monkeypatch, block):
+    # every block of at least the longest line takes the vectorised pass
+    monkeypatch.setattr(ingest, "_BLOCK", block)
+    stream = columns(CLOCKED, GENERIC)
+    assert stream is not None
+    assert stream.clock == FrameClock(fps=30.0, frame_stride=2)
+    assert_agrees_with_row_parser("generic", CLOCKED)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        CLOCKED,
+        GOOD + "1,-1,10,20,30,40,0.9,1#x\n",
+        GOOD + "  # an indented comment\n",
+        GOOD + "  # clock: fps=30.0 stride=2\n",
+        GOOD + " \t \n" + GOOD,
+        GOOD + "1,-1,10,20,30,40,0.9,1\r2,-1,10,20,30,40,0.9,1\r",
+        GOOD + "1,-1,10,20,30,40,0.9,1",
+        "",
+        "# only\n# comments\n\n# clock: fps=30.0 stride=2",
+        GOOD * 4 + "1,-1,10,20,30,40,0.9,1  # café\n",
+        GOOD * 4 + "1,-1,10,20,30,40,0.9,١\n",
+    ],
+)
+def test_explicit_files_parse_like_the_row_parser(monkeypatch, file_path, text):
+    # a small block puts the later lines of each file in a later block
+    monkeypatch.setattr(ingest, "_BLOCK", 32)
+    for collect in (False, True):
+        expected = parse_outcome(row_parse(GENERIC), text, collect)
+        assert file_outcome("generic", file_path, text, collect) == expected
 
 
 # --- confidence noise over parsed and packed tables ---------------------------
@@ -315,7 +393,7 @@ def test_confidence_noise_is_the_same_over_columns_and_objects(name):
             for _, dets in parse_generic_csv(text).frames
             for d in dets
         )
-    columnar = ingest._parse_columns(text, layout)
+    columnar = columns(text, layout)
     objects = DetectionStream.from_frames(columnar.clock, columnar.frames)
     # one table holds the parser's columns, the other was packed from objects
     assert isinstance(columnar._rows.bboxes, ingest._BoxRows)
