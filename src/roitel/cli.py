@@ -184,15 +184,17 @@ def cmd_report(args) -> int:
     reports = []
     echo: Optional[dict[str, str]] = None
     for i, path in enumerate(args.runlogs):
-        text = _read_text(path)
-        try:
-            log = runlog.read_jsonl(text)
-            lambda_cls = config_mod.parse_value(
-                "eval.lambda_cls", log.config_echo.get("eval.lambda_cls", "none")
-            )
-            rep = metrics.aggregate_run(log, lambda_cls)
-        except RoitelError as err:
-            raise RoitelError(f"{path}: {err}") from err
+        # _open_text names the file in a decoding error, so only the
+        # errors raised inside name it here
+        with _open_text(path) as fp:
+            try:
+                log = runlog.read_jsonl(fp)
+                lambda_cls = config_mod.parse_value(
+                    "eval.lambda_cls", log.config_echo.get("eval.lambda_cls", "none")
+                )
+                rep = metrics.aggregate_run(log, lambda_cls)
+            except RoitelError as err:
+                raise RoitelError(f"{path}: {err}") from err
         if echo is None:
             echo = log.config_echo
         reports.append((labels[i] if labels else log.variant, rep))

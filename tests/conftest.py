@@ -165,16 +165,22 @@ def cross_check_runlog_reads(monkeypatch):
     """Every run-log read in the suite is checked against the line reader:
     a log the one-pass reader gives must be the line reader's, and the
     one-pass reader must not fall back on a log the writer wrote (the line
-    reader's error or log is then the outcome by construction)."""
-    one_pass = runlog._read_one_pass
+    reader's error or log is then the outcome by construction). The file is
+    read for the line reader and then rewound, so the one-pass reader reads
+    it from where it was. The fixture holds its own reference to
+    ``_read_lines``, so a test may patch the module's."""
+    one_pass, lines = runlog._read_one_pass, runlog._read_lines
 
-    def checked(text):
-        log = one_pass(text)
-        expected = read_outcome(runlog._read_lines, text)
+    def checked(f):
+        start = f.tell()
+        text = f.read()
+        f.seek(start)
+        log = one_pass(f)
+        expected = read_outcome(lines, text)
         if log is not None:
             assert ("read", repr(log)) == expected
         elif expected[0] == "read":
-            written = "\n".join(json_lines(runlog._read_lines(text)))
+            written = "\n".join(json_lines(lines(text)))
             assert text not in (written, written + "\n"), "one pass fell back on a clean log"
         return log
 

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from roitel import FrameClock, gen_synthetic, ingest, read_jsonl
+import roitel
+from roitel import FrameClock, cli, gen_synthetic, ingest, read_jsonl, runlog
 from roitel.cli import main
 from roitel.metrics import REPORT_COLUMNS
 
@@ -231,6 +236,15 @@ def not_utf8(path):
     return path
 
 
+def pad_runlog(path, size=100 * 1024):
+    """Repeat the last record of the run log at ``path``, a class event,
+    until the log holds at least ``size`` bytes."""
+    text = path.read_text()
+    last = text.splitlines()[-1] + "\n"
+    path.write_text(text + last * (size // len(last) + 1))
+    return path
+
+
 @pytest.mark.parametrize(
     "kind,command",
     [
@@ -241,6 +255,8 @@ def not_utf8(path):
         ("sidecar", "validate"),
         ("config", "simulate"),
         ("report", "report"),
+        # the reader has decoded its first block when it meets the byte
+        ("late report", "report"),
     ],
 )
 def test_a_file_that_is_not_utf8_exits_1_naming_it(
@@ -251,9 +267,11 @@ def test_a_file_that_is_not_utf8_exits_1_naming_it(
     cfg = tmp_path / "run.cfg"
     cfg.write_text("policy.score_threshold = 0.0\n")
     bad = {"input": detections_csv, "sidecar": side, "config": cfg}.get(kind)
-    if kind == "report":
+    if command == "report":
         assert simulate(tmp_path, detections_csv)[0] == 0
         bad = tmp_path / "out" / "runlog.jsonl"
+        if kind == "late report":
+            pad_runlog(bad)
         argv = ["report", str(bad)]
     else:
         argv = [command, "--input", str(detections_csv), "--sidecar", str(side)]
@@ -276,6 +294,37 @@ def test_a_clean_simulate_never_calls_the_row_parser(
     rc, _ = simulate(tmp_path, detections_csv)
     assert rc == 0
     assert calls == []
+
+
+def test_a_clean_report_never_reads_a_whole_log(tmp_path, detections_csv, monkeypatch, capsys):
+    out_dir = tmp_path / "sweep"
+    assert run_sweep(out_dir, detections_csv) == 0
+    logs = [str(pad_runlog(out_dir / "runlog_M5.jsonl")), str(out_dir / "runlog_M2.jsonl")]
+    calls = []
+    monkeypatch.setattr(cli, "_read_text", lambda *args: calls.append(args))
+    monkeypatch.setattr(runlog, "_read_lines", lambda *args: calls.append(args))
+    capsys.readouterr()
+    assert main(["report", *logs]) == 0
+    assert calls == []
+
+
+def test_report_reads_a_log_from_a_pipe(tmp_path, detections_csv, capsys):
+    rc, out_dir = simulate(tmp_path, detections_csv)
+    assert rc == 0
+    log_path = out_dir / "runlog.jsonl"
+    capsys.readouterr()
+    assert main(["report", str(log_path)]) == 0
+    expected = capsys.readouterr().out
+    # a pipe, which cannot seek, is the child's standard input
+    src = str(Path(roitel.__file__).resolve().parent.parent)
+    piped = subprocess.run(
+        [sys.executable, "-m", "roitel.cli", "report", "/dev/stdin"],
+        input=log_path.read_bytes(),
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert piped.stdout.decode("utf-8") == expected
 
 
 def test_simulate_config_file_plus_override(tmp_path, detections_csv):
@@ -718,6 +767,18 @@ def test_report_names_the_damaged_log_among_several(tmp_path, detections_csv, ca
     assert main(["report", str(good), str(bad), "--labels", "a,b"]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {bad}: line 1: field 'fps' must be a number, got 'abc'\n"
+
+
+def test_report_names_a_damaged_line_after_the_first_block(tmp_path, detections_csv, capsys):
+    rc, out_dir = simulate(tmp_path, detections_csv)
+    assert rc == 0
+    log_path = pad_runlog(out_dir / "runlog.jsonl")
+    n_lines = len(log_path.read_text().splitlines())
+    damage_runlog(log_path, n_lines - 1, lambda obj: "[1]")
+    capsys.readouterr()
+    assert main(["report", str(log_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {log_path}: line {n_lines}: expected a JSON object, got [1]\n"
 
 
 # --- validate -----------------------------------------------------------------

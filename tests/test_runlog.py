@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -416,10 +419,14 @@ def test_templates_write_what_json_dumps_writes(txs, events):
 # --- one-pass reader ----------------------------------------------------------
 
 
+def one_pass(text: str):
+    return runlog._read_one_pass(runlog._text_file(text))
+
+
 def test_one_pass_reads_what_the_writer_writes():
     text = "\n".join(to_jsonl_lines(sample_log()))
     for clean in (text, text + "\n"):
-        assert runlog._read_one_pass(clean) == sample_log()
+        assert one_pass(clean) == sample_log()
 
 
 def tx_line_with(prefix: str) -> str:
@@ -448,6 +455,8 @@ def line_damage_cases() -> dict[str, str]:
         "duplicate key hides 10**400": tx_line_with('"frame": 1' + "0" * 400 + ", "),
         "unknown key holds 1e400": tx_line_with('"extra": 1e400, '),
         "two records on one line": "\n".join(two_records_on_line(lines, 3, " ")),
+        # the last line of a file has no "\n" to find after its record
+        "a stray character ends the file": "\n".join(lines) + "}",
         # either split keeps the value count, with two records on one line
         "bbox split across lines": "\n".join(
             two_records_on_line([lines[0], bbox_split, *lines[2:]], 2, ", ")
@@ -469,7 +478,7 @@ def test_one_pass_falls_back_where_the_line_reader_refuses(case):
     text = line_damage_cases()[case]
     expected = read_outcome(runlog._read_lines, text)
     assert expected[0] == "raised"
-    assert runlog._read_one_pass(text) is None
+    assert one_pass(text) is None
     assert read_outcome(read_jsonl, text) == expected
 
 
@@ -518,6 +527,77 @@ def line_damaged_logs(draw):
 @given(text=line_damaged_logs())
 def test_line_damage_reads_as_the_line_reader_reads_it(text):
     assert read_outcome(read_jsonl, text) == read_outcome(runlog._read_lines, text)
+
+
+# --- reading an open file ---------------------------------------------------
+
+
+def read_from_file(text: str, block: int):
+    """``read_outcome`` of ``read_jsonl`` on ``text`` written to a file and
+    opened as the CLI opens it, read in blocks of ``block`` characters."""
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as f, mock.patch.object(
+        runlog, "_BLOCK", block
+    ):
+        f.write(text)
+        f.seek(0)
+        return read_outcome(read_jsonl, f)
+
+
+@st.composite
+def written_logs(draw):
+    """The text of a run log of drawn records, as the writer writes it."""
+    log = sample_log()
+    log.transmissions = draw(st.lists(transmissions(), max_size=6))
+    log.class_events = draw(st.lists(class_events, max_size=6))
+    return "\n".join(to_jsonl_lines(log)) + draw(st.sampled_from(["", "\n"]))
+
+
+@pytest.mark.parametrize("block", [8, 40, 1 << 16])
+@settings(max_examples=150, deadline=None)
+@given(text=st.one_of(written_logs(), line_damaged_logs()))
+def test_a_file_reads_as_the_line_reader_reads_its_text(block, text):
+    assert read_from_file(text, block) == read_outcome(runlog._read_lines, text)
+
+
+def sparse_log() -> RunLog:
+    """The sample log over 200,001 processed frames: a header of 1.6 MB."""
+    log = sample_log()
+    log.processed_frame_indices = tuple(range(0, 1_000_001, 5))
+    log.last_frame = 1_000_000
+    return log
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["no final newline", "header only", "header only, no newline", "empty", "sparse header"],
+)
+def test_edge_cases_read_alike_from_a_str_and_a_file(case):
+    header, *records = to_jsonl_lines(sample_log())
+    text = {
+        "no final newline": "\n".join([header, *records]),
+        "header only": header + "\n",
+        "header only, no newline": header,
+        "empty": "",
+        "sparse header": "\n".join(to_jsonl_lines(sparse_log())) + "\n",
+    }[case]
+    expected = read_outcome(runlog._read_lines, text)
+    assert read_outcome(read_jsonl, text) == expected
+    assert read_from_file(text, runlog._BLOCK) == expected
+
+
+def test_a_str_is_read_without_newline_translation():
+    text = "a\r\nb\rc\n\nd"
+    assert runlog._text_file(text).read() == text
+
+
+def test_a_pipe_is_read_into_memory_first():
+    text = "\n".join(to_jsonl_lines(sample_log())) + "\n"
+    read_end, write_end = os.pipe()
+    os.write(write_end, text.encode("utf-8"))
+    os.close(write_end)
+    with open(read_end, encoding="utf-8") as f:
+        assert not f.seekable()
+        assert read_jsonl(f) == sample_log()
 
 
 @pytest.mark.parametrize("index", [0, 2])
