@@ -17,17 +17,17 @@ must be finite, and frame indices, class ids and sidecar labels must fit
 in int64. A detection stream's clock is the file's ``# clock: fps=F
 stride=N`` comment, or ``FrameClock()`` when it has none.
 
-The detection parsers take a ``str`` of text or an open text file. They
-first try one vectorised pass: a scan of the file in blocks, then one
-``np.loadtxt`` over it into NumPy columns. If that pass meets anything the
-row parser would reject, or might read differently, the row parser reads
-the whole text, so errors keep their line numbers and ``errors_out``
-collects the same list either way.
+The detection parsers take a ``str`` of text, read with universal newlines,
+or an open text file, through the text layer the run-log reader shares
+(``_text``). They first try one vectorised pass: a scan of the file in
+blocks of whole lines, then one ``np.loadtxt`` over it into NumPy columns.
+If that pass meets anything the row parser would reject, or might read
+differently, the row parser reads the whole text, so errors keep their
+line numbers and ``errors_out`` collects the same list either way.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import random
 import re
@@ -40,6 +40,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
+from ._text import line_blocks, plain_ascii, text_file
 from .domain import BBox, Detection, FrameClock
 from .errors import DuplicateKey, InvalidParam, ParseError
 
@@ -495,11 +496,6 @@ def _parse_rows(text, layout: _Layout, errors_out) -> DetectionStream:
 #: with ``int``.
 _EXACT_INT_BOUND = 2.0**53
 
-#: Characters the scan reads at a time; a longer line goes to the row parser.
-_BLOCK = 1 << 20
-#: Line ends other than ``\n``, which ``str.splitlines`` breaks lines on; a
-#: file opened with universal newlines holds no ``\r``.
-_OTHER_LINE_ENDS = "\r\x0b\x0c\x1c\x1d\x1e"
 #: A line whose first character other than whitespace is not ``#``.
 _ROW_LINE = re.compile(r"^\s*[^#\s]", re.MULTILINE)
 
@@ -511,17 +507,9 @@ def _scan(f) -> Optional[tuple[Optional[FrameClock], bool]]:
     that does not start its line (loadtxt cuts ``1#x`` to ``1``, and hides
     an indented clock comment), a malformed clock comment, text that is not
     ASCII, or a line end of ``str.splitlines`` other than ``\\n``."""
-    clock, has_rows, carry = None, False, ""
-    while True:
-        block = f.read(_BLOCK)
-        text = carry + block
-        if block:
-            # a line may straddle two blocks: keep its start for the next one
-            cut = text.rfind("\n") + 1
-            text, carry = text[:cut], text[cut:]
-            if len(carry) > _BLOCK:
-                return None
-        if not text.isascii() or any(c in text for c in _OTHER_LINE_ENDS):
+    clock, has_rows = None, False
+    for text in line_blocks(f):
+        if not plain_ascii(text):
             return None
         has_rows = has_rows or _ROW_LINE.search(text) is not None
         start = text.find("#")
@@ -535,8 +523,7 @@ def _scan(f) -> Optional[tuple[Optional[FrameClock], bool]]:
             except ParseError:
                 return None
             start = text.find("#", end)
-        if not block:
-            return clock, has_rows
+    return clock, has_rows
 
 
 def _parse_columns(f, layout: _Layout) -> Optional[DetectionStream]:
@@ -606,21 +593,8 @@ def _parse_columns(f, layout: _Layout) -> Optional[DetectionStream]:
     return DetectionStream(clock, frame_indices, offsets, rows)
 
 
-def _text_file(source: Union[str, TextIO]) -> TextIO:
-    """``source`` as a seekable text file: a ``str`` of text is read as a
-    file opened with universal newlines reads it, and a file that cannot
-    seek, such as a pipe, is read once."""
-    if isinstance(source, str):
-        # one byte per ASCII character, where a StringIO holds four
-        data = io.BytesIO(source.encode("utf-8", "surrogatepass"))
-        return io.TextIOWrapper(data, encoding="utf-8", errors="surrogatepass")
-    if not source.seekable():
-        return _text_file(source.read())
-    return source
-
-
 def _parse_detections(source, layout: _Layout, errors_out) -> DetectionStream:
-    f = _text_file(source)
+    f = text_file(source)
     start = f.tell()
     stream = _parse_columns(f, layout)
     if stream is None:

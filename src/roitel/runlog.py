@@ -8,23 +8,25 @@ The header is written by ``json.dumps``; the records by fixed templates that
 give the same bytes. Records are named tuples, so the scheduling pass, the
 writer and the reader build and unpack them at tuple cost.
 
-``read_jsonl`` decodes a log in one pass over blocks of whole lines and
-falls back to the line reader, ``_read_lines``, on the whole text whenever
-that pass cannot be sure to give the line reader's log; every error a
-reader raises is the line reader's.
+``read_jsonl`` reads a ``str`` or an open text file through the text layer
+the detection parsers share (``_text``; a ``str`` with universal newlines).
+It decodes the log in one pass over blocks of whole lines, skipping empty
+lines, and falls back to the line reader, ``_read_lines``, on the whole
+text whenever that pass cannot be sure to give the line reader's log;
+every error a reader raises is the line reader's.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Iterator, NamedTuple, Optional, TextIO, Union
+from typing import NamedTuple, Optional, TextIO, Union
 
+from ._text import line_blocks, plain_ascii, text_file
 from .domain import BBox, BudgetConfig, FrameClock
 from .errors import ConfigError, InvalidParam, ParseError
 
@@ -391,9 +393,6 @@ def _read_lines(text: str) -> RunLog:
 #: reader checks the numbers itself.
 _PLAIN = json.JSONDecoder(parse_constant=_reject_constant)
 
-#: Line breaks of ``str.splitlines`` other than "\n" that ASCII text can hold.
-_ASCII_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
-
 _tx_values = itemgetter(*_TX_FIELDS)
 _class_values = itemgetter(*_CLASS_FIELDS)
 
@@ -418,22 +417,21 @@ def _finite(numbers) -> bool:
     return math.isfinite(math.fsum(numbers))
 
 
-def _plain_ascii(text: str) -> bool:
-    """Whether ``text`` is ASCII that only "\\n" breaks into lines, as
-    str.splitlines breaks them at more."""
-    return text.isascii() and not any(c in text for c in _ASCII_BREAKS)
-
-
 def _block_records(block: str) -> Optional[tuple[list, list]]:
     """The tx records and class events of ``block``, whole lines each
     holding one record, or None where ``_read_lines`` might read them
-    otherwise. Each line must hold exactly one JSON value, from its first
-    character to its last, so no value spans lines and no line holds two."""
-    if not _plain_ascii(block):
+    otherwise. Each line must be empty or hold exactly one JSON value, from
+    its first character to its last, so no value spans lines and no line
+    holds two."""
+    if not plain_ascii(block):
         return None
-    records, pos = [], 0
+    records, blanks, pos = [], 0, 0
     # each value ends where a line does ...
     while pos < len(block):
+        if block[pos] == "\n":  # an empty line, which _read_lines skips
+            blanks += 1
+            pos += 1
+            continue
         record, pos = _PLAIN.scan_once(block, pos)
         records.append(record)
         if pos < len(block):
@@ -441,7 +439,7 @@ def _block_records(block: str) -> Optional[tuple[list, list]]:
                 return None
             pos += 1
     # ... and holds no "\n" of its own, which JSON reads as whitespace
-    if block.count("\n") + (not block.endswith("\n")) != len(records):
+    if block.count("\n") + (not block.endswith("\n")) != len(records) + blanks:
         return None
     txs = [r for r in records if r["kind"] == "tx"]
     events = [r for r in records if r["kind"] == "class"]
@@ -481,28 +479,16 @@ def _block_records(block: str) -> Optional[tuple[list, list]]:
     return transmissions, class_events
 
 
-#: Characters the one-pass reader reads at a time before it completes the
-#: last line. A block's records are decoded at once and their dicts freed
-#: before the next block; blocks of 256 KiB or more leave the garbage
-#: collector more dicts to walk, and read a sweep's logs about 20% slower.
-_BLOCK = 1 << 16
-
-
-def _line_blocks(f: TextIO) -> Iterator[str]:
-    """The rest of ``f`` in blocks of whole lines; only the file's last line
-    may lack its "\\n"."""
-    while block := f.read(_BLOCK):
-        yield block if block.endswith("\n") else block + f.readline()
-
-
 def _read_one_pass(f: TextIO) -> Optional[RunLog]:
     """The log ``_read_lines`` gives for the rest of ``f``, or None where
     this pass cannot be sure of it. It reads the header line, then one block
     of whole lines at a time, so that only one block's text and dicts are
-    held."""
+    held. Empty lines are skipped; a line of other whitespace is a doubt."""
     line = f.readline()
+    while line == "\n":
+        line = f.readline()
     try:
-        if not _plain_ascii(line):
+        if not plain_ascii(line):
             return None
         header, pos = _DECODER.scan_once(line, 0)
         if line[pos:] not in ("", "\n"):
@@ -510,7 +496,7 @@ def _read_one_pass(f: TextIO) -> Optional[RunLog]:
         log = _header(header, 1)
     except Exception:  # any failure leaves the verdict, and the error, to _read_lines
         return None
-    for block in _line_blocks(f):
+    for block in line_blocks(f):
         try:
             records = _block_records(block)
         except Exception:  # as above
@@ -522,19 +508,6 @@ def _read_one_pass(f: TextIO) -> Optional[RunLog]:
     return None if _overcounted(log) else log
 
 
-def _text_file(source: Union[str, TextIO]) -> TextIO:
-    """``source`` as a seekable text file: a ``str`` is read as given, with
-    no newline translation, and a file that cannot seek, such as a pipe, is
-    read once."""
-    if isinstance(source, str):
-        # one byte per ASCII character, where a StringIO holds four
-        data = io.BytesIO(source.encode("utf-8", "surrogatepass"))
-        return io.TextIOWrapper(data, encoding="utf-8", errors="surrogatepass", newline="\n")
-    if not source.seekable():
-        return _text_file(source.read())
-    return source
-
-
 def read_jsonl(source: Union[str, TextIO]) -> RunLog:
     """Parse a run log of to_jsonl_lines' lines, from a ``str`` of text or
     from an open text file, read from where it stands. Raises ParseError,
@@ -544,7 +517,7 @@ def read_jsonl(source: Union[str, TextIO]) -> RunLog:
     domain type refuses, or a header whose counts are negative or account
     for more candidates than it saw. Lines are numbered as in the file;
     blank lines are skipped but counted."""
-    f = _text_file(source)
+    f = text_file(source)
     start = f.tell()
     log = _read_one_pass(f)
     if log is None:

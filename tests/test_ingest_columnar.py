@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from roitel import (
+    _text,
     DetectionStream,
     FrameClock,
     ParseError,
@@ -61,7 +62,7 @@ SIDECAR_BASE = (
 
 def columns(text, layout):
     """The vectorised pass alone over ``text``, as the parsers read a str."""
-    return ingest._parse_columns(ingest._text_file(text), layout)
+    return ingest._parse_columns(_text.text_file(text), layout)
 
 
 def row_parse(layout):
@@ -328,7 +329,7 @@ def file_outcome(name, path, text, collect):
 @given(
     data=st.data(),
     name=st.sampled_from(sorted(LAYOUTS)),
-    block=st.sampled_from([8, 40, ingest._BLOCK]),
+    block=st.sampled_from([8, 40, 1 << 20]),
 )
 def test_a_file_parses_like_its_text(file_path, data, name, block):
     mutated = st.lists(mutation, min_size=1, max_size=6).map(
@@ -336,7 +337,7 @@ def test_a_file_parses_like_its_text(file_path, data, name, block):
     )
     text = data.draw(generated_file(name) | mutated)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ingest, "_BLOCK", block)
+        patch.setattr(_text, "BLOCK", block)
         for collect in (False, True):
             expected = parse_outcome(public_parse(LAYOUTS[name][0]), text, collect)
             assert file_outcome(name, file_path, text, collect) == expected
@@ -345,10 +346,11 @@ def test_a_file_parses_like_its_text(file_path, data, name, block):
 CLOCKED = "0,-1,1,2,3,4,0.5,0\n# clock: fps=30.0 stride=2\n1,-1,1,2,3,4,0.5,0\n"
 
 
-@pytest.mark.parametrize("block", range(26, 60))
+@pytest.mark.parametrize("block", range(1, 60))
 def test_a_clock_comment_across_a_block_boundary_is_read(monkeypatch, block):
-    # every block of at least the longest line takes the vectorised pass
-    monkeypatch.setattr(ingest, "_BLOCK", block)
+    # a block is completed to whole lines, so every block size, shorter than
+    # the longest line too, takes the vectorised pass
+    monkeypatch.setattr(_text, "BLOCK", block)
     stream = columns(CLOCKED, GENERIC)
     assert stream is not None
     assert stream.clock == FrameClock(fps=30.0, frame_stride=2)
@@ -373,7 +375,7 @@ def test_a_clock_comment_across_a_block_boundary_is_read(monkeypatch, block):
 )
 def test_explicit_files_parse_like_the_row_parser(monkeypatch, file_path, text):
     # a small block puts the later lines of each file in a later block
-    monkeypatch.setattr(ingest, "_BLOCK", 32)
+    monkeypatch.setattr(_text, "BLOCK", 32)
     for collect in (False, True):
         expected = parse_outcome(row_parse(GENERIC), text, collect)
         assert file_outcome("generic", file_path, text, collect) == expected

@@ -18,7 +18,7 @@ from roitel import (
     TransmissionRecord,
     read_jsonl,
 )
-from roitel import runlog
+from roitel import _text, runlog
 from roitel.metrics import aggregate_run, emit_report
 from roitel.runlog import CLASS_SOURCE_STILL, CLASS_SOURCE_VIDEO, to_jsonl_lines
 from helpers import json_lines, read_outcome
@@ -420,13 +420,31 @@ def test_templates_write_what_json_dumps_writes(txs, events):
 
 
 def one_pass(text: str):
-    return runlog._read_one_pass(runlog._text_file(text))
+    return runlog._read_one_pass(_text.text_file(text))
 
 
 def test_one_pass_reads_what_the_writer_writes():
     text = "\n".join(to_jsonl_lines(sample_log()))
     for clean in (text, text + "\n"):
         assert one_pass(clean) == sample_log()
+
+
+def test_empty_lines_do_not_make_the_one_pass_fall_back(monkeypatch):
+    header, *records = to_jsonl_lines(sample_log())
+    text = "\n".join(["", header, "", *records[:2], "", *records[2:], "", ""])
+    calls = []
+    monkeypatch.setattr(runlog, "_read_lines", lambda *args: calls.append(args))
+    assert read_jsonl(text) == sample_log()
+    assert calls == []
+
+
+@pytest.mark.parametrize("index", [0, 1, 3])
+def test_a_line_of_whitespace_makes_the_one_pass_fall_back(index):
+    lines = list(to_jsonl_lines(sample_log()))
+    lines.insert(index, " \t")
+    text = "\n".join(lines)
+    assert one_pass(text) is None
+    assert read_jsonl(text) == sample_log()
 
 
 def tx_line_with(prefix: str) -> str:
@@ -536,7 +554,7 @@ def read_from_file(text: str, block: int):
     """``read_outcome`` of ``read_jsonl`` on ``text`` written to a file and
     opened as the CLI opens it, read in blocks of ``block`` characters."""
     with tempfile.TemporaryFile("w+", encoding="utf-8") as f, mock.patch.object(
-        runlog, "_BLOCK", block
+        _text, "BLOCK", block
     ):
         f.write(text)
         f.seek(0)
@@ -582,12 +600,13 @@ def test_edge_cases_read_alike_from_a_str_and_a_file(case):
     }[case]
     expected = read_outcome(runlog._read_lines, text)
     assert read_outcome(read_jsonl, text) == expected
-    assert read_from_file(text, runlog._BLOCK) == expected
+    assert read_from_file(text, _text.BLOCK) == expected
 
 
-def test_a_str_is_read_without_newline_translation():
-    text = "a\r\nb\rc\n\nd"
-    assert runlog._text_file(text).read() == text
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_a_str_with_other_line_ends_is_read_in_one_pass(newline):
+    text = newline.join(to_jsonl_lines(sample_log())) + newline
+    assert one_pass(text) == runlog._read_lines(text) == sample_log()
 
 
 def test_a_pipe_is_read_into_memory_first():
