@@ -56,14 +56,8 @@ from .policy import (
     CandidateBlock,
     Decision,
     FrameColumns,
-    RoiCandidate,
     decide,
-    make_candidate,
-    novelty_term,
     score_block,
-    score_roi,
-    size_term,
-    uncertainty_term,
 )
 from .runlog import ClassEvent, RunLog, TransmissionRecord, read_jsonl
 from .tracker import Tracker, TrackerConfig
@@ -97,7 +91,6 @@ __all__ = [
     "POLICY_VARIANTS",
     "ParseError",
     "PolicyConfig",
-    "RoiCandidate",
     "RoitelError",
     "RunConfig",
     "RunLog",
@@ -118,8 +111,6 @@ __all__ = [
     "greedy_match",
     "inject_confidence_noise",
     "iou",
-    "make_candidate",
-    "novelty_term",
     "pairwise_iou",
     "parse_generic_csv",
     "parse_sidecar_csv",
@@ -128,9 +119,6 @@ __all__ = [
     "read_jsonl",
     "run",
     "score_block",
-    "score_roi",
-    "size_term",
     "sweep",
-    "uncertainty_term",
     "write_generic_csv",
 ]

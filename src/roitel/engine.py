@@ -219,7 +219,7 @@ def _schedule(
                     u_term=float(block.u_term[row]),
                     s_small_term=float(block.s_small_term[row]),
                     # n is 0.0 or 1.0; the literals are shared objects, as
-                    # novelty_term's are
+                    # make_candidate's are
                     n_term=1.0 if block.n_term[row] else 0.0,
                     video_conf=rec.video_conf if rec else None,
                     still_conf=rec.still_conf if rec else None,

@@ -350,11 +350,15 @@ def _num(fields: list[str], idx: int, line_no: int, name: str) -> float:
 
 def _int(fields: list[str], idx: int, line_no: int, name: str) -> int:
     """An integer literal is read exactly; other spellings, such as ``5.0``,
-    as ``float`` reads them. Either way the value must be finite as a float."""
+    as ``float`` reads them, and must be integral. Either way the value must
+    be finite as a float."""
     try:
         value = int(fields[idx])
     except ValueError:
-        return int(_num(fields, idx, line_no, name))
+        value = _num(fields, idx, line_no, name)
+        if not value.is_integer():
+            raise ParseError(line_no, f"non-integral {name}: {fields[idx]!r}") from None
+        return int(value)
     try:
         float(value)
     except OverflowError:
@@ -560,6 +564,9 @@ def _parse_columns(f, layout: _Layout) -> Optional[DetectionStream]:
     if not all(((c > -_EXACT_INT_BOUND) & (c < _EXACT_INT_BOUND)).all() for c in ints):
         return None
     frame, hint, cls = (c.astype(np.int64) for c in ints)
+    # a non-integral value, such as 2.5, is the row parser's to refuse
+    if not all(map(np.array_equal, (frame, hint, cls), ints)):
+        return None
     if layout.benchmark:
         if not (frame >= 1).all():
             return None

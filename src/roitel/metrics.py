@@ -237,9 +237,8 @@ def _emit_table(
 
         obj = {
             "columns": list(columns),
-            "rows": [
-                {col: cell(v) for col, v in zip(columns, row)} for row in rows
-            ],
+            # the first cell is the label, kept as text
+            "rows": [dict(zip(columns, [row[0], *map(cell, row[1:])])) for row in rows],
         }
         if json_extras is not None:
             for row_obj, extra in zip(obj["rows"], json_extras):

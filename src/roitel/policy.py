@@ -7,9 +7,10 @@ variant's trigger rule into a mask, orders the survivors by descending score
 (ties to the lower track id), and admits them against the rolling budget
 view. Candidates denied by the ledger are counted, never silently dropped.
 
-``make_candidate`` scores one candidate with Python floats; it is the
-reference the columns follow operation for operation, so both give the same
-bits.
+``make_candidate`` scores one candidate with Python floats. No run calls it:
+it is the scalar reference kept for the tests and the benchmark, which the
+columns follow operation for operation, so both give the same bits and the
+same error for a bad row.
 
 Term functional forms:
   uncertainty  u = 1 - detector confidence
@@ -42,6 +43,11 @@ _UNLIMITED = 1 << 30
 #: ``last_refined`` value of a track that was never refined; it is below
 #: every frame index.
 NEVER_REFINED = int(np.iinfo(np.int64).min)
+
+#: The errors for a bad row, in the order the checks run.
+_BAD_CONF = "confidence must be in [0,1], got {}"
+_BAD_COST = "cost_bits must be > 0, got {}"
+_BAD_SCORE = "score is not finite at frame {}, track {}: {}"
 
 
 @dataclass(frozen=True)
@@ -109,43 +115,6 @@ class Decision:
     rejected_threshold: int
 
 
-def uncertainty_term(det_conf: float) -> float:
-    """1 - confidence: fully confident objects contribute no urgency."""
-    if not (0.0 <= det_conf <= 1.0):
-        raise InvalidParam(f"confidence must be in [0,1], got {det_conf}")
-    return 1.0 - det_conf
-
-
-def size_term(bbox: BBox, area_ref: float) -> float:
-    """Linear small-object priority: 1 near zero area, 0 at/above area_ref."""
-    if not area_ref > 0:
-        raise InvalidParam(f"area_ref must be > 0, got {area_ref}")
-    return min(max(1.0 - bbox.area() / area_ref, 0.0), 1.0)
-
-
-def novelty_term(
-    last_refined_frame: Optional[int], frame_index: int, cooldown_frames: int
-) -> float:
-    """1 when never refined, or the last refinement is outside the cooldown."""
-    if last_refined_frame is None:
-        return 1.0
-    return 1.0 if (frame_index - last_refined_frame) > cooldown_frames else 0.0
-
-
-def score_roi(
-    u: float,
-    s: float,
-    n: float,
-    cost_bits: float,
-    weights: tuple[float, float, float],
-) -> float:
-    """Utility-per-bit score: weighted term sum divided by cost in bits."""
-    if not cost_bits > 0:
-        raise InvalidParam(f"cost_bits must be > 0, got {cost_bits}")
-    w_u, w_s, w_n = weights
-    return (w_u * u + w_s * s + w_n * n) / cost_bits
-
-
 def _area_ref(cfg: PolicyConfig) -> float:
     return cfg.area_threshold if cfg.area_threshold is not None else DEFAULT_AREA_REF
 
@@ -161,12 +130,18 @@ def make_candidate(
 ) -> RoiCandidate:
     """Compute all score terms for one tracked detection. A score beyond the
     float range is refused, so no run log holds a non-finite number."""
-    u = uncertainty_term(confidence)
-    s = size_term(bbox, _area_ref(cfg))
-    n = novelty_term(last_refined_frame, frame_index, cfg.cooldown_frames)
-    score = score_roi(u, s, n, cost_bits, cfg.weights)
+    if not (0.0 <= confidence <= 1.0):
+        raise InvalidParam(_BAD_CONF.format(confidence))
+    u = 1.0 - confidence
+    s = min(max(1.0 - bbox.area() / _area_ref(cfg), 0.0), 1.0)
+    novel = last_refined_frame is None or frame_index - last_refined_frame > cfg.cooldown_frames
+    n = 1.0 if novel else 0.0
+    if not cost_bits > 0:
+        raise InvalidParam(_BAD_COST.format(cost_bits))
+    w_u, w_s, w_n = cfg.weights
+    score = (w_u * u + w_s * s + w_n * n) / cost_bits
     if not math.isfinite(score):
-        raise InvalidParam(f"score is not finite at frame {frame_index}, track {track_id}: {score}")
+        raise InvalidParam(_BAD_SCORE.format(frame_index, track_id, score))
     return RoiCandidate(
         frame_index=frame_index,
         track_id=track_id,
@@ -204,24 +179,15 @@ def score_block(
         score = (w_u * u + w_s * s + w_n * n) / cost
     ok = (conf >= 0.0) & (conf <= 1.0) & (cost > 0.0) & np.isfinite(score)
     if not ok.all():
-        _refuse_row(frame_index, cols, last_refined, int(np.argmin(ok)), cfg)
+        row = int(np.argmin(ok))
+        bad_conf, bad_cost = conf[row].item(), cost[row].item()
+        if not (0.0 <= bad_conf <= 1.0):
+            raise InvalidParam(_BAD_CONF.format(bad_conf))
+        if not bad_cost > 0:
+            raise InvalidParam(_BAD_COST.format(bad_cost))
+        track_id = cols.track_id[row].item()
+        raise InvalidParam(_BAD_SCORE.format(frame_index, track_id, score[row].item()))
     return CandidateBlock(cols, last_refined, u, s, n, score)
-
-
-def _refuse_row(
-    frame_index: int, cols: FrameColumns, last_refined: np.ndarray, row: int, cfg: PolicyConfig
-) -> None:
-    """Raise ``make_candidate``'s error for one row."""
-    refined = int(last_refined[row])
-    make_candidate(
-        frame_index,
-        int(cols.track_id[row]),
-        cols.bboxes[row],
-        float(cols.conf[row]),
-        None if refined == NEVER_REFINED else refined,
-        float(cols.cost_bits[row]),
-        cfg,
-    )
 
 
 def _require(cfg: PolicyConfig, name: str) -> float:

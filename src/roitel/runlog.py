@@ -420,17 +420,21 @@ def _finite(numbers) -> bool:
 def _block_records(block: str) -> Optional[tuple[list, list]]:
     """The tx records and class events of ``block``, whole lines each
     holding one record, or None where ``_read_lines`` might read them
-    otherwise. Each line must be empty or hold exactly one JSON value, from
-    its first character to its last, so no value spans lines and no line
-    holds two."""
+    otherwise. Each line must hold only spaces and tabs or exactly one JSON
+    value, from its first character to its last, so no value spans lines
+    and no line holds two."""
     if not plain_ascii(block):
         return None
     records, blanks, pos = [], 0, 0
     # each value ends where a line does ...
     while pos < len(block):
-        if block[pos] == "\n":  # an empty line, which _read_lines skips
+        if block[pos] in "\n \t":  # a line _read_lines skips, if it is blank
+            end = block.find("\n", pos)
+            end = len(block) if end < 0 else end
+            if block[pos:end].strip(" \t"):
+                return None
             blanks += 1
-            pos += 1
+            pos = end + 1
             continue
         record, pos = _PLAIN.scan_once(block, pos)
         records.append(record)
@@ -483,9 +487,10 @@ def _read_one_pass(f: TextIO) -> Optional[RunLog]:
     """The log ``_read_lines`` gives for the rest of ``f``, or None where
     this pass cannot be sure of it. It reads the header line, then one block
     of whole lines at a time, so that only one block's text and dicts are
-    held. Empty lines are skipped; a line of other whitespace is a doubt."""
+    held. Lines of only spaces and tabs are skipped; a line of other
+    whitespace, or whitespace around a record, is a doubt."""
     line = f.readline()
-    while line == "\n":
+    while line.strip(" \t") == "\n":
         line = f.readline()
     try:
         if not plain_ascii(line):

@@ -32,10 +32,8 @@ from roitel import (
     LedgerView,
     ParseError,
     PolicyConfig,
-    RoiCandidate,
     RunConfig,
     RunLog,
-    make_candidate,
 )
 from roitel import kernels
 from roitel.budget import estimate_cost
@@ -49,8 +47,10 @@ from roitel.policy import (
     PRESET_AREA_GATE,
     PRESET_CONF_GATE,
     PRESET_RELAXED_SCORE_GATE,
+    RoiCandidate,
     _effective_top_k,
     _require,
+    make_candidate,
 )
 from roitel.runlog import (
     CLASS_SOURCE_STILL,
@@ -271,6 +271,49 @@ def ref_associate(
             class_id=np.array([det.class_id for det in dets], dtype=np.int64),
         )
         yield frame_index, clock.timestamp(frame_index), columns
+
+
+# --- score terms -------------------------------------------------------------
+#
+# The score's four formulas, one function each, for tests that compute an
+# expected score by hand.
+
+
+def uncertainty_term(det_conf: float) -> float:
+    """1 - confidence: fully confident objects contribute no urgency."""
+    if not (0.0 <= det_conf <= 1.0):
+        raise InvalidParam(f"confidence must be in [0,1], got {det_conf}")
+    return 1.0 - det_conf
+
+
+def size_term(bbox: BBox, area_ref: float) -> float:
+    """Linear small-object priority: 1 near zero area, 0 at/above area_ref."""
+    if not area_ref > 0:
+        raise InvalidParam(f"area_ref must be > 0, got {area_ref}")
+    return min(max(1.0 - bbox.area() / area_ref, 0.0), 1.0)
+
+
+def novelty_term(
+    last_refined_frame: Optional[int], frame_index: int, cooldown_frames: int
+) -> float:
+    """1 when never refined, or the last refinement is outside the cooldown."""
+    if last_refined_frame is None:
+        return 1.0
+    return 1.0 if (frame_index - last_refined_frame) > cooldown_frames else 0.0
+
+
+def score_roi(
+    u: float,
+    s: float,
+    n: float,
+    cost_bits: float,
+    weights: tuple[float, float, float],
+) -> float:
+    """Utility-per-bit score: weighted term sum divided by cost in bits."""
+    if not cost_bits > 0:
+        raise InvalidParam(f"cost_bits must be > 0, got {cost_bits}")
+    w_u, w_s, w_n = weights
+    return (w_u * u + w_s * s + w_n * n) / cost_bits
 
 
 # --- scalar scheduling oracle -------------------------------------------------

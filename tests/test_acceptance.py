@@ -20,7 +20,6 @@ from roitel import (
     Detection,
     FrameClock,
     PolicyConfig,
-    RoiCandidate,
     RunLog,
     SemanticRecord,
     SemanticSidecar,
@@ -33,13 +32,20 @@ from roitel import (
     gen_synthetic,
     iou,
     run,
-    score_roi,
 )
 from roitel.budget import LedgerView
 from roitel.cli import main as cli_main
 from roitel.domain import DEFAULT_WEIGHTS
+from roitel.policy import RoiCandidate
 from roitel.runlog import CLASS_SOURCE_STILL
-from helpers import CandidateContext, as_block, low_regime_cfg, mk_det, mk_stream
+from helpers import (
+    CandidateContext,
+    as_block,
+    low_regime_cfg,
+    mk_det,
+    mk_stream,
+    score_roi,
+)
 
 # pilot report targets and tolerances
 RATE_TOL_HZ = 0.005

@@ -21,20 +21,25 @@ from roitel import (
     TrackerConfig,
     estimate_cost,
     gen_synthetic,
-    novelty_term,
     parse_generic_csv,
     run,
-    score_roi,
-    size_term,
     sweep,
-    uncertainty_term,
     write_generic_csv,
 )
 from roitel.domain import DEFAULT_WEIGHTS
 from roitel import budget, engine, ingest, policy
 from roitel.engine import processed_frame_range
 from roitel.runlog import CLASS_SOURCE_STILL, CLASS_SOURCE_VIDEO, to_jsonl_lines
-from helpers import compensated_sum, low_regime_cfg, mk_det, mk_stream
+from helpers import (
+    compensated_sum,
+    low_regime_cfg,
+    mk_det,
+    mk_stream,
+    novelty_term,
+    score_roi,
+    size_term,
+    uncertainty_term,
+)
 
 
 def synthetic():

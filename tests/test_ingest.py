@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -403,6 +404,53 @@ def test_the_largest_box_the_parsers_take_stays_finite():
 def test_integer_fields_are_read_exactly(parse, rows, frames):
     stream = parse(rows)
     assert stream.frame_indices == frames
+
+
+@pytest.mark.parametrize(
+    "parse,row,message",
+    [
+        (parse_generic_csv, "2.5,-1,0,0,5,5,0.5,0", "non-integral frame: '2.5'"),
+        # int(float()) would read this as frame 0, past the negative-frame check
+        (parse_generic_csv, "-0.5,-1,0,0,5,5,0.5,0", "non-integral frame: '-0.5'"),
+        (parse_generic_csv, "0,3.5,0,0,5,5,0.5,0", "non-integral track_hint: '3.5'"),
+        (parse_generic_csv, "0,-1,0,0,5,5,0.5,1.7", "non-integral class: '1.7'"),
+        (parse_uavdt_gt, "1.5,1,0,0,5,5,0,0,1", "non-integral frame: '1.5'"),
+        (parse_uavdt_gt, "1,2.5,0,0,5,5,0,0,1", "non-integral target_id: '2.5'"),
+        (parse_uavdt_gt, "1,1,0,0,5,5,0,0,1.7", "non-integral category: '1.7'"),
+        (parse_visdrone_mot, "2.5,1,0,0,5,5,0.5,1,0,0", "non-integral frame: '2.5'"),
+        (parse_visdrone_mot, "1,2.5,0,0,5,5,0.5,1,0,0", "non-integral target_id: '2.5'"),
+        (parse_visdrone_mot, "1,1,0,0,5,5,0.5,1.7,0,0", "non-integral category: '1.7'"),
+    ],
+)
+def test_parsers_refuse_non_integral_integer_fields(parse, row, message):
+    with pytest.raises(ParseError, match=f"line 2: {re.escape(message)}$"):
+        parse("# first line\n" + row + "\n")
+    errors: list[ParseError] = []
+    stream = parse("# first line\n" + row + "\n", errors_out=errors)
+    assert (stream.n_detections, [e.line_no for e in errors]) == (0, [2])
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("10.5,4,0.2,0.3,7,7,1.9,1.1", "non-integral frame: '10.5'"),
+        ("10,4.5,0.2,0.3,7,7,1.9,1.1", "non-integral track: '4.5'"),
+        ("10,4,0.2,0.3,7.5,7,1.9,1.1", "non-integral video_label: '7.5'"),
+        ("10,4,0.2,0.3,7,7.5,1.9,1.1", "non-integral still_label: '7.5'"),
+        ("10,4,0.2,0.3,7,7,1.9,1.1,1500.9", "non-integral payload_bytes: '1500.9'"),
+    ],
+)
+def test_sidecar_refuses_non_integral_integer_fields(row, message):
+    with pytest.raises(ParseError, match=f"line 1: {re.escape(message)}$"):
+        parse_sidecar_csv(row + "\n")
+
+
+def test_integral_spellings_of_integer_fields_still_read():
+    stream = parse_generic_csv("5.0,-1,0,0,5,5,0.5,2e0\n5e0,3.0,0,0,5,5,0.5,-0.0\n")
+    dets = stream.detections_at(5)
+    assert [(d.class_id, d.track_hint) for d in dets] == [(2, None), (0, 3)]
+    rec = parse_sidecar_csv("1e1,4.0,0.2,0.3,7.0,7e0,1.9,1.1,1.5e3\n").get(10, 4)
+    assert (rec.video_label, rec.still_label, rec.payload_bytes) == (7, 7, 1500)
 
 
 def test_ids_near_two_to_the_53_are_read_exactly():

@@ -322,6 +322,19 @@ def test_json_report_carries_full_precision_extras():
     assert extra["roi_bitrate_bps"] == pytest.approx(59 * 1364 * 8.0 / 52.54)
 
 
+@pytest.mark.parametrize("emit", [emit_report, emit_selection_report])
+def test_json_reports_keep_labels_as_text(emit):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    rep = aggregate(mk_log([]), 0.801e6, 10.0)
+    labels = ["nan", "007", "Infinity", "2.5"]
+    obj = json.loads(emit([(label, rep) for label in labels], fmt="json"), parse_constant=refuse)
+    assert [row["policy"] for row in obj["rows"]] == labels
+    count = obj["columns"][1]  # the ROI count, still a number
+    assert [row[count] for row in obj["rows"]] == [0] * 4
+
+
 def test_markdown_report_renders_absent_as_dash():
     text = emit_report(reports_pair(), fmt="markdown")
     lines = text.splitlines()

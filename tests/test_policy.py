@@ -1,25 +1,22 @@
 import math
 from collections import namedtuple
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from roitel import (
     BBox,
     ConfigError,
+    FrameColumns,
     InvalidParam,
     LedgerView,
     PolicyConfig,
-    RoiCandidate,
-    make_candidate,
-    novelty_term,
-    score_roi,
-    size_term,
-    uncertainty_term,
 )
 from roitel import policy
 from roitel.domain import DEFAULT_AREA_REF, DEFAULT_WEIGHTS
-from helpers import CandidateContext, as_block, scalar_decide
+from roitel.policy import NEVER_REFINED, RoiCandidate, make_candidate
+from helpers import CandidateContext, as_block, scalar_decide, score_roi
 
 OPEN_VIEW = LedgerView(window_sum_bits=0.0, cap_bits=1e12)
 
@@ -70,75 +67,136 @@ def decide(frame_index, contexts, view, cfg):
     )
 
 
-# --- term functions ---------------------------------------------------------
+# --- score terms ------------------------------------------------------------
+#
+# Each term is checked through make_candidate, the scalar reference, and a
+# one-row score_block, which must give the same bits or the same error.
+
+SCORED = PolicyConfig(variant="M5", score_threshold=0.0)
+TERMS = ("u_term", "s_small_term", "n_term", "score")
+
+
+def frame_columns(rows):
+    """One frame's columns, and the last-refined column, for ``rows`` of
+    (confidence, bbox, last refined frame or None, cost_bits); row ``i`` is
+    track ``10 + i``."""
+    confs, bboxes, refined, costs = zip(*rows)
+    n = len(rows)
+    cols = FrameColumns(
+        bboxes=bboxes,
+        records=(None,) * n,
+        track_id=np.arange(10, 10 + n, dtype=np.int64),
+        created=np.zeros(n, dtype=np.int64),
+        conf=np.array(confs, dtype=np.float64),
+        area=np.array([b.area() for b in bboxes], dtype=np.float64),
+        cost_bits=np.array(costs, dtype=np.float64),
+        class_id=np.zeros(n, dtype=np.int64),
+    )
+    last = [NEVER_REFINED if r is None else r for r in refined]
+    return cols, np.array(last, dtype=np.int64)
+
+
+def assert_block_matches(frame, rows, cfg):
+    """make_candidate over ``rows`` in order, up to the first error: the
+    candidates and that error's text, or None. score_block over ``rows``
+    must raise the same text, or else give the same terms and scores bit for
+    bit."""
+    cands, error = [], None
+    for tid, (conf, bbox, refined, cost) in enumerate(rows, start=10):
+        try:
+            cands.append(make_candidate(frame, tid, bbox, conf, refined, cost, cfg))
+        except InvalidParam as err:
+            error = str(err)
+            break
+    cols, last = frame_columns(rows)
+    if error is not None:
+        with pytest.raises(InvalidParam) as exc:
+            policy.score_block(frame, cols, last, cfg)
+        assert str(exc.value) == error
+    else:
+        block = policy.score_block(frame, cols, last, cfg)
+        for name in TERMS:
+            assert [v.hex() for v in getattr(block, name).tolist()] == [
+                getattr(c, name).hex() for c in cands
+            ]
+    return cands, error
+
+
+def scored(
+    conf=0.5, bbox=BBox(0, 0, 10.0, 10.0), refined=None, cost=1000.0, frame=0, cfg=SCORED
+):
+    """The candidate of a one-row block, or its error raised."""
+    cands, error = assert_block_matches(frame, [(conf, bbox, refined, cost)], cfg)
+    if error is not None:
+        raise InvalidParam(error)
+    return cands[0]
 
 
 def test_uncertainty_term_values():
-    assert uncertainty_term(1.0) == 0.0
-    assert uncertainty_term(0.0) == 1.0
-    assert uncertainty_term(0.159) == 1.0 - 0.159
+    assert scored(conf=1.0).u_term == 0.0
+    assert scored(conf=0.0).u_term == 1.0
+    assert scored(conf=0.159).u_term == 1.0 - 0.159
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.1])
-def test_uncertainty_term_rejects_out_of_range(bad):
-    with pytest.raises(InvalidParam):
-        uncertainty_term(bad)
+def test_a_confidence_out_of_range_is_refused(bad):
+    with pytest.raises(InvalidParam, match=r"confidence must be in \[0,1\]"):
+        scored(conf=bad)
 
 
 def test_size_term_boundaries():
-    ref = 1024.0
-    assert size_term(BBox(0, 0, 32.0, 32.0), ref) == 0.0  # area == ref
-    assert size_term(BBox(0, 0, 16.0, 32.0), ref) == 0.5  # half of ref
-    assert size_term(BBox(0, 0, 96.0, 32.0), ref) == 0.0  # 3x ref, clamped
-    assert size_term(BBox(0, 0, 1.0, 1.0), ref) == pytest.approx(1.0 - 1.0 / 1024.0)
-
-
-def test_size_term_rejects_bad_ref():
-    with pytest.raises(InvalidParam):
-        size_term(BBox(0, 0, 10, 10), 0.0)
+    assert DEFAULT_AREA_REF == 1024.0
+    assert scored(bbox=BBox(0, 0, 32.0, 32.0)).s_small_term == 0.0  # area == ref
+    assert scored(bbox=BBox(0, 0, 16.0, 32.0)).s_small_term == 0.5  # half of ref
+    assert scored(bbox=BBox(0, 0, 96.0, 32.0)).s_small_term == 0.0  # 3x ref, clamped
+    assert scored(bbox=BBox(0, 0, 1.0, 1.0)).s_small_term == pytest.approx(1.0 - 1.0 / 1024.0)
 
 
 def test_novelty_term_cooldown_boundary():
-    assert novelty_term(None, 100, 30) == 1.0
-    assert novelty_term(98, 100, 30) == 0.0  # refined 2 frames ago
-    assert novelty_term(70, 100, 30) == 0.0  # exactly at cooldown
-    assert novelty_term(69, 100, 30) == 1.0  # one past cooldown
+    assert SCORED.cooldown_frames == 30
+    assert scored(frame=100, refined=None).n_term == 1.0
+    assert scored(frame=100, refined=98).n_term == 0.0  # refined 2 frames ago
+    assert scored(frame=100, refined=70).n_term == 0.0  # exactly at cooldown
+    assert scored(frame=100, refined=69).n_term == 1.0  # one past cooldown
 
 
-def test_score_roi_known_value():
-    # 0.5*0.8 + 0.3*0.5 + 0.2*1.0 = 0.75 over 10000 bits
-    assert score_roi(0.8, 0.5, 1.0, 10000.0, DEFAULT_WEIGHTS) == 7.5e-5
+def test_score_known_value():
+    # u 0.8, s 0.5, n 1.0: 0.5*0.8 + 0.3*0.5 + 0.2*1.0 = 0.75 over 10000 bits
+    cand = scored(conf=0.2, bbox=BBox(0, 0, 16.0, 32.0), cost=10000.0)
+    assert (cand.u_term, cand.s_small_term, cand.n_term) == (0.8, 0.5, 1.0)
+    assert cand.score == 7.5e-5
 
 
-def test_score_roi_zero_numerator():
-    assert score_roi(0.0, 0.0, 0.0, 5000.0, DEFAULT_WEIGHTS) == 0.0
+def test_score_zero_numerator():
+    # confident, at the size reference and refined within the cooldown
+    cand = scored(conf=1.0, bbox=BBox(0, 0, 32.0, 32.0), refined=0, cost=5000.0, frame=1)
+    assert (cand.u_term, cand.s_small_term, cand.n_term, cand.score) == (0.0, 0.0, 0.0, 0.0)
 
 
-def test_score_roi_rejects_nonpositive_cost():
-    with pytest.raises(InvalidParam):
-        score_roi(0.5, 0.5, 0.5, 0.0, DEFAULT_WEIGHTS)
-    with pytest.raises(InvalidParam):
-        score_roi(0.5, 0.5, 0.5, -10.0, DEFAULT_WEIGHTS)
+@pytest.mark.parametrize("cost", [0.0, -10.0])
+def test_a_non_positive_cost_is_refused(cost):
+    with pytest.raises(InvalidParam, match="cost_bits must be > 0"):
+        scored(cost=cost)
 
 
 @given(
-    u=st.floats(0, 1),
-    s=st.floats(0, 1),
-    n=st.sampled_from([0.0, 1.0]),
+    conf=st.floats(0, 1),
+    side=st.floats(0.5, 64.0),
+    refined=st.sampled_from([None, 0]),
     cost=st.floats(1.0, 1e9),
 )
-def test_score_roi_doubling_cost_halves_score(u, s, n, cost):
+def test_doubling_the_cost_halves_the_score(conf, side, refined, cost):
     # power-of-two cost scaling is exact in binary floating point
-    assert score_roi(u, s, n, 2.0 * cost, DEFAULT_WEIGHTS) == score_roi(
-        u, s, n, cost, DEFAULT_WEIGHTS
-    ) / 2.0
+    bbox = BBox(0, 0, side, side)
+    once = scored(conf=conf, bbox=bbox, refined=refined, cost=cost, frame=1)
+    twice = scored(conf=conf, bbox=bbox, refined=refined, cost=2.0 * cost, frame=1)
+    assert twice.score == once.score / 2.0
 
 
-# --- make_candidate ---------------------------------------------------------
+# --- make_candidate and score_block -----------------------------------------
 
 
 def test_make_candidate_default_terms():
-    cfg = PolicyConfig(variant="M5", score_threshold=0.0)
     cand = make_candidate(
         frame_index=10,
         track_id=4,
@@ -146,7 +204,7 @@ def test_make_candidate_default_terms():
         confidence=0.8,
         last_refined_frame=None,
         cost_bits=10000.0,
-        cfg=cfg,
+        cfg=SCORED,
     )
     assert cand.u_term == pytest.approx(0.2)
     assert cand.s_small_term == 0.5  # area 512 against default ref 1024
@@ -158,12 +216,41 @@ def test_make_candidate_default_terms():
 
 def test_make_candidate_area_threshold_becomes_size_ref():
     cfg = PolicyConfig(variant="M4", area_threshold=2048.0)
-    cand = make_candidate(0, 0, BBox(0, 0, 32.0, 32.0), 0.9, None, 1000.0, cfg)
-    assert cand.s_small_term == 0.5  # 1024 / 2048
-    default_cfg = PolicyConfig(variant="M5", score_threshold=0.0)
-    cand2 = make_candidate(0, 0, BBox(0, 0, 32.0, 32.0), 0.9, None, 1000.0, default_cfg)
-    assert cand2.s_small_term == 0.0  # 1024 / DEFAULT_AREA_REF
-    assert DEFAULT_AREA_REF == 1024.0
+    assert scored(bbox=BBox(0, 0, 32.0, 32.0), cfg=cfg).s_small_term == 0.5  # 1024 / 2048
+    # 1024 / DEFAULT_AREA_REF
+    assert scored(bbox=BBox(0, 0, 32.0, 32.0)).s_small_term == 0.0
+
+
+#: What a bad row holds: a confidence outside [0, 1], a cost that is not
+#: positive, or a cost so small that large weights overflow the score.
+BAD_VALUES = {"conf": [-0.5, 1.5, math.nan], "cost": [0.0, -5.0, math.nan, 1e-10]}
+
+
+@st.composite
+def scored_blocks(draw):
+    """1-8 rows of (confidence, bbox, last refined frame, cost_bits) at
+    frame 50, with bad values at some random rows."""
+    row = st.tuples(
+        st.floats(0, 1),
+        st.builds(BBox, st.just(0.0), st.just(0.0), st.floats(0.5, 64.0), st.floats(0.5, 64.0)),
+        st.sampled_from([None, 0, 20, 49]),
+        st.floats(1.0, 1e9),
+    )
+    rows = [list(r) for r in draw(st.lists(row, min_size=1, max_size=8))]
+    for index in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)):
+        field = draw(st.sampled_from(sorted(BAD_VALUES)))
+        rows[index][0 if field == "conf" else 3] = draw(st.sampled_from(BAD_VALUES[field]))
+    return [tuple(r) for r in rows]
+
+
+@given(
+    rows=scored_blocks(),
+    weights=st.sampled_from([DEFAULT_WEIGHTS, (1e300, 1e300, 1e300)]),
+    area_threshold=st.sampled_from([None, 512.0, 2048.0]),
+)
+def test_score_block_raises_what_make_candidate_raises_first(rows, weights, area_threshold):
+    cfg = PolicyConfig(variant="M5", area_threshold=area_threshold, weights=weights)
+    assert_block_matches(50, rows, cfg)
 
 
 # --- trigger rules ----------------------------------------------------------

@@ -438,10 +438,30 @@ def test_empty_lines_do_not_make_the_one_pass_fall_back(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("index", [0, 1, 3])
-def test_a_line_of_whitespace_makes_the_one_pass_fall_back(index):
+@pytest.mark.parametrize("blank", [" \t", " ", "\t\t  "])
+@pytest.mark.parametrize("index", [0, 1, 3, 99])  # 99: after the last line
+def test_a_line_of_spaces_and_tabs_reads_in_one_pass(index, blank):
     lines = list(to_jsonl_lines(sample_log()))
-    lines.insert(index, " \t")
+    lines.insert(index, blank)
+    for text in ("\n".join(lines), "\n".join(lines) + "\n"):
+        assert one_pass(text) == runlog._read_lines(text) == sample_log()
+
+
+@pytest.mark.parametrize("index", [0, 1, 3])
+@pytest.mark.parametrize("blank", [" \x1f", "\x1f"])
+def test_a_line_of_other_whitespace_makes_the_one_pass_fall_back(index, blank):
+    lines = list(to_jsonl_lines(sample_log()))
+    lines.insert(index, blank)
+    text = "\n".join(lines)
+    assert one_pass(text) is None
+    assert read_jsonl(text) == sample_log()
+
+
+@pytest.mark.parametrize("index", [0, 1, 3])
+@pytest.mark.parametrize("pad", [" {}", "{}\t"])
+def test_whitespace_around_a_record_makes_the_one_pass_fall_back(index, pad):
+    lines = list(to_jsonl_lines(sample_log()))
+    lines[index] = pad.format(lines[index])
     text = "\n".join(lines)
     assert one_pass(text) is None
     assert read_jsonl(text) == sample_log()
@@ -535,7 +555,7 @@ def line_damaged_logs(draw):
             lines[i] = lines[i].replace(", ", "," + draw(st.sampled_from(["\r", "\x0c"])), 1)
         elif op == "blank":
             i = draw(st.integers(0, len(lines)))
-            lines.insert(i, draw(st.sampled_from(["", " ", "\t", "  \t "])))
+            lines.insert(i, draw(st.sampled_from(["", " ", "\t", "  \t ", " \x1f"])))
         else:
             newline = "\r\n"
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
