@@ -156,11 +156,11 @@ def cmd_sweep(args) -> int:
     sidecar = _parse_sidecar(args)
 
     results = engine.sweep(stream, sidecar, cfg, variants)
+    # every log is aggregated before any is written, so a refusal writes nothing
+    reports = [(v, metrics.aggregate_run(log, cfg.eval.lambda_cls)) for v, log in results]
     out_dir = Path(args.out_dir)
-    reports = []
     for variant, log in results:
         _write_lines(out_dir / f"runlog_{variant}.jsonl", runlog.to_jsonl_lines(log))
-        reports.append((variant, metrics.aggregate_run(log, cfg.eval.lambda_cls)))
 
     echo = config_mod.dump_config(cfg)
     fmt = args.report_format

@@ -308,10 +308,7 @@ def _clock_comment(line_no: int, line: str) -> Optional[FrameClock]:
     if m is None:
         raise ParseError(line_no, "bad clock comment: expected 'fps=<number> stride=<integer>'")
     try:
-        fps = float(m.group(1))
-        if not math.isfinite(fps):
-            raise ValueError(f"non-finite fps {fps}")
-        return FrameClock(fps=fps, frame_stride=int(m.group(2)))
+        return FrameClock(fps=float(m.group(1)), frame_stride=int(m.group(2)))
     except (ValueError, InvalidParam) as err:
         raise ParseError(line_no, f"bad clock comment: {err}") from None
 

@@ -78,13 +78,23 @@ def derive_duration(log: RunLog) -> float:
     return (p[-1] - p[0]) / log.clock.fps
 
 
+def _fsum(values) -> float:
+    """``math.fsum``, or an infinity for ``aggregate`` to refuse where the
+    sum is beyond the float range and fsum raises OverflowError."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
 def aggregate(
     log: RunLog,
     base_bitrate_bps: float,
     duration_s: float,
     lambda_cls: Optional[float] = None,
 ) -> MetricsReport:
-    """Reduce one run log to the metric suite."""
+    """Reduce one run log to the metric suite. Raises InvalidParam, naming
+    the quantity and the duration, where a reported number is not finite."""
     if not duration_s > 0:
         raise InvalidParam(f"duration_s must be > 0, got {duration_s}")
     if base_bitrate_bps < 0:
@@ -98,10 +108,13 @@ def aggregate(
     covered = len({tx.frame_index for tx in txs})
     coverage = covered / processed if processed > 0 else 0.0
 
-    total_bits = math.fsum(tx.cost_bits for tx in txs)
+    total_bits = _fsum(tx.cost_bits for tx in txs)
     roi_bitrate = total_bits / duration_s
     denom = base_bitrate_bps + roi_bitrate
-    share = roi_bitrate / denom if denom > 0 else 0.0
+    if math.isinf(denom):  # halving each term is exact and keeps their sum finite
+        share = (roi_bitrate / 2) / (base_bitrate_bps / 2 + roi_bitrate / 2)
+    else:
+        share = roi_bitrate / denom if denom > 0 else 0.0
     mean_bytes = (total_bits / 8.0) / selected if selected else 0.0
 
     sem = [tx for tx in txs if tx.has_semantics]
@@ -112,7 +125,7 @@ def aggregate(
         gains = [tx.still_conf - tx.video_conf for tx in sem]
         mean_gain = math.fsum(gains) / n_sem
         pos_rate = sum(1 for g in gains if g > 0.0) / n_sem
-        mean_entropy = math.fsum(tx.video_entropy - tx.still_entropy for tx in sem) / n_sem
+        mean_entropy = _fsum(tx.video_entropy - tx.still_entropy for tx in sem) / n_sem
         change_rate = sum(1 for tx in sem if tx.still_label != tx.video_label) / n_sem
     else:
         mean_video = mean_still = mean_gain = None
@@ -124,7 +137,7 @@ def aggregate(
         # utility, plus the weighted semantic gain (0 without coverage).
         combined = log.detection_conf_mean + lambda_cls * (mean_gain if n_sem else 0.0)
 
-    return MetricsReport(
+    report = MetricsReport(
         selected_rois=selected,
         selection_ratio=ratio,
         frame_coverage=coverage,
@@ -145,6 +158,10 @@ def aggregate(
         base_bitrate_bps=base_bitrate_bps,
         semantic_count=n_sem,
     )
+    for name, value in vars(report).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InvalidParam(f"{name} = {value} is not finite for duration_s = {duration_s!r}")
+    return report
 
 
 def aggregate_run(log: RunLog, lambda_cls: Optional[float] = None) -> MetricsReport:
@@ -229,11 +246,7 @@ def _emit_table(
             try:
                 return int(v)
             except ValueError:
-                pass
-            try:
                 return float(v)
-            except ValueError:
-                return v
 
         obj = {
             "columns": list(columns),

@@ -226,14 +226,9 @@ def _triggered(frame_index: int, block: CandidateBlock, cfg: PolicyConfig) -> np
     if v == "preset_strict_small_only":
         area_gate = cfg.area_threshold if cfg.area_threshold is not None else PRESET_AREA_GATE
         return cols.area < area_gate
-    if v == "preset_balanced_top2":
-        gate = (
-            cfg.score_threshold
-            if cfg.score_threshold is not None
-            else PRESET_RELAXED_SCORE_GATE
-        )
-        return block.score > gate
-    raise ConfigError(f"unknown policy variant {v!r}")
+    # preset_balanced_top2, the last variant PolicyConfig admits
+    gate = cfg.score_threshold if cfg.score_threshold is not None else PRESET_RELAXED_SCORE_GATE
+    return block.score > gate
 
 
 def _effective_top_k(cfg: PolicyConfig) -> int:

@@ -10,10 +10,11 @@ writer and the reader build and unpack them at tuple cost.
 
 ``read_jsonl`` reads a ``str`` or an open text file through the text layer
 the detection parsers share (``_text``; a ``str`` with universal newlines).
-It decodes the log in one pass over blocks of whole lines, skipping empty
-lines, and falls back to the line reader, ``_read_lines``, on the whole
-text whenever that pass cannot be sure to give the line reader's log;
-every error a reader raises is the line reader's.
+It decodes the log in one pass over blocks of whole lines, one line at a
+time, skipping lines of only spaces and tabs, and falls back to the line
+reader, ``_read_lines``, on the whole text whenever that pass cannot be
+sure to give the line reader's log; every error a reader raises is the
+line reader's.
 """
 
 from __future__ import annotations
@@ -412,39 +413,26 @@ def _typed(column, types: frozenset) -> bool:
 
 
 def _finite(numbers) -> bool:
-    """Whether every number is finite; ``math.fsum`` raises OverflowError on
-    an integer beyond the float range, as on a sum beyond it."""
-    return math.isfinite(math.fsum(numbers))
+    """Whether every number is finite; ``math.isfinite`` raises OverflowError
+    on an integer beyond the float range."""
+    return all(map(math.isfinite, numbers))
 
 
 def _block_records(block: str) -> Optional[tuple[list, list]]:
     """The tx records and class events of ``block``, whole lines each
     holding one record, or None where ``_read_lines`` might read them
     otherwise. Each line must hold only spaces and tabs or exactly one JSON
-    value, from its first character to its last, so no value spans lines
-    and no line holds two."""
+    value, from its first character to its last, so a value cut by a line
+    end does not decode and no line holds two."""
     if not plain_ascii(block):
         return None
-    records, blanks, pos = [], 0, 0
-    # each value ends where a line does ...
-    while pos < len(block):
-        if block[pos] in "\n \t":  # a line _read_lines skips, if it is blank
-            end = block.find("\n", pos)
-            end = len(block) if end < 0 else end
-            if block[pos:end].strip(" \t"):
+    records = []
+    for line in block.split("\n"):
+        if line.strip(" \t"):  # a line of only spaces and tabs is skipped
+            record, end = _PLAIN.scan_once(line, 0)
+            if end != len(line):
                 return None
-            blanks += 1
-            pos = end + 1
-            continue
-        record, pos = _PLAIN.scan_once(block, pos)
-        records.append(record)
-        if pos < len(block):
-            if block[pos] != "\n":
-                return None
-            pos += 1
-    # ... and holds no "\n" of its own, which JSON reads as whitespace
-    if block.count("\n") + (not block.endswith("\n")) != len(records) + blanks:
-        return None
+            records.append(record)
     txs = [r for r in records if r["kind"] == "tx"]
     events = [r for r in records if r["kind"] == "class"]
     tx_rows = list(map(_tx_values, txs))

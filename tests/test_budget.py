@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import deque
 
 import pytest
@@ -47,6 +48,19 @@ def test_cost_model_validation():
         CostModel(resize_edge=0.0)
     with pytest.raises(InvalidParam, match=r"header_bytes must be in \[0, max float\]"):
         CostModel(header_bytes=10**309)
+
+
+@pytest.mark.parametrize(
+    "b_roi,window_s,message",
+    [
+        (-1.0, 2.0, "b_roi must be >= 0, got -1.0"),
+        (1e5, 0.0, "window_s must be > 0, got 0.0"),
+        (1e5, -2.0, "window_s must be > 0, got -2.0"),
+    ],
+)
+def test_ledger_validation(b_roi, window_s, message):
+    with pytest.raises(InvalidParam, match=re.escape(message)):
+        BudgetLedger(b_roi, window_s)
 
 
 @pytest.mark.parametrize("builtin_sum", [sum, compensated_sum], ids=["sum", "sum_3_12"])

@@ -162,6 +162,24 @@ def test_simulate_first_bad_section_sets_the_exit_code(tmp_path, detections_csv,
     assert "fps must be > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "setting,message",
+    [
+        ("tracker.iou_min=1.5", "iou_min must be in [0,1], got 1.5"),
+        ("tracker.iou_min=-0.1", "iou_min must be in [0,1], got -0.1"),
+        ("tracker.max_misses=-1", "max_misses must be >= 0, got -1"),
+        ("policy.area_threshold=0", "area_threshold must be > 0, got 0.0"),
+        ("policy.cooldown_frames=-1", "cooldown_frames must be >= 0, got -1"),
+        ("base_bitrate_measured=-1", "base_bitrate_measured must be >= 0, got -1.0"),
+    ],
+)
+def test_an_out_of_range_setting_exits_1(tmp_path, detections_csv, capsys, setting, message):
+    rc, out_dir = simulate(tmp_path, detections_csv, "--set", setting)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
 def test_simulate_rejects_a_non_finite_budget(tmp_path, detections_csv, capsys):
     rc, _ = simulate(tmp_path, detections_csv, "--set", "budget.b_total=nan")
     assert rc == 1
@@ -397,6 +415,68 @@ def test_a_run_that_overflows_a_record_exits_1_before_writing(
     assert not (tmp_path / "out").exists()
 
 
+def tracks_at_0_and_5(n: int) -> str:
+    """Tracks 1..n at frames 0 and 5, which the default clock processes."""
+    return "".join(f"{f},{t},{90 * t},10,20,20,0.5,1\n" for f in (0, 5) for t in range(1, n + 1))
+
+
+TWO_TRACKS = tracks_at_0_and_5(2)
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize(
+    "stream,sidecar,settings,message",
+    [
+        # 2 ROIs over 1e-320 s
+        (
+            TWO_TRACKS,
+            None,
+            ["eval.duration_s=1e-320"],
+            "roi_rate_hz = inf is not finite for duration_s = 1e-320",
+        ),
+        # a duration derived from the frame span: 5 frames at 1e308 fps
+        (
+            TWO_TRACKS,
+            None,
+            ["clock.fps=1e308", "budget.b_roi=1e300", "budget.b_total=1e301"],
+            "roi_bitrate_bps = inf is not finite for duration_s = 5e-308",
+        ),
+        # two entropy gains of 1.7e308, at frame 0, overflow their sum
+        (
+            TWO_TRACKS,
+            "".join(f"0,{t},0.5,0.6,1,1,1.7e308,0\n" for t in (1, 2)),
+            [],
+            "mean_entropy_gain = inf is not finite for duration_s = 0.3333333333333333",
+        ),
+        # three costs of 8e307 bits overflow their sum under an infinite cap
+        (
+            tracks_at_0_and_5(3),
+            "".join(f"0,{t},0.5,0.6,1,1,0.5,0.4,{10**307}\n" for t in (1, 2, 3)),
+            ["budget.b_roi=1e308", "budget.b_total=1e308", "budget.b_video=0"],
+            "roi_bitrate_bps = inf is not finite for duration_s = 0.3333333333333333",
+        ),
+    ],
+    ids=["duration", "derived duration", "entropy sum", "cost sum"],
+)
+def test_a_report_beyond_the_float_range_exits_1_before_writing_it(
+    tmp_path, capsys, command, stream, sidecar, settings, message
+):
+    dets = tmp_path / "dets.csv"
+    dets.write_text(stream)
+    out = tmp_path / "out"
+    argv = [command, "--input", str(dets), "--out-dir", str(out), "--report-format", "json"]
+    if sidecar is not None:
+        (tmp_path / "side.csv").write_text(sidecar)
+        argv += ["--sidecar", str(tmp_path / "side.csv")]
+    # M2 sends each track once, when it is new: the ROIs at frame 0
+    argv += ["--variants", "M2"] if command == "sweep" else ["--set", "policy.variant=M2"]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "validate"])
 def test_a_header_beyond_the_float_range_exits_1(tmp_path, detections_csv, capsys, command):
     side = tmp_path / "side.csv"
@@ -628,6 +708,19 @@ def test_sweep_refuses_a_repeated_variant_before_reading_input(tmp_path, detecti
     assert not out_dir.exists()
 
 
+def test_a_sweep_that_cannot_aggregate_writes_no_log(tmp_path, capsys):
+    # one processed frame: no duration can be derived for any variant
+    dets = tmp_path / "one.csv"
+    dets.write_text("0,-1,10,10,20,20,0.5,1\n")
+    out_dir = tmp_path / "o"
+    argv = ["sweep", "--input", str(dets), "--variants", "M0,M5", "--out-dir", str(out_dir)]
+    assert main([*argv, "--set", "policy.score_threshold=0"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: cannot derive a duration from fewer than two processed frames; " \
+        "set eval.duration_s\n"
+    assert not out_dir.exists()
+
+
 # --- report -------------------------------------------------------------------
 
 
@@ -779,6 +872,36 @@ def test_report_names_a_damaged_line_after_the_first_block(tmp_path, detections_
     assert main(["report", str(log_path)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {log_path}: line {n_lines}: expected a JSON object, got [1]\n"
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("duration_s", 1e-320, "roi_rate_hz = inf is not finite for duration_s = 1e-320"),
+        # the log's two tx costs of 1e308 bits overflow their sum
+        (
+            "cost_bits",
+            1e308,
+            "roi_bitrate_bps = inf is not finite for duration_s = 0.3333333333333333",
+        ),
+    ],
+)
+def test_report_on_a_log_beyond_the_float_range_exits_1(tmp_path, capsys, key, value, message):
+    dets = tmp_path / "dets.csv"
+    dets.write_text(TWO_TRACKS)
+    rc, out_dir = simulate(tmp_path, dets)
+    assert rc == 0
+    log_path = out_dir / "runlog.jsonl"
+    objs = [json.loads(line) for line in log_path.read_text().splitlines()]
+    for obj in objs:
+        if key in obj:
+            obj[key] = value
+    log_path.write_text("".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objs))
+    capsys.readouterr()
+    assert main(["report", str(log_path), "--report-format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {log_path}: {message}\n"
+    assert captured.out == ""
 
 
 # --- validate -----------------------------------------------------------------

@@ -262,6 +262,11 @@ def test_python_built_inputs_refuse_values_beyond_int64():
         SemanticRecord(0, 0, 0.5, 0.5, 1, 2**63, 0.0, 0.0)
 
 
+def test_a_semantic_record_refuses_a_payload_of_no_bytes():
+    with pytest.raises(InvalidParam, match="payload_bytes must be > 0, got 0"):
+        SemanticRecord(0, 0, 0.5, 0.5, 1, 1, 0.0, 0.0, payload_bytes=0)
+
+
 @pytest.mark.parametrize(
     "frames,message",
     [

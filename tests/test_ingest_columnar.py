@@ -229,14 +229,24 @@ def test_non_finite_numbers_are_line_exact_parse_errors(name, column, token):
     assert (len(parsed) if name == "sidecar" else parsed.n_detections) == 1
 
 
-@pytest.mark.parametrize(
-    "values", ["fps=0 stride=1", "fps=inf stride=5", "fps=15 stride=x", "fps=30 stride=2 extra"]
-)
+#: the values of a bad clock comment -> the reason its error gives
+BAD_CLOCKS = {
+    "fps=0 stride=1": "fps must be > 0, got 0.0",
+    "fps=inf stride=5": "expected 'fps=<number> stride=<integer>'",
+    "fps=1e400 stride=5": "fps must be finite, got inf",
+    "fps=15 stride=x": "expected 'fps=<number> stride=<integer>'",
+    "fps=30 stride=2 extra": "expected 'fps=<number> stride=<integer>'",
+}
+
+
+@pytest.mark.parametrize("values", list(BAD_CLOCKS))
 def test_bad_clock_comment_is_a_line_exact_parse_error(values):
     text = f"0,-1,0,0,5,5,0.5,0\n# clock: {values}\n1,-1,0,0,5,5,1.5,0\n"
+    assert columns(text, GENERIC) is None  # the vectorised pass steps aside
     with pytest.raises(ParseError) as exc:
         parse_generic_csv(text)
     assert exc.value.line_no == 2
+    assert str(exc.value) == f"line 2: bad clock comment: {BAD_CLOCKS[values]}"
     errors: list[ParseError] = []
     stream = parse_generic_csv(text, errors_out=errors)
     assert [e.line_no for e in errors] == [2, 3]

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roitel import BBox, iou
+from roitel import BBox, InvalidParam, iou
 from roitel.kernels import as_box_array, backend_name, greedy_associate, greedy_match, pairwise_iou
 
 
@@ -17,6 +19,13 @@ def test_as_box_array_shapes():
     assert out.dtype == np.float64
     assert out.flags["C_CONTIGUOUS"]
     assert as_box_array([]).shape == (0, 4)
+
+
+@pytest.mark.parametrize("boxes", [[[0, 0, 1]], [0, 0, 1, 1], [[[0, 0, 1, 1]]]])
+def test_as_box_array_refuses_other_shapes(boxes):
+    message = f"expected an (N,4) box array, got shape {np.shape(boxes)}"
+    with pytest.raises(InvalidParam, match=re.escape(message)):
+        as_box_array(boxes)
 
 
 @st.composite

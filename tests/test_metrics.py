@@ -3,6 +3,8 @@ import io
 import json
 import math
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -178,6 +180,33 @@ def test_share_formula_identity():
     txs = [mk_tx(i, i, 12345.6) for i in range(20)]
     rep = aggregate(mk_log(txs), 0.801e6, 20.0)
     assert rep.bitrate_share == rep.roi_bitrate_bps / (0.801e6 + rep.roi_bitrate_bps)
+
+
+def test_share_holds_where_base_plus_roi_bitrate_is_beyond_the_float_range():
+    rep = aggregate(mk_log([mk_tx(0, 0, 8e306)]), 1.6e308, 0.3)
+    assert math.isinf(1.6e308 + rep.roi_bitrate_bps)
+    exact = Fraction(rep.roi_bitrate_bps) / (Fraction(1.6e308) + Fraction(rep.roi_bitrate_bps))
+    assert rep.bitrate_share == pytest.approx(float(exact), rel=1e-15)
+
+
+def sem_tx(track, video_entropy):
+    return mk_tx(0, track, 8000.0, video_conf=0.2, still_conf=0.3, video_label=1,
+                 still_label=1, video_entropy=video_entropy, still_entropy=0.0)
+
+
+@pytest.mark.parametrize(
+    "txs,base,duration,quantity",
+    [
+        ([mk_tx(0, 0, 8000.0)], 0.801e6, 1e-320, "roi_rate_hz"),
+        ([mk_tx(0, 0, 1e308)] * 2, 0.801e6, 10.0, "roi_bitrate_bps"),
+        ([mk_tx(0, 0, 8000.0)], math.inf, 10.0, "base_bitrate_bps"),
+        ([sem_tx(1, 1.7e308), sem_tx(2, 1.7e308)], 0.801e6, 10.0, "mean_entropy_gain"),
+    ],
+)
+def test_aggregate_refuses_a_number_beyond_the_float_range(txs, base, duration, quantity):
+    message = f"{quantity} = inf is not finite for duration_s = {duration!r}"
+    with pytest.raises(InvalidParam, match=re.escape(message)):
+        aggregate(mk_log(txs), base, duration)
 
 
 def test_semantic_means_and_strict_positive_rate():

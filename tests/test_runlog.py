@@ -511,6 +511,16 @@ def line_damage_cases() -> dict[str, str]:
     }
 
 
+def test_numbers_whose_sum_is_beyond_the_float_range_read_in_one_pass():
+    log = sample_log()
+    log.transmissions *= 2
+    log.transmissions[0] = log.transmissions[0]._replace(cost_bits=1e308)
+    log.transmissions[1] = log.transmissions[1]._replace(score=1.7e308, u_term=1.7e308)
+    log.class_events[0] = log.class_events[0]._replace(label=2**1000)
+    text = "\n".join(to_jsonl_lines(log))
+    assert one_pass(text) == runlog._read_lines(text) == log
+
+
 @pytest.mark.parametrize("case", sorted(line_damage_cases()))
 def test_one_pass_falls_back_where_the_line_reader_refuses(case):
     text = line_damage_cases()[case]
