@@ -18,7 +18,6 @@ from .domain import (
     FrameClock,
     POLICY_VARIANTS,
     PolicyConfig,
-    iou,
 )
 from .engine import RunConfig, run, sweep
 from .errors import (
@@ -44,7 +43,7 @@ from .ingest import (
     parse_visdrone_mot,
     write_generic_csv,
 )
-from .kernels import backend_name, greedy_associate, greedy_match, pairwise_iou
+from .kernels import backend_name, greedy_associate
 from .metrics import (
     MetricsReport,
     aggregate,
@@ -108,10 +107,7 @@ __all__ = [
     "estimate_cost",
     "gen_synthetic",
     "greedy_associate",
-    "greedy_match",
     "inject_confidence_noise",
-    "iou",
-    "pairwise_iou",
     "parse_generic_csv",
     "parse_sidecar_csv",
     "parse_uavdt_gt",

@@ -19,6 +19,9 @@ DEFAULT_WEIGHTS = (0.5, 0.3, 0.2)
 #: Default reference area for the size-priority term: a 32x32 px object.
 DEFAULT_AREA_REF = 32.0 * 32.0
 
+#: Frame indices, strides, class ids and labels are kept in int64 columns.
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
 POLICY_VARIANTS = (
     "M0",
     "M1",
@@ -81,6 +84,8 @@ class FrameClock:
             raise InvalidParam(f"fps must be finite, got {self.fps}")
         if self.frame_stride < 1:
             raise InvalidParam(f"frame_stride must be >= 1, got {self.frame_stride}")
+        if self.frame_stride > INT64_MAX:
+            raise InvalidParam(f"frame_stride outside int64: {self.frame_stride}")
 
     def timestamp(self, frame_index: int) -> float:
         """Seconds since frame 0; strictly increasing in frame_index, and
@@ -163,20 +168,3 @@ class PolicyConfig:
         if len(self.weights) != 3 or any(w < 0 for w in self.weights):
             raise ConfigError(f"weights must be three non-negative reals, got {self.weights}")
 
-
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection-over-union of two boxes; symmetric, 0 when disjoint."""
-    left = max(a.x, b.x)
-    top = max(a.y, b.y)
-    right = min(a.x + a.w, b.x + b.w)
-    bottom = min(a.y + a.h, b.y + b.h)
-    iw = right - left
-    ih = bottom - top
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    union = a.w * a.h + b.w * b.h - inter
-    if union <= 0.0:
-        return 0.0
-    # identical boxes can round to inter > union by a few ulps
-    return min(inter / union, 1.0)

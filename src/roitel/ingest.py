@@ -41,12 +41,10 @@ from typing import Iterable, NamedTuple, Optional, Sequence, TextIO, Union
 import numpy as np
 
 from ._text import line_blocks, plain_ascii, text_file
-from .domain import BBox, Detection, FrameClock
+from .domain import INT64_MAX, INT64_MIN, BBox, Detection, FrameClock
 from .errors import DuplicateKey, InvalidParam, ParseError
 
 GENERIC_COLUMNS = ("frame", "track_hint", "x", "y", "w", "h", "conf", "class")
-
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 _CLOCK_COMMENT = re.compile(r"#\s*clock:")
 _CLOCK_VALUES = re.compile(r"\s*fps=([0-9.eE+-]+)\s+stride=(\d+)\s*")
@@ -91,7 +89,7 @@ class DetectionStream:
                     raise InvalidParam(f"frame indices must strictly increase at {frame_index}")
                 if frame_index < 0:
                     raise InvalidParam(f"frame_index must be >= 0, got {frame_index}")
-                if frame_index > _INT64_MAX:
+                if frame_index > INT64_MAX:
                     raise InvalidParam(f"frame index outside int64: {frame_index}")
                 prev = frame_index
                 indices.append(frame_index)
@@ -206,7 +204,7 @@ class FrameDetections:
         for det in dets:
             if type(det.class_id) is not int:
                 raise InvalidParam(f"class_id must be an int, got {det.class_id!r}")
-            if not _INT64_MIN <= det.class_id <= _INT64_MAX:
+            if not INT64_MIN <= det.class_id <= INT64_MAX:
                 raise InvalidParam(f"class_id outside int64: {det.class_id}")
             b = det.bbox
             problem = _box_range_problem(b.x, b.y, b.w, b.h)
@@ -274,7 +272,7 @@ class SemanticRecord:
         if self.payload_bytes is not None and self.payload_bytes <= 0:
             raise InvalidParam(f"payload_bytes must be > 0, got {self.payload_bytes}")
         for name in ("video_label", "still_label"):
-            if not _INT64_MIN <= getattr(self, name) <= _INT64_MAX:
+            if not INT64_MIN <= getattr(self, name) <= INT64_MAX:
                 raise InvalidParam(f"{name} outside int64: {getattr(self, name)}")
 
 
@@ -364,7 +362,7 @@ def _int(fields: list[str], idx: int, line_no: int, name: str) -> int:
 
 
 def _int64(line_no: int, value: int, name: str) -> int:
-    if not _INT64_MIN <= value <= _INT64_MAX:
+    if not INT64_MIN <= value <= INT64_MAX:
         raise ParseError(line_no, f"{name} outside int64: {value}")
     return value
 
@@ -720,6 +718,8 @@ def gen_synthetic(
     """
     if n_frames <= 0:
         raise InvalidParam(f"n_frames must be > 0, got {n_frames}")
+    if n_frames - 1 > INT64_MAX:
+        raise InvalidParam(f"frame index outside int64: {n_frames - 1}")
     if mean_objects < 0:
         raise InvalidParam(f"mean_objects must be >= 0, got {mean_objects}")
     sizes = (("mean_objects", mean_objects), ("frame_w", frame_w), ("frame_h", frame_h))
@@ -729,7 +729,10 @@ def gen_synthetic(
 
     rng = random.Random(seed)
     mean_lifetime = 30.0
-    n_objects = int(round(mean_objects * n_frames / mean_lifetime))
+    objects = mean_objects * n_frames / mean_lifetime
+    if not math.isfinite(objects):
+        raise InvalidParam(f"object count is not finite: mean_objects={mean_objects}")
+    n_objects = int(round(objects))
     # (hint, x, y, w, h, conf, class) rows, frame by frame
     by_frame: list[list[tuple]] = [[] for _ in range(n_frames)]
 

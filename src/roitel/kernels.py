@@ -1,13 +1,12 @@
-"""Association kernel: pairwise IoU and greedy one-to-one matching.
+"""Association kernel: greedy one-to-one matching on pairwise IoU.
 
 The tracker associates every processed frame, so on dense streams (hundreds
-of boxes per frame) this is the hot loop. ``pairwise_iou`` evaluates the IoU
-formula only for pairs whose x-intervals can overlap. Every other entry is
-left at exactly 0.0, which is what the formula gives there, so the matrix is
-the dense one bit for bit and equals ``domain.iou`` element by element.
-``greedy_associate`` skips the matrix whenever an IoU of 0.0 is not
-admissible, and walks only the admissible pairs. Both are checked against
-the brute-force greedy of acceptance check C10.
+of boxes per frame) this is the hot loop. ``greedy_associate`` evaluates the
+IoU formula only for pairs whose x-intervals can overlap; every other pair's
+IoU is exactly 0.0, which is what the formula gives there. It builds no IoU
+matrix at any threshold. The test suite checks it against greedy matching on
+the dense matrix, the scalar IoU and the brute-force greedy of acceptance
+check C10, all kept in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -54,8 +53,8 @@ def _x_overlap_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _pair_iou(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """IoU of row-aligned box pairs, ``domain.iou``'s expression: the one
-    both ``pairwise_iou`` and ``greedy_associate`` evaluate."""
+    """IoU of row-aligned box pairs: intersection over union, 0.0 for
+    disjoint or touching boxes, at most 1.0."""
     # x and y side by side: column 0 is the overlap width, column 1 the height
     side = np.minimum(pa[:, :2] + pa[:, 2:], pb[:, :2] + pb[:, 2:])
     # far-apart boxes can overflow to -inf here, which the clip makes 0
@@ -69,62 +68,38 @@ def _pair_iou(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     return np.minimum(val, 1.0, out=val)
 
 
-def pairwise_iou(boxes_a, boxes_b) -> np.ndarray:
-    """IoU matrix between two box sets; rows index boxes_a, cols boxes_b."""
+def greedy_associate(boxes_a, boxes_b, min_iou: float) -> list[tuple[int, int]]:
+    """Greedy one-to-one matching of boxes_a rows to boxes_b columns.
+
+    Pairs with ``iou >= min_iou`` are taken in descending IoU order; ties
+    break toward the lower row index, then the lower column index. Returns
+    (row, col) pairs in selection order. Only pairs that overlap in x can
+    have a positive IoU, so the IoU is evaluated on those alone, and the
+    admissible positive pairs are sorted and walked. At ``min_iou <= 0``
+    every pair whose row and column are both left free then has an IoU of
+    exactly 0.0, since a positive one would have been taken; those pairs
+    come last in (row, col) order, which pairs the free rows and the free
+    columns in ascending order.
+    """
     a = as_box_array(boxes_a)
     b = as_box_array(boxes_b)
-    out = np.zeros((a.shape[0], b.shape[0]), dtype=np.float64)
     rows, cols = _x_overlap_pairs(a, b)
-    out[rows, cols] = _pair_iou(a[rows], b[cols])
-    return out
-
-
-def _take_greedily(rows: np.ndarray, cols: np.ndarray) -> list[tuple[int, int]]:
-    """Walk pairs in the given order, taking each whose row and column are
-    both still free."""
+    val = _pair_iou(a[rows], b[cols])
+    # a NaN min_iou admits nothing
+    keep = val > 0.0 if min_iou <= 0.0 else val >= min_iou
+    rows, cols, val = rows[keep], cols[keep], val[keep]
+    order = np.lexsort((cols, rows, -val))
     used_rows: set[int] = set()
     used_cols: set[int] = set()
     matches: list[tuple[int, int]] = []
-    for r, c in zip(rows.tolist(), cols.tolist()):
+    for r, c in zip(rows[order].tolist(), cols[order].tolist()):
         if r in used_rows or c in used_cols:
             continue
         used_rows.add(r)
         used_cols.add(c)
         matches.append((r, c))
+    if min_iou <= 0.0:
+        free_rows = (r for r in range(a.shape[0]) if r not in used_rows)
+        free_cols = (c for c in range(b.shape[0]) if c not in used_cols)
+        matches.extend(zip(free_rows, free_cols))
     return matches
-
-
-def greedy_match(iou_matrix: np.ndarray, min_iou: float) -> list[tuple[int, int]]:
-    """Greedy one-to-one matching on a precomputed IoU matrix.
-
-    Pairs are taken in descending IoU order among pairs with
-    ``iou >= min_iou``; ties break toward the lower row index, then the
-    lower column index. Returns (row, col) pairs in selection order.
-    """
-    mat = np.asarray(iou_matrix, dtype=np.float64)
-    if mat.ndim != 2:
-        raise InvalidParam(f"expected a 2-D IoU matrix, got shape {mat.shape}")
-    rows, cols = np.nonzero(mat >= float(min_iou))
-    order = np.lexsort((cols, rows, -mat[rows, cols]))
-    return _take_greedily(rows[order], cols[order])
-
-
-def greedy_associate(boxes_a, boxes_b, min_iou: float) -> list[tuple[int, int]]:
-    """``greedy_match(pairwise_iou(boxes_a, boxes_b), min_iou)``, without
-    the matrix when ``min_iou > 0``.
-
-    Then only pairs that overlap in x can be admissible, so the IoU is
-    evaluated on those alone, and the pairs with ``iou >= min_iou`` are
-    sorted and walked in ``greedy_match``'s order. At ``min_iou <= 0``
-    every pair is admissible, and the dense matrix is built.
-    """
-    if not min_iou > 0.0:
-        return greedy_match(pairwise_iou(boxes_a, boxes_b), min_iou)
-    a = as_box_array(boxes_a)
-    b = as_box_array(boxes_b)
-    rows, cols = _x_overlap_pairs(a, b)
-    val = _pair_iou(a[rows], b[cols])
-    keep = val >= min_iou
-    rows, cols, val = rows[keep], cols[keep], val[keep]
-    order = np.lexsort((cols, rows, -val))
-    return _take_greedily(rows[order], cols[order])

@@ -119,7 +119,57 @@ def compensated_sum(values, start=0):
 #
 # The association pass as it was before it ran on columns: one Detection per
 # row, live tracks as Track objects in a dict, the dense IoU matrix and
-# greedy_match, and one cost per box.
+# greedy_match, and one cost per box. The IoU references come first: the
+# scalar formula, the dense matrix and greedy matching on it, which
+# ``kernels.greedy_associate`` is checked against.
+
+
+def iou(a: BBox, b: BBox) -> float:
+    """Intersection-over-union of two boxes; symmetric, 0 when disjoint."""
+    left = max(a.x, b.x)
+    top = max(a.y, b.y)
+    right = min(a.x + a.w, b.x + b.w)
+    bottom = min(a.y + a.h, b.y + b.h)
+    iw = right - left
+    ih = bottom - top
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    union = a.w * a.h + b.w * b.h - inter
+    if union <= 0.0:
+        return 0.0
+    # identical boxes can round to inter > union by a few ulps
+    return min(inter / union, 1.0)
+
+
+def pairwise_iou(boxes_a, boxes_b) -> np.ndarray:
+    """Dense IoU matrix between two box sets, every pair through the
+    kernel's pair expression; rows index boxes_a, cols boxes_b."""
+    a = kernels.as_box_array(boxes_a)
+    b = kernels.as_box_array(boxes_b)
+    n, m = len(a), len(b)
+    return kernels._pair_iou(np.repeat(a, m, axis=0), np.tile(b, (n, 1))).reshape(n, m)
+
+
+def greedy_match(iou_matrix, min_iou: float) -> list[tuple[int, int]]:
+    """Greedy one-to-one matching on a precomputed IoU matrix.
+
+    Pairs are taken in descending IoU order among pairs with
+    ``iou >= min_iou``; ties break toward the lower row index, then the
+    lower column index. Returns (row, col) pairs in selection order.
+    """
+    mat = np.asarray(iou_matrix, dtype=np.float64)
+    if mat.ndim != 2:
+        raise InvalidParam(f"expected a 2-D IoU matrix, got shape {mat.shape}")
+    rows, cols = np.nonzero(mat >= float(min_iou))
+    order = np.lexsort((cols, rows, -mat[rows, cols]))
+    used_rows, used_cols, matches = set(), set(), []
+    for r, c in zip(rows[order].tolist(), cols[order].tolist()):
+        if r not in used_rows and c not in used_cols:
+            used_rows.add(r)
+            used_cols.add(c)
+            matches.append((r, c))
+    return matches
 
 
 @dataclass
@@ -159,8 +209,8 @@ class RefTracker:
             d_boxes = [
                 (b.x, b.y, b.w, b.h) for b in (detections[i].bbox for i in remaining)
             ]
-            iou = kernels.pairwise_iou(t_boxes, d_boxes)
-            for row, col in kernels.greedy_match(iou, self.config.iou_min):
+            mat = pairwise_iou(t_boxes, d_boxes)
+            for row, col in greedy_match(mat, self.config.iou_min):
                 track = pool[row]
                 det_idx = remaining[col]
                 self._update_track(track, detections[det_idx])

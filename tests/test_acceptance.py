@@ -30,7 +30,6 @@ from roitel import (
     aggregate_run,
     decide,
     gen_synthetic,
-    iou,
     run,
 )
 from roitel.budget import LedgerView
@@ -41,6 +40,7 @@ from roitel.runlog import CLASS_SOURCE_STILL
 from helpers import (
     CandidateContext,
     as_block,
+    iou,
     low_regime_cfg,
     mk_det,
     mk_stream,

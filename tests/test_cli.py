@@ -82,9 +82,25 @@ def test_gen_synthetic_keeps_its_bytes(tmp_path):
         ("--mean-objects", "inf", "mean_objects must be finite, got inf"),
         ("--mean-objects", "nan", "mean_objects must be finite, got nan"),
         ("--fps", "inf", "fps must be finite, got inf"),
+        ("--mean-objects", "1e307", "object count is not finite: mean_objects=1e+307"),
     ],
 )
 def test_gen_synthetic_refuses_non_finite_values(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "d.csv"
+    assert main(["gen-synthetic", flag, value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--stride", str(2**63), f"frame_stride outside int64: {2**63}"),
+        ("--n-frames", str(10**400), f"frame index outside int64: {10**400 - 1}"),
+    ],
+    ids=["stride", "n_frames"],
+)
+def test_gen_synthetic_refuses_values_beyond_int64(tmp_path, capsys, flag, value, message):
     out = tmp_path / "d.csv"
     assert main(["gen-synthetic", flag, value, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -171,6 +187,7 @@ def test_simulate_first_bad_section_sets_the_exit_code(tmp_path, detections_csv,
         ("policy.area_threshold=0", "area_threshold must be > 0, got 0.0"),
         ("policy.cooldown_frames=-1", "cooldown_frames must be >= 0, got -1"),
         ("base_bitrate_measured=-1", "base_bitrate_measured must be >= 0, got -1.0"),
+        (f"clock.frame_stride={2**63}", f"frame_stride outside int64: {2**63}"),
     ],
 )
 def test_an_out_of_range_setting_exits_1(tmp_path, detections_csv, capsys, setting, message):
@@ -577,7 +594,7 @@ def hintless_csv_and_sidecar(tmp_path):
 
 #: sha256 of the run logs of three parsed-stream runs that no benchmark
 #: workload makes, pinned before association ran on NumPy columns: hint
-#: association at stride 1, the dense fallback of ``iou_min = 0``, and a
+#: association at stride 1, the zero-IoU pairing of ``iou_min = 0``, and a
 #: sidecar run whose costs come from ``payload_bytes`` and ``resize_edge``.
 PARSED_RUNLOG_SHA256 = {
     "visdrone_hints": "49cd01cb50c68a34fde6b4f37674471ce003fe5e42c4c53cafc49ce093f89b0c",

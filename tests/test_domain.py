@@ -14,8 +14,8 @@ from roitel import (
     FrameClock,
     InvalidParam,
     PolicyConfig,
-    iou,
 )
+from helpers import iou
 
 boxes = st.builds(
     BBox,
@@ -88,8 +88,12 @@ def test_clock_timestamps():
         FrameClock(fps=0.0)
     with pytest.raises(InvalidParam, match="fps must be finite, got inf"):
         FrameClock(fps=math.inf)
-    with pytest.raises(InvalidParam):
+    with pytest.raises(InvalidParam, match="frame_stride must be >= 1, got 0"):
         FrameClock(frame_stride=0)
+    # a stride is written to the run log as an integer the reader takes back
+    assert FrameClock(frame_stride=2**63 - 1).frame_stride == 2**63 - 1
+    with pytest.raises(InvalidParam, match=f"frame_stride outside int64: {2**63}"):
+        FrameClock(frame_stride=2**63)
 
 
 def test_budget_config_split_rule():

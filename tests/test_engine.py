@@ -741,6 +741,36 @@ def test_hints_beyond_int64_extend_tracks_and_key_the_sidecar():
     assert [tx.has_semantics for tx in log.transmissions] == [False] * 3 + [True]
 
 
+def test_hints_then_the_zero_iou_tail_at_iou_min_0():
+    # hinted rows claim their tracks first; of the tracks left, a box
+    # overlapping nothing still extends the free track at iou_min = 0, in
+    # ascending order, and a new hint spawns
+    first = [mk_det(0, x=0.0, hint=7), mk_det(0, x=100.0), mk_det(0, x=300.0)]
+    second = [
+        mk_det(5, x=600.0),
+        mk_det(5, x=2.0, hint=7),
+        mk_det(5, x=900.0),
+        mk_det(5, x=303.0),
+        mk_det(5, x=2.0, hint=9),
+    ]
+    frames = [(0, first), (5, second), (10, [mk_det(10, x=1000.0)])]
+    cfg = low_regime_cfg("preset_permissive", cooldown_frames=0)
+    cfg = replace(cfg, tracker=TrackerConfig(use_hints=True, iou_min=0.0))
+    log = run(mk_stream(frames), None, cfg)
+    tracks = sorted((tx.frame_index, tx.bbox.x, tx.track_id) for tx in log.transmissions)
+    assert tracks == [
+        (0, 0.0, 0),
+        (0, 100.0, 1),
+        (0, 300.0, 2),
+        (5, 2.0, 0),
+        (5, 2.0, 3),
+        (5, 303.0, 2),
+        (5, 600.0, 1),
+        (5, 900.0, 4),
+        (10, 1000.0, 0),
+    ]
+
+
 #: sha256 of the run log of a ``from_frames`` stream with integer boxes, an
 #: ``int`` confidence and hints of ``2**64`` and ``None``, under hint
 #: association with a sidecar, pinned while such a stream kept its

@@ -236,6 +236,7 @@ BAD_CLOCKS = {
     "fps=1e400 stride=5": "fps must be finite, got inf",
     "fps=15 stride=x": "expected 'fps=<number> stride=<integer>'",
     "fps=30 stride=2 extra": "expected 'fps=<number> stride=<integer>'",
+    f"fps=15 stride={2**63}": f"frame_stride outside int64: {2**63}",
 }
 
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roitel import BBox, InvalidParam, iou
-from roitel.kernels import as_box_array, backend_name, greedy_associate, greedy_match, pairwise_iou
+from roitel import BBox, InvalidParam
+from roitel.kernels import as_box_array, backend_name, greedy_associate
+from helpers import greedy_match, iou, pairwise_iou
 
 
 def test_backend_is_reported():
@@ -83,6 +84,21 @@ def test_greedy_associate_equals_greedy_match_on_the_matrix(sets, min_iou):
     # grid boxes tie on IoU, and min_iou = 0 admits disjoint pairs
     a, b = sets
     assert greedy_associate(a, b, min_iou) == greedy_match(pairwise_iou(a, b), min_iou)
+
+
+@pytest.mark.parametrize("min_iou", [-0.5, float("nan")])
+def test_greedy_associate_outside_the_tracker_range(min_iou):
+    # below 0 every pair is admissible, as at 0; NaN admits none
+    a = np.array([[0.0, 0.0, 4.0, 4.0], [50.0, 0.0, 4.0, 4.0], [1.0, 1.0, 4.0, 4.0]])
+    b = np.array([[90.0, 0.0, 4.0, 4.0], [0.5, 0.5, 4.0, 4.0]])
+    expected = [(0, 1), (1, 0)] if min_iou < 0 else []
+    assert greedy_associate(a, b, min_iou) == greedy_match(pairwise_iou(a, b), min_iou) == expected
+
+
+@pytest.mark.parametrize("n, m", [(0, 0), (0, 3), (3, 0)])
+def test_greedy_associate_empty_at_zero(n, m):
+    boxes = np.column_stack([np.arange(3.0) * 10, np.zeros(3), np.full((3, 2), 4.0)])
+    assert greedy_associate(boxes[:n], boxes[:m], 0.0) == []
 
 
 def exhaustive_greedy(a, b, min_iou):

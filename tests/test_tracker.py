@@ -3,7 +3,7 @@ import random
 import pytest
 
 from roitel import InvalidParam, OutOfOrderFrame, Tracker, TrackerConfig
-from helpers import mk_det
+from helpers import greedy_match, mk_det
 
 
 def test_cold_start_spawns_in_list_order():
@@ -29,7 +29,6 @@ def test_greedy_is_mandated_over_optimal_assignment():
     # greedy takes (t0,d0) and then (t1,d1) fails the threshold, so only one
     # pair matches.  The maximum-IoU-sum assignment would instead pick
     # (t0,d1),(t1,d0) with sum 1.05 > 0.7 -- the tracker must not do that.
-    from roitel.kernels import greedy_match
     import numpy as np
 
     m = np.array([[0.6, 0.5], [0.55, 0.1]])
