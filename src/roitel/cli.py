@@ -115,7 +115,8 @@ def _load_run_inputs(args) -> tuple[engine.RunConfig, ingest.DetectionStream]:
 def _parse_sidecar(args) -> Optional[ingest.SemanticSidecar]:
     if not args.sidecar:
         return None
-    return ingest.parse_sidecar_csv(_read_text(args.sidecar))
+    with _open_text(args.sidecar) as fp:
+        return ingest.parse_sidecar_csv(fp)
 
 
 def _report_paths(out_dir: Path, fmt: str) -> Path:
@@ -250,7 +251,8 @@ def cmd_validate(args) -> int:
 
     if args.sidecar:
         sc_errors: list[ParseError] = []
-        sidecar = ingest.parse_sidecar_csv(_read_text(args.sidecar), errors_out=sc_errors)
+        with _open_text(args.sidecar) as fp:
+            sidecar = ingest.parse_sidecar_csv(fp, errors_out=sc_errors)
         problems.extend(f"{args.sidecar}: {err}" for err in sc_errors)
         # Count the records the engine looks up: the same association pass
         # under the same clock, tracker and cost settings a run would use.

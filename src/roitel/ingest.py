@@ -17,22 +17,23 @@ must be finite, and frame indices, class ids and sidecar labels must fit
 in int64. A detection stream's clock is the file's ``# clock: fps=F
 stride=N`` comment, or ``FrameClock()`` when it has none.
 
-The detection parsers take a ``str`` of text, read with universal newlines,
-or an open text file, through the text layer the run-log reader shares
-(``_text``). They first try one vectorised pass: a scan of the file in
-blocks of whole lines, then one ``np.loadtxt`` over it into NumPy columns.
-If that pass meets anything the row parser would reject, or might read
-differently, the row parser reads the whole text, so errors keep their
-line numbers and ``errors_out`` collects the same list either way.
+Every parser takes a ``str`` of text, read with universal newlines, or an
+open text file, and reads it once, in blocks of whole lines, through the
+text layer the run-log reader shares (``_text``). The sidecar parser
+row-parses each block. The detection parsers read each block into NumPy
+columns with one ``np.loadtxt``, and a block with anything the row parser
+would reject, or might read differently, goes alone to the row parser,
+with its lines numbered as in the whole text; so a stream, its errors and
+``errors_out`` are the row parser's on the whole text.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import random
 import re
 from bisect import bisect_left
-from collections import defaultdict
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain, repeat
@@ -311,15 +312,16 @@ def _clock_comment(line_no: int, line: str) -> Optional[FrameClock]:
         raise ParseError(line_no, f"bad clock comment: {err}") from None
 
 
-def _split_rows(text: str) -> tuple[list[tuple[int, object]], Optional[FrameClock]]:
-    """Split into (line_no, fields) rows; pick up an embedded clock comment.
+def _split_rows(text: str, first: int) -> tuple[list[tuple[int, object]], Optional[FrameClock]]:
+    """Split into (line_no, fields) rows, numbering the lines of ``text``
+    from ``first``; pick up an embedded clock comment.
 
     A malformed clock comment comes back as a ``(line_no, ParseError)`` row,
     so that it is reported in line order with the other rows' errors.
     """
     rows: list[tuple[int, object]] = []
     clock = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=first):
         line = raw.strip()
         if not line:
             continue
@@ -462,19 +464,18 @@ def _benchmark_row(layout: _Layout, line_no: int, fields: list[str]) -> Detectio
     )
 
 
-def _parse_rows(text, layout: _Layout, errors_out) -> DetectionStream:
-    """The row parser: one line at a time, with line-exact errors. It is the
-    reference the vectorised pass must agree with."""
-    rows, file_clock = _split_rows(text)
-    by_frame: dict[int, list[Detection]] = defaultdict(list)
+def _row_detections(text: str, first: int, layout: _Layout, errors_out) -> tuple:
+    """The row parser over ``text``, whose first line is line ``first``: one
+    line at a time, with line-exact errors. It gives the detections in file
+    order and the last valid clock comment."""
+    rows, clock = _split_rows(text, first)
+    dets = []
     for line_no, fields in rows:
         try:
             if isinstance(fields, ParseError):
                 raise fields
             if len(fields) != layout.n_cols:
-                raise ParseError(
-                    line_no, f"expected {layout.n_cols} columns, got {len(fields)}"
-                )
+                raise ParseError(line_no, f"expected {layout.n_cols} columns, got {len(fields)}")
             if layout.benchmark:
                 det = _benchmark_row(layout, line_no, fields)
             else:
@@ -484,125 +485,116 @@ def _parse_rows(text, layout: _Layout, errors_out) -> DetectionStream:
                 raise
             errors_out.append(err)
             continue
-        by_frame[det.frame_index].append(det)
-    return DetectionStream.from_frames(
-        file_clock or FrameClock(), ((f, by_frame[f]) for f in sorted(by_frame))
-    )
+        dets.append(det)
+    return dets, clock
 
 
 #: Below this magnitude a float read of an integer literal is exact; the
-#: vectorised pass leaves larger ids to the row parser, which reads them
-#: with ``int``.
+#: block check leaves larger ids to the row parser, which reads them exactly.
 _EXACT_INT_BOUND = 2.0**53
 
 #: A line whose first character other than whitespace is not ``#``.
 _ROW_LINE = re.compile(r"^\s*[^#\s]", re.MULTILINE)
 
-
-def _scan(f) -> Optional[tuple[Optional[FrameClock], bool]]:
-    """One pass over the rest of ``f`` in blocks of whole lines: the last
-    valid ``# clock:`` comment and whether any line holds a row. None when
-    ``np.loadtxt`` might read a line otherwise than the row parser: a ``#``
-    that does not start its line (loadtxt cuts ``1#x`` to ``1``, and hides
-    an indented clock comment), a malformed clock comment, text that is not
-    ASCII, or a line end of ``str.splitlines`` other than ``\\n``."""
-    clock, has_rows = None, False
-    for text in line_blocks(f):
-        if not plain_ascii(text):
-            return None
-        has_rows = has_rows or _ROW_LINE.search(text) is not None
-        start = text.find("#")
-        while start >= 0:
-            if start and text[start - 1] != "\n":
-                return None
-            end = text.find("\n", start)
-            end = len(text) if end < 0 else end
-            try:
-                clock = _clock_comment(0, text[start:end].strip()) or clock
-            except ParseError:
-                return None
-            start = text.find("#", end)
-    return clock, has_rows
+#: A comment, from its line's first ``#``.
+_COMMENT = re.compile(r"#.*")
 
 
-def _parse_columns(f, layout: _Layout) -> Optional[DetectionStream]:
-    """The vectorised pass: the stream the row parser gives for the rest of
-    the text file ``f``, or None if any line would be rejected or might be
-    read differently. ``np.loadtxt`` reads the file line by line, so
-    neither its whole text nor a list of its lines is ever held."""
-    start = f.tell()
-    scan = _scan(f)
-    if scan is None:
+def _packed(dets: Sequence[Detection]) -> list[np.ndarray]:
+    """Detections as the columns ``_block_columns`` gives: frame, then theirs."""
+    table = FrameDetections.from_detections(None, dets)
+    frame = np.array([d.frame_index for d in dets], dtype=np.int64)
+    return [frame, table.boxes, table.hint, table.has_hint, table.conf, table.cls]
+
+
+def _block_columns(text: str, layout: _Layout) -> Optional[tuple]:
+    """A block of whole lines read by one ``np.loadtxt``: its last clock
+    comment and its columns, frame, boxes, hint, has_hint, conf and class.
+    None if the row parser would reject a line or loadtxt might read one
+    otherwise: a ``#`` not at the start of its line (loadtxt reads ``1#x``
+    as ``1`` and skips an indented clock comment), a bad clock comment,
+    text that is not ASCII, or a line end of ``str.splitlines`` but ``\\n``."""
+    if not plain_ascii(text):
         return None
-    file_clock, has_rows = scan
-    clock = file_clock or FrameClock()
-    if not has_rows:  # loadtxt warns on an input without rows
-        return DetectionStream(clock, (), (0,), FrameDetections.from_detections(None, ()))
-    f.seek(start)
+    clock = None
+    for comment in _COMMENT.finditer(text) if "#" in text else ():
+        if comment.start() and text[comment.start() - 1] != "\n":
+            return None
+        try:
+            clock = _clock_comment(0, comment.group().strip()) or clock
+        except ParseError:
+            return None
+    if not _ROW_LINE.search(text):  # loadtxt warns on an input without rows
+        return clock, _packed(())
     # loadtxt parses each field as float() does, except that it refuses
     # "1_0", and it refuses a row whose field count differs from the first
     # row's, so a line of whitespace too.
     try:
-        table = np.loadtxt(f, delimiter=",", comments="#", dtype=np.float64, ndmin=2)
+        table = np.loadtxt(io.StringIO(text), delimiter=",", comments="#", ndmin=2)
     except ValueError:
         return None
     if table.shape[1] != layout.n_cols or not np.isfinite(table).all():
         return None
-    if not ((table[:, 4] > 0.0) & (table[:, 5] > 0.0)).all():
+    if not (table[:, 4:6] > 0.0).all():  # w and h
         return None
     # The row parser refuses a box whose edges or doubled area overflow. The
     # largest box bounds them all, and a huge one is left to the row parser.
     x_max, y_max, w_max, h_max = table[:, 2:6].max(axis=0).tolist()
     if not all(map(math.isfinite, (x_max + w_max, y_max + h_max, 2.0 * w_max * h_max))):
         return None
-    ints = [table[:, c] for c in (0, 1, layout.cls)]
-    if not all(((c > -_EXACT_INT_BOUND) & (c < _EXACT_INT_BOUND)).all() for c in ints):
-        return None
-    frame, hint, cls = (c.astype(np.int64) for c in ints)
     # a non-integral value, such as 2.5, is the row parser's to refuse
-    if not all(map(np.array_equal, (frame, hint, cls), ints)):
+    ints = table[:, [0, 1, layout.cls]]
+    if not ((np.abs(ints) < _EXACT_INT_BOUND) & (ints == np.floor(ints))).all():
         return None
-    if layout.benchmark:
-        if not (frame >= 1).all():
-            return None
-        frame = frame - 1
-        if layout.conf is None:
-            conf = np.ones(len(table))
-        else:
-            # min(max(score, 0.0), 1.0), which keeps a score of -0.0
-            score = table[:, layout.conf]
-            conf = np.where(score < 0.0, 0.0, np.where(score > 1.0, 1.0, score))
+    frame, hint, cls = ints.astype(np.int64).T
+    frame = frame - 1 if layout.benchmark else frame  # benchmark frames are 1-based
+    if not (frame >= 0).all():
+        return None
+    if layout.conf is None:
+        conf = np.ones(len(table))
+    elif layout.benchmark:
+        # min(max(score, 0.0), 1.0), which keeps a score of -0.0
+        score = table[:, layout.conf]
+        conf = np.where(score < 0.0, 0.0, np.where(score > 1.0, 1.0, score))
     else:
-        if not (frame >= 0).all():
-            return None
         conf = table[:, layout.conf].copy()
         if not ((conf >= 0.0) & (conf <= 1.0)).all():
             return None
-
-    # copies, so that the stream keeps no view of the whole table
-    boxes = np.ascontiguousarray(table[:, 2:6])
     has_hint = np.ones(len(hint), dtype=bool) if layout.benchmark else hint >= 0
-    cols = [boxes, hint, has_hint, conf, cls]
-    if (np.diff(frame) < 0).any():
-        # the row parser keeps file order within a frame
-        order = np.argsort(frame, kind="stable")
-        frame = frame[order]
-        cols = [c[order] for c in cols]
-    starts = np.flatnonzero(np.diff(frame)) + 1
-    frame_indices = tuple(frame[np.r_[0, starts]].tolist())
-    offsets = [0, *starts.tolist(), len(frame)]
-    rows = FrameDetections(None, *cols, _BoxRows(cols[0]))
-    return DetectionStream(clock, frame_indices, offsets, rows)
+    # copies, so that no column keeps the block's table
+    return clock, [frame, table[:, 2:6].copy(), hint, has_hint, conf, cls]
+
+
+#: Blocks whose columns are joined into one chunk once read, so that their
+#: small arrays are freed early, and a chunk's are returned to the system.
+_CHUNK_BLOCKS = 64
 
 
 def _parse_detections(source, layout: _Layout, errors_out) -> DetectionStream:
-    f = text_file(source)
-    start = f.tell()
-    stream = _parse_columns(f, layout)
-    if stream is None:
-        f.seek(start)
-        stream = _parse_rows(f.read(), layout, errors_out)
-    return stream
+    """The stream of ``source``, read once in blocks of whole lines: each
+    through ``_block_columns``, or alone through the row parser where that
+    gives None. The columns are joined in file order, then stably sorted by
+    frame, as the row parser keeps file order within a frame."""
+    clock, chunks, parts = None, [], [_packed(())]
+    for line_no, text in line_blocks(text_file(source)):
+        block = _block_columns(text, layout)
+        if block is None:
+            dets, block_clock = _row_detections(text, line_no, layout, errors_out)
+            block = block_clock, _packed(dets)
+        clock = block[0] or clock
+        parts.append(block[1])
+        if len(parts) == _CHUNK_BLOCKS:
+            chunks.append(list(map(np.concatenate, zip(*parts))))
+            parts.clear()
+    frame, *cols = map(np.concatenate, zip(*chunks, *parts))
+    if (np.diff(frame) < 0).any():
+        order = np.argsort(frame, kind="stable")
+        frame = frame[order]
+        cols = [c[order] for c in cols]
+    starts = np.flatnonzero(np.diff(frame, prepend=-1))  # frames are >= 0
+    offsets = [*starts.tolist(), len(frame)]
+    rows = FrameDetections(None, *cols, _BoxRows(cols[0]))
+    return DetectionStream(clock or FrameClock(), tuple(frame[starts].tolist()), offsets, rows)
 
 
 def parse_generic_csv(
@@ -627,14 +619,16 @@ def parse_visdrone_mot(
 
 
 def parse_sidecar_csv(
-    text: str, errors_out: Optional[list[ParseError]] = None
+    source: Union[str, TextIO], errors_out: Optional[list[ParseError]] = None
 ) -> SemanticSidecar:
-    """Parse the semantic sidecar; payload_bytes column is optional per row.
+    """Parse the semantic sidecar, row by row in blocks of whole lines;
+    payload_bytes column is optional per row.
 
     A repeated (frame, track) is a DuplicateKey at its line; the first
     record is kept.
     """
-    rows, _ = _split_rows(text)
+    blocks = line_blocks(text_file(source))
+    rows = chain.from_iterable(_split_rows(text, first)[0] for first, text in blocks)
     sidecar = SemanticSidecar()
     for line_no, fields in rows:
         try:

@@ -8,13 +8,13 @@ The header is written by ``json.dumps``; the records by fixed templates that
 give the same bytes. Records are named tuples, so the scheduling pass, the
 writer and the reader build and unpack them at tuple cost.
 
-``read_jsonl`` reads a ``str`` or an open text file through the text layer
-the detection parsers share (``_text``; a ``str`` with universal newlines).
-It decodes the log in one pass over blocks of whole lines, one line at a
-time, skipping lines of only spaces and tabs, and falls back to the line
-reader, ``_read_lines``, on the whole text whenever that pass cannot be
-sure to give the line reader's log; every error a reader raises is the
-line reader's.
+``read_jsonl`` reads a ``str`` or an open text file once, in blocks of
+whole lines, through the text layer the parsers share (``_text``; a ``str``
+with universal newlines). Each block after the header is decoded one line
+at a time, skipping lines of only spaces and tabs; a block that pass cannot
+be sure of goes alone to the line reader, with its lines numbered as in the
+whole text. So the log and every error are the line reader's on the whole
+text.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import NamedTuple, Optional, TextIO, Union
+from typing import Iterable, NamedTuple, Optional, TextIO, Union
 
 from ._text import line_blocks, plain_ascii, text_file
 from .domain import BBox, BudgetConfig, FrameClock
@@ -361,17 +361,19 @@ def _class_event(obj: dict, line_no: int) -> ClassEvent:
     return ClassEvent(*values)
 
 
-def _read_lines(text: str) -> RunLog:
-    """The line reader: decodes and checks ``text`` one line at a time, and
-    is the reference for ``read_jsonl``."""
-    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if not lines:
-        raise ParseError(1, "empty run log")
-    header_no = line_no = lines[0][0]
-    try:
-        log = _header(_decode(lines[0][1], line_no), line_no)
-        for line_no, raw in lines[1:]:
+def _line_records(text: str, first: int, log: Optional[RunLog], header_no: int) -> tuple:
+    """The line reader over ``text``, whose first line is line ``first``: it
+    decodes and checks one line at a time and skips lines of only
+    whitespace. Without a ``log``, the first other line is the header. It
+    gives the log with ``text``'s records added, and the header's line."""
+    for line_no, raw in enumerate(text.splitlines(), start=first):
+        if not raw.strip():
+            continue
+        try:
             obj = _decode(raw, line_no)
+            if log is None:
+                log, header_no = _header(obj, line_no), line_no
+                continue
             if not isinstance(obj, dict):
                 raise ParseError(line_no, f"expected a JSON object, got {obj!r}")
             kind = obj.get("kind")
@@ -381,17 +383,29 @@ def _read_lines(text: str) -> RunLog:
                 log.class_events.append(_class_event(obj, line_no))
             else:
                 raise ParseError(line_no, f"unknown record kind: {kind!r}")
-    except (InvalidParam, ConfigError) as err:
-        raise ParseError(line_no, str(err)) from None
+        except (InvalidParam, ConfigError) as err:
+            raise ParseError(line_no, str(err)) from None
+    return log, header_no
+
+
+def _checked(log: Optional[RunLog], header_no: int) -> RunLog:
+    """``log``, read whole: there must be one, and it must not overcount."""
+    if log is None:
+        raise ParseError(1, "empty run log")
     problem = _overcounted(log)
     if problem:
         raise ParseError(header_no, problem)
     return log
 
 
+def _read_lines(text: str) -> RunLog:
+    """The line reader over a whole text: the reference for ``read_jsonl``."""
+    return _checked(*_line_records(text, 1, None, 1))
+
+
 #: Decodes with json's C number parsing: no per-number hooks, so integers
-#: beyond the float range and literals such as 1e400 pass, and the one-pass
-#: reader checks the numbers itself.
+#: beyond the float range and literals such as 1e400 pass, and the block
+#: check checks the numbers itself.
 _PLAIN = json.JSONDecoder(parse_constant=_reject_constant)
 
 _tx_values = itemgetter(*_TX_FIELDS)
@@ -471,34 +485,27 @@ def _block_records(block: str) -> Optional[tuple[list, list]]:
     return transmissions, class_events
 
 
-def _read_one_pass(f: TextIO) -> Optional[RunLog]:
-    """The log ``_read_lines`` gives for the rest of ``f``, or None where
-    this pass cannot be sure of it. It reads the header line, then one block
-    of whole lines at a time, so that only one block's text and dicts are
-    held. Lines of only spaces and tabs are skipped; a line of other
-    whitespace, or whitespace around a record, is a doubt."""
-    line = f.readline()
-    while line.strip(" \t") == "\n":
-        line = f.readline()
-    try:
-        if not plain_ascii(line):
-            return None
-        header, pos = _DECODER.scan_once(line, 0)
-        if line[pos:] not in ("", "\n"):
-            return None
-        log = _header(header, 1)
-    except Exception:  # any failure leaves the verdict, and the error, to _read_lines
-        return None
-    for block in line_blocks(f):
+def _read_blocks(blocks: Iterable[tuple[int, str]]) -> RunLog:
+    """The log of the numbered blocks ``line_blocks`` gives. The line reader
+    reads up to the header, the first line of more than whitespace; then a
+    block goes to ``_block_records``, and alone to the line reader where that
+    gives None or fails. So only one block's text and dicts are held."""
+    log, header_no = None, 1
+    for line_no, block in blocks:
+        if log is None:
+            cut = block.find("\n", len(block) - len(block.lstrip())) + 1 or len(block)
+            log, header_no = _line_records(block[:cut], line_no, log, header_no)
+            line_no, block = line_no + len(block[:cut].splitlines()), block[cut:]
         try:
-            records = _block_records(block)
-        except Exception:  # as above
+            records = None if log is None else _block_records(block)
+        except Exception:  # any failure leaves the verdict, and the error, to the line reader
             records = None
         if records is None:
-            return None
-        log.transmissions += records[0]
-        log.class_events += records[1]
-    return None if _overcounted(log) else log
+            log, header_no = _line_records(block, line_no, log, header_no)
+        else:
+            log.transmissions += records[0]
+            log.class_events += records[1]
+    return _checked(log, header_no)
 
 
 def read_jsonl(source: Union[str, TextIO]) -> RunLog:
@@ -510,10 +517,4 @@ def read_jsonl(source: Union[str, TextIO]) -> RunLog:
     domain type refuses, or a header whose counts are negative or account
     for more candidates than it saw. Lines are numbered as in the file;
     blank lines are skipped but counted."""
-    f = text_file(source)
-    start = f.tell()
-    log = _read_one_pass(f)
-    if log is None:
-        f.seek(start)
-        log = _read_lines(f.read())
-    return log
+    return _read_blocks(line_blocks(text_file(source)))

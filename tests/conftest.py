@@ -1,25 +1,30 @@
 import json
+from functools import partial
 
 import pytest
 from hypothesis import settings
 
 from roitel import ParseError, engine, ingest, runlog
 from roitel.runlog import to_jsonl_lines
-from helpers import class_obj, json_lines, read_outcome, ref_associate, scalar_schedule, tx_obj
+from helpers import (
+    block_verdicts,
+    class_obj,
+    json_lines,
+    parse_rows,
+    read_outcome,
+    ref_associate,
+    scalar_schedule,
+    tx_obj,
+)
 
 # Property tests must behave identically run to run.
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
 
 
-def parse_outcome(parse, text, collect):
-    """What one detection parse gives, in a form that tells -0.0 from 0.0
-    and 1 from 1.0: the stream and the collected errors, or the error."""
-    errors: list[ParseError] = []
-    try:
-        stream = parse(text, errors if collect else None)
-    except ParseError as err:
-        return ("raised", err.line_no, str(err))
+def stream_facts(stream, errors):
+    """A parsed stream and the errors collected with it, in a form that
+    tells -0.0 from 0.0 and 1 from 1.0."""
     return (
         stream.clock,
         stream.frame_indices,
@@ -29,30 +34,62 @@ def parse_outcome(parse, text, collect):
     )
 
 
+def parse_outcome(parse, text, collect):
+    """What one detection parse gives: the stream and the collected errors,
+    or the error."""
+    errors: list[ParseError] = []
+    try:
+        stream = parse(text, errors if collect else None)
+    except ParseError as err:
+        return ("raised", err.line_no, str(err))
+    return stream_facts(stream, errors)
+
+
+class Tee:
+    """A text file that keeps a copy of all that is read from ``f``."""
+
+    def __init__(self, f):
+        self.f, self.copy = f, []
+
+    def read(self, size):
+        return self._kept(self.f.read(size))
+
+    def readline(self):
+        return self._kept(self.f.readline())
+
+    def _kept(self, text):
+        self.copy.append(text)
+        return text
+
+
 @pytest.fixture(autouse=True)
 def cross_check_detection_parses(monkeypatch):
-    """Every detection parse in the suite is checked against the row parser:
-    the same stream, the same collected errors, or the same ParseError. A
-    parse of an open file is checked against the row parser on the file's
-    text, and the file is read again from where it was for each parse."""
-    public, rows = ingest._parse_detections, ingest._parse_rows
+    """Every detection parse in the suite is checked against the row parser
+    on the whole text: the same stream, the same collected errors, or the
+    same ParseError. A file is parsed once, through a ``Tee``; after a
+    ParseError its rest is read in sized reads, as a pipe may demand, and
+    the row parser reads all that was read."""
+    public = ingest._parse_detections
 
     def checked(source, layout, errors_out):
+        tee = source if isinstance(source, str) else Tee(source)
+        errors: list[ParseError] = []
+        try:
+            result = public(tee, layout, None if errors_out is None else errors)
+            got = stream_facts(result, errors)
+        except ParseError as err:
+            result, got = err, ("raised", err.line_no, str(err))
         if isinstance(source, str):
-            text, rewind = source, lambda: source
+            text = source
         else:
-            start = source.tell()
-            text = source.read()
-
-            def rewind():
-                source.seek(start)
-                return source
-
+            text = "".join(tee.copy) + "".join(iter(partial(source.read, 1 << 16), ""))
         collect = errors_out is not None
-        expected = parse_outcome(lambda t, e: rows(t, layout, e), text, collect)
-        got = parse_outcome(lambda s, e: public(s, layout, e), rewind(), collect)
-        assert got == expected
-        return public(rewind(), layout, errors_out)
+        assert got == parse_outcome(lambda t, e: parse_rows(t, layout, e), text, collect)
+        if isinstance(result, ParseError):
+            raise result
+        if collect:
+            errors_out.extend(errors)
+        return result
 
     monkeypatch.setattr(ingest, "_parse_detections", checked)
 
@@ -162,26 +199,30 @@ def cross_check_runlog_writes(monkeypatch):
 
 @pytest.fixture(autouse=True)
 def cross_check_runlog_reads(monkeypatch):
-    """Every run-log read in the suite is checked against the line reader:
-    a log the one-pass reader gives must be the line reader's, and the
-    one-pass reader must not fall back on a log the writer wrote (the line
-    reader's error or log is then the outcome by construction). The file is
-    read for the line reader and then rewound, so the one-pass reader reads
-    it from where it was. The fixture holds its own reference to
-    ``_read_lines``, so a test may patch the module's."""
-    one_pass, lines = runlog._read_one_pass, runlog._read_lines
+    """Every run-log read in the suite is checked against the line reader
+    on the whole text: the same log, or the same ParseError. No block of a
+    log the writer wrote may go to the line reader: ``_block_records`` must
+    take each, so that only the header line takes the line path. The
+    fixture holds its own references, so a test may patch the module's."""
+    read_blocks, lines = runlog._read_blocks, runlog._read_lines
 
-    def checked(f):
-        start = f.tell()
-        text = f.read()
-        f.seek(start)
-        log = one_pass(f)
+    def checked(blocks):
+        blocks = list(blocks)
+        text = "".join(block for _, block in blocks)
         expected = read_outcome(lines, text)
-        if log is not None:
-            assert ("read", repr(log)) == expected
-        elif expected[0] == "read":
-            written = "\n".join(json_lines(lines(text)))
-            assert text not in (written, written + "\n"), "one pass fell back on a clean log"
-        return log
+        with monkeypatch.context() as patch:
+            verdicts = block_verdicts(patch, runlog, "_block_records")
+            try:
+                result = read_blocks(blocks)
+                got = ("read", repr(result))
+            except ParseError as err:
+                result, got = err, ("raised", err.line_no, str(err))
+        assert got == expected
+        if isinstance(result, ParseError):
+            raise result
+        if False in verdicts:
+            written = "\n".join(json_lines(result))
+            assert text not in (written, written + "\n"), "a clean block took the line path"
+        return result
 
-    monkeypatch.setattr(runlog, "_read_one_pass", checked)
+    monkeypatch.setattr(runlog, "_read_blocks", checked)

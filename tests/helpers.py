@@ -6,6 +6,7 @@ test modules."""
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from bisect import bisect_right
@@ -35,7 +36,7 @@ from roitel import (
     RunConfig,
     RunLog,
 )
-from roitel import kernels
+from roitel import ingest, kernels
 from roitel.budget import estimate_cost
 from roitel.config import dump_config
 from roitel.engine import processed_frame_range
@@ -681,3 +682,54 @@ def read_outcome(read, text):
     except ParseError as err:
         return ("raised", err.line_no, str(err))
     return ("read", repr(log))
+
+
+def block_verdicts(monkeypatch, module, check: str) -> list[bool]:
+    """Record, for each call of the block check ``module.<check>``, whether
+    it took its block: False where it gave None or raised, and the block
+    went to the reference reader."""
+    verdicts: list[bool] = []
+    fast = getattr(module, check)
+
+    def recorded(*args):
+        result = None
+        try:
+            result = fast(*args)
+        finally:
+            verdicts.append(result is not None)
+        return result
+
+    monkeypatch.setattr(module, check, recorded)
+    return verdicts
+
+
+class SizedReadsOnly(io.StringIO):
+    """Text that cannot seek and refuses a read without a size, as some
+    pipes and sockets do: a reader must take it in reads of a given size."""
+
+    def seekable(self):
+        return False
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+    def tell(self):
+        raise io.UnsupportedOperation("tell")
+
+    def read(self, size=-1):
+        if size is None or size < 0:
+            raise io.UnsupportedOperation("read without a size")
+        return super().read(size)
+
+
+def parse_rows(text: str, layout, errors_out) -> DetectionStream:
+    """The row parser over a whole text, its detections grouped by frame in
+    file order and packed by ``DetectionStream.from_frames``: the reference
+    every detection parse must agree with."""
+    dets, clock = ingest._row_detections(text, 1, layout, errors_out)
+    by_frame: dict[int, list] = {}
+    for det in dets:
+        by_frame.setdefault(det.frame_index, []).append(det)
+    return DetectionStream.from_frames(
+        clock or FrameClock(), ((f, by_frame[f]) for f in sorted(by_frame))
+    )

@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 import roitel
-from roitel import FrameClock, cli, gen_synthetic, ingest, read_jsonl, runlog
+from roitel import FrameClock, _text, cli, gen_synthetic, ingest, read_jsonl, runlog
 from roitel.cli import main
 from roitel.metrics import REPORT_COLUMNS
+from helpers import block_verdicts
 
 
 @pytest.fixture()
@@ -324,11 +325,15 @@ def test_a_file_that_is_not_utf8_exits_1_naming_it(
 def test_a_clean_simulate_never_calls_the_row_parser(
     tmp_path, detections_csv, monkeypatch
 ):
+    side = tmp_path / "side.csv"
+    side.write_text("0,1,0.2,0.35,7,7,1.9,1.1\n")
     calls = []
-    monkeypatch.setattr(ingest, "_parse_rows", lambda *args: calls.append(args))
-    rc, _ = simulate(tmp_path, detections_csv)
+    monkeypatch.setattr(cli, "_read_text", lambda *args: calls.append(args))
+    verdicts = block_verdicts(monkeypatch, ingest, "_block_columns")
+    rc, _ = simulate(tmp_path, detections_csv, "--sidecar", str(side))
     assert rc == 0
     assert calls == []
+    assert verdicts and all(verdicts)
 
 
 def test_a_clean_report_never_reads_a_whole_log(tmp_path, detections_csv, monkeypatch, capsys):
@@ -337,10 +342,11 @@ def test_a_clean_report_never_reads_a_whole_log(tmp_path, detections_csv, monkey
     logs = [str(pad_runlog(out_dir / "runlog_M5.jsonl")), str(out_dir / "runlog_M2.jsonl")]
     calls = []
     monkeypatch.setattr(cli, "_read_text", lambda *args: calls.append(args))
-    monkeypatch.setattr(runlog, "_read_lines", lambda *args: calls.append(args))
+    verdicts = block_verdicts(monkeypatch, runlog, "_block_records")
     capsys.readouterr()
     assert main(["report", *logs]) == 0
     assert calls == []
+    assert len(verdicts) > 2 and all(verdicts)
 
 
 def test_report_reads_a_log_from_a_pipe(tmp_path, detections_csv, capsys):
@@ -987,9 +993,11 @@ def test_validate_sidecar_counts_and_unknown_warning(tmp_path, detections_csv, c
     assert "unknown (frame,track)" in captured.err
 
 
+@pytest.mark.parametrize("block", [8, 1 << 16])  # 8: each line is a block
 def test_validate_lists_a_duplicate_sidecar_key_and_later_bad_lines(
-    tmp_path, detections_csv, capsys
+    tmp_path, detections_csv, capsys, monkeypatch, block
 ):
+    monkeypatch.setattr(_text, "BLOCK", block)
     side = tmp_path / "side.csv"
     side.write_text(
         "10,4,0.2,0.35,7,7,1.9,1.1\n"

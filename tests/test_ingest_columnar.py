@@ -24,6 +24,7 @@ from roitel import (
     write_generic_csv,
 )
 from conftest import parse_outcome
+from helpers import SizedReadsOnly, block_verdicts, parse_rows
 
 GENERIC, UAVDT, VISDRONE = ingest._GENERIC, ingest._UAVDT, ingest._VISDRONE
 
@@ -61,12 +62,19 @@ SIDECAR_BASE = (
 
 
 def columns(text, layout):
-    """The vectorised pass alone over ``text``, as the parsers read a str."""
-    return ingest._parse_columns(_text.text_file(text), layout)
+    """The stream the parser reads from ``text`` if the block check,
+    ``_block_columns``, takes every block, else None."""
+    with pytest.MonkeyPatch.context() as patch:
+        verdicts = block_verdicts(patch, ingest, "_block_columns")
+        try:
+            stream = ingest._parse_detections(text, layout, None)
+        except ParseError:
+            stream = None
+    return stream if all(verdicts) else None
 
 
 def row_parse(layout):
-    return lambda text, errors_out: ingest._parse_rows(text, layout, errors_out)
+    return lambda text, errors_out: parse_rows(text, layout, errors_out)
 
 
 def public_parse(parser):
@@ -392,6 +400,96 @@ def test_explicit_files_parse_like_the_row_parser(monkeypatch, file_path, text):
     for collect in (False, True):
         expected = parse_outcome(row_parse(GENERIC), text, collect)
         assert file_outcome("generic", file_path, text, collect) == expected
+
+
+#: A clean stream long enough for many blocks of ``SMALL_BLOCK`` characters.
+LONG = write_generic_csv(gen_synthetic(5, 40, 3.0, FrameClock()))
+SMALL_BLOCK = 256
+
+
+@pytest.mark.parametrize("tail", ["   \n", "   \n1,2\n# clock: fps=1 stride=x\n", "1,-1,5"])
+def test_a_doubtful_last_block_is_all_the_row_parser_reads(monkeypatch, tail):
+    text = LONG + tail
+    monkeypatch.setattr(_text, "BLOCK", SMALL_BLOCK)
+    verdicts = block_verdicts(monkeypatch, ingest, "_block_columns")
+    for collect in (False, True):
+        expected = parse_outcome(row_parse(GENERIC), text, collect)
+        assert parse_outcome(public_parse(parse_generic_csv), text, collect) == expected
+    n = len(verdicts) // 2
+    assert n > 10
+    assert verdicts == 2 * ([True] * (n - 1) + [False])
+
+
+def test_a_doubtful_block_keeps_the_line_numbers_of_the_whole_text(monkeypatch):
+    lines = LONG.splitlines()
+    lines[-1] += " \x0c 1,2"  # a line end of str.splitlines, then a short row
+    text = "\n".join(lines) + "\n\n\u2028x\n"  # and another
+    monkeypatch.setattr(_text, "BLOCK", SMALL_BLOCK)
+    errors: list[ParseError] = []
+    parse_generic_csv(text, errors_out=errors)
+    n = len(lines)
+    assert [(e.line_no, str(e).split(": ", 1)[1]) for e in errors] == [
+        (n + 1, "expected 8 columns, got 2"),
+        (n + 4, "expected 8 columns, got 1"),
+    ]
+
+
+#: parser name -> (parser, a clean text), for the parsers of every input
+READERS = {
+    "generic": (parse_generic_csv, LONG),
+    "visdrone": (parse_visdrone_mot, LAYOUTS["visdrone"][2] * 20),
+    "sidecar": (parse_sidecar_csv, SIDECAR_BASE + "".join(
+        f"{frame},4,0.2,0.3,1,2,0.5,0.1,{frame + 1}\n" for frame in range(20, 80)
+    )),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_a_file_read_only_in_sized_reads_parses_like_its_text(monkeypatch, name):
+    parse, text = READERS[name]
+    monkeypatch.setattr(_text, "BLOCK", SMALL_BLOCK)
+    expected = parse(text)
+    got = parse(SizedReadsOnly(text))
+    if name == "sidecar":
+        assert len(got) == len(expected) == 63
+        assert got.records == expected.records
+    else:
+        assert got.n_detections == expected.n_detections > 40
+        assert repr(got.frames) == repr(expected.frames)
+
+
+def sidecar_outcome(text, collect, path=None):
+    """What parsing the sidecar ``text`` gives, from the ``str`` or, with
+    ``path``, from a file: its records and collected errors, or the error,
+    each with its type."""
+    errors: list[ParseError] = []
+    try:
+        if path is None:
+            sidecar = parse_sidecar_csv(text, errors if collect else None)
+        else:
+            path.write_bytes(text.encode("utf-8"))
+            with open(path, encoding="utf-8") as f:
+                sidecar = parse_sidecar_csv(f, errors if collect else None)
+    except ParseError as err:
+        return (type(err), err.line_no, str(err))
+    return repr(sidecar.records), [(type(e), e.line_no, str(e)) for e in errors]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mutations=st.lists(mutation, min_size=1, max_size=6),
+    repeats=st.integers(1, 4),
+    block=st.sampled_from([8, 40]),
+)
+def test_a_sidecar_in_blocks_parses_as_in_one_block(file_path, mutations, repeats, block):
+    # a repeated row is a DuplicateKey, in a later block than its first
+    text = mutate(SIDECAR_BASE * repeats, mutations)
+    for collect in (False, True):
+        whole = sidecar_outcome(text, collect)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_text, "BLOCK", block)
+            assert sidecar_outcome(text, collect) == whole
+            assert sidecar_outcome(text, collect, file_path) == whole
 
 
 # --- confidence noise over parsed and packed tables ---------------------------

@@ -21,7 +21,7 @@ from roitel import (
 from roitel import _text, runlog
 from roitel.metrics import aggregate_run, emit_report
 from roitel.runlog import CLASS_SOURCE_STILL, CLASS_SOURCE_VIDEO, to_jsonl_lines
-from helpers import json_lines, read_outcome
+from helpers import SizedReadsOnly, block_verdicts, json_lines, read_outcome
 
 
 def sample_log() -> RunLog:
@@ -416,55 +416,63 @@ def test_templates_write_what_json_dumps_writes(txs, events):
     assert list(to_jsonl_lines(log)) == json_lines(log)
 
 
-# --- one-pass reader ----------------------------------------------------------
+# --- the block check and the line path ----------------------------------------
 
 
-def one_pass(text: str):
-    return runlog._read_one_pass(_text.text_file(text))
+def read_checked(monkeypatch, text: str):
+    """The log ``read_jsonl`` reads from ``text``, and whether the block
+    check, ``_block_records``, took each block it was given."""
+    verdicts = block_verdicts(monkeypatch, runlog, "_block_records")
+    return read_jsonl(text), verdicts
 
 
-def test_one_pass_reads_what_the_writer_writes():
-    text = "\n".join(to_jsonl_lines(sample_log()))
-    for clean in (text, text + "\n"):
-        assert one_pass(clean) == sample_log()
+@pytest.mark.parametrize("end", ["", "\n"])
+def test_the_block_check_takes_what_the_writer_writes(monkeypatch, end):
+    text = "\n".join(to_jsonl_lines(sample_log())) + end
+    assert read_checked(monkeypatch, text) == (sample_log(), [True])
 
 
-def test_empty_lines_do_not_make_the_one_pass_fall_back(monkeypatch):
+def test_empty_lines_leave_every_block_to_the_block_check(monkeypatch):
     header, *records = to_jsonl_lines(sample_log())
     text = "\n".join(["", header, "", *records[:2], "", *records[2:], "", ""])
-    calls = []
-    monkeypatch.setattr(runlog, "_read_lines", lambda *args: calls.append(args))
-    assert read_jsonl(text) == sample_log()
-    assert calls == []
+    assert read_checked(monkeypatch, text) == (sample_log(), [True])
 
 
 @pytest.mark.parametrize("blank", [" \t", " ", "\t\t  "])
 @pytest.mark.parametrize("index", [0, 1, 3, 99])  # 99: after the last line
-def test_a_line_of_spaces_and_tabs_reads_in_one_pass(index, blank):
+def test_a_line_of_spaces_and_tabs_leaves_the_block_to_the_block_check(
+    monkeypatch, index, blank
+):
     lines = list(to_jsonl_lines(sample_log()))
     lines.insert(index, blank)
+    verdicts = block_verdicts(monkeypatch, runlog, "_block_records")
     for text in ("\n".join(lines), "\n".join(lines) + "\n"):
-        assert one_pass(text) == runlog._read_lines(text) == sample_log()
+        assert runlog._read_lines(text) == read_jsonl(text) == sample_log()
+    assert verdicts == [True, True]
 
 
 @pytest.mark.parametrize("index", [0, 1, 3])
 @pytest.mark.parametrize("blank", [" \x1f", "\x1f"])
-def test_a_line_of_other_whitespace_makes_the_one_pass_fall_back(index, blank):
+def test_a_line_of_other_whitespace_sends_its_block_to_the_line_reader(
+    monkeypatch, index, blank
+):
+    # before the header it is the line reader's anyway, with the header
     lines = list(to_jsonl_lines(sample_log()))
     lines.insert(index, blank)
     text = "\n".join(lines)
-    assert one_pass(text) is None
-    assert read_jsonl(text) == sample_log()
+    assert read_checked(monkeypatch, text) == (sample_log(), [index == 0])
 
 
 @pytest.mark.parametrize("index", [0, 1, 3])
 @pytest.mark.parametrize("pad", [" {}", "{}\t"])
-def test_whitespace_around_a_record_makes_the_one_pass_fall_back(index, pad):
+def test_whitespace_around_a_record_sends_its_block_to_the_line_reader(
+    monkeypatch, index, pad
+):
+    # the header is the line reader's, which strips the whitespace
     lines = list(to_jsonl_lines(sample_log()))
     lines[index] = pad.format(lines[index])
     text = "\n".join(lines)
-    assert one_pass(text) is None
-    assert read_jsonl(text) == sample_log()
+    assert read_checked(monkeypatch, text) == (sample_log(), [index == 0])
 
 
 def tx_line_with(prefix: str) -> str:
@@ -511,23 +519,26 @@ def line_damage_cases() -> dict[str, str]:
     }
 
 
-def test_numbers_whose_sum_is_beyond_the_float_range_read_in_one_pass():
+def test_numbers_whose_sum_is_beyond_the_float_range_pass_the_block_check(monkeypatch):
     log = sample_log()
     log.transmissions *= 2
     log.transmissions[0] = log.transmissions[0]._replace(cost_bits=1e308)
     log.transmissions[1] = log.transmissions[1]._replace(score=1.7e308, u_term=1.7e308)
     log.class_events[0] = log.class_events[0]._replace(label=2**1000)
     text = "\n".join(to_jsonl_lines(log))
-    assert one_pass(text) == runlog._read_lines(text) == log
+    assert runlog._read_lines(text) == log
+    assert read_checked(monkeypatch, text) == (log, [True])
 
 
 @pytest.mark.parametrize("case", sorted(line_damage_cases()))
-def test_one_pass_falls_back_where_the_line_reader_refuses(case):
+def test_the_line_reader_reads_what_it_refuses(monkeypatch, case):
+    # a damaged header never reaches the block check
     text = line_damage_cases()[case]
     expected = read_outcome(runlog._read_lines, text)
     assert expected[0] == "raised"
-    assert one_pass(text) is None
+    verdicts = block_verdicts(monkeypatch, runlog, "_block_records")
     assert read_outcome(read_jsonl, text) == expected
+    assert not all(verdicts) or not verdicts
 
 
 @st.composite
@@ -634,12 +645,13 @@ def test_edge_cases_read_alike_from_a_str_and_a_file(case):
 
 
 @pytest.mark.parametrize("newline", ["\r\n", "\r"])
-def test_a_str_with_other_line_ends_is_read_in_one_pass(newline):
+def test_a_str_with_other_line_ends_passes_the_block_check(monkeypatch, newline):
     text = newline.join(to_jsonl_lines(sample_log())) + newline
-    assert one_pass(text) == runlog._read_lines(text) == sample_log()
+    assert runlog._read_lines(text) == sample_log()
+    assert read_checked(monkeypatch, text) == (sample_log(), [True])
 
 
-def test_a_pipe_is_read_into_memory_first():
+def test_a_pipe_is_read_in_blocks():
     text = "\n".join(to_jsonl_lines(sample_log())) + "\n"
     read_end, write_end = os.pipe()
     os.write(write_end, text.encode("utf-8"))
@@ -647,6 +659,41 @@ def test_a_pipe_is_read_into_memory_first():
     with open(read_end, encoding="utf-8") as f:
         assert not f.seekable()
         assert read_jsonl(f) == sample_log()
+
+
+def long_log() -> RunLog:
+    """The sample log with enough records for many blocks of 256
+    characters."""
+    log = sample_log()
+    log.class_events *= 20
+    log.raw_candidate_count = 100
+    return log
+
+
+@pytest.mark.parametrize("tail", ["\x0c\n", "\x0c\n[1]\n", "\n\x0c\n\n"])
+def test_a_form_feed_in_the_last_block_sends_only_that_block_to_the_line_reader(
+    monkeypatch, tail
+):
+    lines = to_jsonl_lines(long_log())
+    text = "\n".join(lines) + "\n" + tail
+    monkeypatch.setattr(_text, "BLOCK", 256)
+    verdicts = block_verdicts(monkeypatch, runlog, "_block_records")
+    if "[1]" in tail:
+        with pytest.raises(ParseError) as exc:
+            read_jsonl(text)
+        # a form feed ends a line, as str.splitlines numbers them
+        assert exc.value.line_no == len(lines) + 3
+        assert str(exc.value) == f"line {len(lines) + 3}: expected a JSON object, got [1]"
+    else:
+        assert read_jsonl(text) == long_log()
+    assert len(verdicts) > 10
+    assert verdicts == [True] * (len(verdicts) - 1) + [False]
+
+
+def test_a_file_read_only_in_sized_reads_reads_like_its_text(monkeypatch):
+    text = "\n".join(to_jsonl_lines(long_log())) + "\n"
+    monkeypatch.setattr(_text, "BLOCK", 256)
+    assert read_jsonl(SizedReadsOnly(text)) == read_jsonl(text) == long_log()
 
 
 @pytest.mark.parametrize("index", [0, 2])
