@@ -35,13 +35,14 @@ def plain_ascii(text: str) -> bool:
     return text.isascii() and not any(c in text for c in _OTHER_BREAKS)
 
 
-def line_blocks(f: TextIO) -> Iterator[tuple[int, str]]:
+def line_blocks(f: TextIO) -> Iterator[tuple[int, str, bool]]:
     """The rest of ``f`` in blocks of whole lines, each with the number
     ``str.splitlines`` gives its first line in the rest of ``f`` as one
-    text; only the last block may end without ``\\n``."""
+    text, and its ``plain_ascii`` verdict; only the last block may lack ``\\n``."""
     line_no = 1
     while block := f.read(BLOCK):
         block += "" if block.endswith("\n") else f.readline()
-        yield line_no, block
+        plain = plain_ascii(block)
+        yield line_no, block, plain
         # counting is cheaper than splitting, and equal in plain ASCII
-        line_no += block.count("\n") if plain_ascii(block) else len(block.splitlines())
+        line_no += block.count("\n") if plain else len(block.splitlines())

@@ -14,7 +14,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterator, Optional, TextIO
+from typing import Iterable, Iterator, Optional, TextIO
 
 from . import config as config_mod
 from . import engine, ingest, metrics, runlog
@@ -67,8 +67,8 @@ def _write_text(path: Path, text: str) -> None:
         fp.write(text)
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
-    """Each line and a newline, without joining them into one text."""
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    """Each line and a newline, as they come, without joining them into one text."""
     with _create(path) as fp:
         for line in lines:
             fp.write(line)

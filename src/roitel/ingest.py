@@ -41,7 +41,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from ._text import line_blocks, plain_ascii, text_file
+from ._text import line_blocks, text_file
 from .domain import INT64_MAX, INT64_MIN, BBox, Detection, FrameClock
 from .errors import DuplicateKey, InvalidParam, ParseError
 
@@ -507,14 +507,14 @@ def _packed(dets: Sequence[Detection]) -> list[np.ndarray]:
     return [frame, table.boxes, table.hint, table.has_hint, table.conf, table.cls]
 
 
-def _block_columns(text: str, layout: _Layout) -> Optional[tuple]:
+def _block_columns(text: str, plain: bool, layout: _Layout) -> Optional[tuple]:
     """A block of whole lines read by one ``np.loadtxt``: its last clock
     comment and its columns, frame, boxes, hint, has_hint, conf and class.
     None if the row parser would reject a line or loadtxt might read one
     otherwise: a ``#`` not at the start of its line (loadtxt reads ``1#x``
-    as ``1`` and skips an indented clock comment), a bad clock comment,
-    text that is not ASCII, or a line end of ``str.splitlines`` but ``\\n``."""
-    if not plain_ascii(text):
+    as ``1`` and skips an indented clock comment), a bad clock comment, or
+    a block that is not ``plain``, as ``line_blocks`` checked it."""
+    if not plain:
         return None
     clock = None
     for comment in _COMMENT.finditer(text) if "#" in text else ():
@@ -576,8 +576,8 @@ def _parse_detections(source, layout: _Layout, errors_out) -> DetectionStream:
     gives None. The columns are joined in file order, then stably sorted by
     frame, as the row parser keeps file order within a frame."""
     clock, chunks, parts = None, [], [_packed(())]
-    for line_no, text in line_blocks(text_file(source)):
-        block = _block_columns(text, layout)
+    for line_no, text, plain in line_blocks(text_file(source)):
+        block = _block_columns(text, plain, layout)
         if block is None:
             dets, block_clock = _row_detections(text, line_no, layout, errors_out)
             block = block_clock, _packed(dets)
@@ -628,7 +628,7 @@ def parse_sidecar_csv(
     record is kept.
     """
     blocks = line_blocks(text_file(source))
-    rows = chain.from_iterable(_split_rows(text, first)[0] for first, text in blocks)
+    rows = chain.from_iterable(_split_rows(text, first)[0] for first, text, _ in blocks)
     sidecar = SemanticSidecar()
     for line_no, fields in rows:
         try:

@@ -1,12 +1,13 @@
 """Association kernel: greedy one-to-one matching on pairwise IoU.
 
 The tracker associates every processed frame, so on dense streams (hundreds
-of boxes per frame) this is the hot loop. ``greedy_associate`` evaluates the
-IoU formula only for pairs whose x-intervals can overlap; every other pair's
-IoU is exactly 0.0, which is what the formula gives there. It builds no IoU
-matrix at any threshold. The test suite checks it against greedy matching on
-the dense matrix, the scalar IoU and the brute-force greedy of acceptance
-check C10, all kept in ``tests/helpers.py``.
+of boxes per frame) this is the hot loop. ``greedy_associate`` works on 1-D
+per-box columns, derived once per call, and evaluates the IoU formula only
+for pairs whose x-intervals can overlap and whose height overlap is
+positive; every other pair's IoU is exactly 0.0. It builds no IoU matrix.
+The suite checks it against greedy matching on the dense matrix of the
+(N, 4) pair expression, the scalar IoU and the brute-force greedy of
+acceptance check C10, all kept in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -31,41 +32,23 @@ def as_box_array(boxes) -> np.ndarray:
     return arr
 
 
-def _x_overlap_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(row, col) index arrays covering every pair with a positive x-overlap.
+def _x_overlap_pairs(left_a, right_a, left_b, right_b) -> tuple[np.ndarray, np.ndarray]:
+    """(row, position) index arrays covering every pair with a positive
+    x-overlap, where ``left_b`` is ascending and a position indexes it.
 
-    With boxes_b sorted by left edge, the columns a row can overlap form one
-    contiguous range of that order: it ends before the first left edge at or
-    past the row's right edge, and starts after the last position where the
-    running maximum of right edges is still at or before the row's left
-    edge. A pair outside the range has ``min(right) <= max(left)``, so its
-    IoU is exactly 0.0; pairs inside it may still be disjoint.
+    The positions a row can overlap form one contiguous range: it ends
+    before the first left edge at or past the row's right edge, and starts
+    after the last position where the running maximum of right edges is
+    still at or before the row's left edge. A pair outside the range has
+    ``min(right) <= max(left)``, so its IoU is exactly 0.0; pairs inside it
+    may still be disjoint.
     """
-    order = np.argsort(b[:, 0], kind="stable")
-    left = b[order, 0]
-    reach = np.maximum.accumulate(left + b[order, 2])
-    lo = np.searchsorted(reach, a[:, 0], side="right")
-    hi = np.searchsorted(left, a[:, 0] + a[:, 2], side="left")
+    lo = np.maximum.accumulate(right_b).searchsorted(left_a, side="right")
+    hi = left_b.searchsorted(right_a, side="left")
     counts = np.maximum(hi - lo, 0)
-    rows = np.repeat(np.arange(a.shape[0]), counts)
-    starts = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    return rows, order[np.arange(rows.size) + starts]
-
-
-def _pair_iou(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """IoU of row-aligned box pairs: intersection over union, 0.0 for
-    disjoint or touching boxes, at most 1.0."""
-    # x and y side by side: column 0 is the overlap width, column 1 the height
-    side = np.minimum(pa[:, :2] + pa[:, 2:], pb[:, :2] + pb[:, 2:])
-    # far-apart boxes can overflow to -inf here, which the clip makes 0
-    with np.errstate(over="ignore"):
-        side -= np.maximum(pa[:, :2], pb[:, :2])
-    np.maximum(side, 0.0, out=side)
-    inter = side[:, 0] * side[:, 1]
-    union = pa[:, 2] * pa[:, 3] + pb[:, 2] * pb[:, 3] - inter
-    val = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
-    # identical boxes can round to inter > union by a few ulps
-    return np.minimum(val, 1.0, out=val)
+    rows = np.arange(len(left_a)).repeat(counts)
+    starts = (lo - (counts.cumsum() - counts)).repeat(counts)
+    return rows, np.arange(rows.size) + starts
 
 
 def greedy_associate(boxes_a, boxes_b, min_iou: float) -> list[tuple[int, int]]:
@@ -73,8 +56,9 @@ def greedy_associate(boxes_a, boxes_b, min_iou: float) -> list[tuple[int, int]]:
 
     Pairs with ``iou >= min_iou`` are taken in descending IoU order; ties
     break toward the lower row index, then the lower column index. Returns
-    (row, col) pairs in selection order. Only pairs that overlap in x can
-    have a positive IoU, so the IoU is evaluated on those alone, and the
+    (row, col) pairs in selection order. Only pairs that overlap in both x
+    and y can have a positive IoU: the x sweep finds the candidates, their
+    height overlap cuts them, the IoU is evaluated on the rest, and the
     admissible positive pairs are sorted and walked. At ``min_iou <= 0``
     every pair whose row and column are both left free then has an IoU of
     exactly 0.0, since a positive one would have been taken; those pairs
@@ -83,11 +67,27 @@ def greedy_associate(boxes_a, boxes_b, min_iou: float) -> list[tuple[int, int]]:
     """
     a = as_box_array(boxes_a)
     b = as_box_array(boxes_b)
-    rows, cols = _x_overlap_pairs(a, b)
-    val = _pair_iou(a[rows], b[cols])
+    by_left = b[:, 0].argsort(kind="stable")
+    x_a, y_a, w_a, h_a = a.T
+    x_b, y_b, w_b, h_b = b[by_left].T
+    right_a, bottom_a, right_b, bottom_b = x_a + w_a, y_a + h_a, x_b + w_b, y_b + h_b
+    rows, pos = _x_overlap_pairs(x_a, right_a, x_b, right_b)
+    # far-apart boxes can overflow to -inf in an overlap: the height filter
+    # drops such a pair, and the clip makes such a width 0
+    with np.errstate(over="ignore"):
+        height = np.minimum(bottom_a[rows], bottom_b[pos]) - np.maximum(y_a[rows], y_b[pos])
+        cut = height > 0.0
+        rows, pos, height = rows[cut], pos[cut], height[cut]
+        width = np.minimum(right_a[rows], right_b[pos]) - np.maximum(x_a[rows], x_b[pos])
+    np.maximum(width, 0.0, out=width)
+    inter = width * height
+    union = (w_a * h_a)[rows] + (w_b * h_b)[pos] - inter
+    val = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+    # identical boxes can round to inter > union by a few ulps
+    np.minimum(val, 1.0, out=val)
     # a NaN min_iou admits nothing
     keep = val > 0.0 if min_iou <= 0.0 else val >= min_iou
-    rows, cols, val = rows[keep], cols[keep], val[keep]
+    rows, cols, val = rows[keep], by_left[pos[keep]], val[keep]
     order = np.lexsort((cols, rows, -val))
     used_rows: set[int] = set()
     used_cols: set[int] = set()

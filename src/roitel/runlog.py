@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Optional, TextIO, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, TextIO, Union
 
-from ._text import line_blocks, plain_ascii, text_file
+from ._text import line_blocks, text_file
 from .domain import BBox, BudgetConfig, FrameClock
 from .errors import ConfigError, InvalidParam, ParseError
 
@@ -172,14 +172,12 @@ def _class_line(ev: ClassEvent) -> str:
     return _CLASS_LINE % (frame, label, encode_basestring_ascii(source), t_s, track)
 
 
-def to_jsonl_lines(log: RunLog) -> list[str]:
-    """The log's lines: the header, then its tx records, then its class
-    events. Records must hold finite floats, as every run's do."""
-    return [
-        json.dumps(_header_obj(log), sort_keys=True),
-        *map(_tx_line, log.transmissions),
-        *map(_class_line, log.class_events),
-    ]
+def to_jsonl_lines(log: RunLog) -> Iterator[str]:
+    """An iterator over the log's lines, each formatted as it is read: the
+    header, then its tx records, then its class events. Records must hold
+    finite floats, as every run's do."""
+    header = json.dumps(_header_obj(log), sort_keys=True)
+    return chain((header,), map(_tx_line, log.transmissions), map(_class_line, log.class_events))
 
 
 _INT = frozenset({int})
@@ -432,13 +430,13 @@ def _finite(numbers) -> bool:
     return all(map(math.isfinite, numbers))
 
 
-def _block_records(block: str) -> Optional[tuple[list, list]]:
-    """The tx records and class events of ``block``, whole lines each
-    holding one record, or None where ``_read_lines`` might read them
-    otherwise. Each line must hold only spaces and tabs or exactly one JSON
-    value, from its first character to its last, so a value cut by a line
-    end does not decode and no line holds two."""
-    if not plain_ascii(block):
+def _block_records(block: str, plain: bool) -> Optional[tuple[list, list]]:
+    """The tx records and class events of a ``plain`` ``block``, whole
+    lines each holding one record, or None where ``_read_lines`` might read
+    them otherwise. Each line must hold only spaces and tabs or exactly one
+    JSON value, from its first character to its last, so a value cut by a
+    line end does not decode and no line holds two."""
+    if not plain:
         return None
     records = []
     for line in block.split("\n"):
@@ -485,19 +483,20 @@ def _block_records(block: str) -> Optional[tuple[list, list]]:
     return transmissions, class_events
 
 
-def _read_blocks(blocks: Iterable[tuple[int, str]]) -> RunLog:
+def _read_blocks(blocks: Iterable[tuple[int, str, bool]]) -> RunLog:
     """The log of the numbered blocks ``line_blocks`` gives. The line reader
     reads up to the header, the first line of more than whitespace; then a
     block goes to ``_block_records``, and alone to the line reader where that
-    gives None or fails. So only one block's text and dicts are held."""
+    gives None or fails. So only one block's text and dicts are held. The
+    rest of the header's block counts as plain only if all of it is."""
     log, header_no = None, 1
-    for line_no, block in blocks:
+    for line_no, block, plain in blocks:
         if log is None:
             cut = block.find("\n", len(block) - len(block.lstrip())) + 1 or len(block)
             log, header_no = _line_records(block[:cut], line_no, log, header_no)
             line_no, block = line_no + len(block[:cut].splitlines()), block[cut:]
         try:
-            records = None if log is None else _block_records(block)
+            records = None if log is None else _block_records(block, plain)
         except Exception:  # any failure leaves the verdict, and the error, to the line reader
             records = None
         if records is None:

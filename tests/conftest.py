@@ -208,7 +208,7 @@ def cross_check_runlog_reads(monkeypatch):
 
     def checked(blocks):
         blocks = list(blocks)
-        text = "".join(block for _, block in blocks)
+        text = "".join(block for _, block, _ in blocks)
         expected = read_outcome(lines, text)
         with monkeypatch.context() as patch:
             verdicts = block_verdicts(patch, runlog, "_block_records")

@@ -36,7 +36,7 @@ from roitel import (
     RunConfig,
     RunLog,
 )
-from roitel import ingest, kernels
+from roitel import _text, ingest, kernels, runlog
 from roitel.budget import estimate_cost
 from roitel.config import dump_config
 from roitel.engine import processed_frame_range
@@ -143,13 +143,29 @@ def iou(a: BBox, b: BBox) -> float:
     return min(inter / union, 1.0)
 
 
+def _pair_iou(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """IoU of row-aligned box pairs: intersection over union, 0.0 for
+    disjoint or touching boxes, at most 1.0."""
+    # x and y side by side: column 0 is the overlap width, column 1 the height
+    side = np.minimum(pa[:, :2] + pa[:, 2:], pb[:, :2] + pb[:, 2:])
+    # far-apart boxes can overflow to -inf here, which the clip makes 0
+    with np.errstate(over="ignore"):
+        side -= np.maximum(pa[:, :2], pb[:, :2])
+    np.maximum(side, 0.0, out=side)
+    inter = side[:, 0] * side[:, 1]
+    union = pa[:, 2] * pa[:, 3] + pb[:, 2] * pb[:, 3] - inter
+    val = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+    # identical boxes can round to inter > union by a few ulps
+    return np.minimum(val, 1.0, out=val)
+
+
 def pairwise_iou(boxes_a, boxes_b) -> np.ndarray:
     """Dense IoU matrix between two box sets, every pair through the
-    kernel's pair expression; rows index boxes_a, cols boxes_b."""
+    (N, 4) pair expression ``_pair_iou``; rows index boxes_a, cols boxes_b."""
     a = kernels.as_box_array(boxes_a)
     b = kernels.as_box_array(boxes_b)
     n, m = len(a), len(b)
-    return kernels._pair_iou(np.repeat(a, m, axis=0), np.tile(b, (n, 1))).reshape(n, m)
+    return _pair_iou(np.repeat(a, m, axis=0), np.tile(b, (n, 1))).reshape(n, m)
 
 
 def greedy_match(iou_matrix, min_iou: float) -> list[tuple[int, int]]:
@@ -701,6 +717,23 @@ def block_verdicts(monkeypatch, module, check: str) -> list[bool]:
 
     monkeypatch.setattr(module, check, recorded)
     return verdicts
+
+
+def plain_checks(monkeypatch) -> list[str]:
+    """Record the text of each ``plain_ascii`` call, through every module
+    of the package that holds a name for it, so that a reader that imports
+    it to check a block again is counted too."""
+    calls: list[str] = []
+    check = _text.plain_ascii
+
+    def recorded(text):
+        calls.append(text)
+        return check(text)
+
+    for module in (_text, ingest, runlog):
+        if hasattr(module, "plain_ascii"):
+            monkeypatch.setattr(module, "plain_ascii", recorded)
+    return calls
 
 
 class SizedReadsOnly(io.StringIO):

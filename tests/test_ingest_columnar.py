@@ -24,7 +24,7 @@ from roitel import (
     write_generic_csv,
 )
 from conftest import parse_outcome
-from helpers import SizedReadsOnly, block_verdicts, parse_rows
+from helpers import SizedReadsOnly, block_verdicts, parse_rows, plain_checks
 
 GENERIC, UAVDT, VISDRONE = ingest._GENERIC, ingest._UAVDT, ingest._VISDRONE
 
@@ -418,6 +418,16 @@ def test_a_doubtful_last_block_is_all_the_row_parser_reads(monkeypatch, tail):
     n = len(verdicts) // 2
     assert n > 10
     assert verdicts == 2 * ([True] * (n - 1) + [False])
+
+
+def test_each_block_of_a_detection_file_is_checked_for_plain_ascii_once(monkeypatch):
+    # line_blocks checks each block once, and the block check takes its verdict
+    monkeypatch.setattr(_text, "BLOCK", SMALL_BLOCK)
+    blocks = [numbered[1] for numbered in _text.line_blocks(_text.text_file(LONG))]
+    checks = plain_checks(monkeypatch)
+    parse_generic_csv(LONG)
+    assert len(blocks) > 10
+    assert checks == blocks
 
 
 def test_a_doubtful_block_keeps_the_line_numbers_of_the_whole_text(monkeypatch):

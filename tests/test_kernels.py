@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -82,6 +83,58 @@ def test_pairwise_iou_against_scalar(sets):
 def test_greedy_associate_equals_greedy_match_on_the_matrix(sets, min_iou):
     # walking only the admissible pairs gives the dense matrix's matching:
     # grid boxes tie on IoU, and min_iou = 0 admits disjoint pairs
+    a, b = sets
+    assert greedy_associate(a, b, min_iou) == greedy_match(pairwise_iou(a, b), min_iou)
+
+
+@st.composite
+def y_filter_cases(draw):
+    """Two box sets whose pairs sit on the edges of the height filter.
+
+    Each box of the first set gets partners in the second: ones that share
+    its x-span and touch or miss it in y, ones that share its y-span and
+    touch or miss it in x, ones of zero height on its edges and inside it,
+    and one that shares its x-span at the far end of the float range in y:
+    where the box itself sits near 1e308 or -1e308, their height overlap
+    overflows to -inf. Coordinates sit on a grid of halves, so a touching
+    edge gives an overlap of exactly 0.0.
+    """
+    grid = st.integers(-40, 40).map(lambda v: v / 2)
+    far = st.sampled_from([1e308, -1e308, 1.5e308, -1.7e308])
+    size = st.integers(1, 20).map(lambda v: v / 2)
+    a = draw(
+        st.lists(st.tuples(grid, st.one_of(grid, far), size, size), min_size=1, max_size=10)
+    )
+    b = []
+    for x, y, w, h in a:
+        gap = draw(st.sampled_from([0.0, 0.5, 3.0]))
+        b += draw(
+            st.lists(
+                st.sampled_from(
+                    [
+                        (x, y + h + gap, w, h),  # below, touching or apart
+                        (x, y - h - gap, w, h),  # above
+                        (x + w + gap, y, w, h),  # right of it
+                        (x - w - gap, y, w, h),  # left of it
+                        (x, y, w, 0.0),  # zero height on its top edge
+                        (x, y + h, w, 0.0),  # and on its bottom edge
+                        (x, y + h / 2, w, 0.0),  # and inside it
+                        (x, math.copysign(1.7e308, -y), w, h),  # far in y
+                        (x, y, w, h),  # identical
+                    ]
+                ),
+                max_size=4,
+            )
+        )
+    b += draw(st.lists(st.tuples(grid, grid, size, size), max_size=4))
+    return np.array(a), np.array(b).reshape(-1, 4)[draw(st.permutations(range(len(b))))]
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=80, deadline=None)
+@given(y_filter_cases(), st.sampled_from([-0.5, 0.0, 5e-324, 0.3, 1.0, float("nan")]))
+def test_greedy_associate_on_the_edges_of_the_height_filter(sets, min_iou):
+    # the filter drops only pairs whose IoU is 0.0, overflowing ones included
     a, b = sets
     assert greedy_associate(a, b, min_iou) == greedy_match(pairwise_iou(a, b), min_iou)
 

@@ -21,7 +21,7 @@ from roitel import (
 from roitel import _text, runlog
 from roitel.metrics import aggregate_run, emit_report
 from roitel.runlog import CLASS_SOURCE_STILL, CLASS_SOURCE_VIDEO, to_jsonl_lines
-from helpers import SizedReadsOnly, block_verdicts, json_lines, read_outcome
+from helpers import SizedReadsOnly, block_verdicts, json_lines, plain_checks, read_outcome
 
 
 def sample_log() -> RunLog:
@@ -674,7 +674,7 @@ def long_log() -> RunLog:
 def test_a_form_feed_in_the_last_block_sends_only_that_block_to_the_line_reader(
     monkeypatch, tail
 ):
-    lines = to_jsonl_lines(long_log())
+    lines = list(to_jsonl_lines(long_log()))
     text = "\n".join(lines) + "\n" + tail
     monkeypatch.setattr(_text, "BLOCK", 256)
     verdicts = block_verdicts(monkeypatch, runlog, "_block_records")
@@ -710,3 +710,14 @@ def test_accountability_error_is_at_the_header_line():
     with pytest.raises(ParseError, match="= 43 exceeds raw_candidates = 42") as exc:
         read_jsonl(text)
     assert exc.value.line_no == 3
+
+
+def test_each_block_of_a_log_is_checked_for_plain_ascii_once(monkeypatch):
+    # line_blocks checks each block once, and the block check takes its verdict
+    text = "\n".join(to_jsonl_lines(long_log())) + "\n"
+    monkeypatch.setattr(_text, "BLOCK", 256)
+    blocks = [numbered[1] for numbered in _text.line_blocks(_text.text_file(text))]
+    checks = plain_checks(monkeypatch)
+    assert read_jsonl(text) == long_log()
+    assert len(blocks) > 10
+    assert checks == blocks
