@@ -147,6 +147,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """Schedule, aggregate and write one variant at a time, so the peak
+    follows the largest log and not the number of variants. Each log is
+    written under a temporary name and dropped; only its report is kept.
+    The logs take their names only once the last variant has succeeded,
+    so a sweep that fails leaves no log of its own and no earlier sweep's
+    log changed."""
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     if not variants:
         raise ConfigError("sweep needs at least one variant")
@@ -157,11 +163,23 @@ def cmd_sweep(args) -> int:
     sidecar = _parse_sidecar(args)
 
     results = engine.sweep(stream, sidecar, cfg, variants)
-    # every log is aggregated before any is written, so a refusal writes nothing
-    reports = [(v, metrics.aggregate_run(log, cfg.eval.lambda_cls)) for v, log in results]
     out_dir = Path(args.out_dir)
-    for variant, log in results:
-        _write_lines(out_dir / f"runlog_{variant}.jsonl", runlog.to_jsonl_lines(log))
+    reports = []
+    written: list[tuple[Path, Path]] = []  # (temporary name, final name)
+    try:
+        for variant, log in results:
+            reports.append((variant, metrics.aggregate_run(log, cfg.eval.lambda_cls)))
+            final = out_dir / f"runlog_{variant}.jsonl"
+            part = final.with_name(f".{final.name}.part")
+            written.append((part, final))
+            _write_lines(part, runlog.to_jsonl_lines(log))
+            del log  # before the next variant is scheduled
+        for part, final in written:
+            part.replace(final)
+    except BaseException:
+        for part, _ in written:
+            part.unlink(missing_ok=True)
+        raise
 
     echo = config_mod.dump_config(cfg)
     fmt = args.report_format
@@ -172,7 +190,7 @@ def cmd_sweep(args) -> int:
 
     sys.stdout.write(report_text)
     sys.stdout.write(selection_text)
-    print(f"wrote {len(results)} run logs under {out_dir}", file=sys.stderr)
+    print(f"wrote {len(reports)} run logs under {out_dir}", file=sys.stderr)
     return 0
 
 

@@ -7,8 +7,9 @@ stream's columns and hands each frame with rows on as NumPy columns. The
 scheduling pass scores a frame's rows as one block, asks the policy for
 selections against a rolling budget ledger, and records every
 transmission plus the per-track class timeline. ``sweep`` associates
-once and schedules every variant over the same columns. Runs are strictly
-sequential and deterministic for fixed inputs.
+once and schedules every variant over the same columns, one variant at a
+time as its caller asks. Runs are strictly sequential and deterministic
+for fixed inputs.
 """
 
 from __future__ import annotations
@@ -254,13 +255,16 @@ def sweep(
     sidecar: Optional[SemanticSidecar],
     base_cfg: RunConfig,
     policy_variants: list[Union[str, PolicyConfig]],
-) -> list[tuple[str, RunLog]]:
+) -> Iterator[tuple[str, RunLog]]:
     """Run several policies over the identical stream and budget regime.
 
-    Results follow the input order. The stream is associated once and every
-    variant is scheduled over the same rows with a fresh ledger; each log
-    equals what ``run`` gives for that variant alone. The shared stream and
-    sidecar are never mutated.
+    The variant list is checked, and the stream associated once, when
+    ``sweep`` is called. It then returns an iterator that schedules each
+    variant only when asked, with a fresh ledger, and yields
+    ``(variant, log)`` in input order; each log equals what ``run`` gives
+    for that variant alone. The iterator keeps no log it has yielded, so a
+    consumer that drops each log in turn holds one at a time. The shared
+    stream and sidecar are never mutated.
     """
     if not policy_variants:
         raise InvalidParam("policy_variants must be nonempty")
@@ -270,4 +274,4 @@ def sweep(
             pol = replace(base_cfg.policy, variant=pol)
         cfgs.append(replace(base_cfg, policy=pol))
     frames = list(associate(stream, sidecar, base_cfg.clock, base_cfg.tracker, base_cfg.cost))
-    return [(cfg.policy.variant, _schedule(frames, stream, cfg)) for cfg in cfgs]
+    return ((cfg.policy.variant, _schedule(frames, stream, cfg)) for cfg in cfgs)

@@ -3,12 +3,23 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import roitel
-from roitel import FrameClock, _text, cli, gen_synthetic, ingest, read_jsonl, runlog
+from roitel import (
+    FrameClock,
+    _text,
+    cli,
+    engine,
+    gen_synthetic,
+    ingest,
+    metrics,
+    read_jsonl,
+    runlog,
+)
 from roitel.cli import main
 from roitel.metrics import REPORT_COLUMNS
 from helpers import block_verdicts
@@ -742,6 +753,85 @@ def test_a_sweep_that_cannot_aggregate_writes_no_log(tmp_path, capsys):
     assert err == "error: cannot derive a duration from fewer than two processed frames; " \
         "set eval.duration_s\n"
     assert not out_dir.exists()
+
+
+#: A sweep whose last variant fails after the first one's log is written:
+#: in scheduling (M3 without its threshold), and in aggregation (M5's rate
+#: over a duration of 1e-320 is inf), with the error each exits on.
+LAST_VARIANT_FAILS = {
+    "scheduling": (["--variants", "M0,M3"], "error: policy M3 requires conf_threshold\n"),
+    "aggregation": (
+        [
+            "--variants",
+            "M0,M5",
+            "--set",
+            "eval.duration_s=1e-320",
+            "--set",
+            "policy.score_threshold=0",
+        ],
+        "error: roi_rate_hz = inf is not finite for duration_s = 1e-320\n",
+    ),
+}
+
+
+def dir_bytes(path):
+    """Each file's bytes by name, hidden files included; none if ``path``
+    does not exist."""
+    return {p.name: p.read_bytes() for p in path.iterdir()} if path.exists() else {}
+
+
+@pytest.mark.parametrize("earlier_sweep", [False, True])
+@pytest.mark.parametrize("stage", sorted(LAST_VARIANT_FAILS))
+def test_a_sweep_whose_last_variant_fails_leaves_no_log(
+    tmp_path, detections_csv, capsys, stage, earlier_sweep
+):
+    extra, error = LAST_VARIANT_FAILS[stage]
+    out_dir = tmp_path / "o"
+    if earlier_sweep:
+        # its runlog_M0.jsonl echoes another config than the failing sweep's
+        assert run_sweep(out_dir, detections_csv) == 0
+        capsys.readouterr()
+    before = dir_bytes(out_dir)
+    argv = ["sweep", "--input", str(detections_csv), *extra, "--out-dir", str(out_dir)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == error
+    assert dir_bytes(out_dir) == before
+
+
+def test_an_interrupted_sweep_leaves_no_log(tmp_path, detections_csv, monkeypatch):
+    aggregate_run = metrics.aggregate_run
+    calls = []
+
+    def interrupted_on_the_last_variant(log, lambda_cls):
+        calls.append(log.variant)
+        if log.variant == "M5":
+            raise KeyboardInterrupt
+        return aggregate_run(log, lambda_cls)
+
+    monkeypatch.setattr(metrics, "aggregate_run", interrupted_on_the_last_variant)
+    out_dir = tmp_path / "o"
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(out_dir, detections_csv)
+    assert calls == ["M0", "M2", "M5"]
+    assert dir_bytes(out_dir) == {}
+
+
+def test_a_sweep_drops_each_log_before_the_next_variant_is_scheduled(
+    tmp_path, detections_csv, monkeypatch
+):
+    schedule = engine._schedule
+    scheduled = []  # a weak reference to each log scheduled so far
+    alive_when_scheduled = []
+
+    def tracked(frames, stream, cfg):
+        alive_when_scheduled.append([ref() is not None for ref in scheduled])
+        log = schedule(frames, stream, cfg)
+        scheduled.append(weakref.ref(log))
+        return log
+
+    monkeypatch.setattr(engine, "_schedule", tracked)
+    assert run_sweep(tmp_path / "o", detections_csv) == 0
+    assert alive_when_scheduled == [[], [False], [False, False]]
 
 
 # --- report -------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import weakref
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -391,7 +392,7 @@ def test_still_event_emitted_when_label_differs():
 
 def test_sweep_runs_share_the_stream():
     stream = synthetic()
-    results = sweep(stream, None, low_regime_cfg("M5"), ["M0", "M2", "M5"])
+    results = list(sweep(stream, None, low_regime_cfg("M5"), ["M0", "M2", "M5"]))
     assert [name for name, _ in results] == ["M0", "M2", "M5"]
     raw_counts = {log.raw_candidate_count for _, log in results}
     assert len(raw_counts) == 1  # identical tracking workload per variant
@@ -399,11 +400,13 @@ def test_sweep_runs_share_the_stream():
 
 
 def test_sweep_accepts_policy_configs():
-    results = sweep(
-        synthetic(),
-        None,
-        low_regime_cfg("M5"),
-        ["M0", PolicyConfig(variant="M3", conf_threshold=0.5)],
+    results = list(
+        sweep(
+            synthetic(),
+            None,
+            low_regime_cfg("M5"),
+            ["M0", PolicyConfig(variant="M3", conf_threshold=0.5)],
+        )
     )
     assert [name for name, _ in results] == ["M0", "M3"]
     assert results[1][1].config_echo["policy.variant"] == "M3"
@@ -423,7 +426,7 @@ def test_sweep_rejects_empty_variant_list():
 
 def test_sweep_variant_string_inherits_base_policy_params():
     base = low_regime_cfg("M5", cooldown_frames=7)
-    results = sweep(synthetic(), None, base, ["M1"])
+    results = list(sweep(synthetic(), None, base, ["M1"]))
     assert results[0][1].config_echo["policy.cooldown_frames"] == "7"
 
 
@@ -470,7 +473,7 @@ def sweep_case(use_hints: bool):
 @pytest.mark.parametrize("use_hints", [False, True])
 def test_sweep_matches_sequential_runs(use_hints):
     stream, sidecar, base = sweep_case(use_hints)
-    swept = sweep(stream, sidecar, base, list(POLICY_VARIANTS))
+    swept = list(sweep(stream, sidecar, base, list(POLICY_VARIANTS)))
     assert [name for name, _ in swept] == list(POLICY_VARIANTS)
     for variant, log in swept:
         alone = run(stream, sidecar, replace(base, policy=replace(base.policy, variant=variant)))
@@ -494,8 +497,30 @@ def test_sweep_associates_once(monkeypatch):
 
     monkeypatch.setattr(engine, "Tracker", CountingTracker)
     stream, sidecar, base = sweep_case(False)
-    results = sweep(stream, sidecar, base, list(POLICY_VARIANTS))
+    results = list(sweep(stream, sidecar, base, list(POLICY_VARIANTS)))
     assert steps == list(results[0][1].processed_frame_indices)
+
+
+def test_sweep_schedules_each_variant_after_the_last_log_is_dropped(monkeypatch):
+    schedule = engine._schedule
+    yielded = []  # a weak reference to each log the sweep has yielded
+    alive_when_scheduled = []
+
+    def schedule_after_drop(frames, stream, cfg):
+        alive_when_scheduled.append([ref() is not None for ref in yielded])
+        return schedule(frames, stream, cfg)
+
+    monkeypatch.setattr(engine, "_schedule", schedule_after_drop)
+    stream, sidecar, base = sweep_case(False)
+    results = sweep(stream, sidecar, base, ["M0", "M4", "M5"])
+    assert alive_when_scheduled == []  # nothing is scheduled until asked
+    variants = []
+    for variant, log in results:
+        variants.append(variant)
+        yielded.append(weakref.ref(log))
+        del log
+    assert variants == ["M0", "M4", "M5"]
+    assert alive_when_scheduled == [[], [False], [False, False]]
 
 
 #: sha256 of each run log of ``sweep_case`` swept over every variant, as
@@ -861,5 +886,5 @@ def test_random_sweeps_match_the_scalar_pass(seed, stride, int_boxes, policy, b_
         clock=clock,
         budget=BudgetConfig(b_total=0.8e6, b_video=0.65e6, b_roi=b_roi, window_s=2.0),
     )
-    logs = sweep(stream, None, base, list(POLICY_VARIANTS))
+    logs = list(sweep(stream, None, base, list(POLICY_VARIANTS)))
     assert len(logs) == len(POLICY_VARIANTS)
