@@ -160,9 +160,8 @@ def cmd_sweep(args) -> int:
     if repeated:
         raise ConfigError(f"sweep lists variant {repeated[0]!r} more than once")
     cfg, stream = _load_run_inputs(args)
-    sidecar = _parse_sidecar(args)
-
-    results = engine.sweep(stream, sidecar, cfg, variants)
+    # the sidecar is not kept: the associated frames hold its matched records
+    results = engine.sweep(stream, _parse_sidecar(args), cfg, variants)
     out_dir = Path(args.out_dir)
     reports = []
     written: list[tuple[Path, Path]] = []  # (temporary name, final name)
@@ -195,6 +194,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
+    """Aggregate each run log as it is read and drop it before the next
+    is read, so the peak follows the largest log and not their number."""
     labels = [s.strip() for s in args.labels.split(",")] if args.labels else None
     if labels and len(labels) != len(args.runlogs):
         raise ConfigError(
@@ -217,6 +218,7 @@ def cmd_report(args) -> int:
         if echo is None:
             echo = log.config_echo
         reports.append((labels[i] if labels else log.variant, rep))
+        del log  # before the next log is read
     text = metrics.emit_report(reports, args.report_format, config_echo=echo)
     if args.out:
         _write_text(Path(args.out), text)

@@ -143,14 +143,11 @@ class DetectionStream:
 
 
 class _BoxRows(SequenceABC):
-    """Row ``i``'s ``BBox`` of an (N, 4) box array, built when first asked
-    for and kept, so every reader of the row shares one object. A slice is
-    the rows of a slice of the array; iterating builds every row's box
-    without keeping it."""
+    """Row ``i``'s ``BBox`` of an (N, 4) box array, built each time it is
+    asked for and not kept. A slice is the rows of a slice of the array."""
 
     def __init__(self, boxes: np.ndarray):
         self._boxes = boxes
-        self._made: dict[int, BBox] = {}
 
     def __len__(self) -> int:
         return len(self._boxes)
@@ -158,10 +155,7 @@ class _BoxRows(SequenceABC):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return _BoxRows(self._boxes[i])
-        box = self._made.get(i)
-        if box is None:
-            box = self._made[i] = BBox(*self._boxes[i].tolist())
-        return box
+        return BBox(*self._boxes[i].tolist())
 
     def __iter__(self):
         return (BBox(*box) for box in self._boxes.tolist())
@@ -180,9 +174,9 @@ class FrameDetections:
     """Detections as columns, row for row in stream order: one frame's, the
     form the tracker and the association pass read, or a whole stream's
     (``frame_index`` None), which a frame's block is a slice of. ``BBox``
-    objects are kept in ``bboxes`` when the rows were packed from them, and
-    built when first asked for otherwise; ``Detection`` objects are built
-    each time they are asked for."""
+    objects are kept in ``bboxes`` when the rows were packed from them;
+    otherwise they, like ``Detection`` objects, are built each time they
+    are asked for."""
 
     frame_index: Optional[int]
     boxes: np.ndarray  # (N, 4) float64: x, y, w, h

@@ -71,7 +71,7 @@ class FrameColumns:
 
     Each fact is held once. ``bboxes`` are the stream's own boxes, so a
     record built from a row keeps their number types; a parsed stream builds
-    a row's box when it is first read. The association pass builds this
+    a row's box each time it is read. The association pass builds this
     once per frame, and every variant of a sweep reads it.
     """
 

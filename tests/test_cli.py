@@ -816,22 +816,41 @@ def test_an_interrupted_sweep_leaves_no_log(tmp_path, detections_csv, monkeypatc
     assert dir_bytes(out_dir) == {}
 
 
-def test_a_sweep_drops_each_log_before_the_next_variant_is_scheduled(
-    tmp_path, detections_csv, monkeypatch
-):
-    schedule = engine._schedule
-    scheduled = []  # a weak reference to each log scheduled so far
+def test_a_sweep_drops_each_log_before_the_next_variant_is_scheduled(tmp_path, monkeypatch):
+    """Nor does it keep an earlier log's boxes or the parsed sidecar: a
+    parsed stream builds a transmitted row's box for that log alone, and
+    only the matched records outlive the association pass."""
+    parse_sidecar, schedule = cli._parse_sidecar, engine._schedule
+    sidecars = []  # a weak reference to the parsed sidecar
+    scheduled = []  # weak references to each log scheduled so far and to its boxes
     alive_when_scheduled = []
 
+    def parsed(args):
+        sidecar = parse_sidecar(args)
+        sidecars.append(weakref.ref(sidecar))
+        return sidecar
+
     def tracked(frames, stream, cfg):
-        alive_when_scheduled.append([ref() is not None for ref in scheduled])
+        alive_when_scheduled.append(
+            (
+                [ref() is not None for ref in sidecars],
+                [(log() is not None, any(box() for box in boxes)) for log, boxes in scheduled],
+            )
+        )
         log = schedule(frames, stream, cfg)
-        scheduled.append(weakref.ref(log))
+        scheduled.append((weakref.ref(log), [weakref.ref(t.bbox) for t in log.transmissions]))
         return log
 
+    monkeypatch.setattr(cli, "_parse_sidecar", parsed)
     monkeypatch.setattr(engine, "_schedule", tracked)
-    assert run_sweep(tmp_path / "o", detections_csv) == 0
-    assert alive_when_scheduled == [[], [False], [False, False]]
+    dets, side = hintless_csv_and_sidecar(tmp_path)
+    assert run_sweep(tmp_path / "o", dets, "--sidecar", str(side)) == 0
+    assert all(boxes for _, boxes in scheduled[1:])  # M0 transmits nothing
+    assert alive_when_scheduled == [
+        ([False], []),
+        ([False], [(False, False)]),
+        ([False], [(False, False), (False, False)]),
+    ]
 
 
 # --- report -------------------------------------------------------------------
@@ -854,6 +873,25 @@ def test_report_reaggregates_run_logs(tmp_path, detections_csv, capsys):
     assert lines[0] == ",".join(REPORT_COLUMNS)
     assert lines[1].startswith("M2,")
     assert lines[2].startswith("M5,")
+
+
+def test_report_drops_each_log_before_the_next_is_read(tmp_path, detections_csv, monkeypatch):
+    out_dir = tmp_path / "sweep"
+    assert run_sweep(out_dir, detections_csv) == 0
+    read = runlog.read_jsonl
+    returned = []  # a weak reference to each log read so far
+    alive_when_read = []
+
+    def tracked(fp):
+        alive_when_read.append([ref() is not None for ref in returned])
+        log = read(fp)
+        returned.append(weakref.ref(log))
+        return log
+
+    monkeypatch.setattr(runlog, "read_jsonl", tracked)
+    logs = [str(out_dir / f"runlog_{v}.jsonl") for v in ("M0", "M2", "M5")]
+    assert main(["report", *logs]) == 0
+    assert alive_when_read == [[], [False], [False, False]]
 
 
 def test_report_rows_match_simulate_report(tmp_path, detections_csv, capsys):
