@@ -125,11 +125,8 @@ def _report_paths(out_dir: Path, fmt: str) -> Path:
 
 def cmd_simulate(args) -> int:
     cfg, stream = _load_run_inputs(args)
-    sidecar = _parse_sidecar(args)
-    echo = config_mod.dump_config(cfg)
-
-    log = engine.run(stream, sidecar, cfg)
-    rep = metrics.aggregate_run(log, cfg.eval.lambda_cls)
+    log = engine.run(stream, _parse_sidecar(args), cfg)
+    rep = metrics.aggregate_run(log)
 
     out_dir = Path(args.out_dir)
     log_path = out_dir / "runlog.jsonl"
@@ -137,7 +134,7 @@ def cmd_simulate(args) -> int:
     report_path = _report_paths(out_dir, args.report_format)
     _write_text(
         report_path,
-        metrics.emit_report([(log.variant, rep)], args.report_format, config_echo=echo),
+        metrics.emit_report([(log.variant, rep)], args.report_format, config_echo=log.config_echo),
     )
 
     for column, value in zip(metrics.REPORT_COLUMNS, metrics.report_row(log.variant, rep)):
@@ -160,14 +157,15 @@ def cmd_sweep(args) -> int:
     if repeated:
         raise ConfigError(f"sweep lists variant {repeated[0]!r} more than once")
     cfg, stream = _load_run_inputs(args)
-    # the sidecar is not kept: the associated frames hold its matched records
+    # neither input is kept: the associated frames hold what scheduling reads
     results = engine.sweep(stream, _parse_sidecar(args), cfg, variants)
+    del stream
     out_dir = Path(args.out_dir)
     reports = []
     written: list[tuple[Path, Path]] = []  # (temporary name, final name)
     try:
         for variant, log in results:
-            reports.append((variant, metrics.aggregate_run(log, cfg.eval.lambda_cls)))
+            reports.append((variant, metrics.aggregate_run(log)))
             final = out_dir / f"runlog_{variant}.jsonl"
             part = final.with_name(f".{final.name}.part")
             written.append((part, final))
@@ -196,8 +194,10 @@ def cmd_sweep(args) -> int:
 def cmd_report(args) -> int:
     """Aggregate each run log as it is read and drop it before the next
     is read, so the peak follows the largest log and not their number."""
-    labels = [s.strip() for s in args.labels.split(",")] if args.labels else None
-    if labels and len(labels) != len(args.runlogs):
+    labels = None if args.labels is None else [s.strip() for s in args.labels.split(",")]
+    if labels is not None and "" in labels:
+        raise ConfigError(f"--labels holds an empty label: {args.labels!r}")
+    if labels is not None and len(labels) != len(args.runlogs):
         raise ConfigError(
             f"--labels names {len(labels)} runs but {len(args.runlogs)} logs were given"
         )
@@ -209,15 +209,12 @@ def cmd_report(args) -> int:
         with _open_text(path) as fp:
             try:
                 log = runlog.read_jsonl(fp)
-                lambda_cls = config_mod.parse_value(
-                    "eval.lambda_cls", log.config_echo.get("eval.lambda_cls", "none")
-                )
-                rep = metrics.aggregate_run(log, lambda_cls)
+                rep = metrics.aggregate_run(log)
             except RoitelError as err:
                 raise RoitelError(f"{path}: {err}") from err
         if echo is None:
             echo = log.config_echo
-        reports.append((labels[i] if labels else log.variant, rep))
+        reports.append((log.variant if labels is None else labels[i], rep))
         del log  # before the next log is read
     text = metrics.emit_report(reports, args.report_format, config_echo=echo)
     if args.out:

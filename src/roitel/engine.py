@@ -124,7 +124,7 @@ def _grown(table: np.ndarray, size: int, fill: int) -> np.ndarray:
 
 def _schedule(
     frames: Iterable[tuple[int, float, policy_mod.FrameColumns]],
-    stream: DetectionStream,
+    span: tuple[Optional[int], Optional[int]],
     cfg: RunConfig,
 ) -> RunLog:
     """Scheduling pass: everything that depends on the policy.
@@ -132,7 +132,8 @@ def _schedule(
     Per-track state lives in arrays indexed by track id: the last frame a
     track was refined on and the class label (and its source) downstream
     assumes for it. Records are built straight from the block rows the
-    policy selects. The log echoes ``dump_config(cfg)``. Every frame has rows.
+    policy selects. The log echoes ``dump_config(cfg)``. Every frame has
+    rows; of the stream, only its ``(first_frame, last_frame)`` span is read.
     """
     log = RunLog(
         variant=cfg.policy.variant,
@@ -146,11 +147,8 @@ def _schedule(
         duration_s=cfg.eval.duration_s,
         config_echo=dump_config(cfg),
     )
-    log.first_frame = stream.first_frame
-    log.last_frame = stream.last_frame
-    log.processed_frame_indices = tuple(
-        processed_frame_range(stream.first_frame, stream.last_frame, cfg.clock.frame_stride)
-    )
+    log.first_frame, log.last_frame = span
+    log.processed_frame_indices = tuple(processed_frame_range(*span, cfg.clock.frame_stride))
 
     ledger = BudgetLedger(cfg.budget.b_roi, cfg.budget.window_s)
     last_refined = np.empty(0, dtype=np.int64)
@@ -247,7 +245,7 @@ def run(
 ) -> RunLog:
     """Simulate one policy over one stream. Empty streams yield empty logs."""
     frames = associate(stream, sidecar, cfg.clock, cfg.tracker, cfg.cost)
-    return _schedule(frames, stream, cfg)
+    return _schedule(frames, (stream.first_frame, stream.last_frame), cfg)
 
 
 def sweep(
@@ -263,8 +261,8 @@ def sweep(
     variant only when asked, with a fresh ledger, and yields
     ``(variant, log)`` in input order; each log equals what ``run`` gives
     for that variant alone. The iterator keeps no log it has yielded, so a
-    consumer that drops each log in turn holds one at a time. The shared
-    stream and sidecar are never mutated.
+    consumer that drops each log in turn holds one at a time. It mutates
+    neither input and keeps only the associated frames and the span.
     """
     if not policy_variants:
         raise InvalidParam("policy_variants must be nonempty")
@@ -273,5 +271,6 @@ def sweep(
         if not isinstance(pol, PolicyConfig):
             pol = replace(base_cfg.policy, variant=pol)
         cfgs.append(replace(base_cfg, policy=pol))
+    span = (stream.first_frame, stream.last_frame)
     frames = list(associate(stream, sidecar, base_cfg.clock, base_cfg.tracker, base_cfg.cost))
-    return ((cfg.policy.variant, _schedule(frames, stream, cfg)) for cfg in cfgs)
+    return ((cfg.policy.variant, _schedule(frames, span, cfg)) for cfg in cfgs)

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from .config import parse_value
 from .errors import DuplicateLabel, InvalidParam
 from .runlog import RunLog
 
@@ -164,8 +165,9 @@ def aggregate(
     return report
 
 
-def aggregate_run(log: RunLog, lambda_cls: Optional[float] = None) -> MetricsReport:
-    """Aggregate with base bitrate and duration taken from the log itself."""
+def aggregate_run(log: RunLog) -> MetricsReport:
+    """Aggregate with base bitrate, duration and ``eval.lambda_cls`` from the log."""
+    lambda_cls = parse_value("eval.lambda_cls", log.config_echo.get("eval.lambda_cls", "none"))
     return aggregate(log, log.base_bitrate_bps, derive_duration(log), lambda_cls)
 
 

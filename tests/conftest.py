@@ -137,11 +137,11 @@ def cross_check_association(monkeypatch):
     monkeypatch.setattr(engine, "associate", checked)
 
 
-def schedule_outcome(schedule, frames, stream, cfg):
+def schedule_outcome(schedule, frames, span, cfg):
     """What one scheduling pass gives: the log, in forms that tell -0.0
     from 0.0, 1 from 1.0 and a NumPy scalar from a float, or the error."""
     try:
-        log = schedule(frames(), stream, cfg)
+        log = schedule(frames(), span, cfg)
     except Exception as err:  # compared, then re-raised by the caller
         return (type(err), str(err)), err
     return (repr(log), "\n".join(to_jsonl_lines(log))), log
@@ -154,7 +154,7 @@ def cross_check_scheduling(monkeypatch):
     replayed to both passes up to any error the association pass raised."""
     columnar = engine._schedule
 
-    def checked(frames, stream, cfg):
+    def checked(frames, span, cfg):
         seen, failure = [], None
         try:
             for frame in frames:
@@ -167,8 +167,8 @@ def cross_check_scheduling(monkeypatch):
             if failure is not None:
                 raise failure
 
-        expected, _ = schedule_outcome(scalar_schedule, replay, stream, cfg)
-        got, result = schedule_outcome(columnar, replay, stream, cfg)
+        expected, _ = schedule_outcome(scalar_schedule, replay, span, cfg)
+        got, result = schedule_outcome(columnar, replay, span, cfg)
         assert got == expected
         if isinstance(result, Exception):
             raise result

@@ -514,8 +514,11 @@ class RefLedger:
         self._bits.append(bits)
 
 
-def scalar_schedule(frames, stream: DetectionStream, cfg: RunConfig) -> RunLog:
-    """The scheduling pass over ``engine.associate``'s frames, row by row."""
+def scalar_schedule(
+    frames, span: tuple[Optional[int], Optional[int]], cfg: RunConfig
+) -> RunLog:
+    """The scheduling pass over ``engine.associate``'s frames and the
+    stream's ``(first_frame, last_frame)`` span, row by row."""
     log = RunLog(
         variant=cfg.policy.variant,
         clock=cfg.clock,
@@ -528,13 +531,10 @@ def scalar_schedule(frames, stream: DetectionStream, cfg: RunConfig) -> RunLog:
         duration_s=cfg.eval.duration_s,
         config_echo=dump_config(cfg),
     )
-    log.first_frame = stream.first_frame
-    log.last_frame = stream.last_frame
+    log.first_frame, log.last_frame = span
     # the association pass hands on only frames with rows; the log lists
     # every processed frame of the span
-    log.processed_frame_indices = tuple(
-        processed_frame_range(stream.first_frame, stream.last_frame, cfg.clock.frame_stride)
-    )
+    log.processed_frame_indices = tuple(processed_frame_range(*span, cfg.clock.frame_stride))
 
     ledger = RefLedger(cfg.budget.b_roi, cfg.budget.window_s)
     last_refined: dict[int, int] = {}

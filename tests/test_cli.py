@@ -802,11 +802,11 @@ def test_an_interrupted_sweep_leaves_no_log(tmp_path, detections_csv, monkeypatc
     aggregate_run = metrics.aggregate_run
     calls = []
 
-    def interrupted_on_the_last_variant(log, lambda_cls):
+    def interrupted_on_the_last_variant(log):
         calls.append(log.variant)
         if log.variant == "M5":
             raise KeyboardInterrupt
-        return aggregate_run(log, lambda_cls)
+        return aggregate_run(log)
 
     monkeypatch.setattr(metrics, "aggregate_run", interrupted_on_the_last_variant)
     out_dir = tmp_path / "o"
@@ -817,39 +817,46 @@ def test_an_interrupted_sweep_leaves_no_log(tmp_path, detections_csv, monkeypatc
 
 
 def test_a_sweep_drops_each_log_before_the_next_variant_is_scheduled(tmp_path, monkeypatch):
-    """Nor does it keep an earlier log's boxes or the parsed sidecar: a
-    parsed stream builds a transmitted row's box for that log alone, and
-    only the matched records outlive the association pass."""
-    parse_sidecar, schedule = cli._parse_sidecar, engine._schedule
-    sidecars = []  # a weak reference to the parsed sidecar
+    """Nor does it keep an earlier log's boxes, the parsed stream or the
+    parsed sidecar: a parsed stream builds a transmitted row's box for that
+    log alone, and only the associated frames outlive the association pass."""
+    parse_stream, parse_sidecar = ingest.parse_generic_csv, cli._parse_sidecar
+    schedule = engine._schedule
+    inputs = []  # weak references to the parsed stream and the parsed sidecar
     scheduled = []  # weak references to each log scheduled so far and to its boxes
     alive_when_scheduled = []
 
-    def parsed(args):
+    def parsed_stream(source, errors_out=None):
+        stream = parse_stream(source, errors_out=errors_out)
+        inputs.append(weakref.ref(stream))
+        return stream
+
+    def parsed_sidecar(args):
         sidecar = parse_sidecar(args)
-        sidecars.append(weakref.ref(sidecar))
+        inputs.append(weakref.ref(sidecar))
         return sidecar
 
-    def tracked(frames, stream, cfg):
+    def tracked(frames, span, cfg):
         alive_when_scheduled.append(
             (
-                [ref() is not None for ref in sidecars],
+                [ref() is not None for ref in inputs],
                 [(log() is not None, any(box() for box in boxes)) for log, boxes in scheduled],
             )
         )
-        log = schedule(frames, stream, cfg)
+        log = schedule(frames, span, cfg)
         scheduled.append((weakref.ref(log), [weakref.ref(t.bbox) for t in log.transmissions]))
         return log
 
-    monkeypatch.setattr(cli, "_parse_sidecar", parsed)
+    monkeypatch.setattr(ingest, "parse_generic_csv", parsed_stream)
+    monkeypatch.setattr(cli, "_parse_sidecar", parsed_sidecar)
     monkeypatch.setattr(engine, "_schedule", tracked)
     dets, side = hintless_csv_and_sidecar(tmp_path)
     assert run_sweep(tmp_path / "o", dets, "--sidecar", str(side)) == 0
     assert all(boxes for _, boxes in scheduled[1:])  # M0 transmits nothing
     assert alive_when_scheduled == [
-        ([False], []),
-        ([False], [(False, False)]),
-        ([False], [(False, False), (False, False)]),
+        ([False, False], []),
+        ([False, False], [(False, False)]),
+        ([False, False], [(False, False), (False, False)]),
     ]
 
 
@@ -946,6 +953,57 @@ def test_report_label_count_mismatch(tmp_path, detections_csv, capsys):
     rc = main(["report", str(out_dir / "runlog_M2.jsonl"), "--labels", "a,b"])
     assert rc == 1
     assert "--labels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("labels", ["x,", " ", "", "a, ,b"])
+def test_report_refuses_an_empty_label_before_reading_a_log(
+    tmp_path, detections_csv, capsys, monkeypatch, labels
+):
+    out_dir = tmp_path / "sweep"
+    assert run_sweep(out_dir, detections_csv) == 0
+    capsys.readouterr()
+    read = []
+    monkeypatch.setattr(runlog, "read_jsonl", read.append)
+    logs = [str(out_dir / f"runlog_{v}.jsonl") for v in ("M0", "M2", "M5")]
+    assert main(["report", *logs[: len(labels.split(","))], "--labels", labels]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "",
+        f"error: --labels holds an empty label: {labels!r}\n",
+    )
+    assert read == []
+
+
+def test_eval_lambda_cls_reaches_every_report(tmp_path, capsys):
+    """A non-default weight runs through ``simulate``, ``sweep`` and
+    ``report``: each gives the proxy that ``aggregate`` gives at that weight."""
+    dets, side = hintless_csv_and_sidecar(tmp_path)
+    inputs = ["--input", str(dets), "--sidecar", str(side), "--report-format", "json"]
+    settings = ["--set", "policy.score_threshold=0.0", "--set", "eval.lambda_cls=0.5"]
+    sim, swp = tmp_path / "sim", tmp_path / "sweep"
+    assert main(["simulate", *inputs, *settings, "--out-dir", str(sim)]) == 0
+    assert main(["sweep", *inputs, *settings, "--variants", "M2,M5", "--out-dir", str(swp)]) == 0
+
+    def proxies(report_text):
+        return [row["extra"]["combined_utility_proxy"] for row in json.loads(report_text)["rows"]]
+
+    runs = [
+        (sim / "report.json", [sim / "runlog.jsonl"]),
+        (swp / "report.json", [swp / "runlog_M2.jsonl", swp / "runlog_M5.jsonl"]),
+    ]
+    for written, logs in runs:
+        capsys.readouterr()
+        assert main(["report", *map(str, logs), "--report-format", "json"]) == 0
+        assert proxies(capsys.readouterr().out) == proxies(written.read_text())
+        expected = []
+        for path in logs:
+            log = read_jsonl(path.read_text())
+            rep = metrics.aggregate(
+                log, log.base_bitrate_bps, metrics.derive_duration(log), lambda_cls=0.5
+            )
+            assert rep.semantic_count > 0
+            expected.append(rep.combined_utility)
+        assert proxies(written.read_text()) == expected
 
 
 def test_report_duplicate_default_labels(tmp_path, detections_csv, capsys):

@@ -506,9 +506,9 @@ def test_sweep_schedules_each_variant_after_the_last_log_is_dropped(monkeypatch)
     yielded = []  # a weak reference to each log the sweep has yielded
     alive_when_scheduled = []
 
-    def schedule_after_drop(frames, stream, cfg):
+    def schedule_after_drop(frames, span, cfg):
         alive_when_scheduled.append([ref() is not None for ref in yielded])
-        return schedule(frames, stream, cfg)
+        return schedule(frames, span, cfg)
 
     monkeypatch.setattr(engine, "_schedule", schedule_after_drop)
     stream, sidecar, base = sweep_case(False)
@@ -521,6 +521,19 @@ def test_sweep_schedules_each_variant_after_the_last_log_is_dropped(monkeypatch)
         del log
     assert variants == ["M0", "M4", "M5"]
     assert alive_when_scheduled == [[], [False], [False, False]]
+
+
+def test_a_sweep_keeps_no_stream_once_it_has_associated():
+    """Scheduling reads the associated frames and the stream's span, so the
+    stream is freed as soon as its caller drops it."""
+    stream, sidecar, base = sweep_case(True)
+    expected = dict(sweep(stream, sidecar, base, ["M0", "M4"]))
+    stream_ref = weakref.ref(stream)
+    results = sweep(stream, sidecar, base, ["M0", "M4"])
+    del stream
+    assert stream_ref() is None
+    got = {variant: "\n".join(to_jsonl_lines(log)) for variant, log in results}
+    assert got == {variant: "\n".join(to_jsonl_lines(log)) for variant, log in expected.items()}
 
 
 #: sha256 of each run log of ``sweep_case`` swept over every variant, as
@@ -586,7 +599,7 @@ def schedule_with_a_bad_confidence(stream, cfg, row):
     conf = cols.conf.copy()
     conf[row] = 1.5
     frames[-1] = (frame_index, now, replace(cols, conf=conf))
-    return engine._schedule(frames, stream, cfg)
+    return engine._schedule(frames, (stream.first_frame, stream.last_frame), cfg)
 
 
 @pytest.mark.parametrize(
@@ -708,7 +721,8 @@ def test_track_ids_beyond_the_per_track_tables_grow_them():
         (10, [mk_det(10, cls=4)], [1000], [5]),
     ]
     stream = mk_stream([(f, dets) for f, dets, _, _ in rows])
-    log = engine._schedule([hand_frame(*r) for r in rows], stream, low_regime_cfg("M2"))
+    span = (stream.first_frame, stream.last_frame)
+    log = engine._schedule([hand_frame(*r) for r in rows], span, low_regime_cfg("M2"))
     assert [(tx.frame_index, tx.track_id) for tx in log.transmissions] == [
         (0, 0),
         (0, 1),
