@@ -580,7 +580,11 @@ def _parse_detections(source, layout: _Layout, errors_out) -> DetectionStream:
         if len(parts) == _CHUNK_BLOCKS:
             chunks.append(list(map(np.concatenate, zip(*parts))))
             parts.clear()
-    frame, *cols = map(np.concatenate, zip(*chunks, *parts))
+    # one column at a time, so each column's pieces are freed once joined
+    columns = list(zip(*chunks, *parts))
+    chunks.clear()
+    parts.clear()
+    frame, *cols = (np.concatenate(columns.pop(0)) for _ in range(len(columns)))
     if (np.diff(frame) < 0).any():
         order = np.argsort(frame, kind="stable")
         frame = frame[order]

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, TextIO, Union
 
 from ._text import line_blocks, text_file
@@ -103,27 +103,8 @@ class RunLog:
 
 
 def _header_obj(log: RunLog) -> dict:
-    return {
-        "kind": RUNLOG_KIND,
-        "version": RUNLOG_VERSION,
-        "variant": log.variant,
-        "fps": log.clock.fps,
-        "frame_stride": log.clock.frame_stride,
-        "b_total_bps": log.budget.b_total,
-        "b_video_bps": log.budget.b_video,
-        "b_roi_bps": log.budget.b_roi,
-        "window_s": log.budget.window_s,
-        "base_bitrate_bps": log.base_bitrate_bps,
-        "raw_candidates": log.raw_candidate_count,
-        "rejected_budget": log.rejected_budget,
-        "rejected_threshold": log.rejected_threshold,
-        "processed_frame_indices": list(log.processed_frame_indices),
-        "first_frame": log.first_frame,
-        "last_frame": log.last_frame,
-        "detection_conf_mean": log.detection_conf_mean,
-        "duration_s": log.duration_s,
-        "config": dict(sorted(log.config_echo.items())),
-    }
+    header = dict(zip(_HEADER_FIELDS, _header_values(log)))
+    return {"kind": RUNLOG_KIND, "version": RUNLOG_VERSION, **header}
 
 
 #: A tx record with its keys in sorted order, as ``json.dumps(...,
@@ -198,25 +179,30 @@ _WANTED = {
     _OBJ: "an object",
 }
 
+#: Each header key -> the ``RunLog`` attribute that holds its value, and
+#: the value's JSON types; in ``RunLog``'s field order. The writer and the
+#: reader both walk it, so a header field is one entry here plus its field.
 _HEADER_FIELDS = {
-    "variant": _STR,
-    "fps": _NUM,
-    "frame_stride": _INT,
-    "b_total_bps": _NUM,
-    "b_video_bps": _NUM,
-    "b_roi_bps": _NUM,
-    "window_s": _NUM,
-    "base_bitrate_bps": _NUM,
-    "raw_candidates": _INT,
-    "rejected_budget": _INT,
-    "rejected_threshold": _INT,
-    "processed_frame_indices": _LIST,
-    "first_frame": _INT | _NULL,
-    "last_frame": _INT | _NULL,
-    "detection_conf_mean": _NUM,
-    "duration_s": _NUM | _NULL,
-    "config": _OBJ,
+    "variant": ("variant", _STR),
+    "fps": ("clock.fps", _NUM),
+    "frame_stride": ("clock.frame_stride", _INT),
+    "b_total_bps": ("budget.b_total", _NUM),
+    "b_video_bps": ("budget.b_video", _NUM),
+    "b_roi_bps": ("budget.b_roi", _NUM),
+    "window_s": ("budget.window_s", _NUM),
+    "base_bitrate_bps": ("base_bitrate_bps", _NUM),
+    "raw_candidates": ("raw_candidate_count", _INT),
+    "rejected_budget": ("rejected_budget", _INT),
+    "rejected_threshold": ("rejected_threshold", _INT),
+    "processed_frame_indices": ("processed_frame_indices", _LIST),
+    "first_frame": ("first_frame", _INT | _NULL),
+    "last_frame": ("last_frame", _INT | _NULL),
+    "detection_conf_mean": ("detection_conf_mean", _NUM),
+    "duration_s": ("duration_s", _NUM | _NULL),
+    "config": ("config_echo", _OBJ),
 }
+_header_values = attrgetter(*(path for path, _ in _HEADER_FIELDS.values()))
+_HEADER_TYPES = {key: types for key, (_, types) in _HEADER_FIELDS.items()}
 
 #: In TransmissionRecord's field order; the last six are the semantic fields.
 _TX_FIELDS = {
@@ -297,7 +283,7 @@ def _header(obj, line_no: int) -> RunLog:
         raise ParseError(line_no, "not a run log header")
     if obj.get("version") != RUNLOG_VERSION:
         raise ParseError(line_no, f"unsupported run log version: {obj.get('version')}")
-    _values(obj, _HEADER_FIELDS, line_no)
+    values = _values(obj, _HEADER_TYPES, line_no)
     for key in ("raw_candidates", "rejected_threshold", "rejected_budget"):
         if obj[key] < 0:
             raise ParseError(line_no, f"{key} must be >= 0, got {obj[key]}")
@@ -307,25 +293,13 @@ def _header(obj, line_no: int) -> RunLog:
     echo = obj["config"]
     if not all(type(value) is str for value in echo.values()):
         raise ParseError(line_no, f"bad config echo: {echo!r}")
+    owners = {"": {}, "clock": {}, "budget": {}}  # RunLog itself, then its parts
+    for (path, _), value in zip(_HEADER_FIELDS.values(), values):
+        owner, _, name = path.rpartition(".")
+        owners[owner][name] = value
+    owners[""]["processed_frame_indices"] = tuple(frames)
     return RunLog(
-        variant=obj["variant"],
-        clock=FrameClock(fps=obj["fps"], frame_stride=obj["frame_stride"]),
-        budget=BudgetConfig(
-            b_total=obj["b_total_bps"],
-            b_video=obj["b_video_bps"],
-            b_roi=obj["b_roi_bps"],
-            window_s=obj["window_s"],
-        ),
-        base_bitrate_bps=obj["base_bitrate_bps"],
-        raw_candidate_count=obj["raw_candidates"],
-        rejected_budget=obj["rejected_budget"],
-        rejected_threshold=obj["rejected_threshold"],
-        processed_frame_indices=tuple(frames),
-        first_frame=obj.get("first_frame"),
-        last_frame=obj.get("last_frame"),
-        detection_conf_mean=obj["detection_conf_mean"],
-        duration_s=obj.get("duration_s"),
-        config_echo=dict(echo),
+        clock=FrameClock(**owners["clock"]), budget=BudgetConfig(**owners["budget"]), **owners[""]
     )
 
 

@@ -6,8 +6,9 @@ decision cadence the simulator runs at. Association can optionally follow
 ground-truth identity hints, bypassing IoU for hinted detections.
 
 The live tracks are held as arrays in id order (id, last box, consecutive
-misses), so a step reads the frame's columns and ages every track with one
-mask; no ``Detection`` is built unless a caller reads the result's entries.
+misses, and under ``use_hints`` the hint they spawned from), so a step reads
+the frame's columns and ages every track with one mask; no ``Detection`` is
+built unless a caller reads the result's entries.
 """
 
 from __future__ import annotations
@@ -71,9 +72,10 @@ class Tracker:
         self._ids = np.empty(0, dtype=np.int64)
         self._boxes = np.empty((0, 4), dtype=np.float64)
         self._misses = np.empty(0, dtype=np.int64)
-        # track id -> hint, for live tracks spawned from a hinted detection;
-        # kept only under use_hints, its one reader
-        self._hints: dict[int, int] = {}
+        # the hint each live track spawned from, where it had one; kept only
+        # under use_hints, their one reader
+        self._hint = np.empty(0, dtype=np.int64)
+        self._has_hint = np.empty(0, dtype=bool)
         self._next_id = 0
         self._last_frame: Optional[int] = None
 
@@ -121,19 +123,13 @@ class Tracker:
         track_id[spawned] = new_ids
         is_new = np.zeros(len(detections), dtype=bool)
         is_new[spawned] = True
-        if self.config.use_hints:
-            hinted = detections.has_hint[spawned].tolist()
-            hints = detections.hint[spawned].tolist()
-            self._hints.update(
-                (tid, hint) for tid, hint, has in zip(new_ids.tolist(), hints, hinted) if has
-            )
 
         # Age and retire: every track this step did not claim misses once.
         misses = np.where(matched, 0, self._misses + 1)
         keep = misses <= self.config.max_misses
-        if self.config.use_hints and not keep.all():
-            for tid in self._ids[~keep].tolist():
-                self._hints.pop(tid, None)
+        if self.config.use_hints:
+            self._hint = np.concatenate((self._hint[keep], detections.hint[spawned]))
+            self._has_hint = np.concatenate((self._has_hint[keep], detections.has_hint[spawned]))
         self._ids = np.concatenate((self._ids[keep], new_ids))
         self._boxes = np.concatenate((self._boxes[keep], detections.boxes[spawned]))
         self._misses = np.concatenate((misses[keep], np.zeros(len(spawned), dtype=np.int64)))
@@ -149,11 +145,9 @@ class Tracker:
         """Hinted rows extend the newest live track of their hint, unless an
         earlier row of this step claimed it; else they spawn (appended to
         ``spawned``). Returns the unhinted rows."""
-        by_hint = {}  # hint -> position of its newest live track; -1: spawned now
-        for pos, tid in enumerate(self._ids.tolist()):
-            hint = self._hints.get(tid)
-            if hint is not None:
-                by_hint[hint] = pos
+        hinted = np.flatnonzero(self._has_hint)
+        # hint -> position of its newest live track; -1: spawned now
+        by_hint = dict(zip(self._hint[hinted].tolist(), hinted.tolist()))
         positions, rows = [], []
         hints = detections.hint.tolist()
         for row, has in enumerate(detections.has_hint.tolist()):

@@ -974,6 +974,35 @@ def test_report_refuses_an_empty_label_before_reading_a_log(
     assert read == []
 
 
+@pytest.mark.parametrize("fmt", ["csv", "markdown"])
+@pytest.mark.parametrize("labels", ["a|b", "a\nb", "a\rb"])
+def test_report_refuses_a_label_no_table_can_hold(tmp_path, detections_csv, capsys, labels, fmt):
+    out_dir = tmp_path / "sweep"
+    assert run_sweep(out_dir, detections_csv) == 0
+    capsys.readouterr()
+    log = str(out_dir / "runlog_M2.jsonl")
+    assert main(["report", log, "--labels", labels, "--report-format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "",
+        f"error: report label {labels!r} holds '|' or a line break\n",
+    )
+
+
+def test_report_refuses_a_log_variant_no_table_can_hold(tmp_path, detections_csv, capsys):
+    out_dir = tmp_path / "sweep"
+    assert run_sweep(out_dir, detections_csv) == 0
+    capsys.readouterr()
+    path = out_dir / "runlog_M2.jsonl"
+    damage_runlog(path, 0, set_field("variant", "x|y"))
+    assert main(["report", str(path), "--report-format", "markdown"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "",
+        "error: report label 'x|y' holds '|' or a line break\n",
+    )
+
+
 def test_eval_lambda_cls_reaches_every_report(tmp_path, capsys):
     """A non-default weight runs through ``simulate``, ``sweep`` and
     ``report``: each gives the proxy that ``aggregate`` gives at that weight."""

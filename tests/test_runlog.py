@@ -2,6 +2,7 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import fields
 from unittest import mock
 
 import pytest
@@ -153,6 +154,18 @@ def test_header_is_first_line_and_tagged():
     assert header["processed_frame_indices"] == [0, 5, 10]
     kinds = [json.loads(ln)["kind"] for ln in lines[1:]]
     assert kinds == ["tx", "tx", "class", "class"]
+
+
+def test_the_header_table_names_each_header_attribute_once():
+    paths = [path for path, _ in runlog._HEADER_FIELDS.values()]
+    assert len(set(paths)) == len(paths)
+    # the owners, in RunLog's field order
+    owners = list(dict.fromkeys(path.partition(".")[0] for path in paths))
+    records = ("transmissions", "class_events")
+    assert owners == [f.name for f in fields(RunLog) if f.name not in records]
+    for owner, parts in (("clock", FrameClock), ("budget", BudgetConfig)):
+        named = [path.partition(".")[2] for path in paths if path.startswith(owner + ".")]
+        assert named == [f.name for f in fields(parts)]
 
 
 def test_read_rejects_empty():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from roitel import InvalidParam, OutOfOrderFrame, Tracker, TrackerConfig
-from helpers import greedy_match, mk_det
+from helpers import RefTracker, greedy_match, mk_det
 
 
 def test_cold_start_spawns_in_list_order():
@@ -109,6 +109,32 @@ def test_hint_bijection_property():
             else:
                 mapping[det.track_hint] = tid
     assert len(set(mapping.values())) == len(mapping)
+
+
+@pytest.mark.parametrize("hint", [7, 2**63 - 1, 2**63, 10**30])
+def test_a_retired_hinted_track_leaves_its_hint_to_a_new_id(hint):
+    # hint 3 keeps its track live beside the one of ``hint``, which misses
+    # two steps and retires; its hint's next detection spawns a new id
+    cfg = TrackerConfig(use_hints=True, max_misses=1)
+    steps = [
+        (0, [mk_det(0, x=0, hint=hint), mk_det(0, x=100, hint=3)]),
+        (5, [mk_det(5, x=100, hint=3)]),
+        (10, [mk_det(10, x=500, hint=hint), mk_det(10, x=100, hint=3)]),
+        (15, [mk_det(15, x=100, hint=3)]),
+        (20, [mk_det(20, x=100, hint=3)]),
+        (25, [mk_det(25, x=500, hint=hint), mk_det(25, x=100, hint=3)]),
+    ]
+    tr, ref = Tracker(cfg), RefTracker(cfg)
+    got = [[(tid, new) for _, tid, new in tr.step(f, dets)] for f, dets in steps]
+    assert got == [
+        [(0, True), (1, True)],
+        [(1, False)],
+        [(0, False), (1, False)],  # one miss: still live, and far from its box
+        [(1, False)],
+        [(1, False)],
+        [(2, True), (1, False)],  # two misses: retired with its hint
+    ]
+    assert got == [[(tid, new) for _, tid, new in ref.step(f, dets)] for f, dets in steps]
 
 
 def test_ids_never_reused_random_runs():
