@@ -14,7 +14,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 from . import config as config_mod
 from . import engine, ingest, metrics, runlog
@@ -57,22 +57,41 @@ def _read_text(path: str) -> str:
         return fp.read()
 
 
-def _create(path: Path) -> TextIO:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return open(path, "w", encoding="utf-8", newline="\n")
+@contextmanager
+def _staged() -> Iterator[Callable[[Path, Iterable[str]], None]]:
+    """A ``write(path, texts)`` that writes the texts to ``.<name>.part``
+    beside ``path``. Once the block succeeds, every file so written takes
+    its name; on any exception, KeyboardInterrupt included, every one is
+    removed, so no earlier file changes. A symlink is resolved, so the file
+    it names is replaced; a path that exists and is not a regular file (a
+    FIFO, /dev/stdout), which no rename can replace, is written in place."""
+    staged: list[tuple[Path, Path]] = []  # (temporary name, final name)
+
+    def write(path: Path, texts: Iterable[str]) -> None:
+        name = path
+        if not path.exists() or path.is_file():
+            path = path.resolve()
+            path.parent.mkdir(parents=True, exist_ok=True)
+            name = path.with_name(f".{path.name}.part")
+            staged.append((name, path))
+        with open(name, "w", encoding="utf-8", newline="\n") as fp:
+            fp.writelines(texts)
+
+    try:
+        yield write
+        for part, final in staged:
+            part.replace(final)
+    except BaseException:
+        for part, _ in staged:
+            part.unlink(missing_ok=True)
+        raise
 
 
-def _write_text(path: Path, text: str) -> None:
-    with _create(path) as fp:
-        fp.write(text)
-
-
-def _write_lines(path: Path, lines: Iterable[str]) -> None:
-    """Each line and a newline, as they come, without joining them into one text."""
-    with _create(path) as fp:
-        for line in lines:
-            fp.write(line)
-            fp.write("\n")
+def _write_log(write, path: Path, log: runlog.RunLog) -> metrics.MetricsReport:
+    """The log's report: the log is aggregated, then written line by line as it is formatted."""
+    rep = metrics.aggregate_run(log)
+    write(path, (line + "\n" for line in runlog.to_jsonl_lines(log)))
+    return rep
 
 
 def _load_run_config(args, file_clock: FrameClock) -> engine.RunConfig:
@@ -126,16 +145,15 @@ def _report_paths(out_dir: Path, fmt: str) -> Path:
 def cmd_simulate(args) -> int:
     cfg, stream = _load_run_inputs(args)
     log = engine.run(stream, _parse_sidecar(args), cfg)
-    rep = metrics.aggregate_run(log)
 
     out_dir = Path(args.out_dir)
     log_path = out_dir / "runlog.jsonl"
-    _write_lines(log_path, runlog.to_jsonl_lines(log))
-    report_path = _report_paths(out_dir, args.report_format)
-    _write_text(
-        report_path,
-        metrics.emit_report([(log.variant, rep)], args.report_format, config_echo=log.config_echo),
-    )
+    fmt = args.report_format
+    report_path = _report_paths(out_dir, fmt)
+    with _staged() as write:
+        rep = _write_log(write, log_path, log)
+        echo = log.config_echo
+        write(report_path, [metrics.emit_report([(log.variant, rep)], fmt, config_echo=echo)])
 
     for column, value in zip(metrics.REPORT_COLUMNS, metrics.report_row(log.variant, rep)):
         print(f"{column} = {value if value else 'n/a'}")
@@ -147,9 +165,9 @@ def cmd_sweep(args) -> int:
     """Schedule, aggregate and write one variant at a time, so the peak
     follows the largest log and not the number of variants. Each log is
     written under a temporary name and dropped; only its report is kept.
-    The logs take their names only once the last variant has succeeded,
-    so a sweep that fails leaves no log of its own and no earlier sweep's
-    log changed."""
+    The logs and both reports take their names together, once the last
+    file is written, so a sweep that fails leaves no file of its own and
+    no earlier sweep's file changed."""
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     if not variants:
         raise ConfigError("sweep needs at least one variant")
@@ -161,29 +179,17 @@ def cmd_sweep(args) -> int:
     results = engine.sweep(stream, _parse_sidecar(args), cfg, variants)
     del stream
     out_dir = Path(args.out_dir)
-    reports = []
-    written: list[tuple[Path, Path]] = []  # (temporary name, final name)
-    try:
-        for variant, log in results:
-            reports.append((variant, metrics.aggregate_run(log)))
-            final = out_dir / f"runlog_{variant}.jsonl"
-            part = final.with_name(f".{final.name}.part")
-            written.append((part, final))
-            _write_lines(part, runlog.to_jsonl_lines(log))
-            del log  # before the next variant is scheduled
-        for part, final in written:
-            part.replace(final)
-    except BaseException:
-        for part, _ in written:
-            part.unlink(missing_ok=True)
-        raise
-
     echo = config_mod.dump_config(cfg)
     fmt = args.report_format
-    report_text = metrics.emit_report(reports, fmt, config_echo=echo)
-    selection_text = metrics.emit_selection_report(reports, fmt, config_echo=echo)
-    _write_text(_report_paths(out_dir, fmt), report_text)
-    _write_text(out_dir / f"selection.{_REPORT_EXT[fmt]}", selection_text)
+    reports = []
+    with _staged() as write:
+        for variant, log in results:
+            reports.append((variant, _write_log(write, out_dir / f"runlog_{variant}.jsonl", log)))
+            del log  # before the next variant is scheduled
+        report_text = metrics.emit_report(reports, fmt, config_echo=echo)
+        selection_text = metrics.emit_selection_report(reports, fmt, config_echo=echo)
+        write(_report_paths(out_dir, fmt), [report_text])
+        write(out_dir / f"selection.{_REPORT_EXT[fmt]}", [selection_text])
 
     sys.stdout.write(report_text)
     sys.stdout.write(selection_text)
@@ -218,7 +224,8 @@ def cmd_report(args) -> int:
         del log  # before the next log is read
     text = metrics.emit_report(reports, args.report_format, config_echo=echo)
     if args.out:
-        _write_text(Path(args.out), text)
+        with _staged() as write:
+            write(Path(args.out), [text])
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
@@ -237,7 +244,8 @@ def cmd_gen_synthetic(args) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        _write_text(Path(args.out), text)
+        with _staged() as write:
+            write(Path(args.out), [text])
         print(
             f"wrote {stream.n_detections} detections over {len(stream.frame_indices)} frames"
             f" to {args.out}",

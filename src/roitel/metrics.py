@@ -205,14 +205,14 @@ def _selection_row(label: str, rep: MetricsReport) -> list[str]:
 
 def _check_labels(reports) -> None:
     """Each label must be unique and fit in one cell of every format: a
-    ``|`` would split a markdown cell, and a line break (where
-    ``str.splitlines`` breaks) any row."""
+    ``|`` would split a markdown cell, a ``,`` a csv cell, and a line break
+    (where ``str.splitlines`` breaks) any row."""
     seen = set()
     for label, _ in reports:
         if label in seen:
             raise DuplicateLabel(f"duplicate report label {label!r}")
-        if "|" in label or "".join(label.splitlines()) != label:
-            raise InvalidParam(f"report label {label!r} holds '|' or a line break")
+        if "|" in label or "," in label or "".join(label.splitlines()) != label:
+            raise InvalidParam(f"report label {label!r} holds '|', ',' or a line break")
         seen.add(label)
 
 

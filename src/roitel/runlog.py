@@ -290,8 +290,9 @@ def _header(obj, line_no: int) -> RunLog:
     frames = obj["processed_frame_indices"]
     if not all(map(_INT.__contains__, map(type, frames))):
         raise ParseError(line_no, f"bad processed_frame_indices: {frames!r}")
-    echo = obj["config"]
-    if not all(type(value) is str for value in echo.values()):
+    echo = obj["config"]  # no key or value may break a report's line
+    texts = [*echo, *echo.values()]
+    if not all(type(text) is str and "".join(text.splitlines()) == text for text in texts):
         raise ParseError(line_no, f"bad config echo: {echo!r}")
     owners = {"": {}, "clock": {}, "budget": {}}  # RunLog itself, then its parts
     for (path, _), value in zip(_HEADER_FIELDS.values(), values):

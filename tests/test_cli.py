@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -816,6 +817,144 @@ def test_an_interrupted_sweep_leaves_no_log(tmp_path, detections_csv, monkeypatc
     assert dir_bytes(out_dir) == {}
 
 
+# --- every command's files take their names together, or not at all --------
+
+
+def no_part_files(path):
+    return not [p for p in path.rglob("*") if p.name.endswith(".part")]
+
+
+def test_an_interrupted_simulate_changes_no_earlier_file(tmp_path, detections_csv, monkeypatch):
+    rc, out_dir = simulate(tmp_path, detections_csv)
+    assert rc == 0
+    before = dir_bytes(out_dir)
+    run, tx_line = engine.run, runlog._tx_line
+    calls = []
+
+    def interrupted_at_the_30th_record(tx):
+        calls.append(tx)
+        if len(calls) == 30:
+            raise KeyboardInterrupt
+        return tx_line(tx)
+
+    def run_then_interrupt(*args):
+        # armed only now: the suite's checks within the run format records too
+        log = run(*args)
+        monkeypatch.setattr(runlog, "_tx_line", interrupted_at_the_30th_record)
+        return log
+
+    monkeypatch.setattr(engine, "run", run_then_interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        simulate(tmp_path, detections_csv, "--set", "seed=7")
+    assert len(calls) == 30
+    assert dir_bytes(out_dir) == before
+
+
+def test_an_interrupted_sweep_changes_no_earlier_file(tmp_path, detections_csv, monkeypatch):
+    out_dir = tmp_path / "o"
+    argv = ["sweep", "--input", str(detections_csv), "--variants", "M0,M5", "--out-dir", str(out_dir)]
+    argv += ["--set", "policy.score_threshold=0.0"]
+    assert main(argv) == 0
+    before = dir_bytes(out_dir)
+    assert sorted(before) == ["report.csv", "runlog_M0.jsonl", "runlog_M5.jsonl", "selection.csv"]
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(metrics, "emit_selection_report", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main([*argv, "--set", "seed=7"])  # other logs: their config echo differs
+    assert dir_bytes(out_dir) == before
+
+
+class CutFile:
+    """A file open for writing whose first write stops halfway with a
+    KeyboardInterrupt, as a Ctrl-C there would."""
+
+    def __init__(self, fp):
+        self.fp = fp
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fp.close()
+
+    def write(self, text):
+        self.fp.write(text[: len(text) // 2])
+        raise KeyboardInterrupt
+
+    def writelines(self, texts):
+        for text in texts:
+            self.write(text)
+
+
+@pytest.mark.parametrize("command", ["report", "gen-synthetic"])
+def test_an_interrupted_write_changes_no_earlier_file(
+    tmp_path, detections_csv, monkeypatch, capsys, command
+):
+    rc, out_dir = simulate(tmp_path, detections_csv)
+    assert rc == 0
+    dest = tmp_path / "dest"
+    if command == "report":
+        argv = ["report", str(out_dir / "runlog.jsonl"), "--out", str(dest)]
+        interrupted = [*argv, "--report-format", "json"]
+    else:
+        argv = ["gen-synthetic", "--n-frames", "60", "--out", str(dest)]
+        interrupted = [*argv, "--seed", "2"]
+    assert main(argv) == 0
+    before = dest.read_bytes()
+
+    def opened(file, mode="r", **kwargs):
+        fp = open(file, mode, **kwargs)
+        return CutFile(fp) if "w" in mode else fp
+
+    monkeypatch.setattr(cli, "open", opened, raising=False)
+    with pytest.raises(KeyboardInterrupt):
+        main(interrupted)
+    assert dest.read_bytes() == before
+    assert no_part_files(tmp_path)
+
+
+def test_report_writes_a_fifo_in_place(tmp_path, detections_csv, capsys):
+    """A rename cannot replace a FIFO, so its reader gets the report."""
+    rc, out_dir = simulate(tmp_path, detections_csv)
+    assert rc == 0
+    log = str(out_dir / "runlog.jsonl")
+    capsys.readouterr()
+    assert main(["report", log]) == 0
+    expected = capsys.readouterr().out
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert main(["report", log, "--out", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert read == [expected]
+    assert fifo.is_fifo()
+    assert no_part_files(tmp_path)
+
+
+def test_report_through_a_symlink_replaces_the_file_it_names(tmp_path, detections_csv, capsys):
+    rc, out_dir = simulate(tmp_path, detections_csv)
+    assert rc == 0
+    log = str(out_dir / "runlog.jsonl")
+    capsys.readouterr()
+    assert main(["report", log]) == 0
+    expected = capsys.readouterr().out
+    (tmp_path / "real").mkdir()
+    target = tmp_path / "real" / "report.csv"
+    target.write_text("earlier\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert main(["report", log, "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_text() == expected
+    assert no_part_files(tmp_path)
+
+
 def test_a_sweep_drops_each_log_before_the_next_variant_is_scheduled(tmp_path, monkeypatch):
     """Nor does it keep an earlier log's boxes, the parsed stream or the
     parsed sidecar: a parsed stream builds a transmitted row's box for that
@@ -985,7 +1124,7 @@ def test_report_refuses_a_label_no_table_can_hold(tmp_path, detections_csv, caps
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (
         "",
-        f"error: report label {labels!r} holds '|' or a line break\n",
+        f"error: report label {labels!r} holds '|', ',' or a line break\n",
     )
 
 
@@ -999,8 +1138,26 @@ def test_report_refuses_a_log_variant_no_table_can_hold(tmp_path, detections_csv
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (
         "",
-        "error: report label 'x|y' holds '|' or a line break\n",
+        "error: report label 'x|y' holds '|', ',' or a line break\n",
     )
+
+
+def test_report_refuses_a_log_variant_no_csv_cell_can_hold(tmp_path, detections_csv, capsys):
+    out_dir = tmp_path / "sweep"
+    assert run_sweep(out_dir, detections_csv) == 0
+    path = out_dir / "runlog_M2.jsonl"
+    damage_runlog(path, 0, set_field("variant", "x,y"))
+    dest = tmp_path / "report.csv"
+    dest.write_text("earlier\n")
+    capsys.readouterr()
+    for out in ([], ["--out", str(dest)]):
+        assert main(["report", str(path), *out]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "",
+            "error: report label 'x,y' holds '|', ',' or a line break\n",
+        )
+    assert dest.read_bytes() == b"earlier\n"
 
 
 def test_eval_lambda_cls_reaches_every_report(tmp_path, capsys):
@@ -1071,6 +1228,12 @@ def set_field(key, value):
             0,
             set_field("processed_frame_indices", [0, 5, 10**400]),
             "error: line 1: bad JSON: integer beyond the float range",
+        ),
+        # a line break in the echo would write a bare line into the report
+        (
+            0,
+            set_field("config", {"policy.note": "a\nb,c"}),
+            "error: line 1: bad config echo: {'policy.note': 'a\\nb,c'}",
         ),
     ],
 )

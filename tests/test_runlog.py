@@ -275,6 +275,9 @@ def damaged(index: int, key: str, value) -> str:
         (0, "raw_candidates", True, "'raw_candidates' must be an integer"),
         (0, "config", [1, 2], "'config' must be an object"),
         (0, "config", {"seed": 1}, "bad config echo"),
+        (0, "config", {"policy.note": "a\nb,c"}, "bad config echo"),
+        (0, "config", {"policy.note": "a\u2028b"}, "bad config echo"),
+        (0, "config", {"policy\rnote": "a"}, "bad config echo"),
         (0, "processed_frame_indices", 5, "'processed_frame_indices' must be a list"),
         (0, "processed_frame_indices", [0, "5"], "bad processed_frame_indices"),
         (0, "duration_s", "52", "'duration_s' must be a number or null"),
