@@ -4,18 +4,19 @@
 tracker and attaches each tracked detection's sidecar record and cost;
 nothing in it depends on the policy. It reads each frame as a block of the
 stream's columns and hands each frame with rows on as NumPy columns. The
-scheduling pass scores a frame's rows as one block, asks the policy for
-selections against a rolling budget ledger, and records every
-transmission plus the per-track class timeline. ``sweep`` associates
-once and schedules every variant over the same columns, one variant at a
-time as its caller asks. Runs are strictly sequential and deterministic
-for fixed inputs.
+scheduling pass takes them in blocks of frames, scores a frame's rows at
+once, asks the policy for selections against a rolling budget ledger, and
+records every transmission plus the per-track class timeline. ``sweep``
+associates once and schedules every variant over the same columns, one
+variant at a time as its caller asks. Runs are strictly sequential and
+deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from itertools import repeat
+from itertools import islice, repeat
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
@@ -122,6 +123,32 @@ def _grown(table: np.ndarray, size: int, fill: int) -> np.ndarray:
     return np.concatenate((table, extra))
 
 
+#: Frames the scheduling pass takes from the association pass at a time.
+_BLOCK_FRAMES = 32
+
+#: A sidecar record's fields, in ``TransmissionRecord``'s order.
+_SEMANTICS = attrgetter(
+    "video_conf", "still_conf", "video_label", "still_label", "video_entropy", "still_entropy"
+)
+
+
+def _frame_blocks(frames: Iterable[tuple]) -> Iterator[list[tuple]]:
+    """``frames`` in lists of up to ``_BLOCK_FRAMES``; an ``Exception`` raised
+    while a list is gathered is raised after the frames gathered before it."""
+    frames = iter(frames)
+    while True:
+        block: list = []
+        try:
+            block.extend(islice(frames, _BLOCK_FRAMES))
+        except Exception:
+            if block:
+                yield block
+            raise
+        if not block:
+            return
+        yield block
+
+
 def _schedule(
     frames: Iterable[tuple[int, float, policy_mod.FrameColumns]],
     span: tuple[Optional[int], Optional[int]],
@@ -129,6 +156,8 @@ def _schedule(
 ) -> RunLog:
     """Scheduling pass: everything that depends on the policy.
 
+    Frames come in blocks (``_frame_blocks``): what no track state reaches
+    is computed once per block, then each frame is scheduled in turn.
     Per-track state lives in arrays indexed by track id: the last frame a
     track was refined on and the class label (and its source) downstream
     assumes for it. Records are built straight from the block rows the
@@ -156,85 +185,78 @@ def _schedule(
     class_source = np.empty(0, dtype=np.int8)
     conf_sum = 0.0
 
-    for frame_index, now, cols in frames:
-        log.raw_candidate_count += len(cols)
-        track_id = cols.track_id
-        size = int(track_id.max()) + 1
+    for block in _frame_blocks(frames):
+        rows = [cols for _, _, cols in block]
+        conf = np.concatenate([cols.conf for cols in rows])
+        log.raw_candidate_count += len(conf)
+        for value in conf.tolist():  # sequential: np.sum would sum pairwise
+            conf_sum += value
+        terms = policy_mod.frame_terms(rows, conf, cfg.policy)
+        size = int(np.concatenate([cols.track_id for cols in rows]).max()) + 1
         last_refined = _grown(last_refined, size, policy_mod.NEVER_REFINED)
         class_label = _grown(class_label, size, 0)
         class_source = _grown(class_source, size, _NO_CLASS)
-        # sequential, as a per-row sum always was: np.sum would sum pairwise
-        for conf in cols.conf.tolist():
-            conf_sum += conf
 
-        block = policy_mod.score_block(frame_index, cols, last_refined[track_id], cfg.policy)
+        for (frame_index, now, cols), frame_terms in zip(block, terms):
+            track_id = cols.track_id
+            refined = last_refined[track_id]
+            scored = policy_mod.score_block(frame_index, cols, refined, cfg.policy, frame_terms)
 
-        # Video-side class estimate: updates only while no still label is
-        # pinned for the track (replacement rule). A track has at most one
-        # row per frame, so one gather and one scatter equal a row loop.
-        source = class_source[track_id]
-        changed = (
-            (source == _NO_CLASS)
-            | ((source == _VIDEO_CLASS) & (class_label[track_id] != cols.class_id))
-        ).nonzero()[0]
-        if len(changed):
-            tids = track_id[changed]
-            class_label[tids] = cols.class_id[changed]
-            class_source[tids] = _VIDEO_CLASS
-            log.class_events.extend(
-                map(
-                    ClassEvent,
-                    repeat(frame_index),
-                    repeat(now),
-                    tids.tolist(),
-                    cols.class_id[changed].tolist(),
-                    repeat(CLASS_SOURCE_VIDEO),
-                )
-            )
+            # Video-side class estimate: updates only while no still label
+            # is pinned (replacement rule). A track has at most one row per
+            # frame, so one gather and one scatter equal a row loop.
+            source = class_source[track_id]
+            changed = (
+                (source == _NO_CLASS)
+                | ((source == _VIDEO_CLASS) & (class_label[track_id] != cols.class_id))
+            ).nonzero()[0]
+            if len(changed):
+                tids, labels = track_id[changed], cols.class_id[changed]
+                class_label[tids] = labels
+                class_source[tids] = _VIDEO_CLASS
+                events = (repeat(frame_index), repeat(now), tids.tolist(), labels.tolist())
+                log.class_events.extend(map(ClassEvent, *events, repeat(CLASS_SOURCE_VIDEO)))
 
-        decision = policy_mod.decide(frame_index, block, ledger.view(now), cfg.policy)
-        log.rejected_threshold += decision.rejected_threshold
-        log.rejected_budget += decision.rejected_budget
-
-        for row in decision.selected:
-            cost_bits = float(cols.cost_bits[row])
-            # Commit-time re-check: budget safety must not depend on the
-            # policy having honored the ledger view.
-            if not ledger.admits(now, cost_bits):
-                log.rejected_budget += 1
+            decision = policy_mod.decide(frame_index, scored, ledger.view(now), cfg.policy)
+            log.rejected_threshold += decision.rejected_threshold
+            log.rejected_budget += decision.rejected_budget
+            if not decision.selected:
                 continue
-            ledger.commit(now, cost_bits)
-            tid = int(track_id[row])
-            last_refined[tid] = frame_index
-            rec = cols.records[row]
-            log.transmissions.append(
-                TransmissionRecord(
-                    frame_index=frame_index,
-                    t_s=now,
-                    track_id=tid,
-                    bbox=cols.bboxes[row],
-                    cost_bits=cost_bits,
-                    score=float(block.score[row]),
-                    u_term=float(block.u_term[row]),
-                    s_small_term=float(block.s_small_term[row]),
-                    # n is 0.0 or 1.0; the literals are shared objects, as
-                    # make_candidate's are
-                    n_term=1.0 if block.n_term[row] else 0.0,
-                    video_conf=rec.video_conf if rec else None,
-                    still_conf=rec.still_conf if rec else None,
-                    video_label=rec.video_label if rec else None,
-                    still_label=rec.still_label if rec else None,
-                    video_entropy=rec.video_entropy if rec else None,
-                    still_entropy=rec.still_entropy if rec else None,
-                )
+            selected = list(decision.selected)
+            sent, costs = [], []  # records keep these floats: a regather raised peak RSS
+            for row, cost_bits in zip(selected, cols.cost_bits[selected].tolist()):
+                # Commit-time re-check: budget safety must not depend on
+                # the policy having honored the ledger view.
+                if not ledger.admits(now, cost_bits):
+                    log.rejected_budget += 1
+                    continue
+                ledger.commit(now, cost_bits)
+                sent.append(row)
+                costs.append(cost_bits)
+            tids = track_id[sent]
+            last_refined[tids] = frame_index
+            sent_rows = zip(
+                tids.tolist(),
+                map(cols.bboxes.__getitem__, sent),
+                costs,
+                scored.score[sent].tolist(),
+                scored.u_term[sent].tolist(),
+                scored.s_small_term[sent].tolist(),
+                scored.n_term[sent].tolist(),
+                map(cols.records.__getitem__, sent),
             )
-            if rec is not None:
-                if class_label[tid] != rec.still_label:
-                    log.class_events.append(
-                        ClassEvent(frame_index, now, tid, rec.still_label, CLASS_SOURCE_STILL)
-                    )
-                class_label[tid] = rec.still_label
-                class_source[tid] = _STILL_CLASS
+            for tid, bbox, cost_bits, score, u, s, n, rec in sent_rows:
+                n = 1.0 if n else 0.0  # shared literals, as make_candidate's are
+                semantics = _SEMANTICS(rec) if rec else ()
+                record = (frame_index, now, tid, bbox, cost_bits, score, u, s, n, *semantics)
+                log.transmissions.append(TransmissionRecord(*record))
+                if rec is not None:
+                    if class_label[tid] != rec.still_label:
+                        log.class_events.append(
+                            ClassEvent(frame_index, now, tid, rec.still_label, CLASS_SOURCE_STILL)
+                        )
+                    class_label[tid] = rec.still_label
+                    class_source[tid] = _STILL_CLASS
 
     log.detection_conf_mean = conf_sum / max(log.raw_candidate_count, 1)
     return log
@@ -262,7 +284,9 @@ def sweep(
     ``(variant, log)`` in input order; each log equals what ``run`` gives
     for that variant alone. The iterator keeps no log it has yielded, so a
     consumer that drops each log in turn holds one at a time. It mutates
-    neither input and keeps only the associated frames and the span.
+    neither input and keeps only the associated frames and the span. If
+    association fails, the first variant is scheduled over the frames
+    before the failure, so a sweep fails as ``run`` of that variant does.
     """
     if not policy_variants:
         raise InvalidParam("policy_variants must be nonempty")
@@ -272,5 +296,12 @@ def sweep(
             pol = replace(base_cfg.policy, variant=pol)
         cfgs.append(replace(base_cfg, policy=pol))
     span = (stream.first_frame, stream.last_frame)
-    frames = list(associate(stream, sidecar, base_cfg.clock, base_cfg.tracker, base_cfg.cost))
+    frames: list = []
+    try:
+        frames.extend(associate(stream, sidecar, base_cfg.clock, base_cfg.tracker, base_cfg.cost))
+    except Exception:
+        # fail as ``run`` of the first variant does: an earlier frame's
+        # scheduling error comes first
+        _schedule(frames, span, cfgs[0])
+        raise
     return ((cfg.policy.variant, _schedule(frames, span, cfg)) for cfg in cfgs)

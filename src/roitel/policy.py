@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -154,40 +155,56 @@ def make_candidate(
     )
 
 
-def score_block(
-    frame_index: int, cols: FrameColumns, last_refined: np.ndarray, cfg: PolicyConfig
-) -> CandidateBlock:
-    """Score a frame's candidates; ``last_refined`` is row for row with
-    ``cols``.
-
-    Each column is ``make_candidate``'s expression in its operation order.
-    A bad confidence, a non-positive cost or a non-finite score raises
-    ``make_candidate``'s error for the first bad row, in row order.
-    """
-    area_ref = _area_ref(cfg)
-    conf, cost = cols.conf, cols.cost_bits
-    # bad rows are refused after the arithmetic, so it may overflow quietly
+def frame_terms(rows: Sequence[FrameColumns], conf: np.ndarray, cfg: PolicyConfig) -> list:
+    """Each frame's ``(u, s, stale, novel, clean)``: the terms no track state
+    reaches, each row's score with ``n = 0`` and ``n = 1``, and whether no
+    row can fail a check, computed once over the frames' joined rows
+    (``conf`` joins their confidences) in ``make_candidate``'s order."""
+    area, cost = (np.concatenate(column) for column in zip(*((c.area, c.cost_bits) for c in rows)))
+    w_u, w_s, w_n = cfg.weights
+    # score_block checks a frame that is not clean, so this may overflow quietly
     with np.errstate(all="ignore"):
         u = 1.0 - conf
-        s = np.minimum(np.maximum(1.0 - cols.area / area_ref, 0.0), 1.0)
-        # frame - last > cooldown, exact in integers; a never-refined track
-        # is novel whatever the cooldown. The floor keeps the bound inside
-        # int64.
-        bound = max(frame_index - cfg.cooldown_frames, NEVER_REFINED)
-        n = ((last_refined == NEVER_REFINED) | (last_refined < bound)).astype(np.float64)
-        w_u, w_s, w_n = cfg.weights
-        score = (w_u * u + w_s * s + w_n * n) / cost
-    ok = (conf >= 0.0) & (conf <= 1.0) & (cost > 0.0) & np.isfinite(score)
-    if not ok.all():
-        row = int(np.argmin(ok))
-        bad_conf, bad_cost = conf[row].item(), cost[row].item()
-        if not (0.0 <= bad_conf <= 1.0):
-            raise InvalidParam(_BAD_CONF.format(bad_conf))
-        if not bad_cost > 0:
-            raise InvalidParam(_BAD_COST.format(bad_cost))
-        track_id = cols.track_id[row].item()
-        raise InvalidParam(_BAD_SCORE.format(frame_index, track_id, score[row].item()))
-    return CandidateBlock(cols, last_refined, u, s, n, score)
+        s = np.minimum(np.maximum(1.0 - area / _area_ref(cfg), 0.0), 1.0)
+        base = w_u * u + w_s * s
+        stale, novel = (base + w_n * 0.0) / cost, (base + w_n * 1.0) / cost
+    clean = (conf >= 0.0) & (conf <= 1.0) & (cost > 0.0) & np.isfinite(stale) & np.isfinite(novel)
+    starts = list(accumulate(map(len, rows[:-1]), initial=0))
+    oks = np.logical_and.reduceat(clean, starts).tolist() if len(clean) else [True]
+    cuts = zip(starts, [*starts[1:], len(conf)], oks)
+    return [(u[a:b], s[a:b], stale[a:b], novel[a:b], ok) for a, b, ok in cuts]
+
+
+def score_block(
+    frame_index: int, cols: FrameColumns, last_refined: np.ndarray, cfg: PolicyConfig, terms=None
+) -> CandidateBlock:
+    """Score a frame's candidates; ``last_refined`` is row for row with
+    ``cols``, and so are the frame's ``frame_terms`` if given as ``terms``.
+
+    Each column is ``make_candidate``'s expression in its operation order:
+    a row's score is the one its novelty picks. Unless ``terms`` is clean,
+    a bad confidence, a non-positive cost or a non-finite score raises
+    ``make_candidate``'s error for the first bad row, in row order.
+    """
+    u, s, stale, novel_score, clean = terms or frame_terms([cols], cols.conf, cfg)[0]
+    # frame - last > cooldown, exact in integers; a never-refined track is
+    # novel whatever the cooldown. The floor keeps the bound inside int64.
+    bound = max(frame_index - cfg.cooldown_frames, NEVER_REFINED)
+    novel = (last_refined == NEVER_REFINED) | (last_refined < bound)
+    score = np.where(novel, novel_score, stale)
+    if not clean:
+        conf, cost = cols.conf, cols.cost_bits
+        ok = (conf >= 0.0) & (conf <= 1.0) & (cost > 0.0) & np.isfinite(score)
+        if not ok.all():
+            row = int(np.argmin(ok))
+            bad_conf, bad_cost = conf[row].item(), cost[row].item()
+            if not (0.0 <= bad_conf <= 1.0):
+                raise InvalidParam(_BAD_CONF.format(bad_conf))
+            if not bad_cost > 0:
+                raise InvalidParam(_BAD_COST.format(bad_cost))
+            track_id = cols.track_id[row].item()
+            raise InvalidParam(_BAD_SCORE.format(frame_index, track_id, score[row].item()))
+    return CandidateBlock(cols, last_refined, u, s, novel.astype(np.float64), score)
 
 
 def _require(cfg: PolicyConfig, name: str) -> float:

@@ -117,7 +117,10 @@ _TX_LINE = (
     '"video_entropy": %s, "video_label": %s}'
 )
 
-_CLASS_LINE = '{"frame": %r, "kind": "class", "label": %r, "source": %s, "t_s": %r, "track": %r}'
+#: A class event's line is its head, its label, its middle and its track.
+_CLASS_HEAD = '{"frame": %r, "kind": "class", "label": '
+_CLASS_MIDDLE = ', "source": %s, "t_s": %r, "track": '
+_UNSET = object()
 
 
 def _or_null(value) -> str:
@@ -148,9 +151,17 @@ def _tx_line(tx: TransmissionRecord) -> str:
     )
 
 
-def _class_line(ev: ClassEvent) -> str:
-    frame, t_s, track, label, source = ev
-    return _CLASS_LINE % (frame, label, encode_basestring_ascii(source), t_s, track)
+def _class_lines(events: Iterable[ClassEvent]) -> Iterator[str]:
+    """Each event's line. The head and middle are formatted once for each
+    run of events whose frame and ``t_s`` are the same objects and whose
+    sources are equal, so each value still writes its own repr."""
+    frame = t_s = source = _UNSET
+    for ev_frame, ev_t_s, track, label, ev_source in events:
+        if ev_frame is not frame or ev_t_s is not t_s or ev_source != source:
+            frame, t_s, source = ev_frame, ev_t_s, ev_source
+            head = _CLASS_HEAD % (frame,)
+            middle = _CLASS_MIDDLE % (encode_basestring_ascii(source), t_s)
+        yield f"{head}{label!r}{middle}{track!r}}}"
 
 
 def to_jsonl_lines(log: RunLog) -> Iterator[str]:
@@ -158,7 +169,7 @@ def to_jsonl_lines(log: RunLog) -> Iterator[str]:
     header, then its tx records, then its class events. Records must hold
     finite floats, as every run's do."""
     header = json.dumps(_header_obj(log), sort_keys=True)
-    return chain((header,), map(_tx_line, log.transmissions), map(_class_line, log.class_events))
+    return chain((header,), map(_tx_line, log.transmissions), _class_lines(log.class_events))
 
 
 _INT = frozenset({int})

@@ -181,20 +181,21 @@ def cross_check_scheduling(monkeypatch):
 def cross_check_runlog_writes(monkeypatch):
     """Every record the suite writes is checked against ``json.dumps`` with
     sorted keys; the header is written by ``json.dumps`` itself."""
-    tx_line, class_line = runlog._tx_line, runlog._class_line
+    tx_line, class_lines = runlog._tx_line, runlog._class_lines
 
     def checked_tx(tx):
         line = tx_line(tx)
         assert line == json.dumps(tx_obj(tx), sort_keys=True)
         return line
 
-    def checked_class(ev):
-        line = class_line(ev)
-        assert line == json.dumps(class_obj(ev), sort_keys=True)
-        return line
+    def checked_class(events):
+        events = list(events)
+        for ev, line in zip(events, class_lines(events), strict=True):
+            assert line == json.dumps(class_obj(ev), sort_keys=True)
+            yield line
 
     monkeypatch.setattr(runlog, "_tx_line", checked_tx)
-    monkeypatch.setattr(runlog, "_class_line", checked_class)
+    monkeypatch.setattr(runlog, "_class_lines", checked_class)
 
 
 @pytest.fixture(autouse=True)

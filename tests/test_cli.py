@@ -450,6 +450,25 @@ def test_a_run_that_overflows_a_record_exits_1_before_writing(
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_fails_as_simulate_of_its_first_variant_does(tmp_path, capsys):
+    # frame 0's box costs 0.0 bits, which scheduling refuses; frame 5's cost
+    # is beyond the float range, which association refuses
+    stream = tmp_path / "bad.csv"
+    stream.write_text("0,1,10,10,1e-200,1e-200,0.5,1\n5,2,10,10,9e153,9e153,0.5,1\n")
+    sets = ["cost.pad_ratio=10", "cost.header_bytes=0", "policy.variant=M4"]
+    sets += ["policy.area_threshold=1500", "eval.duration_s=1"]
+    errors = []
+    for command in (["simulate"], ["sweep", "--variants", "M4,M0"]):
+        out = tmp_path / command[0]
+        argv = [*command, "--input", str(stream), "--out-dir", str(out)]
+        argv += [arg for item in sets for arg in ("--set", item)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        errors.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert errors == ["error: cost_bits must be > 0, got 0.0\n"] * 2
+
+
 def tracks_at_0_and_5(n: int) -> str:
     """Tracks 1..n at frames 0 and 5, which the default clock processes."""
     return "".join(f"{f},{t},{90 * t},10,20,20,0.5,1\n" for f in (0, 5) for t in range(1, n + 1))

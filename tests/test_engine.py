@@ -27,6 +27,7 @@ from roitel import (
     sweep,
     write_generic_csv,
 )
+from roitel.config import build_config
 from roitel.domain import DEFAULT_WEIGHTS
 from roitel import budget, engine, ingest, policy
 from roitel.engine import processed_frame_range
@@ -566,8 +567,15 @@ PINNED_RUNLOG_SHA256 = {
 }
 
 
+#: Frames per scheduling block, the default among them; each splits
+#: ``sweep_case``'s 60 processed frames into several blocks.
+BLOCK_FRAMES = [1, 2, 7, engine._BLOCK_FRAMES]
+
+
+@pytest.mark.parametrize("block_frames", BLOCK_FRAMES)
 @pytest.mark.parametrize("use_hints", [False, True])
-def test_sweep_runlogs_keep_their_bytes(use_hints):
+def test_sweep_runlogs_keep_their_bytes(monkeypatch, use_hints, block_frames):
+    monkeypatch.setattr(engine, "_BLOCK_FRAMES", block_frames)
     stream, sidecar, base = sweep_case(use_hints)
     got = {
         variant: hashlib.sha256(("\n".join(to_jsonl_lines(log)) + "\n").encode()).hexdigest()
@@ -642,6 +650,26 @@ def test_the_first_row_with_an_overflowing_score_raises_the_scalar_error(
     with pytest.raises(InvalidParam) as exc:
         schedule_with_a_bad_confidence(stream, cfg, bad_conf_row)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("block_frames", [1, engine._BLOCK_FRAMES])
+def test_a_scheduling_error_before_an_association_error_comes_first(monkeypatch, block_frames):
+    # frame 0's box costs 0.0 bits, which scheduling refuses; frame 5's cost
+    # is beyond the float range, which association refuses
+    monkeypatch.setattr(engine, "_BLOCK_FRAMES", block_frames)
+    stream = parse_generic_csv("0,1,10,10,1e-200,1e-200,0.5,1\n5,2,10,10,9e153,9e153,0.5,1\n")
+    cfg = build_config(
+        {
+            "cost.pad_ratio": "10",
+            "cost.header_bytes": "0",
+            "policy.variant": "M4",
+            "policy.area_threshold": "1500",
+            "eval.duration_s": "1",
+        }
+    )
+    with pytest.raises(InvalidParam) as exc:
+        run(stream, None, cfg)
+    assert str(exc.value) == "cost_bits must be > 0, got 0.0"
 
 
 def test_a_cost_beyond_the_float_range_is_refused():
@@ -817,7 +845,9 @@ def test_hints_then_the_zero_iou_tail_at_iou_min_0():
 OBJECT_STREAM_RUNLOG_SHA256 = "7ac4ec7d144b5d041f77ad6e53c72d088356c398990044b7ccca5ff82a9a9624"
 
 
-def test_object_stream_runlog_keeps_its_bytes():
+@pytest.mark.parametrize("block_frames", BLOCK_FRAMES)
+def test_object_stream_runlog_keeps_its_bytes(monkeypatch, block_frames):
+    monkeypatch.setattr(engine, "_BLOCK_FRAMES", block_frames)
     big = 2**64
     frames = [
         (

@@ -432,6 +432,25 @@ def test_templates_write_what_json_dumps_writes(txs, events):
     assert list(to_jsonl_lines(log)) == json_lines(log)
 
 
+def test_class_lines_share_text_only_with_the_same_frame_and_time_objects():
+    # 0.0 == -0.0 and 1 == 1.0, but each value writes its own repr
+    minus_zero = -0.0
+    log = sample_log()
+    log.transmissions = []
+    log.class_events = [
+        ClassEvent(1, 0.0, 7, 2, CLASS_SOURCE_VIDEO),
+        ClassEvent(1, minus_zero, 8, 3, CLASS_SOURCE_VIDEO),
+        ClassEvent(1.0, minus_zero, 9, 4, CLASS_SOURCE_VIDEO),
+        ClassEvent(1.0, minus_zero, 9, 5, CLASS_SOURCE_STILL),
+    ]
+    assert list(to_jsonl_lines(log))[1:] == [
+        '{"frame": 1, "kind": "class", "label": 2, "source": "video", "t_s": 0.0, "track": 7}',
+        '{"frame": 1, "kind": "class", "label": 3, "source": "video", "t_s": -0.0, "track": 8}',
+        '{"frame": 1.0, "kind": "class", "label": 4, "source": "video", "t_s": -0.0, "track": 9}',
+        '{"frame": 1.0, "kind": "class", "label": 5, "source": "still", "t_s": -0.0, "track": 9}',
+    ]
+
+
 # --- the block check and the line path ----------------------------------------
 
 
