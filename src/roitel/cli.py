@@ -198,8 +198,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """Aggregate each run log as it is read and drop it before the next
-    is read, so the peak follows the largest log and not their number."""
+    """Fold each run log into its report block by block as it is read,
+    keeping its header and no record, so the peak follows neither the logs'
+    size nor their number."""
     labels = None if args.labels is None else [s.strip() for s in args.labels.split(",")]
     if labels is not None and "" in labels:
         raise ConfigError(f"--labels holds an empty label: {args.labels!r}")
@@ -214,14 +215,13 @@ def cmd_report(args) -> int:
         # errors raised inside name it here
         with _open_text(path) as fp:
             try:
-                log = runlog.read_jsonl(fp)
-                rep = metrics.aggregate_run(log)
+                log, rep = metrics.fold_jsonl(fp)
             except RoitelError as err:
                 raise RoitelError(f"{path}: {err}") from err
         if echo is None:
             echo = log.config_echo
         reports.append((log.variant if labels is None else labels[i], rep))
-        del log  # before the next log is read
+        del log  # its processed frames, before the next log is read
     text = metrics.emit_report(reports, args.report_format, config_echo=echo)
     if args.out:
         with _staged() as write:

@@ -4,15 +4,21 @@ All aggregation is pure and permutation-invariant over transmissions:
 float accumulation uses math.fsum, which is exactly rounded and therefore
 order-independent. Semantic means are computed only over transmissions
 that carried sidecar data and are reported as absent (None) when none did.
+Every report is a ``_Tally`` of the transmissions' columns, fed a whole
+log's at once or, by ``fold_jsonl``, a block of a run log's at a time.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Optional
+from itertools import compress, repeat
+from operator import gt, is_not, ne, sub
+from typing import Optional, TextIO, Union
 
+from . import runlog
 from .config import parse_value
 from .errors import DuplicateLabel, InvalidParam
 from .runlog import RunLog
@@ -88,6 +94,138 @@ def _fsum(values) -> float:
         return math.inf
 
 
+def _extend(column: array, values) -> None:
+    """Append ``values`` to a float column; an integer beyond the float
+    range appends an infinity instead, as the column's sum is beyond it."""
+    try:
+        column.extend(values)
+    except OverflowError:
+        column.append(math.inf)
+
+
+class _Tally:
+    """What the metric suite reads of a log's transmissions, taken a block
+    of columns at a time: counts, the frame and track ids, and each float it
+    sums, kept as a column to ``math.fsum`` once."""
+
+    def __init__(self) -> None:
+        self.selected = 0
+        self.frames: set[int] = set()
+        self.tracks: set[int] = set()
+        self.cost_bits = array("d")
+        self.video_conf = array("d")
+        self.still_conf = array("d")
+        self.conf_gain = array("d")  # each still_conf - video_conf
+        self.entropy_gain = array("d")  # each video_entropy - still_entropy
+        self.positive_gains = 0
+        self.label_changes = 0
+
+    def add(self, cols: list) -> None:
+        """Take a block of tx records as columns, in TransmissionRecord's
+        field order; the bbox column is not read."""
+        frames, _, tracks, _, costs = cols[:5]
+        self.selected += len(frames)
+        self.frames.update(frames)
+        self.tracks.update(tracks)
+        _extend(self.cost_bits, costs)
+        semantic = cols[9:]
+        if None in cols[10]:  # a record has semantics where its still_conf is set
+            kept = list(map(is_not, cols[10], repeat(None)))
+            semantic = [list(compress(col, kept)) for col in semantic]
+        video_conf, still_conf, video_label, still_label, video_entropy, still_entropy = semantic
+        gains = list(map(sub, still_conf, video_conf))
+        _extend(self.video_conf, video_conf)
+        _extend(self.still_conf, still_conf)
+        _extend(self.conf_gain, gains)
+        _extend(self.entropy_gain, map(sub, video_entropy, still_entropy))
+        self.positive_gains += sum(map(gt, gains, repeat(0.0)))
+        self.label_changes += sum(map(ne, still_label, video_label))
+
+    def report(
+        self, log: RunLog, base_bitrate_bps: float, duration_s: float, lambda_cls: Optional[float]
+    ) -> MetricsReport:
+        """The metric suite of the transmissions taken, with the counts and
+        the detection confidence mean of ``log``'s header."""
+        if not duration_s > 0:
+            raise InvalidParam(f"duration_s must be > 0, got {duration_s}")
+        if base_bitrate_bps < 0:
+            raise InvalidParam(f"base_bitrate_bps must be >= 0, got {base_bitrate_bps}")
+
+        selected = self.selected
+        raw = log.raw_candidate_count
+        ratio = selected / raw if raw > 0 else 0.0
+        processed = log.processed_frames
+        coverage = len(self.frames) / processed if processed > 0 else 0.0
+
+        total_bits = _fsum(self.cost_bits)
+        roi_bitrate = total_bits / duration_s
+        denom = base_bitrate_bps + roi_bitrate
+        if math.isinf(denom):  # halving each term is exact and keeps their sum finite
+            share = (roi_bitrate / 2) / (base_bitrate_bps / 2 + roi_bitrate / 2)
+        else:
+            share = roi_bitrate / denom if denom > 0 else 0.0
+        mean_bytes = (total_bits / 8.0) / selected if selected else 0.0
+
+        n_sem = len(self.still_conf)
+        if n_sem:
+            mean_video = _fsum(self.video_conf) / n_sem
+            mean_still = _fsum(self.still_conf) / n_sem
+            mean_gain = _fsum(self.conf_gain) / n_sem
+            pos_rate = self.positive_gains / n_sem
+            mean_entropy = _fsum(self.entropy_gain) / n_sem
+            change_rate = self.label_changes / n_sem
+        else:
+            mean_video = mean_still = mean_gain = None
+            pos_rate = mean_entropy = change_rate = None
+
+        combined = None
+        if lambda_cls is not None:
+            # Proxy line: mean detection confidence stands in for the detection
+            # utility, plus the weighted semantic gain (0 without coverage).
+            combined = log.detection_conf_mean + lambda_cls * (mean_gain if n_sem else 0.0)
+
+        report = MetricsReport(
+            selected_rois=selected,
+            selection_ratio=ratio,
+            frame_coverage=coverage,
+            roi_rate_hz=selected / duration_s,
+            roi_bitrate_bps=roi_bitrate,
+            bitrate_share=share,
+            mean_payload_bytes=mean_bytes,
+            mean_video_conf=mean_video,
+            mean_still_conf=mean_still,
+            mean_conf_gain=mean_gain,
+            positive_gain_rate=pos_rate,
+            mean_entropy_gain=mean_entropy,
+            prediction_change_rate=change_rate,
+            tracks_refined=len(self.tracks),
+            combined_utility=combined,
+            total_payload_bits=total_bits,
+            duration_s=duration_s,
+            base_bitrate_bps=base_bitrate_bps,
+            semantic_count=n_sem,
+        )
+        for name, value in vars(report).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidParam(
+                    f"{name} = {value} is not finite for duration_s = {duration_s!r}"
+                )
+        return report
+
+
+#: Records a whole log's tally takes at a time, about a run-log block's
+#: worth: the columns of a whole log would raise a run's peak with its log.
+_CHUNK = 1024
+
+
+def _tallied(log: RunLog) -> _Tally:
+    tally = _Tally()
+    txs = log.transmissions
+    for start in range(0, len(txs), _CHUNK):
+        tally.add(list(zip(*txs[start : start + _CHUNK])))
+    return tally
+
+
 def aggregate(
     log: RunLog,
     base_bitrate_bps: float,
@@ -96,79 +234,30 @@ def aggregate(
 ) -> MetricsReport:
     """Reduce one run log to the metric suite. Raises InvalidParam, naming
     the quantity and the duration, where a reported number is not finite."""
-    if not duration_s > 0:
-        raise InvalidParam(f"duration_s must be > 0, got {duration_s}")
-    if base_bitrate_bps < 0:
-        raise InvalidParam(f"base_bitrate_bps must be >= 0, got {base_bitrate_bps}")
+    return _tallied(log).report(log, base_bitrate_bps, duration_s, lambda_cls)
 
-    txs = log.transmissions
-    selected = len(txs)
-    raw = log.raw_candidate_count
-    ratio = selected / raw if raw > 0 else 0.0
-    processed = log.processed_frames
-    covered = len({tx.frame_index for tx in txs})
-    coverage = covered / processed if processed > 0 else 0.0
 
-    total_bits = _fsum(tx.cost_bits for tx in txs)
-    roi_bitrate = total_bits / duration_s
-    denom = base_bitrate_bps + roi_bitrate
-    if math.isinf(denom):  # halving each term is exact and keeps their sum finite
-        share = (roi_bitrate / 2) / (base_bitrate_bps / 2 + roi_bitrate / 2)
-    else:
-        share = roi_bitrate / denom if denom > 0 else 0.0
-    mean_bytes = (total_bits / 8.0) / selected if selected else 0.0
-
-    sem = [tx for tx in txs if tx.has_semantics]
-    n_sem = len(sem)
-    if n_sem:
-        mean_video = math.fsum(tx.video_conf for tx in sem) / n_sem
-        mean_still = math.fsum(tx.still_conf for tx in sem) / n_sem
-        gains = [tx.still_conf - tx.video_conf for tx in sem]
-        mean_gain = math.fsum(gains) / n_sem
-        pos_rate = sum(1 for g in gains if g > 0.0) / n_sem
-        mean_entropy = _fsum(tx.video_entropy - tx.still_entropy for tx in sem) / n_sem
-        change_rate = sum(1 for tx in sem if tx.still_label != tx.video_label) / n_sem
-    else:
-        mean_video = mean_still = mean_gain = None
-        pos_rate = mean_entropy = change_rate = None
-
-    combined = None
-    if lambda_cls is not None:
-        # Proxy line: mean detection confidence stands in for the detection
-        # utility, plus the weighted semantic gain (0 without coverage).
-        combined = log.detection_conf_mean + lambda_cls * (mean_gain if n_sem else 0.0)
-
-    report = MetricsReport(
-        selected_rois=selected,
-        selection_ratio=ratio,
-        frame_coverage=coverage,
-        roi_rate_hz=selected / duration_s,
-        roi_bitrate_bps=roi_bitrate,
-        bitrate_share=share,
-        mean_payload_bytes=mean_bytes,
-        mean_video_conf=mean_video,
-        mean_still_conf=mean_still,
-        mean_conf_gain=mean_gain,
-        positive_gain_rate=pos_rate,
-        mean_entropy_gain=mean_entropy,
-        prediction_change_rate=change_rate,
-        tracks_refined=len({tx.track_id for tx in txs}),
-        combined_utility=combined,
-        total_payload_bits=total_bits,
-        duration_s=duration_s,
-        base_bitrate_bps=base_bitrate_bps,
-        semantic_count=n_sem,
-    )
-    for name, value in vars(report).items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise InvalidParam(f"{name} = {value} is not finite for duration_s = {duration_s!r}")
-    return report
+def _run_report(log: RunLog, tally: _Tally) -> MetricsReport:
+    lambda_cls = parse_value("eval.lambda_cls", log.config_echo.get("eval.lambda_cls", "none"))
+    return tally.report(log, log.base_bitrate_bps, derive_duration(log), lambda_cls)
 
 
 def aggregate_run(log: RunLog) -> MetricsReport:
     """Aggregate with base bitrate, duration and ``eval.lambda_cls`` from the log."""
-    lambda_cls = parse_value("eval.lambda_cls", log.config_echo.get("eval.lambda_cls", "none"))
-    return aggregate(log, log.base_bitrate_bps, derive_duration(log), lambda_cls)
+    return _run_report(log, _tallied(log))
+
+
+def fold_jsonl(source: Union[str, TextIO]) -> tuple[RunLog, MetricsReport]:
+    """The header of the run log ``source`` holds, without records, and the
+    log's report: ``aggregate_run(read_jsonl(source))``, with the same
+    errors, but folded a block at a time as it is read, so that no record
+    is built or kept."""
+    parts = runlog.iter_jsonl(source)
+    log = next(parts)
+    tally = _Tally()
+    for tx_cols, _ in parts:
+        tally.add(tx_cols)
+    return log, _run_report(log, tally)
 
 
 def _fmt(value, spec: str) -> str:
@@ -204,11 +293,13 @@ def _selection_row(label: str, rep: MetricsReport) -> list[str]:
 
 
 def _check_labels(reports) -> None:
-    """Each label must be unique and fit in one cell of every format: a
-    ``|`` would split a markdown cell, a ``,`` a csv cell, and a line break
-    (where ``str.splitlines`` breaks) any row."""
+    """Each label must be unique, name its row and fit in one cell of every
+    format: a ``|`` would split a markdown cell, a ``,`` a csv cell, and a
+    line break (where ``str.splitlines`` breaks) any row."""
     seen = set()
     for label, _ in reports:
+        if not label.strip():
+            raise InvalidParam(f"report label {label!r} is empty or only whitespace")
         if label in seen:
             raise DuplicateLabel(f"duplicate report label {label!r}")
         if "|" in label or "," in label or "".join(label.splitlines()) != label:

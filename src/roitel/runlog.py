@@ -8,23 +8,27 @@ The header is written by ``json.dumps``; the records by fixed templates that
 give the same bytes. Records are named tuples, so the scheduling pass, the
 writer and the reader build and unpack them at tuple cost.
 
-``read_jsonl`` reads a ``str`` or an open text file once, in blocks of
+``iter_jsonl`` reads a ``str`` or an open text file once, in blocks of
 whole lines, through the text layer the parsers share (``_text``; a ``str``
-with universal newlines). Each block after the header is decoded one line
-at a time, skipping lines of only spaces and tabs; a block that pass cannot
-be sure of goes alone to the line reader, with its lines numbered as in the
-whole text. So the log and every error are the line reader's on the whole
-text.
+with universal newlines), and gives each block's records as it reads them:
+``read_jsonl`` collects them into a ``RunLog``, and ``metrics.fold_jsonl``
+folds them into a report and keeps none. In each block after the header,
+class lines are matched against the writer's template in one pass, and
+every other line is decoded on its own, skipping lines of only spaces and
+tabs; a block that pass cannot be sure of goes alone to the line reader,
+with its lines numbered as in the whole text. So the records and every
+error are the line reader's on the whole text.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, lt
 from typing import Iterable, Iterator, NamedTuple, Optional, TextIO, Union
 
 from ._text import line_blocks, text_file
@@ -117,7 +121,8 @@ _TX_LINE = (
     '"video_entropy": %s, "video_label": %s}'
 )
 
-#: A class event's line is its head, its label, its middle and its track.
+#: A class event's line is its head, its label, its middle and its track,
+#: then ``}``.
 _CLASS_HEAD = '{"frame": %r, "kind": "class", "label": '
 _CLASS_MIDDLE = ', "source": %s, "t_s": %r, "track": '
 _UNSET = object()
@@ -301,6 +306,13 @@ def _header(obj, line_no: int) -> RunLog:
     frames = obj["processed_frame_indices"]
     if not all(map(_INT.__contains__, map(type, frames))):
         raise ParseError(line_no, f"bad processed_frame_indices: {frames!r}")
+    if not all(map(lt, frames, frames[1:])):  # a duration is read from the first and last
+        i = next(i for i in range(1, len(frames)) if not frames[i - 1] < frames[i])
+        raise ParseError(
+            line_no,
+            f"bad processed_frame_indices: entry {i}, {frames[i]}, does not exceed "
+            f"the entry before it, {frames[i - 1]}",
+        )
     echo = obj["config"]  # no key or value may break a report's line
     texts = [*echo, *echo.values()]
     if not all(type(text) is str and "".join(text.splitlines()) == text for text in texts):
@@ -312,18 +324,6 @@ def _header(obj, line_no: int) -> RunLog:
     owners[""]["processed_frame_indices"] = tuple(frames)
     return RunLog(
         clock=FrameClock(**owners["clock"]), budget=BudgetConfig(**owners["budget"]), **owners[""]
-    )
-
-
-def _overcounted(log: RunLog) -> Optional[str]:
-    """Why the log accounts for more candidates than it saw, if it does:
-    every candidate is sent or rejected at most once."""
-    outcomes = len(log.transmissions) + log.rejected_threshold + log.rejected_budget
-    if outcomes <= log.raw_candidate_count:
-        return None
-    return (
-        f"transmissions + rejected_threshold + rejected_budget = {outcomes} "
-        f"exceeds raw_candidates = {log.raw_candidate_count}"
     )
 
 
@@ -349,7 +349,9 @@ def _line_records(text: str, first: int, log: Optional[RunLog], header_no: int) 
     """The line reader over ``text``, whose first line is line ``first``: it
     decodes and checks one line at a time and skips lines of only
     whitespace. Without a ``log``, the first other line is the header. It
-    gives the log with ``text``'s records added, and the header's line."""
+    gives the header and its line, and ``text``'s tx records and class
+    events."""
+    transmissions, class_events = [], []
     for line_no, raw in enumerate(text.splitlines(), start=first):
         if not raw.strip():
             continue
@@ -362,29 +364,38 @@ def _line_records(text: str, first: int, log: Optional[RunLog], header_no: int) 
                 raise ParseError(line_no, f"expected a JSON object, got {obj!r}")
             kind = obj.get("kind")
             if kind == "tx":
-                log.transmissions.append(_transmission(obj, line_no))
+                transmissions.append(_transmission(obj, line_no))
             elif kind == "class":
-                log.class_events.append(_class_event(obj, line_no))
+                class_events.append(_class_event(obj, line_no))
             else:
                 raise ParseError(line_no, f"unknown record kind: {kind!r}")
         except (InvalidParam, ConfigError) as err:
             raise ParseError(line_no, str(err)) from None
-    return log, header_no
+    return log, header_no, transmissions, class_events
 
 
-def _checked(log: Optional[RunLog], header_no: int) -> RunLog:
-    """``log``, read whole: there must be one, and it must not overcount."""
+def _checked(log: Optional[RunLog], header_no: int, sent: int) -> RunLog:
+    """``log``, read whole with ``sent`` tx records: there must be one, and
+    it must not account for more candidates than it saw, as every candidate
+    is sent or rejected at most once."""
     if log is None:
         raise ParseError(1, "empty run log")
-    problem = _overcounted(log)
-    if problem:
-        raise ParseError(header_no, problem)
+    outcomes = sent + log.rejected_threshold + log.rejected_budget
+    if outcomes > log.raw_candidate_count:
+        raise ParseError(
+            header_no,
+            f"transmissions + rejected_threshold + rejected_budget = {outcomes} "
+            f"exceeds raw_candidates = {log.raw_candidate_count}",
+        )
     return log
 
 
 def _read_lines(text: str) -> RunLog:
     """The line reader over a whole text: the reference for ``read_jsonl``."""
-    return _checked(*_line_records(text, 1, None, 1))
+    log, header_no, transmissions, class_events = _line_records(text, 1, None, 1)
+    log = _checked(log, header_no, len(transmissions))
+    log.transmissions, log.class_events = transmissions, class_events
+    return log
 
 
 #: Decodes with json's C number parsing: no per-number hooks, so integers
@@ -393,17 +404,41 @@ def _read_lines(text: str) -> RunLog:
 _PLAIN = json.JSONDecoder(parse_constant=_reject_constant)
 
 _tx_values = itemgetter(*_TX_FIELDS)
-_class_values = itemgetter(*_CLASS_FIELDS)
 
-#: Quote characters of a record line with exactly its fields' keys and
-#: "kind", and no string value but its kind (and a class event's source).
+#: Quote characters of a tx line with exactly its fields' keys and "kind",
+#: and no string value but its kind.
 _TX_QUOTES = 2 * (len(_TX_FIELDS) + 1) + 2
-_CLASS_QUOTES = 2 * (len(_CLASS_FIELDS) + 1) + 4
+
+#: JSON's integer and number literals, each captured.
+_JSON_INT = "(-?(?:0|[1-9][0-9]*))"
+_JSON_NUMBER = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)"
 
 
-def _with_bbox(row: tuple, bbox: BBox) -> TransmissionRecord:
-    """The record of a tx row, with its bbox list read as ``bbox``."""
-    return TransmissionRecord._make(row[:3] + (bbox,) + row[4:])
+def _line_pattern(template: str, fields: tuple[str, ...]) -> re.Pattern:
+    """The whole lines ``template`` formats, each after the ``\\n`` that
+    ends the line before it, with its ``%`` fields matched by ``fields``'
+    patterns, in order."""
+    literals = map(re.escape, re.split("%[rs]", template))
+    return re.compile("\n%s(?![^\n])" % "".join(chain(*zip(literals, (*fields, "")))))
+
+
+#: A class event's line as ``_class_lines`` writes it, its fields captured
+#: in the template's order: frame, label, source, t_s and track.
+_CLASS_LINE = _line_pattern(
+    f"{_CLASS_HEAD}%r{_CLASS_MIDDLE}%r}}",
+    (
+        _JSON_INT,
+        _JSON_INT,
+        f'"({CLASS_SOURCE_VIDEO}|{CLASS_SOURCE_STILL})"',
+        _JSON_NUMBER,
+        _JSON_INT,
+    ),
+)
+
+
+def _number(literal: str):
+    """The value json reads from a JSON number literal."""
+    return int(literal) if literal.lstrip("-").isdigit() else float(literal)
 
 
 def _typed(column, types: frozenset) -> bool:
@@ -416,81 +451,109 @@ def _finite(numbers) -> bool:
     return all(map(math.isfinite, numbers))
 
 
-def _block_records(block: str, plain: bool) -> Optional[tuple[list, list]]:
-    """The tx records and class events of a ``plain`` ``block``, whole
-    lines each holding one record, or None where ``_read_lines`` might read
-    them otherwise. Each line must hold only spaces and tabs or exactly one
-    JSON value, from its first character to its last, so a value cut by a
-    line end does not decode and no line holds two."""
+def _tx_columns(records: list) -> list:
+    """Tx records or rows as columns, in TransmissionRecord's field order."""
+    return list(zip(*records)) or [()] * len(_TX_FIELDS)
+
+
+def _block_records(block: str, plain: bool) -> Optional[tuple[list, Iterator[ClassEvent]]]:
+    """The tx columns and the class events of a ``plain`` ``block`` of whole
+    lines, or None where ``_read_lines`` might read them otherwise. Class
+    lines are found in one pass of ``_CLASS_LINE``, the writer's template,
+    and their numbers checked by value. Every other line must hold only
+    spaces and tabs or exactly one JSON value, from its first character to
+    its last, so a value cut by a line end does not decode and no line holds
+    two. The bbox column and the events are iterators that build their
+    ``BBox``es and ``ClassEvent``s as they are read."""
     if not plain:
         return None
+    parts = _CLASS_LINE.split("\n" + block)
+    step = _CLASS_LINE.groups + 1
+    frames, labels, sources, times, tracks = (parts[i::step] for i in range(1, step))
+    rest = "".join(parts[::step])  # the lines that are not class lines
     records = []
-    for line in block.split("\n"):
+    for line in rest.split("\n"):
         if line.strip(" \t"):  # a line of only spaces and tabs is skipped
             record, end = _PLAIN.scan_once(line, 0)
             if end != len(line):
                 return None
             records.append(record)
-    txs = [r for r in records if r["kind"] == "tx"]
-    events = [r for r in records if r["kind"] == "class"]
-    tx_rows = list(map(_tx_values, txs))
-    class_rows = list(map(_class_values, events))
-    # Every line holds at least its quote count once its record has all its
-    # fields and the types below, and a record of another kind holds at
-    # least the two of "kind"; equal totals leave no room for such a
-    # record, nor for another key, so neither a duplicate key nor an extra
-    # one holds a value that went unchecked.
-    if block.count('"') != _TX_QUOTES * len(txs) + _CLASS_QUOTES * len(events):
+    tx_rows = [_tx_values(r) for r in records if r["kind"] == "tx"]
+    # Every tx line holds at least its quote count once its record has all
+    # its fields and the types below, and a record of another kind holds at
+    # least the two of "kind"; equal totals leave no room for such a record,
+    # nor for another key, so neither a duplicate key nor an extra one holds
+    # a value that went unchecked.
+    if rest.count('"') != _TX_QUOTES * len(tx_rows):
         return None
-    transmissions, class_events = [], []
+    tx_cols = _tx_columns(tx_rows)
     if tx_rows:
-        tx_cols = list(zip(*tx_rows))
-        if not all(map(_typed, tx_cols, _TX_FIELDS.values())):
-            return None
-        bboxes = tx_cols[3]  # BBox refuses a list of another length
+        bboxes = tx_cols[3]
         corners = list(chain.from_iterable(bboxes))
         semantic = [row[9:] for row in tx_rows if row[9] is not None]
         if not (
-            _typed(corners, _NUM)
+            all(map(_typed, tx_cols, _TX_FIELDS.values()))
+            and _typed(corners, _NUM)
+            and set(map(len, bboxes)) == {4}
             and {row[9:].count(None) for row in tx_rows} <= {0, 6}
             and _finite(chain(corners, *tx_cols[:3], *tx_cols[4:9], *semantic))
+            and min(corners[2::4]) > 0  # BBox's own check, on w and h
+            and min(corners[3::4]) > 0
         ):
             return None
-        transmissions = list(map(_with_bbox, tx_rows, starmap(BBox, bboxes)))
-    if class_rows:
-        class_cols = list(zip(*class_rows))
-        if not (
-            all(map(_typed, class_cols, _CLASS_FIELDS.values()))
-            and set(class_cols[4]) <= {CLASS_SOURCE_VIDEO, CLASS_SOURCE_STILL}
-            and _finite(chain(*class_cols[:4]))
-        ):
-            return None
-        class_events = list(map(ClassEvent._make, class_rows))
-    return transmissions, class_events
+        tx_cols[3] = starmap(BBox, bboxes)
+    # float reads an integer literal beyond the float range as an infinity
+    if not _finite(map(float, set(chain(frames, labels, times, tracks)))):
+        return None
+    columns = map(int, frames), map(_number, times), map(int, tracks), map(int, labels), sources
+    return tx_cols, map(ClassEvent, *columns)
 
 
-def _read_blocks(blocks: Iterable[tuple[int, str, bool]]) -> RunLog:
-    """The log of the numbered blocks ``line_blocks`` gives. The line reader
-    reads up to the header, the first line of more than whitespace; then a
-    block goes to ``_block_records``, and alone to the line reader where that
-    gives None or fails. So only one block's text and dicts are held. The
-    rest of the header's block counts as plain only if all of it is."""
-    log, header_no = None, 1
+def _read_blocks(blocks: Iterable[tuple[int, str, bool]]) -> Iterator:
+    """``iter_jsonl`` over the numbered blocks ``line_blocks`` gives: the
+    header's ``RunLog``, without records, then, block by block, the tx
+    records as columns and the class events. The line reader reads up to
+    the header, the first line of more than whitespace; then a block
+    goes to ``_block_records``, and alone to the line reader where that
+    gives None or fails. So only one block's text and values are held.
+    The rest of the header's block counts as plain only if all of it is.
+    At the end, the header's counts are checked against the tx records
+    read."""
+    log, header_no, sent = None, 1, 0
     for line_no, block, plain in blocks:
         if log is None:
             cut = block.find("\n", len(block) - len(block.lstrip())) + 1 or len(block)
-            log, header_no = _line_records(block[:cut], line_no, log, header_no)
+            log, header_no, transmissions, class_events = _line_records(
+                block[:cut], line_no, log, header_no
+            )
+            if log is None:  # the block is all whitespace
+                continue
+            yield log
+            if transmissions or class_events:  # str.splitlines broke the header's line
+                sent += len(transmissions)
+                yield _tx_columns(transmissions), class_events
             line_no, block = line_no + len(block[:cut].splitlines()), block[cut:]
         try:
-            records = None if log is None else _block_records(block, plain)
+            records = _block_records(block, plain)
         except Exception:  # any failure leaves the verdict, and the error, to the line reader
             records = None
         if records is None:
-            log, header_no = _line_records(block, line_no, log, header_no)
-        else:
-            log.transmissions += records[0]
-            log.class_events += records[1]
-    return _checked(log, header_no)
+            _, _, transmissions, class_events = _line_records(block, line_no, log, header_no)
+            records = _tx_columns(transmissions), class_events
+        sent += len(records[0][0])
+        yield records
+    _checked(log, header_no, sent)
+
+
+def iter_jsonl(source: Union[str, TextIO]) -> Iterator:
+    """The run log ``source`` holds, as ``read_jsonl`` reads it, given as it
+    is read: the header's ``RunLog``, without records, then for each block
+    of lines its tx records as columns, in TransmissionRecord's field order,
+    and an iterable of its class events. The bbox column and the events may
+    be iterators, which build their values as they are read; the other
+    columns are sequences. It raises ``read_jsonl``'s ParseError once it
+    reads the damage; a header that overcounts, after the last block."""
+    return _read_blocks(line_blocks(text_file(source)))
 
 
 def read_jsonl(source: Union[str, TextIO]) -> RunLog:
@@ -500,6 +563,12 @@ def read_jsonl(source: Union[str, TextIO]) -> RunLog:
     numbers beyond the float range included), a record that is not an
     object, a missing field or one of the wrong JSON type, a value that a
     domain type refuses, or a header whose counts are negative or account
-    for more candidates than it saw. Lines are numbered as in the file;
-    blank lines are skipped but counted."""
-    return _read_blocks(line_blocks(text_file(source)))
+    for more candidates than it saw, or whose processed frames do not
+    increase. Lines are numbered as in the file; blank lines are skipped but
+    counted."""
+    parts = iter_jsonl(source)
+    log = next(parts)
+    for tx_cols, class_events in parts:
+        log.transmissions += map(TransmissionRecord, *tx_cols)
+        log.class_events += class_events
+    return log

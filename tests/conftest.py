@@ -1,16 +1,21 @@
 import json
+from dataclasses import replace
 from functools import partial
+from itertools import chain
 
 import pytest
 from hypothesis import settings
 
-from roitel import ParseError, engine, ingest, runlog
-from roitel.runlog import to_jsonl_lines
+from roitel import ParseError, RoitelError, engine, ingest, metrics, runlog
+from roitel.runlog import TransmissionRecord, to_jsonl_lines
 from helpers import (
     block_verdicts,
     class_obj,
+    fold_facts,
+    fold_result,
     json_lines,
     parse_rows,
+    read_and_aggregate,
     read_outcome,
     ref_associate,
     scalar_schedule,
@@ -62,6 +67,14 @@ class Tee:
         return text
 
 
+def read_text(source, tee) -> str:
+    """The whole text of ``source``, read through ``tee``: what was read,
+    then the rest in sized reads, as a pipe may demand."""
+    if isinstance(source, str):
+        return source
+    return "".join(tee.copy) + "".join(iter(partial(source.read, 1 << 16), ""))
+
+
 @pytest.fixture(autouse=True)
 def cross_check_detection_parses(monkeypatch):
     """Every detection parse in the suite is checked against the row parser
@@ -79,11 +92,8 @@ def cross_check_detection_parses(monkeypatch):
             got = stream_facts(result, errors)
         except ParseError as err:
             result, got = err, ("raised", err.line_no, str(err))
-        if isinstance(source, str):
-            text = source
-        else:
-            text = "".join(tee.copy) + "".join(iter(partial(source.read, 1 << 16), ""))
         collect = errors_out is not None
+        text = read_text(source, tee)
         assert got == parse_outcome(lambda t, e: parse_rows(t, layout, e), text, collect)
         if isinstance(result, ParseError):
             raise result
@@ -200,30 +210,63 @@ def cross_check_runlog_writes(monkeypatch):
 
 @pytest.fixture(autouse=True)
 def cross_check_runlog_reads(monkeypatch):
-    """Every run-log read in the suite is checked against the line reader
-    on the whole text: the same log, or the same ParseError. No block of a
-    log the writer wrote may go to the line reader: ``_block_records`` must
-    take each, so that only the header line takes the line path. The
-    fixture holds its own references, so a test may patch the module's."""
+    """Every run-log read in the suite, by ``read_jsonl`` or by a fold, is
+    checked against the line reader on the whole text: the same log, or the
+    same ParseError. No block of a log the writer wrote may go to the line
+    reader: ``_block_records`` must take each, so that only the header line
+    takes the line path. The fixture holds its own references, so a test may
+    patch the module's. It reads every block before it gives any: the
+    header, then each block's columns and events, built once."""
     read_blocks, lines = runlog._read_blocks, runlog._read_lines
 
     def checked(blocks):
         blocks = list(blocks)
         text = "".join(block for _, block, _ in blocks)
         expected = read_outcome(lines, text)
+        failure = None
         with monkeypatch.context() as patch:
             verdicts = block_verdicts(patch, runlog, "_block_records")
+            parts = read_blocks(blocks)
             try:
-                result = read_blocks(blocks)
-                got = ("read", repr(result))
+                header = next(parts)
+                records = [([list(col) for col in cols], list(events)) for cols, events in parts]
+                transmissions = [map(TransmissionRecord, *cols) for cols, _ in records]
+                log = replace(
+                    header,
+                    transmissions=list(chain.from_iterable(transmissions)),
+                    class_events=[ev for _, events in records for ev in events],
+                )
+                got = ("read", repr(log))
             except ParseError as err:
-                result, got = err, ("raised", err.line_no, str(err))
+                failure, got = err, ("raised", err.line_no, str(err))
         assert got == expected
-        if isinstance(result, ParseError):
-            raise result
+        if failure is not None:
+            raise failure
         if False in verdicts:
-            written = "\n".join(json_lines(result))
+            written = "\n".join(json_lines(log))
             assert text not in (written, written + "\n"), "a clean block took the line path"
-        return result
+        yield header
+        for cols, events in records:
+            yield cols, iter(events)
 
     monkeypatch.setattr(runlog, "_read_blocks", checked)
+
+
+@pytest.fixture(autouse=True)
+def cross_check_folds(monkeypatch):
+    """Every fold in the suite is checked against
+    ``aggregate_run(read_jsonl(text))`` on the whole text: the same header
+    and report, or the same error and line number. A file is folded once,
+    through a ``Tee``."""
+    fold = metrics.fold_jsonl
+
+    def checked(source):
+        tee = source if isinstance(source, str) else Tee(source)
+        result = fold_result(fold, tee)
+        expected = fold_result(read_and_aggregate, read_text(source, tee))
+        assert fold_facts(result) == fold_facts(expected)
+        if isinstance(result, RoitelError):
+            raise result
+        return result
+
+    monkeypatch.setattr(metrics, "fold_jsonl", checked)

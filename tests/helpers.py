@@ -10,7 +10,7 @@ import io
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from operator import add
 from typing import Iterator, Optional
@@ -33,10 +33,11 @@ from roitel import (
     LedgerView,
     ParseError,
     PolicyConfig,
+    RoitelError,
     RunConfig,
     RunLog,
 )
-from roitel import _text, ingest, kernels, runlog
+from roitel import _text, ingest, kernels, metrics, runlog
 from roitel.budget import estimate_cost
 from roitel.config import dump_config
 from roitel.engine import processed_frame_range
@@ -698,6 +699,30 @@ def read_outcome(read, text):
     except ParseError as err:
         return ("raised", err.line_no, str(err))
     return ("read", repr(log))
+
+
+def read_and_aggregate(source):
+    """A run log's header and report from the whole log: the reference for
+    ``metrics.fold_jsonl``."""
+    log = runlog.read_jsonl(source)
+    return log, metrics.aggregate_run(log)
+
+
+def fold_result(fold, source):
+    """What one fold gives: the header and the report, or the error."""
+    try:
+        return fold(source)
+    except RoitelError as err:
+        return err
+
+
+def fold_facts(result):
+    """A fold's result in a form that tells -0.0 from 0.0 and 1 from 1.0:
+    the header without records and the report, or the error."""
+    if isinstance(result, RoitelError):
+        return ("raised", type(result), getattr(result, "line_no", None), str(result))
+    header, report = result
+    return ("folded", repr(replace(header, transmissions=[], class_events=[])), repr(report))
 
 
 def block_verdicts(monkeypatch, module, check: str) -> list[bool]:

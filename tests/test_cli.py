@@ -1043,17 +1043,17 @@ def test_report_reaggregates_run_logs(tmp_path, detections_csv, capsys):
 def test_report_drops_each_log_before_the_next_is_read(tmp_path, detections_csv, monkeypatch):
     out_dir = tmp_path / "sweep"
     assert run_sweep(out_dir, detections_csv) == 0
-    read = runlog.read_jsonl
+    fold = metrics.fold_jsonl
     returned = []  # a weak reference to each log read so far
     alive_when_read = []
 
     def tracked(fp):
         alive_when_read.append([ref() is not None for ref in returned])
-        log = read(fp)
+        log, rep = fold(fp)
         returned.append(weakref.ref(log))
-        return log
+        return log, rep
 
-    monkeypatch.setattr(runlog, "read_jsonl", tracked)
+    monkeypatch.setattr(metrics, "fold_jsonl", tracked)
     logs = [str(out_dir / f"runlog_{v}.jsonl") for v in ("M0", "M2", "M5")]
     assert main(["report", *logs]) == 0
     assert alive_when_read == [[], [False], [False, False]]
@@ -1121,7 +1121,7 @@ def test_report_refuses_an_empty_label_before_reading_a_log(
     assert run_sweep(out_dir, detections_csv) == 0
     capsys.readouterr()
     read = []
-    monkeypatch.setattr(runlog, "read_jsonl", read.append)
+    monkeypatch.setattr(metrics, "fold_jsonl", read.append)
     logs = [str(out_dir / f"runlog_{v}.jsonl") for v in ("M0", "M2", "M5")]
     assert main(["report", *logs[: len(labels.split(","))], "--labels", labels]) == 1
     captured = capsys.readouterr()
@@ -1158,6 +1158,23 @@ def test_report_refuses_a_log_variant_no_table_can_hold(tmp_path, detections_csv
     assert (captured.out, captured.err) == (
         "",
         "error: report label 'x|y' holds '|', ',' or a line break\n",
+    )
+
+
+@pytest.mark.parametrize("variant", ["", " \t"])
+def test_report_refuses_a_log_variant_that_names_no_row(
+    tmp_path, detections_csv, capsys, variant
+):
+    rc, out_dir = simulate(tmp_path, detections_csv)
+    assert rc == 0
+    path = out_dir / "runlog.jsonl"
+    damage_runlog(path, 0, set_field("variant", variant))
+    capsys.readouterr()
+    assert main(["report", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "",
+        f"error: report label {variant!r} is empty or only whitespace\n",
     )
 
 
@@ -1267,6 +1284,21 @@ def test_report_on_a_damaged_log_exits_1(
     assert main(["report", str(log_path)]) == 1
     # the error names the log it came from
     assert f"error: {log_path}: {message.removeprefix('error: ')}" in capsys.readouterr().err
+
+
+def test_report_refuses_processed_frames_that_do_not_increase(tmp_path, detections_csv, capsys):
+    # the duration is read from the first and the last processed frame
+    rc, out_dir = simulate(tmp_path, detections_csv)
+    assert rc == 0
+    log_path = out_dir / "runlog.jsonl"
+    frames = json.loads(log_path.read_text().splitlines()[0])["processed_frame_indices"]
+    damage_runlog(log_path, 0, set_field("processed_frame_indices", [*frames[:-1], 5]))
+    capsys.readouterr()
+    assert main(["report", str(log_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {log_path}: line 1: bad processed_frame_indices: entry {len(frames) - 1}, 5, "
+        f"does not exceed the entry before it, {frames[-2]}\n"
+    )
 
 
 def test_report_names_the_damaged_log_among_several(tmp_path, detections_csv, capsys):

@@ -22,6 +22,7 @@ from roitel import (
     emit_report,
     emit_selection_report,
 )
+from roitel import metrics
 from roitel.metrics import REPORT_COLUMNS, SELECTION_COLUMNS, report_row
 
 
@@ -166,6 +167,22 @@ def test_aggregate_is_permutation_invariant():
         assert aggregate(mk_log(shuffled), 0.801e6, 30.0) == baseline
 
 
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_aggregate_takes_a_log_a_chunk_at_a_time(monkeypatch, chunk):
+    # every third record has no sidecar answer
+    txs = [
+        mk_tx(i, i % 5, 1000.0 + i)
+        if i % 3 == 0
+        else mk_tx(i, i % 5, 1000.0 + i, video_conf=0.2, still_conf=0.1 * (i % 4),
+                   video_label=i % 2, still_label=1, video_entropy=1.0, still_entropy=0.5 * i)
+        for i in range(20)
+    ]
+    whole = aggregate(mk_log(txs), 0.801e6, 30.0)
+    assert (whole.selected_rois, whole.semantic_count, whole.tracks_refined) == (20, 13, 5)
+    monkeypatch.setattr(metrics, "_CHUNK", chunk)
+    assert aggregate(mk_log(txs), 0.801e6, 30.0) == whole
+
+
 def test_share_increases_with_roi_traffic():
     shares = []
     for n in (0, 10, 50, 200):
@@ -201,6 +218,13 @@ def sem_tx(track, video_entropy):
         ([mk_tx(0, 0, 1e308)] * 2, 0.801e6, 10.0, "roi_bitrate_bps"),
         ([mk_tx(0, 0, 8000.0)], math.inf, 10.0, "base_bitrate_bps"),
         ([sem_tx(1, 1.7e308), sem_tx(2, 1.7e308)], 0.801e6, 10.0, "mean_entropy_gain"),
+        # two integers within the float range whose difference is beyond it
+        (
+            [sem_tx(1, 0.0)._replace(video_conf=-(10**308), still_conf=10**308)],
+            0.801e6,
+            10.0,
+            "mean_conf_gain",
+        ),
     ],
 )
 def test_aggregate_refuses_a_number_beyond_the_float_range(txs, base, duration, quantity):
@@ -381,6 +405,14 @@ def test_duplicate_labels_rejected():
     rep = aggregate(mk_log([]), 0.801e6, 10.0)
     with pytest.raises(DuplicateLabel):
         emit_report([("M5", rep), ("M5", rep)])
+
+
+@pytest.mark.parametrize("emit", [emit_report, emit_selection_report])
+@pytest.mark.parametrize("label", ["", " ", " \t"])
+def test_a_label_that_names_no_row_is_rejected(emit, label):
+    rep = aggregate(mk_log([]), 0.801e6, 10.0)
+    with pytest.raises(InvalidParam, match="is empty or only whitespace"):
+        emit([("M5", rep), (label, rep)])
 
 
 def test_unknown_format_rejected():

@@ -2,7 +2,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from unittest import mock
 
 import pytest
@@ -19,10 +19,19 @@ from roitel import (
     TransmissionRecord,
     read_jsonl,
 )
-from roitel import _text, runlog
+from roitel import _text, metrics, runlog
 from roitel.metrics import aggregate_run, emit_report
 from roitel.runlog import CLASS_SOURCE_STILL, CLASS_SOURCE_VIDEO, to_jsonl_lines
-from helpers import SizedReadsOnly, block_verdicts, json_lines, plain_checks, read_outcome
+from helpers import (
+    SizedReadsOnly,
+    block_verdicts,
+    fold_facts,
+    fold_result,
+    json_lines,
+    plain_checks,
+    read_and_aggregate,
+    read_outcome,
+)
 
 
 def sample_log() -> RunLog:
@@ -280,6 +289,18 @@ def damaged(index: int, key: str, value) -> str:
         (0, "config", {"policy\rnote": "a"}, "bad config echo"),
         (0, "processed_frame_indices", 5, "'processed_frame_indices' must be a list"),
         (0, "processed_frame_indices", [0, "5"], "bad processed_frame_indices"),
+        (
+            0,
+            "processed_frame_indices",
+            [0, 5, 5],
+            "bad processed_frame_indices: entry 2, 5, does not exceed the entry before it, 5",
+        ),
+        (
+            0,
+            "processed_frame_indices",
+            [10, 5, 15],
+            "bad processed_frame_indices: entry 1, 5, does not exceed the entry before it, 10",
+        ),
         (0, "duration_s", "52", "'duration_s' must be a number or null"),
         (0, "fps", -1.0, "fps must be > 0"),
         (0, "b_total_bps", -1.0, "b_total must be >= 0"),
@@ -313,6 +334,17 @@ def test_read_rejects_wrong_types_and_refused_values_with_line_number(
     with pytest.raises(ParseError, match=fragment) as exc:
         read_jsonl(damaged(index, key, value))
     assert exc.value.line_no == index + 1
+
+
+def test_processed_frames_out_of_order_name_one_entry_of_a_long_list():
+    frames = list(range(0, 1_000_001, 5))
+    frames[-1] = 5  # the duration, read from the first and the last, would be 1/3 s
+    with pytest.raises(ParseError) as exc:
+        read_jsonl(damaged(0, "processed_frame_indices", frames))
+    assert str(exc.value) == (
+        "line 1: bad processed_frame_indices: entry 200000, 5, "
+        "does not exceed the entry before it, 999995"
+    )
 
 
 def test_integers_up_to_the_float_range_are_read():
@@ -653,6 +685,15 @@ def test_a_file_reads_as_the_line_reader_reads_its_text(block, text):
     assert read_from_file(text, block) == read_outcome(runlog._read_lines, text)
 
 
+@pytest.mark.parametrize("block", [8, 40, 1 << 16])
+@settings(max_examples=100, deadline=None)
+@given(text=st.one_of(written_logs(), line_damaged_logs()))
+def test_a_fold_reports_as_the_whole_log_does(block, text):
+    with mock.patch.object(_text, "BLOCK", block):
+        got = fold_facts(fold_result(metrics.fold_jsonl, text))
+    assert got == fold_facts(fold_result(read_and_aggregate, text))
+
+
 def sparse_log() -> RunLog:
     """The sample log over 200,001 processed frames: a header of 1.6 MB."""
     log = sample_log()
@@ -723,6 +764,18 @@ def test_a_form_feed_in_the_last_block_sends_only_that_block_to_the_line_reader(
         assert read_jsonl(text) == long_log()
     assert len(verdicts) > 10
     assert verdicts == [True] * (len(verdicts) - 1) + [False]
+
+
+@pytest.mark.parametrize("source", [str, SizedReadsOnly])
+def test_a_fold_takes_every_block(monkeypatch, source):
+    log = long_log()
+    log.transmissions *= 20
+    text = "\n".join(to_jsonl_lines(log)) + "\n"
+    monkeypatch.setattr(_text, "BLOCK", 256)
+    header, report = metrics.fold_jsonl(source(text))
+    assert header == replace(log, transmissions=[], class_events=[])
+    assert report == aggregate_run(log)
+    assert report.selected_rois == 40
 
 
 def test_a_file_read_only_in_sized_reads_reads_like_its_text(monkeypatch):
