@@ -176,17 +176,17 @@ def frame_terms(rows: Sequence[FrameColumns], conf: np.ndarray, cfg: PolicyConfi
 
 
 def score_block(
-    frame_index: int, cols: FrameColumns, last_refined: np.ndarray, cfg: PolicyConfig, terms=None
+    frame_index: int, cols: FrameColumns, last_refined: np.ndarray, cfg: PolicyConfig, terms: tuple
 ) -> CandidateBlock:
-    """Score a frame's candidates; ``last_refined`` is row for row with
-    ``cols``, and so are the frame's ``frame_terms`` if given as ``terms``.
+    """Score a frame's candidates; ``last_refined`` and the frame's
+    ``frame_terms``, ``terms``, are row for row with ``cols``.
 
     Each column is ``make_candidate``'s expression in its operation order:
     a row's score is the one its novelty picks. Unless ``terms`` is clean,
     a bad confidence, a non-positive cost or a non-finite score raises
     ``make_candidate``'s error for the first bad row, in row order.
     """
-    u, s, stale, novel_score, clean = terms or frame_terms([cols], cols.conf, cfg)[0]
+    u, s, stale, novel_score, clean = terms
     # frame - last > cooldown, exact in integers; a never-refined track is
     # novel whatever the cooldown. The floor keeps the bound inside int64.
     bound = max(frame_index - cfg.cooldown_frames, NEVER_REFINED)

@@ -12,12 +12,12 @@ writer and the reader build and unpack them at tuple cost.
 whole lines, through the text layer the parsers share (``_text``; a ``str``
 with universal newlines), and gives each block's records as it reads them:
 ``read_jsonl`` collects them into a ``RunLog``, and ``metrics.fold_jsonl``
-folds them into a report and keeps none. In each block after the header,
-class lines are matched against the writer's template in one pass, and
-every other line is decoded on its own, skipping lines of only spaces and
-tabs; a block that pass cannot be sure of goes alone to the line reader,
-with its lines numbered as in the whole text. So the records and every
-error are the line reader's on the whole text.
+folds them into a report and keeps none. A block after the header is
+taken when each of its lines is one the writer's tx or class template
+writes, or holds only spaces and tabs, and its numbers pass a check by
+value; any other block goes alone to the line reader, with its lines
+numbered as in the whole text. So the records and every error are the
+line reader's on the whole text.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter, lt
+from operator import attrgetter, lt
 from typing import Iterable, Iterator, NamedTuple, Optional, TextIO, Union
 
 from ._text import line_blocks, text_file
@@ -403,15 +403,17 @@ def _read_lines(text: str) -> RunLog:
 #: check checks the numbers itself.
 _PLAIN = json.JSONDecoder(parse_constant=_reject_constant)
 
-_tx_values = itemgetter(*_TX_FIELDS)
+#: JSON's integer and number literals.
+_JSON_INT = "-?(?:0|[1-9][0-9]*)"
+_JSON_NUMBER = _JSON_INT + r"(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
 
-#: Quote characters of a tx line with exactly its fields' keys and "kind",
-#: and no string value but its kind.
-_TX_QUOTES = 2 * (len(_TX_FIELDS) + 1) + 2
-
-#: JSON's integer and number literals, each captured.
-_JSON_INT = "(-?(?:0|[1-9][0-9]*))"
-_JSON_NUMBER = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)"
+#: A field's JSON types -> the pattern of its literal, captured.
+_LITERAL = {
+    _INT: f"({_JSON_INT})",
+    _NUM: f"({_JSON_NUMBER})",
+    _INT | _NULL: f"(null|{_JSON_INT})",
+    _NUM | _NULL: f"(null|{_JSON_NUMBER})",
+}
 
 
 def _line_pattern(template: str, fields: tuple[str, ...]) -> re.Pattern:
@@ -422,27 +424,40 @@ def _line_pattern(template: str, fields: tuple[str, ...]) -> re.Pattern:
     return re.compile("\n%s(?![^\n])" % "".join(chain(*zip(literals, (*fields, "")))))
 
 
+#: The tx keys in the template's order, which is sorted: "bbox" comes first.
+_TX_KEYS = sorted(_TX_FIELDS)
+
+#: A tx record's line as ``_tx_line`` writes it, its literals captured in
+#: the template's order: the bbox's four, then one for each later key.
+_TX_PATTERN = _line_pattern(
+    _TX_LINE, (*[_LITERAL[_NUM]] * 4, *(_LITERAL[_TX_FIELDS[key]] for key in _TX_KEYS[1:]))
+)
+
 #: A class event's line as ``_class_lines`` writes it, its fields captured
 #: in the template's order: frame, label, source, t_s and track.
-_CLASS_LINE = _line_pattern(
+_CLASS_PATTERN = _line_pattern(
     f"{_CLASS_HEAD}%r{_CLASS_MIDDLE}%r}}",
     (
-        _JSON_INT,
-        _JSON_INT,
+        _LITERAL[_INT],
+        _LITERAL[_INT],
         f'"({CLASS_SOURCE_VIDEO}|{CLASS_SOURCE_STILL})"',
-        _JSON_NUMBER,
-        _JSON_INT,
+        _LITERAL[_NUM],
+        _LITERAL[_INT],
     ),
 )
+
+
+def _captures(pattern: re.Pattern, text: str) -> tuple[str, list[list[str]]]:
+    """``text`` without the lines ``pattern`` matches, and for each of its
+    groups what it captured on those lines, in order."""
+    parts = pattern.split(text)
+    step = pattern.groups + 1
+    return "".join(parts[::step]), [parts[i::step] for i in range(1, step)]
 
 
 def _number(literal: str):
     """The value json reads from a JSON number literal."""
     return int(literal) if literal.lstrip("-").isdigit() else float(literal)
-
-
-def _typed(column, types: frozenset) -> bool:
-    return set(map(type, column)) <= types
 
 
 def _finite(numbers) -> bool:
@@ -458,51 +473,34 @@ def _tx_columns(records: list) -> list:
 
 def _block_records(block: str, plain: bool) -> Optional[tuple[list, Iterator[ClassEvent]]]:
     """The tx columns and the class events of a ``plain`` ``block`` of whole
-    lines, or None where ``_read_lines`` might read them otherwise. Class
-    lines are found in one pass of ``_CLASS_LINE``, the writer's template,
-    and their numbers checked by value. Every other line must hold only
-    spaces and tabs or exactly one JSON value, from its first character to
-    its last, so a value cut by a line end does not decode and no line holds
-    two. The bbox column and the events are iterators that build their
-    ``BBox``es and ``ClassEvent``s as they are read."""
+    lines, or None where ``_read_lines`` might read them otherwise. Each
+    line must be one the writer's templates write, as ``_TX_PATTERN`` or
+    ``_CLASS_PATTERN`` matches it, or hold only spaces and tabs, which the
+    line reader skips. So each literal is JSON of its field's types, and
+    only the numbers' values are left to check. The bbox column and the
+    events are iterators that build their ``BBox``es and ``ClassEvent``s as
+    they are read."""
     if not plain:
         return None
-    parts = _CLASS_LINE.split("\n" + block)
-    step = _CLASS_LINE.groups + 1
-    frames, labels, sources, times, tracks = (parts[i::step] for i in range(1, step))
-    rest = "".join(parts[::step])  # the lines that are not class lines
-    records = []
-    for line in rest.split("\n"):
-        if line.strip(" \t"):  # a line of only spaces and tabs is skipped
-            record, end = _PLAIN.scan_once(line, 0)
-            if end != len(line):
-                return None
-            records.append(record)
-    tx_rows = [_tx_values(r) for r in records if r["kind"] == "tx"]
-    # Every tx line holds at least its quote count once its record has all
-    # its fields and the types below, and a record of another kind holds at
-    # least the two of "kind"; equal totals leave no room for such a record,
-    # nor for another key, so neither a duplicate key nor an extra one holds
-    # a value that went unchecked.
-    if rest.count('"') != _TX_QUOTES * len(tx_rows):
+    rest, class_literals = _captures(_CLASS_PATTERN, "\n" + block)
+    rest, tx_literals = _captures(_TX_PATTERN, rest)
+    if rest.strip(" \t\n"):
         return None
-    tx_cols = _tx_columns(tx_rows)
-    if tx_rows:
-        bboxes = tx_cols[3]
-        corners = list(chain.from_iterable(bboxes))
-        semantic = [row[9:] for row in tx_rows if row[9] is not None]
-        if not (
-            all(map(_typed, tx_cols, _TX_FIELDS.values()))
-            and _typed(corners, _NUM)
-            and set(map(len, bboxes)) == {4}
-            and {row[9:].count(None) for row in tx_rows} <= {0, 6}
-            and _finite(chain(corners, *tx_cols[:3], *tx_cols[4:9], *semantic))
-            and min(corners[2::4]) > 0  # BBox's own check, on w and h
-            and min(corners[3::4]) > 0
-        ):
-            return None
-        tx_cols[3] = starmap(BBox, bboxes)
+    # the patterns have matched each literal to JSON's grammar, so one
+    # decode of them all reads each as the line reader does
+    values = _PLAIN.decode("[%s]" % ",".join(chain.from_iterable(tx_literals)))
+    n = len(tx_literals[0])
+    x, y, w, h, *later = (values[i * n : i * n + n] for i in range(len(tx_literals)))
+    tx = dict(zip(_TX_KEYS[1:], later), bbox=starmap(BBox, zip(x, y, w, h)))
+    tx_cols = [tx[key] for key in _TX_FIELDS]
+    if not (
+        _finite(filter(None, values))  # nulls and zeros go, and zeros are finite
+        and {row.count(None) for row in zip(*tx_cols[9:])} <= {0, 6}
+        and min(chain(w, h), default=1) > 0  # BBox's own check
+    ):
+        return None
     # float reads an integer literal beyond the float range as an infinity
+    frames, labels, sources, times, tracks = class_literals
     if not _finite(map(float, set(chain(frames, labels, times, tracks)))):
         return None
     columns = map(int, frames), map(_number, times), map(int, tracks), map(int, labels), sources

@@ -109,12 +109,13 @@ def assert_block_matches(frame, rows, cfg):
             error = str(err)
             break
     cols, last = frame_columns(rows)
+    terms = policy.frame_terms([cols], cols.conf, cfg)[0]
     if error is not None:
         with pytest.raises(InvalidParam) as exc:
-            policy.score_block(frame, cols, last, cfg)
+            policy.score_block(frame, cols, last, cfg, terms)
         assert str(exc.value) == error
     else:
-        block = policy.score_block(frame, cols, last, cfg)
+        block = policy.score_block(frame, cols, last, cfg, terms)
         for name in TERMS:
             assert [v.hex() for v in getattr(block, name).tolist()] == [
                 getattr(c, name).hex() for c in cands

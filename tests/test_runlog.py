@@ -583,6 +583,10 @@ def line_damage_cases() -> dict[str, str]:
         "line separator in a config value": "\n".join(
             [lines[0].replace('"15.0"', '"15\u20280"'), *lines[1:]]
         ),
+        # int() reads it, JSON does not
+        "a leading zero in a class line": "\n".join(
+            [*lines[:-1], lines[-1].replace('"track": 2}', '"track": 02}')]
+        ),
     }
 
 
@@ -595,6 +599,55 @@ def test_numbers_whose_sum_is_beyond_the_float_range_pass_the_block_check(monkey
     text = "\n".join(to_jsonl_lines(log))
     assert runlog._read_lines(text) == log
     assert read_checked(monkeypatch, text) == (log, [True])
+
+
+def test_one_decode_reads_a_blocks_tx_records(monkeypatch):
+    log = replace(sample_log(), raw_candidate_count=55)
+    log.transmissions *= 20
+    text = "\n".join(to_jsonl_lines(log))
+    assert len(text) < _text.BLOCK  # one block
+    plain, calls = runlog._PLAIN, []
+
+    class CountedDecoder:
+        def __getattr__(self, name):
+            method = getattr(plain, name)
+
+            def counted(*args):
+                calls.append(name)
+                return method(*args)
+
+            return counted
+
+    monkeypatch.setattr(runlog, "_PLAIN", CountedDecoder())
+    assert read_checked(monkeypatch, text) == (log, [True])
+    assert len(log.transmissions) == 40 and len(calls) == 1
+
+
+#: Respellings of a tx line, valid JSON that the writer never writes, and
+#: whether the block check takes the block: only where the template, with
+#: JSON's grammar for each literal, still matches the line.
+RESPELLINGS = {
+    "keys in another order": (
+        lambda line: json.dumps(dict(reversed(json.loads(line).items()))),
+        False,
+    ),
+    "compact separators": (
+        lambda line: json.dumps(json.loads(line), separators=(",", ":")),
+        False,
+    ),
+    "a capital E exponent": (lambda line: line.replace("e-05", "E-05"), True),
+    "a -0 integer": (lambda line: line.replace('"frame": 5,', '"frame": -0,'), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESPELLINGS))
+def test_a_tx_line_in_another_spelling_reads_as_the_line_reader_reads_it(monkeypatch, case):
+    respell, taken = RESPELLINGS[case]
+    lines = list(to_jsonl_lines(sample_log()))
+    line, lines[1] = lines[1], respell(lines[1])
+    assert lines[1] != line
+    text = "\n".join(lines)
+    assert read_checked(monkeypatch, text) == (runlog._read_lines(text), [taken])
 
 
 @pytest.mark.parametrize("case", sorted(line_damage_cases()))
