@@ -33,12 +33,9 @@ from .errors import (
 )
 from .ingest import (
     DetectionStream,
-    SemanticRecord,
-    SemanticSidecar,
     gen_synthetic,
     inject_confidence_noise,
     parse_generic_csv,
-    parse_sidecar_csv,
     parse_uavdt_gt,
     parse_visdrone_mot,
     write_generic_csv,
@@ -59,6 +56,7 @@ from .policy import (
     score_block,
 )
 from .runlog import ClassEvent, RunLog, TransmissionRecord, read_jsonl
+from .semantic import SemanticRecord, SemanticSidecar, parse_sidecar_csv
 from .tracker import Tracker, TrackerConfig
 
 __version__ = "0.1.0"

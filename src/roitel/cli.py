@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 from . import config as config_mod
-from . import engine, ingest, metrics, runlog
+from . import engine, ingest, metrics, runlog, semantic
 from .domain import FrameClock
 from .errors import BudgetConfigError, ConfigError, ParseError, RoitelError
 
@@ -131,11 +131,11 @@ def _load_run_inputs(args) -> tuple[engine.RunConfig, ingest.DetectionStream]:
     return cfg, stream
 
 
-def _parse_sidecar(args) -> Optional[ingest.SemanticSidecar]:
+def _parse_sidecar(args) -> Optional[semantic.SemanticSidecar]:
     if not args.sidecar:
         return None
     with _open_text(args.sidecar) as fp:
-        return ingest.parse_sidecar_csv(fp)
+        return semantic.parse_sidecar_csv(fp)
 
 
 def _report_paths(out_dir: Path, fmt: str) -> Path:
@@ -277,16 +277,13 @@ def cmd_validate(args) -> int:
     if args.sidecar:
         sc_errors: list[ParseError] = []
         with _open_text(args.sidecar) as fp:
-            sidecar = ingest.parse_sidecar_csv(fp, errors_out=sc_errors)
+            sidecar = semantic.parse_sidecar_csv(fp, errors_out=sc_errors)
         problems.extend(f"{args.sidecar}: {err}" for err in sc_errors)
         # Count the records the engine looks up: the same association pass
         # under the same clock, tracker and cost settings a run would use.
-        looked_up = {
-            (rec.frame_index, rec.track_id)
-            for *_, cols in engine.associate(stream, sidecar, cfg.clock, cfg.tracker, cfg.cost)
-            for rec in cols.records
-            if rec is not None
-        }
+        looked_up: set[int] = set()  # sidecar rows
+        for *_, cols in engine.associate(stream, sidecar, cfg.clock, cfg.tracker, cfg.cost):
+            looked_up.update(cols.records[cols.records >= 0].tolist())
         matched = len(looked_up)
         unknown = len(sidecar) - matched
         print(f"sidecar records: {len(sidecar)}")

@@ -1,7 +1,7 @@
 """One simulation run in two passes: associate once, then schedule.
 
 ``associate`` walks the stream at the clock's frame stride through the
-tracker and attaches each tracked detection's sidecar record and cost;
+tracker and attaches each tracked detection's sidecar row and cost;
 nothing in it depends on the policy. It reads each frame as a block of the
 stream's columns and hands each frame with rows on as NumPy columns. The
 scheduling pass takes them in blocks of frames, scores a frame's rows at
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 from itertools import islice, repeat
-from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
@@ -26,7 +25,7 @@ from .budget import BudgetLedger, CostModel, estimate_cost
 from .config import RunConfig, dump_config
 from .domain import FrameClock, PolicyConfig
 from .errors import InvalidParam
-from .ingest import DetectionStream, SemanticSidecar
+from .ingest import DetectionStream
 from .runlog import (
     CLASS_SOURCE_STILL,
     CLASS_SOURCE_VIDEO,
@@ -34,6 +33,7 @@ from .runlog import (
     RunLog,
     TransmissionRecord,
 )
+from .semantic import SemanticSidecar
 from .tracker import Tracker, TrackerConfig
 
 
@@ -55,8 +55,10 @@ def associate(
 ) -> Iterator[tuple[int, float, policy_mod.FrameColumns]]:
     """Yield ``(frame_index, now, columns)`` for every processed frame with
     rows, in order; row ``i`` of ``columns`` is the frame's ``i``-th tracked
-    detection, with its track, sidecar record and cost. The tracker steps,
-    and the clock stamps, every processed frame: tracks age on empty ones.
+    detection, with its track, sidecar row (-1 for none) and cost; one
+    search of the sidecar's sorted columns finds a frame's records. The
+    tracker steps, and the clock stamps, every processed frame: tracks age
+    on empty ones.
 
     Sidecar keys live in the annotation's id space when hints exist;
     tracker ids are a relabeling, so the hint is preferred. A record's
@@ -64,6 +66,7 @@ def associate(
     """
     tracker = Tracker(tracker_cfg)
     created = np.empty(0, dtype=np.int64)  # track id -> frame it was spawned on
+    no_records = np.empty(0, dtype=np.int64)
     for frame_index in processed_frame_range(
         stream.first_frame, stream.last_frame, clock.frame_stride
     ):
@@ -81,16 +84,16 @@ def associate(
         with np.errstate(over="ignore"):
             cost_bits = np.full(len(dets), estimate_cost(w, h, cost))
             area = w * h
-        if sidecar is None:
-            records = (None,) * len(dets)
+        if sidecar is None:  # every frame's records are a view of one column of -1s
+            no_records = _grown(no_records, len(dets), -1)
+            records = no_records[: len(dets)]
         else:
-            keys = zip(dets.has_hint.tolist(), dets.hint.tolist(), track_id.tolist())
-            records = tuple(
-                sidecar.get(frame_index, hint if has else tid) for has, hint, tid in keys
-            )
-            for row, rec in enumerate(records):
-                if rec is not None and rec.payload_bytes is not None:
-                    cost_bits[row] = rec.payload_bytes * 8.0
+            records = sidecar.rows(frame_index, np.where(dets.has_hint, dets.hint, track_id))
+            looked_up = np.flatnonzero(records >= 0)
+            payload = sidecar.payload_bytes[records[looked_up]]
+            paid = payload > 0
+            # int * 8.0 as Python gives it, for a payload beyond int64 too
+            cost_bits[looked_up[paid]] = payload[paid] * 8.0
         finite = np.isfinite(cost_bits)
         if not finite.all():
             row = int(np.argmin(finite))
@@ -101,6 +104,7 @@ def associate(
         columns = policy_mod.FrameColumns(
             bboxes=dets.bboxes,
             records=records,
+            sidecar=sidecar,
             track_id=track_id,
             created=created[track_id],
             conf=dets.conf,
@@ -125,11 +129,6 @@ def _grown(table: np.ndarray, size: int, fill: int) -> np.ndarray:
 
 #: Frames the scheduling pass takes from the association pass at a time.
 _BLOCK_FRAMES = 32
-
-#: A sidecar record's fields, in ``TransmissionRecord``'s order.
-_SEMANTICS = attrgetter(
-    "video_conf", "still_conf", "video_label", "still_label", "video_entropy", "still_entropy"
-)
 
 
 def _frame_blocks(frames: Iterable[tuple]) -> Iterator[list[tuple]]:
@@ -233,30 +232,41 @@ def _schedule(
                 ledger.commit(now, cost_bits)
                 sent.append(row)
                 costs.append(cost_bits)
-            tids = track_id[sent]
+            rows = np.array(sent, dtype=np.intp)  # one index array for every gather
+            tids = track_id[rows]
             last_refined[tids] = frame_index
+            records, semantics = repeat(-1), repeat(())
+            if cols.sidecar is not None and len(cols.sidecar):
+                records = cols.records[rows]
+                # each value as the sidecar parsed it, a float or an int; a
+                # row without a record (-1) gathers the last one's, unread
+                semantics = cols.sidecar.semantics.take(records).tolist()
+                records = records.tolist()
             sent_rows = zip(
                 tids.tolist(),
                 map(cols.bboxes.__getitem__, sent),
                 costs,
-                scored.score[sent].tolist(),
-                scored.u_term[sent].tolist(),
-                scored.s_small_term[sent].tolist(),
-                scored.n_term[sent].tolist(),
-                map(cols.records.__getitem__, sent),
+                scored.score[rows].tolist(),
+                scored.u_term[rows].tolist(),
+                scored.s_small_term[rows].tolist(),
+                scored.n_term[rows].tolist(),
+                records,
+                semantics,
             )
-            for tid, bbox, cost_bits, score, u, s, n, rec in sent_rows:
+            for tid, bbox, cost_bits, score, u, s, n, record_row, semantic in sent_rows:
                 n = 1.0 if n else 0.0  # shared literals, as make_candidate's are
-                semantics = _SEMANTICS(rec) if rec else ()
-                record = (frame_index, now, tid, bbox, cost_bits, score, u, s, n, *semantics)
-                log.transmissions.append(TransmissionRecord(*record))
-                if rec is not None:
-                    if class_label[tid] != rec.still_label:
-                        log.class_events.append(
-                            ClassEvent(frame_index, now, tid, rec.still_label, CLASS_SOURCE_STILL)
-                        )
-                    class_label[tid] = rec.still_label
-                    class_source[tid] = _STILL_CLASS
+                record = (frame_index, now, tid, bbox, cost_bits, score, u, s, n)
+                if record_row < 0:
+                    log.transmissions.append(TransmissionRecord(*record))
+                    continue
+                log.transmissions.append(TransmissionRecord(*record, *semantic))
+                still_label = semantic[3]  # after video_conf, still_conf, video_label
+                if class_label[tid] != still_label:
+                    log.class_events.append(
+                        ClassEvent(frame_index, now, tid, still_label, CLASS_SOURCE_STILL)
+                    )
+                class_label[tid] = still_label
+                class_source[tid] = _STILL_CLASS
 
     log.detection_conf_mean = conf_sum / max(log.raw_candidate_count, 1)
     return log

@@ -1,4 +1,4 @@
-"""Detection stream and semantic sidecar ingestion.
+"""Detection stream ingestion.
 
 Supported inputs:
   * generic detections CSV: frame,track_hint,x,y,w,h,conf,class (0-based
@@ -7,24 +7,23 @@ Supported inputs:
     occlusion,category (1-based frames, confidence fixed at 1.0)
   * VisDrone-MOT-style: frame,target_id,x,y,w,h,score,category,truncation,
     occlusion (1-based frames, confidence = score clamped to [0,1])
-  * semantic sidecar CSV: frame,track,video_conf,still_conf,video_label,
-    still_label,video_entropy,still_entropy[,payload_bytes]
+
+The semantic sidecar is read by ``semantic``, with this module's checks.
 
 The benchmark layouts follow the common public distributions. Comment
 lines start with '#', blank lines are skipped, LF and CRLF both work, and
 frame indices are normalized to 0-based internally. Every numeric field
-must be finite, and frame indices, class ids and sidecar labels must fit
-in int64. A detection stream's clock is the file's ``# clock: fps=F
-stride=N`` comment, or ``FrameClock()`` when it has none.
+must be finite, and frame indices and class ids must fit in int64. A
+stream's clock is the file's ``# clock: fps=F stride=N`` comment, or
+``FrameClock()`` when it has none.
 
 Every parser takes a ``str`` of text, read with universal newlines, or an
 open text file, and reads it once, in blocks of whole lines, through the
-text layer the run-log reader shares (``_text``). The sidecar parser
-row-parses each block. The detection parsers read each block into NumPy
-columns with one ``np.loadtxt``, and a block with anything the row parser
-would reject, or might read differently, goes alone to the row parser,
-with its lines numbered as in the whole text; so a stream, its errors and
-``errors_out`` are the row parser's on the whole text.
+text layer the run-log reader shares (``_text``). Each block is read into
+NumPy columns with one ``np.loadtxt``, and a block with anything the row
+parser would reject, or might read differently, goes alone to the row
+parser, with its lines numbered as in the whole text; so a stream, its
+errors and ``errors_out`` are the row parser's on the whole text.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import numpy as np
 
 from ._text import line_blocks, text_file
 from .domain import INT64_MAX, INT64_MIN, BBox, Detection, FrameClock
-from .errors import DuplicateKey, InvalidParam, ParseError
+from .errors import InvalidParam, ParseError
 
 GENERIC_COLUMNS = ("frame", "track_hint", "x", "y", "w", "h", "conf", "class")
 
@@ -242,56 +241,6 @@ class FrameDetections:
         )
 
 
-@dataclass(frozen=True)
-class SemanticRecord:
-    """Classifier probe outputs for one transmitted ROI."""
-
-    frame_index: int
-    track_id: int
-    video_conf: float
-    still_conf: float
-    video_label: int
-    still_label: int
-    video_entropy: float
-    still_entropy: float
-    payload_bytes: Optional[int] = None
-
-    def __post_init__(self):
-        for name in ("video_conf", "still_conf"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise InvalidParam(f"{name} must be in [0,1], got {v}")
-        for name in ("video_entropy", "still_entropy"):
-            if getattr(self, name) < 0:
-                raise InvalidParam(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.payload_bytes is not None and self.payload_bytes <= 0:
-            raise InvalidParam(f"payload_bytes must be > 0, got {self.payload_bytes}")
-        for name in ("video_label", "still_label"):
-            if not INT64_MIN <= getattr(self, name) <= INT64_MAX:
-                raise InvalidParam(f"{name} outside int64: {getattr(self, name)}")
-
-
-class SemanticSidecar:
-    """Map of (frame_index, track_id) -> SemanticRecord with unique keys."""
-
-    def __init__(self, records: Iterable[SemanticRecord] = ()):
-        self.records: dict[tuple[int, int], SemanticRecord] = {}
-        for position, rec in enumerate(records, start=1):
-            key = (rec.frame_index, rec.track_id)
-            if key in self.records:
-                raise DuplicateKey(position, *key)
-            self.records[key] = rec
-
-    def get(self, frame_index: int, track_id: int) -> Optional[SemanticRecord]:
-        return self.records.get((frame_index, track_id))
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __contains__(self, key: tuple[int, int]) -> bool:
-        return key in self.records
-
-
 def _clock_comment(line_no: int, line: str) -> Optional[FrameClock]:
     """The clock a stripped comment line names, or None for other comments."""
     head = _CLOCK_COMMENT.match(line)
@@ -420,11 +369,20 @@ _UAVDT = _Layout(n_cols=9, cls=8, conf=None, benchmark=True)
 _VISDRONE = _Layout(n_cols=10, cls=7, conf=6, benchmark=True)
 
 
+def _frame_problem(frame: int) -> Optional[str]:
+    """Why ``frame`` is no 0-based frame index of a stream, if it is not one."""
+    if frame < 0:
+        return f"negative frame index: {frame}"
+    if frame > INT64_MAX:
+        return f"frame outside int64: {frame}"
+    return None
+
+
 def _generic_row(line_no: int, fields: list[str]) -> Detection:
     frame = _int(fields, 0, line_no, "frame")
-    if frame < 0:
-        raise ParseError(line_no, f"negative frame index: {frame}")
-    _int64(line_no, frame, "frame")
+    problem = _frame_problem(frame)
+    if problem:
+        raise ParseError(line_no, problem)
     hint = _int(fields, 1, line_no, "track_hint")
     conf = _num(fields, 6, line_no, "conf")
     if not (0.0 <= conf <= 1.0):
@@ -501,13 +459,23 @@ def _packed(dets: Sequence[Detection]) -> list[np.ndarray]:
     return [frame, table.boxes, table.hint, table.has_hint, table.conf, table.cls]
 
 
-def _block_columns(text: str, plain: bool, layout: _Layout) -> Optional[tuple]:
+def _exact_ints(values: np.ndarray) -> bool:
+    """Whether every value is an integer that a float read gives exactly: a
+    non-integral value, such as 2.5, is the row parser's to refuse, and a
+    larger one the row parser's to read exactly."""
+    return bool(((np.abs(values) < _EXACT_INT_BOUND) & (values == np.floor(values))).all())
+
+
+def _block_table(
+    text: str, plain: bool, usecols: Optional[range] = None
+) -> Optional[tuple[Optional[FrameClock], Optional[np.ndarray]]]:
     """A block of whole lines read by one ``np.loadtxt``: its last clock
-    comment and its columns, frame, boxes, hint, has_hint, conf and class.
-    None if the row parser would reject a line or loadtxt might read one
-    otherwise: a ``#`` not at the start of its line (loadtxt reads ``1#x``
-    as ``1`` and skips an indented clock comment), a bad clock comment, or
-    a block that is not ``plain``, as ``line_blocks`` checked it."""
+    comment and its table of finite values, or None for a table when it has
+    no row. None if the row parser would reject a line or loadtxt might read
+    one otherwise: a ``#`` not at the start of its line (loadtxt reads
+    ``1#x`` as ``1`` and skips an indented clock comment), a bad clock
+    comment, a value that is not finite, or a block that is not ``plain``,
+    as ``line_blocks`` checked it."""
     if not plain:
         return None
     clock = None
@@ -519,15 +487,32 @@ def _block_columns(text: str, plain: bool, layout: _Layout) -> Optional[tuple]:
         except ParseError:
             return None
     if not _ROW_LINE.search(text):  # loadtxt warns on an input without rows
-        return clock, _packed(())
+        return clock, None
     # loadtxt parses each field as float() does, except that it refuses
     # "1_0", and it refuses a row whose field count differs from the first
-    # row's, so a line of whitespace too.
+    # row's, so a line of whitespace too; with ``usecols``, a row that lacks
+    # one of them.
     try:
-        table = np.loadtxt(io.StringIO(text), delimiter=",", comments="#", ndmin=2)
+        table = np.loadtxt(io.StringIO(text), delimiter=",", comments="#", ndmin=2, usecols=usecols)
     except ValueError:
         return None
-    if table.shape[1] != layout.n_cols or not np.isfinite(table).all():
+    if not np.isfinite(table).all():
+        return None
+    return clock, table
+
+
+def _block_columns(text: str, plain: bool, layout: _Layout) -> Optional[tuple]:
+    """A block of whole lines read by ``_block_table``: its last clock
+    comment and its columns, frame, boxes, hint, has_hint, conf and class.
+    None where ``_block_table`` gives None or the row parser would reject a
+    row."""
+    block = _block_table(text, plain)
+    if block is None:
+        return None
+    clock, table = block
+    if table is None:
+        return clock, _packed(())
+    if table.shape[1] != layout.n_cols:
         return None
     if not (table[:, 4:6] > 0.0).all():  # w and h
         return None
@@ -536,9 +521,8 @@ def _block_columns(text: str, plain: bool, layout: _Layout) -> Optional[tuple]:
     x_max, y_max, w_max, h_max = table[:, 2:6].max(axis=0).tolist()
     if not all(map(math.isfinite, (x_max + w_max, y_max + h_max, 2.0 * w_max * h_max))):
         return None
-    # a non-integral value, such as 2.5, is the row parser's to refuse
     ints = table[:, [0, 1, layout.cls]]
-    if not ((np.abs(ints) < _EXACT_INT_BOUND) & (ints == np.floor(ints))).all():
+    if not _exact_ints(ints):
         return None
     frame, hint, cls = ints.astype(np.int64).T
     frame = frame - 1 if layout.benchmark else frame  # benchmark frames are 1-based
@@ -614,54 +598,6 @@ def parse_visdrone_mot(
 ) -> DetectionStream:
     """Parse VisDrone-MOT-style annotations; confidence = clamped score."""
     return _parse_detections(source, _VISDRONE, errors_out)
-
-
-def parse_sidecar_csv(
-    source: Union[str, TextIO], errors_out: Optional[list[ParseError]] = None
-) -> SemanticSidecar:
-    """Parse the semantic sidecar, row by row in blocks of whole lines;
-    payload_bytes column is optional per row.
-
-    A repeated (frame, track) is a DuplicateKey at its line; the first
-    record is kept.
-    """
-    blocks = line_blocks(text_file(source))
-    rows = chain.from_iterable(_split_rows(text, first)[0] for first, text, _ in blocks)
-    sidecar = SemanticSidecar()
-    for line_no, fields in rows:
-        try:
-            if isinstance(fields, ParseError):
-                raise fields
-            if len(fields) not in (8, 9):
-                raise ParseError(line_no, f"expected 8 or 9 columns, got {len(fields)}")
-            payload = None
-            if len(fields) == 9 and fields[8]:
-                payload = _int(fields, 8, line_no, "payload_bytes")
-                if payload <= 0:
-                    raise ParseError(line_no, f"payload_bytes must be > 0, got {payload}")
-            try:
-                rec = SemanticRecord(
-                    frame_index=_int(fields, 0, line_no, "frame"),
-                    track_id=_int(fields, 1, line_no, "track"),
-                    video_conf=_num(fields, 2, line_no, "video_conf"),
-                    still_conf=_num(fields, 3, line_no, "still_conf"),
-                    video_label=_int(fields, 4, line_no, "video_label"),
-                    still_label=_int(fields, 5, line_no, "still_label"),
-                    video_entropy=_num(fields, 6, line_no, "video_entropy"),
-                    still_entropy=_num(fields, 7, line_no, "still_entropy"),
-                    payload_bytes=payload,
-                )
-            except InvalidParam as err:
-                raise ParseError(line_no, str(err)) from None
-            key = (rec.frame_index, rec.track_id)
-            if key in sidecar:
-                raise DuplicateKey(line_no, *key)
-            sidecar.records[key] = rec
-        except ParseError as err:
-            if errors_out is None:
-                raise
-            errors_out.append(err)
-    return sidecar
 
 
 def write_generic_csv(stream: DetectionStream) -> str:

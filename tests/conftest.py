@@ -6,7 +6,7 @@ from itertools import chain
 import pytest
 from hypothesis import settings
 
-from roitel import ParseError, RoitelError, engine, ingest, metrics, runlog
+from roitel import ParseError, RoitelError, engine, ingest, metrics, runlog, semantic
 from roitel.runlog import TransmissionRecord, to_jsonl_lines
 from helpers import (
     block_verdicts,
@@ -104,6 +104,55 @@ def cross_check_detection_parses(monkeypatch):
     monkeypatch.setattr(ingest, "_parse_detections", checked)
 
 
+def error_facts(errors):
+    return [(type(e), e.line_no, str(e)) for e in errors]
+
+
+def sidecar_facts(sidecar, errors):
+    """A parsed sidecar and the errors collected with it: its size, its
+    records in file order, in a form that tells -0.0 from 0.0 and 1 from
+    1.0, and each error with its type."""
+    return len(sidecar), repr(list(sidecar.records.values())), error_facts(errors)
+
+
+def row_sidecar_outcome(text, collect):
+    """What the sidecar row parser gives on the whole text: its records and
+    the collected errors, or the error."""
+    errors: list[ParseError] = []
+    try:
+        _, records = semantic._row_records(text, 1, errors if collect else None)
+    except ParseError as err:
+        return ("raised", type(err), err.line_no, str(err))
+    return len(records), repr(records), error_facts(errors)
+
+
+@pytest.fixture(autouse=True)
+def cross_check_sidecar_parses(monkeypatch):
+    """Every sidecar parse in the suite is checked against the row parser
+    on the whole text: the same records in file order, the same collected
+    errors, or the same error, each with its type, line and message. A file
+    is parsed once, through a ``Tee``, as a detection file is."""
+    read = semantic._read_sidecar
+
+    def checked(source, errors_out):
+        tee = source if isinstance(source, str) else Tee(source)
+        collect = errors_out is not None
+        errors: list[ParseError] = []
+        try:
+            result = read(tee, errors if collect else None)
+            got = sidecar_facts(result, errors)
+        except ParseError as err:
+            result, got = err, ("raised", type(err), err.line_no, str(err))
+        assert got == row_sidecar_outcome(read_text(source, tee), collect)
+        if isinstance(result, ParseError):
+            raise result
+        if collect:
+            errors_out.extend(errors)
+        return result
+
+    monkeypatch.setattr(semantic, "_read_sidecar", checked)
+
+
 def association_outcome(associate, args):
     """Every frame one association pass yields, up to its error if any."""
     frames = []
@@ -116,14 +165,24 @@ def association_outcome(associate, args):
 
 def frame_facts(frame):
     """One associated frame in a form that tells -0.0 from 0.0, 1 from 1.0
-    and an int64 column from a float64 one."""
+    and an int64 column from a float64 one; with the sidecar record each
+    row's sidecar row names."""
     frame_index, now, cols = frame
-    arrays = (cols.track_id, cols.created, cols.conf, cols.area, cols.cost_bits, cols.class_id)
+    arrays = (
+        cols.track_id,
+        cols.created,
+        cols.conf,
+        cols.area,
+        cols.cost_bits,
+        cols.class_id,
+        cols.records,
+    )
+    records = [cols.sidecar.record(row) if row >= 0 else None for row in cols.records.tolist()]
     return (
         frame_index,
         repr(now),
         repr(tuple(cols.bboxes)),
-        repr(cols.records),
+        repr(records),
         [(str(a.dtype), repr(a.tolist())) for a in arrays],
     )
 

@@ -42,7 +42,7 @@ from roitel.budget import estimate_cost
 from roitel.config import dump_config
 from roitel.engine import processed_frame_range
 from roitel.errors import InvalidParam, OutOfOrderFrame
-from roitel.ingest import SemanticSidecar
+from roitel.semantic import SemanticSidecar
 from roitel.policy import (
     NEVER_REFINED,
     PERMISSIVE_CONF_GATE,
@@ -297,6 +297,11 @@ def ref_associate(
     """``engine.associate`` over Detection objects, one row at a time."""
     tracker = RefTracker(tracker_cfg)
     created: dict[int, int] = {}
+    # each record's row, found by its key, not by searching the columns
+    row_of: dict[tuple[int, int], int] = {}
+    for row in range(len(sidecar) if sidecar is not None else 0):
+        rec = sidecar.record(row)
+        row_of[rec.frame_index, rec.track_id] = row
     for frame_index in processed_frame_range(
         stream.first_frame, stream.last_frame, clock.frame_stride
     ):
@@ -306,13 +311,11 @@ def ref_associate(
             continue
         dets, track_ids, new_flags = zip(*assignments)
         created.update((tid, frame_index) for tid, is_new in zip(track_ids, new_flags) if is_new)
-        if sidecar is None:
-            records = (None,) * len(dets)
-        else:
-            records = tuple(
-                sidecar.get(frame_index, det.track_hint if det.track_hint is not None else tid)
-                for det, tid in zip(dets, track_ids)
-            )
+        rows = [
+            row_of.get((frame_index, det.track_hint if det.track_hint is not None else tid), -1)
+            for det, tid in zip(dets, track_ids)
+        ]
+        records = [sidecar.record(row) if row >= 0 else None for row in rows]
         bboxes = tuple(det.bbox for det in dets)
         costs = [
             rec.payload_bytes * 8.0
@@ -330,7 +333,8 @@ def ref_associate(
             )
         columns = FrameColumns(
             bboxes=bboxes,
-            records=records,
+            records=np.array(rows, dtype=np.int64),
+            sidecar=sidecar,
             track_id=np.array(track_ids, dtype=np.int64),
             created=np.array([created[tid] for tid in track_ids], dtype=np.int64),
             conf=np.array([det.confidence for det in dets], dtype=np.float64),
@@ -551,7 +555,7 @@ def scalar_schedule(
             cols.class_id.tolist(),
             cols.track_id.tolist(),
             cols.created.tolist(),
-            cols.records,
+            [cols.sidecar.record(row) if row >= 0 else None for row in cols.records.tolist()],
             cols.cost_bits.tolist(),
         )
         contexts = []
@@ -630,7 +634,7 @@ def as_block(frame_index: int, contexts: list[CandidateContext]) -> CandidateBlo
     assert all(c.frame_index == frame_index for c in cands)
     cols = FrameColumns(
         bboxes=tuple(c.bbox for c in cands),
-        records=(None,) * len(cands),
+        records=np.full(len(cands), -1, dtype=np.int64),
         track_id=np.array([c.track_id for c in cands], dtype=np.int64),
         created=np.array([ctx.created_frame for ctx in contexts], dtype=np.int64),
         conf=np.array([ctx.confidence for ctx in contexts], dtype=np.float64),

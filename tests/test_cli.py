@@ -20,6 +20,7 @@ from roitel import (
     metrics,
     read_jsonl,
     runlog,
+    semantic,
 )
 from roitel.cli import main
 from roitel.metrics import REPORT_COLUMNS
@@ -342,10 +343,12 @@ def test_a_clean_simulate_never_calls_the_row_parser(
     calls = []
     monkeypatch.setattr(cli, "_read_text", lambda *args: calls.append(args))
     verdicts = block_verdicts(monkeypatch, ingest, "_block_columns")
+    side_verdicts = block_verdicts(monkeypatch, semantic, "_sidecar_block")
     rc, _ = simulate(tmp_path, detections_csv, "--sidecar", str(side))
     assert rc == 0
     assert calls == []
     assert verdicts and all(verdicts)
+    assert side_verdicts == [True]
 
 
 def test_a_clean_report_never_reads_a_whole_log(tmp_path, detections_csv, monkeypatch, capsys):
@@ -975,9 +978,10 @@ def test_report_through_a_symlink_replaces_the_file_it_names(tmp_path, detection
 
 
 def test_a_sweep_drops_each_log_before_the_next_variant_is_scheduled(tmp_path, monkeypatch):
-    """Nor does it keep an earlier log's boxes, the parsed stream or the
-    parsed sidecar: a parsed stream builds a transmitted row's box for that
-    log alone, and only the associated frames outlive the association pass."""
+    """Nor does it keep an earlier log's boxes or the parsed stream: a
+    parsed stream builds a transmitted row's box for that log alone, and only
+    the associated frames outlive the association pass. They hold the parsed
+    sidecar, whose columns their rows name."""
     parse_stream, parse_sidecar = ingest.parse_generic_csv, cli._parse_sidecar
     schedule = engine._schedule
     inputs = []  # weak references to the parsed stream and the parsed sidecar
@@ -1012,9 +1016,9 @@ def test_a_sweep_drops_each_log_before_the_next_variant_is_scheduled(tmp_path, m
     assert run_sweep(tmp_path / "o", dets, "--sidecar", str(side)) == 0
     assert all(boxes for _, boxes in scheduled[1:])  # M0 transmits nothing
     assert alive_when_scheduled == [
-        ([False, False], []),
-        ([False, False], [(False, False)]),
-        ([False, False], [(False, False), (False, False)]),
+        ([False, True], []),
+        ([False, True], [(False, False)]),
+        ([False, True], [(False, False), (False, False)]),
     ]
 
 
@@ -1489,3 +1493,16 @@ def test_validate_uses_the_clock_comment(tmp_path, capsys):
     argv = ["validate", "--input", str(dets), "--sidecar", str(side)]
     assert main([*argv, "--set", "clock.frame_stride=5"]) == 0
     assert "sidecar matched: 1" in capsys.readouterr().out
+
+
+def test_validate_counts_a_record_two_detections_look_up_once(tmp_path, capsys):
+    # two far-apart detections of frame 0 share hint 4, so both look up
+    # the one record keyed (0, 4); the other record matches nothing
+    dets = tmp_path / "shared.csv"
+    dets.write_text("0,4,50,50,10,10,0.9,0\n0,4,500,300,10,10,0.8,1\n")
+    side = tmp_path / "side.csv"
+    side.write_text(f"0,4,{SIDECAR_ROW}\n0,5,{SIDECAR_ROW}\n")
+    assert main(["validate", "--input", str(dets), "--sidecar", str(side)]) == 0
+    captured = capsys.readouterr()
+    assert "sidecar records: 2\nsidecar matched: 1\n" in captured.out
+    assert "warning: 1 sidecar records reference unknown" in captured.err

@@ -731,7 +731,7 @@ def hand_frame(frame_index, dets, track_ids, created):
     costs = [estimate_cost(d.bbox.w, d.bbox.h, CostModel()) for d in dets]
     cols = FrameColumns(
         bboxes=tuple(d.bbox for d in dets),
-        records=(None,) * len(dets),
+        records=np.full(len(dets), -1, dtype=np.int64),
         track_id=np.array(track_ids, dtype=np.int64),
         created=np.array(created, dtype=np.int64),
         conf=np.array([d.confidence for d in dets], dtype=np.float64),

@@ -3,6 +3,7 @@ import math
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -217,6 +218,61 @@ def test_sidecar_errors_out_collects():
     sc = parse_sidecar_csv(text, errors_out=errors)
     assert len(sc) == 2
     assert [e.line_no for e in errors] == [2]
+
+
+@pytest.mark.parametrize(
+    "frame,message",
+    [(-5, "negative frame index: -5"), (2**70, f"frame outside int64: {2**70}")],
+)
+def test_a_sidecar_frame_no_stream_frame_can_have_is_refused(frame, message):
+    # neither record could ever match a frame
+    row = f"{frame},1,0.2,0.3,7,7,1.9,1.1"
+    with pytest.raises(ParseError, match=f"^line 2: {re.escape(message)}$"):
+        parse_sidecar_csv(f"10,4,0.2,0.3,7,7,1.9,1.1\n{row}\n")
+    errors: list[ParseError] = []
+    sc = parse_sidecar_csv(f"{row}\n10,4,0.2,0.3,7,7,1.9,1.1\n", errors_out=errors)
+    assert [(e.line_no, e.reason) for e in errors] == [(1, message)]
+    assert list(sc.records) == [(10, 4)]
+    with pytest.raises(InvalidParam, match=f"^{re.escape(message)}$"):
+        SemanticSidecar([SemanticRecord(frame, 1, 0.2, 0.3, 7, 7, 1.9, 1.1)])
+
+
+@pytest.mark.parametrize("name", ["frame_index", "track_id", "video_label", "payload_bytes"])
+def test_a_sidecar_refuses_an_integer_field_that_is_not_an_int(name):
+    rec = replace(SemanticRecord(10, 4, 0.2, 0.3, 7, 7, 1.9, 1.1, 900), **{name: 5.0})
+    with pytest.raises(InvalidParam, match=f"^{name} must be an int, got 5.0$"):
+        SemanticSidecar([rec])
+
+
+def test_a_sidecar_keeps_its_records_as_columns_sorted_by_key():
+    text = (
+        "# columns: frame,track,...\n"
+        "15,4,0.2,0.3,1,2,0.5,0.1,900\n"
+        "10,5,0.25,0.5,7,3,1.9,-0.0\n"
+        "10,4,0.2,0.35,7,7,1.9,1.1,1300\n"
+    )
+    sc = parse_sidecar_csv(text)
+    assert sc.frame_index.tolist() == [10, 10, 15]
+    assert sc.track_id.tolist() == [4, 5, 4]
+    assert sc.payload_bytes.tolist() == [1300, 0, 900]  # 0: none
+    assert sc.semantics.dtype.names == (
+        "video_conf", "still_conf", "video_label", "still_label", "video_entropy", "still_entropy"
+    )
+    assert sc.semantics["still_label"].tolist() == [7, 3, 2]
+    # records in file order; get builds an equal record each time
+    assert list(sc.records) == [(15, 4), (10, 5), (10, 4)]
+    rec = sc.get(10, 5)
+    assert rec == SemanticRecord(10, 5, 0.25, 0.5, 7, 3, 1.9, -0.0)
+    assert repr(rec.still_entropy) == "-0.0" and rec is not sc.get(10, 5)
+    assert sc.rows(10, np.array([5, 6, 4])).tolist() == [1, -1, 0]
+    assert sc.rows(11, np.array([4])).tolist() == [-1]
+    # a track beyond int64 is kept exactly, and matches only itself
+    big = parse_sidecar_csv(f"10,{2**64},0.2,0.3,7,7,1.9,1.1,{2**65}\n10,4,0.2,0.3,7,7,1.9,1.1\n")
+    assert big.track_id.dtype == object and big.payload_bytes.dtype == object
+    assert big.rows(10, np.array([2**64, 4, 0], dtype=object)).tolist() == [1, 0, -1]
+    assert big.rows(10, np.array([4, 0])).tolist() == [0, -1]
+    assert big.get(10, 2**64).payload_bytes == 2**65
+    assert (10, 2**64) in big and (10, 2**64 + 1) not in big
 
 
 # --- stream container -------------------------------------------------------

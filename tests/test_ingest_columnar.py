@@ -1,12 +1,14 @@
 """The vectorised ingest pass against the row parser it stands in for.
 
-Every public detection parse in the suite is already cross-checked by the
-autouse fixture in ``conftest.py``; the tests here feed both parsers
+Every public detection and sidecar parse in the suite is already
+cross-checked by the autouse fixtures in ``conftest.py``; the tests here feed both parsers
 generated and mutated files, pin where the vectorised pass must step aside,
 and check that it is actually taken on clean input.
 """
 
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +25,7 @@ from roitel import (
     parse_sidecar_csv,
     parse_uavdt_gt,
     parse_visdrone_mot,
+    semantic,
     write_generic_csv,
 )
 from conftest import parse_outcome
@@ -521,6 +524,31 @@ def test_a_sidecar_in_blocks_parses_as_in_one_block(file_path, mutations, repeat
             patch.setattr(_text, "BLOCK", block)
             assert sidecar_outcome(text, collect) == whole
             assert sidecar_outcome(text, collect, file_path) == whole
+
+
+def benchmark_generator():
+    """``perfbench/gen.py``, which writes the benchmark's inputs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def test_a_sidecar_of_the_benchmark_generator_sends_no_block_to_the_row_parser(
+    monkeypatch, tmp_path
+):
+    # a header comment, then rows of 4-decimal floats, nine in ten with a
+    # payload column, so a block mixes 8- and 9-field rows
+    det, side = tmp_path / "det.csv", tmp_path / "side.csv"
+    benchmark_generator().write_generic(det, 1, 200, 10, side)
+    rows = side.read_text().splitlines()[1:]
+    assert {row.count(",") for row in rows} == {7, 8}
+    monkeypatch.setattr(_text, "BLOCK", 1024)
+    verdicts = block_verdicts(monkeypatch, semantic, "_sidecar_block")
+    with open(side, encoding="utf-8") as f:
+        assert len(parse_sidecar_csv(f)) == len(rows) == 400
+    assert len(verdicts) > 10 and all(verdicts)
 
 
 # --- confidence noise over parsed and packed tables ---------------------------

@@ -84,7 +84,7 @@ def frame_columns(rows):
     n = len(rows)
     cols = FrameColumns(
         bboxes=bboxes,
-        records=(None,) * n,
+        records=np.full(n, -1, dtype=np.int64),
         track_id=np.arange(10, 10 + n, dtype=np.int64),
         created=np.zeros(n, dtype=np.int64),
         conf=np.array(confs, dtype=np.float64),
