@@ -66,7 +66,6 @@ def associate(
     """
     tracker = Tracker(tracker_cfg)
     created = np.empty(0, dtype=np.int64)  # track id -> frame it was spawned on
-    no_records = np.empty(0, dtype=np.int64)
     for frame_index in processed_frame_range(
         stream.first_frame, stream.last_frame, clock.frame_stride
     ):
@@ -84,9 +83,8 @@ def associate(
         with np.errstate(over="ignore"):
             cost_bits = np.full(len(dets), estimate_cost(w, h, cost))
             area = w * h
-        if sidecar is None:  # every frame's records are a view of one column of -1s
-            no_records = _grown(no_records, len(dets), -1)
-            records = no_records[: len(dets)]
+        if sidecar is None:
+            records = np.full(len(dets), -1, dtype=np.int64)
         else:
             records = sidecar.rows(frame_index, np.where(dets.has_hint, dets.hint, track_id))
             looked_up = np.flatnonzero(records >= 0)
@@ -104,7 +102,7 @@ def associate(
         columns = policy_mod.FrameColumns(
             bboxes=dets.bboxes,
             records=records,
-            sidecar=sidecar,
+            semantics=None if sidecar is None else sidecar.semantics,
             track_id=track_id,
             created=created[track_id],
             conf=dets.conf,
@@ -236,11 +234,11 @@ def _schedule(
             tids = track_id[rows]
             last_refined[tids] = frame_index
             records, semantics = repeat(-1), repeat(())
-            if cols.sidecar is not None and len(cols.sidecar):
+            if cols.semantics is not None and len(cols.semantics):
                 records = cols.records[rows]
                 # each value as the sidecar parsed it, a float or an int; a
                 # row without a record (-1) gathers the last one's, unread
-                semantics = cols.sidecar.semantics.take(records).tolist()
+                semantics = cols.semantics.take(records).tolist()
                 records = records.tolist()
             sent_rows = zip(
                 tids.tolist(),

@@ -31,7 +31,6 @@ import numpy as np
 from .budget import LedgerView
 from .domain import DEFAULT_AREA_REF, BBox, PolicyConfig
 from .errors import ConfigError, InvalidParam
-from .semantic import SemanticSidecar
 
 #: Preset gate defaults, pilot-tuned; every threshold stays configurable.
 PERMISSIVE_CONF_GATE = 0.25
@@ -72,21 +71,21 @@ class FrameColumns:
 
     Each fact is held once. ``bboxes`` are the stream's own boxes, so a
     record built from a row keeps their number types; a parsed stream builds
-    a row's box each time it is read. ``records`` holds the row of
-    ``sidecar`` that keys each row's record, -1 where there is none, as
-    there is none without a sidecar. The association pass builds this once
-    per frame, and every variant of a sweep reads it.
+    a row's box each time it is read. ``records`` holds each row's record
+    as its row of the sidecar's ``semantics`` column, -1 where there is
+    none, as there is none without a sidecar. The association pass builds
+    this once per frame, and every variant of a sweep reads it.
     """
 
     bboxes: Sequence[BBox]
-    records: np.ndarray  # int64: the sidecar row, or -1
+    records: np.ndarray  # int64: the row of semantics, or -1
     track_id: np.ndarray  # int64
     created: np.ndarray  # int64: the frame the track was spawned on
     conf: np.ndarray  # float64
     area: np.ndarray  # float64: bbox w * h
     cost_bits: np.ndarray  # float64
     class_id: np.ndarray  # int64
-    sidecar: Optional[SemanticSidecar] = None
+    semantics: Optional[np.ndarray] = None  # SemanticSidecar.semantics
 
     def __len__(self) -> int:
         return len(self.track_id)

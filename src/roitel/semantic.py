@@ -281,11 +281,8 @@ def _sidecar_block(text: str, plain: bool, first: int) -> Optional[list[np.ndarr
     frame, track = table[:, :2].astype(np.int64).T
     if not (frame >= 0).all():
         return None
-    if len(rows) == len(lines) - (not lines[-1]):
-        line_no = np.arange(first, first + len(rows))
-    else:  # comments or empty lines
-        numbered = enumerate(lines, first)
-        line_no = np.array([n for n, line in numbered if line and line[0] != "#"], dtype=np.int64)
+    numbered = enumerate(lines, first)
+    line_no = np.array([n for n, line in numbered if line and line[0] != "#"], dtype=np.int64)
     semantics = np.empty(len(table), dtype=_SEMANTICS)
     for column, name in enumerate(_SEMANTICS.names, start=2):
         semantics[name] = table[:, column]

@@ -163,10 +163,11 @@ def association_outcome(associate, args):
     return frames, None
 
 
-def frame_facts(frame):
+def frame_facts(frame, sidecar):
     """One associated frame in a form that tells -0.0 from 0.0, 1 from 1.0
-    and an int64 column from a float64 one; with the sidecar record each
-    row's sidecar row names."""
+    and an int64 column from a float64 one; with the record of ``sidecar``
+    each row's sidecar row names, and whether the frame's ``semantics`` is
+    the sidecar's column."""
     frame_index, now, cols = frame
     arrays = (
         cols.track_id,
@@ -177,12 +178,13 @@ def frame_facts(frame):
         cols.class_id,
         cols.records,
     )
-    records = [cols.sidecar.record(row) if row >= 0 else None for row in cols.records.tolist()]
+    records = [sidecar.record(row) if row >= 0 else None for row in cols.records.tolist()]
     return (
         frame_index,
         repr(now),
         repr(tuple(cols.bboxes)),
         repr(records),
+        cols.semantics is (None if sidecar is None else sidecar.semantics),
         [(str(a.dtype), repr(a.tolist())) for a in arrays],
     )
 
@@ -197,7 +199,9 @@ def cross_check_association(monkeypatch):
     def checked(*args):
         expected, expected_err = association_outcome(ref_associate, args)
         got, err = association_outcome(columnar, args)
-        assert list(map(frame_facts, got)) == list(map(frame_facts, expected))
+        sidecar = args[1]
+        facts = [frame_facts(frame, sidecar) for frame in got]
+        assert facts == [frame_facts(frame, sidecar) for frame in expected]
         assert (type(err), str(err)) == (type(expected_err), str(expected_err))
         yield from got
         if err is not None:

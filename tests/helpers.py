@@ -13,6 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import reduce
 from operator import add
+from types import SimpleNamespace
 from typing import Iterator, Optional
 
 import numpy as np
@@ -334,7 +335,7 @@ def ref_associate(
         columns = FrameColumns(
             bboxes=bboxes,
             records=np.array(rows, dtype=np.int64),
-            sidecar=sidecar,
+            semantics=None if sidecar is None else sidecar.semantics,
             track_id=np.array(track_ids, dtype=np.int64),
             created=np.array([created[tid] for tid in track_ids], dtype=np.int64),
             conf=np.array([det.confidence for det in dets], dtype=np.float64),
@@ -519,6 +520,14 @@ class RefLedger:
         self._bits.append(bits)
 
 
+def semantic_fields(semantics, row: int) -> Optional[SimpleNamespace]:
+    """The classifier fields of row ``row`` of a sidecar's ``semantics``
+    column by name, or None for row -1."""
+    if row < 0:
+        return None
+    return SimpleNamespace(**dict(zip(semantics.dtype.names, semantics.item(row))))
+
+
 def scalar_schedule(
     frames, span: tuple[Optional[int], Optional[int]], cfg: RunConfig
 ) -> RunLog:
@@ -555,7 +564,7 @@ def scalar_schedule(
             cols.class_id.tolist(),
             cols.track_id.tolist(),
             cols.created.tolist(),
-            [cols.sidecar.record(row) if row >= 0 else None for row in cols.records.tolist()],
+            [semantic_fields(cols.semantics, row) for row in cols.records.tolist()],
             cols.cost_bits.tolist(),
         )
         contexts = []

@@ -978,10 +978,9 @@ def test_report_through_a_symlink_replaces_the_file_it_names(tmp_path, detection
 
 
 def test_a_sweep_drops_each_log_before_the_next_variant_is_scheduled(tmp_path, monkeypatch):
-    """Nor does it keep an earlier log's boxes or the parsed stream: a
-    parsed stream builds a transmitted row's box for that log alone, and only
-    the associated frames outlive the association pass. They hold the parsed
-    sidecar, whose columns their rows name."""
+    """Nor does it keep an earlier log's boxes, the parsed stream or the
+    parsed sidecar: a parsed stream builds a transmitted row's box for that
+    log alone, and only the associated frames outlive the association pass."""
     parse_stream, parse_sidecar = ingest.parse_generic_csv, cli._parse_sidecar
     schedule = engine._schedule
     inputs = []  # weak references to the parsed stream and the parsed sidecar
@@ -1016,9 +1015,9 @@ def test_a_sweep_drops_each_log_before_the_next_variant_is_scheduled(tmp_path, m
     assert run_sweep(tmp_path / "o", dets, "--sidecar", str(side)) == 0
     assert all(boxes for _, boxes in scheduled[1:])  # M0 transmits nothing
     assert alive_when_scheduled == [
-        ([False, True], []),
-        ([False, True], [(False, False)]),
-        ([False, True], [(False, False), (False, False)]),
+        ([False, False], []),
+        ([False, False], [(False, False)]),
+        ([False, False], [(False, False), (False, False)]),
     ]
 
 
