@@ -257,13 +257,13 @@ def _schedule(
                 if record_row < 0:
                     log.transmissions.append(TransmissionRecord(*record))
                     continue
-                log.transmissions.append(TransmissionRecord(*record, *semantic))
-                still_label = semantic[3]  # after video_conf, still_conf, video_label
-                if class_label[tid] != still_label:
+                tx = TransmissionRecord(*record, *semantic)
+                log.transmissions.append(tx)
+                if class_label[tid] != tx.still_label:
                     log.class_events.append(
-                        ClassEvent(frame_index, now, tid, still_label, CLASS_SOURCE_STILL)
+                        ClassEvent(frame_index, now, tid, tx.still_label, CLASS_SOURCE_STILL)
                     )
-                class_label[tid] = still_label
+                class_label[tid] = tx.still_label
                 class_source[tid] = _STILL_CLASS
 
     log.detection_conf_mean = conf_sum / max(log.raw_candidate_count, 1)

@@ -21,7 +21,7 @@ from typing import Optional, TextIO, Union
 from . import runlog
 from .config import parse_value
 from .errors import DuplicateLabel, InvalidParam
-from .runlog import RunLog
+from .runlog import _SEMANTIC_FIELDS, RunLog, TransmissionRecord
 
 REPORT_COLUMNS = (
     "policy",
@@ -122,24 +122,25 @@ class _Tally:
 
     def add(self, cols: list) -> None:
         """Take a block of tx records as columns, in TransmissionRecord's
-        field order; the bbox column is not read."""
-        frames, _, tracks, _, costs = cols[:5]
-        self.selected += len(frames)
-        self.frames.update(frames)
-        self.tracks.update(tracks)
-        _extend(self.cost_bits, costs)
-        semantic = cols[9:]
-        if None in cols[10]:  # a record has semantics where its still_conf is set
-            kept = list(map(is_not, cols[10], repeat(None)))
-            semantic = [list(compress(col, kept)) for col in semantic]
-        video_conf, still_conf, video_label, still_label, video_entropy, still_entropy = semantic
-        gains = list(map(sub, still_conf, video_conf))
-        _extend(self.video_conf, video_conf)
-        _extend(self.still_conf, still_conf)
+        field order, each read by its field's name; the bbox column is not
+        read."""
+        tx = TransmissionRecord._make(cols)
+        self.selected += len(tx.frame_index)
+        self.frames.update(tx.frame_index)
+        self.tracks.update(tx.track_id)
+        _extend(self.cost_bits, tx.cost_bits)
+        if None in tx.still_conf:  # a record has semantics where its still_conf is set
+            kept = list(map(is_not, tx.still_conf, repeat(None)))
+            tx = tx._replace(
+                **{name: list(compress(getattr(tx, name), kept)) for name in _SEMANTIC_FIELDS}
+            )
+        gains = list(map(sub, tx.still_conf, tx.video_conf))
+        _extend(self.video_conf, tx.video_conf)
+        _extend(self.still_conf, tx.still_conf)
         _extend(self.conf_gain, gains)
-        _extend(self.entropy_gain, map(sub, video_entropy, still_entropy))
+        _extend(self.entropy_gain, map(sub, tx.video_entropy, tx.still_entropy))
         self.positive_gains += sum(map(gt, gains, repeat(0.0)))
-        self.label_changes += sum(map(ne, still_label, video_label))
+        self.label_changes += sum(map(ne, tx.still_label, tx.video_label))
 
     def report(
         self, log: RunLog, base_bitrate_bps: float, duration_s: float, lambda_cls: Optional[float]

@@ -4,9 +4,13 @@ A run log is one header object followed by one JSON object per line, each
 tagged with a "kind" field ("tx" for ROI transmissions, "class" for class
 timeline events). Serialization is deterministic: keys are sorted and floats
 use the shortest round-trip form, so identical runs produce identical bytes.
-The header is written by ``json.dumps``; the records by fixed templates that
-give the same bytes. Records are named tuples, so the scheduling pass, the
-writer and the reader build and unpack them at tuple cost.
+The header is written by ``json.dumps``; the records by ``%`` templates that
+give the same bytes. Each record kind has one table, ``_TX_FIELDS`` or
+``_CLASS_FIELDS``: its keys, in the record's field order, with their JSON
+types. Its template, the writer's argument order, the block reader's
+pattern and column order, and the line reader's checks derive from it.
+Records are named tuples, so the scheduling pass, the writer and the reader
+build and unpack them at tuple cost.
 
 ``iter_jsonl`` reads a ``str`` or an open text file once, in blocks of
 whole lines, through the text layer the parsers share (``_text``; a ``str``
@@ -28,7 +32,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, lt
+from operator import attrgetter, itemgetter, lt
 from typing import Iterable, Iterator, NamedTuple, Optional, TextIO, Union
 
 from ._text import line_blocks, text_file
@@ -111,72 +115,6 @@ def _header_obj(log: RunLog) -> dict:
     return {"kind": RUNLOG_KIND, "version": RUNLOG_VERSION, **header}
 
 
-#: A tx record with its keys in sorted order, as ``json.dumps(...,
-#: sort_keys=True)`` writes it: ``%r`` is json's spelling of a finite float
-#: and of an int, and each ``%s`` is a semantic field (``_or_null``).
-_TX_LINE = (
-    '{"bbox": [%r, %r, %r, %r], "cost_bits": %r, "frame": %r, "kind": "tx", "n": %r, '
-    '"s_small": %r, "score": %r, "still_conf": %s, "still_entropy": %s, '
-    '"still_label": %s, "t_s": %r, "track": %r, "u": %r, "video_conf": %s, '
-    '"video_entropy": %s, "video_label": %s}'
-)
-
-#: A class event's line is its head, its label, its middle and its track,
-#: then ``}``.
-_CLASS_HEAD = '{"frame": %r, "kind": "class", "label": '
-_CLASS_MIDDLE = ', "source": %s, "t_s": %r, "track": '
-_UNSET = object()
-
-
-def _or_null(value) -> str:
-    return "null" if value is None else repr(value)
-
-
-def _tx_line(tx: TransmissionRecord) -> str:
-    frame, t_s, track, b, cost, score, u, s_small, n, vc, sc, vl, sl, ve, se = tx
-    return _TX_LINE % (
-        b.x,
-        b.y,
-        b.w,
-        b.h,
-        cost,
-        frame,
-        n,
-        s_small,
-        score,
-        _or_null(sc),
-        _or_null(se),
-        _or_null(sl),
-        t_s,
-        track,
-        u,
-        _or_null(vc),
-        _or_null(ve),
-        _or_null(vl),
-    )
-
-
-def _class_lines(events: Iterable[ClassEvent]) -> Iterator[str]:
-    """Each event's line. The head and middle are formatted once for each
-    run of events whose frame and ``t_s`` are the same objects and whose
-    sources are equal, so each value still writes its own repr."""
-    frame = t_s = source = _UNSET
-    for ev_frame, ev_t_s, track, label, ev_source in events:
-        if ev_frame is not frame or ev_t_s is not t_s or ev_source != source:
-            frame, t_s, source = ev_frame, ev_t_s, ev_source
-            head = _CLASS_HEAD % (frame,)
-            middle = _CLASS_MIDDLE % (encode_basestring_ascii(source), t_s)
-        yield f"{head}{label!r}{middle}{track!r}}}"
-
-
-def to_jsonl_lines(log: RunLog) -> Iterator[str]:
-    """An iterator over the log's lines, each formatted as it is read: the
-    header, then its tx records, then its class events. Records must hold
-    finite floats, as every run's do."""
-    header = json.dumps(_header_obj(log), sort_keys=True)
-    return chain((header,), map(_tx_line, log.transmissions), _class_lines(log.class_events))
-
-
 _INT = frozenset({int})
 _NUM = frozenset({int, float})
 _NULL = frozenset({type(None)})
@@ -220,7 +158,9 @@ _HEADER_FIELDS = {
 _header_values = attrgetter(*(path for path, _ in _HEADER_FIELDS.values()))
 _HEADER_TYPES = {key: types for key, (_, types) in _HEADER_FIELDS.items()}
 
-#: In TransmissionRecord's field order; the last six are the semantic fields.
+#: One table per record kind: each key of its line -> the key's JSON types,
+#: in the record's field order. The templates, the writer's argument order,
+#: the patterns and the block reader's column order all derive from these.
 _TX_FIELDS = {
     "frame": _INT,
     "t_s": _NUM,
@@ -239,8 +179,103 @@ _TX_FIELDS = {
     "still_entropy": _NUM | _NULL,
 }
 
-#: In ClassEvent's field order.
 _CLASS_FIELDS = {"frame": _INT, "t_s": _NUM, "track": _INT, "label": _INT, "source": _STR}
+
+#: The semantic fields, the tx fields that may be null, by their record
+#: field names: the record's last, as each defaults to None.
+_SEMANTIC_FIELDS = {
+    name: types
+    for name, types in zip(TransmissionRecord._fields, _TX_FIELDS.values())
+    if _NULL <= types
+}
+_SEMANTIC = slice(len(_TX_FIELDS) - len(_SEMANTIC_FIELDS), None)
+_NO_SEMANTICS = (None,) * len(_SEMANTIC_FIELDS)
+
+#: JSON's integer and number literals.
+_JSON_INT = "-?(?:0|[1-9][0-9]*)"
+_JSON_NUMBER = _JSON_INT + r"(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+
+#: A record field's JSON types -> its slot in the record's template, and the
+#: pattern of each literal the slot writes, captured. A field that may be
+#: null is a ``%s``, which writes an int or a float as ``%r`` does, and None
+#: as ``None``, which the writer spells null. A list is a box's four numbers
+#: and a string is a class event's source: a record has no other list or
+#: string.
+_SLOTS = {
+    _INT: ("%r", [f"({_JSON_INT})"]),
+    _NUM: ("%r", [f"({_JSON_NUMBER})"]),
+    _INT | _NULL: ("%s", [f"(null|{_JSON_INT})"]),
+    _NUM | _NULL: ("%s", [f"(null|{_JSON_NUMBER})"]),
+    _LIST: ("[%r, %r, %r, %r]", [f"({_JSON_NUMBER})"] * 4),
+    _STR: ("%s", [f'"({CLASS_SOURCE_VIDEO}|{CLASS_SOURCE_STILL})"']),
+}
+
+
+def _template(kind: str, fields: dict) -> str:
+    """The ``%`` template of a record's line, with its keys sorted, as
+    ``json.dumps(..., sort_keys=True)`` writes it."""
+    slots = {key: _SLOTS[types][0] for key, types in fields.items()}
+    slots["kind"] = f'"{kind}"'
+    return "{%s}" % ", ".join(f'"{key}": {slots[key]}' for key in sorted(slots))
+
+
+def _line_pattern(kind: str, fields: dict) -> re.Pattern:
+    """The whole lines the record template formats, each after the ``\\n``
+    that ends the line before it, with each literal captured by its field's
+    pattern, in the template's order."""
+    literals = map(re.escape, re.split("%[rs]", _template(kind, fields)))
+    captures = [pattern for key in sorted(fields) for pattern in _SLOTS[fields[key]][1]]
+    return re.compile("\n%s(?![^\n])" % "".join(chain(*zip(literals, (*captures, "")))))
+
+
+_TX_LINE = _template("tx", _TX_FIELDS)
+_TX_BARE = _TX_LINE.replace("%s", "null")  # a record without semantics
+#: Each field's position in the template, whose keys are sorted; then the
+#: fields after the box, which sorts first, in the template's order, and
+#: those of them that a record without semantics has.
+_TX_RANK = [sorted(_TX_FIELDS).index(key) for key in _TX_FIELDS]
+_TX_ORDER = sorted(range(len(_TX_FIELDS)), key=_TX_RANK.__getitem__)[1:]
+_TX_ARGS = itemgetter(*_TX_ORDER)
+_TX_BARE_ARGS = itemgetter(*(i for i in _TX_ORDER if i < _SEMANTIC.start))
+_TX_PATTERN = _line_pattern("tx", _TX_FIELDS)
+
+#: A class event's line is its head, its label, its middle and its track,
+#: then ``}``: the template cut at the two fields that are each event's own.
+_CLASS_HEAD, _CLASS_MIDDLE, _ = re.split(
+    '(?<="label": )%r|(?<="track": )%r', _template("class", _CLASS_FIELDS)
+)
+_CLASS_RANK = [sorted(_CLASS_FIELDS).index(key) for key in _CLASS_FIELDS]
+_CLASS_PATTERN = _line_pattern("class", _CLASS_FIELDS)
+_UNSET = object()
+
+
+def _tx_line(tx: TransmissionRecord) -> str:
+    """The record's line; each None that a ``%s`` writes is spelled null."""
+    b = tx.bbox
+    if tx.still_conf is None and tx[_SEMANTIC] == _NO_SEMANTICS:
+        return _TX_BARE % (b.x, b.y, b.w, b.h, *_TX_BARE_ARGS(tx))
+    return (_TX_LINE % (b.x, b.y, b.w, b.h, *_TX_ARGS(tx))).replace("None", "null")
+
+
+def _class_lines(events: Iterable[ClassEvent]) -> Iterator[str]:
+    """Each event's line. The head and middle are formatted once for each
+    run of events whose frame and ``t_s`` are the same objects and whose
+    sources are equal, so each value still writes its own repr."""
+    frame = t_s = source = _UNSET
+    for ev_frame, ev_t_s, track, label, ev_source in events:
+        if ev_frame is not frame or ev_t_s is not t_s or ev_source != source:
+            frame, t_s, source = ev_frame, ev_t_s, ev_source
+            head = _CLASS_HEAD % (frame,)
+            middle = _CLASS_MIDDLE % (encode_basestring_ascii(source), t_s)
+        yield f"{head}{label!r}{middle}{track!r}}}"
+
+
+def to_jsonl_lines(log: RunLog) -> Iterator[str]:
+    """An iterator over the log's lines, each formatted as it is read: the
+    header, then its tx records, then its class events. Records must hold
+    finite floats, as every run's do."""
+    header = json.dumps(_header_obj(log), sort_keys=True)
+    return chain((header,), map(_tx_line, log.transmissions), _class_lines(log.class_events))
 
 
 def _values(obj: dict, fields: dict, line_no: int) -> list:
@@ -328,21 +363,20 @@ def _header(obj, line_no: int) -> RunLog:
 
 
 def _transmission(obj: dict, line_no: int) -> TransmissionRecord:
-    values = _values(obj, _TX_FIELDS, line_no)
-    bbox = values[3]
-    if len(bbox) != 4 or not all(map(_NUM.__contains__, map(type, bbox))):
-        raise ParseError(line_no, f"bad bbox: {bbox!r}")
-    values[3] = BBox(*bbox)
-    if values[9:].count(None) not in (0, 6):
+    tx = TransmissionRecord._make(_values(obj, _TX_FIELDS, line_no))
+    if len(tx.bbox) != 4 or not all(map(_NUM.__contains__, map(type, tx.bbox))):
+        raise ParseError(line_no, f"bad bbox: {tx.bbox!r}")
+    bbox = BBox(*tx.bbox)
+    if tx[_SEMANTIC].count(None) not in (0, len(_NO_SEMANTICS)):
         raise ParseError(line_no, "semantic fields must be all set or all null")
-    return TransmissionRecord(*values)
+    return tx._replace(bbox=bbox)
 
 
 def _class_event(obj: dict, line_no: int) -> ClassEvent:
-    values = _values(obj, _CLASS_FIELDS, line_no)
-    if values[4] not in (CLASS_SOURCE_VIDEO, CLASS_SOURCE_STILL):
-        raise ParseError(line_no, f"bad class source: {values[4]!r}")
-    return ClassEvent(*values)
+    ev = ClassEvent._make(_values(obj, _CLASS_FIELDS, line_no))
+    if ev.source not in (CLASS_SOURCE_VIDEO, CLASS_SOURCE_STILL):
+        raise ParseError(line_no, f"bad class source: {ev.source!r}")
+    return ev
 
 
 def _line_records(text: str, first: int, log: Optional[RunLog], header_no: int) -> tuple:
@@ -403,49 +437,6 @@ def _read_lines(text: str) -> RunLog:
 #: check checks the numbers itself.
 _PLAIN = json.JSONDecoder(parse_constant=_reject_constant)
 
-#: JSON's integer and number literals.
-_JSON_INT = "-?(?:0|[1-9][0-9]*)"
-_JSON_NUMBER = _JSON_INT + r"(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
-
-#: A field's JSON types -> the pattern of its literal, captured.
-_LITERAL = {
-    _INT: f"({_JSON_INT})",
-    _NUM: f"({_JSON_NUMBER})",
-    _INT | _NULL: f"(null|{_JSON_INT})",
-    _NUM | _NULL: f"(null|{_JSON_NUMBER})",
-}
-
-
-def _line_pattern(template: str, fields: tuple[str, ...]) -> re.Pattern:
-    """The whole lines ``template`` formats, each after the ``\\n`` that
-    ends the line before it, with its ``%`` fields matched by ``fields``'
-    patterns, in order."""
-    literals = map(re.escape, re.split("%[rs]", template))
-    return re.compile("\n%s(?![^\n])" % "".join(chain(*zip(literals, (*fields, "")))))
-
-
-#: The tx keys in the template's order, which is sorted: "bbox" comes first.
-_TX_KEYS = sorted(_TX_FIELDS)
-
-#: A tx record's line as ``_tx_line`` writes it, its literals captured in
-#: the template's order: the bbox's four, then one for each later key.
-_TX_PATTERN = _line_pattern(
-    _TX_LINE, (*[_LITERAL[_NUM]] * 4, *(_LITERAL[_TX_FIELDS[key]] for key in _TX_KEYS[1:]))
-)
-
-#: A class event's line as ``_class_lines`` writes it, its fields captured
-#: in the template's order: frame, label, source, t_s and track.
-_CLASS_PATTERN = _line_pattern(
-    f"{_CLASS_HEAD}%r{_CLASS_MIDDLE}%r}}",
-    (
-        _LITERAL[_INT],
-        _LITERAL[_INT],
-        f'"({CLASS_SOURCE_VIDEO}|{CLASS_SOURCE_STILL})"',
-        _LITERAL[_NUM],
-        _LITERAL[_INT],
-    ),
-)
-
 
 def _captures(pattern: re.Pattern, text: str) -> tuple[str, list[list[str]]]:
     """``text`` without the lines ``pattern`` matches, and for each of its
@@ -491,19 +482,22 @@ def _block_records(block: str, plain: bool) -> Optional[tuple[list, Iterator[Cla
     values = _PLAIN.decode("[%s]" % ",".join(chain.from_iterable(tx_literals)))
     n = len(tx_literals[0])
     x, y, w, h, *later = (values[i * n : i * n + n] for i in range(len(tx_literals)))
-    tx = dict(zip(_TX_KEYS[1:], later), bbox=starmap(BBox, zip(x, y, w, h)))
-    tx_cols = [tx[key] for key in _TX_FIELDS]
+    in_template_order = [starmap(BBox, zip(x, y, w, h)), *later]
+    tx_cols = [in_template_order[i] for i in _TX_RANK]
     if not (
         _finite(filter(None, values))  # nulls and zeros go, and zeros are finite
-        and {row.count(None) for row in zip(*tx_cols[9:])} <= {0, 6}
+        and {row.count(None) for row in zip(*tx_cols[_SEMANTIC])} <= {0, len(_NO_SEMANTICS)}
         and min(chain(w, h), default=1) > 0  # BBox's own check
     ):
         return None
+    # in ClassEvent's order, each number field with its reader; None: the source
+    literals = [class_literals[i] for i in _CLASS_RANK]
+    reads = [{_INT: int, _NUM: _number}.get(types) for types in _CLASS_FIELDS.values()]
     # float reads an integer literal beyond the float range as an infinity
-    frames, labels, sources, times, tracks = class_literals
-    if not _finite(map(float, set(chain(frames, labels, times, tracks)))):
+    numbers = chain.from_iterable(col for col, read in zip(literals, reads) if read)
+    if not _finite(map(float, set(numbers))):
         return None
-    columns = map(int, frames), map(_number, times), map(int, tracks), map(int, labels), sources
+    columns = [map(read, col) if read else col for col, read in zip(literals, reads)]
     return tx_cols, map(ClassEvent, *columns)
 
 

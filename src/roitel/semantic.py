@@ -13,6 +13,7 @@ its errors and ``errors_out`` are the row parser's on the whole text.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
@@ -33,6 +34,7 @@ from .ingest import (
     _num,
     _split_rows,
 )
+from .runlog import _SEMANTIC_FIELDS
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,11 @@ class SemanticRecord:
             if not (0.0 <= v <= 1.0):
                 raise InvalidParam(f"{name} must be in [0,1], got {v}")
         for name in ("video_entropy", "still_entropy"):
-            if getattr(self, name) < 0:
-                raise InvalidParam(f"{name} must be >= 0, got {getattr(self, name)}")
+            v = getattr(self, name)
+            if v < 0:
+                raise InvalidParam(f"{name} must be >= 0, got {v}")
+            if not v <= sys.float_info.max:  # NaN, or beyond what a run log holds
+                raise InvalidParam(f"{name} must be finite, got {v}")
         if self.payload_bytes is not None and self.payload_bytes <= 0:
             raise InvalidParam(f"payload_bytes must be > 0, got {self.payload_bytes}")
         for name in ("video_label", "still_label"):
@@ -64,17 +69,13 @@ class SemanticRecord:
                 raise InvalidParam(f"{name} outside int64: {getattr(self, name)}")
 
 
-#: A record's classifier fields, in its order and ``TransmissionRecord``'s:
-#: a sidecar holds them as one structured column, so that one gather and
-#: one ``tolist`` give a row's values as Python floats and ints.
+#: A record's classifier fields, the run log's semantic tx fields, in their
+#: order: a sidecar holds them as one structured column, so that one gather
+#: and one ``tolist`` give a row's values as Python floats and ints.
 _SEMANTICS = np.dtype(
     [
-        ("video_conf", np.float64),
-        ("still_conf", np.float64),
-        ("video_label", np.int64),
-        ("still_label", np.int64),
-        ("video_entropy", np.float64),
-        ("still_entropy", np.float64),
+        (name, np.float64 if float in types else np.int64)
+        for name, types in _SEMANTIC_FIELDS.items()
     ]
 )
 

@@ -323,6 +323,20 @@ def test_a_semantic_record_refuses_a_payload_of_no_bytes():
         SemanticRecord(0, 0, 0.5, 0.5, 1, 1, 0.0, 0.0, payload_bytes=0)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan, 10**400], ids=["inf", "nan", "10**400"])
+@pytest.mark.parametrize("name", ["video_entropy", "still_entropy"])
+def test_a_semantic_record_refuses_an_entropy_no_run_log_can_hold(name, value):
+    # a run given such a record wrote a tx line that read_jsonl refuses
+    with pytest.raises(InvalidParam, match=f"^{name} must be finite, got "):
+        replace(SemanticRecord(0, 0, 0.5, 0.5, 1, 1, 0.0, 0.0), **{name: value})
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "1e400"])
+def test_a_sidecar_row_keeps_its_message_for_a_non_finite_entropy(value):
+    with pytest.raises(ParseError, match=f"^line 1: non-finite still_entropy: '{value}'$"):
+        parse_sidecar_csv(f"10,4,0.2,0.3,7,7,1.9,{value}\n")
+
+
 @pytest.mark.parametrize(
     "frames,message",
     [

@@ -1,8 +1,12 @@
+import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields, replace
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -19,7 +23,7 @@ from roitel import (
     TransmissionRecord,
     read_jsonl,
 )
-from roitel import _text, metrics, runlog
+from roitel import _text, metrics, runlog, semantic
 from roitel.metrics import aggregate_run, emit_report
 from roitel.runlog import CLASS_SOURCE_STILL, CLASS_SOURCE_VIDEO, to_jsonl_lines
 from helpers import (
@@ -481,6 +485,53 @@ def test_class_lines_share_text_only_with_the_same_frame_and_time_objects():
         '{"frame": 1.0, "kind": "class", "label": 4, "source": "video", "t_s": -0.0, "track": 9}',
         '{"frame": 1.0, "kind": "class", "label": 5, "source": "still", "t_s": -0.0, "track": 9}',
     ]
+
+
+def test_the_templates_and_patterns_derived_from_the_tables_are_the_hand_written_ones():
+    # the strings the writer and the block reader used before they were
+    # derived from _TX_FIELDS and _CLASS_FIELDS
+    assert runlog._TX_LINE == (
+        '{"bbox": [%r, %r, %r, %r], "cost_bits": %r, "frame": %r, "kind": "tx", "n": %r, '
+        '"s_small": %r, "score": %r, "still_conf": %s, "still_entropy": %s, '
+        '"still_label": %s, "t_s": %r, "track": %r, "u": %r, "video_conf": %s, '
+        '"video_entropy": %s, "video_label": %s}'
+    )
+    assert runlog._CLASS_HEAD == '{"frame": %r, "kind": "class", "label": '
+    assert runlog._CLASS_MIDDLE == ', "source": %s, "t_s": %r, "track": '
+    pinned = [
+        (runlog._TX_PATTERN, 1137, "95f662e0517f6081"),
+        (runlog._CLASS_PATTERN, 225, "5efa8d269df6a2fc"),
+    ]
+    for pattern, size, digest in pinned:
+        assert len(pattern.pattern) == size
+        assert hashlib.sha256(pattern.pattern.encode()).hexdigest()[:16] == digest
+
+
+def test_the_classifier_fields_are_the_semantic_tx_fields_in_order():
+    # the engine builds a tx record from the sidecar's semantics by position
+    classifier = [f.name for f in fields(semantic.SemanticRecord)][2:8]
+    assert classifier == [*TransmissionRecord._fields[9:]]
+    assert semantic._SEMANTICS.names == TransmissionRecord._fields[9:]
+    assert [semantic._SEMANTICS[name].kind for name in classifier] == list("ffiiff")
+
+
+def test_the_run_log_layer_reads_and_writes_without_numpy():
+    # semantic and bare tx records, and class events of both sources
+    log = sample_log()
+    assert {tx.has_semantics for tx in log.transmissions} == {True, False}
+    assert {ev.source for ev in log.class_events} == {CLASS_SOURCE_VIDEO, CLASS_SOURCE_STILL}
+    text = "".join(line + "\n" for line in to_jsonl_lines(log))
+    tests = Path(__file__).parent
+    script, package = tests / "runlog_without_numpy.py", tests.parent / "src" / "roitel"
+    done = subprocess.run(
+        [sys.executable, str(script), str(package)],
+        input=text,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == text
 
 
 # --- the block check and the line path ----------------------------------------
