@@ -3,45 +3,18 @@
 The ledger enforces that ROI bits inside any trailing window of length
 ``window_s`` never exceed ``b_roi * window_s``. Admission is inclusive at
 exactly the cap, and the window is half-open: an entry stops counting the
-instant it is exactly ``window_s`` old.
+instant it is exactly ``window_s`` old. ``CostModel`` lives in ``domain``.
 """
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
-from typing import Optional
 
+from .domain import CostModel
 from .errors import BudgetViolation, InvalidParam
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """Bits charged per ROI still: fixed header plus area-scaled payload.
-
-    Defaults are calibrated so a resized 128x128 crop costs about 1.5 KB,
-    in line with observed mean still payloads. When ``resize_edge`` is set,
-    the crop is modeled at that square size regardless of the source box;
-    otherwise the box is padded by ``pad_ratio`` per side.
-    """
-
-    header_bytes: int = 400
-    bits_per_pixel: float = 0.55
-    resize_edge: Optional[float] = None
-    pad_ratio: float = 0.15
-
-    def __post_init__(self):
-        if not 0 <= self.header_bytes <= sys.float_info.max:
-            raise InvalidParam(f"header_bytes must be in [0, max float], got {self.header_bytes}")
-        if not self.bits_per_pixel > 0:
-            raise InvalidParam(f"bits_per_pixel must be > 0, got {self.bits_per_pixel}")
-        if self.resize_edge is not None and not self.resize_edge > 0:
-            raise InvalidParam(f"resize_edge must be > 0, got {self.resize_edge}")
-        if self.pad_ratio < 0:
-            raise InvalidParam(f"pad_ratio must be >= 0, got {self.pad_ratio}")
 
 
 def estimate_cost(w, h, model: CostModel):

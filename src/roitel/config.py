@@ -1,4 +1,5 @@
-"""Flat key/value run configuration files.
+"""Flat key/value run configuration files: the format alone. The types
+built, ``RunConfig`` and its members, live in ``domain``.
 
 Grammar: one ``key = value`` pair per line, ``#`` comments, blank lines
 ignored. Keys are dotted paths into the run config (``budget.window_s``),
@@ -13,34 +14,12 @@ unknown keys are rejected, never ignored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import is_dataclass
 from operator import attrgetter
-from typing import Optional
+from typing import get_type_hints
 
-from .budget import CostModel
-from .domain import BudgetConfig, EvalConfig, FrameClock, PolicyConfig
-from .errors import ConfigError, InvalidParam, ParseError
-from .tracker import TrackerConfig
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one run needs; validation lives in the member types."""
-
-    clock: FrameClock
-    budget: BudgetConfig
-    policy: PolicyConfig
-    tracker: TrackerConfig
-    cost: CostModel
-    eval: EvalConfig
-    base_bitrate_measured: Optional[float] = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.base_bitrate_measured is not None and self.base_bitrate_measured < 0:
-            raise InvalidParam(
-                f"base_bitrate_measured must be >= 0, got {self.base_bitrate_measured}"
-            )
+from .domain import RunConfig
+from .errors import ConfigError, ParseError
 
 
 SCHEMA_VERSION = 1
@@ -149,14 +128,10 @@ def parse_kv_text(text: str) -> dict[str, str]:
 
 #: Section prefix -> its RunConfig member type, in build order: when several
 #: values are bad, the first section's error wins (and sets the exit code).
-#: Keys without a prefix are top-level RunConfig fields.
+#: The sections are RunConfig's dataclass-typed fields, in field order; keys
+#: without a prefix are its other, top-level fields.
 _SECTIONS = {
-    "clock": FrameClock,
-    "budget": BudgetConfig,
-    "policy": PolicyConfig,
-    "tracker": TrackerConfig,
-    "cost": CostModel,
-    "eval": EvalConfig,
+    name: kind for name, kind in get_type_hints(RunConfig).items() if is_dataclass(kind)
 }
 
 

@@ -1,13 +1,16 @@
-"""Core value types and geometry shared by every other module.
+"""Core value types and geometry shared by every other module, and every
+run-config type, ``RunConfig`` and its members, with their checks.
 
 All types here are immutable dataclasses validated at construction, so a
 value that exists is a value that satisfies its invariants. Coordinates are
-continuous pixel units; annotation files may carry fractional boxes.
+continuous pixel units; annotation files may carry fractional boxes. Only
+the standard library is imported, so the report layer loads no NumPy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,6 +37,22 @@ POLICY_VARIANTS = (
     "preset_strict_small_only",
     "preset_balanced_top2",
 )
+
+
+def _finite(value) -> bool:
+    """True for a number a run log can hold: not NaN, not infinite, and not
+    an integer beyond the float range."""
+    return -sys.float_info.max <= value <= sys.float_info.max
+
+
+def _check_finite(cfg, names: tuple[str, ...], error: type = InvalidParam) -> None:
+    """Refuse a number no run log can hold in the named fields of ``cfg``;
+    None passes. A type runs this after its range checks of those fields,
+    so a value that a range check refuses keeps that check's message."""
+    for name in names:
+        value = getattr(cfg, name)
+        if value is not None and not _finite(value):
+            raise error(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -80,8 +99,7 @@ class FrameClock:
     def __post_init__(self):
         if not self.fps > 0:
             raise InvalidParam(f"fps must be > 0, got {self.fps}")
-        if not math.isfinite(self.fps):
-            raise InvalidParam(f"fps must be finite, got {self.fps}")
+        _check_finite(self, ("fps",))
         if self.frame_stride < 1:
             raise InvalidParam(f"frame_stride must be >= 1, got {self.frame_stride}")
         if self.frame_stride > INT64_MAX:
@@ -117,6 +135,8 @@ class BudgetConfig:
             raise BudgetConfigError(
                 f"b_video + b_roi = {self.b_video + self.b_roi} exceeds b_total = {self.b_total}"
             )
+        _check_finite(self, ("b_total", "b_video", "b_roi"), BudgetConfigError)
+        _check_finite(self, ("window_s",))
 
 
 @dataclass(frozen=True)
@@ -131,6 +151,7 @@ class EvalConfig:
             raise InvalidParam(f"lambda_cls must be >= 0, got {self.lambda_cls}")
         if self.duration_s is not None and not self.duration_s > 0:
             raise InvalidParam(f"duration_s must be > 0, got {self.duration_s}")
+        _check_finite(self, ("lambda_cls", "duration_s"))
 
 
 @dataclass(frozen=True)
@@ -167,4 +188,67 @@ class PolicyConfig:
             raise ConfigError(f"cooldown_frames must be >= 0, got {self.cooldown_frames}")
         if len(self.weights) != 3 or any(w < 0 for w in self.weights):
             raise ConfigError(f"weights must be three non-negative reals, got {self.weights}")
+        _check_finite(self, ("area_threshold", "score_threshold"), ConfigError)
+        if not all(map(_finite, self.weights)):
+            raise ConfigError(f"weights must be finite, got {self.weights}")
 
+
+@dataclass(frozen=True)
+class TrackerConfig:
+    iou_min: float = 0.3
+    max_misses: int = 10
+    use_hints: bool = False
+
+    def __post_init__(self):
+        if not (0.0 <= self.iou_min <= 1.0):
+            raise InvalidParam(f"iou_min must be in [0,1], got {self.iou_min}")
+        if self.max_misses < 0:
+            raise InvalidParam(f"max_misses must be >= 0, got {self.max_misses}")
+
+
+@dataclass(frozen=True)
+class CostModel:
+    """Bits charged per ROI still: fixed header plus area-scaled payload.
+
+    Defaults are calibrated so a resized 128x128 crop costs about 1.5 KB,
+    in line with observed mean still payloads. When ``resize_edge`` is set,
+    the crop is modeled at that square size regardless of the source box;
+    otherwise the box is padded by ``pad_ratio`` per side.
+    """
+
+    header_bytes: int = 400
+    bits_per_pixel: float = 0.55
+    resize_edge: Optional[float] = None
+    pad_ratio: float = 0.15
+
+    def __post_init__(self):
+        if not 0 <= self.header_bytes <= sys.float_info.max:
+            raise InvalidParam(f"header_bytes must be in [0, max float], got {self.header_bytes}")
+        if not self.bits_per_pixel > 0:
+            raise InvalidParam(f"bits_per_pixel must be > 0, got {self.bits_per_pixel}")
+        if self.resize_edge is not None and not self.resize_edge > 0:
+            raise InvalidParam(f"resize_edge must be > 0, got {self.resize_edge}")
+        if self.pad_ratio < 0:
+            raise InvalidParam(f"pad_ratio must be >= 0, got {self.pad_ratio}")
+        _check_finite(self, ("bits_per_pixel", "resize_edge", "pad_ratio"))
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Everything one run needs; validation lives in the member types."""
+
+    clock: FrameClock
+    budget: BudgetConfig
+    policy: PolicyConfig
+    tracker: TrackerConfig
+    cost: CostModel
+    eval: EvalConfig
+    base_bitrate_measured: Optional[float] = None
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.base_bitrate_measured is not None and self.base_bitrate_measured < 0:
+            raise InvalidParam(
+                f"base_bitrate_measured must be >= 0, got {self.base_bitrate_measured}"
+            )
+        _check_finite(self, ("base_bitrate_measured",))

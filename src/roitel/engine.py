@@ -21,9 +21,9 @@ from typing import Iterable, Iterator, Optional, Union
 import numpy as np
 
 from . import policy as policy_mod
-from .budget import BudgetLedger, CostModel, estimate_cost
-from .config import RunConfig, dump_config
-from .domain import FrameClock, PolicyConfig
+from .budget import BudgetLedger, estimate_cost
+from .config import dump_config
+from .domain import CostModel, FrameClock, PolicyConfig, RunConfig, TrackerConfig
 from .errors import InvalidParam
 from .ingest import DetectionStream
 from .runlog import (
@@ -34,7 +34,7 @@ from .runlog import (
     TransmissionRecord,
 )
 from .semantic import SemanticSidecar
-from .tracker import Tracker, TrackerConfig
+from .tracker import Tracker
 
 
 def processed_frame_range(first: Optional[int], last: Optional[int], stride: int) -> list[int]:

@@ -67,6 +67,10 @@ class SemanticRecord:
         for name in ("video_label", "still_label"):
             if not INT64_MIN <= getattr(self, name) <= INT64_MAX:
                 raise InvalidParam(f"{name} outside int64: {getattr(self, name)}")
+        # as a sidecar's float64 column holds them, so a record it gives back
+        # equals the one it was given
+        for name in ("video_conf", "still_conf", "video_entropy", "still_entropy"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 #: A record's classifier fields, the run log's semantic tx fields, in their

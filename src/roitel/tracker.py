@@ -8,35 +8,22 @@ ground-truth identity hints, bypassing IoU for hinted detections.
 The live tracks are held as arrays in id order (id, last box, consecutive
 misses, and under ``use_hints`` the hint they spawned from), so a step reads
 the frame's columns and ages every track with one mask; no ``Detection`` is
-built unless a caller reads the result's entries.
+built unless a caller reads the result's entries. ``TrackerConfig`` lives
+in ``domain``, with the other run-config types.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
 
 from . import kernels
-from .domain import Detection
-from .errors import InvalidParam, OutOfOrderFrame
+from .domain import Detection, TrackerConfig
+from .errors import OutOfOrderFrame
 from .ingest import FrameDetections
-
-
-@dataclass(frozen=True)
-class TrackerConfig:
-    iou_min: float = 0.3
-    max_misses: int = 10
-    use_hints: bool = False
-
-    def __post_init__(self):
-        if not (0.0 <= self.iou_min <= 1.0):
-            raise InvalidParam(f"iou_min must be in [0,1], got {self.iou_min}")
-        if self.max_misses < 0:
-            raise InvalidParam(f"max_misses must be >= 0, got {self.max_misses}")
 
 
 class Assignments(Sequence):

@@ -13,21 +13,32 @@ that the writer wrote comes back byte for byte.
 import sys
 import types
 
-package = types.ModuleType("roitel")
-package.__path__ = [sys.argv[1]]
-sys.modules["roitel"] = package
-sys.modules["numpy"] = None
 
-from roitel import runlog  # noqa: E402
+def block_numpy(package_dir: str) -> None:
+    """Stand a bare module whose ``__path__`` is ``package_dir`` in for the
+    ``roitel`` package, and make any import of NumPy raise ImportError."""
+    package = types.ModuleType("roitel")
+    package.__path__ = [package_dir]
+    sys.modules["roitel"] = package
+    sys.modules["numpy"] = None
 
-text = sys.stdin.read()
-log = runlog.read_jsonl(text)
-parts = runlog.iter_jsonl(text)
-folded = next(parts)
-for tx_cols, class_events in parts:
-    folded.transmissions += map(runlog.TransmissionRecord, *tx_cols)
-    folded.class_events += class_events
-lines = list(runlog.to_jsonl_lines(log))
-if list(runlog.to_jsonl_lines(folded)) != lines:
-    sys.exit("iter_jsonl and read_jsonl read different logs")
-sys.stdout.writelines(line + "\n" for line in lines)
+
+def main() -> None:
+    block_numpy(sys.argv[1])
+    from roitel import runlog
+
+    text = sys.stdin.read()
+    log = runlog.read_jsonl(text)
+    parts = runlog.iter_jsonl(text)
+    folded = next(parts)
+    for tx_cols, class_events in parts:
+        folded.transmissions += map(runlog.TransmissionRecord, *tx_cols)
+        folded.class_events += class_events
+    lines = list(runlog.to_jsonl_lines(log))
+    if list(runlog.to_jsonl_lines(folded)) != lines:
+        sys.exit("iter_jsonl and read_jsonl read different logs")
+    sys.stdout.writelines(line + "\n" for line in lines)
+
+
+if __name__ == "__main__":
+    main()

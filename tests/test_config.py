@@ -3,6 +3,7 @@ import pytest
 import roitel
 from roitel import config, engine
 from roitel import BudgetConfigError, ConfigError, FrameClock, InvalidParam, ParseError
+from roitel import BudgetConfig, CostModel, EvalConfig, PolicyConfig, RunConfig, TrackerConfig
 from roitel.config import (
     CONFIG_SCHEMA,
     apply_overrides,
@@ -46,6 +47,21 @@ def test_empty_text_yields_documented_defaults():
     assert cfg.eval.duration_s is None
     assert cfg.base_bitrate_measured is None
     assert cfg.seed == 0
+
+
+def test_the_schema_defaults_are_the_types_own_defaults():
+    # so --help and a dumped file say what a library caller gets; the split
+    # has no default of its own
+    cfg = build_config({})
+    split = (cfg.budget.b_total, cfg.budget.b_video, cfg.budget.b_roi)
+    assert cfg == RunConfig(
+        FrameClock(),
+        BudgetConfig(*split),
+        PolicyConfig(),
+        TrackerConfig(),
+        CostModel(),
+        EvalConfig(),
+    )
 
 
 def test_parse_kv_grammar():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -9,11 +10,14 @@ from roitel import (
     BudgetConfig,
     BudgetConfigError,
     ConfigError,
+    CostModel,
     Detection,
     EvalConfig,
     FrameClock,
     InvalidParam,
     PolicyConfig,
+    RunConfig,
+    TrackerConfig,
 )
 from helpers import iou
 
@@ -129,3 +133,108 @@ def test_policy_config_validation():
         PolicyConfig(top_k=0)
     with pytest.raises(ConfigError):
         PolicyConfig(weights=(0.5, 0.3))
+
+
+INF, NAN = math.inf, math.nan
+RUN = RunConfig(
+    FrameClock(),
+    BudgetConfig(800000.0, 650000.0, 150000.0),
+    PolicyConfig(),
+    TrackerConfig(),
+    CostModel(),
+    EvalConfig(),
+)
+
+
+@pytest.mark.parametrize(
+    "build, error, field",
+    [
+        (lambda: BudgetConfig(INF, 650000.0, 150000.0), BudgetConfigError, "b_total"),
+        (lambda: BudgetConfig(INF, 0.0, INF), BudgetConfigError, "b_total"),
+        (lambda: BudgetConfig(1.0, 0.5, 0.5, window_s=INF), InvalidParam, "window_s"),
+        (lambda: BudgetConfig(800000.0, 650000.0, NAN), BudgetConfigError, "b_roi"),
+        (lambda: BudgetConfig(800000.0, NAN, 150000.0), BudgetConfigError, "b_video"),
+        (lambda: BudgetConfig(10**400, 0.0, 0.0), BudgetConfigError, "b_total"),
+        (lambda: EvalConfig(duration_s=INF), InvalidParam, "duration_s"),
+        (lambda: EvalConfig(lambda_cls=INF), InvalidParam, "lambda_cls"),
+        (lambda: replace(RUN, base_bitrate_measured=INF), InvalidParam, "base_bitrate_measured"),
+        (lambda: replace(RUN, base_bitrate_measured=NAN), InvalidParam, "base_bitrate_measured"),
+        (lambda: PolicyConfig(area_threshold=INF), ConfigError, "area_threshold"),
+        (lambda: PolicyConfig(score_threshold=NAN), ConfigError, "score_threshold"),
+        (lambda: PolicyConfig(score_threshold=-INF), ConfigError, "score_threshold"),
+        (lambda: PolicyConfig(weights=(0.5, INF, 0.2)), ConfigError, "weights"),
+        (lambda: CostModel(bits_per_pixel=INF), InvalidParam, "bits_per_pixel"),
+        (lambda: CostModel(resize_edge=INF), InvalidParam, "resize_edge"),
+        (lambda: CostModel(pad_ratio=NAN), InvalidParam, "pad_ratio"),
+        (lambda: FrameClock(fps=10**400), InvalidParam, "fps"),
+    ],
+    ids=[
+        "b_total_inf",
+        "b_total_and_b_roi_inf",
+        "window_s_inf",
+        "b_roi_nan",
+        "b_video_nan",
+        "b_total_10**400",
+        "duration_s_inf",
+        "lambda_cls_inf",
+        "base_bitrate_measured_inf",
+        "base_bitrate_measured_nan",
+        "area_threshold_inf",
+        "score_threshold_nan",
+        "score_threshold_-inf",
+        "weights_inf",
+        "bits_per_pixel_inf",
+        "resize_edge_inf",
+        "pad_ratio_nan",
+        "fps_10**400",
+    ],
+)
+def test_a_run_config_refuses_a_number_no_run_log_can_hold(build, error, field):
+    # a run under each wrote a header that read_jsonl refuses, or, with
+    # lambda_cls, a log that aggregate_run refuses; fps = 10**400 ended in
+    # an OverflowError
+    with pytest.raises(error, match=f"^{field} must be finite, got ") as exc:
+        build()
+    assert type(exc.value) is error
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: FrameClock(fps=INF, frame_stride=0), InvalidParam, "fps must be finite, got inf"),
+        (lambda: FrameClock(fps=NAN), InvalidParam, "fps must be > 0, got nan"),
+        (lambda: BudgetConfig(1.0, -INF, 0.5), BudgetConfigError, "b_video must be >= 0, got -inf"),
+        (lambda: BudgetConfig(INF, 1.0, INF, window_s=NAN), InvalidParam, "window_s must be > 0"),
+        (lambda: EvalConfig(lambda_cls=-INF), InvalidParam, "lambda_cls must be >= 0, got -inf"),
+        (lambda: EvalConfig(duration_s=NAN), InvalidParam, "duration_s must be > 0, got nan"),
+        (lambda: PolicyConfig(conf_threshold=INF), ConfigError, r"conf_threshold must be in \["),
+        (lambda: PolicyConfig(weights=(-INF, 0.3, 0.2)), ConfigError, "weights must be three"),
+        (lambda: TrackerConfig(iou_min=NAN), InvalidParam, r"iou_min must be in \[0,1\], got nan"),
+        (lambda: CostModel(bits_per_pixel=NAN), InvalidParam, "bits_per_pixel must be > 0"),
+        (lambda: CostModel(pad_ratio=-INF), InvalidParam, "pad_ratio must be >= 0, got -inf"),
+        (
+            lambda: replace(RUN, base_bitrate_measured=-INF),
+            InvalidParam,
+            "base_bitrate_measured must be >= 0, got -inf",
+        ),
+    ],
+    ids=[
+        "fps_inf_before_stride",
+        "fps_nan",
+        "b_video_-inf",
+        "window_s_nan",
+        "lambda_cls_-inf",
+        "duration_s_nan",
+        "conf_threshold_inf",
+        "weights_-inf",
+        "iou_min_nan",
+        "bits_per_pixel_nan",
+        "pad_ratio_-inf",
+        "base_bitrate_measured_-inf",
+    ],
+)
+def test_a_range_check_keeps_its_message_for_a_non_finite_value(build, error, message):
+    # the finite checks run after each type's range checks
+    with pytest.raises(error, match=f"^{message}") as exc:
+        build()
+    assert type(exc.value) is error

@@ -331,6 +331,16 @@ def test_a_semantic_record_refuses_an_entropy_no_run_log_can_hold(name, value):
         replace(SemanticRecord(0, 0, 0.5, 0.5, 1, 1, 0.0, 0.0), **{name: value})
 
 
+@pytest.mark.parametrize(
+    "name, value", [("video_entropy", 10**30), ("still_entropy", 7), ("video_conf", 1)]
+)
+def test_a_sidecar_gives_back_a_record_equal_to_the_one_given(name, value):
+    # the sidecar holds the classifier numbers as float64, as a run writes them
+    given = replace(SemanticRecord(0, 1, 0.5, 0.5, 1, 1, 0.2, 0.1), **{name: value})
+    assert type(getattr(given, name)) is float
+    assert SemanticSidecar([given]).get(0, 1) == given
+
+
 @pytest.mark.parametrize("value", ["inf", "nan", "1e400"])
 def test_a_sidecar_row_keeps_its_message_for_a_non_finite_entropy(value):
     with pytest.raises(ParseError, match=f"^line 1: non-finite still_entropy: '{value}'$"):

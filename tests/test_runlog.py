@@ -24,6 +24,7 @@ from roitel import (
     read_jsonl,
 )
 from roitel import _text, metrics, runlog, semantic
+from roitel.cli import main as cli_main
 from roitel.metrics import aggregate_run, emit_report
 from roitel.runlog import CLASS_SOURCE_STILL, CLASS_SOURCE_VIDEO, to_jsonl_lines
 from helpers import (
@@ -532,6 +533,29 @@ def test_the_run_log_layer_reads_and_writes_without_numpy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == text
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "markdown"])
+def test_the_report_layer_folds_a_log_without_numpy(tmp_path, capsys, fmt):
+    # the log holds semantic and bare tx records, as in the test above
+    path = tmp_path / "runlog.jsonl"
+    path.write_text("".join(line + "\n" for line in to_jsonl_lines(sample_log())))
+    assert cli_main(["report", str(path), "--report-format", fmt]) == 0
+    expected = capsys.readouterr().out
+    tests = Path(__file__).parent
+    script, package = tests / "report_without_numpy.py", tests.parent / "src" / "roitel"
+    done = subprocess.run(
+        [sys.executable, str(script), str(package), fmt],
+        input=path.read_text(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected
+    # config needs only domain for the run-config types, which need no NumPy
+    loaded = ["_text", "config", "domain", "errors", "metrics", "runlog"]
+    assert done.stderr.split() == [f"roitel.{name}" for name in loaded]
 
 
 # --- the block check and the line path ----------------------------------------
