@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import math
+import shutil
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, TextIO
+from typing import BinaryIO, Iterable, Iterator, Optional, TextIO
 
 from . import config as config_mod
 from . import engine, ingest, metrics, runlog, semantic
@@ -57,41 +58,106 @@ def _read_text(path: str) -> str:
         return fp.read()
 
 
-@contextmanager
-def _staged() -> Iterator[Callable[[Path, Iterable[str]], None]]:
-    """A ``write(path, texts)`` that writes the texts to ``.<name>.part``
-    beside ``path``. Once the block succeeds, every file so written takes
-    its name; on any exception, KeyboardInterrupt included, every one is
-    removed, so no earlier file changes. A symlink is resolved, so the file
-    it names is replaced; a path that exists and is not a regular file (a
-    FIFO, /dev/stdout), which no rename can replace, is written in place."""
-    staged: list[tuple[Path, Path]] = []  # (temporary name, final name)
+class _Stage:
+    """The files of one command, staged by ``_staged``: each written as
+    ``.<name>.part`` beside its target, and the spill files of its logs."""
 
-    def write(path: Path, texts: Iterable[str]) -> None:
-        name = path
-        if not path.exists() or path.is_file():
-            path = path.resolve()
-            path.parent.mkdir(parents=True, exist_ok=True)
-            name = path.with_name(f".{path.name}.part")
-            staged.append((name, path))
+    def __init__(self) -> None:
+        self.staged: list[tuple[Path, Path]] = []  # (temporary name, final name)
+        self.spills: dict[BinaryIO, Path] = {}
+        self.made: list[Path] = []  # directories made, each after its parent
+
+    def _name(self, path: Path) -> Path:
+        """Where ``path`` is written: ``.<name>.part`` beside the file a
+        symlink names, whose directories are made; or ``path`` itself,
+        when it exists and is not a regular file (a FIFO, /dev/stdout),
+        which no rename can replace."""
+        if path.exists() and not path.is_file():
+            return path
+        path = path.resolve()
+        missing = [d for d in path.parents if not d.exists()]
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self.made += reversed(missing)
+        return path.with_name(f".{path.name}.part")
+
+    def spill(self, path: Path, kind: str) -> BinaryIO:
+        """A new file ``.<name>.<kind>.spill`` beside where ``path`` is
+        written, open to write and read back; it is removed once ``write``
+        has copied it, or when the stage ends."""
+        name = self._name(path).with_name(f".{path.name}.{kind}.spill")
+        fp = open(name, "w+b")
+        self.spills[fp] = name
+        return fp
+
+    def drop(self, spills: Iterable[BinaryIO]) -> None:
+        """Close and remove each of the spills."""
+        for fp in spills:
+            fp.close()
+            self.spills.pop(fp).unlink(missing_ok=True)
+
+    def write(self, path: Path, texts: Iterable[str], spills: Iterable[BinaryIO] = ()) -> None:
+        """Write the texts to ``path``'s staged name, then copy each spill in
+        after them, byte for byte, and drop it."""
+        name = self._name(path)
+        if name != path:
+            self.staged.append((name, path.resolve()))
         with open(name, "w", encoding="utf-8", newline="\n") as fp:
             fp.writelines(texts)
+            if spills:
+                fp.flush()
+                for spill in spills:
+                    spill.seek(0)
+                    shutil.copyfileobj(spill, fp.buffer)
+        self.drop(spills)
 
+
+@contextmanager
+def _staged() -> Iterator[_Stage]:
+    """A ``_Stage`` whose files take their names together once the block
+    succeeds; on any exception, KeyboardInterrupt included, every one is
+    removed, and every directory made for them, so no earlier file changes.
+    Spill files are removed either way. A symlink is resolved, so the file
+    it names is replaced; a path that exists and is not a regular file is
+    written in place."""
+    stage = _Stage()
     try:
-        yield write
-        for part, final in staged:
+        yield stage
+        for part, final in stage.staged:
             part.replace(final)
     except BaseException:
-        for part, _ in staged:
+        stage.drop(list(stage.spills))
+        for part, _ in stage.staged:
             part.unlink(missing_ok=True)
+        for directory in reversed(stage.made):
+            with suppress(OSError):  # a directory another writer has used
+                directory.rmdir()
         raise
 
 
-def _write_log(write, path: Path, log: runlog.RunLog) -> metrics.MetricsReport:
-    """The log's report: the log is aggregated, then written line by line as it is formatted."""
-    rep = metrics.aggregate_run(log)
-    write(path, (line + "\n" for line in runlog.to_jsonl_lines(log)))
-    return rep
+def _write_log(
+    stage: _Stage, path: Path, parts: Iterator
+) -> tuple[runlog.RunLog, metrics.MetricsReport]:
+    """Write the run log of a run's parts (``engine.iter_run``) to ``path``
+    and fold its report, a block at a time as each part comes: its tx and
+    class lines go to two spills, and its tx columns to
+    ``metrics.fold_parts``. Once the last part is folded, the header's
+    counts are known: the log is written as the header line, then both
+    spills copied in. No record object is built, and no block is kept."""
+    spills = stage.spill(path, "tx"), stage.spill(path, "class")
+
+    def written() -> Iterator:
+        yield next(parts)
+        for cols in parts:
+            blocks = runlog.tx_lines(cols[0]), runlog.class_lines(cols[1])
+            for spill, lines in zip(spills, blocks):
+                text = "\n".join(lines)
+                if text:
+                    spill.write(text.encode("utf-8") + b"\n")
+            yield cols
+
+    log, rep = metrics.fold_parts(written())
+    stage.write(path, [runlog.header_line(log) + "\n"], spills)
+    return log, rep
 
 
 def _load_run_config(args, file_clock: FrameClock) -> engine.RunConfig:
@@ -143,17 +209,20 @@ def _report_paths(out_dir: Path, fmt: str) -> Path:
 
 
 def cmd_simulate(args) -> int:
+    """Schedule the run and write its log as it is scheduled, folding its
+    report on the way (``_write_log``), so the peak follows the input and
+    not the log. The log and the report take their names together."""
     cfg, stream = _load_run_inputs(args)
-    log = engine.run(stream, _parse_sidecar(args), cfg)
+    parts = engine.iter_run(stream, _parse_sidecar(args), cfg)
 
     out_dir = Path(args.out_dir)
     log_path = out_dir / "runlog.jsonl"
     fmt = args.report_format
     report_path = _report_paths(out_dir, fmt)
-    with _staged() as write:
-        rep = _write_log(write, log_path, log)
+    with _staged() as stage:
+        log, rep = _write_log(stage, log_path, parts)
         echo = log.config_echo
-        write(report_path, [metrics.emit_report([(log.variant, rep)], fmt, config_echo=echo)])
+        stage.write(report_path, [metrics.emit_report([(log.variant, rep)], fmt, config_echo=echo)])
 
     for column, value in zip(metrics.REPORT_COLUMNS, metrics.report_row(log.variant, rep)):
         print(f"{column} = {value if value else 'n/a'}")
@@ -162,12 +231,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    """Schedule, aggregate and write one variant at a time, so the peak
-    follows the largest log and not the number of variants. Each log is
-    written under a temporary name and dropped; only its report is kept.
-    The logs and both reports take their names together, once the last
-    file is written, so a sweep that fails leaves no file of its own and
-    no earlier sweep's file changed."""
+    """Schedule, write and fold one variant at a time, each as
+    ``cmd_simulate`` does, so the peak follows the associated frames and
+    neither a log nor the number of variants; only each log's report is
+    kept. The logs and both reports take their names together, once the
+    last file is written, so a sweep that fails leaves no file of its own
+    and no earlier sweep's file changed."""
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     if not variants:
         raise ConfigError("sweep needs at least one variant")
@@ -176,20 +245,20 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"sweep lists variant {repeated[0]!r} more than once")
     cfg, stream = _load_run_inputs(args)
     # neither input is kept: the associated frames hold what scheduling reads
-    results = engine.sweep(stream, _parse_sidecar(args), cfg, variants)
+    results = engine.iter_sweep(stream, _parse_sidecar(args), cfg, variants)
     del stream
     out_dir = Path(args.out_dir)
     echo = config_mod.dump_config(cfg)
     fmt = args.report_format
     reports = []
-    with _staged() as write:
-        for variant, log in results:
-            reports.append((variant, _write_log(write, out_dir / f"runlog_{variant}.jsonl", log)))
-            del log  # before the next variant is scheduled
+    with _staged() as stage:
+        for variant, parts in results:
+            path = out_dir / f"runlog_{variant}.jsonl"
+            reports.append((variant, _write_log(stage, path, parts)[1]))  # not its header
         report_text = metrics.emit_report(reports, fmt, config_echo=echo)
         selection_text = metrics.emit_selection_report(reports, fmt, config_echo=echo)
-        write(_report_paths(out_dir, fmt), [report_text])
-        write(out_dir / f"selection.{_REPORT_EXT[fmt]}", [selection_text])
+        stage.write(_report_paths(out_dir, fmt), [report_text])
+        stage.write(out_dir / f"selection.{_REPORT_EXT[fmt]}", [selection_text])
 
     sys.stdout.write(report_text)
     sys.stdout.write(selection_text)
@@ -224,8 +293,8 @@ def cmd_report(args) -> int:
         del log  # its processed frames, before the next log is read
     text = metrics.emit_report(reports, args.report_format, config_echo=echo)
     if args.out:
-        with _staged() as write:
-            write(Path(args.out), [text])
+        with _staged() as stage:
+            stage.write(Path(args.out), [text])
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
@@ -244,8 +313,8 @@ def cmd_gen_synthetic(args) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        with _staged() as write:
-            write(Path(args.out), [text])
+        with _staged() as stage:
+            stage.write(Path(args.out), [text])
         print(
             f"wrote {stream.n_detections} detections over {len(stream.frame_indices)} frames"
             f" to {args.out}",

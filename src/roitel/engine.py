@@ -1,15 +1,18 @@
 """One simulation run in two passes: associate once, then schedule.
 
 ``associate`` walks the stream at the clock's frame stride through the
-tracker and attaches each tracked detection's sidecar row and cost;
-nothing in it depends on the policy. It reads each frame as a block of the
-stream's columns and hands each frame with rows on as NumPy columns. The
-scheduling pass takes them in blocks of frames, scores a frame's rows at
-once, asks the policy for selections against a rolling budget ledger, and
-records every transmission plus the per-track class timeline. ``sweep``
-associates once and schedules every variant over the same columns, one
-variant at a time as its caller asks. Runs are strictly sequential and
-deterministic for fixed inputs.
+tracker and attaches each tracked detection's sidecar row, cost and
+video-side class mark; nothing in it depends on the policy. It reads each
+frame as a block of the stream's columns and hands each frame with rows on
+as NumPy columns. The scheduling pass takes them in blocks of frames,
+scores a frame's rows at once, asks the policy for selections against a
+rolling budget ledger, and hands each block's transmissions and class
+timeline events on as columns: the run log's parts (see ``runlog``), which
+the CLI writes and folds as they come, building no record object.
+``iter_run`` and ``iter_sweep`` give the parts; ``run`` and ``sweep``
+collect them into ``RunLog``s. ``sweep`` associates once and schedules
+every variant over the same columns, one variant at a time as its caller
+asks. Runs are strictly sequential and deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -25,16 +28,22 @@ from .budget import BudgetLedger, estimate_cost
 from .config import dump_config
 from .domain import CostModel, FrameClock, PolicyConfig, RunConfig, TrackerConfig
 from .errors import InvalidParam
-from .ingest import DetectionStream
+from .ingest import DetectionStream, box_values
 from .runlog import (
+    _NO_SEMANTICS,
+    _SEMANTIC_FIELDS,
     CLASS_SOURCE_STILL,
     CLASS_SOURCE_VIDEO,
     ClassEvent,
     RunLog,
     TransmissionRecord,
+    collect,
 )
 from .semantic import SemanticSidecar
 from .tracker import Tracker
+
+#: Where a row's still label is among its semantic values.
+_STILL_LABEL = list(_SEMANTIC_FIELDS).index("still_label")
 
 
 def processed_frame_range(first: Optional[int], last: Optional[int], stride: int) -> list[int]:
@@ -55,10 +64,10 @@ def associate(
 ) -> Iterator[tuple[int, float, policy_mod.FrameColumns]]:
     """Yield ``(frame_index, now, columns)`` for every processed frame with
     rows, in order; row ``i`` of ``columns`` is the frame's ``i``-th tracked
-    detection, with its track, sidecar row (-1 for none) and cost; one
-    search of the sidecar's sorted columns finds a frame's records. The
-    tracker steps, and the clock stamps, every processed frame: tracks age
-    on empty ones.
+    detection, with its track, sidecar row (-1 for none), cost and video
+    class mark; one search of the sidecar's sorted columns finds a frame's
+    records. The tracker steps, and the clock stamps, every processed
+    frame: tracks age on empty ones.
 
     Sidecar keys live in the annotation's id space when hints exist;
     tracker ids are a relabeling, so the hint is preferred. A record's
@@ -66,6 +75,7 @@ def associate(
     """
     tracker = Tracker(tracker_cfg)
     created = np.empty(0, dtype=np.int64)  # track id -> frame it was spawned on
+    last_class = np.empty(0, dtype=np.int64)  # track id -> class on its last row
     for frame_index in processed_frame_range(
         stream.first_frame, stream.last_frame, clock.frame_stride
     ):
@@ -75,8 +85,11 @@ def associate(
             clock.timestamp(frame_index)
             continue
         track_id = assigned.track_id
-        created = _grown(created, int(track_id.max()) + 1, 0)
+        size = int(track_id.max()) + 1
+        created, last_class = _grown(created, size, 0), _grown(last_class, size, 0)
         created[track_id[assigned.is_new]] = frame_index
+        video_change = assigned.is_new | (dets.cls != last_class[track_id])
+        last_class[track_id] = dets.cls
         w, h = dets.boxes[:, 2], dets.boxes[:, 3]
         # a cost or area beyond the float range is refused below, or by
         # score_block, so the arithmetic may overflow quietly
@@ -109,12 +122,9 @@ def associate(
             area=area,
             cost_bits=cost_bits,
             class_id=dets.cls,
+            video_change=video_change,
         )
         yield frame_index, clock.timestamp(frame_index), columns
-
-
-#: Per-track class state: which source set the label downstream assumes.
-_NO_CLASS, _VIDEO_CLASS, _STILL_CLASS = 0, 1, 2
 
 
 def _grown(table: np.ndarray, size: int, fill: int) -> np.ndarray:
@@ -150,16 +160,24 @@ def _schedule(
     frames: Iterable[tuple[int, float, policy_mod.FrameColumns]],
     span: tuple[Optional[int], Optional[int]],
     cfg: RunConfig,
-) -> RunLog:
+) -> Iterator:
     """Scheduling pass: everything that depends on the policy.
 
-    Frames come in blocks (``_frame_blocks``): what no track state reaches
-    is computed once per block, then each frame is scheduled in turn.
-    Per-track state lives in arrays indexed by track id: the last frame a
-    track was refined on and the class label (and its source) downstream
-    assumes for it. Records are built straight from the block rows the
-    policy selects. The log echoes ``dump_config(cfg)``. Every frame has
-    rows; of the stream, only its ``(first_frame, last_frame)`` span is read.
+    A generator of the run log's parts: first the header's ``RunLog``,
+    without records, which echoes ``dump_config(cfg)``; then, for each
+    block of frames (``_frame_blocks``), the block's tx records as columns,
+    in ``TransmissionRecord``'s field order, the box column holding each
+    box's ``[x, y, w, h]``, and its class events as columns, in
+    ``ClassEvent``'s. The header's counts are set once the last part is
+    taken. What no track state reaches is computed once per block, then
+    each frame is scheduled in turn. The last frame each track was refined
+    on lives in an array indexed by track id, and the still label pinned on
+    a track in a dict. A video class event is where the association pass's
+    ``video_change`` mark meets a track with no pinned label; a sent row
+    with a record pins its still label, an event where it differs from the
+    pinned label, or from the row's class where none is pinned. No record
+    object and no box is built. Every frame has rows; of the stream, only
+    its ``(first_frame, last_frame)`` span is read.
     """
     log = RunLog(
         variant=cfg.policy.variant,
@@ -175,126 +193,135 @@ def _schedule(
     )
     log.first_frame, log.last_frame = span
     log.processed_frame_indices = tuple(processed_frame_range(*span, cfg.clock.frame_stride))
+    yield log
 
     ledger = BudgetLedger(cfg.budget.b_roi, cfg.budget.window_s)
     last_refined = np.empty(0, dtype=np.int64)
-    class_label = np.empty(0, dtype=np.int64)
-    class_source = np.empty(0, dtype=np.int8)
+    pinned: dict[int, int] = {}  # track id -> the still label pinned on it
+    raw = rejected_threshold = rejected_budget = 0
     conf_sum = 0.0
 
     for block in _frame_blocks(frames):
         rows = [cols for _, _, cols in block]
         conf = np.concatenate([cols.conf for cols in rows])
-        log.raw_candidate_count += len(conf)
+        raw += len(conf)
         for value in conf.tolist():  # sequential: np.sum would sum pairwise
             conf_sum += value
         terms = policy_mod.frame_terms(rows, conf, cfg.policy)
         size = int(np.concatenate([cols.track_id for cols in rows]).max()) + 1
         last_refined = _grown(last_refined, size, policy_mod.NEVER_REFINED)
-        class_label = _grown(class_label, size, 0)
-        class_source = _grown(class_source, size, _NO_CLASS)
+        tx: list[list] = [[] for _ in TransmissionRecord._fields]
+        events: list[tuple] = []
 
         for (frame_index, now, cols), frame_terms in zip(block, terms):
             track_id = cols.track_id
             refined = last_refined[track_id]
             scored = policy_mod.score_block(frame_index, cols, refined, cfg.policy, frame_terms)
 
-            # Video-side class estimate: updates only while no still label
-            # is pinned (replacement rule). A track has at most one row per
-            # frame, so one gather and one scatter equal a row loop.
-            source = class_source[track_id]
-            changed = (
-                (source == _NO_CLASS)
-                | ((source == _VIDEO_CLASS) & (class_label[track_id] != cols.class_id))
-            ).nonzero()[0]
-            if len(changed):
-                tids, labels = track_id[changed], cols.class_id[changed]
-                class_label[tids] = labels
-                class_source[tids] = _VIDEO_CLASS
-                events = (repeat(frame_index), repeat(now), tids.tolist(), labels.tolist())
-                log.class_events.extend(map(ClassEvent, *events, repeat(CLASS_SOURCE_VIDEO)))
+            # Video-side class estimate: it changes where the association
+            # pass marks it, while no still label is pinned (replacement
+            # rule). A track has at most one row per frame.
+            video = cols.video_change.nonzero()[0]
+            if len(video):
+                for tid, label in zip(track_id[video].tolist(), cols.class_id[video].tolist()):
+                    if tid not in pinned:
+                        events.append((frame_index, now, tid, label, CLASS_SOURCE_VIDEO))
 
             decision = policy_mod.decide(frame_index, scored, ledger.view(now), cfg.policy)
-            log.rejected_threshold += decision.rejected_threshold
-            log.rejected_budget += decision.rejected_budget
+            rejected_threshold += decision.rejected_threshold
+            rejected_budget += decision.rejected_budget
             if not decision.selected:
                 continue
             selected = list(decision.selected)
-            sent, costs = [], []  # records keep these floats: a regather raised peak RSS
+            sent, costs = [], []
             for row, cost_bits in zip(selected, cols.cost_bits[selected].tolist()):
                 # Commit-time re-check: budget safety must not depend on
                 # the policy having honored the ledger view.
                 if not ledger.admits(now, cost_bits):
-                    log.rejected_budget += 1
+                    rejected_budget += 1
                     continue
                 ledger.commit(now, cost_bits)
                 sent.append(row)
                 costs.append(cost_bits)
-            rows = np.array(sent, dtype=np.intp)  # one index array for every gather
-            tids = track_id[rows]
+            if not sent:
+                continue
+            n = len(sent)
+            sel = np.array(sent, dtype=np.intp)  # one index array for every gather
+            tids = track_id[sel]
             last_refined[tids] = frame_index
-            records, semantics = repeat(-1), repeat(())
+            tids = tids.tolist()
+            semantics = repeat([None] * n, len(_NO_SEMANTICS))
             if cols.semantics is not None and len(cols.semantics):
-                records = cols.records[rows]
+                records = cols.records[sel].tolist()
                 # each value as the sidecar parsed it, a float or an int; a
                 # row without a record (-1) gathers the last one's, unread
-                semantics = cols.semantics.take(records).tolist()
-                records = records.tolist()
-            sent_rows = zip(
-                tids.tolist(),
-                map(cols.bboxes.__getitem__, sent),
+                found = cols.semantics.take(records).tolist()
+                for i, (tid, record) in enumerate(zip(tids, records)):
+                    if record < 0:
+                        found[i] = _NO_SEMANTICS
+                        continue
+                    # the still label is pinned on the track, and is an
+                    # event where it differs from the label the track had
+                    label = found[i][_STILL_LABEL]
+                    if pinned.get(tid, cols.class_id.item(sent[i])) != label:
+                        events.append((frame_index, now, tid, label, CLASS_SOURCE_STILL))
+                    pinned[tid] = label
+                semantics = zip(*found)
+            columns = (
+                repeat(frame_index, n),
+                repeat(now, n),
+                tids,
+                box_values(cols.bboxes, sel),
                 costs,
-                scored.score[rows].tolist(),
-                scored.u_term[rows].tolist(),
-                scored.s_small_term[rows].tolist(),
-                scored.n_term[rows].tolist(),
-                records,
-                semantics,
+                scored.score[sel].tolist(),
+                scored.u_term[sel].tolist(),
+                scored.s_small_term[sel].tolist(),
+                scored.n_term[sel].tolist(),
+                *semantics,
             )
-            for tid, bbox, cost_bits, score, u, s, n, record_row, semantic in sent_rows:
-                n = 1.0 if n else 0.0  # shared literals, as make_candidate's are
-                record = (frame_index, now, tid, bbox, cost_bits, score, u, s, n)
-                if record_row < 0:
-                    log.transmissions.append(TransmissionRecord(*record))
-                    continue
-                tx = TransmissionRecord(*record, *semantic)
-                log.transmissions.append(tx)
-                if class_label[tid] != tx.still_label:
-                    log.class_events.append(
-                        ClassEvent(frame_index, now, tid, tx.still_label, CLASS_SOURCE_STILL)
-                    )
-                class_label[tid] = tx.still_label
-                class_source[tid] = _STILL_CLASS
+            for column, values in zip(tx, columns, strict=True):
+                column += values
+        yield tx, list(zip(*events)) or [[] for _ in ClassEvent._fields]
 
-    log.detection_conf_mean = conf_sum / max(log.raw_candidate_count, 1)
-    return log
+    log.raw_candidate_count = raw
+    log.rejected_threshold = rejected_threshold
+    log.rejected_budget = rejected_budget
+    log.detection_conf_mean = conf_sum / max(raw, 1)
+
+
+def iter_run(
+    stream: DetectionStream, sidecar: Optional[SemanticSidecar], cfg: RunConfig
+) -> Iterator:
+    """The parts of one policy's run log over one stream, as they are
+    scheduled (``_schedule``); the stream is associated as they are taken."""
+    frames = associate(stream, sidecar, cfg.clock, cfg.tracker, cfg.cost)
+    return _schedule(frames, (stream.first_frame, stream.last_frame), cfg)
 
 
 def run(
     stream: DetectionStream, sidecar: Optional[SemanticSidecar], cfg: RunConfig
 ) -> RunLog:
     """Simulate one policy over one stream. Empty streams yield empty logs."""
-    frames = associate(stream, sidecar, cfg.clock, cfg.tracker, cfg.cost)
-    return _schedule(frames, (stream.first_frame, stream.last_frame), cfg)
+    return collect(iter_run(stream, sidecar, cfg))
 
 
-def sweep(
+def iter_sweep(
     stream: DetectionStream,
     sidecar: Optional[SemanticSidecar],
     base_cfg: RunConfig,
     policy_variants: list[Union[str, PolicyConfig]],
-) -> Iterator[tuple[str, RunLog]]:
+) -> Iterator[tuple[str, Iterator]]:
     """Run several policies over the identical stream and budget regime.
 
     The variant list is checked, and the stream associated once, when
-    ``sweep`` is called. It then returns an iterator that schedules each
-    variant only when asked, with a fresh ledger, and yields
-    ``(variant, log)`` in input order; each log equals what ``run`` gives
-    for that variant alone. The iterator keeps no log it has yielded, so a
-    consumer that drops each log in turn holds one at a time. It mutates
-    neither input and keeps only the associated frames and the span. If
-    association fails, the first variant is scheduled over the frames
-    before the failure, so a sweep fails as ``run`` of that variant does.
+    ``iter_sweep`` is called. It then returns an iterator that schedules
+    each variant only when asked, with a fresh ledger, and yields
+    ``(variant, parts)``: the parts of that variant's run log, in input
+    order, each as ``iter_run`` gives them for that variant alone. It keeps
+    no part it has yielded. It mutates neither input and keeps only the
+    associated frames and the span. If association fails, the first
+    variant is scheduled over the frames before the failure, so a sweep
+    fails as ``run`` of that variant does.
     """
     if not policy_variants:
         raise InvalidParam("policy_variants must be nonempty")
@@ -310,6 +337,21 @@ def sweep(
     except Exception:
         # fail as ``run`` of the first variant does: an earlier frame's
         # scheduling error comes first
-        _schedule(frames, span, cfgs[0])
+        for _ in _schedule(frames, span, cfgs[0]):
+            pass
         raise
     return ((cfg.policy.variant, _schedule(frames, span, cfg)) for cfg in cfgs)
+
+
+def sweep(
+    stream: DetectionStream,
+    sidecar: Optional[SemanticSidecar],
+    base_cfg: RunConfig,
+    policy_variants: list[Union[str, PolicyConfig]],
+) -> Iterator[tuple[str, RunLog]]:
+    """``iter_sweep`` with each variant's parts collected into its
+    ``RunLog``: ``(variant, log)``, each log what ``run`` gives for that
+    variant alone. The iterator keeps no log it has yielded, so a consumer
+    that drops each log in turn holds one at a time."""
+    results = iter_sweep(stream, sidecar, base_cfg, policy_variants)
+    return ((variant, collect(parts)) for variant, parts in results)

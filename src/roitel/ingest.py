@@ -160,6 +160,15 @@ class _BoxRows(SequenceABC):
         return (BBox(*box) for box in self._boxes.tolist())
 
 
+def box_values(bboxes: Sequence[BBox], rows: np.ndarray) -> list:
+    """The ``[x, y, w, h]`` of each of ``rows``' boxes, with the number types
+    ``bboxes`` gives: a parsed stream's floats, gathered from its array
+    with no ``BBox`` built, or a given box's own numbers."""
+    if isinstance(bboxes, _BoxRows):
+        return bboxes._boxes[rows].tolist()
+    return [[b.x, b.y, b.w, b.h] for b in map(bboxes.__getitem__, rows.tolist())]
+
+
 def _int_column(values: list[int]) -> np.ndarray:
     """int64, or object when a value is beyond int64, as a hint may be."""
     try:

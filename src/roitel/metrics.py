@@ -4,8 +4,11 @@ All aggregation is pure and permutation-invariant over transmissions:
 float accumulation uses math.fsum, which is exactly rounded and therefore
 order-independent. Semantic means are computed only over transmissions
 that carried sidecar data and are reported as absent (None) when none did.
-Every report is a ``_Tally`` of the transmissions' columns, fed a whole
-log's at once or, by ``fold_jsonl``, a block of a run log's at a time.
+Every report is a ``_Tally`` of the transmissions' columns. ``fold_parts``
+feeds it a log's parts (see ``runlog``) a block at a time, as the CLI's
+writer passes on a fresh run's and ``fold_jsonl`` a read log's, so both are
+folded by one path; ``aggregate`` feeds it a library ``RunLog``'s records a
+chunk at a time.
 """
 
 from __future__ import annotations
@@ -13,10 +16,11 @@ from __future__ import annotations
 import json
 import math
 from array import array
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import gt, is_not, ne, sub
-from typing import Optional, TextIO, Union
+from typing import Iterator, Optional, TextIO, Union
 
 from . import runlog
 from .config import parse_value
@@ -85,6 +89,10 @@ def derive_duration(log: RunLog) -> float:
     return (p[-1] - p[0]) / log.clock.fps
 
 
+#: A block of tx records as columns, each named as its record field.
+_TxColumns = namedtuple("_TxColumns", TransmissionRecord._fields)
+
+
 def _fsum(values) -> float:
     """``math.fsum``, or an infinity for ``aggregate`` to refuse where the
     sum is beyond the float range and fsum raises OverflowError."""
@@ -105,8 +113,10 @@ def _extend(column: array, values) -> None:
 
 class _Tally:
     """What the metric suite reads of a log's transmissions, taken a block
-    of columns at a time: counts, the frame and track ids, and each float it
-    sums, kept as a column to ``math.fsum`` once."""
+    of a log's parts' tx columns at a time (``fold_parts``), or a chunk of
+    a library log's records as columns (``aggregate``): counts, the frame
+    and track ids, and each float it sums, kept as a column to
+    ``math.fsum`` once."""
 
     def __init__(self) -> None:
         self.selected = 0
@@ -124,7 +134,7 @@ class _Tally:
         """Take a block of tx records as columns, in TransmissionRecord's
         field order, each read by its field's name; the bbox column is not
         read."""
-        tx = TransmissionRecord._make(cols)
+        tx = _TxColumns._make(cols)
         self.selected += len(tx.frame_index)
         self.frames.update(tx.frame_index)
         self.tracks.update(tx.track_id)
@@ -214,16 +224,16 @@ class _Tally:
         return report
 
 
-#: Records a whole log's tally takes at a time, about a run-log block's
-#: worth: the columns of a whole log would raise a run's peak with its log.
+#: Records a library log's tally takes at a time, about a run-log block's
+#: worth: the columns of a whole log would raise a peak with its log. No
+#: command builds a ``RunLog`` with records, so only library callers chunk.
 _CHUNK = 1024
 
 
 def _tallied(log: RunLog) -> _Tally:
     tally = _Tally()
-    txs = log.transmissions
-    for start in range(0, len(txs), _CHUNK):
-        tally.add(list(zip(*txs[start : start + _CHUNK])))
+    for cols in runlog.record_columns(log.transmissions, _CHUNK):
+        tally.add(cols)
     return tally
 
 
@@ -248,17 +258,22 @@ def aggregate_run(log: RunLog) -> MetricsReport:
     return _run_report(log, _tallied(log))
 
 
-def fold_jsonl(source: Union[str, TextIO]) -> tuple[RunLog, MetricsReport]:
-    """The header of the run log ``source`` holds, without records, and the
-    log's report: ``aggregate_run(read_jsonl(source))``, with the same
-    errors, but folded a block at a time as it is read, so that no record
-    is built or kept."""
-    parts = runlog.iter_jsonl(source)
+def fold_parts(parts: Iterator) -> tuple[RunLog, MetricsReport]:
+    """The header of a log given as parts, as ``runlog.iter_jsonl`` or the
+    engine gives them, without records, and the log's report:
+    ``aggregate_run(runlog.collect(parts))``, with the same errors, but
+    folded a block at a time, so that no record is built or kept."""
     log = next(parts)
     tally = _Tally()
     for tx_cols, _ in parts:
         tally.add(tx_cols)
     return log, _run_report(log, tally)
+
+
+def fold_jsonl(source: Union[str, TextIO]) -> tuple[RunLog, MetricsReport]:
+    """``fold_parts`` of the run log ``source`` holds, as it is read:
+    ``aggregate_run(read_jsonl(source))``, with the same errors."""
+    return fold_parts(runlog.iter_jsonl(source))
 
 
 def _fmt(value, spec: str) -> str:

@@ -70,11 +70,15 @@ class FrameColumns:
     in tracker order; a track appears at most once per frame.
 
     Each fact is held once. ``bboxes`` are the stream's own boxes, so a
-    record built from a row keeps their number types; a parsed stream builds
-    a row's box each time it is read. ``records`` holds each row's record
-    as its row of the sidecar's ``semantics`` column, -1 where there is
-    none, as there is none without a sidecar. The association pass builds
-    this once per frame, and every variant of a sweep reads it.
+    log's box column keeps their number types; the scheduling pass reads
+    them through ``ingest.box_values``, which gathers a parsed stream's
+    numbers from its array with no box built. ``records`` holds each row's
+    record as its row of the sidecar's ``semantics`` column, -1 where there
+    is none, as there is none without a sidecar. ``video_change`` marks the
+    rows whose track is new or whose class differs from the track's class
+    on its previous row: where the video-side class estimate changes. The
+    association pass builds this once per frame, and every variant of a
+    sweep reads it.
     """
 
     bboxes: Sequence[BBox]
@@ -85,6 +89,7 @@ class FrameColumns:
     area: np.ndarray  # float64: bbox w * h
     cost_bits: np.ndarray  # float64
     class_id: np.ndarray  # int64
+    video_change: np.ndarray  # bool
     semantics: Optional[np.ndarray] = None  # SemanticSidecar.semantics
 
     def __len__(self) -> int:

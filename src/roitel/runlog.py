@@ -9,19 +9,26 @@ give the same bytes. Each record kind has one table, ``_TX_FIELDS`` or
 ``_CLASS_FIELDS``: its keys, in the record's field order, with their JSON
 types. Its template, the writer's argument order, the block reader's
 pattern and column order, and the line reader's checks derive from it.
-Records are named tuples, so the scheduling pass, the writer and the reader
-build and unpack them at tuple cost.
+
+A log moves between the engine, the writer, the reader and the metrics as
+*parts*: its header's ``RunLog``, without records, then for each block of
+records its tx records as columns, in ``TransmissionRecord``'s field order,
+the box column holding each box's x, y, w and h, and its class events as
+columns, in ``ClassEvent``'s. ``tx_lines`` and ``class_lines`` format a
+block's columns, and ``collect`` builds a ``RunLog`` of parts. So a run that
+is written and folded as it is scheduled builds no record object;
+``to_jsonl_lines`` writes a library ``RunLog`` through the same formatters.
 
 ``iter_jsonl`` reads a ``str`` or an open text file once, in blocks of
 whole lines, through the text layer the parsers share (``_text``; a ``str``
-with universal newlines), and gives each block's records as it reads them:
-``read_jsonl`` collects them into a ``RunLog``, and ``metrics.fold_jsonl``
-folds them into a report and keeps none. A block after the header is
-taken when each of its lines is one the writer's tx or class template
-writes, or holds only spaces and tabs, and its numbers pass a check by
-value; any other block goes alone to the line reader, with its lines
-numbered as in the whole text. So the records and every error are the
-line reader's on the whole text.
+with universal newlines), and gives each block's records as parts as it
+reads them: ``read_jsonl`` collects them into a ``RunLog``, and
+``metrics.fold_jsonl`` folds them into a report and keeps none. A block
+after the header is taken when each of its lines is one the writer's tx or
+class template writes, or holds only spaces and tabs, and its numbers pass
+a check by value; any other block goes alone to the line reader, with its
+lines numbered as in the whole text. So the records and every error are
+the line reader's on the whole text.
 """
 
 from __future__ import annotations
@@ -30,10 +37,10 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import chain, starmap
+from itertools import chain, repeat, starmap
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter, lt
-from typing import Iterable, Iterator, NamedTuple, Optional, TextIO, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO, Union
 
 from ._text import line_blocks, text_file
 from .domain import BBox, BudgetConfig, FrameClock
@@ -249,20 +256,35 @@ _CLASS_PATTERN = _line_pattern("class", _CLASS_FIELDS)
 _UNSET = object()
 
 
-def _tx_line(tx: TransmissionRecord) -> str:
-    """The record's line; each None that a ``%s`` writes is spelled null."""
-    b = tx.bbox
-    if tx.still_conf is None and tx[_SEMANTIC] == _NO_SEMANTICS:
-        return _TX_BARE % (b.x, b.y, b.w, b.h, *_TX_BARE_ARGS(tx))
-    return (_TX_LINE % (b.x, b.y, b.w, b.h, *_TX_ARGS(tx))).replace("None", "null")
+#: A tx record's box field, and a ``BBox``'s numbers in the line's order.
+_BOX = TransmissionRecord._fields.index("bbox")
+_XYWH = attrgetter("x", "y", "w", "h")
 
 
-def _class_lines(events: Iterable[ClassEvent]) -> Iterator[str]:
-    """Each event's line. The head and middle are formatted once for each
-    run of events whose frame and ``t_s`` are the same objects and whose
-    sources are equal, so each value still writes its own repr."""
+def tx_lines(cols: Sequence[Sequence]) -> Iterator[str]:
+    """The line of each tx record of a block of parts' columns, in
+    ``TransmissionRecord``'s field order, whose box column holds each box's
+    x, y, w and h. A block with no semantic field set is written with the
+    bare template; in any other block, a None that a ``%s`` writes is
+    spelled null. Columns must be sequences and hold finite floats."""
+    if not cols[0]:
+        return iter(())
+    x, y, w, h = zip(*cols[_BOX])
+    semantic = cols[_SEMANTIC]
+    nulls = sum(col.count(None) for col in semantic)
+    if nulls == len(semantic) * len(cols[0]):
+        return map(_TX_BARE.__mod__, zip(x, y, w, h, *_TX_BARE_ARGS(cols)))
+    lines = map(_TX_LINE.__mod__, zip(x, y, w, h, *_TX_ARGS(cols)))
+    return map(str.replace, lines, repeat("None"), repeat("null")) if nulls else lines
+
+
+def class_lines(cols: Sequence[Sequence]) -> Iterator[str]:
+    """The line of each class event of a block of parts' columns, in
+    ``ClassEvent``'s field order. The head and middle are formatted once for
+    each run of events whose frame and ``t_s`` are the same objects and
+    whose sources are equal, so each value still writes its own repr."""
     frame = t_s = source = _UNSET
-    for ev_frame, ev_t_s, track, label, ev_source in events:
+    for ev_frame, ev_t_s, track, label, ev_source in zip(*cols):
         if ev_frame is not frame or ev_t_s is not t_s or ev_source != source:
             frame, t_s, source = ev_frame, ev_t_s, ev_source
             head = _CLASS_HEAD % (frame,)
@@ -270,12 +292,51 @@ def _class_lines(events: Iterable[ClassEvent]) -> Iterator[str]:
         yield f"{head}{label!r}{middle}{track!r}}}"
 
 
+def header_line(log: RunLog) -> str:
+    """The log's header line, its counts as they stand."""
+    return json.dumps(_header_obj(log), sort_keys=True)
+
+
+def record_columns(records: Sequence[tuple], size: int) -> Iterator[list]:
+    """Named-tuple records as columns, in their field order, ``size``
+    records at a time."""
+    for start in range(0, len(records), size):
+        yield list(zip(*records[start : start + size]))
+
+
+#: Records a library log's writer formats at a time: the columns of a
+#: whole log would raise a peak with its log.
+_CHUNK = 1024
+
+
+def _record_lines(log: RunLog) -> Iterator[str]:
+    for cols in record_columns(log.transmissions, _CHUNK):
+        cols[_BOX] = list(map(_XYWH, cols[_BOX]))
+        yield from tx_lines(cols)
+    for cols in record_columns(log.class_events, _CHUNK):
+        yield from class_lines(cols)
+
+
 def to_jsonl_lines(log: RunLog) -> Iterator[str]:
     """An iterator over the log's lines, each formatted as it is read: the
-    header, then its tx records, then its class events. Records must hold
-    finite floats, as every run's do."""
-    header = json.dumps(_header_obj(log), sort_keys=True)
-    return chain((header,), map(_tx_line, log.transmissions), _class_lines(log.class_events))
+    header, then its tx records, then its class events, each kind a chunk
+    of columns at a time through ``tx_lines`` and ``class_lines``, the
+    formatters a run's parts are written with. Records must hold finite
+    floats, as every run's do."""
+    return chain((header_line(log),), _record_lines(log))
+
+
+def collect(parts: Iterator) -> RunLog:
+    """The ``RunLog`` of a log's parts, as ``iter_jsonl`` or the engine gives
+    them: the header, with each block's records appended, their boxes built,
+    as it comes. It is returned once the last part is taken, so the header's
+    counts are final."""
+    log = next(parts)
+    for tx_cols, class_cols in parts:
+        boxes = starmap(BBox, tx_cols[_BOX])
+        log.transmissions += map(TransmissionRecord, *tx_cols[:_BOX], boxes, *tx_cols[_BOX + 1 :])
+        log.class_events += map(ClassEvent, *class_cols)
+    return log
 
 
 def _values(obj: dict, fields: dict, line_no: int) -> list:
@@ -457,20 +518,22 @@ def _finite(numbers) -> bool:
     return all(map(math.isfinite, numbers))
 
 
-def _tx_columns(records: list) -> list:
-    """Tx records or rows as columns, in TransmissionRecord's field order."""
-    return list(zip(*records)) or [()] * len(_TX_FIELDS)
+def _line_parts(transmissions: list, class_events: list) -> tuple[list, list]:
+    """The line reader's records as a block's parts."""
+    tx_cols = list(zip(*transmissions)) or [()] * len(_TX_FIELDS)
+    tx_cols[_BOX] = list(map(_XYWH, tx_cols[_BOX]))
+    return tx_cols, list(zip(*class_events)) or [()] * len(_CLASS_FIELDS)
 
 
-def _block_records(block: str, plain: bool) -> Optional[tuple[list, Iterator[ClassEvent]]]:
-    """The tx columns and the class events of a ``plain`` ``block`` of whole
+def _block_records(block: str, plain: bool) -> Optional[tuple[list, list]]:
+    """The tx columns and the class columns of a ``plain`` ``block`` of whole
     lines, or None where ``_read_lines`` might read them otherwise. Each
     line must be one the writer's templates write, as ``_TX_PATTERN`` or
     ``_CLASS_PATTERN`` matches it, or hold only spaces and tabs, which the
     line reader skips. So each literal is JSON of its field's types, and
-    only the numbers' values are left to check. The bbox column and the
-    events are iterators that build their ``BBox``es and ``ClassEvent``s as
-    they are read."""
+    only the numbers' values are left to check. The box column and the
+    class columns that hold numbers are iterators, which read their values
+    as they are read; no record object is built."""
     if not plain:
         return None
     rest, class_literals = _captures(_CLASS_PATTERN, "\n" + block)
@@ -482,7 +545,7 @@ def _block_records(block: str, plain: bool) -> Optional[tuple[list, Iterator[Cla
     values = _PLAIN.decode("[%s]" % ",".join(chain.from_iterable(tx_literals)))
     n = len(tx_literals[0])
     x, y, w, h, *later = (values[i * n : i * n + n] for i in range(len(tx_literals)))
-    in_template_order = [starmap(BBox, zip(x, y, w, h)), *later]
+    in_template_order = [zip(x, y, w, h), *later]
     tx_cols = [in_template_order[i] for i in _TX_RANK]
     if not (
         _finite(filter(None, values))  # nulls and zeros go, and zeros are finite
@@ -497,14 +560,13 @@ def _block_records(block: str, plain: bool) -> Optional[tuple[list, Iterator[Cla
     numbers = chain.from_iterable(col for col, read in zip(literals, reads) if read)
     if not _finite(map(float, set(numbers))):
         return None
-    columns = [map(read, col) if read else col for col, read in zip(literals, reads)]
-    return tx_cols, map(ClassEvent, *columns)
+    return tx_cols, [map(read, col) if read else col for col, read in zip(literals, reads)]
 
 
 def _read_blocks(blocks: Iterable[tuple[int, str, bool]]) -> Iterator:
     """``iter_jsonl`` over the numbered blocks ``line_blocks`` gives: the
-    header's ``RunLog``, without records, then, block by block, the tx
-    records as columns and the class events. The line reader reads up to
+    header's ``RunLog``, without records, then, block by block, its parts'
+    tx and class columns. The line reader reads up to
     the header, the first line of more than whitespace; then a block
     goes to ``_block_records``, and alone to the line reader where that
     gives None or fails. So only one block's text and values are held.
@@ -523,7 +585,7 @@ def _read_blocks(blocks: Iterable[tuple[int, str, bool]]) -> Iterator:
             yield log
             if transmissions or class_events:  # str.splitlines broke the header's line
                 sent += len(transmissions)
-                yield _tx_columns(transmissions), class_events
+                yield _line_parts(transmissions, class_events)
             line_no, block = line_no + len(block[:cut].splitlines()), block[cut:]
         try:
             records = _block_records(block, plain)
@@ -531,7 +593,7 @@ def _read_blocks(blocks: Iterable[tuple[int, str, bool]]) -> Iterator:
             records = None
         if records is None:
             _, _, transmissions, class_events = _line_records(block, line_no, log, header_no)
-            records = _tx_columns(transmissions), class_events
+            records = _line_parts(transmissions, class_events)
         sent += len(records[0][0])
         yield records
     _checked(log, header_no, sent)
@@ -539,10 +601,10 @@ def _read_blocks(blocks: Iterable[tuple[int, str, bool]]) -> Iterator:
 
 def iter_jsonl(source: Union[str, TextIO]) -> Iterator:
     """The run log ``source`` holds, as ``read_jsonl`` reads it, given as it
-    is read: the header's ``RunLog``, without records, then for each block
-    of lines its tx records as columns, in TransmissionRecord's field order,
-    and an iterable of its class events. The bbox column and the events may
-    be iterators, which build their values as they are read; the other
+    is read, as parts (see the module's docstring): the header's
+    ``RunLog``, without records, then for each block of lines its tx
+    columns and class columns. The box column and the class columns may be
+    iterators, which read their values as they are read; the other tx
     columns are sequences. It raises ``read_jsonl``'s ParseError once it
     reads the damage; a header that overcounts, after the last block."""
     return _read_blocks(line_blocks(text_file(source)))
@@ -558,9 +620,4 @@ def read_jsonl(source: Union[str, TextIO]) -> RunLog:
     for more candidates than it saw, or whose processed frames do not
     increase. Lines are numbered as in the file; blank lines are skipped but
     counted."""
-    parts = iter_jsonl(source)
-    log = next(parts)
-    for tx_cols, class_events in parts:
-        log.transmissions += map(TransmissionRecord, *tx_cols)
-        log.class_events += class_events
-    return log
+    return collect(iter_jsonl(source))

@@ -1,13 +1,13 @@
 import json
 from dataclasses import replace
 from functools import partial
-from itertools import chain
+from itertools import starmap
 
 import pytest
 from hypothesis import settings
 
-from roitel import ParseError, RoitelError, engine, ingest, metrics, runlog, semantic
-from roitel.runlog import TransmissionRecord, to_jsonl_lines
+from roitel import BBox, ParseError, RoitelError, cli, engine, ingest, metrics, runlog, semantic
+from roitel.runlog import TransmissionRecord, collect, to_jsonl_lines
 from helpers import (
     block_verdicts,
     class_obj,
@@ -176,6 +176,7 @@ def frame_facts(frame, sidecar):
         cols.area,
         cols.cost_bits,
         cols.class_id,
+        cols.video_change,
         cols.records,
     )
     records = [sidecar.record(row) if row >= 0 else None for row in cols.records.tolist()]
@@ -210,21 +211,27 @@ def cross_check_association(monkeypatch):
     monkeypatch.setattr(engine, "associate", checked)
 
 
-def schedule_outcome(schedule, frames, span, cfg):
+def schedule_outcome(log, err):
     """What one scheduling pass gives: the log, in forms that tell -0.0
     from 0.0, 1 from 1.0 and a NumPy scalar from a float, or the error."""
-    try:
-        log = schedule(frames(), span, cfg)
-    except Exception as err:  # compared, then re-raised by the caller
-        return (type(err), str(err)), err
-    return (repr(log), "\n".join(to_jsonl_lines(log))), log
+    if err is not None:
+        return (type(err), str(err))
+    return (repr(log), "\n".join(to_jsonl_lines(log)))
+
+
+def collected(parts):
+    """The ``RunLog`` of a copy of ``parts``, whose header is left as it is."""
+    header, *blocks = parts
+    return collect(iter([replace(header, transmissions=[], class_events=[]), *blocks]))
 
 
 @pytest.fixture(autouse=True)
 def cross_check_scheduling(monkeypatch):
     """Every scheduling pass in the suite is checked against the scalar
     oracle in ``helpers``: the same run log, or the same error. Frames are
-    replayed to both passes up to any error the association pass raised."""
+    replayed to both passes up to any error the association pass raised.
+    The pass runs whole before its first part is given; then its parts are
+    given, up to the error it raised, which is raised after them."""
     columnar = engine._schedule
 
     def checked(frames, span, cfg):
@@ -240,35 +247,89 @@ def cross_check_scheduling(monkeypatch):
             if failure is not None:
                 raise failure
 
-        expected, _ = schedule_outcome(scalar_schedule, replay, span, cfg)
-        got, result = schedule_outcome(columnar, replay, span, cfg)
-        assert got == expected
-        if isinstance(result, Exception):
-            raise result
-        return result
+        try:
+            expected, err = scalar_schedule(replay(), span, cfg), None
+        except Exception as error:  # compared, then re-raised below
+            expected, err = None, error
+        parts, got_err = [], None
+        try:
+            parts.extend(columnar(replay(), span, cfg))
+        except Exception as error:
+            got_err = error
+        got = None if got_err is not None else collected(parts)
+        assert schedule_outcome(got, got_err) == schedule_outcome(expected, err)
+        yield from parts
+        if got_err is not None:
+            raise got_err
 
     monkeypatch.setattr(engine, "_schedule", checked)
 
 
+def tx_rows(cols):
+    """The tx records of a block of parts' columns, their boxes built."""
+    return map(TransmissionRecord, *cols[:3], starmap(BBox, cols[3]), *cols[4:])
+
+
 @pytest.fixture(autouse=True)
 def cross_check_runlog_writes(monkeypatch):
-    """Every record the suite writes is checked against ``json.dumps`` with
-    sorted keys; the header is written by ``json.dumps`` itself."""
-    tx_line, class_lines = runlog._tx_line, runlog._class_lines
+    """Every record the suite writes, from a run's parts or a library log,
+    is checked against ``json.dumps`` with sorted keys; the header is
+    written by ``json.dumps`` itself."""
+    tx_lines, class_lines = runlog.tx_lines, runlog.class_lines
 
-    def checked_tx(tx):
-        line = tx_line(tx)
-        assert line == json.dumps(tx_obj(tx), sort_keys=True)
-        return line
+    def checked_tx(cols):
+        lines = list(tx_lines(cols))
+        for tx, line in zip(tx_rows(cols), lines, strict=True):
+            assert line == json.dumps(tx_obj(tx), sort_keys=True)
+        return iter(lines)
 
-    def checked_class(events):
-        events = list(events)
-        for ev, line in zip(events, class_lines(events), strict=True):
+    def checked_class(cols):
+        lines = list(class_lines(cols))
+        for ev, line in zip(map(runlog.ClassEvent, *cols), lines, strict=True):
             assert line == json.dumps(class_obj(ev), sort_keys=True)
-            yield line
+        return iter(lines)
 
-    monkeypatch.setattr(runlog, "_tx_line", checked_tx)
-    monkeypatch.setattr(runlog, "_class_lines", checked_class)
+    monkeypatch.setattr(runlog, "tx_lines", checked_tx)
+    monkeypatch.setattr(runlog, "class_lines", checked_class)
+
+
+@pytest.fixture(autouse=True)
+def cross_check_cli_logs(monkeypatch):
+    """Every run log the CLI writes in the suite is checked against the
+    library run of the same inputs and config: once the command succeeds,
+    each log file must hold ``to_jsonl_lines`` of ``runlog.collect`` of the
+    parts it was written from, which is what ``engine.run`` gives, and its
+    report must be ``metrics.aggregate_run`` of that log."""
+    write_log = cli._write_log
+    expected = {}  # each log's path -> the library log's text
+
+    def checked_write(stage, path, parts):
+        kept = []
+
+        def teed():
+            for part in parts:
+                kept.append(part)
+                yield part
+
+        log, rep = write_log(stage, path, teed())
+        library = collected(kept)
+        assert metrics.aggregate_run(library) == rep
+        expected[path] = "".join(line + "\n" for line in to_jsonl_lines(library))
+        return log, rep
+
+    def checked_command(command):
+        def checked(args):
+            expected.clear()
+            rc = command(args)
+            for path, text in expected.items():
+                assert path.read_text() == text
+            return rc
+
+        return checked
+
+    monkeypatch.setattr(cli, "_write_log", checked_write)
+    for name in ("cmd_simulate", "cmd_sweep"):
+        monkeypatch.setattr(cli, name, checked_command(getattr(cli, name)))
 
 
 @pytest.fixture(autouse=True)
@@ -292,13 +353,8 @@ def cross_check_runlog_reads(monkeypatch):
             parts = read_blocks(blocks)
             try:
                 header = next(parts)
-                records = [([list(col) for col in cols], list(events)) for cols, events in parts]
-                transmissions = [map(TransmissionRecord, *cols) for cols, _ in records]
-                log = replace(
-                    header,
-                    transmissions=list(chain.from_iterable(transmissions)),
-                    class_events=[ev for _, events in records for ev in events],
-                )
+                records = [tuple([list(col) for col in cols] for cols in part) for part in parts]
+                log = collected([header, *records])
                 got = ("read", repr(log))
             except ParseError as err:
                 failure, got = err, ("raised", err.line_no, str(err))
@@ -309,8 +365,7 @@ def cross_check_runlog_reads(monkeypatch):
             written = "\n".join(json_lines(log))
             assert text not in (written, written + "\n"), "a clean block took the line path"
         yield header
-        for cols, events in records:
-            yield cols, iter(events)
+        yield from records
 
     monkeypatch.setattr(runlog, "_read_blocks", checked)
 

@@ -298,6 +298,7 @@ def ref_associate(
     """``engine.associate`` over Detection objects, one row at a time."""
     tracker = RefTracker(tracker_cfg)
     created: dict[int, int] = {}
+    last_class: dict[int, int] = {}  # each track's class on its last row
     # each record's row, found by its key, not by searching the columns
     row_of: dict[tuple[int, int], int] = {}
     for row in range(len(sidecar) if sidecar is not None else 0):
@@ -312,6 +313,11 @@ def ref_associate(
             continue
         dets, track_ids, new_flags = zip(*assignments)
         created.update((tid, frame_index) for tid, is_new in zip(track_ids, new_flags) if is_new)
+        video_change = [
+            is_new or last_class[tid] != det.class_id
+            for det, tid, is_new in zip(dets, track_ids, new_flags)
+        ]
+        last_class.update((tid, det.class_id) for det, tid in zip(dets, track_ids))
         rows = [
             row_of.get((frame_index, det.track_hint if det.track_hint is not None else tid), -1)
             for det, tid in zip(dets, track_ids)
@@ -342,6 +348,7 @@ def ref_associate(
             area=np.array([bbox.w * bbox.h for bbox in bboxes], dtype=np.float64),
             cost_bits=cost_bits,
             class_id=np.array([det.class_id for det in dets], dtype=np.int64),
+            video_change=np.array(video_change, dtype=bool),
         )
         yield frame_index, clock.timestamp(frame_index), columns
 
@@ -650,6 +657,7 @@ def as_block(frame_index: int, contexts: list[CandidateContext]) -> CandidateBlo
         area=np.array([c.bbox.area() for c in cands], dtype=np.float64),
         cost_bits=np.array([c.cost_bits for c in cands], dtype=np.float64),
         class_id=np.zeros(len(cands), dtype=np.int64),
+        video_change=np.zeros(len(cands), dtype=bool),
     )
     refined = [
         NEVER_REFINED if ctx.last_refined_frame is None else ctx.last_refined_frame

@@ -31,9 +31,10 @@ def main() -> None:
     log = runlog.read_jsonl(text)
     parts = runlog.iter_jsonl(text)
     folded = next(parts)
-    for tx_cols, class_events in parts:
-        folded.transmissions += map(runlog.TransmissionRecord, *tx_cols)
-        folded.class_events += class_events
+    for tx_cols, class_cols in parts:
+        boxes = (runlog.BBox(*box) for box in tx_cols[3])
+        folded.transmissions += map(runlog.TransmissionRecord, *tx_cols[:3], boxes, *tx_cols[4:])
+        folded.class_events += map(runlog.ClassEvent, *class_cols)
     lines = list(runlog.to_jsonl_lines(log))
     if list(runlog.to_jsonl_lines(folded)) != lines:
         sys.exit("iter_jsonl and read_jsonl read different logs")

@@ -327,7 +327,7 @@ def test_a_file_that_is_not_utf8_exits_1_naming_it(
         if command != "validate":
             argv += ["--out-dir", str(tmp_path / "run"), "--config", str(cfg)]
         if command == "sweep":
-            argv += ["--variants", "M0,M5"]
+            argv += ["--variants", "M5,M0"]
     not_utf8(bad)
     capsys.readouterr()
     assert main(argv) == 1
@@ -421,7 +421,7 @@ def test_conf_noise_must_be_finite_and_non_negative(tmp_path, detections_csv, ca
     argv = [command, "--input", str(detections_csv), "--out-dir", str(tmp_path / "out")]
     argv += ["--set", "policy.score_threshold=0.0", "--conf-noise", amount]
     if command == "sweep":
-        argv += ["--variants", "M0,M5"]
+        argv += ["--variants", "M5,M0"]
     assert main(argv) == 1
     assert "--conf-noise must be finite and >= 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -445,7 +445,7 @@ def test_a_run_that_overflows_a_record_exits_1_before_writing(
     argv = [command, "--input", str(stream), "--out-dir", str(tmp_path / "out")]
     argv += ["--set", "policy.score_threshold=0.0", "--set", setting]
     if command == "sweep":
-        argv += ["--variants", "M0,M5"]
+        argv += ["--variants", "M5,M0"]
     capsys.readouterr()
     # warnings are errors in this suite, so an overflow warning fails here too
     assert main(argv) == 1
@@ -846,30 +846,96 @@ def no_part_files(path):
     return not [p for p in path.rglob("*") if p.name.endswith(".part")]
 
 
+def spill_files(path):
+    return sorted(p.name for p in path.rglob("*.spill"))
+
+
+def spilled_on_each_fold(monkeypatch, stop_at=None):
+    """Patch the fold of each block of a log: before it, the name of each
+    spill file still open and the bytes written to it are recorded; on the
+    ``stop_at``-th block, counted over every log, a KeyboardInterrupt is
+    raised instead."""
+    spill, add = cli._Stage.spill, metrics._Tally.add
+    opened, spilled = [], []
+
+    def opened_spill(stage, path, kind):
+        opened.append(spill(stage, path, kind))
+        return opened[-1]
+
+    def recorded(tally, cols):
+        spilled.append(sorted((Path(fp.name).name, fp.tell()) for fp in opened if not fp.closed))
+        if len(spilled) == stop_at:
+            raise KeyboardInterrupt
+        add(tally, cols)
+
+    monkeypatch.setattr(cli._Stage, "spill", opened_spill)
+    monkeypatch.setattr(metrics._Tally, "add", recorded)
+    return spilled
+
+
 def test_an_interrupted_simulate_changes_no_earlier_file(tmp_path, detections_csv, monkeypatch):
     rc, out_dir = simulate(tmp_path, detections_csv)
     assert rc == 0
     before = dir_bytes(out_dir)
-    run, tx_line = engine.run, runlog._tx_line
-    calls = []
-
-    def interrupted_at_the_30th_record(tx):
-        calls.append(tx)
-        if len(calls) == 30:
-            raise KeyboardInterrupt
-        return tx_line(tx)
-
-    def run_then_interrupt(*args):
-        # armed only now: the suite's checks within the run format records too
-        log = run(*args)
-        monkeypatch.setattr(runlog, "_tx_line", interrupted_at_the_30th_record)
-        return log
-
-    monkeypatch.setattr(engine, "run", run_then_interrupt)
+    # the 60 processed frames are two scheduling blocks: the interrupt comes
+    # once both blocks' lines are spilled, before the log's file is written
+    spilled = spilled_on_each_fold(monkeypatch, stop_at=2)
     with pytest.raises(KeyboardInterrupt):
         simulate(tmp_path, detections_csv, "--set", "seed=7")
-    assert len(calls) == 30
+    names = [".runlog.jsonl.class.spill", ".runlog.jsonl.tx.spill"]
+    assert [name for name, _ in spilled[-1]] == names
+    assert all(size > 0 for _, size in spilled[-1])
     assert dir_bytes(out_dir) == before
+    assert not spill_files(tmp_path)
+
+
+def test_an_interrupted_sweep_leaves_no_spill_file(tmp_path, detections_csv, monkeypatch):
+    out_dir = tmp_path / "o"
+    # M0's two blocks, then M2's first: M0's log is staged, M2's spilled
+    spilled = spilled_on_each_fold(monkeypatch, stop_at=3)
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(out_dir, detections_csv)
+    names = [".runlog_M2.jsonl.class.spill", ".runlog_M2.jsonl.tx.spill"]
+    assert [name for name, _ in spilled[-1]] == names
+    assert all(size > 0 for _, size in spilled[-1])
+    assert not out_dir.exists()
+    assert not spill_files(tmp_path)
+
+
+def overflowing_score_csv(tmp_path):
+    """A stream whose frame 200, the 41st processed one and so in the second
+    scheduling block, holds a box whose score is beyond the float range
+    under ``OVERFLOW_SETS``."""
+    rows = [f"{f},1,10,10,20,20,0.5,1\n" for f in range(0, 200, 5)]
+    rows.append("200,2,100,100,1e-10,1e-10,0.5,1\n")
+    path = tmp_path / "overflow.csv"
+    path.write_text("".join(rows))
+    return path
+
+
+OVERFLOW_SETS = [
+    "--set", "cost.header_bytes=0",
+    "--set", "policy.weights=1e300,1e300,1e300",
+    "--set", "policy.score_threshold=0",
+]
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_a_run_that_fails_in_scheduling_leaves_no_spill_file(
+    tmp_path, monkeypatch, capsys, command
+):
+    out_dir = tmp_path / "o"
+    argv = [command, "--input", str(overflowing_score_csv(tmp_path)), "--out-dir", str(out_dir)]
+    if command == "sweep":
+        argv += ["--variants", "M5,M0"]
+    spilled = spilled_on_each_fold(monkeypatch)
+    assert main([*argv, *OVERFLOW_SETS]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: score is not finite at frame 200, track 1: inf\n"
+    # the first block's lines were spilled before the second block failed
+    assert spilled and all(size > 0 for _, size in spilled[-1])
+    assert not out_dir.exists()
+    assert not spill_files(tmp_path)
 
 
 def test_an_interrupted_sweep_changes_no_earlier_file(tmp_path, detections_csv, monkeypatch):
@@ -977,14 +1043,19 @@ def test_report_through_a_symlink_replaces_the_file_it_names(tmp_path, detection
     assert no_part_files(tmp_path)
 
 
+class Columns(list):
+    """A list that can be weakly referenced."""
+
+
 def test_a_sweep_drops_each_log_before_the_next_variant_is_scheduled(tmp_path, monkeypatch):
     """Nor does it keep an earlier log's boxes, the parsed stream or the
-    parsed sidecar: a parsed stream builds a transmitted row's box for that
-    log alone, and only the associated frames outlive the association pass."""
+    parsed sidecar: a parsed stream gathers a transmitted row's box numbers
+    for that log's block alone, and only the associated frames outlive the
+    association pass. A log is its header and each block's columns."""
     parse_stream, parse_sidecar = ingest.parse_generic_csv, cli._parse_sidecar
     schedule = engine._schedule
     inputs = []  # weak references to the parsed stream and the parsed sidecar
-    scheduled = []  # weak references to each log scheduled so far and to its boxes
+    scheduled = []  # weak references to each log's header and blocks, and to its box columns
     alive_when_scheduled = []
 
     def parsed_stream(source, errors_out=None):
@@ -1001,12 +1072,24 @@ def test_a_sweep_drops_each_log_before_the_next_variant_is_scheduled(tmp_path, m
         alive_when_scheduled.append(
             (
                 [ref() is not None for ref in inputs],
-                [(log() is not None, any(box() for box in boxes)) for log, boxes in scheduled],
+                [(alive(log), alive(boxes)) for log, boxes in scheduled],
             )
         )
-        log = schedule(frames, span, cfg)
-        scheduled.append((weakref.ref(log), [weakref.ref(t.bbox) for t in log.transmissions]))
-        return log
+        parts = schedule(frames, span, cfg)
+        header = next(parts)
+        refs = [weakref.ref(header)], []
+        scheduled.append(refs)
+        yield header
+        for tx_cols, class_cols in parts:
+            tx_cols, boxes = Columns(tx_cols), Columns(tx_cols[3])
+            tx_cols[3] = boxes
+            refs[0].append(weakref.ref(tx_cols))
+            if boxes:
+                refs[1].append(weakref.ref(boxes))
+            yield tx_cols, class_cols
+
+    def alive(refs):
+        return any(ref() is not None for ref in refs)
 
     monkeypatch.setattr(ingest, "parse_generic_csv", parsed_stream)
     monkeypatch.setattr(cli, "_parse_sidecar", parsed_sidecar)
@@ -1019,6 +1102,79 @@ def test_a_sweep_drops_each_log_before_the_next_variant_is_scheduled(tmp_path, m
         ([False, False], [(False, False)]),
         ([False, False], [(False, False), (False, False)]),
     ]
+
+
+#: Runs each argument list given as JSON on standard input through
+#: ``roitel.cli.main``, then ``engine.run`` over the last one's inputs, and
+#: prints, as JSON, how many ``BBox``, ``TransmissionRecord`` and
+#: ``ClassEvent`` objects each built.
+COUNT_RECORDS = """
+import json, sys
+from collections import Counter
+from roitel import cli, config, domain, engine, ingest, runlog, semantic
+
+built = Counter()
+post_init = domain.BBox.__post_init__
+
+def counted_post_init(box):
+    built["BBox"] += 1
+    post_init(box)
+
+domain.BBox.__post_init__ = counted_post_init
+for cls in (runlog.TransmissionRecord, runlog.ClassEvent):
+    new, make = cls.__new__, cls._make.__func__
+
+    def counted_new(kind, *args, _new=new, **kwargs):
+        built[kind.__name__] += 1
+        return _new(kind, *args, **kwargs)
+
+    def counted_make(kind, values, _make=make):
+        built[kind.__name__] += 1
+        return _make(kind, values)
+
+    cls.__new__, cls._make = staticmethod(counted_new), classmethod(counted_make)
+
+counts = []
+for argv in json.load(sys.stdin):
+    built.clear()
+    assert cli.main(argv) == 0
+    counts.append(dict(built))
+built.clear()
+with open(argv[argv.index("--input") + 1]) as fp:
+    stream = ingest.parse_generic_csv(fp)
+with open(argv[argv.index("--sidecar") + 1]) as fp:
+    sidecar = semantic.parse_sidecar_csv(fp)
+cfg = config.build_config({"policy.variant": "M2"})
+log = engine.run(stream, sidecar, cfg)
+assert log.transmissions and log.class_events
+counts.append(dict(built))
+print(json.dumps(counts))
+"""
+
+
+def test_simulate_and_sweep_build_no_record_object(tmp_path):
+    """The CLI writes and folds each run from the scheduling pass's columns:
+    it builds no box, transmission record or class event. The library run
+    of the same inputs builds each, so the count sees them."""
+    dets, side = hintless_csv_and_sidecar(tmp_path)
+    common = ["--input", str(dets), "--sidecar", str(side), "--set", "policy.score_threshold=0"]
+    argvs = [
+        ["simulate", *common, "--set", "policy.variant=M2", "--out-dir", str(tmp_path / "s")],
+        ["sweep", *common, "--variants", "M1,M2,M5", "--out-dir", str(tmp_path / "w")],
+    ]
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", COUNT_RECORDS],
+        input=json.dumps(argvs),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    simulated, swept, library = json.loads(done.stdout.splitlines()[-1])
+    assert simulated == swept == {}
+    assert set(library) == {"BBox", "TransmissionRecord", "ClassEvent"}
 
 
 # --- report -------------------------------------------------------------------

@@ -31,7 +31,7 @@ from roitel.config import build_config
 from roitel.domain import DEFAULT_WEIGHTS
 from roitel import budget, engine, ingest, policy
 from roitel.engine import processed_frame_range
-from roitel.runlog import CLASS_SOURCE_STILL, CLASS_SOURCE_VIDEO, to_jsonl_lines
+from roitel.runlog import CLASS_SOURCE_STILL, CLASS_SOURCE_VIDEO, collect, to_jsonl_lines
 from helpers import (
     compensated_sum,
     low_regime_cfg,
@@ -607,7 +607,7 @@ def schedule_with_a_bad_confidence(stream, cfg, row):
     conf = cols.conf.copy()
     conf[row] = 1.5
     frames[-1] = (frame_index, now, replace(cols, conf=conf))
-    return engine._schedule(frames, (stream.first_frame, stream.last_frame), cfg)
+    return collect(engine._schedule(frames, (stream.first_frame, stream.last_frame), cfg))
 
 
 @pytest.mark.parametrize(
@@ -726,8 +726,15 @@ def test_integer_boxes_stay_integers_in_transmissions():
     assert '"bbox": [50, 20, 10, 12]' in tx_line
 
 
-def hand_frame(frame_index, dets, track_ids, created):
-    """One association-pass frame built by hand, at 15 fps."""
+def hand_frame(frame_index, dets, track_ids, created, last_class):
+    """One association-pass frame built by hand, at 15 fps. ``last_class``
+    holds each track's class on its last hand frame, as the association
+    pass keeps it for the video class marks."""
+    video_change = [
+        c == frame_index or last_class.get(t) != d.class_id
+        for d, t, c in zip(dets, track_ids, created)
+    ]
+    last_class.update(zip(track_ids, (d.class_id for d in dets)))
     costs = [estimate_cost(d.bbox.w, d.bbox.h, CostModel()) for d in dets]
     cols = FrameColumns(
         bboxes=tuple(d.bbox for d in dets),
@@ -738,6 +745,7 @@ def hand_frame(frame_index, dets, track_ids, created):
         area=np.array([d.bbox.w * d.bbox.h for d in dets], dtype=np.float64),
         cost_bits=np.array(costs, dtype=np.float64),
         class_id=np.array([d.class_id for d in dets], dtype=np.int64),
+        video_change=np.array(video_change, dtype=bool),
     )
     return frame_index, frame_index / 15.0, cols
 
@@ -750,7 +758,9 @@ def test_track_ids_beyond_the_per_track_tables_grow_them():
     ]
     stream = mk_stream([(f, dets) for f, dets, _, _ in rows])
     span = (stream.first_frame, stream.last_frame)
-    log = engine._schedule([hand_frame(*r) for r in rows], span, low_regime_cfg("M2"))
+    last_class = {}
+    frames = [hand_frame(*r, last_class) for r in rows]
+    log = collect(engine._schedule(frames, span, low_regime_cfg("M2")))
     assert [(tx.frame_index, tx.track_id) for tx in log.transmissions] == [
         (0, 0),
         (0, 1),

@@ -91,6 +91,7 @@ def frame_columns(rows):
         area=np.array([b.area() for b in bboxes], dtype=np.float64),
         cost_bits=np.array(costs, dtype=np.float64),
         class_id=np.zeros(n, dtype=np.int64),
+        video_change=np.zeros(n, dtype=bool),
     )
     last = [NEVER_REFINED if r is None else r for r in refined]
     return cols, np.array(last, dtype=np.int64)
