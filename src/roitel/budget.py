@@ -101,7 +101,8 @@ class BudgetLedger:
     def commit(self, now_s: float, bits: float) -> None:
         """Record a transmission.
 
-        Raises BudgetViolation when the caller did not check ``admits``.
+        Raises BudgetViolation, and records nothing, where ``admits``
+        refuses it: the engine's one admission check of each sent row.
         """
         if not self.admits(now_s, bits):
             raise BudgetViolation(

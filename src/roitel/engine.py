@@ -3,12 +3,13 @@
 ``associate`` walks the stream at the clock's frame stride through the
 tracker and attaches each tracked detection's sidecar row, cost and
 video-side class mark; nothing in it depends on the policy. It reads each
-frame as a block of the stream's columns and hands each frame with rows on
-as NumPy columns. The scheduling pass takes them in blocks of frames,
-scores a frame's rows at once, asks the policy for selections against a
-rolling budget ledger, and hands each block's transmissions and class
-timeline events on as columns: the run log's parts (see ``runlog``), which
-the CLI writes and folds as they come, building no record object.
+frame as a slice of the stream's columns, computes costs and areas a chunk
+of frames at a time, and hands each frame with rows on as NumPy columns.
+The scheduling pass takes them in blocks of frames, scores a frame's rows
+at once, asks the policy for selections against a rolling budget ledger,
+and hands each block's transmissions and class timeline events on as
+columns: the run log's parts (see ``runlog``), which the CLI writes and
+folds as they come, building no record object.
 ``iter_run`` and ``iter_sweep`` give the parts; ``run`` and ``sweep``
 collect them into ``RunLog``s. ``sweep`` associates once and schedules
 every variant over the same columns, one variant at a time as its caller
@@ -17,6 +18,7 @@ asks. Runs are strictly sequential and deterministic for fixed inputs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import replace
 from itertools import islice, repeat
 from typing import Iterable, Iterator, Optional, Union
@@ -27,7 +29,7 @@ from . import policy as policy_mod
 from .budget import BudgetLedger, estimate_cost
 from .config import dump_config
 from .domain import CostModel, FrameClock, PolicyConfig, RunConfig, TrackerConfig
-from .errors import InvalidParam
+from .errors import BudgetViolation, InvalidParam
 from .ingest import DetectionStream, box_values
 from .runlog import (
     _NO_SEMANTICS,
@@ -44,6 +46,10 @@ from .tracker import Tracker
 
 #: Where a row's still label is among its semantic values.
 _STILL_LABEL = list(_SEMANTIC_FIELDS).index("still_label")
+
+
+#: Frames the association pass costs at a time, and scheduling takes at a time.
+_BLOCK_FRAMES = 32
 
 
 def processed_frame_range(first: Optional[int], last: Optional[int], stride: int) -> list[int]:
@@ -69,6 +75,11 @@ def associate(
     records. The tracker steps, and the clock stamps, every processed
     frame: tracks age on empty ones.
 
+    Processed frames come ``_BLOCK_FRAMES`` at a time: the costs and areas
+    of their rows are computed, and checked to be finite, at once, and each
+    frame's columns are views of them. A frame is checked alone where a
+    payload overrides a cost or its chunk fails the check.
+
     Sidecar keys live in the annotation's id space when hints exist;
     tracker ids are a relabeling, so the hint is preferred. A record's
     ``payload_bytes`` overrides the cost model.
@@ -76,55 +87,79 @@ def associate(
     tracker = Tracker(tracker_cfg)
     created = np.empty(0, dtype=np.int64)  # track id -> frame it was spawned on
     last_class = np.empty(0, dtype=np.int64)  # track id -> class on its last row
-    for frame_index in processed_frame_range(
-        stream.first_frame, stream.last_frame, clock.frame_stride
-    ):
-        dets = stream.block_at(frame_index)
-        assigned = tracker.step(frame_index, dets)
-        if not len(dets):
-            clock.timestamp(frame_index)
-            continue
-        track_id = assigned.track_id
-        size = int(track_id.max()) + 1
-        created, last_class = _grown(created, size, 0), _grown(last_class, size, 0)
-        created[track_id[assigned.is_new]] = frame_index
-        video_change = assigned.is_new | (dets.cls != last_class[track_id])
-        last_class[track_id] = dets.cls
-        w, h = dets.boxes[:, 2], dets.boxes[:, 3]
+    table, offsets, entries = stream._rows, stream._offsets, stream.frame_indices
+    processed = processed_frame_range(stream.first_frame, stream.last_frame, clock.frame_stride)
+    at = 0  # the first entry not before the frame
+    for start in range(0, len(processed), _BLOCK_FRAMES):
+        chunk = processed[start : start + _BLOCK_FRAMES]
+        spans = []  # each frame's rows of the table
+        for frame_index in chunk:
+            at = bisect_left(entries, frame_index, at)
+            has_entry = at < len(entries) and entries[at] == frame_index
+            spans.append((offsets[at], offsets[at + 1]) if has_entry else (0, 0))
+        # the chunk's rows, gathered, so the costs and areas of its frames
+        # are computed at once; each frame takes its run of them
+        lo, hi = np.array(spans, dtype=np.intp).T
+        ends = (hi - lo).cumsum()
+        rows = np.arange(ends[-1]) + (hi - ends).repeat(hi - lo)
+        w, h = table.boxes[rows, 2], table.boxes[rows, 3]
         # a cost or area beyond the float range is refused below, or by
         # score_block, so the arithmetic may overflow quietly
         with np.errstate(over="ignore"):
-            cost_bits = np.full(len(dets), estimate_cost(w, h, cost))
-            area = w * h
-        if sidecar is None:
-            records = np.full(len(dets), -1, dtype=np.int64)
-        else:
-            records = sidecar.rows(frame_index, np.where(dets.has_hint, dets.hint, track_id))
-            looked_up = np.flatnonzero(records >= 0)
-            payload = sidecar.payload_bytes[records[looked_up]]
-            paid = payload > 0
-            # int * 8.0 as Python gives it, for a payload beyond int64 too
-            cost_bits[looked_up[paid]] = payload[paid] * 8.0
-        finite = np.isfinite(cost_bits)
-        if not finite.all():
-            row = int(np.argmin(finite))
-            raise InvalidParam(
-                f"cost_bits is not finite at frame {frame_index}, "
-                f"track {int(track_id[row])}: {float(cost_bits[row])}"
+            chunk_cost = np.full(len(rows), estimate_cost(w, h, cost))
+            chunk_area = w * h
+        chunk_finite = np.isfinite(chunk_cost).all()
+        no_records = np.full(len(rows), -1, dtype=np.int64)
+        for frame_index, (lo, hi), end in zip(chunk, spans, ends.tolist()):
+            dets = table.slice(frame_index, lo, hi)
+            first_new = tracker.next_id
+            assigned = tracker.step(frame_index, dets)
+            if lo == hi:
+                clock.timestamp(frame_index)
+                continue
+            if tracker.next_id > len(created):
+                created = _grown(created, tracker.next_id, 0)
+                last_class = _grown(last_class, tracker.next_id, 0)
+            created[first_new : tracker.next_id] = frame_index
+            track_id = assigned.track_id
+            video_change = assigned.is_new | (dets.cls != last_class[track_id])
+            last_class[track_id] = dets.cls
+            run = slice(end - (hi - lo), end)
+            cost_bits = chunk_cost[run]
+            checked = chunk_finite
+            if sidecar is None:
+                records = no_records[run]
+            else:
+                records = sidecar.rows(frame_index, np.where(dets.has_hint, dets.hint, track_id))
+                looked_up = np.flatnonzero(records >= 0)
+                payload = sidecar.payload_bytes[records[looked_up]]
+                paid = payload > 0
+                if paid.any():
+                    # int * 8.0 as Python gives it, for a payload beyond int64 too
+                    with np.errstate(over="ignore"):
+                        cost_bits[looked_up[paid]] = payload[paid] * 8.0
+                    checked = False
+            if not checked:
+                finite = np.isfinite(cost_bits)
+                if not finite.all():
+                    row = int(np.argmin(finite))
+                    raise InvalidParam(
+                        f"cost_bits is not finite at frame {frame_index}, "
+                        f"track {int(track_id[row])}: {float(cost_bits[row])}"
+                    )
+            columns = policy_mod.FrameColumns(
+                bboxes=dets.bboxes,
+                records=records,
+                semantics=None if sidecar is None else sidecar.semantics,
+                track_id=track_id,
+                created=created[track_id],
+                conf=dets.conf,
+                area=chunk_area[run],
+                cost_bits=cost_bits,
+                class_id=dets.cls,
+                video_change=video_change,
             )
-        columns = policy_mod.FrameColumns(
-            bboxes=dets.bboxes,
-            records=records,
-            semantics=None if sidecar is None else sidecar.semantics,
-            track_id=track_id,
-            created=created[track_id],
-            conf=dets.conf,
-            area=area,
-            cost_bits=cost_bits,
-            class_id=dets.cls,
-            video_change=video_change,
-        )
-        yield frame_index, clock.timestamp(frame_index), columns
+            yield frame_index, clock.timestamp(frame_index), columns
 
 
 def _grown(table: np.ndarray, size: int, fill: int) -> np.ndarray:
@@ -133,10 +168,6 @@ def _grown(table: np.ndarray, size: int, fill: int) -> np.ndarray:
         return table
     extra = np.full(max(size, 2 * len(table)) - len(table), fill, dtype=table.dtype)
     return np.concatenate((table, extra))
-
-
-#: Frames the scheduling pass takes from the association pass at a time.
-_BLOCK_FRAMES = 32
 
 
 def _frame_blocks(frames: Iterable[tuple]) -> Iterator[list[tuple]]:
@@ -235,12 +266,13 @@ def _schedule(
             selected = list(decision.selected)
             sent, costs = [], []
             for row, cost_bits in zip(selected, cols.cost_bits[selected].tolist()):
-                # Commit-time re-check: budget safety must not depend on
-                # the policy having honored the ledger view.
-                if not ledger.admits(now, cost_bits):
+                # The commit re-checks admission: budget safety must not
+                # depend on the policy having honored the ledger view.
+                try:
+                    ledger.commit(now, cost_bits)
+                except BudgetViolation:
                     rejected_budget += 1
                     continue
-                ledger.commit(now, cost_bits)
                 sent.append(row)
                 costs.append(cost_bits)
             if not sent:

@@ -57,9 +57,9 @@ class DetectionStream:
     ``frame_indices`` are the frames that have an entry, strictly
     increasing; an entry may hold no detections. Every stream keeps its
     detections in one ``FrameDetections`` table, row for row in stream
-    order: entry ``i`` holds rows ``_offsets[i]:_offsets[i + 1]``. It hands
-    a frame to the tracker as that slice of the table (``block_at``) and
-    builds a frame's ``Detection`` objects each time they are asked for.
+    order: entry ``i`` holds rows ``_offsets[i]:_offsets[i + 1]``, which
+    ``block_at``, and the association pass, slice from the table. A frame's
+    ``Detection`` objects are built each time they are asked for.
     Streams are equal when their clocks and ``frames`` are.
     """
 

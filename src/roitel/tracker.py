@@ -7,7 +7,7 @@ ground-truth identity hints, bypassing IoU for hinted detections.
 
 The live tracks are held as arrays in id order (id, last box, consecutive
 misses, and under ``use_hints`` the hint they spawned from), so a step reads
-the frame's columns and ages every track with one mask; no ``Detection`` is
+the frame's columns and ages every track in place; no ``Detection`` is
 built unless a caller reads the result's entries. ``TrackerConfig`` lives
 in ``domain``, with the other run-config types.
 """
@@ -51,7 +51,11 @@ class Assignments(Sequence):
 class Tracker:
     """Single-owner mutable tracker state for one simulation run.
 
-    Track ids are assigned monotonically and never reused within a run.
+    Track ids are assigned monotonically and never reused within a run;
+    ``next_id`` is the next one. A step adds a miss to every live track and
+    sets a claimed track's to 0, so the claimed tracks are those with none.
+    It copies the box arrays for the kernel only after a hint claim, and
+    compacts or extends the track arrays only when a track retires or spawns.
     """
 
     def __init__(self, config: TrackerConfig | None = None):
@@ -63,7 +67,7 @@ class Tracker:
         # under use_hints, their one reader
         self._hint = np.empty(0, dtype=np.int64)
         self._has_hint = np.empty(0, dtype=bool)
-        self._next_id = 0
+        self.next_id = 0
         self._last_frame: Optional[int] = None
 
     def step(
@@ -87,53 +91,61 @@ class Tracker:
             detections = FrameDetections.from_detections(frame_index, detections)
 
         track_id = np.full(len(detections), -1, dtype=np.int64)
-        matched = np.zeros(len(self._ids), dtype=bool)
-        spawned: list[int] = []  # rows that spawn a track, in id order
-        remaining = np.arange(len(detections))
-        if self.config.use_hints:
-            remaining = self._associate_by_hint(detections, track_id, matched, spawned)
+        first_new_id = self.next_id
+        self._misses += 1  # a claim sets them to 0
+        spawned: list[int] = []  # hinted rows that spawn a track, in row order
+        rows = pool = None  # the rows and live tracks IoU pairs; None: all
+        if self.config.use_hints and detections.has_hint.any():
+            if self._associate_by_hint(detections, track_id, spawned):
+                pool = np.flatnonzero(self._misses)
+            rows = np.flatnonzero(~detections.has_hint)
 
         # IoU association for the leftovers against unclaimed tracks.
-        pool = np.flatnonzero(~matched)
-        if len(pool) and len(remaining):
-            pairs = kernels.greedy_associate(
-                self._boxes[pool], detections.boxes[remaining], self.config.iou_min
-            )
+        tracks = self._boxes if pool is None else self._boxes[pool]
+        boxes = detections.boxes if rows is None else detections.boxes[rows]
+        if len(tracks) and len(boxes):
+            pairs = kernels.greedy_associate(tracks, boxes, self.config.iou_min)
             if pairs:
-                rows, cols = np.array(pairs, dtype=np.int64).T
-                self._extend(pool[rows], remaining[cols], detections, track_id, matched)
-                remaining = remaining[track_id[remaining] < 0]
-        spawned.extend(remaining.tolist())
+                positions, cols = np.array(pairs, dtype=np.int64).T
+                positions = positions if pool is None else pool[positions]
+                self._extend(positions, cols if rows is None else rows[cols], detections, track_id)
 
-        new_ids = np.arange(self._next_id, self._next_id + len(spawned), dtype=np.int64)
-        self._next_id += len(spawned)
-        track_id[spawned] = new_ids
-        is_new = np.zeros(len(detections), dtype=bool)
-        is_new[spawned] = True
-
-        # Age and retire: every track this step did not claim misses once.
-        misses = np.where(matched, 0, self._misses + 1)
-        keep = misses <= self.config.max_misses
-        if self.config.use_hints:
-            self._hint = np.concatenate((self._hint[keep], detections.hint[spawned]))
-            self._has_hint = np.concatenate((self._has_hint[keep], detections.has_hint[spawned]))
-        self._ids = np.concatenate((self._ids[keep], new_ids))
-        self._boxes = np.concatenate((self._boxes[keep], detections.boxes[spawned]))
-        self._misses = np.concatenate((misses[keep], np.zeros(len(spawned), dtype=np.int64)))
+        # Retire the tracks that missed too often, then spawn the leftovers.
+        retired = self._misses > self.config.max_misses
+        if retired.any():
+            keep = ~retired
+            self._ids, self._boxes = self._ids[keep], self._boxes[keep]
+            self._misses = self._misses[keep]
+            if self.config.use_hints:
+                self._hint, self._has_hint = self._hint[keep], self._has_hint[keep]
+        leftover = np.flatnonzero(track_id < 0) if rows is None else rows[track_id[rows] < 0]
+        new_rows = np.concatenate((spawned, leftover)) if spawned else leftover
+        if len(new_rows):
+            new_ids = np.arange(first_new_id, first_new_id + len(new_rows), dtype=np.int64)
+            self.next_id += len(new_rows)
+            track_id[new_rows] = new_ids
+            self._ids = np.concatenate((self._ids, new_ids))
+            self._boxes = np.concatenate((self._boxes, detections.boxes[new_rows]))
+            self._misses = np.concatenate((self._misses, np.zeros_like(new_ids)))
+            if self.config.use_hints:
+                self._hint = np.concatenate((self._hint, detections.hint[new_rows]))
+                self._has_hint = np.concatenate((self._has_hint, detections.has_hint[new_rows]))
+        is_new = track_id >= first_new_id
         return Assignments(detections, track_id, is_new)
 
-    def _extend(self, positions, rows, detections, track_id, matched) -> None:
-        """The live tracks at ``positions`` take the boxes of ``rows``."""
+    def _extend(self, positions, rows, detections, track_id) -> None:
+        """The live tracks at ``positions`` take the boxes of ``rows``, and
+        are claimed."""
         self._boxes[positions] = detections.boxes[rows]
         track_id[rows] = self._ids[positions]
-        matched[positions] = True
+        self._misses[positions] = 0
 
-    def _associate_by_hint(self, detections, track_id, matched, spawned) -> np.ndarray:
+    def _associate_by_hint(self, detections, track_id, spawned) -> bool:
         """Hinted rows extend the newest live track of their hint, unless an
         earlier row of this step claimed it; else they spawn (appended to
-        ``spawned``). Returns the unhinted rows."""
+        ``spawned``). Returns whether a track was claimed."""
         hinted = np.flatnonzero(self._has_hint)
-        # hint -> position of its newest live track; -1: spawned now
+        # hint -> position of its newest live track; -1: claimed or spawned now
         by_hint = dict(zip(self._hint[hinted].tolist(), hinted.tolist()))
         positions, rows = [], []
         hints = detections.hint.tolist()
@@ -141,13 +153,12 @@ class Tracker:
             if not has:
                 continue
             pos = by_hint.get(hints[row], -1)
-            if pos >= 0 and not matched[pos]:
-                matched[pos] = True
+            if pos >= 0:
                 positions.append(pos)
                 rows.append(row)
             else:
                 spawned.append(row)
-                by_hint[hints[row]] = -1
+            by_hint[hints[row]] = -1
         if rows:
-            self._extend(np.array(positions), np.array(rows), detections, track_id, matched)
-        return np.flatnonzero(~detections.has_hint)
+            self._extend(np.array(positions), np.array(rows), detections, track_id)
+        return bool(rows)

@@ -822,20 +822,27 @@ def test_a_sweep_whose_last_variant_fails_leaves_no_log(
 
 
 def test_an_interrupted_sweep_leaves_no_log(tmp_path, detections_csv, monkeypatch):
-    aggregate_run = metrics.aggregate_run
-    calls = []
+    # the sweep's own fold of M5's first block is interrupted, once M0's and
+    # M2's logs are staged and M5's spills are open
+    spill, add = cli._Stage.spill, metrics._Tally.add
+    logs = []
 
-    def interrupted_on_the_last_variant(log):
-        calls.append(log.variant)
-        if log.variant == "M5":
+    def opened_spill(stage, path, kind):
+        if kind == "tx":
+            logs.append(path.name)
+        return spill(stage, path, kind)
+
+    def interrupted_on_the_last_variant(tally, cols):
+        if logs[-1] == "runlog_M5.jsonl":
             raise KeyboardInterrupt
-        return aggregate_run(log)
+        add(tally, cols)
 
-    monkeypatch.setattr(metrics, "aggregate_run", interrupted_on_the_last_variant)
+    monkeypatch.setattr(cli._Stage, "spill", opened_spill)
+    monkeypatch.setattr(metrics._Tally, "add", interrupted_on_the_last_variant)
     out_dir = tmp_path / "o"
     with pytest.raises(KeyboardInterrupt):
         run_sweep(out_dir, detections_csv)
-    assert calls == ["M0", "M2", "M5"]
+    assert logs == ["runlog_M0.jsonl", "runlog_M2.jsonl", "runlog_M5.jsonl"]
     assert dir_bytes(out_dir) == {}
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import math
 import weakref
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from roitel import (
     BBox,
     BudgetConfig,
+    BudgetViolation,
     ConfigError,
     CostModel,
     FrameClock,
@@ -27,6 +29,7 @@ from roitel import (
     sweep,
     write_generic_csv,
 )
+from roitel.budget import LedgerView
 from roitel.config import build_config
 from roitel.domain import DEFAULT_WEIGHTS
 from roitel import budget, engine, ingest, policy
@@ -263,6 +266,39 @@ def test_windowed_budget_never_exceeded():
     )
 
 
+def test_the_commit_refuses_the_overdraw_of_a_decide_that_ignores_the_view(monkeypatch):
+    stream, cfg, _, _ = contention_setup()
+    # every candidate triggers, no top-k limit
+    cfg = replace(cfg, policy=PolicyConfig(variant="M3", conf_threshold=1.0))
+    honest = run(stream, None, cfg)
+    decide = policy.decide
+
+    def blind(frame_index, block, view, policy_cfg):
+        # selects every triggered row, as if the window were empty and unbounded
+        return decide(frame_index, block, LedgerView(0.0, math.inf), policy_cfg)
+
+    refused = []
+
+    class CountingLedger(budget.BudgetLedger):
+        def commit(self, now_s, bits):
+            try:
+                super().commit(now_s, bits)
+            except BudgetViolation:
+                refused.append(now_s)
+                raise
+
+    monkeypatch.setattr(policy, "decide", blind)
+    monkeypatch.setattr(engine, "BudgetLedger", CountingLedger)
+    log = run(stream, None, cfg)
+    # decide rejected nothing for the budget: each rejection is a refused commit
+    assert log.rejected_budget == len(refused) > 0
+    assert (log.transmissions, log.rejected_budget) == (honest.transmissions, honest.rejected_budget)
+    cap = cfg.budget.b_roi * cfg.budget.window_s
+    txs = [(tx.t_s, tx.cost_bits) for tx in log.transmissions]
+    for t_i, _ in txs:
+        assert sum(bits for t_j, bits in txs if t_i - cfg.budget.window_s < t_j <= t_i) <= cap
+
+
 def test_zero_roi_allocation_blocks_all_transmissions():
     cfg = replace(
         low_regime_cfg("M5"),
@@ -288,6 +324,63 @@ def sidecar_record(frame, track, *, still_conf=0.35, still_label=7, payload=None
         still_entropy=1.1,
         payload_bytes=payload,
     )
+
+
+def chunk_edge_stream():
+    """Int boxes over twelve stride-5 processed frames, with entries between
+    them; processed frame 10 has no entry, and 0 and 55 an empty one."""
+    frames = []
+    for f in range(60):
+        if f % 7 != 3:
+            n = 0 if f % 11 == 0 else 1 + f % 4
+            frames.append((f, [mk_det(f, x=12 * i + f % 3, y=5, w=8, h=6) for i in range(n)]))
+    return mk_stream(frames)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+def test_association_chunks_give_the_run_of_one_chunk(monkeypatch, chunk):
+    # the autouse oracle check compares every chunked pass with the
+    # dict-based association too
+    cfg = low_regime_cfg("M5")
+    whole = list(to_jsonl_lines(run(chunk_edge_stream(), None, cfg)))
+    monkeypatch.setattr(engine, "_BLOCK_FRAMES", chunk)
+    assert list(to_jsonl_lines(run(chunk_edge_stream(), None, cfg))) == whole
+
+
+@pytest.mark.parametrize(
+    "records,failure",
+    [
+        ([], (25, 2)),
+        # a payload overrides the other row's cost: the frame is checked alone
+        ([sidecar_record(25, 0, payload=1300)], (25, 2)),
+        # a payload overrides the bad estimate
+        ([sidecar_record(25, 2, payload=1300)], None),
+        # a payload's cost is beyond the float range, in a chunk whose
+        # estimates are finite
+        ([sidecar_record(5, 1, payload=10**308)], (5, 1)),
+    ],
+    ids=["estimate", "other_row_paid", "paid", "payload"],
+)
+def test_a_bad_cost_in_a_later_chunk_fails_after_the_frames_before_it(
+    monkeypatch, records, failure
+):
+    # chunks of two processed frames: frame 5 ends the first, 25 is in the
+    # third; at 1e300 bits a pixel a 1e5x1e5 box costs more than the float range
+    monkeypatch.setattr(engine, "_BLOCK_FRAMES", 2)
+    frames = [(f, [mk_det(f), mk_det(f, x=100.0)]) for f in range(0, 40, 5)]
+    frames[5] = (25, [mk_det(25), mk_det(25, x=100.0, w=1e5, h=1e5)])
+    cfg = replace(low_regime_cfg("M5"), cost=CostModel(bits_per_pixel=1e300))
+    sidecar = SemanticSidecar(records) if records else None
+    seen = []
+    with pytest.raises(InvalidParam) if failure else contextlib.nullcontext() as exc:
+        for frame_index, _, _ in engine.associate(
+            mk_stream(frames), sidecar, cfg.clock, cfg.tracker, cfg.cost
+        ):
+            seen.append(frame_index)
+    if failure:
+        frame, track = failure
+        assert str(exc.value) == f"cost_bits is not finite at frame {frame}, track {track}: inf"
+    assert seen == [f for f, _ in frames if failure is None or f < failure[0]]
 
 
 def test_sidecar_payload_overrides_cost_estimate():

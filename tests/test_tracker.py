@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from roitel import InvalidParam, OutOfOrderFrame, Tracker, TrackerConfig
 from helpers import RefTracker, greedy_match, mk_det
@@ -165,3 +166,31 @@ def test_assignment_count_bound():
     out = tr.step(5, [mk_det(5, x=0), mk_det(5, x=30), mk_det(5, x=60)])
     matched = [tid for _, tid, is_new in out if not is_new]
     assert len(matched) <= 2
+
+
+# coarse grids, so boxes repeat and overlap, and IoUs tie
+corner = st.sampled_from([0, 5, 10, 20, 40])
+extent = st.sampled_from([5, 10, 20])
+hint = st.one_of(st.none(), st.integers(0, 3))
+frame_rows = st.one_of(
+    st.just([]),  # retires every track under max_misses=0
+    st.lists(st.tuples(corner, corner, extent, extent, hint), min_size=1, max_size=6),
+)
+
+
+@settings(max_examples=300)
+@given(
+    frames=st.lists(frame_rows, min_size=1, max_size=12),
+    iou_min=st.sampled_from([0.0, 0.3, 1.0]),
+    max_misses=st.sampled_from([0, 1, 3]),
+    use_hints=st.booleans(),
+)
+def test_step_matches_the_reference_tracker(frames, iou_min, max_misses, use_hints):
+    # hinted and unhinted rows, repeated hints and boxes, and empty frames
+    cfg = TrackerConfig(iou_min=iou_min, max_misses=max_misses, use_hints=use_hints)
+    tr, ref = Tracker(cfg), RefTracker(cfg)
+    for f, rows in enumerate(frames):
+        dets = [mk_det(f, x=x, y=y, w=w, h=h, hint=hint) for x, y, w, h, hint in rows]
+        got = [(tid, new) for _, tid, new in tr.step(f, dets)]
+        assert got == [(tid, new) for _, tid, new in ref.step(f, dets)]
+        assert len(tr._ids) == len(ref._tracks)
