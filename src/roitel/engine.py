@@ -30,7 +30,7 @@ from .budget import BudgetLedger, estimate_cost
 from .config import dump_config
 from .domain import CostModel, FrameClock, PolicyConfig, RunConfig, TrackerConfig
 from .errors import BudgetViolation, InvalidParam
-from .ingest import DetectionStream, box_values
+from .ingest import DetectionStream
 from .runlog import (
     _NO_SEMANTICS,
     _SEMANTIC_FIELDS,
@@ -148,7 +148,7 @@ def associate(
                         f"track {int(track_id[row])}: {float(cost_bits[row])}"
                     )
             columns = policy_mod.FrameColumns(
-                bboxes=dets.bboxes,
+                xywh=dets.xywh,
                 records=records,
                 semantics=None if sidecar is None else sidecar.semantics,
                 track_id=track_id,
@@ -303,7 +303,7 @@ def _schedule(
                 repeat(frame_index, n),
                 repeat(now, n),
                 tids,
-                box_values(cols.bboxes, sel),
+                cols.xywh[sel].tolist(),
                 costs,
                 scored.score[sel].tolist(),
                 scored.u_term[sel].tolist(),

@@ -33,7 +33,6 @@ import math
 import random
 import re
 from bisect import bisect_left
-from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain, repeat
 from typing import Iterable, NamedTuple, Optional, Sequence, TextIO, Union
@@ -141,34 +140,6 @@ class DetectionStream:
         return self.clock == other.clock and self.frames == other.frames
 
 
-class _BoxRows(SequenceABC):
-    """Row ``i``'s ``BBox`` of an (N, 4) box array, built each time it is
-    asked for and not kept. A slice is the rows of a slice of the array."""
-
-    def __init__(self, boxes: np.ndarray):
-        self._boxes = boxes
-
-    def __len__(self) -> int:
-        return len(self._boxes)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return _BoxRows(self._boxes[i])
-        return BBox(*self._boxes[i].tolist())
-
-    def __iter__(self):
-        return (BBox(*box) for box in self._boxes.tolist())
-
-
-def box_values(bboxes: Sequence[BBox], rows: np.ndarray) -> list:
-    """The ``[x, y, w, h]`` of each of ``rows``' boxes, with the number types
-    ``bboxes`` gives: a parsed stream's floats, gathered from its array
-    with no ``BBox`` built, or a given box's own numbers."""
-    if isinstance(bboxes, _BoxRows):
-        return bboxes._boxes[rows].tolist()
-    return [[b.x, b.y, b.w, b.h] for b in map(bboxes.__getitem__, rows.tolist())]
-
-
 def _int_column(values: list[int]) -> np.ndarray:
     """int64, or object when a value is beyond int64, as a hint may be."""
     try:
@@ -181,10 +152,12 @@ def _int_column(values: list[int]) -> np.ndarray:
 class FrameDetections:
     """Detections as columns, row for row in stream order: one frame's, the
     form the tracker and the association pass read, or a whole stream's
-    (``frame_index`` None), which a frame's block is a slice of. ``BBox``
-    objects are kept in ``bboxes`` when the rows were packed from them;
-    otherwise they, like ``Detection`` objects, are built each time they
-    are asked for."""
+    (``frame_index`` None), which a frame's block is a slice of. ``xywh``
+    holds each box's numbers as given, which a run log and a CSV write: a
+    parsed or synthetic stream's ``boxes`` array itself, or, for rows packed
+    from ``Detection``s, an object array of their boxes' numbers, so integer
+    coordinates stay integers. ``BBox`` and ``Detection`` objects are built
+    each time they are asked for."""
 
     frame_index: Optional[int]
     boxes: np.ndarray  # (N, 4) float64: x, y, w, h
@@ -192,38 +165,42 @@ class FrameDetections:
     has_hint: np.ndarray  # bool
     conf: np.ndarray  # float64
     cls: np.ndarray  # int64
-    bboxes: Sequence[BBox]
+    xywh: np.ndarray  # (N, 4): each box's numbers as given
 
     @staticmethod
     def from_detections(
         frame_index: Optional[int], dets: Iterable[Detection]
     ) -> "FrameDetections":
-        """The rows of ``dets``, which keep their ``BBox`` objects. A class
+        """The rows of ``dets``, which keep their boxes' numbers. A class
         id must be an ``int`` that fits in int64, and a box must keep its
         edges and twice its area within the float range, as the parsers
         require; the first detection that breaks a rule raises
         ``InvalidParam``."""
-        checked = []
+        checked, given = [], []
         for det in dets:
             if type(det.class_id) is not int:
                 raise InvalidParam(f"class_id must be an int, got {det.class_id!r}")
             if not INT64_MIN <= det.class_id <= INT64_MAX:
                 raise InvalidParam(f"class_id outside int64: {det.class_id}")
             b = det.bbox
-            problem = _box_range_problem(b.x, b.y, b.w, b.h)
+            box = (b.x, b.y, b.w, b.h)
+            problem = _box_range_problem(*box)
             if problem:
                 raise InvalidParam(problem)
             checked.append(det)
-        bboxes = tuple(d.bbox for d in checked)
+            # a NumPy scalar as its Python number, which the log and the CSV
+            # write as they write a given int or float
+            given.append([v.item() if isinstance(v, np.generic) else v for v in box])
+        xywh = np.array(given, dtype=object).reshape(-1, 4)
         hints = [d.track_hint for d in checked]
         return FrameDetections(
             frame_index,
-            np.array([(b.x, b.y, b.w, b.h) for b in bboxes], dtype=np.float64).reshape(-1, 4),
+            xywh.astype(np.float64),
             _int_column([-1 if h is None else h for h in hints]),
             np.array([h is not None for h in hints], dtype=bool),
             np.array([d.confidence for d in checked], dtype=np.float64),
             np.array([d.class_id for d in checked], dtype=np.int64),
-            bboxes,
+            xywh,
         )
 
     def __len__(self) -> int:
@@ -238,15 +215,15 @@ class FrameDetections:
             self.has_hint[lo:hi],
             self.conf[lo:hi],
             self.cls[lo:hi],
-            self.bboxes[lo:hi],
+            self.xywh[lo:hi],
         )
 
     def detections(self) -> tuple[Detection, ...]:
         """Every row's ``Detection``, built in one pass over the columns."""
         cols = (self.hint.tolist(), self.has_hint.tolist(), self.conf.tolist(), self.cls.tolist())
         return tuple(
-            Detection(self.frame_index, bbox, conf, cls, hint if has else None)
-            for bbox, hint, has, conf, cls in zip(self.bboxes, *cols)
+            Detection(self.frame_index, BBox(*box), conf, cls, hint if has else None)
+            for box, hint, has, conf, cls in zip(self.xywh.tolist(), *cols)
         )
 
 
@@ -584,7 +561,7 @@ def _parse_detections(source, layout: _Layout, errors_out) -> DetectionStream:
         cols = [c[order] for c in cols]
     starts = np.flatnonzero(np.diff(frame, prepend=-1))  # frames are >= 0
     offsets = [*starts.tolist(), len(frame)]
-    rows = FrameDetections(None, *cols, _BoxRows(cols[0]))
+    rows = FrameDetections(None, *cols, cols[0])
     return DetectionStream(clock or FrameClock(), tuple(frame[starts].tolist()), offsets, rows)
 
 
@@ -619,18 +596,14 @@ def write_generic_csv(stream: DetectionStream) -> str:
     lines = [
         "# roitel detections v1",
         "# columns: " + ",".join(GENERIC_COLUMNS),
-        f"# clock: fps={clock.fps!r} stride={clock.frame_stride}",
+        f"# clock: fps={float(clock.fps)!r} stride={clock.frame_stride}",
     ]
     rows, offsets = stream._rows, stream._offsets
-    if isinstance(rows.bboxes, _BoxRows):
-        xywh = rows.boxes.T.tolist()
-    else:  # the given boxes, so integer coordinates are written as integers
-        xywh = [[getattr(b, name) for b in rows.bboxes] for name in "xywh"]
     counts = np.diff(offsets).tolist()
     columns = (
         chain.from_iterable(map(repeat, map(str, stream.frame_indices), counts)),
         map(str, np.where(rows.has_hint, rows.hint, -1).tolist()),
-        *(map(repr, c) for c in xywh),
+        *(map(repr, c) for c in rows.xywh.T.tolist()),
         map(repr, rows.conf.tolist()),
         map(str, rows.cls.tolist()),
     )
@@ -697,7 +670,7 @@ def gen_synthetic(
     boxes = np.column_stack((x, y, w, h))
     hint, cls = (np.array(c, dtype=np.int64) for c in (hint, cls))
     every_hint = np.ones(len(rows), dtype=bool)
-    table = FrameDetections(None, boxes, hint, every_hint, np.array(conf), cls, _BoxRows(boxes))
+    table = FrameDetections(None, boxes, hint, every_hint, np.array(conf), cls, boxes)
     offsets = [0, *accumulate(map(len, by_frame))]
     return DetectionStream(clock, tuple(range(n_frames)), offsets, table)
 

@@ -69,19 +69,18 @@ class FrameColumns:
     """One processed frame after association, one row per tracked detection
     in tracker order; a track appears at most once per frame.
 
-    Each fact is held once. ``bboxes`` are the stream's own boxes, so a
-    log's box column keeps their number types; the scheduling pass reads
-    them through ``ingest.box_values``, which gathers a parsed stream's
-    numbers from its array with no box built. ``records`` holds each row's
-    record as its row of the sidecar's ``semantics`` column, -1 where there
-    is none, as there is none without a sidecar. ``video_change`` marks the
-    rows whose track is new or whose class differs from the track's class
-    on its previous row: where the video-side class estimate changes. The
-    association pass builds this once per frame, and every variant of a
-    sweep reads it.
+    Each fact is held once. ``xywh`` is the stream's own array of box
+    numbers (``FrameDetections.xywh``), so a log's box column keeps their
+    number types; the scheduling pass gathers a sent row's from it, with no
+    box built. ``records`` holds each row's record as its row of the
+    sidecar's ``semantics`` column, -1 where there is none, as there is none
+    without a sidecar. ``video_change`` marks the rows whose track is new or
+    whose class differs from the track's class on its previous row: where
+    the video-side class estimate changes. The association pass builds this
+    once per frame, and every variant of a sweep reads it.
     """
 
-    bboxes: Sequence[BBox]
+    xywh: np.ndarray  # (N, 4): each box's numbers as the stream holds them
     records: np.ndarray  # int64: the row of semantics, or -1
     track_id: np.ndarray  # int64
     created: np.ndarray  # int64: the frame the track was spawned on

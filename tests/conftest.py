@@ -183,7 +183,7 @@ def frame_facts(frame, sidecar):
     return (
         frame_index,
         repr(now),
-        repr(tuple(cols.bboxes)),
+        repr(cols.xywh.tolist()),
         repr(records),
         cols.semantics is (None if sidecar is None else sidecar.semantics),
         [(str(a.dtype), repr(a.tolist())) for a in arrays],

@@ -69,6 +69,12 @@ def mk_bbox(x=0.0, y=0.0, w=10.0, h=10.0) -> BBox:
     return BBox(x, y, w, h)
 
 
+def box_numbers(bboxes) -> np.ndarray:
+    """The (N, 4) object array of ``bboxes``' numbers as given, the form a
+    ``FrameColumns.xywh`` holds for a stream built from objects."""
+    return np.array([[b.x, b.y, b.w, b.h] for b in bboxes], dtype=object).reshape(-1, 4)
+
+
 def mk_det(frame, x=0.0, y=0.0, w=10.0, h=10.0, conf=0.9, cls=0, hint=None) -> Detection:
     return Detection(
         frame_index=frame,
@@ -339,7 +345,7 @@ def ref_associate(
                 f"track {track_ids[row]}: {costs[row]}"
             )
         columns = FrameColumns(
-            bboxes=bboxes,
+            xywh=box_numbers(bboxes),
             records=np.array(rows, dtype=np.int64),
             semantics=None if sidecar is None else sidecar.semantics,
             track_id=np.array(track_ids, dtype=np.int64),
@@ -566,7 +572,7 @@ def scalar_schedule(
     for frame_index, now, cols in frames:
         log.raw_candidate_count += len(cols)
         rows = zip(
-            cols.bboxes,
+            [BBox(*box) for box in cols.xywh.tolist()],
             cols.conf.tolist(),
             cols.class_id.tolist(),
             cols.track_id.tolist(),
@@ -649,7 +655,7 @@ def as_block(frame_index: int, contexts: list[CandidateContext]) -> CandidateBlo
     cands = [ctx.candidate for ctx in contexts]
     assert all(c.frame_index == frame_index for c in cands)
     cols = FrameColumns(
-        bboxes=tuple(c.bbox for c in cands),
+        xywh=box_numbers(c.bbox for c in cands),
         records=np.full(len(cands), -1, dtype=np.int64),
         track_id=np.array([c.track_id for c in cands], dtype=np.int64),
         created=np.array([ctx.created_frame for ctx in contexts], dtype=np.int64),

@@ -555,6 +555,35 @@ def test_zero_conf_noise_is_a_no_op(tmp_path, detections_csv):
     assert (dir_a / "runlog.jsonl").read_bytes() == (dir_b / "runlog.jsonl").read_bytes()
 
 
+def test_a_run_reruns_byte_for_byte_from_its_own_config_echo(tmp_path, detections_csv):
+    # the log header's config object, written as a config file, is all a
+    # rerun on the same input needs besides --conf-noise, which no config
+    # key holds
+    sets = [
+        "policy.variant=M3",
+        "policy.conf_threshold=0.6",
+        "seed=7",
+        "clock.frame_stride=3",
+        "budget.window_s=1.5",
+        "tracker.iou_min=0.25",
+        "cost.pad_ratio=0.1",
+    ]
+    noise = ["--conf-noise", "0.25"]
+    rc, first = simulate(tmp_path / "a", detections_csv, *noise, *(f"--set={s}" for s in sets))
+    assert rc == 0
+    log = (first / "runlog.jsonl").read_text()
+    echo = json.loads(log.split("\n", 1)[0])["config"]
+    keys = ("policy.variant", "seed", "clock.frame_stride")
+    assert [echo[key] for key in keys] == ["M3", "7", "3"]
+    config = tmp_path / "rerun.cfg"
+    config.write_text("".join(f"{key} = {value}\n" for key, value in echo.items()))
+    again = tmp_path / "b"
+    argv = ["simulate", "--input", str(detections_csv), "--config", str(config), *noise]
+    assert main([*argv, "--out-dir", str(again)]) == 0
+    for name in ("runlog.jsonl", "report.csv"):
+        assert (again / name).read_bytes() == (first / name).read_bytes()
+
+
 def uavdt_csv(tmp_path):
     """A UAVDT ground-truth file (confidence 1.0) of a seeded synthetic stream."""
     stream = gen_synthetic(seed=4, n_frames=200, mean_objects=6.0, clock=FrameClock())

@@ -36,6 +36,7 @@ from roitel import budget, engine, ingest, policy
 from roitel.engine import processed_frame_range
 from roitel.runlog import CLASS_SOURCE_STILL, CLASS_SOURCE_VIDEO, collect, to_jsonl_lines
 from helpers import (
+    box_numbers,
     compensated_sum,
     low_regime_cfg,
     mk_det,
@@ -830,7 +831,7 @@ def hand_frame(frame_index, dets, track_ids, created, last_class):
     last_class.update(zip(track_ids, (d.class_id for d in dets)))
     costs = [estimate_cost(d.bbox.w, d.bbox.h, CostModel()) for d in dets]
     cols = FrameColumns(
-        bboxes=tuple(d.bbox for d in dets),
+        xywh=box_numbers(d.bbox for d in dets),
         records=np.full(len(dets), -1, dtype=np.int64),
         track_id=np.array(track_ids, dtype=np.int64),
         created=np.array(created, dtype=np.int64),

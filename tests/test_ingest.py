@@ -16,15 +16,19 @@ from roitel import (
     ParseError,
     SemanticRecord,
     SemanticSidecar,
+    aggregate_run,
     gen_synthetic,
     inject_confidence_noise,
     parse_generic_csv,
     parse_sidecar_csv,
     parse_uavdt_gt,
     parse_visdrone_mot,
+    read_jsonl,
     run,
     write_generic_csv,
 )
+from roitel import metrics
+from roitel.runlog import to_jsonl_lines
 from helpers import low_regime_cfg, mk_det, mk_stream
 
 
@@ -388,7 +392,9 @@ def test_a_stream_gives_new_equal_detections_with_float_confidences():
     got = stream.detections_at(3)
     assert got == stream.frames[0][1] == (replace(det, confidence=1.0), mk_det(3, x=90.0))
     assert got[0] is not det and type(got[0].confidence) is float
-    assert got[0].bbox is det.bbox
+    assert got[0].bbox == det.bbox
+    box = got[0].bbox
+    assert [type(v) for v in (box.x, box.y, box.w, box.h)] == [int, int, float, float]
 
 
 @pytest.mark.parametrize(
@@ -587,8 +593,31 @@ def test_writer_keeps_given_integer_coordinates():
     assert rows == [f"4,{2**64},50,20,10,12,1.0,3", "4,-1,0.5,0.0,10.0,10.0,0.9,0"]
 
 
-def test_writer_embeds_clock():
-    stream = mk_stream([(0, [mk_det(0)])], clock=FrameClock(fps=24.0, frame_stride=3))
+def test_numpy_box_numbers_reach_the_log_and_the_csv_as_plain_numbers():
+    # a detector's array output gives NumPy scalars: a float stays a float
+    # and an integer an integer, and both files read back
+    floats = mk_det(0, *map(np.float64, (10.5, 20.25, 30.0, 12.5)))
+    ints = mk_det(5, *map(np.int64, (200, 40, 16, 9)), cls=1)
+    stream = mk_stream([(0, [floats]), (5, [ints])])
+    log = run(stream, None, low_regime_cfg("M2"))
+    boxes = [tx.bbox for tx in log.transmissions]
+    assert [[type(v) for v in (b.x, b.y, b.w, b.h)] for b in boxes] == [[float] * 4, [int] * 4]
+    text = "\n".join(to_jsonl_lines(log)) + "\n"
+    assert '"bbox": [200, 40, 16, 9]' in text
+    assert read_jsonl(text) == log
+    assert metrics.fold_jsonl(text)[1] == aggregate_run(log)
+    csv = write_generic_csv(stream)
+    assert csv.splitlines()[3:] == ["0,-1,10.5,20.25,30.0,12.5,0.9,0", "5,-1,200,40,16,9,0.9,1"]
+    assert parse_generic_csv(csv) == stream
+
+
+@pytest.mark.parametrize(
+    "clock",
+    [FrameClock(fps=24.0, frame_stride=3), FrameClock(fps=np.float64(30.0), frame_stride=5)],
+    ids=["float", "numpy"],
+)
+def test_writer_embeds_clock(clock):
+    stream = mk_stream([(0, [mk_det(0)])], clock=clock)
     assert parse_generic_csv(write_generic_csv(stream)).clock == stream.clock
 
 

@@ -568,8 +568,8 @@ def test_confidence_noise_is_the_same_over_columns_and_objects(name):
     columnar = columns(text, layout)
     objects = DetectionStream.from_frames(columnar.clock, columnar.frames)
     # one table holds the parser's columns, the other was packed from objects
-    assert isinstance(columnar._rows.bboxes, ingest._BoxRows)
-    assert type(objects._rows.bboxes) is tuple
+    assert columnar._rows.xywh is columnar._rows.boxes
+    assert objects._rows.xywh.dtype == object
     for amount in (0.0, 0.2, 1.5):
         a = inject_confidence_noise(columnar, amount, seed=3)
         b = inject_confidence_noise(objects, amount, seed=3)

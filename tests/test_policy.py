@@ -16,7 +16,7 @@ from roitel import (
 from roitel import policy
 from roitel.domain import DEFAULT_AREA_REF, DEFAULT_WEIGHTS
 from roitel.policy import NEVER_REFINED, RoiCandidate, make_candidate
-from helpers import CandidateContext, as_block, scalar_decide, score_roi
+from helpers import CandidateContext, as_block, box_numbers, scalar_decide, score_roi
 
 OPEN_VIEW = LedgerView(window_sum_bits=0.0, cap_bits=1e12)
 
@@ -83,7 +83,7 @@ def frame_columns(rows):
     confs, bboxes, refined, costs = zip(*rows)
     n = len(rows)
     cols = FrameColumns(
-        bboxes=bboxes,
+        xywh=box_numbers(bboxes),
         records=np.full(n, -1, dtype=np.int64),
         track_id=np.arange(10, 10 + n, dtype=np.int64),
         created=np.zeros(n, dtype=np.int64),
